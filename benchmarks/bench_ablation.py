@@ -9,9 +9,6 @@ ABL-2  The engine's route ladder: the same query served from the cache,
        §II mechanism buys.
 ABL-3  Result-graph construction from matcher state versus fresh BFS —
        the payoff of keeping the matcher's S-index alive.
-ABL-4  The engine's bounded-reachability index across a query *workload*
-       (several patterns over one graph) — repeated truncated BFS served
-       from cache versus recomputed.
 """
 
 import pytest
@@ -126,33 +123,3 @@ def test_result_graph_fresh_bfs(benchmark, size):
             result.graph, result.pattern, result.relation, state=None
         )
     )
-
-
-def _query_workload():
-    """Five library queries sharing candidate neighbourhoods."""
-    from repro.datasets.queries import QUERY_LIBRARY
-
-    return [build() for build in QUERY_LIBRARY.values()]
-
-
-@pytest.mark.benchmark(group="ABL4-reach-index")
-def test_workload_without_index(benchmark):
-    graph = cached_twitter(3000)
-    workload = _query_workload()
-    benchmark(lambda: [match_bounded(graph, q).relation for q in workload])
-
-
-@pytest.mark.benchmark(group="ABL4-reach-index")
-def test_workload_with_index(benchmark):
-    from repro.graph.reach_index import BoundedReachIndex
-
-    graph = cached_twitter(3000)
-    workload = _query_workload()
-    index = BoundedReachIndex(graph, max_depth=4)
-
-    relations = benchmark(
-        lambda: [match_bounded(graph, q, reach_index=index).relation for q in workload]
-    )
-    plain = [match_bounded(graph, q).relation for q in workload]
-    assert relations == plain
-    benchmark.extra_info["index_stats"] = index.stats()

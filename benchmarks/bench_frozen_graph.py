@@ -1,6 +1,6 @@
 """E14 — frozen CSR snapshots vs. the dict-of-dicts hot path.
 
-Four claims, all on a seeded 50k-node collaboration graph
+Three claims, all on a seeded 50k-node collaboration graph
 (``collaboration_graph(50_000, seed=0)``), so failures replay exactly:
 
 * **BFS kernel** — bounded successor-row construction (one truncated
@@ -13,16 +13,11 @@ Four claims, all on a seeded 50k-node collaboration graph
 * **evaluation kernel** — end-to-end ``match_bounded`` with a frozen
   snapshot beats the dict-backed matcher >= 2x on the same deep-bound
   workload, with a byte-identical relation.  Asserted on any host.
-* **shard payloads** — pickled frozen ball sub-snapshots (what
-  ``ParallelExecutor`` now ships to workers) are strictly smaller than
-  pickling the equivalent induced dict ``Graph`` (what it used to ship).
-  Asserted per shard.
-* **identity everywhere** — relations, successor rows and ball covers from
-  the frozen kernels equal the dict-backed results exactly.
+* **identity everywhere** — relations and successor rows from the frozen
+  kernels equal the dict-backed results exactly.
 
-Snapshot build cost and the ball-cover kernel speedup are reported for the
-record; they are one-off / noise-sensitive respectively, so they carry no
-wall-clock assertion.
+Snapshot build cost is reported for the record; it is one-off, so it
+carries no wall-clock assertion.
 
 The deep ``*``-bound workload is deliberate: the paper's unbounded pattern
 edges are exactly where per-candidate BFS repeats the most work, and where
@@ -31,7 +26,6 @@ here; shallow-bound patterns route through the per-source strategy and win
 by smaller constant factors).
 """
 
-import pickle
 import time
 
 import pytest
@@ -40,7 +34,6 @@ from benchmarks.conftest import cached_collab, summary_recorder
 from repro.graph.distance import bounded_descendants
 from repro.graph.frozen import FrozenGraph
 from repro.graph.index import AttributeIndex
-from repro.graph.partition import decompose
 from repro.matching.bounded import frozen_successor_rows, match_bounded
 from repro.matching.simulation import simulation_candidates
 from repro.pattern.builder import PatternBuilder
@@ -173,69 +166,4 @@ def test_evaluation_kernel_speedup(graph, frozen, summary):
     assert speedup >= 2.0, (
         f"frozen evaluation must be >= 2x the dict-backed matcher, "
         f"got {speedup:.2f}x"
-    )
-
-
-def test_ball_cover_kernel(graph, frozen):
-    """Ball decomposition on the snapshot: identical shards, reported speed."""
-    pattern = reach_pattern()
-    candidates = simulation_candidates(graph, pattern)
-
-    start = time.perf_counter()
-    plain = decompose(graph, pattern, candidates, 4)
-    t_dict = time.perf_counter() - start
-    start = time.perf_counter()
-    accelerated = decompose(graph, pattern, candidates, 4, frozen=frozen)
-    t_frozen = time.perf_counter() - start
-
-    assert len(accelerated) == len(plain)
-    for mine, theirs in zip(accelerated, plain):
-        assert mine.pivots == theirs.pivots and mine.nodes == theirs.nodes
-    print(
-        f"\n[E14/ball-cover] {sum(s.num_pivots for s in plain)} pivots into "
-        f"{len(plain)} shards: dict {t_dict:.2f}s, frozen {t_frozen:.2f}s "
-        f"-> {t_dict / t_frozen:.1f}x (report only)"
-    )
-
-
-def test_shard_payloads_smaller_than_dict_graphs(graph, frozen):
-    """Frozen ball sub-snapshots pickle strictly smaller than dict subgraphs.
-
-    This is the exact payload swap ``ParallelExecutor`` made: workers used
-    to receive ``shard.subgraph(graph)`` (a dict ``Graph``); they now
-    receive ``frozen.induced(shard.nodes, include_attrs=False)`` — flat
-    CSR buffers plus the label table.
-    """
-    # A moderately selective bounded pattern so balls materialize (the
-    # adaptive shipping rule picks induced subgraphs for selective covers).
-    pattern = (
-        PatternBuilder("ball")
-        .node("SA", "experience >= 13", field="SA", output=True)
-        .node("ST", "experience >= 7", field="ST")
-        .edge("SA", "ST", 2)
-        .build(require_output=True)
-    )
-    candidates = simulation_candidates(graph, pattern)
-    shards = decompose(graph, pattern, candidates, 4, frozen=frozen)
-    assert shards, "decomposition produced no shards"
-    old_total = new_total = 0
-    for shard in shards:
-        old_payload = pickle.dumps(shard.subgraph(graph))
-        new_payload = pickle.dumps(
-            frozen.induced(shard.nodes, include_attrs=False)
-        )
-        old_total += len(old_payload)
-        new_total += len(new_payload)
-        assert len(new_payload) < len(old_payload), (
-            f"shard {shard.index}: frozen payload {len(new_payload)}B is not "
-            f"smaller than dict payload {len(old_payload)}B"
-        )
-    whole_old = len(pickle.dumps(graph))
-    whole_new = len(pickle.dumps(frozen))
-    print(
-        f"\n[E14/payload] {len(shards)} shards: dict {old_total / 1e6:.2f}MB "
-        f"-> frozen {new_total / 1e6:.2f}MB "
-        f"({old_total / max(new_total, 1):.1f}x smaller); whole graph with "
-        f"attribute columns (spawn-only, fork ships nothing): "
-        f"{whole_old / 1e6:.2f}MB -> {whole_new / 1e6:.2f}MB"
     )

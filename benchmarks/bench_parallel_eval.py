@@ -10,7 +10,7 @@ them:
   per-query serial fraction is tiny (planning plus shared candidate
   generation), so this is the near-embarrassingly-parallel case: with >= 4
   cores it must beat sequential evaluation by >= 1.5x (asserted).
-* **per-query sharding** — one big query decomposed into ball shards
+* **per-query sharding** — one big query's candidates partitioned into pivot shards
   (`ParallelExecutor.match`).  Amdahl bites harder here: partitioning, row
   merging and the removal fixpoint stay serial, so on >= 4 cores the bar
   is only a catastrophic-regression floor (asserted >= 0.5x — contended
@@ -113,7 +113,7 @@ def test_batch_parallel_beats_sequential(graph, summary):
 
 
 def test_sharded_query_parallelism(graph, summary):
-    """One heavy query, sequential matcher vs. ball-sharded 4-worker pool."""
+    """One heavy query, sequential matcher vs. pivot-sharded 4-worker pool."""
     pattern = team_pattern(bound=3)
     index = _warm_index(graph)
 

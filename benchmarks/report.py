@@ -174,7 +174,6 @@ def report_ablations(groups: dict, out) -> None:
         ("ABL1-indexed-matcher", "ABL-1 indexed matcher"),
         ("ABL1-naive-matcher", "ABL-1 naive matcher"),
         ("ABL2-routes", "ABL-2 evaluation routes"),
-        ("ABL4-reach-index", "ABL-4 reach-index workload"),
     ):
         entries = groups.get(group, [])
         if not entries:

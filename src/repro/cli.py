@@ -29,9 +29,7 @@ from repro.graph.generators import collaboration_graph, random_digraph, twitter_
 from repro.graph.io import load_graph, save_graph
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update
 from repro.compression.compress import compress
-from repro.engine.planner import make_plan
 from repro.matching.bounded import match_bounded
-from repro.matching.simulation import match_simulation
 from repro.pattern.parser import load_pattern
 from repro.pattern.pattern import Pattern
 from repro.ranking.metrics import METRICS
@@ -89,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--result-graph", action="store_true", help="print witness edges")
     query.add_argument("--workers", type=int, default=1,
                        help="evaluate with N worker processes "
-                            "(ball-sharded; default 1 = sequential)")
+                            "(pivot-sharded; default 1 = sequential)")
     query.add_argument("--oracle", action="store_true",
                        help="build a landmark distance oracle first and let "
                             "the planner route selective pattern edges to "
@@ -423,51 +421,34 @@ def _check_workers(workers: int) -> int:
         raise CliError(f"--workers: {exc}") from None
 
 
-def _evaluate(graph: Graph, pattern: Pattern, workers: int = 1):
-    if workers > 1:
-        from repro.engine.parallel import ParallelExecutor
-
-        with ParallelExecutor(workers) as executor:
-            return executor.match(graph, pattern)
-    if pattern.is_simulation_pattern:
-        return match_simulation(graph, pattern)
-    return match_bounded(graph, pattern)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
+    # One evaluation route: the engine owns the attribute index, the
+    # snapshot, the oracle cache, the planner's kernel routing and the
+    # estimator-driven query guards.
+    from repro.engine.engine import QueryEngine
+
     workers = _check_workers(args.workers)
     budget = _parse_budget(args)
     graph, pattern = _load_inputs(args)
-    if args.oracle or budget is not None:
-        # Oracle-routed and guarded evaluation go through the engine: it
-        # owns the snapshot, the oracle cache, the planner's kernel
-        # routing, and the estimator-driven query guards.
-        from repro.engine.engine import QueryEngine
-
-        engine = QueryEngine()
-        engine.register_graph("cli", graph)
-        if args.oracle:
-            engine.enable_oracle("cli", cap=args.oracle_cap)
-        try:
-            if args.explain:
-                print(engine.explain("cli", pattern, budget=budget).explain())
-                print()
-            result = engine.evaluate("cli", pattern, workers=workers, budget=budget)
-            if args.explain and "kernels" in result.stats:
-                kernels = ", ".join(
-                    f"{edge}: {kernel}"
-                    for edge, kernel in sorted(result.stats["kernels"].items())
-                )
-                print(f"kernels used: {kernels}")
-                print()
-        finally:
-            engine.close()
-        _report_partial(result.stats)
-    else:
+    engine = QueryEngine()
+    engine.register_graph("cli", graph)
+    if args.oracle:
+        engine.enable_oracle("cli", cap=args.oracle_cap)
+    try:
         if args.explain:
-            print(make_plan(pattern).explain())
+            print(engine.explain("cli", pattern, budget=budget).explain())
             print()
-        result = _evaluate(graph, pattern, workers=workers)
+        result = engine.evaluate("cli", pattern, workers=workers, budget=budget)
+        if args.explain and "kernels" in result.stats:
+            kernels = ", ".join(
+                f"{edge}: {kernel}"
+                for edge, kernel in sorted(result.stats["kernels"].items())
+            )
+            print(f"kernels used: {kernels}")
+            print()
+    finally:
+        engine.close()
+    _report_partial(result.stats)
     print(views.relation_summary(result.relation))
     if args.result_graph and result.is_match:
         print()
@@ -746,7 +727,8 @@ def _parse_attr_spec(spec: str):
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    from repro.incremental.updates import NodeDeletion, decompose
+    from repro.engine.engine import QueryEngine
+    from repro.incremental.updates import NodeDeletion
 
     graph = load_graph(args.graph)
     updates: list[Update] = []
@@ -765,20 +747,18 @@ def _cmd_update(args: argparse.Namespace) -> int:
             "nothing to do: pass --insert/--delete/--add-node/--remove-node/--set-attr"
         )
 
-    before = None
-    pattern = None
+    # The engine maintains a pinned query incrementally (the paper's
+    # incremental module), so ΔM falls out of the update itself.
+    engine = QueryEngine()
+    engine.register_graph("cli", graph)
     if args.pattern is not None:
-        pattern = _resolve_pattern(args.pattern)
-        before = _evaluate(graph, pattern).relation
-    for update in updates:
-        for primitive in decompose(graph, update):
-            primitive.apply(graph)
+        engine.pin("cli", _resolve_pattern(args.pattern))
+    summary = engine.update_graph("cli", updates)
     out_path = args.out or args.graph
     save_graph(graph, out_path)
     print(f"applied {len(updates)} update(s); wrote {out_path}")
-    if pattern is not None and before is not None:
-        after = _evaluate(graph, pattern).relation
-        added, removed = before.diff(after)
+    for delta in summary["pinned_deltas"].values():
+        added, removed = delta["added"], delta["removed"]
         for pattern_node, data_node in sorted(added, key=str):
             print(f"ΔM +({pattern_node}, {data_node})")
         for pattern_node, data_node in sorted(removed, key=str):

@@ -64,7 +64,7 @@ class RegisteredGraph:
     """A named data graph plus its per-graph engine artefacts."""
 
     __slots__ = (
-        "name", "graph", "version", "compression", "reach_index", "attr_index",
+        "name", "graph", "version", "compression", "attr_index",
         "oracle_config",
     )
 
@@ -73,7 +73,6 @@ class RegisteredGraph:
         self.graph = graph
         self.version = 0
         self.compression: MaintainedCompression | CompressedGraph | None = None
-        self.reach_index = None  # BoundedReachIndex, opt-in
         # Attribute postings build lazily on first use, so registration is
         # free; the engine keeps them consistent through update_graph().
         self.attr_index: AttributeIndex | None = AttributeIndex(graph)
@@ -115,16 +114,16 @@ class QueryEngine:
         # its validity is tied to Graph.version rather than LRU pressure.
         self._rank_cache = RankCache(capacity=rank_cache_capacity)
         # Frozen CSR snapshots, one per graph, built on the first direct
-        # evaluation and reused by every traversal kernel (matchers, ball
-        # decomposition, shard shipping) until the graph's version moves.
+        # evaluation and reused by every traversal kernel (matchers, pivot
+        # partitioning, shard workers) until the graph's version moves.
         self._snapshots = SnapshotCache(capacity=snapshot_cache_capacity, store=store)
         # Distance oracles (landmark labels over the snapshots), for graphs
         # with the oracle enabled; they survive distance-preserving update
         # batches and are rebuilt lazily after structural ones.
         self._oracles = OracleCache(capacity=oracle_cache_capacity, store=store)
         # One executor per worker count, alive across calls (released by
-        # close()).  Pool reuse only helps the ball-subgraph sharded path;
-        # the shared-graph and batch-farming paths fork a fresh pool per
+        # close()).  Only node-budget-guarded fan-outs reuse its pool; the
+        # unguarded sharded and batch-farming paths fork a fresh pool per
         # call by design (children must snapshot the graph at fork time).
         self._executors: dict[int, ParallelExecutor] = {}
 
@@ -213,27 +212,6 @@ class QueryEngine:
         self._entry(name).compression = None
 
     # ------------------------------------------------------------------
-    # reach-index management
-    # ------------------------------------------------------------------
-    def enable_reach_index(self, name: str, max_depth: int = 4) -> None:
-        """Cache truncated-BFS results for repeated bounded queries.
-
-        The index is kept consistent through :meth:`update_graph`; mutate
-        the graph only through the engine once enabled.
-        """
-        from repro.graph.reach_index import BoundedReachIndex
-
-        entry = self._entry(name)
-        entry.reach_index = BoundedReachIndex(entry.graph, max_depth=max_depth)
-
-    def disable_reach_index(self, name: str) -> None:
-        self._entry(name).reach_index = None
-
-    def reach_index_stats(self, name: str) -> dict[str, int] | None:
-        entry = self._entry(name)
-        return entry.reach_index.stats() if entry.reach_index is not None else None
-
-    # ------------------------------------------------------------------
     # distance-oracle management
     # ------------------------------------------------------------------
     def enable_oracle(
@@ -248,10 +226,6 @@ class QueryEngine:
         pairwise label merges instead of ball enumeration.  ``cap`` bounds
         the exact-distance depth (None — the default — covers every bound
         including ``'*'``); ``top`` tunes the sequential landmark prefix.
-        Once enabled, the oracle supersedes a
-        :class:`~repro.graph.reach_index.BoundedReachIndex` as the graph's
-        reach accelerator: the matcher runs the frozen kernels (with
-        oracle routing) and the reach index is not consulted.
         """
         entry = self._entry(name)
         config = {"cap": cap, "top": top}
@@ -376,27 +350,17 @@ class QueryEngine:
             available=entry.compressed(),
         )
         if plan.route == ROUTE_DIRECT:
-            if not self._snapshot_serves(entry, plan):
-                # The reach index serves the sequential bounded matcher's
-                # BFS runs, so no snapshot is involved there.  (Sharded
-                # evaluation with workers > 1 still snapshots — workers
-                # have no reach index.)
+            snapshot = self._snapshots.peek(name)  # repro-lint: disable=cache-version-guard -- explain() must not drop or fault in snapshots; version is compared explicitly below
+            if (
+                snapshot is not None
+                and snapshot.graph_version == entry.graph.version
+            ):
                 note = (
-                    "frozen snapshot: bypassed sequentially (reach index "
-                    "serves bounded BFS; workers > 1 still snapshot)"
+                    "frozen snapshot: warm "
+                    f"(graph version {snapshot.graph_version})"
                 )
             else:
-                snapshot = self._snapshots.peek(name)  # repro-lint: disable=cache-version-guard -- explain() must not drop or fault in snapshots; version is compared explicitly below
-                if (
-                    snapshot is not None
-                    and snapshot.graph_version == entry.graph.version
-                ):
-                    note = (
-                        "frozen snapshot: warm "
-                        f"(graph version {snapshot.graph_version})"
-                    )
-                else:
-                    note = "frozen snapshot: cold (built on first direct evaluation)"
+                note = "frozen snapshot: cold (built on first direct evaluation)"
             notes = [note]
             edge_routes: tuple = ()
             if plan.algorithm == ALGORITHM_BOUNDED and pattern.num_edges:
@@ -490,25 +454,6 @@ class QueryEngine:
             )
         return note, tuple(routes)
 
-    @staticmethod
-    def _snapshot_serves(entry: RegisteredGraph, plan: Plan) -> bool:
-        """Whether the sequential direct route would use a frozen snapshot.
-
-        The one predicate :meth:`explain` and :meth:`_dispatch_route`
-        share: with a reach index attached, the bounded matcher serves its
-        BFS runs from that cache and ignores a snapshot, so freezing one
-        would be pure waste.  An enabled distance oracle outranks the
-        reach index — its labels live on the snapshot's ids, so the frozen
-        kernels (with oracle routing) run instead.  (Sharded ``workers >
-        1`` evaluation always snapshots — worker processes have no reach
-        index.)
-        """
-        return (
-            entry.reach_index is None
-            or entry.oracle_config is not None
-            or plan.algorithm == ALGORITHM_SIMULATION
-        )
-
     def _frozen_snapshot(self, entry: RegisteredGraph) -> FrozenGraph:
         """The cached CSR snapshot for a graph's current version (or build it)."""
         frozen = self._snapshots.get(entry.name, entry.graph.version)
@@ -578,10 +523,10 @@ class QueryEngine:
 
         ``workers`` > 1 evaluates the *direct* route with sharded
         parallelism (:class:`~repro.engine.parallel.ParallelExecutor`):
-        the graph is decomposed into distance-bounded balls and the
-        successor-row work fans out to a worker pool, producing exactly
-        the sequential relation.  Cache and compressed routes are already
-        cheap and stay sequential.
+        the candidates are partitioned into owned pivots and the
+        successor-row work fans out to a worker pool over the one shared
+        snapshot, producing exactly the sequential relation.  Cache and
+        compressed routes are already cheap and stay sequential.
 
         A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
         direct bounded evaluation — the one route/algorithm combination
@@ -907,16 +852,9 @@ class QueryEngine:
             entry.graph,
             pattern,
             plan,
-            # An enabled oracle supersedes the reach index as the reach
-            # accelerator: the matcher runs the frozen kernels instead.
-            reach_index=entry.reach_index if oracle is None else None,
             index=None if candidates is not None else entry.attr_index,
             candidates=candidates,
-            frozen=(
-                self._frozen_snapshot(entry)
-                if self._snapshot_serves(entry, plan)
-                else None
-            ),
+            frozen=self._frozen_snapshot(entry),
             oracle=oracle,
             budget=budget,
         )
@@ -926,7 +864,6 @@ class QueryEngine:
         graph: Graph,
         pattern: Pattern,
         plan: Plan,
-        reach_index: Any = None,
         index: AttributeIndex | None = None,
         candidates: dict[str, set[NodeId]] | None = None,
         frozen: FrozenGraph | None = None,
@@ -940,7 +877,6 @@ class QueryEngine:
         return match_bounded(
             graph,
             pattern,
-            reach_index=reach_index,
             index=index,
             candidates=candidates,
             frozen=frozen,
@@ -1072,8 +1008,6 @@ class QueryEngine:
                     cache_entry.maintainer.apply(primitive, apply_to_graph=False)
                 if isinstance(entry.compression, MaintainedCompression):
                     entry.compression.apply(primitive, apply_to_graph=False)
-                if entry.reach_index is not None:
-                    entry.reach_index.on_update(primitive)
                 if entry.attr_index is not None:
                     entry.attr_index.on_update(primitive, prior_version=prior_version)
         if entry.compression is not None and not isinstance(

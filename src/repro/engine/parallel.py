@@ -1,22 +1,20 @@
-"""Parallel sharded evaluation — ball partitioning plus a worker pool.
+"""Parallel sharded evaluation — pivot partitioning plus a worker pool.
 
 Bounded simulation splits into two phases with very different shapes:
 
 1. **successor-row construction** — one truncated reachability search per
    candidate of every pattern node with out-edges.  This dominates
-   evaluation cost and is embarrassingly parallel once the graph is
-   decomposed into distance-bounded balls (:mod:`repro.graph.partition`):
-   a worker holding the ball around its pivots computes exactly the rows
-   the sequential matcher would, because each pivot's full
-   radius-``depth`` ball is inside the shard.  Workers traverse
-   :class:`~repro.graph.frozen.FrozenGraph` snapshots — shards ship as
-   flat CSR buffers (or share the one full snapshot), never as pickled
-   dict graphs — through the very same
+   evaluation cost and is embarrassingly parallel: each search depends
+   only on its source candidate and the immutable graph, so the
+   candidates are partitioned into owned *pivots*
+   (:mod:`repro.graph.partition`) and every worker computes its pivots'
+   rows against the one shared :class:`~repro.graph.frozen.FrozenGraph`
+   snapshot, through the very same
    :func:`~repro.matching.bounded.frozen_successor_rows` kernel the
-   sequential matcher uses.
+   sequential matcher uses.  A shard is a list of pivots, never a graph.
 2. **removal fixpoint** — a worklist cascade over the merged rows.  Pattern
    cycles and ``*`` bounds make refutations propagate arbitrarily far, so
-   this phase is *not* ball-local; running it once over the merged state
+   this phase is *not* pivot-local; running it once over the merged state
    (:meth:`~repro.matching.bounded.BoundedState.from_successor_rows`) is
    the boundary refinement that makes the parallel result equal the
    sequential one exactly.  ``tests/test_differential.py`` asserts that
@@ -56,7 +54,7 @@ from repro.errors import BudgetExceededError, EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
 from repro.graph.index import AttributeIndex, candidates_from_index
-from repro.graph.oracle import DistanceOracle, OracleSlice, set_build_context
+from repro.graph.oracle import DistanceOracle, set_build_context
 from repro.graph.partition import Shard, decompose
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
 from repro.matching.bounded import (
@@ -69,16 +67,13 @@ from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
 from repro.ranking.topk import RankingContext
 
-#: Per-shard worker payload, all flat int buffers over a frozen snapshot:
-#: (frozen ball sub-snapshot or None for "use the shared snapshot",
-#: out-edge spec per pivot pattern node, pivot ids per pattern node,
-#: child-candidate id arrays per pattern node, oracle label slice or None).
+#: Per-shard worker payload, flat int ids over the shared frozen snapshot:
+#: (out-edge spec per pivot pattern node, pivot ids per pattern node,
+#: child-candidate id arrays per pattern node).
 ShardPayload = tuple[
-    "FrozenGraph | None",
     dict[str, tuple],
     dict[str, tuple[int, ...]],
     dict[str, array],
-    "OracleSlice | None",
 ]
 
 # Set once per batch worker (fork inheritance or pool initializer), so
@@ -92,8 +87,8 @@ _batch_frozen: FrozenGraph | None = None
 _batch_oracle: DistanceOracle | None = None
 _batch_budget: QueryBudget | None = None
 
-# The shared frozen snapshot (and optional distance oracle) for
-# broad-cover sharded queries.  Under the fork start method the parent
+# The shared frozen snapshot (and optional distance oracle) for sharded
+# queries.  Under the fork start method the parent
 # sets them *before* creating the pool and children inherit them for free
 # (copy-on-write); under spawn the pool initializer ships them once per
 # worker — and both pickle as a handful of flat buffers, far cheaper than
@@ -221,11 +216,11 @@ def _shard_rows_shipped(
     The shared snapshot/oracle travel inside the task (a file path when
     mmap-backed — memoized per worker — or attribute-less flat buffers)
     instead of through module globals, so a long-running service can fan
-    broad-cover queries out over the warm pool without rebuilding it.
+    queries out over the warm pool without rebuilding it.
     """
     payload, shipped_frozen, shipped_oracle = task
-    shared_frozen, shared_oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
-    return _shard_rows_core(payload, shared_frozen, shared_oracle, None)
+    frozen, oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
+    return _shard_rows_core(payload, frozen, oracle, None)
 
 
 def _shard_rows_guarded(
@@ -241,9 +236,9 @@ def _shard_rows_guarded(
     governs the whole fan-out exactly like the dedicated-pool path.
     """
     payload, shipped_frozen, shipped_oracle, budget = task
-    shared_frozen, shared_oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
+    frozen, oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
     guard = QueryGuard(budget, shared_counter=_persistent_counter)
-    return _shard_rows_core(payload, shared_frozen, shared_oracle, guard)
+    return _shard_rows_core(payload, frozen, oracle, guard)
 
 
 def validate_workers(workers: int | None) -> int:
@@ -265,15 +260,15 @@ def _shard_rows(
 ) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
     """Successor rows for one shard (runs inside a worker process).
 
-    The payload is int-indexed against a frozen snapshot — either the ball
-    sub-snapshot it carries or the process-shared full one.  Rows are
-    computed by the same :func:`frozen_successor_rows` kernel the
-    sequential matcher uses (sound because each pivot's full ball is inside
-    the shard), then converted back to labels for the merge.  Returns the
-    rows plus a guard-info dict (empty when unguarded): each worker's
-    guard charges the *shared* visit counter, so a blown budget stops
-    every sibling at its next check, not just this shard.
+    The payload is int-indexed against the process-shared frozen snapshot.
+    Rows are computed by the same :func:`frozen_successor_rows` kernel the
+    sequential matcher uses, restricted to the shard's pivots, then
+    converted back to labels for the merge.  Returns the rows plus a
+    guard-info dict (empty when unguarded): each worker's guard charges
+    the *shared* visit counter, so a blown budget stops every sibling at
+    its next check, not just this shard.
     """
+    assert _shared_frozen is not None, "shared snapshot was not installed"
     return _shard_rows_core(
         payload, _shared_frozen, _shared_oracle, _resolve_shard_guard()
     )
@@ -281,21 +276,12 @@ def _shard_rows(
 
 def _shard_rows_core(
     payload: ShardPayload,
-    shared_frozen: "FrozenGraph | None",
-    shared_oracle: "DistanceOracle | None",
+    frozen: FrozenGraph,
+    oracle: "DistanceOracle | None",
     guard: "QueryGuard | None",
 ) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
     """The shard kernel shared by the global-state and task-state entries."""
-    frozen, edges_spec, pivots, candidate_arrays, oracle_slice = payload
-    if frozen is None:
-        frozen = shared_frozen
-        assert frozen is not None, "shared snapshot was not installed"
-        # Shared-snapshot shards query the process-shared oracle directly
-        # (full ids); materialized ball shards carry their own label slice
-        # re-keyed to ball ids.
-        oracle = oracle_slice if oracle_slice is not None else shared_oracle
-    else:
-        oracle = oracle_slice
+    edges_spec, pivots, candidate_arrays = payload
     candidate_ids = {u: frozenset(ids) for u, ids in candidate_arrays.items()}
     rows_ids = frozen_successor_rows(
         frozen, edges_spec, candidate_ids, sources_by_node=pivots, oracle=oracle,
@@ -508,22 +494,21 @@ class ParallelExecutor:
         Candidate generation runs once in the calling process (through
         ``index`` when given, or skipped entirely when the caller passes
         precomputed ``candidates`` — the serving layer computes them
-        under its per-epoch index lock); the graph is decomposed into
-        ``num_shards`` (default: one per worker) ball shards whose
+        under its per-epoch index lock); the candidates are partitioned
+        into ``num_shards`` (default: one per worker) pivot shards whose
         successor rows the pool computes; the merged state then runs the
         standard removal fixpoint.  The result carries full refinement
         state, exactly like :func:`~repro.matching.bounded.match_bounded`.
 
         All shard work runs over a :class:`FrozenGraph` snapshot — the
         caller's ``frozen`` (the engine passes its cached one; it must
-        match the graph's current version) or one frozen here.  Shards
-        ship as flat CSR buffers, not pickled dict graphs.  With an
+        match the graph's current version) or one frozen here — and every
+        worker reads that one snapshot: inherited through fork by a
+        dedicated pool when no persistent pool is warm, shipped inside the
+        tasks (a file path when mmap-backed) when one is.  With an
         ``oracle`` (a :class:`~repro.graph.oracle.DistanceOracle` built
         from the same snapshot lineage), workers route selective pattern
-        edges to pairwise label merges: shared-snapshot shards query the
-        process-shared oracle, while materialized ball shards receive the
-        label *slices* their pivots and child candidates need, re-keyed to
-        ball ids, alongside the frozen shard payload.
+        edges to pairwise label merges against the shared oracle.
 
         A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
         the fan-out as one query: workers charge a *shared* visit counter,
@@ -556,33 +541,8 @@ class ParallelExecutor:
         shards = decompose(
             graph, pattern, candidates, num_shards or self.workers, frozen=frozen
         )
-        # Balls pay off when they are selective; for broad queries they
-        # overlap so much that slicing and shipping one induced
-        # sub-snapshot per shard costs more than sharing the one full
-        # snapshot (fork inheritance makes sharing free on POSIX).
-        # Ownership and soundness are identical either way: a BFS from a
-        # pivot sees the same nodes in its ball sub-snapshot as in any
-        # super-snapshot of it.
         inline = self.workers == 1 or len(shards) <= 1
-        ball_total = sum(len(shard.nodes) for shard in shards)
-        # Inline runs read the full snapshot directly — slicing a ball
-        # sub-snapshot would copy it for nothing.
-        materialize = not inline and ball_total <= graph.num_nodes
-        # Without per-ball restriction the candidate id arrays are
-        # identical across shards; build them once and let every payload
-        # reference the same objects.
-        shared_arrays = (
-            None
-            if materialize
-            else self._candidate_arrays(frozen.ids(), candidates, pattern, shards)
-        )
-        payloads = [
-            self._shard_payload(
-                frozen, pattern, shard, candidates, materialize, shared_arrays,
-                oracle=oracle,
-            )
-            for shard in shards
-        ]
+        payloads = self._shard_payloads(frozen, pattern, shards, candidates)
         guarded = budget is not None and budget.is_limited
         if guarded:
             budget.validate()
@@ -615,14 +575,12 @@ class ParallelExecutor:
                 results, guard_stats = self._guarded_map(
                     frozen, payloads, oracle, budget
                 )
-            elif materialize:
-                results = self._query_pool().map(_shard_rows, payloads)
             elif self._pool is not None:
                 # A warm persistent pool exists (a long-running service):
                 # ship the shared snapshot inside the tasks — a file path
                 # when mmap-backed, memoized per worker — instead of
-                # forking a dedicated pool per broad-cover call, keeping
-                # pool construction off the request path entirely.
+                # forking a dedicated pool per call, keeping pool
+                # construction off the request path entirely.
                 shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
                 tasks = [
                     (payload, shipped_frozen, shipped_oracle)
@@ -651,152 +609,46 @@ class ParallelExecutor:
                 "workers": self.workers,
                 "shards": len(shards),
                 "pivots": sum(shard.num_pivots for shard in shards),
-                "shipping": (
-                    "inline"
-                    if inline
-                    else ("ball-subgraphs" if materialize else "shared-graph")
-                ),
+                "shipping": "inline" if inline else "shared-graph",
             },
         }
         stats.update(guard_stats)
         return MatchResult(graph, pattern, relation, stats=stats, state=state)
 
     @staticmethod
-    def _candidate_arrays(
-        ids: dict[NodeId, int],
-        candidates: dict[str, set[NodeId]],
+    def _shard_payloads(
+        frozen: FrozenGraph,
         pattern: Pattern,
         shards: Sequence[Shard],
-    ) -> dict[str, array]:
-        """Dense candidate id arrays for every pattern node any shard filters
-        against (the union of the shards' out-edge targets)."""
-        targets_needed = {
-            edge_target
-            for shard in shards
-            for u in shard.pivots
-            for edge_target, _bound in pattern.out_edges(u)
-        }
-        return {
-            u: array("q", sorted(ids[v] for v in candidates[u]))
-            for u in targets_needed
-        }
-
-    @staticmethod
-    def _shard_payload(
-        frozen: FrozenGraph,
-        pattern: Pattern,
-        shard: Shard,
         candidates: dict[str, set[NodeId]],
-        materialize: bool,
-        shared_arrays: dict[str, array] | None,
-        oracle: DistanceOracle | None = None,
-    ) -> ShardPayload:
-        """What one worker needs, as flat buffers over a frozen snapshot.
+    ) -> list[ShardPayload]:
+        """What each worker needs, as flat int ids over the shared snapshot.
 
-        ``materialize=True`` slices the ball sub-snapshot out of the full
-        one (CSR filtering, no dict graph in between) and indexes pivots
-        and candidates against *its* dense ids, restricted to the ball
-        (entries beyond it are unreachable within the depths);
-        ``materialize=False`` sends no snapshot at all — ids refer to the
-        process-shared full one and the candidate arrays are the
-        ``shared_arrays`` built once for the whole decomposition.
-
-        With an ``oracle``, a materialized payload also carries the label
-        slice for the edges the cost model routes to pairwise merges:
-        forward rows of the shard's pivots (plus the successors needed for
-        self-cycle fixes), reverse rows of the routed edges' child
-        candidates — re-keyed to ball ids, so the worker joins against its
-        ball adjacency directly.
+        The child-candidate id arrays are identical across shards, so each
+        is built once and every payload references the same object.
         """
-        edges_spec = {u: tuple(pattern.out_edges(u)) for u in shard.pivots}
-        targets_needed = {
-            edge_target
-            for out_edges in edges_spec.values()
-            for edge_target, _bound in out_edges
-        }
-        if materialize:
-            ball = frozen.induced(
-                shard.nodes,
-                name=f"{frozen.name}#shard{shard.index}",
-                include_attrs=False,
-            )
-            ids = ball.ids()
-            candidate_arrays = {
-                u: array("q", sorted(ids[v] for v in candidates[u] & shard.nodes))
-                for u in targets_needed
+        ids = frozen.ids()
+        arrays: dict[str, array] = {}
+        payloads: list[ShardPayload] = []
+        for shard in shards:
+            edges_spec = {u: tuple(pattern.out_edges(u)) for u in shard.pivots}
+            targets = {
+                edge_target
+                for out_edges in edges_spec.values()
+                for edge_target, _bound in out_edges
             }
-            oracle_slice = (
-                ParallelExecutor._slice_for_shard(
-                    frozen, pattern, shard, candidates, oracle, ball
+            for target in targets - arrays.keys():
+                arrays[target] = array(
+                    "q", sorted(ids[v] for v in candidates[target])
                 )
-                if oracle is not None
-                else None
+            pivot_ids = {
+                u: tuple(ids[v] for v in pivots)
+                for u, pivots in shard.pivots.items()
+            }
+            payloads.append(
+                (edges_spec, pivot_ids, {target: arrays[target] for target in targets})
             )
-        else:
-            assert shared_arrays is not None
-            ball = None
-            ids = frozen.ids()
-            candidate_arrays = {u: shared_arrays[u] for u in targets_needed}
-            oracle_slice = None  # workers query the process-shared oracle
-        pivot_ids = {
-            u: tuple(ids[v] for v in pivots) for u, pivots in shard.pivots.items()
-        }
-        return (ball, edges_spec, pivot_ids, candidate_arrays, oracle_slice)
-
-    @staticmethod
-    def _slice_for_shard(
-        frozen: FrozenGraph,
-        pattern: Pattern,
-        shard: Shard,
-        candidates: dict[str, set[NodeId]],
-        oracle: DistanceOracle,
-        ball: FrozenGraph,
-    ) -> "OracleSlice | None":
-        """The label slice a materialized shard ships, or None if no edge
-        of this shard routes to the oracle (cost model, shard-local pivot
-        counts)."""
-        from repro.engine.planner import KERNEL_ORACLE, route_edge
-        from repro.matching.bounded import FROZEN_BULK_DEPTH
-
-        full_ids = frozen.ids()
-        profile = oracle.profile()
-        routed: set[tuple[str, str]] = set()
-        out_nodes: set[int] = set()
-        in_nodes: set[int] = set()
-        successor_sets = frozen.successor_sets()
-        for source_pattern, pivots in shard.pivots.items():
-            pivot_ids = [full_ids[v] for v in pivots]
-            for edge_target, bound in pattern.out_edges(source_pattern):
-                children = candidates[edge_target] & shard.nodes
-                route = route_edge(
-                    (source_pattern, edge_target),
-                    bound,
-                    len(pivot_ids),
-                    len(children),
-                    ball.num_nodes,
-                    ball.num_edges,
-                    profile if oracle.covers(bound) else None,
-                    bulk_depth=FROZEN_BULK_DEPTH,
-                )
-                if route.kernel != KERNEL_ORACLE:
-                    continue
-                routed.add((source_pattern, edge_target))
-                child_ids = {full_ids[v] for v in children}
-                out_nodes.update(pivot_ids)
-                in_nodes.update(child_ids)
-                for pivot_id in pivot_ids:
-                    if pivot_id in child_ids:
-                        # Self-cycle fixes merge through the successors.
-                        out_nodes.update(successor_sets[pivot_id])
-                        in_nodes.add(pivot_id)
-        if not routed:
-            return None
-        ball_ids = ball.ids()
-        labels = frozen.labels
-        remap = {full_id: ball_ids[labels[full_id]] for full_id in out_nodes | in_nodes}
-        label_slice = oracle.slice_rows(out_nodes, in_nodes, remap=remap)
-        label_slice.edges = frozenset(routed)
-        return label_slice
+        return payloads
 
     def _guarded_persistent_map(
         self,
@@ -934,8 +786,6 @@ class ParallelExecutor:
         the children inherit the snapshot (and oracle labels, when routing
         uses them) from the parent's module globals at zero cost; under
         spawn the initializer ships their flat buffers once per worker.
-        Either way beats pickling a near-full ball into every task, which
-        is what broad-cover queries would otherwise pay.
         """
         _set_shared_frozen(frozen, oracle)
         try:

@@ -99,7 +99,7 @@ class ExpFinder:
     ) -> MatchResult:
         """``M(Q,G)`` with engine routing (cache / compressed / direct).
 
-        ``workers`` > 1 runs the direct route with ball-sharded parallel
+        ``workers`` > 1 runs the direct route with pivot-sharded parallel
         evaluation (identical result, fanned out to a process pool).
         """
         return self.engine.evaluate(graph_name, pattern, workers=workers, **kwargs)

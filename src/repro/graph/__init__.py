@@ -7,7 +7,6 @@ from repro.graph.distance import (
     bounded_descendants,
     distance,
     eccentricity_within,
-    multi_source_descendants,
     weighted_distances,
     within_bound,
 )
@@ -35,8 +34,7 @@ from repro.graph.index import (
     candidates_from_index,
     predicate_key,
 )
-from repro.graph.oracle import DistanceOracle, OracleSlice
-from repro.graph.reach_index import BoundedReachIndex
+from repro.graph.oracle import DistanceOracle
 from repro.graph.stats import (
     DegreeStats,
     attribute_histogram,
@@ -56,7 +54,6 @@ __all__ = [
     "bounded_descendants",
     "distance",
     "eccentricity_within",
-    "multi_source_descendants",
     "weighted_distances",
     "within_bound",
     "FrozenGraph",
@@ -77,9 +74,7 @@ __all__ = [
     "batch_candidates",
     "candidates_from_index",
     "predicate_key",
-    "BoundedReachIndex",
     "DistanceOracle",
-    "OracleSlice",
     "DegreeStats",
     "attribute_histogram",
     "degree_stats",

@@ -175,8 +175,7 @@ class Graph:
         """Mutation counter, bumped by every structural or attribute change.
 
         Engine-owned caches (:class:`~repro.graph.index.AttributeIndex`,
-        :class:`~repro.graph.reach_index.BoundedReachIndex`, the engine's
-        ``SnapshotCache`` of :class:`~repro.graph.frozen.FrozenGraph`
+        the engine's ``SnapshotCache`` of :class:`~repro.graph.frozen.FrozenGraph`
         snapshots) compare this against the version they last synchronized
         with to detect out-of-band mutations.  Every attribute write has a
         counting API — :meth:`set` for one attribute, :meth:`update_attrs`

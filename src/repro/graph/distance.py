@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
@@ -75,6 +75,10 @@ def _bounded_search(
     source: NodeId,
     bound: int | None,
 ) -> dict[NodeId, int]:
+    """Level-by-level BFS from ``source``'s neighbours (nonempty paths).
+
+    Expansion stops at ``bound`` (``None`` = exhaustive).
+    """
     if bound is not None and bound < 1:
         return {}
     dist: dict[NodeId, int] = {}
@@ -83,23 +87,7 @@ def _bounded_search(
         if first not in dist:
             dist[first] = 1
             frontier.append(first)
-    _expand(neighbours, dist, frontier, 1, bound)
-    return dist
-
-
-def _expand(
-    neighbours: Callable[[NodeId], Iterator[NodeId]],
-    dist: dict[NodeId, int],
-    frontier: deque,
-    depth: int,
-    bound: int | None,
-) -> None:
-    """Level-by-level BFS expansion shared by the search entry points.
-
-    ``dist``/``frontier`` carry the seeded starting level (``depth``);
-    expansion stops at ``bound`` (``None`` = exhaustive), mutating ``dist``
-    in place.
-    """
+    depth = 1
     while frontier and (bound is None or depth < bound):
         depth += 1
         for _ in range(len(frontier)):
@@ -108,6 +96,7 @@ def _expand(
                 if nxt not in dist:
                     dist[nxt] = depth
                     frontier.append(nxt)
+    return dist
 
 
 # ----------------------------------------------------------------------
@@ -150,28 +139,6 @@ def frozen_reach_levels(
     return levels
 
 
-def frozen_multi_source_ids(
-    adjacency_sets: tuple[frozenset[int], ...],
-    source_ids: Iterable[int],
-    bound: int | None,
-) -> dict[int, int]:
-    """Int-indexed :func:`multi_source_descendants` (empty-path semantics)."""
-    frontier: set[int] | frozenset[int] = set(source_ids)
-    dist = dict.fromkeys(frontier, 0)
-    depth = 0
-    while frontier and (bound is None or depth < bound):
-        depth += 1
-        if len(frontier) == 1:
-            [node] = frontier
-            grown: frozenset[int] = adjacency_sets[node]
-        else:
-            grown = _EMPTY_IDS.union(*map(adjacency_sets.__getitem__, frontier))
-        frontier = grown - dist.keys()
-        if frontier:
-            dist.update(dict.fromkeys(frontier, depth))
-    return dist
-
-
 def _frozen_to_labels(
     frozen: FrozenGraph, levels: list[frozenset[int] | set[int]]
 ) -> dict[NodeId, int]:
@@ -211,39 +178,6 @@ def weighted_distances_ids(
             nxt = targets[position]
             if nxt not in dist:
                 push(heap, (d + weights[position], nxt))
-    return dist
-
-
-def multi_source_descendants(
-    graph: Graph | FrozenGraph, sources: Iterable[NodeId], bound: int | None
-) -> dict[NodeId, int]:
-    """Distance from the *nearest* of ``sources`` to every node within ``bound``.
-
-    Unlike the rest of this module, this helper uses empty-path semantics:
-    every source appears in the result at distance 0.  That is exactly what
-    ball covers need — a shard built from a multi-source search contains
-    each pivot *and* each pivot's individual radius-``bound`` ball, because
-    any node within ``bound`` of some pivot is within ``bound`` of the
-    nearest pivot.  One search over the union costs far less than one
-    :func:`bounded_descendants` call per pivot.
-
-    >>> g = Graph.from_edges([("a", "b"), ("b", "c"), ("x", "c")])
-    >>> multi_source_descendants(g, ["a", "x"], 1)
-    {'a': 0, 'x': 0, 'b': 1, 'c': 1}
-    """
-    if isinstance(graph, FrozenGraph):
-        labels = graph.labels
-        reached = frozen_multi_source_ids(
-            graph.successor_sets(), (graph.id_of(s) for s in sources), bound
-        )
-        return {labels[node_id]: d for node_id, d in reached.items()}
-    dist: dict[NodeId, int] = {}
-    frontier: deque = deque()
-    for source in sources:
-        if source not in dist:
-            dist[source] = 0
-            frontier.append(source)
-    _expand(graph.successors, dist, frontier, 0, bound)
     return dist
 
 

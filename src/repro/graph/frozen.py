@@ -12,9 +12,9 @@ for exactly that read-mostly workload:
   deterministic insertion order (``labels[i]`` maps back);
 * adjacency is **CSR** (compressed sparse row) in both directions: flat
   ``array('q')`` offset/target buffers, so a neighbourhood is a slice, the
-  whole structure pickles as a handful of raw byte buffers, and shipping a
-  shard to a worker process costs a fraction of pickling the equivalent
-  dict ``Graph``;
+  whole structure pickles as a handful of raw byte buffers, and shipping
+  the snapshot to a worker process costs a fraction of pickling the
+  equivalent dict ``Graph``;
 * node attributes are stored as **columns** (``attr -> {node id: value
   id}``) over one interned value pool, so a 50k-node graph with three
   distinct ``field`` values stores three field strings, not 50k;
@@ -49,7 +49,7 @@ True
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import GraphError
 from repro.graph.digraph import Edge, Graph, NodeId
@@ -69,11 +69,10 @@ def _own_buffer(buffer: Any) -> array:
 class FrozenGraph:
     """An immutable CSR snapshot of a :class:`~repro.graph.digraph.Graph`.
 
-    Build one with :meth:`freeze`; derive shard-sized ones with
-    :meth:`induced`.  The snapshot never observes later graph mutations
-    made through the graph's API — owners (the engine's ``SnapshotCache``)
-    compare :attr:`source_version` against ``Graph.version`` to decide
-    when to rebuild.  Attribute *values* are held by reference, exactly
+    Build one with :meth:`freeze`.  The snapshot never observes later
+    graph mutations made through the graph's API — owners (the engine's
+    ``SnapshotCache``) compare :attr:`source_version` against
+    ``Graph.version`` to decide when to rebuild.  Attribute *values* are held by reference, exactly
     like ``Graph.copy``'s "deep-enough" convention: mutating a stored
     value in place (``graph.attrs(v)["tags"].append(...)``) bypasses the
     version counter everywhere in this codebase, snapshot included.
@@ -185,77 +184,6 @@ class FrozenGraph:
         )
         frozen._ids = ids
         return frozen
-
-    def induced(
-        self,
-        nodes: Iterable[NodeId],
-        name: str = "",
-        include_attrs: bool = True,
-    ) -> "FrozenGraph":
-        """The induced sub-snapshot on ``nodes`` (unknown labels raise).
-
-        Node order is inherited from this snapshot.  ``include_attrs=False``
-        drops the attribute columns — what shard shipping wants, since
-        workers only traverse — leaving a snapshot whose :meth:`to_graph`
-        yields attribute-less nodes.
-        """
-        ids = self.ids()
-        keep = sorted({ids[label] for label in self._checked(nodes, ids)})
-        remap = {old: new for new, old in enumerate(keep)}
-        mask = bytearray(len(self.labels))
-        for old in keep:
-            mask[old] = 1
-        labels = tuple(self.labels[old] for old in keep)
-
-        def restrict(offsets: array, targets: array) -> tuple[array, array]:
-            sub_offsets = array("q", [0])
-            sub_targets = array("q")
-            for old in keep:
-                for position in range(offsets[old], offsets[old + 1]):
-                    target = targets[position]
-                    if mask[target]:
-                        sub_targets.append(remap[target])
-                sub_offsets.append(len(sub_targets))
-            return sub_offsets, sub_targets
-
-        out_offsets, out_targets = restrict(self.out_offsets, self.out_targets)
-        in_offsets, in_targets = restrict(self.in_offsets, self.in_targets)
-        columns: dict[str, dict[int, int]] = {}
-        values: list[Any] = []
-        if include_attrs:
-            # Re-pool values so a pickled sub-snapshot carries only what
-            # its own nodes reference, not the parent's whole pool.
-            value_remap: dict[int, int] = {}
-            for attr, column in self._column_dicts().items():
-                sub_column: dict[int, int] = {}
-                for old, value_id in column.items():
-                    if mask[old]:
-                        new_value_id = value_remap.get(value_id)
-                        if new_value_id is None:
-                            new_value_id = value_remap[value_id] = len(values)
-                            values.append(self._values[value_id])
-                        sub_column[remap[old]] = new_value_id
-                if sub_column:
-                    columns[attr] = sub_column
-        return FrozenGraph(
-            name or self.name,
-            self.source_version,
-            labels,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
-            columns,
-            values,
-        )
-
-    def _checked(
-        self, nodes: Iterable[NodeId], ids: dict[NodeId, int]
-    ) -> Iterator[NodeId]:
-        for label in nodes:
-            if label not in ids:
-                raise GraphError(f"unknown node: {label!r}")
-            yield label
 
     def without_attrs(self) -> "FrozenGraph":
         """An adjacency-only twin sharing this snapshot's buffers (O(1)).

@@ -285,162 +285,7 @@ def _unpack_reach(offsets: Any, hubs: Any) -> tuple[frozenset[int], ...]:
     )
 
 
-class _LabelRows:
-    """Shared row-access mixin for the full oracle and shipped slices.
-
-    Subclasses provide the rows and a ``cap`` attribute; queries, row
-    filling and coverage live here once.
-    """
-
-    __slots__ = ()
-
-    def out_row(self, node: int) -> tuple:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def in_row(self, node: int) -> tuple:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def covers(self, bound: int | None) -> bool:
-        """Can label merges answer rows for this bound exactly?
-
-        Uncapped labels cover everything including ``'*'``; capped labels
-        cover finite bounds up to the cap.
-        """
-        cap = self.cap
-        if cap is None:
-            return True
-        return bound is not None and bound <= cap
-
-    # ------------------------------------------------------------------
-    # pairwise queries (shared by oracle and slice)
-    # ------------------------------------------------------------------
-    def distance(self, source: int, target: int) -> int | None:
-        """Exact nonempty-path distance for *distinct* ids; None if none.
-
-        Distances beyond a finite ``cap`` are reported as ``None`` — use
-        :meth:`covers` to know which bounds are trustworthy.  Self pairs
-        need adjacency (the shortest cycle): see :meth:`cycle_distance`.
-        """
-        if source == target:
-            raise GraphError(
-                "distance(u, u) is the shortest cycle through u; "
-                "use cycle_distance(u, adjacency)"
-            )
-        lookup = dict(self.in_row(target))
-        get = lookup.get
-        best: int | None = None
-        for hub, d_source_hub in self.out_row(source):
-            d_hub_target = get(hub)
-            if d_hub_target is not None:
-                total = d_source_hub + d_hub_target
-                if best is None or total < best:
-                    best = total
-        return best
-
-    def cycle_distance(
-        self, node: int, adjacency: Sequence[frozenset[int]], bound: int | None = None
-    ) -> int | None:
-        """Shortest nonempty cycle through ``node`` (<= ``bound`` if given).
-
-        Self pairs cannot ride the plain label merge — the trivial
-        ``(node, 0)`` entries would certify the empty path — so the cycle
-        is taken through each successor: ``1 + dist(successor, node)``.
-        """
-        if node >= len(adjacency):
-            return None
-        successors = adjacency[node]
-        if node in successors:
-            return 1  # self-loop: the shortest possible cycle
-        in_row = dict(self.in_row(node))
-        get = in_row.get
-        best: int | None = None
-        for successor in successors:
-            for hub, d_succ_hub in self.out_row(successor):
-                d_hub_node = get(hub)
-                if d_hub_node is not None:
-                    total = 1 + d_succ_hub + d_hub_node
-                    if best is None or total < best:
-                        best = total
-            if best == 2:
-                break  # no self-loop (checked above): nothing shorter exists
-        if best is not None and bound is not None and best > bound:
-            return None
-        return best
-
-    # ------------------------------------------------------------------
-    # bounded successor rows (the matcher's pairwise fill path)
-    # ------------------------------------------------------------------
-    def fill_rows(
-        self,
-        sources: Sequence[int],
-        edge_data: Sequence[tuple],
-        rows: dict,
-        adjacency: Sequence[frozenset[int]],
-    ) -> None:
-        """Fill ``rows[edge][source] = {child: dist}`` by label merges.
-
-        ``edge_data`` carries ``(edge, bound, child candidate ids)``
-        triples, exactly like the enumeration kernels in
-        :mod:`repro.matching.bounded`; the produced rows are byte-identical
-        to theirs (the seeded differential suite asserts it).  Instead of
-        materialising the d-ball of every source, each edge builds one
-        ``hub -> [(child, dist)]`` bucket over the child candidates' reverse
-        labels and then joins every source's forward label against it —
-        candidate x candidate work, independent of ball volume.
-        """
-        for edge, bound, children in edge_data:
-            if not self.covers(bound):
-                raise GraphError(
-                    f"oracle does not cover bound {bound!r} (cap {self.cap!r})"
-                )
-            edge_rows = rows[edge]
-            bucket: dict[int, list[tuple[int, int]]] = {}
-            bucket_get = bucket.get
-            for child in children:
-                for hub, dist in self.in_row(child):
-                    if bound is not None and dist > bound:
-                        continue
-                    entry = bucket_get(hub)
-                    if entry is None:
-                        bucket[hub] = [(child, dist)]
-                    else:
-                        entry.append((child, dist))
-            for source in sources:
-                row: dict[int, int] = {}
-                get = row.get
-                for hub, d_source_hub in self.out_row(source):
-                    if bound is not None and d_source_hub > bound:
-                        continue
-                    matches = bucket_get(hub)
-                    if matches is None:
-                        continue
-                    if bound is None:
-                        for child, d_hub_child in matches:
-                            total = d_source_hub + d_hub_child
-                            old = get(child)
-                            if old is None or total < old:
-                                row[child] = total
-                    else:
-                        remaining = bound - d_source_hub
-                        for child, d_hub_child in matches:
-                            if d_hub_child <= remaining:
-                                total = d_source_hub + d_hub_child
-                                old = get(child)
-                                if old is None or total < old:
-                                    row[child] = total
-                if source in children:
-                    # The merge certified source~source via the empty path
-                    # (0-distance self hubs); nonempty-path semantics want
-                    # the shortest cycle instead.
-                    cycle = self.cycle_distance(source, adjacency, bound)
-                    if cycle is None:
-                        row.pop(source, None)
-                    else:
-                        row[source] = cycle
-                edge_rows[source] = row
-
-
-class DistanceOracle(_LabelRows):
+class DistanceOracle:
     """Pruned landmark labels + reachability closure for one snapshot.
 
     Build with :meth:`build` (or in parallel through
@@ -594,6 +439,17 @@ class DistanceOracle(_LabelRows):
     # ------------------------------------------------------------------
     # coverage + validity
     # ------------------------------------------------------------------
+    def covers(self, bound: int | None) -> bool:
+        """Can label merges answer rows for this bound exactly?
+
+        Uncapped labels cover everything including ``'*'``; capped labels
+        cover finite bounds up to the cap.
+        """
+        cap = self.cap
+        if cap is None:
+            return True
+        return bound is not None and bound <= cap
+
     def compatible_with(self, frozen: FrozenGraph) -> bool:
         """Best-effort check that ``frozen`` extends the build snapshot.
 
@@ -663,6 +519,59 @@ class DistanceOracle(_LabelRows):
         start, end = self.in_offsets[node], self.in_offsets[node + 1]
         return zip(self.in_hubs[start:end], self.in_dists[start:end])
 
+    def distance(self, source: int, target: int) -> int | None:
+        """Exact nonempty-path distance for *distinct* ids; None if none.
+
+        Distances beyond a finite ``cap`` are reported as ``None`` — use
+        :meth:`covers` to know which bounds are trustworthy.  Self pairs
+        need adjacency (the shortest cycle): see :meth:`cycle_distance`.
+        """
+        if source == target:
+            raise GraphError(
+                "distance(u, u) is the shortest cycle through u; "
+                "use cycle_distance(u, adjacency)"
+            )
+        lookup = dict(self.in_row(target))
+        get = lookup.get
+        best: int | None = None
+        for hub, d_source_hub in self.out_row(source):
+            d_hub_target = get(hub)
+            if d_hub_target is not None:
+                total = d_source_hub + d_hub_target
+                if best is None or total < best:
+                    best = total
+        return best
+
+    def cycle_distance(
+        self, node: int, adjacency: Sequence[frozenset[int]], bound: int | None = None
+    ) -> int | None:
+        """Shortest nonempty cycle through ``node`` (<= ``bound`` if given).
+
+        Self pairs cannot ride the plain label merge — the trivial
+        ``(node, 0)`` entries would certify the empty path — so the cycle
+        is taken through each successor: ``1 + dist(successor, node)``.
+        """
+        if node >= len(adjacency):
+            return None
+        successors = adjacency[node]
+        if node in successors:
+            return 1  # self-loop: the shortest possible cycle
+        in_row = dict(self.in_row(node))
+        get = in_row.get
+        best: int | None = None
+        for successor in successors:
+            for hub, d_succ_hub in self.out_row(successor):
+                d_hub_node = get(hub)
+                if d_hub_node is not None:
+                    total = 1 + d_succ_hub + d_hub_node
+                    if best is None or total < best:
+                        best = total
+            if best == 2:
+                break  # no self-loop (checked above): nothing shorter exists
+        if best is not None and bound is not None and best > bound:
+            return None
+        return best
+
     def reaches(self, source: int, target: int) -> bool:
         """Nonempty-path reachability for *distinct* ids (O(|R|) merge)."""
         if source == target:
@@ -702,6 +611,17 @@ class DistanceOracle(_LabelRows):
         rows: dict,
         adjacency: Sequence[frozenset[int]],
     ) -> None:
+        """Fill ``rows[edge][source] = {child: dist}`` by label merges.
+
+        ``edge_data`` carries ``(edge, bound, child candidate ids)``
+        triples, exactly like the enumeration kernels in
+        :mod:`repro.matching.bounded`; the produced rows are byte-identical
+        to theirs (the seeded differential suite asserts it).  Instead of
+        materialising the d-ball of every source, each edge builds one
+        ``hub -> [(child, dist)]`` bucket over the child candidates' reverse
+        labels and then joins every source's forward label against it —
+        candidate x candidate work, independent of ball volume.
+        """
         self.rows_filled += len(sources) * len(edge_data)
         if any(bound is None for _edge, bound, _children in edge_data):
             # Cheap reachability prefilter for '*' edges: a source whose
@@ -726,44 +646,75 @@ class DistanceOracle(_LabelRows):
                         live_sources.append(source)
                     else:
                         edge_rows[source] = {}
-                super().fill_rows(live_sources, [(edge, bound, children)], rows, adjacency)
+                self._merge_rows(live_sources, [(edge, bound, children)], rows, adjacency)
                 edge_data[index] = None
             edge_data = [item for item in edge_data if item is not None]
             if not edge_data:
                 return
-        super().fill_rows(sources, edge_data, rows, adjacency)
+        self._merge_rows(sources, edge_data, rows, adjacency)
 
-    # ------------------------------------------------------------------
-    # shipping + stats
-    # ------------------------------------------------------------------
-    def slice_rows(
+    def _merge_rows(
         self,
-        out_nodes: Iterable[int],
-        in_nodes: Iterable[int],
-        remap: dict[int, int] | None = None,
-    ) -> "OracleSlice":
-        """A lightweight label slice for shard shipping.
+        sources: Sequence[int],
+        edge_data: Sequence[tuple],
+        rows: dict,
+        adjacency: Sequence[frozenset[int]],
+    ) -> None:
+        """The label join behind :meth:`fill_rows` (no reach prefilter)."""
+        for edge, bound, children in edge_data:
+            if not self.covers(bound):
+                raise GraphError(
+                    f"oracle does not cover bound {bound!r} (cap {self.cap!r})"
+                )
+            edge_rows = rows[edge]
+            bucket: dict[int, list[tuple[int, int]]] = {}
+            bucket_get = bucket.get
+            for child in children:
+                for hub, dist in self.in_row(child):
+                    if bound is not None and dist > bound:
+                        continue
+                    entry = bucket_get(hub)
+                    if entry is None:
+                        bucket[hub] = [(child, dist)]
+                    else:
+                        entry.append((child, dist))
+            for source in sources:
+                row: dict[int, int] = {}
+                get = row.get
+                for hub, d_source_hub in self.out_row(source):
+                    if bound is not None and d_source_hub > bound:
+                        continue
+                    matches = bucket_get(hub)
+                    if matches is None:
+                        continue
+                    if bound is None:
+                        for child, d_hub_child in matches:
+                            total = d_source_hub + d_hub_child
+                            old = get(child)
+                            if old is None or total < old:
+                                row[child] = total
+                    else:
+                        remaining = bound - d_source_hub
+                        for child, d_hub_child in matches:
+                            if d_hub_child <= remaining:
+                                total = d_source_hub + d_hub_child
+                                old = get(child)
+                                if old is None or total < old:
+                                    row[child] = total
+                if source in children:
+                    # The merge certified source~source via the empty path
+                    # (0-distance self hubs); nonempty-path semantics want
+                    # the shortest cycle instead.
+                    cycle = self.cycle_distance(source, adjacency, bound)
+                    if cycle is None:
+                        row.pop(source, None)
+                    else:
+                        row[source] = cycle
+                edge_rows[source] = row
 
-        Carries only the forward rows of ``out_nodes`` and reverse rows of
-        ``in_nodes`` (re-keyed through ``remap`` — the ball sub-snapshot's
-        dense ids — when given), so a worker answers its pivots' pairwise
-        tests without the full label arrays.
-        """
-        def collect(
-            nodes: Iterable[int], row_of: Callable[[int], Iterable]
-        ) -> dict[int, tuple]:
-            rows: dict[int, tuple] = {}
-            for node in nodes:
-                key = node if remap is None else remap[node]
-                rows[key] = tuple(row_of(node))
-            return rows
-
-        return OracleSlice(
-            self.cap,
-            collect(out_nodes, self.out_row),
-            collect(in_nodes, self.in_row),
-        )
-
+    # ------------------------------------------------------------------
+    # stats
+    # ------------------------------------------------------------------
     def profile(self) -> dict[str, Any]:
         """The numbers the planner's cost model consumes."""
         n = max(1, self.num_nodes)
@@ -931,42 +882,4 @@ class DistanceOracle(_LabelRows):
             f"<DistanceOracle{label}: {self.num_nodes} nodes, cap {cap}, "
             f"{len(self.out_hubs) + len(self.in_hubs)} label entries, "
             f"v{self.source_version}>"
-        )
-
-
-class OracleSlice(_LabelRows):
-    """The shard-shipped subset of an oracle's labels (flat and picklable).
-
-    Supports exactly the row-filling API the matcher kernels need; rows
-    absent from the slice are empty, so a slice must carry every node its
-    shard will query — the shard builder guarantees that.  ``edges``, when
-    set, names the pattern edges the *parent* routed to the oracle: the
-    worker-side kernel router honours that decision verbatim instead of
-    re-estimating costs it has no label statistics for.
-    """
-
-    __slots__ = ("cap", "edges", "_out_rows", "_in_rows")
-
-    def __init__(
-        self,
-        cap: int | None,
-        out_rows: dict[int, tuple],
-        in_rows: dict[int, tuple],
-        edges: frozenset | None = None,
-    ) -> None:
-        self.cap = cap
-        self.edges = edges
-        self._out_rows = out_rows
-        self._in_rows = in_rows
-
-    def out_row(self, node: int) -> tuple:
-        return self._out_rows.get(node, ())
-
-    def in_row(self, node: int) -> tuple:
-        return self._in_rows.get(node, ())
-
-    def __repr__(self) -> str:
-        return (
-            f"<OracleSlice: {len(self._out_rows)} out rows, "
-            f"{len(self._in_rows)} in rows>"
         )

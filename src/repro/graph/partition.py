@@ -1,36 +1,25 @@
-"""Distance-bounded ball decomposition for sharded pattern evaluation.
+"""Pivot partitioning for sharded pattern evaluation.
 
 Bounded-simulation evaluation is dominated by one truncated BFS per
 candidate of every pattern node that has out-edges (the successor-set
-construction of :mod:`repro.matching.bounded`).  Each of those searches is
-*local*: a candidate ``v`` of pattern node ``u`` only ever looks at nodes
-within ``depth(u)`` hops of ``v``, where ``depth(u)`` is the largest bound
-on ``u``'s out-edges.  That locality is what makes the work shardable — a
-worker holding the radius-``depth(u)`` ball around ``v`` computes exactly
-the successor rows the sequential matcher would.
+construction of :mod:`repro.matching.bounded`).  Each of those searches
+depends only on its own source candidate and the (immutable) graph, so
+the work shards by *who runs which candidate's search*: every worker
+reads the one shared frozen snapshot and computes exactly the successor
+rows the sequential matcher would for the candidates it owns.
 
-:func:`decompose` turns a (graph, pattern, candidate sets) triple into
-:class:`Shard` values:
-
-* the *pivots* of a shard are the candidates whose successor rows the shard
-  owns — every ``(pattern node, candidate)`` pair is owned by exactly one
-  shard, assigned greedily to the least-loaded shard (load = 1 +
-  out-degree, a cheap proxy for BFS cost) in the graph's deterministic
-  node order;
-* the *nodes* of a shard are a sound ball cover: one multi-source bounded
-  search per (shard, pattern node) group guarantees that each pivot's full
-  individual ball is contained in the shard (``tests/test_partition.py``
-  asserts this property over random graphs), so no successor row can
-  straddle shards undetected.
+:func:`decompose` turns (pattern, candidate sets) into :class:`Shard`
+values: the *pivots* of a shard are the candidates whose successor rows
+the shard owns — every ``(pattern node, candidate)`` pair is owned by
+exactly one shard, assigned greedily to the least-loaded shard (load = 1 +
+out-degree, a cheap proxy for BFS cost) in the graph's deterministic node
+order.  A shard is never a graph and no traversal happens here.
 
 Candidate sets come from the attribute index
 (:func:`repro.graph.index.candidates_from_index`) wherever the caller has
-one — pivot selection is an index lookup, not a scan.
-
-An unbounded (``*``) pattern edge makes its source's radius unbounded; the
-shard's ball is then the pivots' full descendant set.  Patterns whose every
-node lacks out-edges need no successor rows at all and decompose into no
-shards.
+one — pivot selection is an index lookup, not a scan.  Patterns whose
+every node lacks out-edges need no successor rows at all and decompose
+into no shards.
 """
 
 from __future__ import annotations
@@ -40,44 +29,10 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph, NodeId
-from repro.graph.distance import multi_source_descendants
 from repro.graph.frozen import FrozenGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.pattern.pattern import Bound, Pattern
-
-
-def source_depth(pattern: "Pattern", pattern_node: str) -> "Bound":
-    """BFS depth a candidate of ``pattern_node`` needs: its largest out-bound.
-
-    Returns 0 for nodes without out-edges (no successor rows to build) and
-    ``None`` when any out-edge is unbounded (the paper's ``*``).
-    """
-    depth = 0
-    for _target, bound in pattern.out_edges(pattern_node):
-        if bound is None:
-            return None
-        depth = max(depth, bound)
-    return depth
-
-
-def pattern_radius(pattern: "Pattern") -> "Bound":
-    """The largest :func:`source_depth` over the whole pattern.
-
-    This is the ball radius after which *any* pivot's successor rows are
-    fully determined; ``None`` if any edge is unbounded.
-
-    >>> from repro.datasets.paper_example import paper_pattern
-    >>> pattern_radius(paper_pattern())
-    3
-    """
-    radius = 0
-    for node in pattern.nodes():
-        depth = source_depth(pattern, node)
-        if depth is None:
-            return None
-        radius = max(radius, depth)
-    return radius
+    from repro.pattern.pattern import Pattern
 
 
 @dataclass(frozen=True)
@@ -91,33 +46,17 @@ class Shard:
     pivots:
         ``pattern node -> tuple of owned candidates``; the successor rows
         this shard is responsible for computing.
-    depths:
-        ``pattern node -> BFS depth`` (:func:`source_depth`) for every
-        pattern node with pivots in this shard.
-    nodes:
-        The ball cover: every pivot's full radius-``depths[u]`` ball is a
-        subset, so a BFS inside :meth:`subgraph` equals a BFS in the full
-        graph.
     """
 
     index: int
     pivots: Mapping[str, tuple[NodeId, ...]]
-    depths: Mapping[str, "Bound"]
-    nodes: frozenset[NodeId]
 
     @property
     def num_pivots(self) -> int:
         return sum(len(vs) for vs in self.pivots.values())
 
-    def subgraph(self, graph: Graph) -> Graph:
-        """The induced ball subgraph this shard's worker evaluates on."""
-        return graph.subgraph(self.nodes, name=f"{graph.name}#shard{self.index}")
-
     def __repr__(self) -> str:
-        return (
-            f"<Shard {self.index}: {self.num_pivots} pivots, "
-            f"{len(self.nodes)} ball nodes>"
-        )
+        return f"<Shard {self.index}: {self.num_pivots} pivots>"
 
 
 def decompose(
@@ -133,14 +72,13 @@ def decompose(
     nodes (typically from
     :func:`~repro.graph.index.candidates_from_index`).  Every
     ``(pattern node, candidate)`` pair for pattern nodes *with out-edges*
-    becomes a pivot of exactly one shard; shards never share pivots but
-    their ball covers may overlap.  Empty shards are dropped, so fewer than
-    ``num_shards`` may come back; the result is deterministic for a given
-    graph (node insertion order decides ties).
+    becomes a pivot of exactly one shard.  Empty shards are dropped, so
+    fewer than ``num_shards`` may come back; the result is deterministic
+    for a given graph (node insertion order decides ties).
 
     ``frozen`` (a current :class:`~repro.graph.frozen.FrozenGraph` of
-    ``graph``) runs the multi-source ball searches over CSR adjacency sets
-    instead of the dict graph — identical shards, C-speed frontier algebra.
+    ``graph``) serves the node ranks and out-degrees from the snapshot
+    instead of the dict graph — identical shards.
 
     >>> from repro.datasets.paper_example import paper_graph, paper_pattern
     >>> from repro.matching.simulation import simulation_candidates
@@ -159,7 +97,7 @@ def decompose(
             f"stale frozen snapshot: {frozen!r} does not match "
             f"graph version {graph.version}"
         )
-    sources = [u for u in pattern.nodes() if source_depth(pattern, u) != 0]
+    sources = [u for u in pattern.nodes() if any(pattern.out_edges(u))]
     missing = [u for u in sources if u not in candidates]
     if missing:
         raise GraphError(f"candidates missing pattern nodes: {missing}")
@@ -183,23 +121,7 @@ def decompose(
             assigned[lightest].setdefault(u, []).append(v)
             loads[lightest] += 1 + degree_of(v)
 
-    shards: list[Shard] = []
-    for pivots_by_node in assigned:
-        if not pivots_by_node:
-            continue
-        ball: set[NodeId] = set()
-        depths: dict[str, "Bound"] = {}
-        # multi_source_descendants dispatches to the frozen kernel itself.
-        substrate = frozen if frozen is not None else graph
-        for u, pivots in pivots_by_node.items():
-            depths[u] = source_depth(pattern, u)
-            ball.update(multi_source_descendants(substrate, pivots, depths[u]))
-        shards.append(
-            Shard(
-                index=len(shards),
-                pivots={u: tuple(vs) for u, vs in pivots_by_node.items()},
-                depths=depths,
-                nodes=frozenset(ball),
-            )
-        )
-    return shards
+    return [
+        Shard(index, {u: tuple(vs) for u, vs in pivots_by_node.items()})
+        for index, pivots_by_node in enumerate(filter(None, assigned))
+    ]

@@ -114,7 +114,7 @@ class AttributeUpdate:
         if not graph.has_node(self.node):
             raise UpdateError(f"node not present: {self.node!r}")
         # Route through the counting write API so every version-keyed cache
-        # (attribute index, reach index, frozen snapshots) sees the change.
+        # (attribute index, frozen snapshots) sees the change.
         graph.update_attrs(self.node, **{self.attr: self.value})
 
     def inverted(self) -> "AttributeUpdate":

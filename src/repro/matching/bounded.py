@@ -82,8 +82,7 @@ def frozen_successor_rows(
     (:func:`repro.engine.planner.route_edge`):
 
     * **oracle-pairwise** — with a
-      :class:`~repro.graph.oracle.DistanceOracle` (or shipped
-      :class:`~repro.graph.oracle.OracleSlice`) covering the bound and
+      :class:`~repro.graph.oracle.DistanceOracle` covering the bound and
       selective candidate sets, rows come from candidate x candidate label
       merges: no ball is ever materialised;
     * **shallow bounds** — per-source level BFS over the snapshot's
@@ -128,15 +127,7 @@ def frozen_successor_rows(
     adjacency = frozen.successor_sets()
     num_nodes = len(adjacency)
     num_edges = frozen.num_edges
-    # A shipped OracleSlice carries the parent's routing verbatim (its
-    # ``edges`` set); a full oracle exposes measured label statistics and
-    # lets the cost model decide here.
-    forced_edges = getattr(oracle, "edges", None)
-    oracle_profile = (
-        oracle.profile()
-        if oracle is not None and forced_edges is None
-        else None
-    )
+    oracle_profile = oracle.profile() if oracle is not None else None
     # Guarded evaluation routes from *sampled* frontier estimates and
     # re-scales the remaining estimates (``correction``) whenever a group's
     # measured work overshoots its estimate by the budget's replan factor.
@@ -181,8 +172,6 @@ def frozen_successor_rows(
                 bulk_depth=FROZEN_BULK_DEPTH,
                 ball_edges_estimate=ball_edges_estimate,
             )
-            if forced_edges is not None and edge in forced_edges:
-                route = replace(route, kernel=KERNEL_ORACLE)
             routes[edge] = route
             item = (edge, bound, children)
             if route.kernel == KERNEL_ORACLE:
@@ -332,14 +321,13 @@ class BoundedState:
 
     __slots__ = (
         "graph", "pattern", "cand", "sim", "S", "R", "cnt", "_in_edges",
-        "_reach_index", "kernels",
+        "kernels",
     )
 
     def __init__(
         self,
         graph: Graph,
         pattern: Pattern,
-        reach_index=None,
         index=None,
         candidates: dict[str, set[NodeId]] | None = None,
         frozen: FrozenGraph | None = None,
@@ -362,7 +350,6 @@ class BoundedState:
                 raise EvaluationError(
                     f"stale distance oracle: {oracle!r} does not match {frozen!r}"
                 )
-        self._reach_index = reach_index
         if candidates is None:
             candidates = simulation_candidates(graph, pattern, index=index)
         self._init_containers(graph, pattern, candidates)
@@ -408,9 +395,8 @@ class BoundedState:
 
         This is the merge step of parallel sharded evaluation
         (:mod:`repro.engine.parallel`): workers return, per pattern edge and
-        owned source candidate, the bounded successor entries their ball
-        subgraph yields (identical to the full-graph entries because ball
-        covers are sound), and this constructor rebuilds ``R``/``cnt`` and
+        owned source candidate, the bounded successor entries the shared
+        snapshot yields, and this constructor rebuilds ``R``/``cnt`` and
         runs the very same initial removal fixpoint the sequential
         constructor runs — the boundary refinement that makes cross-shard
         refutations cascade.  Every candidate of every pattern edge's source
@@ -426,7 +412,6 @@ class BoundedState:
         """
         pattern.validate()
         state = cls.__new__(cls)
-        state._reach_index = None
         state._init_containers(graph, pattern, candidates)
         unknown = [edge for edge in rows if edge not in state.S]
         if unknown:
@@ -464,9 +449,7 @@ class BoundedState:
     def _build_successor_sets(
         self, frozen: FrozenGraph | None = None, oracle=None, guard=None
     ) -> None:
-        if frozen is not None and self._reach_index is None:
-            # A reach index outranks the snapshot: its reaches are already
-            # materialized dicts, so the frozen kernels have nothing to add.
+        if frozen is not None:
             self._build_successor_sets_frozen(frozen, oracle=oracle, guard=guard)
             return
         for source_pattern in self.pattern.nodes():
@@ -481,7 +464,7 @@ class BoundedState:
                     # surviving relation shrinks, never grows.
                     self._fill_entries(source_pattern, data_node, {})
                     continue
-                reach = self._reach(data_node, depth)
+                reach = bounded_descendants(self.graph, data_node, depth)
                 if guard is not None:
                     guard.charge(len(reach))
                 self._fill_entries(source_pattern, data_node, reach)
@@ -523,12 +506,6 @@ class BoundedState:
                         live += 1
                 entries_of[source_label] = entries
                 counts[source_label] = live
-
-    def _reach(self, data_node: NodeId, depth: Bound) -> dict[NodeId, int]:
-        if self._reach_index is not None and self._reach_index.covers(depth):
-            # read-only consumption: skip the defensive copy
-            return self._reach_index.reach(data_node, depth, copy=False)
-        return bounded_descendants(self.graph, data_node, depth)
 
     def _fill_entries(
         self, source_pattern: str, data_node: NodeId, reach: dict[NodeId, int]
@@ -713,7 +690,6 @@ class BoundedState:
 def match_bounded(
     graph: Graph,
     pattern: Pattern,
-    reach_index=None,
     index=None,
     candidates: dict[str, set[NodeId]] | None = None,
     frozen: FrozenGraph | None = None,
@@ -726,8 +702,6 @@ def match_bounded(
     The returned :class:`MatchResult` carries the refinement state, so
     deriving the result graph or feeding the incremental module costs no
     recomputation.  An optional
-    :class:`~repro.graph.reach_index.BoundedReachIndex` (kept consistent by
-    its owner) serves the truncated BFS runs from cache; an optional
     :class:`~repro.graph.index.AttributeIndex` (``index``) serves candidate
     generation, and ``candidates`` supplies precomputed candidate sets
     outright (the batch evaluator's shared-work path).  A ``frozen``
@@ -767,7 +741,6 @@ def match_bounded(
     state = BoundedState(
         graph,
         pattern,
-        reach_index=reach_index,
         index=index,
         candidates=candidates,
         frozen=frozen,

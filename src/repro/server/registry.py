@@ -34,7 +34,7 @@ burst republishes in O(copy + freeze) without any label rebuild.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.engine.cache import QueryCache, RankCache, cache_key
 from repro.engine.estimator import QueryBudget
@@ -828,8 +828,3 @@ class SnapshotRegistry:
         with self._lock:
             state = self._graphs.get(name)
             return list(state.live.values()) if state is not None else []
-
-
-def batch_updates(updates: Iterable[Update]) -> list[Update]:
-    """Normalize an update iterable into the list ``publish`` expects."""
-    return list(updates)

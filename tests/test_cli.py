@@ -689,3 +689,22 @@ class TestStats:
         code = main(["stats", "--url", "http://127.0.0.1:1/nope"])
         assert code == 2
         assert "cannot fetch" in capsys.readouterr().err
+
+
+class TestPackaging:
+    def test_setup_py_carries_real_metadata(self):
+        """`pip install -e . --no-use-pep517` must install `repro` and the
+        `expfinder` command the docs use, not an UNKNOWN-0.0.0 stub."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out == ["expfinder", repro.__version__]
+        assert "expfinder = repro.cli:main" in (root / "setup.py").read_text()

@@ -15,8 +15,10 @@ assertion message), so a failure names the exact case to replay:
 
     pytest tests/test_differential.py -k "seed17" -x
 
-One worker pool is shared by the whole module; forking per case would
-dominate runtime.
+Two executors are shared by the whole module, one per shared-snapshot
+route: a *cold* one (no persistent pool, so every fan-out forks a
+dedicated pool that inherits the snapshot) and a *warmed* one (``.warm()``,
+so every fan-out ships the snapshot inside tasks on the persistent pool).
 """
 
 from __future__ import annotations
@@ -41,10 +43,14 @@ ENGINE_SEEDS = range(6)
 ORACLE_SEEDS = range(40)
 
 
-@pytest.fixture(scope="module")
-def executor():
+@pytest.fixture(scope="module", params=["cold", "warmed"])
+def executor(request):
     with ParallelExecutor(workers=2) as shared:
+        if request.param == "warmed":
+            shared.warm()
         yield shared
+        # the route under test is the one the fixture promises
+        assert (shared._pool is not None) == (request.param == "warmed")
 
 
 def random_case(seed: int, simulation_only: bool = False) -> tuple[Graph, Pattern]:

@@ -360,17 +360,6 @@ class TestOracleManagement:
         plain.register_graph("g", engine.graph("fig1"))
         assert result.relation == plain.evaluate("g", paper_pattern()).relation
 
-    def test_oracle_supersedes_reach_index(self, engine):
-        engine.enable_reach_index("fig1", max_depth=4)
-        engine.enable_oracle("fig1")
-        result = engine.evaluate("fig1", paper_pattern(), use_cache=False,
-                                 cache_result=False)
-        # The frozen kernels ran (kernel log present); the reach index was
-        # never consulted (no hits, no misses).
-        assert "kernels" in result.stats
-        reach_stats = engine.reach_index_stats("fig1")
-        assert reach_stats["hits"] == 0 and reach_stats["misses"] == 0
-
     def test_explain_reports_oracle_state_and_edge_routes(self, engine):
         engine.enable_oracle("fig1")
         cold = engine.explain("fig1", paper_pattern())

@@ -5,8 +5,8 @@ Three layers of guarantees:
 * :class:`~repro.graph.frozen.FrozenGraph` is a faithful snapshot —
   structure, order, attributes and the ``to_graph()`` round trip (seeded
   and property-based);
-* every frozen kernel — bounded BFS, multi-source ball covers, both
-  matchers' refinement, ball decomposition, the ranking Dijkstras —
+* every frozen kernel — bounded BFS, both matchers' refinement, pivot
+  partitioning, the ranking Dijkstras —
   produces results identical to the dict-backed path it replaces (seeded
   differential sweeps reusing the shapes of ``tests/test_differential.py``);
 * the engine's ``SnapshotCache`` serves warm snapshots, detects stale ones
@@ -32,13 +32,12 @@ from repro.graph.distance import (
     bounded_descendants,
     distance,
     eccentricity_within,
-    multi_source_descendants,
     weighted_distances,
     within_bound,
 )
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
-from repro.graph.partition import decompose as ball_decompose
+from repro.graph.partition import decompose
 from repro.matching.bounded import frozen_successor_rows, match_bounded
 from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.builder import PatternBuilder
@@ -126,27 +125,6 @@ class TestFrozenGraph:
         assert FrozenGraph.freeze(second).matches(second)
         assert FrozenGraph.freeze(Graph()).matches(Graph())  # empty graphs
 
-    def test_induced_equals_dict_subgraph(self, fig1):
-        keep = ["Bob", "Dan", "Mat", "Eva"]
-        frozen = FrozenGraph.freeze(fig1)
-        induced = frozen.induced(keep, name="ball")
-        assert induced.to_graph() == fig1.subgraph(keep, name="ball")
-        bare = frozen.induced(keep, include_attrs=False)
-        assert bare.num_edges == induced.num_edges
-        assert bare.node_attrs("Bob") == {}
-
-    def test_induced_unknown_node_raises(self, fig1):
-        with pytest.raises(GraphError, match="unknown node"):
-            FrozenGraph.freeze(fig1).induced(["Ann", "nobody"])
-
-    def test_induced_repools_values(self, fig1):
-        """A sub-snapshot's value pool holds only values its nodes use."""
-        frozen = FrozenGraph.freeze(fig1)
-        induced = frozen.induced(["Bob"])
-        assert induced.node_attrs("Bob") == fig1.attrs("Bob")
-        assert len(induced._values) <= len(fig1.attrs("Bob"))
-        assert len(induced._values) < len(frozen._values)
-
     def test_without_attrs_shares_buffers(self, fig1):
         frozen = FrozenGraph.freeze(fig1)
         bare = frozen.without_attrs()
@@ -211,15 +189,11 @@ class TestFrozenDistance:
             )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_multi_source_and_scalar_helpers(self, seed):
+    def test_scalar_helpers(self, seed):
         graph = random_digraph(25, 70, seed=seed)
         frozen = FrozenGraph.freeze(graph)
         rng = random.Random(seed)
         sources = rng.sample(list(graph.nodes()), 6)
-        for bound in (1, 2, None):
-            assert multi_source_descendants(
-                frozen, sources, bound
-            ) == multi_source_descendants(graph, sources, bound)
         for node in sources:
             assert distance(frozen, sources[0], node) == distance(
                 graph, sources[0], node
@@ -342,7 +316,7 @@ class TestFrozenMatchers:
                 fig1, simple, simulation_candidates(fig1, simple), frozen=frozen
             )
         with pytest.raises(GraphError, match="stale frozen snapshot"):
-            ball_decompose(
+            decompose(
                 fig1, fig1_query, simulation_candidates(fig1, fig1_query), 2,
                 frozen=frozen,
             )
@@ -357,13 +331,9 @@ class TestFrozenPartition:
         graph, pattern = random_case(seed)
         frozen = FrozenGraph.freeze(graph)
         candidates = simulation_candidates(graph, pattern)
-        plain = ball_decompose(graph, pattern, dict(candidates), 3)
-        accelerated = ball_decompose(graph, pattern, dict(candidates), 3, frozen=frozen)
-        assert len(accelerated) == len(plain), f"seed {seed}"
-        for mine, theirs in zip(accelerated, plain):
-            assert mine.pivots == theirs.pivots
-            assert mine.depths == theirs.depths
-            assert mine.nodes == theirs.nodes
+        plain = decompose(graph, pattern, dict(candidates), 3)
+        accelerated = decompose(graph, pattern, dict(candidates), 3, frozen=frozen)
+        assert accelerated == plain, f"seed {seed}"
 
 
 # ----------------------------------------------------------------------
@@ -488,25 +458,6 @@ class TestSnapshotCache:
         fresh = engine.evaluate("g", fig1_query, use_cache=False, cache_result=False)
         assert fresh.relation == match_bounded(fig1, fig1_query).relation
 
-    def test_reach_index_skips_the_freeze(self, fig1, fig1_query):
-        """The bounded matcher prefers a reach index; no snapshot is built."""
-        engine = QueryEngine()
-        engine.register_graph("g", fig1)
-        engine.enable_reach_index("g")
-        result = engine.evaluate("g", fig1_query, use_cache=False, cache_result=False)
-        assert engine.snapshot_stats()["builds"] == 0
-        assert result.relation == match_bounded(fig1, fig1_query).relation
-        # ...and explain agrees with what evaluate actually did.
-        plan = engine.explain("g", fig1_query)
-        assert any("frozen snapshot: bypassed" in r for r in plan.reasons)
-        # Sharded evaluation has no reach index in its workers, so it
-        # snapshots even here — exactly what the note promises.
-        parallel = engine.evaluate(
-            "g", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert parallel.relation == result.relation
-        assert engine.snapshot_stats()["builds"] == 1
-
     def test_explain_reports_snapshot_state(self, fig1, fig1_query):
         engine = QueryEngine()
         engine.register_graph("g", fig1)
@@ -536,32 +487,27 @@ class TestFrozenShipping:
         assert parallel.relation == sequential.relation, f"seed {seed}"
         assert parallel.relation.to_dict() == sequential.relation.to_dict()
 
-    def test_shard_payloads_are_frozen_buffers(self, fig1, fig1_query):
-        """Materialized shards ship frozen sub-snapshots, never dict graphs."""
+    def test_shard_payloads_are_flat_ids_over_the_shared_snapshot(
+        self, fig1, fig1_query
+    ):
+        """Shards ship pivot ids and candidate id arrays, never a graph."""
         frozen = FrozenGraph.freeze(fig1)
         candidates = simulation_candidates(fig1, fig1_query)
-        shards = ball_decompose(fig1, fig1_query, candidates, 2, frozen=frozen)
-        shared_arrays = ParallelExecutor._candidate_arrays(
-            frozen.ids(), candidates, fig1_query, shards
+        shards = decompose(fig1, fig1_query, candidates, 2, frozen=frozen)
+        payloads = ParallelExecutor._shard_payloads(
+            frozen, fig1_query, shards, candidates
         )
-        for shard in shards:
-            payload = ParallelExecutor._shard_payload(
-                frozen, fig1_query, shard, candidates, True, None
-            )
-            ball, edges_spec, pivot_ids, candidate_arrays, oracle_slice = payload
-            assert oracle_slice is None  # no oracle was passed
-            assert isinstance(ball, FrozenGraph)
-            assert set(ball.nodes()) == set(shard.nodes)
-            assert ball.node_attrs(next(iter(shard.nodes))) == {}  # attrs stay home
+        shared_arrays: dict = {}
+        for shard, (edges_spec, pivot_ids, candidate_arrays) in zip(shards, payloads):
             assert set(edges_spec) == set(shard.pivots)
             for u, pivots in shard.pivots.items():
-                assert tuple(ball.labels[i] for i in pivot_ids[u]) == pivots
-            shared = ParallelExecutor._shard_payload(
-                frozen, fig1_query, shard, candidates, False, shared_arrays
-            )
-            assert shared[0] is None  # the full snapshot is process-shared
-            for u, arr in shared[3].items():
-                assert arr is shared_arrays[u]  # built once, shared by shards
+                assert tuple(frozen.labels[i] for i in pivot_ids[u]) == pivots
+            for u, arr in candidate_arrays.items():
+                assert [frozen.labels[i] for i in arr] == sorted(
+                    candidates[u], key=frozen.ids().__getitem__
+                )
+                # built once, shared by every shard that filters against u
+                assert shared_arrays.setdefault(u, arr) is arr
 
     def test_engine_workers_with_warm_snapshot(self, fig1, fig1_query):
         engine = QueryEngine()

@@ -6,7 +6,7 @@ every bound including ``'*'``, on every graph.  The sweeps here assert
 that promise over seeded random graphs (all pairs, all bounds), and the
 rest of the suite covers the machinery around it: deterministic label
 arrays (sequential == chunked == worker-pool builds), depth caps,
-post-build node insertions, label slices, and the planner integration.
+post-build node insertions, pickling, and the planner integration.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.graph.digraph import Graph
 from repro.graph.distance import bounded_descendants
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph, twitter_like_graph
-from repro.graph.oracle import DistanceOracle, OracleSlice, phase_two_chunk
+from repro.graph.oracle import DistanceOracle, phase_two_chunk
 from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
@@ -31,7 +31,7 @@ from repro.incremental.updates import (
     NodeDeletion,
     NodeInsertion,
 )
-from repro.matching.bounded import frozen_successor_rows, match_bounded
+from repro.matching.bounded import match_bounded
 from repro.pattern.pattern import Pattern
 
 SWEEP_SEEDS = range(25)
@@ -239,41 +239,7 @@ class TestRows:
             )
 
 
-class TestSlices:
-    def test_slice_serves_the_same_rows(self):
-        _graph, frozen, oracle = small_case(5)
-        adjacency = frozen.successor_sets()
-        n = frozen.num_nodes
-        sources = list(range(min(4, n)))
-        children = frozenset(range(n))
-        succ_of_sources = set().union(*(adjacency[s] for s in sources)) | set(sources)
-        sliced = oracle.slice_rows(succ_of_sources, children | set(sources))
-        edge = ("U", "V")
-        for bound in (2, None) if oracle.cap is None else (2,):
-            full_rows = {edge: {s: {} for s in sources}}
-            oracle.fill_rows(sources, [(edge, bound, children)], full_rows, adjacency)
-            slice_rows = {edge: {s: {} for s in sources}}
-            sliced.fill_rows(sources, [(edge, bound, children)], slice_rows, adjacency)
-            assert slice_rows == full_rows
-
-    def test_slice_remap_rekeys_rows(self):
-        graph = Graph.from_edges([("a", "b"), ("b", "c")])
-        frozen = FrozenGraph.freeze(graph)
-        oracle = DistanceOracle.build(frozen)
-        a = frozen.id_of("a")
-        sliced = oracle.slice_rows([a], [a], remap={a: 7})
-        assert sliced.out_row(7) == tuple(oracle.out_row(a))
-        assert sliced.out_row(a) == ()
-
-    def test_slice_pickles(self):
-        _graph, frozen, oracle = small_case(6)
-        sliced = oracle.slice_rows([0], [0], remap=None)
-        sliced.edges = frozenset({("U", "V")})
-        thawed = pickle.loads(pickle.dumps(sliced))
-        assert thawed.out_row(0) == sliced.out_row(0)
-        assert thawed.edges == sliced.edges
-        assert thawed.cap == sliced.cap
-
+class TestPickling:
     def test_oracle_pickles(self):
         _graph, frozen, oracle = small_case(7)
         thawed = pickle.loads(pickle.dumps(oracle))
@@ -332,31 +298,6 @@ class TestCompatibility:
 
 
 class TestRouting:
-    def test_forced_slice_edges_route_to_the_oracle(self):
-        graph = Graph.from_edges(
-            [("a", "b"), ("b", "c"), ("c", "d")],
-            nodes={n: {"f": 1} for n in "abcd"},
-        )
-        frozen = FrozenGraph.freeze(graph)
-        oracle = DistanceOracle.build(frozen)
-        ids = frozen.ids()
-        everyone = frozenset(ids.values())
-        sliced = oracle.slice_rows(everyone, everyone)
-        sliced.edges = frozenset({("X", "Y")})
-        log: dict = {}
-        rows = frozen_successor_rows(
-            frozen,
-            {"X": (("Y", 3),)},
-            {"X": everyone, "Y": everyone},
-            oracle=sliced,
-            kernel_log=log,
-        )
-        assert log[("X", "Y")].kernel == KERNEL_ORACLE
-        plain = frozen_successor_rows(
-            frozen, {"X": (("Y", 3),)}, {"X": everyone, "Y": everyone}
-        )
-        assert rows == plain
-
     def test_match_bounded_logs_kernels(self):
         graph = twitter_like_graph(400, seed=1)
         frozen = FrozenGraph.freeze(graph)
@@ -397,69 +338,6 @@ class TestParallelMatching:
         assert parallel.relation == sequential.relation, f"seed {seed}"
         assert parallel.relation.to_dict() == sequential.relation.to_dict()
         parallel._state.check_invariants()
-
-    @pytest.mark.parametrize("seed", range(6), ids=lambda s: f"seed{s}")
-    def test_materialized_shards_ship_working_slices(self, seed, monkeypatch):
-        """Force oracle routing and materialized balls together: payloads
-        must carry label slices whose worker-side rows equal the parent's."""
-        from repro.engine import planner
-        from repro.engine.parallel import ParallelExecutor, _shard_rows, _set_shared_frozen
-        from repro.graph.partition import decompose
-        from repro.matching.simulation import simulation_candidates
-
-        rng = random.Random(seed)
-        n = rng.randint(20, 40)
-        graph = random_digraph(n, rng.randint(n, 3 * n), seed=seed)
-        frozen = FrozenGraph.freeze(graph)
-        oracle = DistanceOracle.build(frozen)
-        pattern = Pattern(f"s{seed}")
-        pattern.add_node("X", f"x >= {rng.randint(3, 6)}")
-        pattern.add_node("Y", f"x >= {rng.randint(0, 3)}")
-        pattern.add_edge("X", "Y", rng.choice([2, 3]))
-        candidates = simulation_candidates(graph, pattern)
-        shards = decompose(graph, pattern, candidates, 3, frozen=frozen)
-
-        original = planner.kernel_costs
-
-        def forced(*args, **kwargs):
-            costs = original(*args, **kwargs)
-            if planner.KERNEL_ORACLE in costs:
-                costs[planner.KERNEL_ORACLE] = -1.0
-            return costs
-
-        monkeypatch.setattr(planner, "kernel_costs", forced)
-        carried_a_slice = False
-        merged: dict = {}
-        for shard in shards:
-            payload = ParallelExecutor._shard_payload(
-                frozen, pattern, shard, candidates, True, None, oracle=oracle
-            )
-            if payload[4] is not None:
-                carried_a_slice = True
-                assert payload[4].edges  # parent-routed edges travel along
-            rows, _info = _shard_rows(payload)
-            for edge, row in rows.items():
-                merged.setdefault(edge, {}).update(row)
-        monkeypatch.setattr(planner, "kernel_costs", original)
-        if not any(candidates["X"]):
-            return  # nothing to check: no sources anywhere
-        assert carried_a_slice, f"seed {seed}: no shard carried a slice"
-        # The merged label-slice rows must equal the plain enumeration rows.
-        _set_shared_frozen(frozen)
-        try:
-            reference: dict = {}
-            for shard in shards:
-                plain_payload = ParallelExecutor._shard_payload(
-                    frozen, pattern, shard, candidates, False,
-                    ParallelExecutor._candidate_arrays(
-                        frozen.ids(), candidates, pattern, shards
-                    ),
-                )
-                for edge, row in _shard_rows(plain_payload)[0].items():
-                    reference.setdefault(edge, {}).update(row)
-        finally:
-            _set_shared_frozen(None)
-        assert merged == reference, f"seed {seed}"
 
     def test_stale_oracle_rejected_by_executor(self, executor):
         graph = Graph.from_edges([("a", "b")])

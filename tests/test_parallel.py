@@ -58,60 +58,25 @@ class TestExecutor:
         assert executor._pool is None  # no processes were forked
         assert result.relation == match_bounded(fig1, fig1_query).relation
 
-    @pytest.fixture
-    def selective_case(self):
-        """A graph whose candidate balls cover a small fraction of it.
-
-        Two tiny chains match; a sea of filler nodes does not, so the
-        decomposition ships induced ball subgraphs instead of sharing the
-        whole graph.
-        """
-        from repro.graph.digraph import Graph
-
-        graph = Graph(name="selective")
-        for index in range(40):
-            graph.add_node(f"filler{index}", label="F")
-        for which in ("1", "2"):
-            graph.add_node(f"s{which}", label="S")
-            graph.add_node(f"t{which}", label="T")
-            graph.add_edge(f"s{which}", f"t{which}")
-        pattern = (
-            PatternBuilder("chain")
-            .node("S", 'label == "S"')
-            .node("T", 'label == "T"')
-            .edge("S", "T", 1)
-            .build()
-        )
-        return graph, pattern
-
-    def test_selective_balls_ship_subgraphs(self, selective_case):
-        graph, pattern = selective_case
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(graph, pattern)
-        assert result.stats["parallel"]["shipping"] == "ball-subgraphs"
-        assert sorted(result.relation.matches_of("S")) == ["s1", "s2"]
-
-    def test_broad_balls_share_the_graph(self, fig1, fig1_query):
+    def test_fan_out_shares_the_graph(self, fig1, fig1_query):
         with ParallelExecutor(workers=2) as executor:
             result = executor.match(fig1, fig1_query)
         assert result.stats["parallel"]["shipping"] == "shared-graph"
 
-    def test_close_is_idempotent(self, selective_case):
-        graph, pattern = selective_case
-        executor = ParallelExecutor(workers=2)
-        executor.match(graph, pattern)
+    def test_close_is_idempotent(self):
+        executor = ParallelExecutor(workers=2).warm()
         assert executor._pool is not None
         executor.close()
         executor.close()
         assert executor._pool is None
 
-    def test_pool_reused_across_matches(self, selective_case):
-        graph, pattern = selective_case
-        with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern)
+    def test_pool_reused_across_matches(self, fig1, fig1_query):
+        with ParallelExecutor(workers=2).warm() as executor:
             pool = executor._pool
-            executor.match(graph, pattern)
+            executor.match(fig1, fig1_query)
+            executor.match(fig1, fig1_query)
             assert executor._pool is pool
+            assert executor.pools_created == 1
 
     def test_bad_workers_rejected_at_construction(self):
         with pytest.raises(EvaluationError, match="positive integer"):
@@ -342,8 +307,8 @@ class TestPoolChurn:
 
         graph, pattern = selective_case
         budget = QueryBudget(node_visits=100_000, allow_partial=True)
-        with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern)  # unguarded sharded call
+        with ParallelExecutor(workers=2).warm() as executor:
+            executor.match(graph, pattern)  # unguarded, task-shipped
             pool = executor._pool
             executor.match(graph, pattern, budget=budget)
             assert executor._pool is pool
@@ -404,12 +369,12 @@ class TestPoolChurn:
         graph, pattern = selective_case
         frozen = FrozenGraph.freeze(graph)
         candidates = simulation_candidates(graph, pattern)
-        from repro.graph.partition import decompose as ball_decompose
+        from repro.graph.partition import decompose
 
-        shards = ball_decompose(graph, pattern, candidates, 2, frozen=frozen)
-        payload = ParallelExecutor._shard_payload(
-            frozen, pattern, shards[0], candidates, True, None
-        )
+        shards = decompose(graph, pattern, candidates, 2, frozen=frozen)
+        payload = ParallelExecutor._shard_payloads(
+            frozen, pattern, shards, candidates
+        )[0]
         counter = multiprocessing.get_context().Value("q", 0)
         par._init_persistent_worker(counter)
         try:

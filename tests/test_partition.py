@@ -1,25 +1,25 @@
-"""Unit and property tests for the ball decomposition (`graph.partition`).
+"""Unit and property tests for the pivot partition (`graph.partition`).
 
-The load-bearing property is *cover soundness*: every node within the
-pattern-derived radius of a pivot lies inside that pivot's shard, so a
-shard-local truncated BFS equals a full-graph one and no successor row can
-straddle shards undetected.  If this property broke, parallel evaluation
-would silently return relations that are too large.
+The load-bearing property is *exactly-once ownership*: every candidate of
+every pattern node with out-edges is the pivot of exactly one shard, so the
+merged successor rows are complete and no row is computed twice.  If it
+broke, parallel evaluation would lose rows (the merge raises) or waste work.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
 import random
 
 import pytest
 
 from repro.datasets.paper_example import paper_graph, paper_pattern
 from repro.errors import GraphError
-from repro.graph.distance import bounded_descendants, multi_source_descendants
-from repro.graph.generators import random_digraph
-from repro.graph.partition import Shard, decompose, pattern_radius, source_depth
+from repro.graph.digraph import Graph
+from repro.graph.partition import Shard, decompose
 from repro.matching.simulation import simulation_candidates
-from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
 
 from tests.test_differential import random_case
@@ -33,28 +33,6 @@ def decompose_case(seed: int, num_shards: int | None = None):
     if num_shards is None:
         num_shards = random.Random(seed).randint(1, 5)
     return graph, pattern, candidates, decompose(graph, pattern, candidates, num_shards)
-
-
-class TestDepths:
-    def test_source_depth_is_max_out_bound(self):
-        pattern = paper_pattern()  # SA's out-edges carry bounds 2 and 3
-        assert source_depth(pattern, "SA") == 3
-        assert source_depth(pattern, "SD") == 1
-        assert source_depth(pattern, "ST") == 0  # no out-edges
-
-    def test_source_depth_unbounded(self):
-        pattern = (
-            PatternBuilder("star")
-            .node("A", 'label == "A"')
-            .node("B", 'label == "B"')
-            .edge("A", "B", None)
-            .build()
-        )
-        assert source_depth(pattern, "A") is None
-        assert pattern_radius(pattern) is None
-
-    def test_pattern_radius_paper_example(self):
-        assert pattern_radius(paper_pattern()) == 3
 
 
 class TestDecomposeShape:
@@ -103,27 +81,11 @@ class TestDecomposeShape:
         assert decompose(graph, pattern, {"A": {"Bob"}}, 4) == []
 
 
-class TestCoverSoundness:
-    @pytest.mark.parametrize("seed", PROPERTY_SEEDS, ids=lambda s: f"seed{s}")
-    def test_every_pivot_ball_is_inside_its_shard(self, seed):
-        graph, _pattern, _candidates, shards = decompose_case(seed)
-        for shard in shards:
-            for u, pivots in shard.pivots.items():
-                radius = shard.depths[u]
-                for pivot in pivots:
-                    assert pivot in shard.nodes, f"seed {seed}: pivot outside shard"
-                    ball = set(bounded_descendants(graph, pivot, radius))
-                    missing = ball - shard.nodes
-                    assert not missing, (
-                        f"seed {seed}: shard {shard.index} ball for pivot "
-                        f"{pivot!r} (pattern node {u!r}, radius {radius}) "
-                        f"leaks {sorted(map(repr, missing))[:5]}"
-                    )
-
+class TestOwnership:
     @pytest.mark.parametrize("seed", PROPERTY_SEEDS, ids=lambda s: f"seed{s}")
     def test_every_source_candidate_owned_exactly_once(self, seed):
         graph, pattern, candidates, shards = decompose_case(seed)
-        sources = [u for u in pattern.nodes() if source_depth(pattern, u) != 0]
+        sources = [u for u in pattern.nodes() if any(pattern.out_edges(u))]
         seen: dict[tuple, int] = {}
         for shard in shards:
             for u, pivots in shard.pivots.items():
@@ -135,56 +97,44 @@ class TestCoverSoundness:
             f"seed {seed}: a pivot is owned by several shards"
         )
 
-    def test_unbounded_radius_ball_is_full_descendant_set(self):
-        graph = random_digraph(25, 60, seed=3)
-        pattern = (
-            PatternBuilder("reach")
-            .node("A", 'label == "L0"')
-            .node("B", 'label == "L1"')
-            .edge("A", "B", None)
-            .build()
-        )
+    @pytest.mark.parametrize("seed", PROPERTY_SEEDS, ids=lambda s: f"seed{s}")
+    def test_least_loaded_assignment_balances_shards(self, seed):
+        """Greedy least-loaded: no shard exceeds the lightest by more than
+        the heaviest single pivot (load = 1 + out-degree)."""
+        graph, _pattern, _candidates, shards = decompose_case(seed, num_shards=3)
+        costs = [
+            [1 + graph.out_degree(v) for vs in shard.pivots.values() for v in vs]
+            for shard in shards
+        ]
+        loads = [sum(shard_costs) for shard_costs in costs]
+        loads += [0] * (3 - len(loads))  # dropped empty shards carried nothing
+        heaviest_pivot = max((max(shard_costs) for shard_costs in costs), default=0)
+        assert max(loads) - min(loads) <= heaviest_pivot, f"seed {seed}"
+
+    def test_shards_carry_only_index_and_pivots(self):
+        assert [field.name for field in dataclasses.fields(Shard)] == [
+            "index", "pivots",
+        ]
+
+    def test_decompose_does_no_traversal(self, monkeypatch):
+        """A shard is a list of pivots, never a graph: the partition module
+        imports no BFS kernel and never walks an adjacency row."""
+        import repro.graph.partition as partition
+
+        imported = {
+            node.module
+            for node in ast.walk(ast.parse(inspect.getsource(partition)))
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert "repro.graph.distance" not in imported
+
+        graph, pattern = paper_graph(), paper_pattern()
         candidates = simulation_candidates(graph, pattern)
-        shards = decompose(graph, pattern, candidates, 2)
-        for shard in shards:
-            for pivot in shard.pivots.get("A", ()):
-                reachable = set(bounded_descendants(graph, pivot, None))
-                assert reachable <= shard.nodes
+        expected = decompose(graph, pattern, candidates, 2)
 
-    def test_subgraph_bfs_equals_full_graph_bfs(self):
-        """The consequence the executor relies on, stated directly."""
-        for seed in range(10):
-            graph, _pattern, _candidates, shards = decompose_case(seed)
-            for shard in shards:
-                subgraph = shard.subgraph(graph)
-                for u, pivots in shard.pivots.items():
-                    for pivot in pivots:
-                        assert bounded_descendants(
-                            subgraph, pivot, shard.depths[u]
-                        ) == bounded_descendants(graph, pivot, shard.depths[u])
+        def walked(self, node):
+            raise AssertionError("decompose walked the graph")
 
-
-class TestMultiSourceDescendants:
-    def test_sources_at_distance_zero(self):
-        graph = paper_graph()
-        out = multi_source_descendants(graph, ["Bob"], 0)
-        assert out == {"Bob": 0}
-
-    def test_matches_per_source_union(self):
-        for seed in range(10):
-            graph = random_digraph(20, 50, seed=seed)
-            rng = random.Random(seed)
-            sources = rng.sample(range(20), 4)
-            bound = rng.choice([1, 2, 3, None])
-            merged = multi_source_descendants(graph, sources, bound)
-            union = set(sources)
-            for source in sources:
-                union |= set(bounded_descendants(graph, source, bound))
-            assert set(merged) == union
-            for node, dist in merged.items():
-                if node not in sources:
-                    best = min(
-                        bounded_descendants(graph, s, bound).get(node, 10**9)
-                        for s in sources
-                    )
-                    assert dist == best
+        monkeypatch.setattr(Graph, "successors", walked)
+        monkeypatch.setattr(Graph, "predecessors", walked)
+        assert decompose(graph, pattern, candidates, 2) == expected

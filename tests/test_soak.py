@@ -1,8 +1,8 @@
 """Full-system soak test.
 
 Everything at once, for many rounds: one engine, one evolving collaboration
-network, a pinned bounded query, maintained compression, and the
-bounded-reachability index — with edge *and* node updates streaming in.
+network, a pinned bounded query and maintained compression — with edge
+*and* node updates streaming in.
 After every round the three evaluation routes and a from-scratch
 recomputation must all agree.  This is the closest the test suite gets to
 the demo's live scenario.
@@ -94,7 +94,6 @@ def test_full_system_soak(seed):
     query = standing_query()
     engine.pin("net", query)
     engine.compress_graph("net", attrs=("field",))
-    engine.enable_reach_index("net", max_depth=3)
 
     next_id = [0]
     for round_number in range(12):
