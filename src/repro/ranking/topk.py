@@ -100,6 +100,7 @@ class RankingContext:
         "matched_by",
         "_attr_cache",
         "_details",
+        "_ranked",
         "_dist_out",
         "_dist_in",
         "_scores",
@@ -132,6 +133,9 @@ class RankingContext:
         # the data graph which the snapshot must not have to walk.
         self._attr_cache: dict[NodeId, dict[str, Any]] = {}
         self._details: dict[NodeId, RankedMatch] = {}
+        # Longest social-impact ranking selected so far, per pattern node:
+        # ``(k it was selected for, ranked prefix)`` — see bulk_top_k_detail.
+        self._ranked: dict[str, tuple[int | None, tuple[RankedMatch, ...]]] = {}
         self._dist_out: dict[NodeId, dict[NodeId, float]] = {}
         self._dist_in: dict[NodeId, dict[NodeId, float]] = {}
         # Per-metric memoized scores: {metric name: {node: score}}.
@@ -455,10 +459,21 @@ def bulk_top_k_detail(
     Identical — order, ranks, evidence — to ranking every match with
     :func:`repro.ranking.social_impact.rank_detail` and slicing.  ``k=None``
     ranks everything (the bulk analogue of ``rank_matches``).
+
+    A top-K list is a prefix of the full ranking and the snapshot never
+    changes, so with the inline scorer the context keeps the longest
+    prefix selected so far per pattern node and a repeated call (a
+    rank-cache hit) is a slice: no bounds, no sort.  An update replaces
+    the context instead of editing it, which is the whole invalidation
+    rule.  The returned list is always fresh.
     """
     if k is not None:
         validate_k(k)
     backend = score_many or _score_inline
+    target = pattern_node or context.pattern.output_node
+    memo = context._ranked.get(target) if score_many is None else None
+    if memo is not None and (memo[0] is None or (k is not None and k <= memo[0])):
+        return list(memo[1][:k])
     candidates = context.matches(pattern_node)
     if not candidates:
         return []
@@ -474,7 +489,11 @@ def bulk_top_k_detail(
     scored = _lazy_select(context, candidates, k, context.impact_bound, rank_nodes)
     ranked = [context.detail(node) for node in scored]
     ranked.sort(key=lambda r: (r.rank, repr(r.node)))
-    return ranked if k is None else ranked[:k]
+    if k is not None:
+        del ranked[k:]
+    if score_many is None:
+        context._ranked[target] = (k, tuple(ranked))
+    return ranked
 
 
 def bulk_top_k_scores(

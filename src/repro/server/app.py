@@ -28,6 +28,15 @@ Error mapping: :class:`~repro.errors.AdmissionError` → 429,
 :class:`~repro.errors.BudgetExceededError` → 408,
 :class:`~repro.errors.ServiceDegradedError` → 503, any other
 :class:`~repro.errors.ReproError` → 400, everything else → 500.
+A body that cannot be read as a JSON object is a 400 naming the problem
+(bad ``Content-Length`` — which also closes the connection, since the
+unread body would be parsed as the next request — non-UTF-8 bytes, JSON
+nested too deeply to parse), and so is an update whose node ids or
+attribute names are not JSON scalars: it is refused before the WAL sees it.
+
+Every reply is ``json.dumps`` of the dict the matching
+:class:`ExpFinderService` method returned, sent with its status line and
+headers in one socket write.
 
 With ``wal_dir`` configured the service is **durable**: every update
 batch is appended to a :class:`~repro.server.wal.WriteAheadLog` before
@@ -387,9 +396,8 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin JSON adapter; all logic lives in :class:`ExpFinderService`."""
 
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate writes; without TCP_NODELAY the
-    # second write can stall ~40ms behind the peer's delayed ACK, which
-    # would dominate every small-response request.
+    # A reply is one write, but a body of several segments would still
+    # hold its last partial segment back until the earlier ones are ACKed.
     disable_nagle_algorithm = True
     service: ExpFinderService  # installed by QueryServer on the class
 
@@ -459,27 +467,49 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+            if length < 0:
+                raise ValueError(header)
+        except ValueError:
+            # However long the body really is, it is still on the socket.
+            self.close_connection = True
+            raise ServerError(
+                f"Content-Length must be a non-negative integer (got {header!r})"
+            ) from None
+        if length == 0:
             raise ServerError("request body must be a JSON object")
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
+        except UnicodeDecodeError as exc:
+            raise ServerError(f"request body is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ServerError(f"request body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ServerError("request body is nested too deeply to parse") from None
         if not isinstance(payload, dict):
             raise ServerError("request body must be a JSON object")
         return payload
 
     def _reply(self, status: int, payload: dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
         # Explicit length keeps HTTP/1.1 keep-alive working (no chunking),
         # which the load generator relies on for steady connections.
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        if self.close_connection:
+            lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        # Status line, headers and body leave in one write: one syscall,
+        # and the peer never waits on a second segment for a small reply.
+        self.wfile.write(head.encode("latin-1") + body)
 
 
 class QueryServer:

@@ -184,6 +184,7 @@ class Epoch:
         executor: Any = None,
     ) -> list:
         """Top-K ranked experts against this epoch (rank-cache aware)."""
+        pattern.validate(require_output=True)
         key = cache_key(self.name, pattern)
         entry = self.rank_cache.get(key, self.graph.version)
         if entry is not None:
@@ -599,9 +600,10 @@ class SnapshotRegistry:
         batch record with ``lsn > checkpoint.lsn`` through the same
         decode → decompose → apply pipeline as live publishes.  Each
         batch replays all-or-nothing on a scratch copy; a batch that
-        fails (it failed identically when first published — see
-        :meth:`publish`) is skipped, never half-applied.  Returns a
-        per-graph report (``replayed``/``skipped``/``lsn``).
+        fails to decode or apply (it failed identically when first
+        published — see :meth:`publish`; a malformed record is one an
+        older binary let into the log) is skipped, never half-applied.
+        Returns a per-graph report (``replayed``/``skipped``/``lsn``).
 
         Records for graphs without a checkpoint are reported and ignored:
         registration writes its baseline checkpoint *before* returning,
@@ -648,10 +650,9 @@ class SnapshotRegistry:
             for record in pending.get(name, []):
                 if record.lsn <= checkpoint["lsn"]:
                     continue
-                updates = decode_updates({"updates": record.updates})
                 scratch = graph.copy(name=name)
                 try:
-                    for update in updates:
+                    for update in decode_updates({"updates": record.updates}):
                         for primitive in decompose(scratch, update):
                             primitive.apply(scratch)
                 except ReproError:

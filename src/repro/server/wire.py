@@ -94,6 +94,11 @@ def decode_updates(payload: dict[str, Any]) -> list[Update]:
     Ops: ``add-edge``/``remove-edge`` (``source``, ``target``),
     ``add-node`` (``node``, optional ``attrs`` object), ``remove-node``
     (``node``), ``set-attr`` (``node``, ``attr``, ``value``).
+
+    Node ids must be JSON strings or integers, ``attr`` and the keys of
+    ``attrs`` strings.  Anything else would die untyped inside ``apply``
+    — after the batch is in the WAL, and again at every replay — so it
+    is refused here.
     """
     raw = payload.get("updates")
     if not isinstance(raw, list) or not raw:
@@ -119,18 +124,32 @@ def _decode_one_update(op: str, item: dict[str, Any], position: int) -> Update:
             raise ServerError(f"updates[{position}] ({op}) needs field {field!r}")
         return value
 
+    def node(field: str) -> Any:
+        value = need(field)
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ServerError(
+                f"updates[{position}].{field} must be a string or an integer "
+                f"node id (got {type(value).__name__})"
+            )
+        return value
+
     if op == "add-edge":
-        return EdgeInsertion(need("source"), need("target"))
+        return EdgeInsertion(node("source"), node("target"))
     if op == "remove-edge":
-        return EdgeDeletion(need("source"), need("target"))
+        return EdgeDeletion(node("source"), node("target"))
     if op == "add-node":
         attrs = item.get("attrs", {})
-        if not isinstance(attrs, dict):
-            raise ServerError(f"updates[{position}].attrs must be an object")
-        return NodeInsertion.with_attrs(need("node"), **attrs)
+        if not isinstance(attrs, dict) or not all(isinstance(k, str) for k in attrs):
+            raise ServerError(
+                f"updates[{position}].attrs must be an object with string keys"
+            )
+        return NodeInsertion.with_attrs(node("node"), **attrs)
     if op == "remove-node":
-        return NodeDeletion(need("node"))
-    return AttributeUpdate(need("node"), need("attr"), need("value"))
+        return NodeDeletion(node("node"))
+    attr = need("attr")
+    if not isinstance(attr, str):
+        raise ServerError(f"updates[{position}].attr must be a string")
+    return AttributeUpdate(node("node"), attr, need("value"))
 
 
 def encode_update(update: Update) -> dict[str, Any]:
