@@ -44,7 +44,7 @@ from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.engine.storage import GraphStore
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.inc_simulation import IncrementalSimulation
-from repro.incremental.updates import Update, decompose
+from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, decompose
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
 from repro.matching.bounded import match_bounded
 from repro.matching.result_graph import build_result_graph
@@ -984,32 +984,60 @@ class QueryEngine:
         self._cache.unpin(cache_key(name, pattern))
 
     def update_graph(self, name: str, updates: Sequence[Update]) -> dict[str, Any]:
-        """Apply edge updates; maintain pinned queries and compression.
+        """Apply updates of any kind; maintain pinned queries and compression.
 
+        ``updates`` may mix edge insertions and deletions, node insertions
+        and deletions and attribute writes; they are applied in order.
         Returns a summary: per pinned query the ``ΔM`` (added/removed
-        pairs), plus bookkeeping counters.
+        pairs) and, where it has been ranked, how much of the ranking
+        survived (``rank_maintenance``), plus bookkeeping counters.
+
+        A primitive that cannot be applied raises :class:`UpdateError`
+        and leaves the ones before it applied (there is no rollback).
+        Graph and maintainers advance in lockstep, so the pinned results,
+        rankings, compression and index are exact for that prefix: their
+        bookkeeping is finished before the error propagates, and the
+        pinned queries stay pinned.
         """
         entry = self._entry(name)
         pinned = self._cache.pinned_entries(name)
-        before = {key: cache_entry.relation for key, cache_entry in pinned}
+        start_version = entry.graph.version
+        primitives: list[Update] = []
+        try:
+            for update in updates:
+                # Node deletions are decomposed into their incident edge
+                # deletions plus a bare node removal, so every maintainer sees
+                # a primitive sequence it can follow without pre-images.
+                for primitive in decompose(entry.graph, update):
+                    prior_version = entry.graph.version
+                    primitive.apply(entry.graph)
+                    primitives.append(primitive)
+                    for _key, cache_entry in pinned:
+                        cache_entry.maintainer.apply(primitive, apply_to_graph=False)
+                    if isinstance(entry.compression, MaintainedCompression):
+                        entry.compression.apply(primitive, apply_to_graph=False)
+                    if entry.attr_index is not None:
+                        entry.attr_index.on_update(primitive, prior_version=prior_version)
+        finally:
+            summary = self._settle_update(entry, pinned, start_version, primitives)
+        return {"applied": len(updates), **summary}
 
-        oracle_survives = True
-        for update in updates:
-            # Node deletions are decomposed into their incident edge
-            # deletions plus a bare node removal, so every maintainer sees
-            # a primitive sequence it can follow without pre-images.
-            for primitive in decompose(entry.graph, update):
-                oracle_survives = oracle_survives and DistanceOracle.survives(
-                    primitive
-                )
-                prior_version = entry.graph.version
-                primitive.apply(entry.graph)
-                for _key, cache_entry in pinned:
-                    cache_entry.maintainer.apply(primitive, apply_to_graph=False)
-                if isinstance(entry.compression, MaintainedCompression):
-                    entry.compression.apply(primitive, apply_to_graph=False)
-                if entry.attr_index is not None:
-                    entry.attr_index.on_update(primitive, prior_version=prior_version)
+    def _settle_update(
+        self,
+        entry: RegisteredGraph,
+        pinned: Sequence[tuple[tuple, CacheEntry]],
+        start_version: int,
+        primitives: Sequence[Update],
+    ) -> dict[str, Any]:
+        """Bring every cache in line with the primitives applied so far."""
+        name = entry.name
+        # Nodes written as nodes (inserted, deleted, attribute set): their
+        # attribute dicts may differ where no match or distance does.
+        written = {
+            primitive.node
+            for primitive in primitives
+            if not isinstance(primitive, (EdgeInsertion, EdgeDeletion))
+        }
         if entry.compression is not None and not isinstance(
             entry.compression, MaintainedCompression
         ):
@@ -1017,13 +1045,29 @@ class QueryEngine:
             entry.compression = None
 
         deltas: dict[tuple, dict[str, Any]] = {}
+        rank_maintenance: dict[tuple, dict[str, int]] = {}
+        refreshed_keys: set[tuple] = set()
         for key, cache_entry in pinned:
-            fresh = cache_entry.maintainer.relation()
-            added, removed = before[key].diff(fresh)
-            cache_entry.relation = fresh
+            # What the maintainer touched decides the work: no membership
+            # toggled means ΔM is empty and the relation object stays.
+            toggled, dirty = cache_entry.maintainer.drain_changes()
+            before = cache_entry.relation
+            added: set = set()
+            removed: set = set()
+            if toggled:
+                fresh = cache_entry.maintainer.relation()
+                added, removed = before.diff(fresh)
+                if added or removed:
+                    cache_entry.relation = fresh
             cache_entry.graph_version = entry.graph.version
             deltas[key[1]] = {"added": added, "removed": removed}
-        rank_maintenance, refreshed_keys = self._refresh_pinned_rankings(entry, pinned)
+            maintenance = self._refresh_pinned_ranking(
+                entry, key, cache_entry, start_version, dirty, written,
+                flipped=before.is_empty != cache_entry.relation.is_empty,
+            )
+            if maintenance is not None:
+                rank_maintenance[key[1]] = maintenance
+                refreshed_keys.add(key)
         # Contexts of non-pinned queries are stale now; drop them eagerly
         # (version checks would catch them lazily, but the snapshots are
         # the heaviest thing the engine caches).  The frozen CSR snapshot
@@ -1036,66 +1080,88 @@ class QueryEngine:
         # insertions) leaves them exact, so the entry's validity advances
         # in place instead of paying a rebuild.  Anything structural drops
         # the labels; the next bounded evaluation rebuilds lazily.
-        if oracle_survives:
+        if all(DistanceOracle.survives(primitive) for primitive in primitives):
             self._oracles.refresh_version(name, entry.graph.version)
         else:
             self._oracles.invalidate_graph(name)
         invalidated = self._cache.invalidate_graph(name, keep_pinned=True)
         entry.version += 1
         return {
-            "applied": len(updates),
             "graph_version": entry.version,
             "invalidated_cache_entries": invalidated,
             "pinned_deltas": deltas,
             "rank_maintenance": rank_maintenance,
         }
 
-    def _refresh_pinned_rankings(
+    def _refresh_pinned_ranking(
         self,
         entry: RegisteredGraph,
-        pinned: Sequence[tuple[tuple, CacheEntry]],
-    ) -> tuple[dict[tuple, dict[str, int]], set[tuple]]:
+        key: tuple,
+        cache_entry: CacheEntry,
+        start_version: int,
+        dirty: set[NodeId],
+        written: set[NodeId],
+        flipped: bool,
+    ) -> dict[str, int] | None:
         """Re-rank only the matches an update batch actually touched.
 
-        For every pinned query whose ranking context is cached, the result
-        graph is rebuilt from the maintained relation (reusing the bounded
-        maintainer's refinement state for witness edges), the old and new
-        snapshots are diffed, and every memoized detail whose impact set is
-        disjoint from the changed nodes is carried over untouched — same
-        object, no Dijkstra.  Touched matches that were ranked before are
-        eagerly re-scored so the refreshed entry is as warm as the old one.
-        Returns per-query ``{reused, rescored, changed_nodes}`` counters and
-        the set of refreshed cache keys.
+        If the pinned query's ranking context is cached, its result graph
+        is *patched*: only the out-rows of the maintainer's ``dirty`` nodes
+        are rebuilt from the maintained state and compared, every other
+        row is shared with the old graph.  Nothing differs: the context —
+        details, distance memos, ranked prefixes — stays and is re-stamped.
+        Otherwise a new context over the patched graph carries over every
+        memoized detail whose impact set is disjoint from the changed
+        nodes — same object, no Dijkstra — and touched matches that were
+        ranked before are eagerly re-scored, so the refreshed entry is as
+        warm as the old one.  The result graph is rebuilt in full only
+        where a delta cannot describe the change: ``M(Q,G)`` became or
+        stopped being empty (``flipped``), or the cached context is not
+        one this maintainer's log applies to (stale, or built over another
+        graph or pattern object).  Returns ``{reused, rescored,
+        changed_nodes}``, or ``None`` without a cached context.
         """
-        summary: dict[tuple, dict[str, int]] = {}
-        refreshed: set[tuple] = set()
-        for key, cache_entry in pinned:
-            rank_entry = self._rank_cache.peek(key)  # repro-lint: disable=cache-version-guard -- mid-update refresh: the entry is stale by definition here and is rescored then re-stamped with the new version
-            if rank_entry is None:
-                continue
-            maintainer = cache_entry.maintainer
-            state = getattr(maintainer, "state", None)
+        rank_entry = self._rank_cache.peek(key)  # repro-lint: disable=cache-version-guard -- mid-update refresh: the entry is stale by definition here and is rescored then re-stamped with the new version
+        if rank_entry is None:
+            return None
+        maintainer = cache_entry.maintainer
+        old = rank_entry.context
+        candidates: set[NodeId] | None
+        if (
+            flipped
+            or rank_entry.graph_version != start_version
+            or old.result_graph.graph is not entry.graph
+            or old.result_graph.pattern is not maintainer.pattern
+        ):
             result_graph = build_result_graph(
-                entry.graph, maintainer.pattern, cache_entry.relation, state=state
+                entry.graph,
+                maintainer.pattern,
+                cache_entry.relation,
+                state=getattr(maintainer, "state", None),
             )
-            old = rank_entry.context
-            fresh_context = RankingContext(result_graph)
-            changed = fresh_context.diff_nodes(old)
-            reused = fresh_context.carry_over_from(old, changed)
-            rescored = 0
-            for node in old._details:
-                if node in fresh_context.matched_by and node not in fresh_context._details:
-                    fresh_context.detail(node)
-                    rescored += 1
-            rank_entry.context = fresh_context
-            rank_entry.graph_version = entry.graph.version
-            refreshed.add(key)
-            summary[key[1]] = {
-                "reused": reused,
-                "rescored": rescored,
-                "changed_nodes": len(changed),
-            }
-        return summary, refreshed
+            candidates = None
+        else:
+            if cache_entry.relation.is_empty:  # was and stays the empty graph
+                result_graph, candidates = old.result_graph, set()
+            else:
+                result_graph, candidates = old.result_graph.patched(
+                    dirty, maintainer.match_row
+                )
+            # A rewritten attribute moves no row but is part of the evidence.
+            candidates.update(node for node in written if node in old)
+        rank_entry.graph_version = entry.graph.version
+        if result_graph is old.result_graph and not candidates:
+            return {"reused": len(old._details), "rescored": 0, "changed_nodes": 0}
+        fresh_context = RankingContext(result_graph)
+        changed = fresh_context.diff_nodes(old, candidates)
+        reused = fresh_context.carry_over_from(old, changed)
+        rescored = 0
+        for node in old._details:
+            if node in fresh_context.matched_by and node not in fresh_context._details:
+                fresh_context.detail(node)
+                rescored += 1
+        rank_entry.context = fresh_context
+        return {"reused": reused, "rescored": rescored, "changed_nodes": len(changed)}
 
     def rank_cache_stats(self) -> dict[str, int]:
         """Counters of the ranked-result cache (see :meth:`cache_stats`)."""

@@ -40,7 +40,7 @@ from repro.incremental.updates import (
     NodeInsertion,
     Update,
 )
-from repro.matching.base import MatchRelation
+from repro.matching.base import ChangeLog, MatchRelation
 from repro.matching.bounded import BoundedState
 from repro.pattern.pattern import Bound, Pattern
 
@@ -72,6 +72,9 @@ class IncrementalBoundedSimulation:
         self.graph = graph
         self.pattern = pattern
         self.state = state
+        # Armed only now: the initial refinement above logged nothing, and
+        # a state no maintainer owns (one-shot evaluation) never logs.
+        state.log = ChangeLog()
         self._depth_of: dict[str, Bound] = {}
         deepest: Bound = 0
         for pattern_node in pattern.nodes():
@@ -99,6 +102,15 @@ class IncrementalBoundedSimulation:
     def relation(self) -> MatchRelation:
         """Current ``M(Q,G)``."""
         return self.state.relation()
+
+    def drain_changes(self) -> tuple[set[tuple[str, NodeId]], set[NodeId]]:
+        """``(toggled pairs, dirty nodes)`` since the last drain (see
+        :class:`~repro.matching.base.ChangeLog`); the log restarts empty."""
+        return self.state.log.drain()
+
+    def match_row(self, data_node: NodeId) -> tuple[set[str], dict[NodeId, int]]:
+        """See :meth:`BoundedState.match_row`."""
+        return self.state.match_row(data_node)
 
     def apply(self, update: Update, apply_to_graph: bool = True) -> None:
         """Apply one edge update to the graph *and* the match state.
@@ -208,10 +220,13 @@ class IncrementalBoundedSimulation:
         """Bring S/R/cnt rows of (pattern_node, source) in line with ``reach``.
 
         Returns +gains, -losses (net entry count change across the node's
-        out-edges) so callers know whether to seed joins or removals.
+        out-edges) so callers know whether to seed joins or removals.  A
+        source whose rows changed at all — a moved distance included — is
+        logged as dirty.
         """
         state = self.state
         net = 0
+        changed = False
         for edge_target, bound in self.pattern.out_edges(pattern_node):
             edge = (pattern_node, edge_target)
             row = state.S[edge][source]
@@ -229,6 +244,7 @@ class IncrementalBoundedSimulation:
                     if node in child_sim:
                         state.cnt[edge][source] -= 1
                     net -= 1
+                    changed = True
             for node, dist in fresh.items():
                 if node not in row:
                     row[node] = dist
@@ -236,8 +252,12 @@ class IncrementalBoundedSimulation:
                     if node in child_sim:
                         state.cnt[edge][source] += 1
                     net += 1
+                    changed = True
                 elif row[node] != dist:
                     row[node] = dist
+                    changed = True
+        if changed:
+            state.log.dirty.add(source)
         return net
 
     # ------------------------------------------------------------------
@@ -277,8 +297,6 @@ class IncrementalBoundedSimulation:
             in_bounds = [
                 self.pattern.bound(source, pattern_node) for source, _ in in_edges
             ]
-            from repro.matching.bounded import BoundedState
-
             ancestors = bounded_ancestors(
                 self.graph, node, BoundedState._bfs_depth(in_bounds)
             )

@@ -31,7 +31,7 @@ from repro.incremental.updates import (
     NodeInsertion,
     Update,
 )
-from repro.matching.base import MatchRelation
+from repro.matching.base import ChangeLog, MatchRelation
 from repro.matching.simulation import simulation_candidates
 from repro.pattern.pattern import Pattern
 
@@ -55,7 +55,9 @@ class IncrementalSimulation:
     [('X', 'a'), ('Y', 'b')]
     """
 
-    __slots__ = ("graph", "pattern", "cand", "sim", "cnt", "_in_edges", "_out_edges")
+    __slots__ = (
+        "graph", "pattern", "cand", "sim", "cnt", "_in_edges", "_out_edges", "_log",
+    )
 
     def __init__(self, graph: Graph, pattern: Pattern, index=None) -> None:
         pattern.validate()
@@ -66,6 +68,8 @@ class IncrementalSimulation:
         )
         self.sim: dict[str, set[NodeId]] = {u: set(vs) for u, vs in self.cand.items()}
         self.cnt: dict[PatternEdge, dict[NodeId, int]] = {}
+        # Armed after the initial fixpoint: that is evaluation, not change.
+        self._log: ChangeLog | None = None
         self._in_edges: dict[str, list[PatternEdge]] = {u: [] for u in pattern.nodes()}
         self._out_edges: dict[str, list[PatternEdge]] = {u: [] for u in pattern.nodes()}
         for source, target, _bound in pattern.edges():
@@ -83,6 +87,7 @@ class IncrementalSimulation:
                     seeds.append((source, node))
             self.cnt[edge] = counts
         self._removal_fixpoint(seeds)
+        self._log = ChangeLog()
 
     # ------------------------------------------------------------------
     # public API
@@ -90,6 +95,43 @@ class IncrementalSimulation:
     def relation(self) -> MatchRelation:
         """Current ``M(Q,G)`` (paper semantics: total or empty)."""
         return MatchRelation.from_sets(self.pattern, self.sim)
+
+    def drain_changes(self) -> tuple[set[tuple[str, NodeId]], set[NodeId]]:
+        """``(toggled pairs, dirty nodes)`` since the last drain (see
+        :class:`~repro.matching.base.ChangeLog`); the log restarts empty."""
+        return self._log.drain()
+
+    def match_row(self, data_node: NodeId) -> tuple[set[str], dict[NodeId, int]]:
+        """One node's share of the result graph, read off the live state.
+
+        The pattern nodes ``data_node`` currently matches and its out-row:
+        every successor that matches the target of one of their out-edges,
+        at weight 1 (all bounds of a simulation pattern are 1).  Only
+        meaningful while no ``sim`` set is empty (``M(Q,G)`` is total).
+        """
+        matched: set[str] = set()
+        row: dict[NodeId, int] = {}
+        for pattern_node in self.pattern.nodes():
+            if data_node not in self.sim[pattern_node]:
+                continue
+            matched.add(pattern_node)
+            for _source, target_pattern in self._out_edges[pattern_node]:
+                child = self.sim[target_pattern]
+                for successor in self.graph.successors(data_node):
+                    if successor in child:
+                        row[successor] = 1
+        return matched, row
+
+    def _log_toggled(self, pairs: Iterable[tuple[str, NodeId]]) -> None:
+        """Record membership flips: each pair, its data node and the node's
+        predecessors (their out-rows gain or lose the edge to it) — none
+        for a node already deleted, whose edges went first, tail by tail."""
+        log = self._log
+        for pattern_node, data_node in pairs:
+            log.toggled.add((pattern_node, data_node))
+            log.dirty.add(data_node)
+            if self._in_edges[pattern_node] and self.graph.has_node(data_node):
+                log.dirty.update(self.graph.predecessors(data_node))
 
     def apply(self, update: Update, apply_to_graph: bool = True) -> None:
         """Apply one edge update to the graph *and* the match state.
@@ -142,6 +184,7 @@ class IncrementalSimulation:
     def _after_deletion(self, tail: NodeId, head: NodeId) -> None:
         seeds: list[tuple[str, NodeId]] = []
         for edge in self._edges_touching(tail, head):
+            self._log.dirty.add(tail)
             source_pattern, target_pattern = edge
             counts = self.cnt[edge]
             self_counts = counts.get(tail)
@@ -162,6 +205,7 @@ class IncrementalSimulation:
 
     def _removal_fixpoint(self, seeds: Iterable[tuple[str, NodeId]]) -> None:
         queue: deque[tuple[str, NodeId]] = deque(seeds)
+        removed: list[tuple[str, NodeId]] = []
         while queue:
             pattern_node, data_node = queue.popleft()
             if data_node not in self.sim[pattern_node]:
@@ -169,6 +213,7 @@ class IncrementalSimulation:
             if not self._fails_some_edge(pattern_node, data_node):
                 continue
             self.sim[pattern_node].remove(data_node)
+            removed.append((pattern_node, data_node))
             for edge in self._in_edges[pattern_node]:
                 counts = self.cnt[edge]
                 parent_pattern = edge[0]
@@ -177,6 +222,8 @@ class IncrementalSimulation:
                         counts[upstream] -= 1
                         if counts[upstream] == 0 and upstream in self.sim[parent_pattern]:
                             queue.append((parent_pattern, upstream))
+        if removed and self._log is not None:
+            self._log_toggled(removed)
 
     def _fails_some_edge(self, pattern_node: str, data_node: NodeId) -> bool:
         for edge in self._out_edges[pattern_node]:
@@ -190,6 +237,7 @@ class IncrementalSimulation:
         if data_node not in self.sim[pattern_node]:
             return
         self.sim[pattern_node].remove(data_node)
+        self._log_toggled([(pattern_node, data_node)])
         # A node being deleted may already be gone from the graph; its
         # incident edges were removed first, so it has no predecessors.
         predecessors = (
@@ -253,6 +301,7 @@ class IncrementalSimulation:
     def _after_insertion(self, tail: NodeId, head: NodeId) -> None:
         join_seeds: list[tuple[str, NodeId]] = []
         for edge in self._edges_touching(tail, head):
+            self._log.dirty.add(tail)
             source_pattern, target_pattern = edge
             if head in self.sim[target_pattern]:
                 self.cnt[edge][tail] += 1
@@ -321,6 +370,7 @@ class IncrementalSimulation:
         for pattern_node, members in affected.items():
             for data_node in members:
                 self.sim[pattern_node].add(data_node)
+            self._log_toggled((pattern_node, data_node) for data_node in members)
         for pattern_node, members in affected.items():
             for data_node in members:
                 for edge in self._in_edges[pattern_node]:

@@ -190,6 +190,30 @@ class MatchResult:
         )
 
 
+class ChangeLog:
+    """What an incremental maintainer changed since it was last drained.
+
+    ``toggled`` holds the ``(pattern node, data node)`` pairs whose ``sim``
+    membership flipped; ``dirty`` the data nodes whose result-graph out-row
+    may differ now — every toggled node, every source whose successor row
+    changed, and every source holding a toggled node in such a row.  Both
+    sets name *candidates*: a pair that flips back stays listed, and the
+    reader compares rows rather than trusting the log for equality.
+    """
+
+    __slots__ = ("toggled", "dirty")
+
+    def __init__(self) -> None:
+        self.toggled: set[tuple[str, NodeId]] = set()
+        self.dirty: set[NodeId] = set()
+
+    def drain(self) -> tuple[set[tuple[str, NodeId]], set[NodeId]]:
+        """Hand over ``(toggled, dirty)`` and start an empty log."""
+        drained = (self.toggled, self.dirty)
+        self.toggled, self.dirty = set(), set()
+        return drained
+
+
 class Stopwatch:
     """Tiny perf_counter helper so matchers report comparable timings."""
 

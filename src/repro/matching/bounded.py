@@ -33,7 +33,7 @@ from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.distance import bounded_descendants, frozen_reach_levels
 from repro.graph.frozen import FrozenGraph
-from repro.matching.base import MatchRelation, MatchResult, Stopwatch
+from repro.matching.base import ChangeLog, MatchRelation, MatchResult, Stopwatch
 from repro.matching.simulation import simulation_candidates
 from repro.pattern.pattern import Bound, Pattern
 
@@ -317,11 +317,13 @@ class BoundedState:
     ``S``     pattern edge -> source candidate -> {target candidate: dist}
     ``R``     pattern edge -> target candidate -> set of source candidates
     ``cnt``   pattern edge -> source candidate -> |S ∩ sim(target)|
+    ``log``   membership flips since the last drain; ``None`` (nothing is
+              recorded) until an incremental maintainer arms it
     """
 
     __slots__ = (
         "graph", "pattern", "cand", "sim", "S", "R", "cnt", "_in_edges",
-        "kernels",
+        "kernels", "log",
     )
 
     def __init__(
@@ -369,6 +371,7 @@ class BoundedState:
         # Per-pattern-edge EdgeRoute log of the frozen kernels (empty for
         # the dict-graph and merged-row construction paths).
         self.kernels: dict[PatternEdge, Any] = {}
+        self.log: ChangeLog | None = None
         self.cand = {u: set(vs) for u, vs in candidates.items()}
         self.sim: dict[str, set[NodeId]] = {u: set(vs) for u, vs in self.cand.items()}
         self.S: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]] = {}
@@ -569,6 +572,8 @@ class BoundedState:
                     counts[upstream] -= 1
                     if counts[upstream] == 0 and upstream in self.sim[edge[0]]:
                         queue.append((edge[0], upstream))
+        if removed and self.log is not None:
+            self._log_toggled(removed)
         return removed
 
     def _fails_some_edge(self, pattern_node: str, data_node: NodeId) -> bool:
@@ -590,6 +595,8 @@ class BoundedState:
         if data_node not in self.sim[pattern_node]:
             return
         self.sim[pattern_node].remove(data_node)
+        if self.log is not None:
+            self._log_toggled([(pattern_node, data_node)])
         seeds: list[tuple[str, NodeId]] = []
         for edge in self._in_edges[pattern_node]:
             counts = self.cnt[edge]
@@ -608,10 +615,27 @@ class BoundedState:
         if data_node in self.sim[pattern_node]:
             raise EvaluationError(f"already a member: ({pattern_node!r}, {data_node!r})")
         self.sim[pattern_node].add(data_node)
+        if self.log is not None:
+            self._log_toggled([(pattern_node, data_node)])
         for edge in self._in_edges[pattern_node]:
             counts = self.cnt[edge]
             for upstream in self.R[edge].get(data_node, ()):
                 counts[upstream] += 1
+
+    def _log_toggled(self, pairs: Iterable[tuple[str, NodeId]]) -> None:
+        """Record membership flips in the (armed) change log.
+
+        Besides the pair, its data node and every source holding that node
+        in an ``S`` row become dirty: their result-graph out-rows gain or
+        lose the edge.  ``R`` is read now because a node that leaves
+        candidacy has its reverse entries dropped right after.
+        """
+        log = self.log
+        for pattern_node, data_node in pairs:
+            log.toggled.add((pattern_node, data_node))
+            log.dirty.add(data_node)
+            for edge in self._in_edges[pattern_node]:
+                log.dirty.update(self.R[edge].get(data_node, ()))
 
     # ------------------------------------------------------------------
     # views
@@ -637,6 +661,28 @@ class BoundedState:
                 for reached, dist in entries.items():
                     if reached in target_sim:
                         yield (data_node, reached, dist)
+
+    def match_row(self, data_node: NodeId) -> tuple[set[str], dict[NodeId, int]]:
+        """One node's share of the result graph, read off the live state.
+
+        Returns the pattern nodes ``data_node`` currently matches and its
+        weighted out-row: ``S ∩ sim`` over the out-edges of those pattern
+        nodes, minimum distance where several induce the same pair —
+        what :meth:`match_edges` yields for this source, keyed by target.
+        Only meaningful while no ``sim`` set is empty (``M(Q,G)`` is total).
+        """
+        matched: set[str] = set()
+        row: dict[NodeId, int] = {}
+        for pattern_node in self.pattern.nodes():
+            if data_node not in self.sim[pattern_node]:
+                continue
+            matched.add(pattern_node)
+            for edge_target, _bound in self.pattern.out_edges(pattern_node):
+                target_sim = self.sim[edge_target]
+                for reached, dist in self.S[(pattern_node, edge_target)][data_node].items():
+                    if reached in target_sim and dist < row.get(reached, dist + 1):
+                        row[reached] = dist
+        return matched, row
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -10,11 +10,11 @@ and knows which pattern nodes each data node matches.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
-from repro.graph.distance import bounded_descendants
+from repro.graph.distance import bounded_descendants, node_order_key
 from repro.matching.base import MatchRelation
 from repro.pattern.pattern import Pattern
 
@@ -112,6 +112,72 @@ class ResultGraph:
 
     def __repr__(self) -> str:
         return f"<ResultGraph: {self.num_nodes} nodes, {self.num_edges} edges>"
+
+    # ------------------------------------------------------------------
+    # maintenance under updates
+    # ------------------------------------------------------------------
+    def patched(
+        self,
+        nodes: Iterable[NodeId],
+        row_of: Callable[[NodeId], tuple[set[str], dict[NodeId, int]]],
+    ) -> tuple["ResultGraph", set[NodeId]]:
+        """The result graph after a change confined to ``nodes``' out-rows.
+
+        ``nodes`` must cover every data node whose membership or out-row
+        may differ from this graph's (an incremental maintainer's dirty
+        set); ``row_of(node)`` returns its current ``(matched pattern
+        nodes, out-row)``, an empty match set meaning the node left.  The
+        result equals a fresh build but shares every row it did not have
+        to rewrite with this graph, which stays untouched (result graphs
+        are frozen once built).  Also returned: the nodes whose presence,
+        match set or rows differ.  When none does, that set is empty and
+        the graph returned is ``self``.
+        """
+        # Defined order: it decides where new nodes and in-row entries
+        # land in the (insertion-ordered) dicts.
+        rewrites = []
+        for node in sorted(nodes, key=node_order_key):
+            matched, row = row_of(node)
+            if (
+                matched != self._matched_by.get(node, set())
+                or row != self._adj.get(node, {})
+            ):
+                rewrites.append((node, matched, row))
+        if not rewrites:
+            return self, set()
+
+        fresh = ResultGraph(self.graph, self.pattern)
+        fresh._matched_by = dict(self._matched_by)
+        adj = fresh._adj = dict(self._adj)
+        radj = fresh._radj = dict(self._radj)
+        fresh._num_edges = self._num_edges
+        copied: set[NodeId] = set()
+
+        def in_row(target: NodeId) -> dict[NodeId, int]:
+            if target not in copied:  # first write: the old graph keeps its row
+                copied.add(target)
+                radj[target] = dict(radj.get(target, ()))
+            return radj[target]
+
+        for node, matched, row in rewrites:
+            old_row = adj.get(node, {})
+            for target in old_row:
+                if target not in row:
+                    del in_row(target)[node]
+            for target, weight in row.items():
+                if old_row.get(target) != weight:
+                    in_row(target)[node] = weight
+            fresh._num_edges += len(row) - len(old_row)
+            if matched:
+                fresh._matched_by[node] = matched
+                adj[node] = row
+                radj.setdefault(node, {})
+        # Leavers go last: the loop above may still have written their
+        # in-rows (a rewritten source dropping its edge to one).
+        for node, matched, _row in rewrites:
+            if not matched:
+                del fresh._matched_by[node], adj[node], radj[node]
+        return fresh, copied.union(node for node, _matched, _row in rewrites)
 
     # ------------------------------------------------------------------
     # serialization ("query results are stored and managed as files")

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import RankingError
 from repro.graph.digraph import NodeId
@@ -339,16 +339,18 @@ class RankingContext:
         both endpoints are in ``changed``) and ``v`` itself is unchanged.
         Returns the number of fully reused details.
         """
+        # ``keys().isdisjoint(set)`` walks the smaller side: ``changed`` is a
+        # handful of nodes, a memoized distance dict dozens.
         reused = 0
         for node, dist in old._dist_out.items():
             if node in changed or node not in self.matched_by:
                 continue
-            if changed.isdisjoint(dist):
+            if dist.keys().isdisjoint(changed):
                 self._dist_out.setdefault(node, dist)
         for node, dist in old._dist_in.items():
             if node in changed or node not in self.matched_by:
                 continue
-            if changed.isdisjoint(dist):
+            if dist.keys().isdisjoint(changed):
                 self._dist_in.setdefault(node, dist)
         for node, attrs in old._attr_cache.items():
             if node not in changed and node in self.matched_by:
@@ -356,14 +358,16 @@ class RankingContext:
         for node, detail in old._details.items():
             if node in changed or node not in self.matched_by:
                 continue
-            if changed.isdisjoint(detail.ancestors) and changed.isdisjoint(
-                detail.descendants
-            ):
+            if detail.ancestors.keys().isdisjoint(
+                changed
+            ) and detail.descendants.keys().isdisjoint(changed):
                 self._details.setdefault(node, detail)
                 reused += 1
         return reused
 
-    def diff_nodes(self, other: "RankingContext") -> set[NodeId]:
+    def diff_nodes(
+        self, other: "RankingContext", candidates: Iterable[NodeId] | None = None
+    ) -> set[NodeId]:
         """Nodes whose snapshot rows differ between two contexts.
 
         Membership changes, attribute changes and both endpoints of every
@@ -371,24 +375,35 @@ class RankingContext:
         :meth:`carry_over_from`.  Attributes are compared only where
         ``other`` materialized them: nothing else in ``other``'s memos can
         depend on an unmaterialized attribute dict.
+
+        ``candidates`` narrows the scan to nodes that may differ in
+        presence, rows or attributes (the engine's update path knows them
+        from the patch it applied); left out, every node of either context
+        is compared.  The answer is the same whenever the candidates cover
+        the nodes that do differ.
         """
+        if candidates is None:
+            candidates = set(self.matched_by) | set(other.matched_by)
         changed: set[NodeId] = set()
-        for node in set(self.matched_by) ^ set(other.matched_by):
-            changed.add(node)
-        for node in set(self.matched_by) & set(other.matched_by):
+        for node in candidates:
+            here, there = node in self.matched_by, node in other.matched_by
+            if here != there:
+                changed.add(node)
+            if not (here and there):
+                continue
             for mine, theirs in (
                 (self.out_adj, other.out_adj),
                 (self.in_adj, other.in_adj),
             ):
                 row_a, row_b = mine.get(node, {}), theirs.get(node, {})
-                if row_a != row_b:
+                if row_a is not row_b and row_a != row_b:
                     changed.add(node)
                     changed.update(set(row_a) ^ set(row_b))
                     changed.update(
                         n for n in set(row_a) & set(row_b) if row_a[n] != row_b[n]
                     )
-        for node, attrs in other._attr_cache.items():
-            if node in self.matched_by and node not in changed:
+            attrs = other._attr_cache.get(node)
+            if attrs is not None and node not in changed:
                 if attrs != self.node_attrs(node):
                     changed.add(node)
         return changed
