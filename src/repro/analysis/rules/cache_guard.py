@@ -1,14 +1,13 @@
 """cache-version-guard: every cache read validates against Graph.version.
 
-The engine's caches (``QueryCache``, ``RankCache``, ``SnapshotCache``,
-``OracleCache``) are all version-validated: ``get`` takes the live
-``Graph.version`` and drops stale entries instead of serving them, so an
-out-of-band graph mutation can never resurface an old answer (PR 3
-introduced the pattern for ``RankCache``; PR 8 closed the last gap by
-giving ``QueryCache`` the same contract).
+The engine's caches (``QueryCache``, ``RankCache``) are version-validated:
+``get`` takes the live ``Graph.version`` and drops stale entries instead of
+serving them, so an out-of-band graph mutation can never resurface an old
+answer (PR 3 introduced the pattern for ``RankCache``; PR 8 closed the last
+gap by giving ``QueryCache`` the same contract).
 
 What this rule matches: the file is scanned for names bound to one of the
-four cache constructors (``self._cache = QueryCache(...)``, ``cache =
+two cache constructors (``self._cache = QueryCache(...)``, ``cache =
 RankCache(...)``); on those receivers,
 
 * a ``.get(...)`` call must carry a version argument — at least two
@@ -31,9 +30,7 @@ from typing import Iterator
 from repro.analysis.core import ModuleUnderLint, Rule, register
 from repro.analysis.rules._util import receiver_matches, tracked_receivers
 
-CACHE_CLASSES = frozenset(
-    {"QueryCache", "RankCache", "SnapshotCache", "OracleCache"}
-)
+CACHE_CLASSES = frozenset({"QueryCache", "RankCache"})
 
 
 @register

@@ -2,8 +2,6 @@
 
 from repro.engine.cache import (
     CacheEntry,
-    OracleCache,
-    OracleEntry,
     QueryCache,
     RankCache,
     RankEntry,
@@ -30,8 +28,6 @@ from repro.engine.storage import GraphStore
 
 __all__ = [
     "CacheEntry",
-    "OracleCache",
-    "OracleEntry",
     "QueryCache",
     "RankCache",
     "RankEntry",

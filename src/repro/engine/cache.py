@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import CacheError, StorageError
+from repro.errors import CacheError
 from repro.matching.base import MatchRelation
 from repro.pattern.pattern import Pattern
 
@@ -46,15 +46,14 @@ class CacheEntry:
     pinned: bool = False
     maintainer: Any = None
     hits: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 class QueryCache:
     """LRU cache of match relations with pin support.
 
-    Reads are validated against ``Graph.version`` exactly like the rank,
-    snapshot and oracle caches: :meth:`get` with a version other than the
-    one recorded at :meth:`put` time drops the entry (pinned or not — a
+    Reads are validated against ``Graph.version`` exactly like
+    :class:`RankCache`: :meth:`get` with a version other than the one
+    recorded at :meth:`put` time drops the entry (pinned or not — a
     pinned entry's maintainer never saw the out-of-band mutation either,
     so its relation is just as unreliable) and reports a miss.
 
@@ -148,16 +147,6 @@ class QueryCache:
             self._evictions += 1
 
     # ------------------------------------------------------------------
-    def pin(self, key: CacheKey, maintainer: Any = None) -> None:
-        with self._lock:
-            try:
-                entry = self._entries[key]
-            except KeyError:
-                raise CacheError("cannot pin a result that is not cached") from None
-            entry.pinned = True
-            if maintainer is not None:
-                entry.maintainer = maintainer
-
     def unpin(self, key: CacheKey) -> None:
         with self._lock:
             entry = self._entries.get(key)
@@ -210,265 +199,6 @@ class QueryCache:
             "invalidations": self._invalidations,
             "stale_drops": self._stale_drops,
             "pinned": sum(1 for e in self._entries.values() if e.pinned),
-        }
-
-
-@dataclass
-class SnapshotEntry:
-    """One cached frozen snapshot, valid for exactly one graph version."""
-
-    frozen: Any  # repro.graph.frozen.FrozenGraph
-    graph_version: int
-    hits: int = 0
-
-
-class SnapshotCache:
-    """LRU cache of :class:`~repro.graph.frozen.FrozenGraph` snapshots.
-
-    Keyed by graph *name* (one snapshot serves every query against that
-    graph, unlike the per-pattern query/rank caches) and validated against
-    ``Graph.version`` on every read, exactly like :class:`RankCache`: any
-    mutation — engine-routed or out-of-band through the counting write
-    APIs — makes the entry stale, and the next read drops it so the engine
-    re-freezes the current graph.
-
-    With a ``store`` attached, a miss additionally tries to *fault in* a
-    persisted snapshot file before the caller pays a rebuild: the load is
-    validated against ``graph_version`` exactly like the in-memory entry,
-    and any :class:`StorageError` (missing, stale, corrupt) silently falls
-    back to the rebuild path — a bad file can slow things down, never
-    break them or change an answer.
-
-    >>> cache = SnapshotCache(capacity=2)
-    >>> cache.stats()["size"]
-    0
-    """
-
-    def __init__(self, capacity: int = 8, store: Any = None) -> None:
-        if capacity < 1:
-            raise CacheError(f"capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self.store = store
-        self._entries: "OrderedDict[str, SnapshotEntry]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._stale_drops = 0
-        self._invalidations = 0
-        self._builds = 0
-        self._fault_ins = 0
-        self._fault_in_errors = 0
-
-    def get(self, name: str, graph_version: int) -> Any | None:
-        """The snapshot for ``name`` iff it matches ``graph_version``."""
-        entry = self._entries.get(name)
-        if entry is None:
-            self._misses += 1
-            return self._fault_in(name, graph_version)
-        if entry.graph_version != graph_version:
-            del self._entries[name]
-            self._stale_drops += 1
-            self._misses += 1
-            return self._fault_in(name, graph_version)
-        self._entries.move_to_end(name)
-        entry.hits += 1
-        self._hits += 1
-        return entry.frozen
-
-    def _fault_in(self, name: str, graph_version: int) -> Any | None:
-        """Serve a miss from the store's snapshot file, if it checks out."""
-        if self.store is None:
-            return None
-        try:
-            if not self.store.has_snapshot(name):
-                return None
-            frozen = self.store.load_snapshot(name, expected_version=graph_version)
-        except StorageError:
-            # Stale or corrupt file: fall back to a rebuild, never fail.
-            self._fault_in_errors += 1
-            return None
-        self._fault_ins += 1
-        self._insert(name, SnapshotEntry(frozen=frozen, graph_version=graph_version))
-        return frozen
-
-    def peek(self, name: str) -> SnapshotEntry | None:
-        """Raw access without version checks or stats (``explain`` uses it)."""
-        return self._entries.get(name)
-
-    def put(self, name: str, frozen: Any, graph_version: int) -> SnapshotEntry:
-        entry = SnapshotEntry(frozen=frozen, graph_version=graph_version)
-        self._builds += 1
-        return self._insert(name, entry)
-
-    def _insert(self, name: str, entry: SnapshotEntry) -> SnapshotEntry:
-        self._entries[name] = entry
-        self._entries.move_to_end(name)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return entry
-
-    def invalidate_graph(self, name: str) -> int:
-        """Drop the snapshot of one graph (re-registration, bulk updates)."""
-        if name in self._entries:
-            del self._entries[name]
-            self._invalidations += 1
-            return 1
-        return 0
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self._hits,
-            "misses": self._misses,
-            "stale_drops": self._stale_drops,
-            "invalidations": self._invalidations,
-            "builds": self._builds,
-            "fault_ins": self._fault_ins,
-            "fault_in_errors": self._fault_in_errors,
-        }
-
-
-@dataclass
-class OracleEntry:
-    """One cached distance oracle, valid for a recorded graph version."""
-
-    oracle: Any  # repro.graph.oracle.DistanceOracle
-    graph_version: int
-    hits: int = 0
-
-
-class OracleCache:
-    """LRU cache of :class:`~repro.graph.oracle.DistanceOracle` instances.
-
-    Keyed by graph *name* and validated against ``Graph.version`` on every
-    read, exactly like :class:`SnapshotCache` — with one refinement: label
-    entries are shortest-path distances, so updates that cannot move a
-    distance (attribute writes, bare node insertions) need not cost the
-    labels.  The engine calls :meth:`refresh_version` after such update
-    batches, advancing the recorded version in place; structural batches
-    invalidate as usual and the next evaluation rebuilds.
-
-    >>> cache = OracleCache(capacity=2)
-    >>> cache.stats()["size"]
-    0
-    """
-
-    def __init__(self, capacity: int = 4, store: Any = None) -> None:
-        if capacity < 1:
-            raise CacheError(f"capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self.store = store
-        self._entries: "OrderedDict[str, OracleEntry]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._stale_drops = 0
-        self._invalidations = 0
-        self._builds = 0
-        self._refreshes = 0
-        self._fault_ins = 0
-        self._fault_in_errors = 0
-
-    def get(
-        self, name: str, graph_version: int, config: "dict[str, Any] | None" = None
-    ) -> Any | None:
-        """The oracle for ``name`` iff its recorded version matches.
-
-        ``config`` (the engine's ``enable_oracle`` parameters) gates the
-        disk fault-in: a stored oracle whose distance ``cap`` differs from
-        the requested one answers different bounds, so it is skipped and
-        the caller rebuilds.
-        """
-        entry = self._entries.get(name)
-        if entry is None:
-            self._misses += 1
-            return self._fault_in(name, graph_version, config)
-        if entry.graph_version != graph_version:
-            del self._entries[name]
-            self._stale_drops += 1
-            self._misses += 1
-            return self._fault_in(name, graph_version, config)
-        self._entries.move_to_end(name)
-        entry.hits += 1
-        self._hits += 1
-        return entry.oracle
-
-    def _fault_in(
-        self, name: str, graph_version: int, config: "dict[str, Any] | None"
-    ) -> Any | None:
-        """Serve a miss from the store's oracle file, if it checks out."""
-        if self.store is None:
-            return None
-        try:
-            if not self.store.has_oracle(name):
-                return None
-            oracle = self.store.load_oracle(name, expected_version=graph_version)
-        except StorageError:
-            # Stale or corrupt file: fall back to a rebuild, never fail.
-            self._fault_in_errors += 1
-            return None
-        if config is not None and oracle.cap != config.get("cap"):
-            return None
-        self._fault_ins += 1
-        self._insert(name, OracleEntry(oracle=oracle, graph_version=graph_version))
-        return oracle
-
-    def peek(self, name: str) -> OracleEntry | None:
-        """Raw access without version checks or stats (``explain`` uses it)."""
-        return self._entries.get(name)
-
-    def put(self, name: str, oracle: Any, graph_version: int) -> OracleEntry:
-        entry = OracleEntry(oracle=oracle, graph_version=graph_version)
-        self._builds += 1
-        return self._insert(name, entry)
-
-    def _insert(self, name: str, entry: OracleEntry) -> OracleEntry:
-        self._entries[name] = entry
-        self._entries.move_to_end(name)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return entry
-
-    def refresh_version(self, name: str, graph_version: int) -> bool:
-        """Advance an entry's validity after a distance-preserving update."""
-        entry = self._entries.get(name)
-        if entry is None:
-            return False
-        entry.graph_version = graph_version
-        self._refreshes += 1
-        return True
-
-    def invalidate_graph(self, name: str) -> int:
-        """Drop the oracle of one graph (structural update, re-registration)."""
-        if name in self._entries:
-            del self._entries[name]
-            self._invalidations += 1
-            return 1
-        return 0
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self._hits,
-            "misses": self._misses,
-            "stale_drops": self._stale_drops,
-            "invalidations": self._invalidations,
-            "builds": self._builds,
-            "refreshes": self._refreshes,
-            "fault_ins": self._fault_ins,
-            "fault_in_errors": self._fault_in_errors,
         }
 
 

@@ -13,21 +13,14 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import CompressionError, EvaluationError
+from repro.errors import CompressionError, EvaluationError, StorageError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
 from repro.graph.index import AttributeIndex, batch_candidates, predicate_key
 from repro.compression.compress import CompressedGraph, compress
 from repro.compression.decompress import decompress_result
 from repro.compression.maintain import MaintainedCompression
-from repro.engine.cache import (
-    CacheEntry,
-    OracleCache,
-    QueryCache,
-    RankCache,
-    SnapshotCache,
-    cache_key,
-)
+from repro.engine.cache import CacheEntry, QueryCache, RankCache, cache_key
 from repro.engine.estimator import QueryBudget, estimate_pattern
 from repro.engine.planner import (
     ALGORITHM_BOUNDED,
@@ -60,12 +53,20 @@ from repro.ranking.topk import (
 )
 
 
+#: Lifecycle counters the engine keeps for its graphs' frozen snapshots
+#: and for their oracles (which add ``refreshes``).
+_ARTEFACT_COUNTERS = (
+    "hits", "misses", "stale_drops", "invalidations", "builds",
+    "fault_ins", "fault_in_errors",
+)
+
+
 class RegisteredGraph:
     """A named data graph plus its per-graph engine artefacts."""
 
     __slots__ = (
         "name", "graph", "version", "compression", "attr_index",
-        "oracle_config",
+        "oracle_config", "frozen", "oracle", "oracle_version",
     )
 
     def __init__(self, name: str, graph: Graph) -> None:
@@ -75,10 +76,20 @@ class RegisteredGraph:
         self.compression: MaintainedCompression | CompressedGraph | None = None
         # Attribute postings build lazily on first use, so registration is
         # free; the engine keeps them consistent through update_graph().
-        self.attr_index: AttributeIndex | None = AttributeIndex(graph)
+        self.attr_index = AttributeIndex(graph)
         # Distance-oracle build parameters ({"cap": ..., "top": ...}), or
-        # None while disabled; instances live in the engine's OracleCache.
+        # None while disabled.
         self.oracle_config: dict[str, Any] | None = None
+        # The graph's one CSR snapshot, built on the first direct evaluation
+        # and shared by every traversal kernel (matchers, pivot partitioning,
+        # shard workers); current iff ``frozen.matches(graph)``.
+        self.frozen: FrozenGraph | None = None
+        # The graph's one distance oracle (landmark labels over a snapshot)
+        # and the ``Graph.version`` its labels are exact for: it advances
+        # across distance-preserving update batches, anything else drops
+        # the labels and the next bounded evaluation rebuilds them.
+        self.oracle: DistanceOracle | None = None
+        self.oracle_version = -1
 
     def compressed(self) -> CompressedGraph | None:
         """The current compressed form, if any."""
@@ -99,12 +110,7 @@ class QueryEngine:
     """
 
     def __init__(
-        self,
-        store: GraphStore | None = None,
-        cache_capacity: int = 64,
-        rank_cache_capacity: int = 16,
-        snapshot_cache_capacity: int = 8,
-        oracle_cache_capacity: int = 4,
+        self, store: GraphStore | None = None, cache_capacity: int = 64
     ) -> None:
         self.store = store
         self._registered: dict[str, RegisteredGraph] = {}
@@ -112,19 +118,17 @@ class QueryEngine:
         # Ranked results are cached separately: a RankingContext (snapshot
         # + memoized Dijkstra runs) is much heavier than a relation, and
         # its validity is tied to Graph.version rather than LRU pressure.
-        self._rank_cache = RankCache(capacity=rank_cache_capacity)
-        # Frozen CSR snapshots, one per graph, built on the first direct
-        # evaluation and reused by every traversal kernel (matchers, pivot
-        # partitioning, shard workers) until the graph's version moves.
-        self._snapshots = SnapshotCache(capacity=snapshot_cache_capacity, store=store)
-        # Distance oracles (landmark labels over the snapshots), for graphs
-        # with the oracle enabled; they survive distance-preserving update
-        # batches and are rebuilt lazily after structural ones.
-        self._oracles = OracleCache(capacity=oracle_cache_capacity, store=store)
+        self._rank_cache = RankCache()
+        # What happened to the per-graph snapshots and oracles (the objects
+        # themselves are fields of each RegisteredGraph).
+        self._counters: dict[str, dict[str, int]] = {
+            "snapshots": dict.fromkeys(_ARTEFACT_COUNTERS, 0),
+            "oracles": dict.fromkeys(_ARTEFACT_COUNTERS + ("refreshes",), 0),
+        }
         # One executor per worker count, alive across calls (released by
         # close()).  Only node-budget-guarded fan-outs reuse its pool; the
-        # unguarded sharded and batch-farming paths fork a fresh pool per
-        # call by design (children must snapshot the graph at fork time).
+        # unguarded sharded and batch-farming paths start a fresh pool per
+        # call by design (its initializer carries that call's graph state).
         self._executors: dict[int, ParallelExecutor] = {}
 
     def _executor(self, workers: int) -> ParallelExecutor:
@@ -146,11 +150,13 @@ class QueryEngine:
         """Make ``graph`` queryable under ``name``."""
         if name in self._registered and not replace:
             raise EvaluationError(f"graph {name!r} already registered")
+        replaced = self._registered.get(name)
+        if replaced is not None:
+            self._drop_snapshot(replaced)
+            self._drop_oracle(replaced)
         self._registered[name] = RegisteredGraph(name, graph)
         self._cache.invalidate_graph(name, keep_pinned=False)
         self._rank_cache.invalidate_graph(name)
-        self._snapshots.invalidate_graph(name)
-        self._oracles.invalidate_graph(name)
 
     def load_graph(self, name: str) -> Graph:
         """Register a graph from the file store (if not already loaded)."""
@@ -221,7 +227,7 @@ class QueryEngine:
 
         The oracle (:class:`~repro.graph.oracle.DistanceOracle`) is built
         lazily from the graph's frozen snapshot on the first bounded
-        evaluation and cached until a structural update invalidates it;
+        evaluation and kept until a structural update invalidates it;
         the planner's cost model then routes selective pattern edges to
         pairwise label merges instead of ball enumeration.  ``cap`` bounds
         the exact-distance depth (None — the default — covers every bound
@@ -231,13 +237,19 @@ class QueryEngine:
         config = {"cap": cap, "top": top}
         if entry.oracle_config != config:
             entry.oracle_config = config
-            # A cached instance may have been built with other parameters.
-            self._oracles.invalidate_graph(name)
+            # Held labels may have been built with other parameters.
+            self._drop_oracle(entry)
 
     def disable_oracle(self, name: str) -> None:
-        """Drop the oracle config and any cached labels for ``name``."""
-        self._entry(name).oracle_config = None
-        self._oracles.invalidate_graph(name)
+        """Drop the oracle config and any held labels for ``name``."""
+        entry = self._entry(name)
+        entry.oracle_config = None
+        self._drop_oracle(entry)
+
+    def _drop_oracle(self, entry: RegisteredGraph) -> None:
+        if entry.oracle is not None:
+            entry.oracle = None
+            self._counters["oracles"]["invalidations"] += 1
 
     def warm_oracle(self, name: str, workers: int | None = None) -> dict[str, Any]:
         """Build the enabled oracle now (instead of on first evaluation).
@@ -260,7 +272,7 @@ class QueryEngine:
         return stats
 
     def oracle_stats(self, name: str) -> dict[str, Any] | None:
-        """Build/label/query counters of the cached oracle, or None.
+        """Build/label/query counters of the graph's oracle, or None.
 
         ``None`` means the oracle is disabled; an enabled-but-cold oracle
         reports ``{"state": "cold"}`` plus its configured parameters.
@@ -268,55 +280,68 @@ class QueryEngine:
         entry = self._entry(name)
         if entry.oracle_config is None:
             return None
-        cached = self._oracles.peek(name)  # repro-lint: disable=cache-version-guard -- read-only introspection; the next line compares graph_version explicitly and a stale entry must survive for refresh_version
-        if cached is None or cached.graph_version != entry.graph.version:
+        if entry.oracle is None or entry.oracle_version != entry.graph.version:
             return {"state": "cold", **entry.oracle_config}
-        stats = cached.oracle.stats()
+        stats = entry.oracle.stats()
         stats["state"] = "warm"
         return stats
 
     def _oracle_for(
         self, entry: RegisteredGraph, workers: int = 1
     ) -> DistanceOracle | None:
-        """The cached oracle for a graph's current version (or build it)."""
-        if entry.oracle_config is None:
+        """The oracle for a graph's current version: held, faulted in, or built.
+
+        A persisted oracle file is tried before a rebuild and validated
+        against ``Graph.version``; a stale or corrupt one only costs the
+        rebuild, and one whose distance ``cap`` differs from the enabled
+        config answers other bounds, so it is skipped.
+        """
+        config = entry.oracle_config
+        if config is None:
             return None
-        oracle = self._oracles.get(
-            entry.name, entry.graph.version, config=entry.oracle_config
-        )
-        if oracle is None:
+        counters = self._counters["oracles"]
+        version = entry.graph.version
+        if entry.oracle is not None:
+            if entry.oracle_version == version:
+                counters["hits"] += 1
+                return entry.oracle
+            # Out-of-band mutation: the labels answer for a graph that no
+            # longer exists.
+            entry.oracle = None
+            counters["stale_drops"] += 1
+        counters["misses"] += 1
+        oracle = None
+        if self.store is not None:
+            try:
+                if self.store.has_oracle(entry.name):
+                    oracle = self.store.load_oracle(
+                        entry.name, expected_version=version
+                    )
+            except StorageError:
+                counters["fault_in_errors"] += 1
+            if oracle is not None and oracle.cap != config["cap"]:
+                oracle = None
+        if oracle is not None:
+            counters["fault_ins"] += 1
+        else:
             frozen = self._frozen_snapshot(entry)
             if workers > 1:
                 oracle = self._executor(workers).build_oracle(
-                    frozen,
-                    cap=entry.oracle_config["cap"],
-                    top=entry.oracle_config["top"],
+                    frozen, cap=config["cap"], top=config["top"]
                 )
             else:
                 oracle = DistanceOracle.build(
-                    frozen,
-                    cap=entry.oracle_config["cap"],
-                    top=entry.oracle_config["top"],
+                    frozen, cap=config["cap"], top=config["top"]
                 )
-            self._oracles.put(entry.name, oracle, entry.graph.version)
+            counters["builds"] += 1
+        entry.oracle, entry.oracle_version = oracle, version
         return oracle
 
     # ------------------------------------------------------------------
     # attribute-index management
     # ------------------------------------------------------------------
-    def enable_attr_index(self, name: str) -> None:
-        """(Re)attach the attribute index (on by default; builds lazily)."""
-        entry = self._entry(name)
-        if entry.attr_index is None:
-            entry.attr_index = AttributeIndex(entry.graph)
-
-    def disable_attr_index(self, name: str) -> None:
-        """Drop the attribute index; candidate generation falls back to scans."""
-        self._entry(name).attr_index = None
-
-    def attr_index_stats(self, name: str) -> dict[str, int] | None:
-        entry = self._entry(name)
-        return entry.attr_index.stats() if entry.attr_index is not None else None
+    def attr_index_stats(self, name: str) -> dict[str, int]:
+        return self._entry(name).attr_index.stats()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -350,14 +375,11 @@ class QueryEngine:
             available=entry.compressed(),
         )
         if plan.route == ROUTE_DIRECT:
-            snapshot = self._snapshots.peek(name)  # repro-lint: disable=cache-version-guard -- explain() must not drop or fault in snapshots; version is compared explicitly below
-            if (
-                snapshot is not None
-                and snapshot.graph_version == entry.graph.version
-            ):
+            # Read-only: explain must neither drop nor fault in a snapshot.
+            if entry.frozen is not None and entry.frozen.matches(entry.graph):
                 note = (
                     "frozen snapshot: warm "
-                    f"(graph version {snapshot.graph_version})"
+                    f"(graph version {entry.frozen.source_version})"
                 )
             else:
                 note = "frozen snapshot: cold (built on first direct evaluation)"
@@ -408,7 +430,7 @@ class QueryEngine:
     ) -> tuple[str, tuple]:
         """Oracle-state note plus per-edge kernel routes for ``explain``.
 
-        Routing uses the cached oracle's measured label profile when one
+        Routing uses the held oracle's measured label profile when it
         is warm; a cold oracle routes every edge to the enumeration
         kernels, and the note says why.  With the oracle *disabled* no
         routes are computed at all — routing needs candidate
@@ -421,10 +443,12 @@ class QueryEngine:
         if entry.oracle_config is None:
             note = "distance oracle: disabled (enable_oracle() routes selective edges)"
             return note, ()
-        cached = self._oracles.peek(entry.name)  # repro-lint: disable=cache-version-guard -- explain() reports warm/cold without side effects; version is compared explicitly on the next line
-        if cached is not None and cached.graph_version == entry.graph.version:
+        if (
+            entry.oracle is not None
+            and entry.oracle_version == entry.graph.version
+        ):
             note = "distance oracle: warm"
-            profile = cached.oracle.profile()
+            profile = entry.oracle.profile()
         else:
             note = (
                 "distance oracle: cold (labels build on the first bounded "
@@ -455,12 +479,43 @@ class QueryEngine:
         return note, tuple(routes)
 
     def _frozen_snapshot(self, entry: RegisteredGraph) -> FrozenGraph:
-        """The cached CSR snapshot for a graph's current version (or build it)."""
-        frozen = self._snapshots.get(entry.name, entry.graph.version)
-        if frozen is None:
+        """The CSR snapshot of a graph's current version: held, faulted in, or built.
+
+        A persisted snapshot file is tried before a re-freeze and validated
+        against ``Graph.version``; a stale or corrupt one only costs the
+        rebuild — a bad file can slow things down, never break them or
+        change an answer.
+        """
+        counters = self._counters["snapshots"]
+        if entry.frozen is not None:
+            if entry.frozen.matches(entry.graph):
+                counters["hits"] += 1
+                return entry.frozen
+            # Out-of-band mutation (a write that bypassed update_graph).
+            entry.frozen = None
+            counters["stale_drops"] += 1
+        counters["misses"] += 1
+        frozen = None
+        if self.store is not None:
+            try:
+                if self.store.has_snapshot(entry.name):
+                    frozen = self.store.load_snapshot(
+                        entry.name, expected_version=entry.graph.version
+                    )
+            except StorageError:
+                counters["fault_in_errors"] += 1
+        if frozen is not None:
+            counters["fault_ins"] += 1
+        else:
             frozen = FrozenGraph.freeze(entry.graph)
-            self._snapshots.put(entry.name, frozen, entry.graph.version)
+            counters["builds"] += 1
+        entry.frozen = frozen
         return frozen
+
+    def _drop_snapshot(self, entry: RegisteredGraph) -> None:
+        if entry.frozen is not None:
+            entry.frozen = None
+            self._counters["snapshots"]["invalidations"] += 1
 
     @staticmethod
     def _plan_query(
@@ -1016,8 +1071,7 @@ class QueryEngine:
                         cache_entry.maintainer.apply(primitive, apply_to_graph=False)
                     if isinstance(entry.compression, MaintainedCompression):
                         entry.compression.apply(primitive, apply_to_graph=False)
-                    if entry.attr_index is not None:
-                        entry.attr_index.on_update(primitive, prior_version=prior_version)
+                    entry.attr_index.on_update(primitive, prior_version=prior_version)
         finally:
             summary = self._settle_update(entry, pinned, start_version, primitives)
         return {"applied": len(updates), **summary}
@@ -1074,16 +1128,22 @@ class QueryEngine:
         # is version-stale too — drop it so the memory is released before
         # the next direct evaluation re-freezes.
         self._rank_cache.invalidate_graph(name, keep=refreshed_keys)
-        self._snapshots.invalidate_graph(name)
+        self._drop_snapshot(entry)
         # Oracle labels are shortest-path distances: a batch of purely
         # distance-preserving primitives (attribute writes, bare node
-        # insertions) leaves them exact, so the entry's validity advances
-        # in place instead of paying a rebuild.  Anything structural drops
-        # the labels; the next bounded evaluation rebuilds lazily.
-        if all(DistanceOracle.survives(primitive) for primitive in primitives):
-            self._oracles.refresh_version(name, entry.graph.version)
+        # insertions) leaves them exact, so their validity advances in
+        # place instead of paying a rebuild.  Anything structural — or
+        # labels an out-of-band write had already outdated when the batch
+        # began — drops them; the next bounded evaluation rebuilds lazily.
+        if (
+            entry.oracle is not None
+            and entry.oracle_version == start_version
+            and all(DistanceOracle.survives(primitive) for primitive in primitives)
+        ):
+            entry.oracle_version = entry.graph.version
+            self._counters["oracles"]["refreshes"] += 1
         else:
-            self._oracles.invalidate_graph(name)
+            self._drop_oracle(entry)
         invalidated = self._cache.invalidate_graph(name, keep_pinned=True)
         entry.version += 1
         return {
@@ -1168,22 +1228,26 @@ class QueryEngine:
         return self._rank_cache.stats()
 
     def snapshot_stats(self) -> dict[str, int]:
-        """Counters of the frozen-snapshot cache (builds, hits, stale drops)."""
-        return self._snapshots.stats()
+        """Frozen-snapshot counters (builds, hits, stale drops); ``size`` is
+        how many registered graphs hold one."""
+        held = sum(1 for e in self._registered.values() if e.frozen is not None)
+        return {"size": held, **self._counters["snapshots"]}
 
     def oracle_cache_stats(self) -> dict[str, int]:
-        """Counters of the distance-oracle cache (builds, refreshes, drops)."""
-        return self._oracles.stats()
+        """Distance-oracle counters (builds, refreshes, drops); ``size`` is
+        how many registered graphs hold one."""
+        held = sum(1 for e in self._registered.values() if e.oracle is not None)
+        return {"size": held, **self._counters["oracles"]}
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, Any]:
-        """Query-cache counters, plus the snapshot and oracle caches' under
+        """Query-cache counters, plus the snapshot and oracle counters under
         ``"snapshots"`` / ``"oracles"``."""
         stats: dict[str, Any] = self._cache.stats()
-        stats["snapshots"] = self._snapshots.stats()
-        stats["oracles"] = self._oracles.stats()
+        stats["snapshots"] = self.snapshot_stats()
+        stats["oracles"] = self.oracle_cache_stats()
         return stats
 
     def stats(self) -> dict[str, Any]:
@@ -1205,20 +1269,9 @@ class QueryEngine:
             },
             "cache": self._cache.stats(),
             "rank_cache": self._rank_cache.stats(),
-            "snapshots": self._snapshots.stats(),
-            "oracles": self._oracles.stats(),
+            "snapshots": self.snapshot_stats(),
+            "oracles": self.oracle_cache_stats(),
         }
-
-    def warm_pool(self, workers: int | None) -> None:
-        """Pre-build the persistent worker pool for ``workers`` (> 1).
-
-        Long-running callers (the query service) invoke this at startup so
-        pool construction happens once, off the request path; with one
-        worker evaluation runs inline and there is nothing to warm.
-        """
-        count = validate_workers(workers)
-        if count > 1:
-            self._executor(count).warm()
 
     def persist_graph(self, name: str) -> None:
         """Write a registered graph to the file store."""

@@ -75,46 +75,40 @@ ShardPayload = tuple[
     dict[str, tuple[int, ...]],
     dict[str, array],
 ]
+#: What one shard returns: label-keyed successor rows plus its guard info.
+ShardRows = tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]
 
-# Set once per batch worker (fork inheritance or pool initializer), so
-# per-task payloads stay tiny: the graph, its frozen snapshot and the
-# shared candidate table — {predicate key: node set}, computed once for the
-# whole batch — never travel per query; a task carries only its pattern and
-# the table keys its pattern nodes resolve to.
-_batch_graph: Graph | None = None
-_batch_table: dict[tuple, set[NodeId]] | None = None
-_batch_frozen: FrozenGraph | None = None
-_batch_oracle: DistanceOracle | None = None
-_batch_budget: QueryBudget | None = None
+# Worker-process state.  Only pool initializers write these — the same
+# ``Pool(initializer=..., initargs=...)`` call under fork and spawn — and
+# only the task functions below read them, so tasks stay tiny (a shard
+# payload, a pattern plus table keys, a chunk of node ids) while the graph,
+# snapshot, oracle and candidate table arrive once per worker.  The parent
+# process never installs anything here: inline runs pass the same objects
+# to the ``*_core`` functions as arguments, so concurrent fan-outs from
+# several threads of one process share no state.
 
-# The shared frozen snapshot (and optional distance oracle) for sharded
-# queries.  Under the fork start method the parent
-# sets them *before* creating the pool and children inherit them for free
-# (copy-on-write); under spawn the pool initializer ships them once per
-# worker — and both pickle as a handful of flat buffers, far cheaper than
-# a dict graph.
-_shared_frozen: FrozenGraph | None = None
-_shared_oracle: DistanceOracle | None = None
+#: ``(frozen, oracle, guard triple or None)`` of a dedicated shard pool.
+_shard_state: tuple | None = None
+#: ``(graph, candidate table, frozen, oracle, budget)`` of a batch pool;
+#: the table is {predicate key: node set}, computed once for the batch.
+_batch_state: tuple | None = None
+#: ``(ranking context, metric or None)`` of a bulk-ranking pool.
+_rank_state: tuple | None = None
+#: The persistent pool's shared visit counter, installed at pool creation
+#: so a guarded task only needs to carry its budget.
+_persistent_counter: Any = None
 
-# Bulk-ranking fan-out state: the snapshot context (and optionally the
-# metric) ship once per worker — fork inheritance or pool initializer —
-# so a ranking task carries only a chunk of node ids.
-_rank_context: RankingContext | None = None
-_rank_metric = None
-
-
-def _set_shared_frozen(
-    frozen: FrozenGraph | None, oracle: DistanceOracle | None = None
-) -> None:
-    global _shared_frozen, _shared_oracle
-    _shared_frozen = frozen
-    _shared_oracle = oracle
+#: Worker-side memo of snapshot/oracle files already mapped in, so a
+#: long-lived pool worker pays ``load_frozen_file`` once per file rather
+#: than once per task.  Bounded: it resets rather than grows.
+_persistent_loads: dict[str, Any] = {}
+_PERSISTENT_LOAD_SLOTS = 8
 
 
 def _shipment(
     frozen: FrozenGraph, oracle: DistanceOracle | None
 ) -> tuple[Any, Any]:
-    """``(frozen, oracle)`` as a spawn pool initializer should receive them.
+    """``(frozen, oracle)`` in the form that is cheapest to pickle.
 
     Store-loaded objects record their backing snapshot file in ``.path``;
     shipping that path lets every worker ``mmap`` the same pages — shared
@@ -130,63 +124,6 @@ def _shipment(
     return shipped_frozen, shipped_oracle
 
 
-def _resolve_shipped(frozen: Any, oracle: Any) -> tuple[Any, Any]:
-    """Worker-side inverse of :func:`_shipment`: map file paths back in."""
-    from repro.engine.storage import load_frozen_file, load_oracle_file
-
-    if isinstance(frozen, (str, Path)):
-        frozen = load_frozen_file(frozen)
-    if isinstance(oracle, (str, Path)):
-        oracle = load_oracle_file(oracle)
-    return frozen, oracle
-
-
-def _init_shared_worker(frozen: Any, oracle: Any = None) -> None:
-    # Runs inside spawn-started pool workers (invisible to coverage).
-    _set_shared_frozen(*_resolve_shipped(frozen, oracle))  # pragma: no cover
-
-
-# Guard state for sharded workers: either a live QueryGuard (inline runs —
-# one guard accumulates across every shard, exactly like the sequential
-# matcher) or a ``(budget, shared counter, deadline)`` triple from which
-# each worker process builds its own guard around the *shared* visit
-# counter — one budget governs the whole fan-out, so sequential and
-# parallel evaluation trip on the same total work.
-_shard_guard_state: "QueryGuard | tuple | None" = None
-
-
-def _set_shard_guard(state: "QueryGuard | tuple | None") -> None:
-    global _shard_guard_state
-    _shard_guard_state = state
-
-
-def _resolve_shard_guard() -> "QueryGuard | None":
-    state = _shard_guard_state
-    if state is None or isinstance(state, QueryGuard):
-        return state
-    budget, counter, deadline = state
-    return QueryGuard(budget, shared_counter=counter, deadline=deadline)
-
-
-# Persistent-pool guarded state.  The shared visit counter is installed
-# once per worker at pool creation (the initializer runs under fork and
-# spawn alike), so a guarded task only needs to carry its budget — the
-# counter that aggregates visits across workers is already in place and
-# the pool never has to be rebuilt per guarded call.
-_persistent_counter: Any = None
-
-#: Worker-side memo of snapshot/oracle files already mapped in, so a
-#: long-lived pool worker pays ``load_frozen_file`` once per file rather
-#: than once per task.  Bounded: it resets rather than grows.
-_persistent_loads: dict[str, Any] = {}
-_PERSISTENT_LOAD_SLOTS = 8
-
-
-def _init_persistent_worker(counter: Any) -> None:
-    global _persistent_counter
-    _persistent_counter = counter
-
-
 def _load_memo(path: Any, loader: Callable[[Any], Any]) -> Any:
     key = str(path)
     obj = _persistent_loads.get(key)
@@ -197,8 +134,11 @@ def _load_memo(path: Any, loader: Callable[[Any], Any]) -> Any:
     return obj
 
 
-def _resolve_persistent(frozen: Any, oracle: Any) -> tuple[Any, Any]:
-    """Like :func:`_resolve_shipped`, but memoized per worker process."""
+def _resolve_shipped(frozen: Any, oracle: Any) -> tuple[Any, Any]:
+    """Worker-side inverse of :func:`_shipment`: map file paths back in.
+
+    Live objects (fork-inherited, or pickled buffers) pass through.
+    """
     from repro.engine.storage import load_frozen_file, load_oracle_file
 
     if isinstance(frozen, (str, Path)):
@@ -208,37 +148,39 @@ def _resolve_persistent(frozen: Any, oracle: Any) -> tuple[Any, Any]:
     return frozen, oracle
 
 
-def _shard_rows_shipped(
-    task: "tuple[ShardPayload, Any, Any]",
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """One unguarded shard on the *persistent* pool.
+def _init_shard_worker(
+    frozen: Any, oracle: Any, guard_state: tuple | None = None
+) -> None:
+    """Initializer of a dedicated shard pool.
 
-    The shared snapshot/oracle travel inside the task (a file path when
-    mmap-backed — memoized per worker — or attribute-less flat buffers)
-    instead of through module globals, so a long-running service can fan
-    queries out over the warm pool without rebuilding it.
+    ``guard_state`` is ``(budget, shared counter, absolute deadline)``:
+    every task builds its own guard around the *shared* visit counter, so
+    one budget governs the whole fan-out and sequential and parallel
+    evaluation trip on the same total work.
     """
-    payload, shipped_frozen, shipped_oracle = task
-    frozen, oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
-    return _shard_rows_core(payload, frozen, oracle, None)
+    global _shard_state
+    _shard_state = (*_resolve_shipped(frozen, oracle), guard_state)
 
 
-def _shard_rows_guarded(
-    task: "tuple[ShardPayload, Any, Any, QueryBudget]",
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """One guarded shard on the *persistent* pool.
+def _init_persistent_worker(counter: Any) -> None:
+    global _persistent_counter
+    _persistent_counter = counter
 
-    The task carries everything a long-lived worker does not already
-    hold: the shard payload, the shipped shared snapshot/oracle (a file
-    path when mmap-backed — memoized per worker — or attribute-less flat
-    buffers) and the call's budget.  The guard wraps the process-wide
-    shared counter installed at pool creation, so one node budget still
-    governs the whole fan-out exactly like the dedicated-pool path.
-    """
-    payload, shipped_frozen, shipped_oracle, budget = task
-    frozen, oracle = _resolve_persistent(shipped_frozen, shipped_oracle)
-    guard = QueryGuard(budget, shared_counter=_persistent_counter)
-    return _shard_rows_core(payload, frozen, oracle, guard)
+
+def _init_batch_worker(
+    graph: Graph,
+    table: dict[tuple, set[NodeId]],
+    frozen: Any,
+    oracle: Any,
+    budget: "QueryBudget | None",
+) -> None:
+    global _batch_state
+    _batch_state = (graph, table, *_resolve_shipped(frozen, oracle), budget)
+
+
+def _init_rank_worker(context: RankingContext, metric: Any) -> None:
+    global _rank_state
+    _rank_state = (context, metric)
 
 
 def validate_workers(workers: int | None) -> int:
@@ -255,23 +197,38 @@ def validate_workers(workers: int | None) -> int:
     return workers
 
 
-def _shard_rows(
-    payload: ShardPayload,
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """Successor rows for one shard (runs inside a worker process).
+def _shard_rows(payload: ShardPayload) -> ShardRows:
+    """One shard on a *dedicated* pool, against the worker's snapshot."""
+    assert _shard_state is not None, "shard worker was not initialised"
+    frozen, oracle, guard_state = _shard_state
+    guard = None
+    if guard_state is not None:
+        budget, counter, deadline = guard_state
+        guard = QueryGuard(budget, shared_counter=counter, deadline=deadline)
+    return _shard_rows_core(payload, frozen, oracle, guard)
 
-    The payload is int-indexed against the process-shared frozen snapshot.
-    Rows are computed by the same :func:`frozen_successor_rows` kernel the
-    sequential matcher uses, restricted to the shard's pivots, then
-    converted back to labels for the merge.  Returns the rows plus a
-    guard-info dict (empty when unguarded): each worker's guard charges
-    the *shared* visit counter, so a blown budget stops every sibling at
-    its next check, not just this shard.
+
+def _shard_rows_shipped(
+    task: "tuple[ShardPayload, Any, Any, QueryBudget | None]",
+) -> ShardRows:
+    """One shard on the *persistent* pool.
+
+    The task carries everything a long-lived worker does not already
+    hold: the shard payload, the shipped shared snapshot/oracle (a file
+    path when mmap-backed — memoized per worker — or attribute-less flat
+    buffers) and, for a guarded call, its budget.  The guard wraps the
+    process-wide shared counter installed at pool creation, so one node
+    budget still governs the whole fan-out exactly like the
+    dedicated-pool path.
     """
-    assert _shared_frozen is not None, "shared snapshot was not installed"
-    return _shard_rows_core(
-        payload, _shared_frozen, _shared_oracle, _resolve_shard_guard()
+    payload, shipped_frozen, shipped_oracle, budget = task
+    frozen, oracle = _resolve_shipped(shipped_frozen, shipped_oracle)
+    guard = (
+        QueryGuard(budget, shared_counter=_persistent_counter)
+        if budget is not None
+        else None
     )
+    return _shard_rows_core(payload, frozen, oracle, guard)
 
 
 def _shard_rows_core(
@@ -279,8 +236,17 @@ def _shard_rows_core(
     frozen: FrozenGraph,
     oracle: "DistanceOracle | None",
     guard: "QueryGuard | None",
-) -> tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]:
-    """The shard kernel shared by the global-state and task-state entries."""
+) -> ShardRows:
+    """Successor rows for one shard — what every route, inline or pooled, runs.
+
+    The payload is int-indexed against the shared frozen snapshot.  Rows
+    are computed by the same :func:`frozen_successor_rows` kernel the
+    sequential matcher uses, restricted to the shard's pivots, then
+    converted back to labels for the merge.  Returns the rows plus a
+    guard-info dict (empty when unguarded): each worker's guard charges
+    the *shared* visit counter, so a blown budget stops every sibling at
+    its next check, not just this shard.
+    """
     edges_spec, pivots, candidate_arrays = payload
     candidate_ids = {u: frozenset(ids) for u, ids in candidate_arrays.items()}
     rows_ids = frozen_successor_rows(
@@ -300,78 +266,76 @@ def _shard_rows_core(
     return converted, (guard.stats() if guard is not None else {})
 
 
-def _init_batch_worker(
-    graph: Graph | None,
-    table: dict[tuple, set[NodeId]] | None,
-    frozen: FrozenGraph | None = None,
-    oracle: DistanceOracle | None = None,
-    budget: "QueryBudget | None" = None,
-) -> None:
-    global _batch_graph, _batch_table, _batch_frozen, _batch_oracle, _batch_budget
-    frozen, oracle = _resolve_shipped(frozen, oracle)
-    _batch_graph = graph
-    _batch_table = table
-    _batch_frozen = frozen
-    _batch_oracle = oracle
-    _batch_budget = budget
-
-
-def _init_guarded_worker(
-    frozen: Any,
-    oracle: Any,
-    budget: "QueryBudget",
-    counter: Any,
-    deadline: float | None,
-) -> None:  # pragma: no cover - runs in spawn workers
-    _set_shared_frozen(*_resolve_shipped(frozen, oracle))
-    _set_shard_guard((budget, counter, deadline))
-
-
-def _init_rank_worker(context: RankingContext | None, metric: Any) -> None:
-    global _rank_context, _rank_metric
-    _rank_context = context
-    _rank_metric = metric
+def _guard_summary(
+    results: Sequence[ShardRows], visits: int, tripped: str | None = None
+) -> dict[str, Any]:
+    """One ``stats`` fragment for a guarded fan-out, from its shards' infos."""
+    replans = 0
+    for _rows, info in results:
+        replans += info.get("replans", 0)
+        if tripped is None and info.get("guard"):
+            tripped = info["guard"]
+    summary: dict[str, Any] = {"partial": tripped is not None, "visits": visits}
+    if tripped is not None:
+        summary["guard"] = tripped
+    if replans:
+        summary["replans"] = replans
+    return summary
 
 
 def _rank_chunk(nodes: Sequence[NodeId]) -> list:
-    """Score one chunk of matches against the worker's snapshot context.
+    """Score one chunk of matches against the worker's snapshot context."""
+    assert _rank_state is not None, "rank worker was not initialised"
+    return _rank_core(*_rank_state, nodes)
 
-    With no metric installed this is the rich social-impact path and
-    returns :class:`~repro.ranking.social_impact.RankedMatch` objects;
-    otherwise it returns the metric's ``score_bulk`` floats.  Either way
-    the values are pure functions of the immutable snapshot, so they are
-    identical to what the parent would compute inline.
+
+def _rank_core(context: RankingContext, metric: Any, nodes: Sequence[NodeId]) -> list:
+    """Scores for ``nodes``, in order.
+
+    With no metric this is the rich social-impact path and returns
+    :class:`~repro.ranking.social_impact.RankedMatch` objects; otherwise
+    it returns the metric's ``score_bulk`` floats.  Either way the values
+    are pure functions of the immutable snapshot, so a worker computes
+    exactly what the parent would inline.
     """
-    context = _rank_context
-    assert context is not None, "ranking context was not installed"
-    if _rank_metric is None:
+    if metric is None:
         return [context.detail(node) for node in nodes]
-    return [_rank_metric.score_bulk(context, node) for node in nodes]
+    return [metric.score_bulk(context, node) for node in nodes]
 
 
 def _batch_query(
-    payload: tuple[Pattern, dict[str, tuple]],
+    task: tuple[Pattern, dict[str, tuple]],
 ) -> tuple[MatchRelation, dict[str, Any]]:
     """Evaluate one whole query against the worker's graph (batch mode)."""
-    pattern, key_by_node = payload
-    assert _batch_graph is not None, "batch graph was not installed"
-    assert _batch_table is not None, "batch candidate table was not installed"
-    candidates = {u: _batch_table[key] for u, key in key_by_node.items()}
+    assert _batch_state is not None, "batch worker was not initialised"
+    return _batch_query_core(*_batch_state, task)
+
+
+def _batch_query_core(
+    graph: Graph,
+    table: dict[tuple, set[NodeId]],
+    frozen: FrozenGraph | None,
+    oracle: DistanceOracle | None,
+    budget: QueryBudget | None,
+    task: tuple[Pattern, dict[str, tuple]],
+) -> tuple[MatchRelation, dict[str, Any]]:
+    pattern, key_by_node = task
+    candidates = {u: table[key] for u, key in key_by_node.items()}
     if pattern.is_simulation_pattern:
         # Guards cover the bounded algorithm only (the quadratic matcher
         # has no runaway mode worth the bookkeeping), sequentially and in
         # workers alike — so both modes agree on the partial flag.
         result = match_simulation(
-            _batch_graph, pattern, candidates=candidates, frozen=_batch_frozen
+            graph, pattern, candidates=candidates, frozen=frozen
         )
     else:
         result = match_bounded(
-            _batch_graph,
+            graph,
             pattern,
             candidates=candidates,
-            frozen=_batch_frozen,
-            oracle=_batch_oracle,
-            budget=_batch_budget,
+            frozen=frozen,
+            oracle=oracle,
+            budget=budget,
         )
     return result.relation, result.stats
 
@@ -409,37 +373,51 @@ class ParallelExecutor:
         # (one budget at a time owns the counter).
         self._guard_counter: Any = None
         self._guard_serial = threading.Lock()
-        # Serializes the fan-out section of :meth:`match`: sharded
-        # evaluation installs process-wide module globals (the shared
-        # snapshot and guard state), so concurrent calls from service
-        # threads must take turns.  Candidate generation and the merge
-        # run outside this lock.
-        self._match_serial = threading.Lock()
+        # Pool creation and its counter are check-then-act / read-modify-
+        # write on shared fields; the fan-outs themselves take no lock.
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
     def _query_pool(self) -> Any:
-        if self._pool is None:
-            if self._guard_counter is None:
-                self._guard_counter = self._ctx.Value("q", 0)
-            self._pool = self._ctx.Pool(
-                self.workers,
-                initializer=_init_persistent_worker,
-                initargs=(self._guard_counter,),
-            )
-            self.pools_created += 1
-        return self._pool
+        with self._pool_lock:
+            if self._pool is None:
+                if self._guard_counter is None:
+                    self._guard_counter = self._ctx.Value("q", 0)
+                self._pool = self._ctx.Pool(
+                    self.workers,
+                    initializer=_init_persistent_worker,
+                    initargs=(self._guard_counter,),
+                )
+                self.pools_created += 1
+            return self._pool
 
     def _dedicated_pool(self, **kwargs: Any) -> Any:
         """A single-call pool (counted in :attr:`pools_created`).
 
         Dedicated pools remain for work that cannot share the persistent
         one: wall-clock-guarded fan-outs (termination mid-flight) and the
-        fork paths that inherit call-specific module globals.
+        calls whose workers hold call-specific state — which reaches them
+        through ``initializer=`` / ``initargs=`` under every start method.
         """
-        self.pools_created += 1
+        with self._pool_lock:
+            self.pools_created += 1
         return self._ctx.Pool(self.workers, **kwargs)
+
+    def _ship(
+        self, frozen: FrozenGraph | None, oracle: DistanceOracle | None
+    ) -> tuple[Any, Any]:
+        """``(frozen, oracle)`` as a dedicated pool's ``initargs`` carry them.
+
+        The one place the start method matters: forked children inherit
+        ``initargs`` — nothing is pickled, so the live objects go as they
+        are — while spawned ones unpickle them once per worker, so they get
+        the :func:`_shipment` form (a file path or attribute-less buffers).
+        """
+        if frozen is None or self._ctx.get_start_method() == "fork":
+            return frozen, oracle
+        return _shipment(frozen, oracle)
 
     def warm(self) -> "ParallelExecutor":
         """Create the persistent pool now, off any request path.
@@ -503,8 +481,8 @@ class ParallelExecutor:
         All shard work runs over a :class:`FrozenGraph` snapshot — the
         caller's ``frozen`` (the engine passes its cached one; it must
         match the graph's current version) or one frozen here — and every
-        worker reads that one snapshot: inherited through fork by a
-        dedicated pool when no persistent pool is warm, shipped inside the
+        worker reads that one snapshot: handed to a dedicated pool's
+        initializer when no persistent pool is warm, shipped inside the
         tasks (a file path when mmap-backed) when one is.  With an
         ``oracle`` (a :class:`~repro.graph.oracle.DistanceOracle` built
         from the same snapshot lineage), workers route selective pattern
@@ -518,10 +496,12 @@ class ParallelExecutor:
         and shards that never reported merge as empty rows — a sound
         under-approximation flagged ``stats["partial"] = True``.
 
-        Thread-safe: concurrent calls serialize on an instance lock for
-        the fan-out itself (the sharded machinery installs process-wide
-        module globals), which is what lets a threaded query service
-        share one executor across requests.
+        Thread-safe: nothing a call needs lives in process-wide state —
+        every route hands its snapshot, oracle and guard to the workers
+        (or, inline, to the shard kernel) as arguments — so a threaded
+        query service shares one executor across requests and concurrent
+        fan-outs overlap.  Only node-budgeted calls on the persistent
+        pool take turns: one budget at a time owns its visit counter.
         """
         pattern.validate()
         watch = Stopwatch()
@@ -547,48 +527,32 @@ class ParallelExecutor:
         if guarded:
             budget.validate()
         guard_stats: dict[str, Any] = {}
-        with self._match_serial:
-            if inline:
-                guard = QueryGuard(budget) if guarded else None
-                _set_shared_frozen(frozen, oracle)
-                _set_shard_guard(guard)
-                try:
-                    results = [_shard_rows(payload) for payload in payloads]
-                finally:
-                    _set_shared_frozen(None)
-                    _set_shard_guard(None)
-                if guard is not None:
-                    guard_stats = guard.stats()
-            elif guarded and budget.seconds is None:
-                # Node-only budgets never need to kill workers mid-flight,
-                # so they run on the persistent pool: the shared visit
-                # counter was installed at pool creation and pool
-                # construction stays off the per-call path (the churn the
-                # serving layer cares about).
-                results, guard_stats = self._guarded_persistent_map(
-                    frozen, payloads, oracle, budget
-                )
-            elif guarded:
-                # A wall-clock limit may require terminating in-flight
-                # workers, which would destroy a persistent pool — only
-                # these calls pay for a dedicated pool.
-                results, guard_stats = self._guarded_map(
-                    frozen, payloads, oracle, budget
-                )
-            elif self._pool is not None:
-                # A warm persistent pool exists (a long-running service):
-                # ship the shared snapshot inside the tasks — a file path
-                # when mmap-backed, memoized per worker — instead of
-                # forking a dedicated pool per call, keeping pool
-                # construction off the request path entirely.
-                shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
-                tasks = [
-                    (payload, shipped_frozen, shipped_oracle)
-                    for payload in payloads
-                ]
-                results = self._pool.map(_shard_rows_shipped, tasks)
-            else:
-                results = self._shared_frozen_map(frozen, payloads, oracle=oracle)
+        if inline:
+            guard = QueryGuard(budget) if guarded else None
+            results = [
+                _shard_rows_core(payload, frozen, oracle, guard)
+                for payload in payloads
+            ]
+            if guard is not None:
+                guard_stats = guard.stats()
+        elif guarded and budget.seconds is not None:
+            # A wall-clock limit may require terminating in-flight
+            # workers, which would destroy a persistent pool — only
+            # these calls pay for a dedicated pool.
+            results, guard_stats = self._guarded_map(
+                frozen, payloads, oracle, budget
+            )
+        elif guarded or self._pool is not None:
+            # Node-only budgets never need to kill workers mid-flight, and
+            # a warm pool (a long-running service) is there to be used:
+            # both ship the shared snapshot inside the tasks and keep pool
+            # construction off the per-call path (the churn the serving
+            # layer cares about).
+            results, guard_stats = self._persistent_map(
+                frozen, payloads, oracle, budget if guarded else None
+            )
+        else:
+            results = self._shared_frozen_map(frozen, payloads, oracle)
         merged: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]] = {}
         for rows, _info in results:
             for edge, row in rows.items():
@@ -650,52 +614,37 @@ class ParallelExecutor:
             )
         return payloads
 
-    def _guarded_persistent_map(
+    def _persistent_map(
         self,
         frozen: FrozenGraph,
         payloads: list[ShardPayload],
         oracle: DistanceOracle | None,
-        budget: QueryBudget,
+        budget: QueryBudget | None,
     ) -> tuple[list, dict[str, Any]]:
-        """Fan guarded shard work out over the *persistent* pool.
+        """Fan shard work out over the *persistent* pool.
 
-        For budgets without a wall-clock limit nothing ever has to be
-        terminated mid-flight, so the long-lived pool can serve guarded
-        calls too — tasks carry the shipped snapshot (a file path for
-        mmap-backed stores, memoized worker-side) and the budget, while
-        the shared visit counter installed at pool creation aggregates
-        work across workers exactly like the dedicated-pool path.  Calls
-        are serialized: one budget at a time owns the counter.
-        ``Pool.map`` waits for every task before raising the first error,
-        so no straggler outlives the call and charges a reset counter.
+        Tasks carry the shipped snapshot (a file path for mmap-backed
+        stores, memoized worker-side) and, for a guarded call, the budget.
+        Only budgets without a wall-clock limit come here — nothing ever
+        has to be terminated mid-flight — and the shared visit counter
+        installed at pool creation aggregates their work across workers
+        exactly like the dedicated-pool path.  Guarded calls are
+        serialized: one budget at a time owns the counter.  ``Pool.map``
+        waits for every task before raising the first error, so no
+        straggler outlives the call and charges a reset counter.
         """
-        shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
+        shipped = _shipment(frozen, oracle)
+        tasks = [(payload, *shipped, budget) for payload in payloads]
+        if budget is None:
+            return self._query_pool().map(_shard_rows_shipped, tasks), {}
         with self._guard_serial:
             pool = self._query_pool()
             counter = self._guard_counter
             with counter.get_lock():
                 counter.value = 0
-            tasks = [
-                (payload, shipped_frozen, shipped_oracle, budget)
-                for payload in payloads
-            ]
-            results = pool.map(_shard_rows_guarded, tasks)
+            results = pool.map(_shard_rows_shipped, tasks)
             visits = counter.value
-        tripped = None
-        replans = 0
-        for _rows, info in results:
-            replans += info.get("replans", 0)
-            if tripped is None and info.get("guard"):
-                tripped = info["guard"]
-        guard_stats: dict[str, Any] = {
-            "partial": tripped is not None,
-            "visits": visits,
-        }
-        if tripped is not None:
-            guard_stats["guard"] = tripped
-        if replans:
-            guard_stats["replans"] = replans
-        return results, guard_stats
+        return results, _guard_summary(results, visits)
 
     def _guarded_map(
         self,
@@ -704,104 +653,68 @@ class ParallelExecutor:
         oracle: DistanceOracle | None,
         budget: QueryBudget,
     ) -> tuple[list, dict[str, Any]]:
-        """Fan shard work out under a budget shared across all workers.
+        """Fan shard work out under a wall-clock limit, killing stragglers.
 
-        A dedicated pool forks with the snapshot *and* the guard state —
-        ``(budget, shared counter, absolute deadline)`` — in its globals;
-        each worker builds a :class:`QueryGuard` around the shared counter,
-        so one node budget governs the sum of all shards' work.  The
-        parent drains ``imap_unordered`` with the remaining wall-clock as
-        timeout: when time runs out it *terminates* the pool, cancelling
-        in-flight shards; their pivots merge as missing (empty) rows — a
-        sound under-approximation.  ``time.monotonic`` is comparable
-        across processes on Linux, so the absolute deadline forks as-is.
+        A dedicated pool starts with the snapshot *and* the guard state —
+        ``(budget, shared counter, absolute deadline)`` — as initializer
+        arguments; each worker builds a :class:`QueryGuard` around the
+        shared counter, so one node budget governs the sum of all shards'
+        work.  The parent drains ``imap_unordered`` with the remaining
+        wall-clock as timeout: when time runs out it *terminates* the
+        pool, cancelling in-flight shards; their pivots merge as missing
+        (empty) rows — a sound under-approximation.  ``time.monotonic`` is
+        comparable across processes on Linux, so the absolute deadline
+        ships as-is.
         """
+        assert budget.seconds is not None
         counter = self._ctx.Value("q", 0)
-        deadline = (
-            time.monotonic() + budget.seconds
-            if budget.seconds is not None
-            else None
-        )
+        deadline = time.monotonic() + budget.seconds
         aborted = False
         results: list = []
-        pool = None
-        _set_shared_frozen(frozen, oracle)
-        _set_shard_guard((budget, counter, deadline))
+        pool = self._dedicated_pool(
+            initializer=_init_shard_worker,
+            initargs=(*self._ship(frozen, oracle), (budget, counter, deadline)),
+        )
         try:
-            if self._ctx.get_start_method() == "fork":
-                pool = self._dedicated_pool()
-            else:
-                pool = self._dedicated_pool(
-                    initializer=_init_guarded_worker,
-                    initargs=(*_shipment(frozen, oracle), budget, counter, deadline),
-                )
             iterator = pool.imap_unordered(_shard_rows, payloads)
             for _ in payloads:
                 try:
-                    if deadline is None:
-                        results.append(iterator.next())
-                    else:
-                        remaining = deadline - time.monotonic()
-                        results.append(iterator.next(max(0.0, remaining)))
+                    remaining = deadline - time.monotonic()
+                    results.append(iterator.next(max(0.0, remaining)))
                 except multiprocessing.TimeoutError:
                     aborted = True
                     break
         finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            _set_shared_frozen(None)
-            _set_shard_guard(None)
+            pool.terminate()
+            pool.join()
         visits = counter.value
-        tripped = GUARD_TIME_LIMIT if aborted else None
-        replans = 0
-        for _rows, info in results:
-            replans += info.get("replans", 0)
-            if tripped is None and info.get("guard"):
-                tripped = info["guard"]
         if aborted and not budget.allow_partial:
             raise BudgetExceededError(
                 f"query exceeded its {GUARD_TIME_LIMIT} (visits={visits}, "
                 f"budget={budget}); in-flight shard workers were cancelled"
             )
-        guard_stats: dict[str, Any] = {
-            "partial": tripped is not None,
-            "visits": visits,
-        }
-        if tripped is not None:
-            guard_stats["guard"] = tripped
-        if replans:
-            guard_stats["replans"] = replans
-        return results, guard_stats
+        return results, _guard_summary(
+            results, visits, tripped=GUARD_TIME_LIMIT if aborted else None
+        )
 
     def _shared_frozen_map(
         self,
         frozen: FrozenGraph,
         payloads: list[ShardPayload],
-        oracle: DistanceOracle | None = None,
+        oracle: DistanceOracle | None,
     ) -> list:
         """Fan shard work out over a pool that shares the full snapshot.
 
-        A dedicated pool is created per call: under the fork start method
-        the children inherit the snapshot (and oracle labels, when routing
-        uses them) from the parent's module globals at zero cost; under
-        spawn the initializer ships their flat buffers once per worker.
+        A dedicated pool is created per call and receives the snapshot
+        (and oracle labels, when routing uses them) through its
+        initializer: inherited at zero cost under the fork start method,
+        shipped once per worker — as a file path or adjacency-only flat
+        buffers, workers only traverse — under spawn.
         """
-        _set_shared_frozen(frozen, oracle)
-        try:
-            if self._ctx.get_start_method() == "fork":
-                pool = self._dedicated_pool()
-            else:
-                # Workers only traverse: ship the adjacency-only twin —
-                # or just the file path when the snapshot is mmap-backed.
-                pool = self._dedicated_pool(
-                    initializer=_init_shared_worker,
-                    initargs=_shipment(frozen, oracle),
-                )
-            with pool:
-                return pool.map(_shard_rows, payloads)
-        finally:
-            _set_shared_frozen(None)
+        with self._dedicated_pool(
+            initializer=_init_shard_worker, initargs=self._ship(frozen, oracle)
+        ) as pool:
+            return pool.map(_shard_rows, payloads)
 
     # ------------------------------------------------------------------
     # bulk-ranking parallelism
@@ -820,24 +733,17 @@ class ParallelExecutor:
 
         ``metric=None`` selects the rich social-impact path (returns
         :class:`RankedMatch` objects); otherwise each node is scored with
-        ``metric.score_bulk``.  The snapshot context ships once per worker
-        (fork inheritance on POSIX, pool initializer elsewhere); tasks
-        carry only node-id chunks.  Scores are deterministic functions of
-        the snapshot, so the output is byte-identical to inline scoring —
-        the differential tests assert it.  Results are absorbed back into
-        ``context``'s memos so subsequent calls (and the engine's rank
-        cache) reuse them.
+        ``metric.score_bulk``.  The snapshot context reaches each worker
+        once, through the pool initializer (inherited under fork, pickled
+        under spawn); tasks carry only node-id chunks.  Scores are
+        deterministic functions of the snapshot, so the output is
+        byte-identical to inline scoring — the differential tests assert
+        it.  Results are absorbed back into ``context``'s memos so
+        subsequent calls (and the engine's rank cache) reuse them.
         """
         nodes = list(nodes)
-        if (
-            self.workers == 1
-            or len(nodes) < self.RANK_FANOUT_THRESHOLD
-        ):
-            _init_rank_worker(context, metric)
-            try:
-                results = _rank_chunk(nodes)
-            finally:
-                _init_rank_worker(None, None)
+        if self.workers == 1 or len(nodes) < self.RANK_FANOUT_THRESHOLD:
+            results = _rank_core(context, metric, nodes)
         else:
             # ~4 chunks per worker smooths out uneven per-match cost
             # (component sizes vary wildly) without inflating IPC.
@@ -845,21 +751,12 @@ class ParallelExecutor:
             chunks = [
                 nodes[i : i + chunk_size] for i in range(0, len(nodes), chunk_size)
             ]
-            _init_rank_worker(context, metric)
-            try:
-                if self._ctx.get_start_method() == "fork":
-                    pool = self._dedicated_pool()
-                else:  # pragma: no cover - non-fork platforms
-                    pool = self._dedicated_pool(
-                        initializer=_init_rank_worker,
-                        initargs=(context, metric),
-                    )
-                with pool:
-                    results = [
-                        item for chunk in pool.map(_rank_chunk, chunks) for item in chunk
-                    ]
-            finally:
-                _init_rank_worker(None, None)
+            with self._dedicated_pool(
+                initializer=_init_rank_worker, initargs=(context, metric)
+            ) as pool:
+                results = [
+                    item for chunk in pool.map(_rank_chunk, chunks) for item in chunk
+                ]
         if metric is None:
             # Detail memos are keyed by node alone, so absorbing is always
             # safe; metric scores are memoized by the caller, which knows
@@ -886,9 +783,11 @@ class ParallelExecutor:
         sets computed once for the whole batch.  The graph, its frozen
         snapshot (when given — worker matchers then run the CSR kernels),
         the distance oracle (when given — worker matchers then route
-        selective edges to label merges) and the table ship once per
-        worker — fork inheritance on POSIX, pool initializer elsewhere —
-        so a task pickles only its pattern and a few keys.  Returns
+        selective edges to label merges) and the table reach each worker
+        once, through the pool initializer — inherited under fork; under
+        spawn pickled, the snapshot without its attribute columns (worker
+        matchers get candidates from the table) or as its backing file
+        path — so a task pickles only its pattern and a few keys.  Returns
         ``(relation, worker stats)`` per task, in order.  With one worker
         (or one task) everything runs inline.
 
@@ -919,34 +818,15 @@ class ParallelExecutor:
         else:
             budget = None
         if self.workers == 1 or len(tasks) == 1:
-            _init_batch_worker(graph, table, frozen, oracle, budget)
-            try:
-                return [_batch_query(task) for task in tasks]
-            finally:
-                _init_batch_worker(None, None, None, None, None)
-        try:
-            if self._ctx.get_start_method() == "fork":
-                # Children inherit graph, snapshot, oracle and table from
-                # the parent's module globals for free (copy-on-write);
-                # nothing to pickle.
-                _init_batch_worker(graph, table, frozen, oracle, budget)
-                pool = self._dedicated_pool()
-            else:
-                # Matchers in workers get candidates from the table, so
-                # the snapshot ships without its attribute columns (or as
-                # its backing file path when mmap-backed).
-                if frozen is None:
-                    shipped_frozen = shipped_oracle = None
-                else:
-                    shipped_frozen, shipped_oracle = _shipment(frozen, oracle)
-                pool = self._dedicated_pool(
-                    initializer=_init_batch_worker,
-                    initargs=(graph, table, shipped_frozen, shipped_oracle, budget),
-                )
-            with pool:
-                return pool.map(_batch_query, list(tasks))
-        finally:
-            _init_batch_worker(None, None, None, None, None)
+            return [
+                _batch_query_core(graph, table, frozen, oracle, budget, task)
+                for task in tasks
+            ]
+        with self._dedicated_pool(
+            initializer=_init_batch_worker,
+            initargs=(graph, table, *self._ship(frozen, oracle), budget),
+        ) as pool:
+            return pool.map(_batch_query, list(tasks))
 
     # ------------------------------------------------------------------
     # parallel oracle construction
@@ -961,9 +841,8 @@ class ParallelExecutor:
 
         Phase one (the sequential top-landmark prefix) runs in the calling
         process; the independent phase-two landmark chunks are mapped over
-        a dedicated pool that shares the phase-one labels — fork
-        inheritance on POSIX, pool initializer elsewhere — and return flat
-        entry triples.  Because phase-two pruning only ever consults the
+        a dedicated pool that shares the phase-one labels — handed to the
+        pool initializer — and return flat entry triples.  Because phase-two pruning only ever consults the
         fixed phase-one labels, the resulting label arrays are
         byte-identical to a sequential :meth:`DistanceOracle.build`
         (asserted in ``tests/test_oracle.py``); workers only change the
@@ -981,21 +860,16 @@ class ParallelExecutor:
         """Map phase-two chunks over a context-sharing pool.
 
         ``function`` is always :func:`repro.graph.oracle.phase_two_chunk`;
-        the build context was installed by ``DistanceOracle.build`` right
-        before this call, so forked children inherit it.  Under spawn the
-        initializer re-installs it from an explicit argument.
+        ``DistanceOracle.build`` installed the build context right before
+        this call, and the pool initializer installs that same context in
+        every worker.
         """
         chunks = list(chunks)
         if len(chunks) <= 1:
             return [function(chunk) for chunk in chunks]
-        if self._ctx.get_start_method() == "fork":
-            pool = self._dedicated_pool()
-        else:  # pragma: no cover - non-fork platforms
-            from repro.graph.oracle import _build_context
+        from repro.graph.oracle import _build_context
 
-            pool = self._dedicated_pool(
-                initializer=set_build_context,
-                initargs=(_build_context,),
-            )
-        with pool:
+        with self._dedicated_pool(
+            initializer=set_build_context, initargs=(_build_context,)
+        ) as pool:
             return pool.map(function, chunks)  # repro-lint: disable=spawn-safety -- callers pass the module-level phase_two_chunk; asserted spawn-picklable by tests/test_parallel.py

@@ -174,9 +174,9 @@ class Graph:
     def version(self) -> int:
         """Mutation counter, bumped by every structural or attribute change.
 
-        Engine-owned caches (:class:`~repro.graph.index.AttributeIndex`,
-        the engine's ``SnapshotCache`` of :class:`~repro.graph.frozen.FrozenGraph`
-        snapshots) compare this against the version they last synchronized
+        Engine-owned artefacts (:class:`~repro.graph.index.AttributeIndex`,
+        each graph's :class:`~repro.graph.frozen.FrozenGraph` snapshot and
+        distance oracle) compare this against the version they last synchronized
         with to detect out-of-band mutations.  Every attribute write has a
         counting API — :meth:`set` for one attribute, :meth:`update_attrs`
         for several in one bump, or the engine's update objects — so there

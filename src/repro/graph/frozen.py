@@ -71,8 +71,9 @@ class FrozenGraph:
 
     Build one with :meth:`freeze`.  The snapshot never observes later
     graph mutations made through the graph's API — owners (the engine's
-    ``SnapshotCache``) compare :attr:`source_version` against
-    ``Graph.version`` to decide when to rebuild.  Attribute *values* are held by reference, exactly
+    per-graph record, a served epoch) call :meth:`matches`, which compares
+    :attr:`source_version` against ``Graph.version``, to decide when to
+    rebuild.  Attribute *values* are held by reference, exactly
     like ``Graph.copy``'s "deep-enough" convention: mutating a stored
     value in place (``graph.attrs(v)["tags"].append(...)``) bypasses the
     version counter everywhere in this codebase, snapshot included.

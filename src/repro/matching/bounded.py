@@ -180,6 +180,7 @@ def frozen_successor_rows(
                 enum_edges.append(item)
         if sources and (guard is None or not guard.should_stop()):
             visits_before = guard.visits if guard is not None else 0
+            kernel = None  # the enumeration kernel this group ran, if any
             if oracle_edges:
                 oracle.fill_rows(sources, oracle_edges, rows, adjacency)
                 if guard is not None:
@@ -208,11 +209,13 @@ def frozen_successor_rows(
                 # Enumeration edges of one source node share a traversal,
                 # so the group decision overrides the per-edge estimate in
                 # the log (same rows either way; the log must tell the
-                # truth about what ran).
-                for edge, _bound, _children in enum_edges:
-                    route = routes[edge]
-                    if route.kernel != kernel:
-                        routes[edge] = replace(route, kernel=kernel)
+                # truth about what ran).  Nothing to relabel when the guard
+                # tripped before the enumeration started.
+                if kernel is not None:
+                    for edge, _bound, _children in enum_edges:
+                        route = routes[edge]
+                        if route.kernel != kernel:
+                            routes[edge] = replace(route, kernel=kernel)
         if kernel_log is not None:
             kernel_log.update(routes)
     return rows

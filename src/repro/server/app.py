@@ -29,9 +29,9 @@ Error mapping: :class:`~repro.errors.AdmissionError` → 429,
 :class:`~repro.errors.ServiceDegradedError` → 503, any other
 :class:`~repro.errors.ReproError` → 400, everything else → 500.
 A body that cannot be read as a JSON object is a 400 naming the problem
-(bad ``Content-Length`` — which also closes the connection, since the
-unread body would be parsed as the next request — non-UTF-8 bytes, JSON
-nested too deeply to parse), and so is an update whose node ids or
+(bad ``Content-Length`` or one above :data:`MAX_BODY_BYTES` — which also
+close the connection, since the unread body would be parsed as the next
+request — non-UTF-8 bytes, JSON nested too deeply to parse), and so is an update whose node ids or
 attribute names are not JSON scalars: it is refused before the WAL sees it.
 
 Every reply is ``json.dumps`` of the dict the matching
@@ -73,6 +73,12 @@ from repro.server.wire import (
     error_payload,
     error_status,
 )
+
+
+#: Largest request body the handler will buffer.  A registered graph is the
+#: biggest legitimate payload (a 20,000-node collaboration graph is ~3 MB
+#: of JSON); anything above this is refused before a byte of it is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -124,8 +130,8 @@ class ExpFinderService:
     :meth:`ParallelExecutor.warm` — and every cache-miss ``evaluate`` /
     ``batch`` / ``topk`` evaluation routes through it
     (:meth:`Epoch.evaluate` with ``executor=``), so no request ever pays
-    pool construction; the executor serializes its own fan-out section
-    internally because the sharded path installs module globals.
+    pool construction; request threads share the executor freely — a
+    fan-out keeps no process-wide state.
     """
 
     def __init__(self, config: ServiceConfig | None = None, store: Any = None) -> None:
@@ -478,6 +484,14 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServerError(
                 f"Content-Length must be a non-negative integer (got {header!r})"
             ) from None
+        if length > MAX_BODY_BYTES:
+            # Refused unread: buffering it is the harm, and what is left on
+            # the socket would otherwise be parsed as the next request.
+            self.close_connection = True
+            raise ServerError(
+                f"request body too large: Content-Length {length} exceeds "
+                f"the {MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             raise ServerError("request body must be a JSON object")
         raw = self.rfile.read(length)

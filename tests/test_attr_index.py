@@ -308,17 +308,6 @@ class TestEngineIntegration:
         engine.update_graph("g", [AttributeUpdate("eva", "field", "ST")])
         assert engine.evaluate("g", pattern).relation.matches_of("SD") == {"dan"}
 
-    def test_disable_and_enable(self):
-        engine = QueryEngine()
-        engine.register_graph("g", small_graph())
-        engine.disable_attr_index("g")
-        assert engine.attr_index_stats("g") is None
-        pattern = Pattern()
-        pattern.add_node("SD", 'field == "SD"')
-        assert engine.evaluate("g", pattern).stats["candidate_source"] == "scan"
-        engine.enable_attr_index("g")
-        assert engine.attr_index_stats("g") is not None
-
 
 # ----------------------------------------------------------------------
 # property test: index-backed candidates == scan-backed candidates

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.datasets.paper_example import paper_pattern
+from repro.datasets.paper_example import EDGE_E1, paper_graph, paper_pattern
 from repro.engine.cache import QueryCache, cache_key
+from repro.engine.engine import QueryEngine
 from repro.errors import CacheError
+from repro.incremental.updates import AttributeUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.base import MatchRelation
+from repro.matching.bounded import match_bounded
 from repro.pattern.builder import PatternBuilder
 
 
@@ -119,14 +122,13 @@ class TestPinning:
     def test_pin_and_unpin(self):
         cache = QueryCache()
         cache.put(key(), relation(), 0)
-        cache.pin(key(), maintainer="m")
-        assert cache.stats()["pinned"] == 1
+        # Pinning is a put: it replaces the plain entry and attaches the
+        # maintainer in one step (what QueryEngine.pin does).
+        entry = cache.put(key(), relation(), 0, pinned=True, maintainer="m")
+        assert cache.stats()["pinned"] == 1 and entry.maintainer == "m"
         cache.unpin(key())
         assert cache.stats()["pinned"] == 0
-
-    def test_pin_missing_raises(self):
-        with pytest.raises(CacheError):
-            QueryCache().pin(key())
+        assert cache.get(key(), 0).maintainer is None
 
     def test_unpin_missing_raises(self):
         with pytest.raises(CacheError):
@@ -192,69 +194,94 @@ class TestInvalidation:
 
 
 class TestOracleCache:
-    """The distance-oracle cache: version-validated like SnapshotCache,
-    plus in-place validity refreshes for distance-preserving updates."""
+    """The engine's per-graph distance oracle: version-stamped like the
+    frozen snapshot, plus in-place validity refreshes for
+    distance-preserving updates."""
 
-    def _cache(self, capacity=4):
-        from repro.engine.cache import OracleCache
+    COLD = dict(use_cache=False, cache_result=False)
 
-        return OracleCache(capacity=capacity)
+    @pytest.fixture
+    def engine(self):
+        engine = QueryEngine()
+        engine.register_graph("g", paper_graph())
+        engine.enable_oracle("g")
+        return engine
 
-    def test_miss_then_hit_with_matching_version(self):
-        cache = self._cache()
-        assert cache.get("g", 0) is None
-        cache.put("g", "oracle-sentinel", 0)
-        assert cache.get("g", 0) == "oracle-sentinel"
-        stats = cache.stats()
+    def test_miss_then_hit_with_matching_version(self, engine):
+        assert engine.oracle_cache_stats()["size"] == 0
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        labels = engine._registered["g"].oracle
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        assert engine._registered["g"].oracle is labels
+        stats = engine.oracle_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["builds"] == 1
+        assert stats["builds"] == 1 and stats["size"] == 1
+        assert "capacity" not in stats
 
-    def test_version_mismatch_drops_the_entry(self):
-        cache = self._cache()
-        cache.put("g", "stale", 0)
-        assert cache.get("g", 3) is None
-        assert "g" not in cache
-        assert cache.stats()["stale_drops"] == 1
+    def test_version_mismatch_drops_the_entry(self, engine):
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        stale = engine._registered["g"].oracle
+        engine.graph("g").add_edge(*EDGE_E1)  # out-of-band: labels are wrong now
+        assert engine.oracle_stats("g")["state"] == "cold"
+        result = engine.evaluate("g", paper_pattern(), **self.COLD)
+        assert engine._registered["g"].oracle is not stale
+        stats = engine.oracle_cache_stats()
+        assert stats["stale_drops"] == 1 and stats["builds"] == 2
+        assert result.relation == match_bounded(
+            paper_graph(include_e1=True), paper_pattern()
+        ).relation
 
-    def test_refresh_version_extends_validity(self):
-        cache = self._cache()
-        cache.put("g", "labels", 0)
-        assert cache.refresh_version("g", 5)
-        assert cache.get("g", 5) == "labels"
-        assert cache.get("g", 0) is None  # old version now stale
-        assert cache.stats()["refreshes"] == 1
+    def test_refresh_version_extends_validity(self, engine):
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        labels = engine._registered["g"].oracle
+        before = engine.graph("g").version
+        engine.update_graph("g", [AttributeUpdate("Bob", "experience", 9)])
+        record = engine._registered["g"]
+        assert record.oracle is labels
+        assert record.oracle_version == engine.graph("g").version > before
+        assert engine.oracle_cache_stats()["refreshes"] == 1
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        assert engine.oracle_cache_stats()["builds"] == 1  # no rebuild
 
-    def test_refresh_of_absent_entry_is_a_noop(self):
-        cache = self._cache()
-        assert not cache.refresh_version("missing", 1)
-        assert cache.stats()["refreshes"] == 0
+    def test_refresh_of_absent_entry_is_a_noop(self, engine):
+        engine.update_graph("g", [AttributeUpdate("Bob", "experience", 9)])
+        stats = engine.oracle_cache_stats()
+        assert stats["refreshes"] == 0 and stats["size"] == 0
+        assert engine.oracle_stats("g")["state"] == "cold"
 
-    def test_lru_eviction(self):
-        cache = self._cache(capacity=2)
-        cache.put("a", 1, 0)
-        cache.put("b", 2, 0)
-        assert cache.get("a", 0) == 1  # touch: b becomes LRU
-        cache.put("c", 3, 0)
-        assert "b" not in cache and "a" in cache and "c" in cache
-        assert len(cache) == 2
+    def test_refresh_never_revives_stale_labels(self, engine):
+        """A distance-preserving batch arriving *after* an out-of-band
+        structural write must not re-stamp the outdated labels."""
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        engine.graph("g").add_edge(*EDGE_E1)
+        engine.update_graph("g", [AttributeUpdate("Bob", "experience", 9)])
+        assert engine.oracle_stats("g")["state"] == "cold"
+        assert engine.oracle_cache_stats()["refreshes"] == 0
+        result = engine.evaluate("g", paper_pattern(), **self.COLD)
+        assert result.relation == match_bounded(
+            engine.graph("g"), paper_pattern()
+        ).relation
 
-    def test_invalidate_graph(self):
-        cache = self._cache()
-        cache.put("g", 1, 0)
-        assert cache.invalidate_graph("g") == 1
-        assert cache.invalidate_graph("g") == 0
-        assert cache.stats()["invalidations"] == 1
+    def test_invalidate_graph(self, engine):
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        engine.update_graph("g", [EdgeInsertion(*EDGE_E1)])  # structural
+        assert engine._registered["g"].oracle is None
+        assert engine.oracle_cache_stats()["invalidations"] == 1
+        engine.update_graph("g", [EdgeDeletion(*EDGE_E1)])   # nothing held
+        assert engine.oracle_cache_stats()["invalidations"] == 1
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(CacheError):
-            self._cache(capacity=0)
-
-    def test_peek_skips_stats(self):
-        # peek() is deliberately version-blind: these tests exercise that
-        # contract itself, so the version-guard rule is waived here.
-        cache = self._cache()
-        cache.put("g", 1, 0)
-        entry = cache.peek("g")  # repro-lint: disable=cache-version-guard -- testing peek's own version-blind contract
-        assert entry is not None and entry.oracle == 1
-        assert cache.peek("missing") is None  # repro-lint: disable=cache-version-guard -- testing peek's own version-blind contract
-        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
+    def test_peek_skips_stats(self, engine):
+        """Introspection (oracle_stats, explain) reads the held labels
+        without counting a hit, dropping a stale one or building a cold one."""
+        engine.oracle_stats("g")
+        engine.explain("g", paper_pattern())
+        assert engine._registered["g"].oracle is None  # still cold
+        engine.evaluate("g", paper_pattern(), **self.COLD)
+        before = engine.oracle_cache_stats()
+        assert engine.oracle_stats("g")["state"] == "warm"
+        engine.explain("g", paper_pattern())
+        engine.graph("g").add_edge(*EDGE_E1)
+        assert engine.oracle_stats("g")["state"] == "cold"
+        engine.explain("g", paper_pattern())
+        assert engine._registered["g"].oracle is not None  # stale, not dropped
+        assert engine.oracle_cache_stats() == before

@@ -9,7 +9,7 @@ Three layers of guarantees:
   partitioning, the ranking Dijkstras —
   produces results identical to the dict-backed path it replaces (seeded
   differential sweeps reusing the shapes of ``tests/test_differential.py``);
-* the engine's ``SnapshotCache`` serves warm snapshots, detects stale ones
+* the engine holds one snapshot per graph, serves it warm, detects stale ones
   via ``Graph.version``, and every stale-snapshot misuse fails loudly.
 """
 
@@ -22,10 +22,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.engine.cache import SnapshotCache
 from repro.engine.engine import QueryEngine
 from repro.engine.parallel import ParallelExecutor
-from repro.errors import CacheError, EvaluationError, GraphError
+from repro.errors import EvaluationError, GraphError
 from repro.graph.digraph import Graph
 from repro.graph.distance import (
     bounded_ancestors,
@@ -390,35 +389,43 @@ class TestFrozenRanking:
 
 
 # ----------------------------------------------------------------------
-# the engine's snapshot cache
+# the engine's per-graph snapshot
 # ----------------------------------------------------------------------
 
 class TestSnapshotCache:
-    def test_capacity_validation(self):
-        with pytest.raises(CacheError):
-            SnapshotCache(capacity=0)
-
-    def test_hit_miss_stale(self, fig1):
-        cache = SnapshotCache(capacity=2)
-        assert cache.get("g", 0) is None
-        frozen = FrozenGraph.freeze(fig1)
-        cache.put("g", frozen, 7)
-        assert cache.get("g", 7) is frozen
-        assert cache.get("g", 8) is None  # version moved: dropped
-        assert "g" not in cache
-        stats = cache.stats()
+    def test_hit_miss_stale(self, fig1, fig1_query):
+        engine = QueryEngine()
+        engine.register_graph("g", fig1)
+        assert engine.snapshot_stats()["size"] == 0
+        cold = dict(use_cache=False, cache_result=False)
+        engine.evaluate("g", fig1_query, **cold)      # miss: build
+        held = engine._registered["g"].frozen
+        assert held is not None and held.matches(fig1)
+        engine.evaluate("g", fig1_query, **cold)      # hit
+        assert engine._registered["g"].frozen is held
+        fig1.add_node("late", field="SA")             # version moved: dropped
+        engine.evaluate("g", fig1_query, **cold)
+        fresh = engine._registered["g"].frozen
+        assert fresh is not held and fresh.matches(fig1)
+        stats = engine.snapshot_stats()
         assert stats["hits"] == 1 and stats["stale_drops"] == 1
-        assert stats["misses"] == 2 and stats["builds"] == 1
+        assert stats["misses"] == 2 and stats["builds"] == 2
+        assert stats["size"] == 1 and "capacity" not in stats
 
-    def test_lru_eviction_and_invalidation(self, fig1):
-        cache = SnapshotCache(capacity=2)
-        frozen = FrozenGraph.freeze(fig1)
-        cache.put("a", frozen, 1)
-        cache.put("b", frozen, 1)
-        cache.put("c", frozen, 1)
-        assert "a" not in cache and len(cache) == 2
-        assert cache.invalidate_graph("b") == 1
-        assert cache.invalidate_graph("b") == 0
+    def test_one_snapshot_per_graph_and_reregistration(self, fig1, fig1_query):
+        """Every registered graph keeps its own snapshot (nothing is
+        evicted); re-registering a name drops that graph's, once."""
+        engine = QueryEngine()
+        for name in "abc":
+            engine.register_graph(name, fig1)
+            engine.evaluate(name, fig1_query, use_cache=False, cache_result=False)
+        assert engine.snapshot_stats()["size"] == 3
+        assert engine.snapshot_stats()["builds"] == 3
+        engine.register_graph("b", fig1, replace=True)
+        stats = engine.snapshot_stats()
+        assert stats["size"] == 2 and stats["invalidations"] == 1
+        engine.register_graph("b", fig1, replace=True)  # nothing held: no count
+        assert engine.snapshot_stats()["invalidations"] == 1
 
     def test_engine_reuses_snapshot_across_queries(self, fig1, fig1_query):
         engine = QueryEngine()

@@ -5,7 +5,8 @@ a non-string attribute name) used to pass ``decode_updates``, be appended
 to the WAL and only then die untyped inside ``apply`` — a 500 for the
 client and, worse, a ``TypeError`` out of ``recover()`` on every later
 start.  And three kinds of unreadable body (bad ``Content-Length``,
-non-UTF-8 bytes, a nesting bomb) surfaced as 500s.  CI re-runs this file
+non-UTF-8 bytes, a nesting bomb) surfaced as 500s; a fourth — a
+``Content-Length`` larger than any legitimate request — was buffered whole.  CI re-runs this file
 alone under a wall-clock cap, so a hang on a malformed body is a visible
 timeout.
 """
@@ -155,6 +156,28 @@ class TestUnreadableBodies:
         assert "Content-Length" in error["message"] and length in error["message"]
         assert headers["Connection"] == "close"
         assert rest == b""  # one reply, then end of stream
+
+    @pytest.mark.parametrize("excess", [1, 10**18])
+    def test_oversized_content_length_is_refused_unread(self, server, excess):
+        """The announced length alone gets the 400: the handler must not
+        wait for (or buffer) the body — none of it is ever sent here, so a
+        handler that called ``rfile.read`` first would hang this test."""
+        from repro.server.app import MAX_BODY_BYTES
+
+        assert MAX_BODY_BYTES >= 64 * 1024 * 1024
+        length = MAX_BODY_BYTES + excess
+        request = _post(f"/graphs/{GRAPH_NAME}/evaluate", b"", str(length))
+        status, headers, error, rest = _raw(server.address, request)
+        assert status == 400
+        assert error["error"] == "ServerError"
+        assert "too large" in error["message"] and str(length) in error["message"]
+        assert headers["Connection"] == "close"
+        assert rest == b""
+        # An ordinary request is still read in full (and refused for what
+        # it says, not for its size).
+        ordinary = _post(f"/graphs/{GRAPH_NAME}/evaluate", b'{"pattern": 1}')
+        _status, _headers, error, _rest = _raw(server.address, ordinary)
+        assert "too large" not in error["message"]
 
     def test_non_utf8_body_is_400(self, server):
         request = _post(f"/graphs/{GRAPH_NAME}/evaluate", b'{"pattern": "\xff\xfe"}')

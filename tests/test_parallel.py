@@ -379,12 +379,20 @@ class TestPoolChurn:
         par._init_persistent_worker(counter)
         try:
             budget = QueryBudget(node_visits=100_000, allow_partial=True)
-            rows, info = par._shard_rows_guarded(
+            rows, info = par._shard_rows_shipped(
                 (payload, frozen.without_attrs(), None, budget)
             )
             assert counter.value > 0
             assert info["visits"] == counter.value
             assert rows
+            # The same task function serves unguarded calls: no budget in
+            # the task, no guard, the counter stays where it was.
+            charged = counter.value
+            unguarded_rows, info = par._shard_rows_shipped(
+                (payload, frozen.without_attrs(), None, None)
+            )
+            assert unguarded_rows == rows and info == {}
+            assert counter.value == charged
         finally:
             par._init_persistent_worker(None)
 
@@ -406,11 +414,240 @@ class TestPoolChurn:
         par._persistent_loads.clear()
         try:
             for path in paths:
-                resolved, _ = par._resolve_persistent(path, None)
+                resolved, _ = par._resolve_shipped(path, None)
                 assert resolved.num_nodes == 1
             assert len(par._persistent_loads) <= par._PERSISTENT_LOAD_SLOTS
             # A memo hit returns the same object, no reload
-            again, _ = par._resolve_persistent(paths[-1], None)
+            again, _ = par._resolve_shipped(paths[-1], None)
             assert again is resolved
         finally:
             par._persistent_loads.clear()
+
+
+class TestStateHasOneOwner:
+    """Worker state is a pool argument: no fan-out writes process-wide
+    state, so threads overlap; fork and spawn run the same initializers."""
+
+    @pytest.fixture
+    def case(self):
+        from repro.graph.generators import collaboration_graph
+        from repro.pattern.parser import parse_pattern
+
+        graph = collaboration_graph(300, seed=5)
+        pattern = parse_pattern(
+            """
+            node SA* : field == "SA"
+            node SD  : field == "SD"
+            node ST  : field == "ST"
+            edge SA -> SD : 2
+            edge SD -> ST : 2
+            edge ST -> SA : 3
+            """
+        )
+        expected = match_bounded(graph, pattern).relation
+        assert not expected.is_empty
+        return graph, pattern, expected
+
+    @pytest.mark.parametrize("warmed", [False, True], ids=["cold", "warmed"])
+    def test_threads_share_one_executor(self, case, warmed):
+        """Eight threads (four per core here) fan out through one executor
+        at once — cold: a dedicated pool each; warmed: tasks interleaved on
+        the persistent pool — and every one gets the sequential relation."""
+        import sys
+        import threading
+
+        from repro.graph.frozen import FrozenGraph
+
+        graph, pattern, expected = case
+        frozen = FrozenGraph.freeze(graph)
+        threads_n, rounds = 8, 3
+        relations: list = []
+        errors: list = []
+        start = threading.Barrier(threads_n)
+
+        def work(executor):
+            try:
+                start.wait(timeout=60)
+                for _ in range(rounds):
+                    result = executor.match(graph, pattern, frozen=frozen)
+                    assert result.stats["parallel"]["shipping"] == "shared-graph"
+                    relations.append(result.relation.to_dict())
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        with ParallelExecutor(workers=2) as executor:
+            assert not hasattr(executor, "_match_serial")
+            if warmed:
+                executor.warm()
+            executor.match(graph, pattern, frozen=frozen)  # imports settled
+            created = executor.pools_created
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=work, args=(executor,))
+                    for _ in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors == []
+            assert relations == [expected.to_dict()] * (threads_n * rounds)
+            # No lost update on the pool counter, no pool built by accident.
+            grown = 0 if warmed else threads_n * rounds
+            assert executor.pools_created == created + grown
+
+    def test_parent_installs_no_worker_state(self, case, monkeypatch):
+        """After every kind of fan-out the module's worker slots are as an
+        import left them: only pool initializers (in the children) write."""
+        from repro.engine import parallel as par
+        from repro.engine.estimator import QueryBudget
+        from repro.graph.frozen import FrozenGraph
+        from repro.ranking.topk import RankingContext
+
+        graph, pattern, expected = case
+        frozen = FrozenGraph.freeze(graph)
+        slots = ("_shard_state", "_batch_state", "_rank_state", "_persistent_counter")
+        monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
+        monkeypatch.setattr(ParallelExecutor, "RANK_FANOUT_THRESHOLD", 1)
+        with ParallelExecutor(workers=2) as executor:
+            result = executor.match(graph, pattern, frozen=frozen)
+            executor.match(
+                graph, pattern, frozen=frozen,
+                budget=QueryBudget(seconds=60.0, allow_partial=True),
+            )
+            executor.match(
+                graph, pattern, frozen=frozen,
+                budget=QueryBudget(node_visits=10**9),
+            )
+            executor.rank_many(
+                RankingContext(result.result_graph()), None,
+                sorted(expected.matches_of("SA")),
+            )
+            executor.build_oracle(frozen, top=4)
+        with ParallelExecutor(workers=1) as inline:
+            inline.match(graph, pattern, budget=QueryBudget(node_visits=10**9))
+        assert [getattr(par, slot) for slot in slots] == [None] * len(slots)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_every_fanout_under_both_start_methods(
+        self, case, start_method, monkeypatch
+    ):
+        """match (cold, timed, node-budgeted, warmed), match_many, rank_many
+        and build_oracle give the sequential answer under fork and under
+        spawn, through the same initializer functions."""
+        import multiprocessing
+
+        from repro.engine.estimator import QueryBudget
+        from repro.graph.frozen import FrozenGraph
+        from repro.graph.index import predicate_key
+        from repro.graph.oracle import DistanceOracle
+        from repro.ranking.topk import RankingContext, bulk_top_k_detail
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        graph, pattern, expected = case
+        frozen = FrozenGraph.freeze(graph)
+        oracle = DistanceOracle.build(frozen, top=4)
+        used: list[str] = []
+        real_pool = ParallelExecutor._dedicated_pool
+
+        def recording_pool(self, initializer, initargs):
+            used.append(initializer.__name__)
+            return real_pool(self, initializer=initializer, initargs=initargs)
+
+        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+        candidates = simulation_candidates(graph, pattern)
+        table = {keys[u]: candidates[u] for u in pattern.nodes()}
+        nodes = sorted(expected.matches_of("SA"))
+        reference = RankingContext(match_bounded(graph, pattern).result_graph())
+        ranked = bulk_top_k_detail(reference, len(nodes))
+
+        monkeypatch.setattr(ParallelExecutor, "_dedicated_pool", recording_pool)
+        # Small inputs must still fan out: several phase-two chunks, and
+        # no inline shortcut for a short ranking.
+        monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
+        monkeypatch.setattr(ParallelExecutor, "RANK_FANOUT_THRESHOLD", 1)
+        with ParallelExecutor(workers=2, start_method=start_method) as executor:
+            cold = executor.match(graph, pattern, frozen=frozen, oracle=oracle)
+            timed = executor.match(
+                graph, pattern, frozen=frozen, oracle=oracle,
+                budget=QueryBudget(seconds=120.0),
+            )
+            counted = executor.match(
+                graph, pattern, frozen=frozen, oracle=oracle,
+                budget=QueryBudget(node_visits=10**9),
+            )
+            warm = executor.match(graph, pattern, frozen=frozen, oracle=oracle)
+            many = executor.match_many(
+                graph, [(pattern, keys)] * 3, table, frozen=frozen, oracle=oracle
+            )
+            context = RankingContext(cold.result_graph())
+            details = executor.rank_many(context, None, nodes)
+            labels = executor.build_oracle(frozen, top=4)
+        for result in (cold, timed, counted, warm):
+            assert result.relation.to_dict() == expected.to_dict()
+        assert [relation for relation, _stats in many] == [expected] * 3
+        assert sorted(details, key=lambda d: (d.rank, str(d.node))) == sorted(
+            ranked, key=lambda d: (d.rank, str(d.node))
+        )
+        for attr in ("out_offsets", "out_hubs", "out_dists",
+                     "in_offsets", "in_hubs", "in_dists"):
+            assert getattr(labels, attr) == getattr(oracle, attr), attr
+        # Same functions whatever the start method — there is no second path.
+        assert used == [
+            "_init_shard_worker",   # cold dedicated pool
+            "_init_shard_worker",   # wall-clock route (kill-the-pool)
+            "_init_batch_worker",
+            "_init_rank_worker",
+            "set_build_context",
+        ]
+
+    def test_initializers_and_task_functions_inline(self, case):
+        """Drive each initializer + task function pair in-process (pool
+        children are invisible to coverage): what the initializer installs
+        is exactly what the task function computes over."""
+        import multiprocessing
+        import time
+
+        from repro.engine import parallel as par
+        from repro.engine.estimator import QueryBudget
+        from repro.graph.frozen import FrozenGraph
+        from repro.graph.index import predicate_key
+        from repro.graph.partition import decompose
+        from repro.ranking.topk import RankingContext
+
+        graph, pattern, expected = case
+        frozen = FrozenGraph.freeze(graph)
+        candidates = simulation_candidates(graph, pattern)
+        shards = decompose(graph, pattern, candidates, 2, frozen=frozen)
+        payloads = ParallelExecutor._shard_payloads(frozen, pattern, shards, candidates)
+        try:
+            par._init_shard_worker(frozen, None)
+            plain = [par._shard_rows(payload) for payload in payloads]
+            assert all(info == {} for _rows, info in plain)
+            counter = multiprocessing.get_context().Value("q", 0)
+            budget = QueryBudget(node_visits=10**9, seconds=60.0)
+            par._init_shard_worker(
+                frozen, None, (budget, counter, time.monotonic() + 60.0)
+            )
+            guarded = [par._shard_rows(payload) for payload in payloads]
+            assert [rows for rows, _ in guarded] == [rows for rows, _ in plain]
+            assert counter.value == sum(info["visits"] for _, info in guarded) > 0
+
+            keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+            table = {keys[u]: candidates[u] for u in pattern.nodes()}
+            par._init_batch_worker(graph, table, frozen, None, None)
+            relation, stats = par._batch_query((pattern, keys))
+            assert relation == expected and stats["algorithm"] == "bounded-simulation"
+
+            context = RankingContext(match_bounded(graph, pattern).result_graph())
+            nodes = sorted(expected.matches_of("SA"))[:5]
+            par._init_rank_worker(context, None)
+            assert par._rank_chunk(nodes) == [context.detail(v) for v in nodes]
+        finally:
+            par._shard_state = par._batch_state = par._rank_state = None

@@ -232,6 +232,47 @@ def test_parallel_time_limit_aborts_in_flight_shards():
     assert result.stats["guard"] == GUARD_TIME_LIMIT
 
 
+def test_guard_tripping_between_the_two_checks_leaves_sound_rows():
+    """Another worker can blow the shared budget between a source group's
+    two ``should_stop()`` checks (group admitted, enumeration refused).
+    That used to raise ``UnboundLocalError: kernel`` in the route relabel;
+    the group must instead keep its empty rows and its estimated routes."""
+    from repro.engine.estimator import QueryGuard
+    from repro.graph.frozen import FrozenGraph
+    from repro.matching.bounded import frozen_successor_rows
+
+    class ScriptedGuard(QueryGuard):
+        """``should_stop()`` answers from a script; no clock, no counter."""
+
+        def __init__(self, answers):
+            super().__init__(QueryBudget(node_visits=10**9, allow_partial=True))
+            self.answers = list(answers)
+
+        def should_stop(self):
+            return self.answers.pop(0)
+
+    frozen = FrozenGraph.freeze(star_graph(6))
+    everyone = frozenset(range(frozen.num_nodes))
+    out_edges = {"Q0": [("Q1", None)]}
+    candidates = {"Q0": everyone, "Q1": everyone}
+
+    guard = ScriptedGuard([False, True])
+    log: dict = {}
+    rows = frozen_successor_rows(
+        frozen, out_edges, candidates, kernel_log=log, guard=guard
+    )
+    assert guard.answers == []  # both checks were consulted, in order
+    assert rows == {("Q0", "Q1"): {source: {} for source in everyone}}
+    assert set(log) == {("Q0", "Q1")}
+
+    # The same call with the guard never tripping fills every row, so the
+    # empty rows above were the guard's doing, not the input's.
+    filled = frozen_successor_rows(
+        frozen, out_edges, candidates, guard=ScriptedGuard([False] * 10_000)
+    )
+    assert all(filled[("Q0", "Q1")].values())
+
+
 def test_simulation_patterns_are_never_guarded():
     """Guards cover the bounded matcher only; all-bounds-1 queries run the
     quadratic simulation matcher, which cannot bomb — and must not report

@@ -3,7 +3,7 @@
 The byte-identity of store-served evaluation lives in
 tests/test_differential.py; this module covers the persistence machinery
 itself — the on-disk format and its validation failures, the catalogue
-CRUD, cache fault-in accounting, atomic writes, and path shipping into
+CRUD, the engine's fault-in accounting, atomic writes, and path shipping into
 spawn-started pool workers.
 """
 
@@ -17,7 +17,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.engine.cache import OracleCache, SnapshotCache
 from repro.engine.engine import QueryEngine
 from repro.engine.estimator import QueryBudget
 from repro.engine.parallel import ParallelExecutor
@@ -396,87 +395,119 @@ class TestCatalogue:
 # cache fault-in
 # ----------------------------------------------------------------------
 
-class TestSnapshotFaultIn:
-    def test_no_store_is_a_plain_miss(self, fig1):
-        cache = SnapshotCache(capacity=2)
-        assert cache.get("team", fig1.version) is None
-        assert cache.stats()["fault_ins"] == 0
-        assert cache.stats()["fault_in_errors"] == 0
+def _cold_engine(store, graph) -> QueryEngine:
+    """A fresh engine over ``store`` with ``graph`` registered as "team"."""
+    engine = QueryEngine(store=store)
+    engine.register_graph("team", graph)
+    return engine
 
-    def test_miss_faults_in_from_disk(self, store, fig1, frozen):
+
+COLD = dict(use_cache=False, cache_result=False)
+
+
+class TestSnapshotFaultIn:
+    def test_no_store_is_a_plain_miss(self, fig1, fig1_query):
+        engine = _cold_engine(None, fig1)
+        engine.evaluate("team", fig1_query, **COLD)
+        stats = engine.snapshot_stats()
+        assert stats["misses"] == 1 and stats["builds"] == 1
+        assert stats["fault_ins"] == 0
+        assert stats["fault_in_errors"] == 0
+
+    def test_miss_faults_in_from_disk(self, store, fig1, fig1_query, frozen):
         store.save_snapshot("team", frozen)
-        cache = SnapshotCache(capacity=2, store=store)
-        loaded = cache.get("team", fig1.version)
-        assert loaded is not None
-        assert loaded.matches(fig1)
-        stats = cache.stats()
+        engine = _cold_engine(store, fig1)
+        result = engine.evaluate("team", fig1_query, **COLD)
+        loaded = engine._registered["team"].frozen
+        assert loaded.path is not None and loaded.matches(fig1)
+        assert result.relation == match_bounded(fig1, fig1_query).relation
+        stats = engine.snapshot_stats()
         assert stats["fault_ins"] == 1
         assert stats["builds"] == 0
         assert stats["misses"] == 1
         # Second read is a warm in-memory hit, not another mmap.
-        assert cache.get("team", fig1.version) is loaded
-        assert cache.stats()["hits"] == 1
+        engine.evaluate("team", fig1_query, **COLD)
+        assert engine._registered["team"].frozen is loaded
+        assert engine.snapshot_stats()["hits"] == 1
 
-    def test_absent_file_is_not_an_error(self, store, fig1):
-        cache = SnapshotCache(capacity=2, store=store)
-        assert cache.get("team", fig1.version) is None
-        assert cache.stats()["fault_in_errors"] == 0
+    def test_absent_file_is_not_an_error(self, store, fig1, fig1_query):
+        engine = _cold_engine(store, fig1)
+        engine.evaluate("team", fig1_query, **COLD)
+        stats = engine.snapshot_stats()
+        assert stats["fault_in_errors"] == 0 and stats["builds"] == 1
 
-    def test_stale_file_falls_back_to_rebuild(self, store, fig1, frozen):
+    def test_stale_file_falls_back_to_rebuild(self, store, fig1, fig1_query, frozen):
         store.save_snapshot("team", frozen)
-        cache = SnapshotCache(capacity=2, store=store)
-        assert cache.get("team", fig1.version + 1) is None
-        assert cache.stats()["fault_in_errors"] == 1
-        assert cache.stats()["fault_ins"] == 0
+        fig1.remove_edge("Dan", "Eva")  # the file now describes another graph
+        engine = _cold_engine(store, fig1)
+        result = engine.evaluate("team", fig1_query, **COLD)
+        stats = engine.snapshot_stats()
+        assert stats["fault_in_errors"] == 1
+        assert stats["fault_ins"] == 0 and stats["builds"] == 1
+        assert result.relation == match_bounded(fig1, fig1_query).relation
 
-    def test_corrupt_file_falls_back_to_rebuild(self, store, fig1, frozen):
+    def test_corrupt_file_falls_back_to_rebuild(self, store, fig1, fig1_query, frozen):
         store.save_snapshot("team", frozen)
         path = store.root / "snapshots" / "team.frozen.snap"
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        cache = SnapshotCache(capacity=2, store=store)
-        assert cache.get("team", fig1.version) is None
-        assert cache.stats()["fault_in_errors"] == 1
+        engine = _cold_engine(store, fig1)
+        result = engine.evaluate("team", fig1_query, **COLD)
+        stats = engine.snapshot_stats()
+        assert stats["fault_in_errors"] == 1 and stats["builds"] == 1
+        assert result.relation == match_bounded(fig1, fig1_query).relation
 
-    def test_put_counts_builds_not_fault_ins(self, fig1, frozen):
-        cache = SnapshotCache(capacity=2)
-        cache.put("team", frozen, fig1.version)
-        assert cache.stats()["builds"] == 1
-        assert cache.stats()["fault_ins"] == 0
+    def test_put_counts_builds_not_fault_ins(self, store, fig1, fig1_query):
+        engine = _cold_engine(store, fig1)
+        engine.persist_snapshot("team")  # freezes, then writes the file
+        stats = engine.snapshot_stats()
+        assert stats["builds"] == 1
+        assert stats["fault_ins"] == 0
 
 
 class TestOracleFaultIn:
-    def test_miss_faults_in_from_disk(self, store, fig1, oracle):
-        store.save_oracle("team", oracle)
-        cache = OracleCache(capacity=2, store=store)
-        loaded = cache.get("team", fig1.version)
-        assert loaded is not None
-        assert loaded.cap == oracle.cap
-        assert cache.stats()["fault_ins"] == 1
-        assert cache.stats()["builds"] == 0
+    def _enabled(self, store, graph, cap) -> QueryEngine:
+        engine = _cold_engine(store, graph)
+        engine.enable_oracle("team", cap=cap)
+        return engine
 
-    def test_cap_mismatch_skips_the_file(self, store, fig1, oracle):
+    def test_miss_faults_in_from_disk(self, store, fig1, fig1_query, oracle):
         store.save_oracle("team", oracle)
-        cache = OracleCache(capacity=2, store=store)
-        assert cache.get("team", fig1.version, config={"cap": 9}) is None
-        stats = cache.stats()
+        engine = self._enabled(store, fig1, oracle.cap)
+        result = engine.evaluate("team", fig1_query, **COLD)
+        loaded = engine._registered["team"].oracle
+        assert loaded.path is not None and loaded.cap == oracle.cap
+        assert engine.oracle_cache_stats()["fault_ins"] == 1
+        assert engine.oracle_cache_stats()["builds"] == 0
+        assert engine.oracle_stats("team")["state"] == "warm"
+        assert result.relation == match_bounded(fig1, fig1_query).relation
+
+    def test_cap_mismatch_skips_the_file(self, store, fig1, fig1_query, oracle):
+        store.save_oracle("team", oracle)
+        engine = self._enabled(store, fig1, 9)
+        engine.evaluate("team", fig1_query, **COLD)
+        assert engine._registered["team"].oracle.cap == 9  # rebuilt as asked
+        stats = engine.oracle_cache_stats()
         # A cap mismatch is a config decision, not a corrupt file.
         assert stats["fault_ins"] == 0
         assert stats["fault_in_errors"] == 0
+        assert stats["builds"] == 1
 
     def test_matching_cap_faults_in(self, store, fig1, oracle):
         store.save_oracle("team", oracle)
-        cache = OracleCache(capacity=2, store=store)
-        loaded = cache.get("team", fig1.version, config={"cap": oracle.cap})
-        assert loaded is not None
-        assert cache.stats()["fault_ins"] == 1
+        engine = self._enabled(store, fig1, oracle.cap)
+        assert engine.warm_oracle("team")["state"] == "warm"
+        assert engine.oracle_cache_stats()["fault_ins"] == 1
 
-    def test_stale_file_falls_back_to_rebuild(self, store, fig1, oracle):
+    def test_stale_file_falls_back_to_rebuild(self, store, fig1, fig1_query, oracle):
         store.save_oracle("team", oracle)
-        cache = OracleCache(capacity=2, store=store)
-        assert cache.get("team", fig1.version + 1) is None
-        assert cache.stats()["fault_in_errors"] == 1
+        fig1.remove_edge("Dan", "Eva")
+        engine = self._enabled(store, fig1, oracle.cap)
+        result = engine.evaluate("team", fig1_query, **COLD)
+        stats = engine.oracle_cache_stats()
+        assert stats["fault_in_errors"] == 1 and stats["builds"] == 1
+        assert result.relation == match_bounded(fig1, fig1_query).relation
 
 
 # ----------------------------------------------------------------------
