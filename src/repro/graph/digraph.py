@@ -174,6 +174,10 @@ class Graph:
     def version(self) -> int:
         """Mutation counter, bumped by every structural or attribute change.
 
+        The count belongs to the *content*: :meth:`copy`, the JSON round
+        trip and ``FrozenGraph.to_graph`` hand it on (:meth:`carry_version`),
+        so within one lineage equal versions mean equal content.
+
         Engine-owned artefacts (:class:`~repro.graph.index.AttributeIndex`,
         each graph's :class:`~repro.graph.frozen.FrozenGraph` snapshot and
         distance oracle) compare this against the version they last synchronized
@@ -192,6 +196,19 @@ class Graph:
         3
         """
         return self._version
+
+    def carry_version(self, version: int) -> "Graph":
+        """Stamp a rebuilt graph with the mutation count of its content.
+
+        The one sanctioned way to hand a :attr:`version` on.  A rebuild
+        replays ``add_node``/``add_edge`` and so restarts the counter at a
+        function of the graph's *size*: two states of one lineage would
+        collide in every version-keyed cache, snapshot file and checkpoint.
+        """
+        if isinstance(version, bool) or not isinstance(version, int) or version < 0:
+            raise GraphError(f"graph version must be a non-negative integer: {version!r}")
+        self._version = version
+        return self
 
     def __len__(self) -> int:
         return len(self._attrs)
@@ -280,13 +297,13 @@ class Graph:
     # derivation
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "Graph":
-        """An independent deep-enough copy (attribute dicts are copied)."""
+        """An independent deep-enough copy (attribute dicts copied, version kept)."""
         clone = Graph(name=self.name if name is None else name)
         for node, attrs in self._attrs.items():
             clone.add_node(node, **attrs)
         for source, target in self.edges():
             clone.add_edge(source, target)
-        return clone
+        return clone.carry_version(self._version)
 
     def subgraph(self, nodes: Iterable[NodeId], name: str = "") -> "Graph":
         """The induced subgraph on ``nodes`` (unknown ids raise)."""

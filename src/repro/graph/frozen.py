@@ -308,10 +308,11 @@ class FrozenGraph:
 
         Compares the recorded ``source_version`` against ``graph.version``
         plus node/edge counts and O(1) label spot checks (first/last label
-        membership and the first label's out-degree).  This reliably
-        catches stale snapshots of the *same* graph — the failure mode the
-        engine's caches care about — and most accidental cross-graph
-        mix-ups; it is not a cryptographic identity proof.
+        membership and the first label's out-degree).  The version travels
+        with the content (``Graph.carry_version``), so this tells any two
+        states of one lineage apart, reloaded ones included — the failure
+        mode the engine's caches care about — and most accidental
+        cross-graph mix-ups; it is not a cryptographic identity proof.
         """
         if (
             self.source_version != graph.version
@@ -355,7 +356,7 @@ class FrozenGraph:
     # round trip
     # ------------------------------------------------------------------
     def to_graph(self, name: str | None = None) -> Graph:
-        """Reconstruct an equal :class:`Graph` (labels, edges, attributes)."""
+        """Reconstruct an equal :class:`Graph` (labels, edges, attributes, version)."""
         values = self._values
         attr_rows: list[dict[str, Any]] = [{} for _ in self.labels]
         for attr, column in self._column_dicts().items():
@@ -368,7 +369,7 @@ class FrozenGraph:
         for index, label in enumerate(labels):
             for position in range(offsets[index], offsets[index + 1]):
                 graph.add_edge(label, labels[targets[position]])
-        return graph
+        return graph.carry_version(self.source_version)
 
     # ------------------------------------------------------------------
     # flat-buffer codec (binary snapshot files)

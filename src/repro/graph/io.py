@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.errors import StorageError
+from repro.errors import GraphError, StorageError
 from repro.graph.digraph import Graph
 
 FORMAT_VERSION = 1
@@ -67,7 +67,7 @@ def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> Path:
 
 
 def graph_to_dict(graph: Graph) -> dict[str, Any]:
-    """A JSON-ready dictionary representation of ``graph``."""
+    """A JSON-ready dictionary representation of ``graph``, version included."""
     for node in graph.nodes():
         # bool is an int subclass, but True/False serialize as JSON
         # true/false and would load back as 1/0 — silently colliding with
@@ -80,6 +80,7 @@ def graph_to_dict(graph: Graph) -> dict[str, Any]:
         "format": "repro.graph",
         "version": FORMAT_VERSION,
         "name": graph.name,
+        "graph_version": graph.version,
         "nodes": [{"id": node, "attrs": dict(graph.attrs(node))} for node in graph.nodes()],
         "edges": [[source, target] for source, target in graph.edges()],
     }
@@ -99,6 +100,12 @@ def graph_from_dict(payload: dict[str, Any]) -> Graph:
             graph.add_edge(source, target)
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"malformed graph payload: {exc}") from exc
+    # Optional: a payload written without the key keeps the rebuild's count.
+    if "graph_version" in payload:
+        try:
+            graph.carry_version(payload["graph_version"])
+        except GraphError as exc:
+            raise StorageError(f"malformed graph payload: {exc}") from exc
     return graph
 
 

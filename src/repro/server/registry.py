@@ -5,23 +5,24 @@ pair for milliseconds to seconds, while ``update_graph`` batches arrive
 concurrently.  Classic reader/writer locking makes one side wait; the
 registry instead versions the world into **epochs**:
 
-* every epoch owns a *private* :class:`~repro.graph.digraph.Graph` copy,
-  its frozen CSR snapshot, the (optional) distance oracle built from the
-  same lineage, an attribute index and per-epoch query/rank caches —
-  all immutable or internally locked, so any number of reader threads
-  evaluate against one epoch without coordination;
+* every epoch owns one :class:`~repro.graph.digraph.Graph` (the graph
+  its batch produced, never mutated after install), its frozen CSR
+  snapshot, the (optional) distance oracle built from the same lineage,
+  an attribute index and per-epoch query/rank caches — all immutable or
+  internally locked, so any number of reader threads evaluate against
+  one epoch without coordination;
 * readers :meth:`~SnapshotRegistry.pin` the current epoch through a
   refcounted :class:`EpochHandle`; the pin guarantees the epoch's
   snapshots stay alive for the whole query even if newer epochs publish
   meanwhile;
 * a writer applies its update batch to a *scratch copy* of the
-  registry's master graph (readers never touch either) which replaces
-  the master only once the whole batch has succeeded — a primitive that
-  raises mid-batch leaves the served state untouched — then builds the
-  next epoch off the result and swaps the ``current`` pointer under the
-  registry lock: one pointer assignment is the entire critical section
-  readers can observe, so a query sees either epoch N or N+1 in full,
-  never a half-applied batch;
+  registry's master graph — the one copy a publish makes — which
+  becomes the master, and the next epoch's graph, only once the whole
+  batch has succeeded — a primitive that raises mid-batch leaves the
+  served state untouched — then freezes it and swaps the ``current``
+  pointer under the registry lock: one pointer assignment is the entire
+  critical section readers can observe, so a query sees either epoch N
+  or N+1 in full, never a half-applied batch;
 * when the last pin on a superseded epoch drains, the epoch is retired
   and its snapshots become garbage.
 
@@ -61,9 +62,9 @@ from repro.testing.faults import fault_point
 class Epoch:
     """One immutable published version of a graph, self-sufficient for reads.
 
-    The graph object is private to the epoch (a copy of the master at
-    publish time), so its version/attributes can never change under a
-    reader.  Candidate generation shares the epoch's lazily-built
+    The graph object is the batch's own graph, never mutated after install
+    (the next batch works on a copy of it), so its version/attributes can
+    never change under a reader.  Candidate generation shares the epoch's lazily-built
     :class:`AttributeIndex` and is serialized by a per-epoch lock (the
     index memoizes postings on first use); matching itself runs unlocked
     over the frozen snapshot.
@@ -277,7 +278,11 @@ class EpochHandle:
 
 
 class _GraphState:
-    """Registry-internal per-graph record: master graph + epoch chain."""
+    """Registry-internal per-graph record: master graph + epoch chain.
+
+    ``master`` is ``current.graph`` unless the last epoch build degraded:
+    then it is ahead by the batches that applied but could not be frozen.
+    """
 
     __slots__ = (
         "master",
@@ -367,25 +372,9 @@ class SnapshotRegistry:
         with self._lock:
             if name in self._graphs and not replace:
                 raise ServerError(f"graph {name!r} already registered")
-        state = _GraphState(graph, oracle)
-        with state.write_lock:
-            epoch = self._build_epoch(name, state, prior=None)
-            with self._lock:
-                self._drain_leaked_locked()
-                # Re-check under the installing lock: a concurrent
-                # register() may have won the name while this one was
-                # building its epoch off-lock, and overwriting would
-                # silently drop the winner's published epoch.
-                if name in self._graphs and not replace:
-                    raise ServerError(f"graph {name!r} already registered")
-                self._graphs[name] = state
-                self._install(state, epoch)
-        # A synchronous baseline checkpoint: once register() returns, the
-        # graph is recoverable — every later WAL record replays over this
-        # artifact, so acknowledgement implies durability from batch one.
-        if self._checkpointer is not None:
-            self._checkpointer.checkpoint(name)
-        return epoch
+        # The registry's own copy: a later write to the caller's object
+        # has no WAL record behind it and must never reach an epoch.
+        return self._adopt(name, _GraphState(graph.copy(), oracle), replace)
 
     def preload(self, name: str, oracle: dict[str, Any] | None = None) -> Epoch:
         """Warm-start a graph from the store: mmap snapshots, no freeze.
@@ -414,20 +403,9 @@ class SnapshotRegistry:
                 self.counters["fault_ins"] += 1
             if oracle is None:
                 oracle = {}
-        state = _GraphState(graph, oracle)
-        with state.write_lock:
-            epoch = self._build_epoch(
-                name, state, prior=None, frozen=frozen, oracle_obj=loaded_oracle
-            )
-            with self._lock:
-                self._drain_leaked_locked()
-                if name in self._graphs:
-                    raise ServerError(f"graph {name!r} already registered")
-                self._graphs[name] = state
-                self._install(state, epoch)
-        if self._checkpointer is not None:
-            self._checkpointer.checkpoint(name)
-        return epoch
+        return self._adopt(
+            name, _GraphState(graph, oracle), frozen=frozen, oracle_obj=loaded_oracle
+        )
 
     def attach_checkpointer(self, checkpointer: Any) -> None:
         """Wire the (service-owned) checkpointer into the publish path."""
@@ -440,13 +418,7 @@ class SnapshotRegistry:
         """Pin the current epoch of ``name`` for the caller's lifetime."""
         with self._lock:
             self._drain_leaked_locked()
-            state = self._graphs.get(name)
-            if state is None or state.current is None:
-                known = ", ".join(sorted(self._graphs)) or "none"
-                raise ServerError(
-                    f"unknown graph: {name!r} (registered: {known})"
-                )
-            epoch = state.current
+            epoch = self._state_locked(name).current
             epoch._pins += 1
             return EpochHandle(epoch, self)
 
@@ -478,13 +450,7 @@ class SnapshotRegistry:
     def current_epoch(self, name: str) -> Epoch:
         """The current epoch without pinning (metadata/stats paths only)."""
         with self._lock:
-            state = self._graphs.get(name)
-            if state is None or state.current is None:
-                known = ", ".join(sorted(self._graphs)) or "none"
-                raise ServerError(
-                    f"unknown graph: {name!r} (registered: {known})"
-                )
-            return state.current
+            return self._state_locked(name).current
 
     def graphs(self) -> list[str]:
         with self._lock:
@@ -497,11 +463,12 @@ class SnapshotRegistry:
         """Apply an update batch and atomically publish the next epoch.
 
         The batch is all-or-nothing: primitives apply to a *scratch* copy
-        of the master graph, which becomes the new master only once every
-        primitive has succeeded.  A primitive that raises mid-batch (e.g.
-        removing a missing edge — any HTTP client can send one and gets a
-        400 back) therefore leaves the served state exactly as it was; no
-        later publish can build an epoch from a half-applied prefix.
+        of the master graph, which becomes the new master — and the new
+        epoch's graph, uncopied — only once every primitive has succeeded.
+        A primitive that raises mid-batch (e.g. removing a missing edge —
+        any HTTP client can send one and gets a 400 back) therefore leaves
+        the served state exactly as it was; no later publish can build an
+        epoch from a half-applied prefix.
         In-flight queries keep their pinned epoch; new pins see the new
         epoch only after the pointer swap, so no request can observe a
         partially-applied batch.
@@ -515,12 +482,7 @@ class SnapshotRegistry:
         skipped, so the log needs no commit/abort records.
         """
         with self._lock:
-            state = self._graphs.get(name)
-            known = "" if state is not None else (
-                ", ".join(sorted(self._graphs)) or "none"
-            )
-        if state is None:
-            raise ServerError(f"unknown graph: {name!r} (registered: {known})")
+            state = self._state_locked(name)
         with state.write_lock:
             lsn: int | None = None
             if self.wal is not None:
@@ -532,7 +494,7 @@ class SnapshotRegistry:
                 wire_batch = [encode_update(update) for update in updates]
                 lsn = self.wal.append(name, wire_batch, state.master.version)
                 state.appended_lsn = lsn
-            scratch = state.master.copy(name=state.master.name)
+            scratch = state.master.copy()
             oracle_survives = True
             try:
                 for update in updates:
@@ -584,9 +546,7 @@ class SnapshotRegistry:
                         if state.live.pop(prior.epoch_id, None):
                             self.counters["epochs_retired"] += 1
         if self._checkpointer is not None:
-            self._checkpointer.notify(
-                name, appended_bytes=self.wal.last_frame_bytes if self.wal else 0
-            )
+            self._checkpointer.notify(name)
         return epoch
 
     # ------------------------------------------------------------------
@@ -637,7 +597,6 @@ class SnapshotRegistry:
                     f"{graph.version}, metadata says "
                     f"{checkpoint['graph_version']} — checkpoint is corrupt"
                 )
-            graph = graph.copy(name=name)
             frozen = None
             if self.store.artifacts(artifact)["snapshot"]:
                 frozen = self.store.load_snapshot(
@@ -650,7 +609,7 @@ class SnapshotRegistry:
             for record in pending.get(name, []):
                 if record.lsn <= checkpoint["lsn"]:
                     continue
-                scratch = graph.copy(name=name)
+                scratch = graph.copy()
                 try:
                     for update in decode_updates({"updates": record.updates}):
                         for primitive in decompose(scratch, update):
@@ -665,14 +624,8 @@ class SnapshotRegistry:
             state = _GraphState(graph, None)
             state.appended_lsn = last_lsn
             state.applied_lsn = last_lsn
-            with state.write_lock:
-                epoch = self._build_epoch(name, state, prior=None, frozen=frozen)
-                with self._lock:
-                    self._drain_leaked_locked()
-                    if name in self._graphs:
-                        raise ServerError(f"graph {name!r} already registered")
-                    self._graphs[name] = state
-                    self._install(state, epoch)
+            # no baseline: the checkpoint just loaded covers this graph
+            epoch = self._adopt(name, state, frozen=frozen, baseline=False)
             report[name] = {
                 "status": "recovered",
                 "replayed": replayed,
@@ -733,15 +686,16 @@ class SnapshotRegistry:
         frozen: FrozenGraph | None = None,
         oracle_obj: DistanceOracle | None = None,
     ) -> Epoch:
-        """Copy + freeze + (carry | build | skip) oracle, outside any swap.
+        """Freeze + (carry | build | skip) oracle, outside any swap.
 
         Called under the graph's write lock but *not* the registry lock —
-        the expensive work (graph copy, CSR freeze, adjacency prewarm,
-        possible oracle build) happens while readers continue against the
-        previous epoch untouched.
+        the expensive work (CSR freeze, adjacency prewarm, possible oracle
+        build) happens while readers continue against the previous epoch
+        untouched.  The epoch serves ``state.master`` itself, uncopied:
+        nothing writes to a master in place.
         """
         fault_point("registry.rebuild")
-        graph = state.master.copy(name=state.master.name)
+        graph = state.master
         if frozen is None:
             frozen = FrozenGraph.freeze(graph)
             with self._lock:
@@ -782,6 +736,45 @@ class SnapshotRegistry:
         state.next_epoch_id += 1
         return epoch
 
+    def _state_locked(self, name: str) -> _GraphState:
+        """The record of a served graph.  Caller holds the registry lock."""
+        state = self._graphs.get(name)
+        if state is None or state.current is None:
+            known = ", ".join(sorted(self._graphs)) or "none"
+            raise ServerError(f"unknown graph: {name!r} (registered: {known})")
+        return state
+
+    def _adopt(
+        self,
+        name: str,
+        state: _GraphState,
+        replace: bool = False,
+        frozen: FrozenGraph | None = None,
+        oracle_obj: DistanceOracle | None = None,
+        baseline: bool = True,
+    ) -> Epoch:
+        """Build ``state``'s first epoch off-lock and serve it as ``name``."""
+        with state.write_lock:
+            epoch = self._build_epoch(
+                name, state, prior=None, frozen=frozen, oracle_obj=oracle_obj
+            )
+            with self._lock:
+                self._drain_leaked_locked()
+                # Checked under the installing lock: a concurrent
+                # register() may have won the name while this epoch was
+                # being built off-lock, and overwriting would silently
+                # drop the winner's published epoch.
+                if name in self._graphs and not replace:
+                    raise ServerError(f"graph {name!r} already registered")
+                self._graphs[name] = state
+                self._install(state, epoch)
+        # A synchronous baseline checkpoint: once register() returns, the
+        # graph is recoverable — every later WAL record replays over this
+        # artifact, so acknowledgement implies durability from batch one.
+        if baseline and self._checkpointer is not None:
+            self._checkpointer.checkpoint(name)
+        return epoch
+
     def _install(self, state: _GraphState, epoch: Epoch) -> None:
         """The atomic publish: one pointer swap under the registry lock."""
         state.current = epoch
@@ -797,12 +790,8 @@ class SnapshotRegistry:
             self._drain_leaked_locked()
             graphs = {
                 name: {
-                    "current_epoch": (
-                        state.current.epoch_id if state.current else None
-                    ),
-                    "graph_version": (
-                        state.current.graph.version if state.current else None
-                    ),
+                    "current_epoch": state.current.epoch_id,
+                    "graph_version": state.current.graph.version,
                     "live_epochs": len(state.live),
                     "pins": sum(e._pins for e in state.live.values()),
                     "oracle": state.oracle_config is not None,
@@ -812,16 +801,11 @@ class SnapshotRegistry:
                 for name, state in sorted(self._graphs.items())
             }
             counters = dict(self.counters)
-        cache_totals: dict[str, Any] = {}
-        for name in graphs:
-            try:
-                epoch = self.current_epoch(name)
-            except ReproError:  # pragma: no cover - racing a deregister
-                continue
-            cache_totals[name] = {
-                "cache": epoch.cache.stats(),
-                "rank_cache": epoch.rank_cache.stats(),
-            }
+            current = {name: state.current for name, state in self._graphs.items()}
+        cache_totals = {
+            name: {"cache": epoch.cache.stats(), "rank_cache": epoch.rank_cache.stats()}
+            for name, epoch in sorted(current.items())
+        }
         return {"graphs": graphs, "counters": counters, "caches": cache_totals}
 
     def live_epochs(self, name: str) -> list[Epoch]:

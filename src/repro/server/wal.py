@@ -12,7 +12,7 @@ framing, atomic ``os.replace`` for metadata):
   fsync policy, synced) **before** the batch touches the master graph,
   so an acknowledged publish is on disk by construction.
 * :class:`Checkpointer` — debounced snapshot persistence: every N
-  batches/bytes it captures the current epoch (immutable, so the work
+  batches it captures the current epoch (immutable, so the work
   happens off the write lock), persists the graph + frozen snapshot into
   the :class:`~repro.engine.storage.GraphStore` under an LSN-stamped
   artifact name, atomically replaces the checkpoint metadata, and
@@ -556,12 +556,12 @@ class Checkpointer:
     """Debounced snapshot persistence + WAL truncation.
 
     ``notify(graph)`` is cheap bookkeeping on the publish path; when a
-    graph crosses ``every_batches`` (or ``every_bytes`` appended) the
-    actual checkpoint runs — on the background thread by default, inline
-    in ``background=False`` mode (deterministic tests and the crash
-    sweep).  The work never holds the registry write lock: it captures
-    the current epoch (immutable by construction) plus its applied LSN
-    under the registry mutex, then persists off-lock.
+    graph crosses ``every_batches`` the actual checkpoint runs — on the
+    background thread by default, inline in ``background=False`` mode
+    (deterministic tests and the crash sweep).  The work never holds the
+    registry write lock: it captures the current epoch (immutable by
+    construction) plus its applied LSN under the registry mutex, then
+    persists off-lock.
     """
 
     def __init__(
@@ -570,21 +570,17 @@ class Checkpointer:
         wal: WriteAheadLog,
         store: Any,
         every_batches: int = 64,
-        every_bytes: int | None = None,
         background: bool = True,
     ) -> None:
         if every_batches < 1:
             raise WalError(f"checkpoint every_batches must be >= 1: {every_batches}")
-        if every_bytes is not None and every_bytes < 1:
-            raise WalError(f"checkpoint every_bytes must be >= 1: {every_bytes}")
         self.registry = registry
         self.wal = wal
         self.store = store
         self.every_batches = every_batches
-        self.every_bytes = every_bytes
         self.background = background
         self._lock = threading.Lock()
-        self._pending: dict[str, dict[str, int]] = {}
+        self._pending: dict[str, int] = {}
         self._checkpointed_lsn: dict[str, int] = {
             name: meta["lsn"] for name, meta in wal.read_checkpoints().items()
         }
@@ -601,15 +597,11 @@ class Checkpointer:
             self._thread.start()
 
     # ------------------------------------------------------------------
-    def notify(self, graph: str, appended_bytes: int = 0) -> None:
+    def notify(self, graph: str) -> None:
         """Record one published batch; trigger a checkpoint past threshold."""
         with self._lock:
-            entry = self._pending.setdefault(graph, {"batches": 0, "bytes": 0})
-            entry["batches"] += 1
-            entry["bytes"] += appended_bytes
-            due = entry["batches"] >= self.every_batches or (
-                self.every_bytes is not None and entry["bytes"] >= self.every_bytes
-            )
+            self._pending[graph] = self._pending.get(graph, 0) + 1
+            due = self._pending[graph] >= self.every_batches
             if due:
                 self._dirty.add(graph)
         if due:
@@ -721,10 +713,9 @@ class Checkpointer:
         with self._lock:
             return {
                 "every_batches": self.every_batches,
-                "every_bytes": self.every_bytes,
                 "background": self.background,
                 "checkpointed_lsn": dict(self._checkpointed_lsn),
-                "pending": {name: dict(entry) for name, entry in self._pending.items()},
+                "pending": dict(self._pending),
                 "last_error": self.last_error,
                 **self.counters,
             }

@@ -298,12 +298,12 @@ def run_crash_sweep(
 
 
 def canonical_form(graph: Graph) -> str:
-    """The canonical serialized form of a graph's *content*.
+    """The canonical serialized form of a graph's content, version included.
 
-    ``Graph.version`` counts mutation history, which ``copy()`` / JSON
-    round trips legitimately collapse (a ``set-attr`` on a live graph is
-    one extra bump that a rebuilt copy folds into ``add_node``), so two
-    states with identical content can differ in raw version.  Byte
+    ``Graph.version`` travels with the content through ``copy()`` and the
+    JSON round trip, so the twin replay (live mutations on copies) and a
+    recovery (checkpoint file + replayed suffix) must arrive at the same
+    count — ``graph_to_dict`` carries it as ``"graph_version"``.  Byte
     identity of this form is the invariant recovery must preserve.
     """
     payload = graph_to_dict(graph)

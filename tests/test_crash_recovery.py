@@ -179,6 +179,7 @@ class TestCrashSweep:
         registry, wal = recover_stack(tmp_path)
         recovered = registry.current_epoch(GRAPH_NAME).graph
         assert canonical_form(recovered) == canonical_form(states[-1])
+        assert recovered.version == states[-1].version
         mixed_run(registry)
         wal.close()
 
@@ -348,6 +349,36 @@ class TestServiceRecovery:
             assert report["replayed"] == 3
             with revived.registry.pin(GRAPH_NAME) as epoch:
                 assert all(epoch.graph.has_node(f"x{i}") for i in range(3))
+
+    def test_recovery_carries_only_batches_and_the_acknowledged_version(
+        self, tmp_path
+    ):
+        graph = base_graph()
+        service = ExpFinderService(_service_config(tmp_path))
+        service.register_graph(GRAPH_NAME, graph)
+        graph.add_edge("n5", "n0")  # out of band: no batch, no WAL record
+        batches = [
+            [{"op": "set-attr", "node": "n0", "attr": "round", "value": 1}],
+            [  # same node and edge counts before and after
+                {"op": "remove-edge", "source": "n0", "target": "n1"},
+                {"op": "add-edge", "source": "n1", "target": "n0"},
+            ],
+            [{"op": "add-node", "node": "x", "attrs": {}}],
+        ]
+        acked = [
+            service.update_graph(GRAPH_NAME, {"updates": batch})["graph_version"]
+            for batch in batches
+        ]
+        assert acked == sorted(set(acked))  # strictly increasing
+        del service  # simulated crash: no final checkpoint
+        with ExpFinderService(_service_config(tmp_path)) as revived:
+            report = revived.recovered[GRAPH_NAME]
+            assert report["replayed"] == 3
+            assert report["graph_version"] == acked[-1]
+            with revived.registry.pin(GRAPH_NAME) as epoch:
+                assert epoch.graph.version == acked[-1]
+                assert epoch.graph.has_edge("n1", "n0")
+                assert not epoch.graph.has_edge("n5", "n0")
 
     def test_drain_reports_quiet_service(self, tmp_path):
         with ExpFinderService(_service_config(tmp_path)) as service:

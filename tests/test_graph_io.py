@@ -1,11 +1,13 @@
 """Unit tests for graph (de)serialization."""
 
 import json
+import random
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import GraphError, StorageError
 from repro.graph.digraph import Graph
+from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
 from repro.graph.io import (
     graph_from_dict,
@@ -14,6 +16,14 @@ from repro.graph.io import (
     load_graph,
     save_edgelist,
     save_graph,
+)
+from repro.incremental.updates import (
+    AttributeUpdate,
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    NodeInsertion,
+    apply_updates,
 )
 
 
@@ -108,6 +118,98 @@ class TestJsonRoundTrip:
         assert payload["nodes"][0] == {"id": "a", "attrs": {"f": 1}}
         assert payload["edges"] == [["a", "b"]]
         json.dumps(payload)  # must be JSON-ready
+
+
+def _seeded_stream(graph: Graph, seed: int, count: int = 40):
+    """Updates of all five kinds, each valid against ``graph`` when drawn."""
+    rng = random.Random(seed)
+    for step in range(count):
+        nodes = list(graph.nodes())
+        edges = list(graph.edges())
+        kind = step % 5 if step < 5 else rng.randrange(5)
+        if kind == 0:
+            source, target = rng.sample(nodes, 2)
+            if graph.has_edge(source, target):
+                update = EdgeDeletion(source, target)
+            else:
+                update = EdgeInsertion(source, target)
+        elif kind == 1 and edges:
+            update = EdgeDeletion(*rng.choice(edges))
+        elif kind == 2:
+            update = NodeInsertion.with_attrs(
+                f"new{seed}_{step}", field=rng.choice(["SA", "SD"])
+            )
+        elif kind == 3 and len(nodes) > 4:
+            update = NodeDeletion(rng.choice(nodes))
+        else:
+            update = AttributeUpdate(rng.choice(nodes), "experience", rng.randrange(9))
+        apply_updates(graph, [update])
+        yield update
+
+
+class TestVersionLineage:
+    """``Graph.version`` travels with the content through every rebuild."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_rebuild_reports_the_source_version(self, seed):
+        graph = collaboration_graph(30, seed=seed)
+        kinds = set()
+        seen = {graph.version}
+        for update in _seeded_stream(graph, seed):
+            kinds.add(type(update))
+            assert graph.version not in seen  # every state has its own count
+            seen.add(graph.version)
+            frozen = FrozenGraph.freeze(graph)
+            rebuilds = [
+                graph.copy(),
+                graph_from_dict(json.loads(json.dumps(graph_to_dict(graph)))),
+                frozen.to_graph(),
+            ]
+            for rebuilt in rebuilds:
+                assert rebuilt == graph
+                assert rebuilt.version == graph.version
+                assert frozen.matches(rebuilt)
+        assert len(kinds) == 5
+
+    def test_a_copy_counts_on_from_the_carried_version(self):
+        g = Graph.from_edges([("a", "b")])
+        g.set("a", "field", "SA")
+        g.set("a", "field", "SD")  # the rebuild folds both writes into one
+        clone = g.copy()
+        assert clone.version == g.version == 5
+        clone.add_edge("b", "a")
+        assert (clone.version, g.version) == (6, 5)
+
+    def test_same_size_states_are_told_apart_after_a_reload(self, tmp_path):
+        g = Graph.from_edges([("a", "b"), ("c", "b")], nodes=["a", "b", "c", "d"])
+        before = FrozenGraph.freeze(g)
+        g.remove_edge("c", "b")
+        g.add_edge("d", "b")  # same node and edge counts, other content
+        reloaded = load_graph(save_graph(g, tmp_path / "g.json"))
+        assert reloaded.version == g.version
+        assert not before.matches(reloaded)
+        assert FrozenGraph.freeze(g).matches(reloaded)
+
+    def test_payload_without_a_stamp_loads_as_before(self):
+        g = Graph.from_edges([("a", "b")], nodes={"a": {"f": 1}, "b": {}})
+        g.set("a", "f", 2)
+        payload = graph_to_dict(g)
+        assert payload.pop("graph_version") == g.version == 5
+        old_format = graph_from_dict(payload)
+        assert old_format == g
+        assert old_format.version == 4  # what add_node/add_edge counted
+
+    @pytest.mark.parametrize("stamp", [True, -1, 1.5, "7", None, [3]])
+    def test_malformed_stamp_is_a_storage_error(self, stamp):
+        payload = graph_to_dict(Graph.from_edges([("a", "b")]))
+        payload["graph_version"] = stamp
+        with pytest.raises(StorageError, match="graph version"):
+            graph_from_dict(payload)
+
+    @pytest.mark.parametrize("stamp", [False, -3, 2.0, "2"])
+    def test_carry_version_rejects_non_counts(self, stamp):
+        with pytest.raises(GraphError, match="non-negative integer"):
+            Graph().carry_version(stamp)
 
 
 class TestEdgeList:

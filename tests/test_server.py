@@ -15,6 +15,7 @@ from repro.datasets.paper_example import paper_graph, paper_pattern
 from repro.engine.estimator import QueryBudget
 from repro.engine.storage import GraphStore
 from repro.errors import AdmissionError, ReproError, ServerError
+from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.incremental.updates import AttributeUpdate, EdgeDeletion, EdgeInsertion
 from repro.matching.bounded import match_bounded
@@ -223,6 +224,67 @@ class TestPublish:
             )
         with registry.pin("fig1") as epoch:
             assert epoch.evaluate(paper_pattern()).relation == expected
+
+
+class TestOneGraphPerVersion:
+    """The registry owns its graphs; ``graph_version`` names their content."""
+
+    def test_out_of_band_write_never_reaches_an_epoch(self):
+        graph = paper_graph()
+        registry = SnapshotRegistry()
+        registry.register("fig1", graph)
+        graph.add_edge("Fred", "Eva")  # behind the registry's back: no batch
+        graph.set("Bob", "experience", 0)
+        assert not registry.current_epoch("fig1").graph.has_edge("Fred", "Eva")
+        epoch = registry.publish("fig1", [AttributeUpdate("Pat", "skill", "db")])
+        assert not epoch.graph.has_edge("Fred", "Eva")
+        assert epoch.graph.get("Bob", "experience") == 7
+        assert epoch.graph.get("Pat", "skill") == "db"
+
+    def test_publish_makes_one_copy_and_serves_it(self, registry, monkeypatch):
+        copies = []
+        original = Graph.copy
+
+        def counting_copy(self, name=None):
+            copies.append(self)
+            return original(self, name)
+
+        monkeypatch.setattr(Graph, "copy", counting_copy)
+        before = registry.current_epoch("fig1")
+        epoch = registry.publish("fig1", [EdgeInsertion("Fred", "Eva")])
+        assert copies == [before.graph]  # the batch's scratch, nothing else
+        assert epoch.graph is not before.graph
+        assert not before.graph.has_edge("Fred", "Eva")  # never mutated
+        mine = paper_graph()
+        registry.register("again", mine)
+        assert copies[1:] == [mine]  # taking ownership costs one copy too
+        assert registry.current_epoch("again").graph is not mine
+
+    def test_graph_version_strictly_increases_across_publishes(self, registry):
+        epochs = [registry.current_epoch("fig1")]
+        batches = [
+            [AttributeUpdate("Bob", "skill", "db")],  # attribute-only
+            [EdgeDeletion("Bob", "Dan"), EdgeInsertion("Fred", "Eva")],  # same size
+            [AttributeUpdate("Bob", "skill", "ml")],
+            [EdgeDeletion("Fred", "Eva"), EdgeInsertion("Bob", "Dan")],  # and back
+        ]
+        for batch in batches:
+            epochs.append(registry.publish("fig1", batch))
+        versions = [epoch.graph.version for epoch in epochs]
+        assert versions == sorted(set(versions))
+        assert registry.stats()["graphs"]["fig1"]["graph_version"] == versions[-1]
+        for later in epochs[1:]:
+            assert later.frozen.matches(later.graph)
+            assert not epochs[0].frozen.matches(later.graph)
+
+    def test_failed_batch_does_not_advance_the_version(self, registry):
+        version = registry.current_epoch("fig1").graph.version
+        with pytest.raises(ReproError):
+            registry.publish(
+                "fig1", [EdgeInsertion("Fred", "Eva"), EdgeDeletion("Fred", "Pat")]
+            )
+        epoch = registry.publish("fig1", [AttributeUpdate("Bob", "skill", "db")])
+        assert epoch.graph.version == version + 1
 
 
 class TestRegistryRaces:

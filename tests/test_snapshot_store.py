@@ -37,8 +37,11 @@ from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.io import atomic_write_bytes
 from repro.graph.oracle import DistanceOracle
+from repro.incremental.updates import EdgeDeletion, EdgeInsertion
 from repro.matching.bounded import match_bounded
+from repro.matching.reference import naive_bounded
 from repro.matching.simulation import simulation_candidates
+from repro.pattern.pattern import Pattern
 
 
 @pytest.fixture
@@ -508,6 +511,67 @@ class TestOracleFaultIn:
         stats = engine.oracle_cache_stats()
         assert stats["fault_in_errors"] == 1 and stats["builds"] == 1
         assert result.relation == match_bounded(fig1, fig1_query).relation
+
+
+class TestStaleFileAfterAReload:
+    """A stored snapshot/oracle of an *earlier* same-size state is refused.
+
+    Engine one persists graph + artefact; engine two loads the graph, swaps
+    one edge for another (node and edge counts unchanged) and persists the
+    graph only; engine three loads that graph.  A version rebuilt from the
+    file's size made the old artefact look current and the third engine
+    answered with the pre-update relation.
+    """
+
+    @pytest.fixture
+    def swap(self):
+        graph = Graph("g")
+        for node, label in [("a", "A"), ("c", "A"), ("m", "M"), ("n", "M"), ("b", "B")]:
+            graph.add_node(node, label=label)
+        graph.add_edges([("a", "m"), ("c", "n"), ("m", "b")])
+        query = Pattern("q")
+        query.add_node("X", "label = A", output=True)
+        query.add_node("Y", "label = B")
+        query.add_edge("X", "Y", 2)
+        return graph, query
+
+    def _third_engine(self, store, graph, oracle_cap=None) -> QueryEngine:
+        first = QueryEngine(store=store)
+        first.register_graph("g", graph)
+        if oracle_cap is not None:
+            first.enable_oracle("g", cap=oracle_cap)
+        first.persist_graph("g")
+        first.persist_snapshot("g", include_oracle=oracle_cap is not None)
+        second = QueryEngine(store=store)
+        second.load_graph("g")
+        second.update_graph("g", [EdgeDeletion("m", "b"), EdgeInsertion("n", "b")])
+        second.persist_graph("g")
+        third = QueryEngine(store=store)
+        third.load_graph("g")
+        if oracle_cap is not None:
+            third.enable_oracle("g", cap=oracle_cap)
+        return third
+
+    def test_stale_snapshot_is_rebuilt_not_served(self, store, swap):
+        graph, query = swap
+        third = self._third_engine(store, graph)
+        result = third.evaluate("g", query, **COLD)
+        stats = third.snapshot_stats()
+        assert stats["fault_in_errors"] == 1
+        assert stats["builds"] == 1 and stats["fault_ins"] == 0
+        reloaded = third._registered["g"].graph
+        assert result.relation == naive_bounded(reloaded, query)
+        assert result.relation.matches_of("X") == {"c"}  # was {"a"} before the swap
+
+    def test_stale_oracle_is_rebuilt_not_served(self, store, swap):
+        graph, query = swap
+        third = self._third_engine(store, graph, oracle_cap=4)
+        result = third.evaluate("g", query, **COLD)
+        stats = third.oracle_cache_stats()
+        assert stats["fault_in_errors"] == 1
+        assert stats["builds"] == 1 and stats["fault_ins"] == 0
+        reloaded = third._registered["g"].graph
+        assert result.relation == naive_bounded(reloaded, query)
 
 
 # ----------------------------------------------------------------------

@@ -483,24 +483,6 @@ class TestCheckpointer:
         cp.close(final_checkpoint=True)
         assert wal.read_checkpoints()["g"]["lsn"] == 1
 
-    def test_every_bytes_debounce(self, tmp_path):
-        store = GraphStore(tmp_path / "store")
-        wal = WriteAheadLog(tmp_path / "wal", fsync="none")
-        registry = SnapshotRegistry(store=store, wal=wal)
-        checkpointer = Checkpointer(
-            registry,
-            wal,
-            store,
-            every_batches=10**9,
-            every_bytes=1,  # any appended byte triggers a checkpoint
-            background=False,
-        )
-        registry.attach_checkpointer(checkpointer)
-        registry.register("g", small_graph())
-        registry.publish("g", [NodeInsertion.with_attrs("only")])
-        assert wal.read_checkpoints()["g"]["lsn"] == 1
-        wal.close()
-
     def test_inline_storage_error_is_recorded_not_raised(self, stack):
         # regression: a plain StorageError from the store (not a WalError)
         # escaped _drain_dirty and failed an already-committed publish
@@ -555,10 +537,6 @@ class TestCheckpointer:
         registry, wal, store, _cp = stack
         with pytest.raises(WalError, match="every_batches"):
             Checkpointer(registry, wal, store, every_batches=0, background=False)
-        with pytest.raises(WalError, match="every_bytes"):
-            Checkpointer(
-                registry, wal, store, every_bytes=0, background=False
-            )
 
 
 # ----------------------------------------------------------------------
