@@ -6,7 +6,6 @@ motivated each rule.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
-    cache_guard,
     determinism,
     error_wrapping,
     fault_registry,

@@ -37,7 +37,9 @@ from repro.analysis.rules._util import (
     receiver_matches,
     tracked_receivers,
 )
-from repro.analysis.rules.cache_guard import CACHE_CLASSES
+
+#: The engine's result caches — the receivers whose ``put`` is tracked.
+CACHE_CLASSES = frozenset({"QueryCache", "RankCache"})
 
 
 def _terminal_name(func: ast.expr) -> str | None:

@@ -14,8 +14,8 @@ edge updates without recompressing:
 Splitting never merges, so long update sequences can leave the partition
 finer than optimal — correctness is unaffected (a finer stable partition is
 still query-preserving), only the compression ratio decays.  Call
-:meth:`MaintainedCompression.recompress` (or set ``auto_recompress_after``)
-to restore the coarsest partition.
+:meth:`MaintainedCompression.recompress` to restore the coarsest partition
+(``staleness`` counts the updates since the last one).
 
 **Soundness note** (verified by counterexample in the test suite): local
 signature splitting is only sound on *signature-stable* partitions.  The
@@ -62,17 +62,9 @@ class MaintainedCompression:
     >>> mc.check_partition()  # still signature-stable
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        attrs: tuple[str, ...] | list[str],
-        auto_recompress_after: int | None = None,
-    ) -> None:
-        if auto_recompress_after is not None and auto_recompress_after < 1:
-            raise CompressionError("auto_recompress_after must be >= 1 or None")
+    def __init__(self, graph: Graph, attrs: tuple[str, ...] | list[str]) -> None:
         self.graph = graph
         self.spec = CompressionSpec(attrs=tuple(attrs), method="bisimulation")
-        self.auto_recompress_after = auto_recompress_after
         self.staleness = 0
         self._label_of = label_function(graph, self.spec.attrs)
         self._node_class: dict[NodeId, ClassId] = {}
@@ -144,11 +136,6 @@ class MaintainedCompression:
             raise CompressionError(f"unknown update type: {update!r}")
         self._cached = None
         self.staleness += 1
-        if (
-            self.auto_recompress_after is not None
-            and self.staleness >= self.auto_recompress_after
-        ):
-            self.recompress()
 
     def _edge_changed(self, source: NodeId, target: NodeId, delta: int) -> None:
         source_class = self._node_class[source]

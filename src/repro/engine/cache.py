@@ -6,7 +6,8 @@ query results of a set of frequently issued queries (decided by the users)".
 Those two sentences define this module:
 
 * plain entries live in an LRU cache keyed by (graph, pattern structure);
-  any graph update invalidates them;
+  any graph update invalidates them (the owner's job — neither cache
+  carries a version);
 * *pinned* entries are exempt from eviction and survive updates — the
   engine attaches an incremental maintainer to each and refreshes the
   cached relation in place.
@@ -33,16 +34,9 @@ def cache_key(graph_name: str, pattern: Pattern) -> CacheKey:
 
 @dataclass
 class CacheEntry:
-    """One cached result; ``maintainer`` is set only for pinned entries.
-
-    ``graph_version`` records ``Graph.version`` at the moment the relation
-    was computed (or last refreshed, for pinned entries); reads validate
-    against it, so results can never outlive the graph state they answer
-    for — even when a mutation bypasses the engine's update path.
-    """
+    """One cached result; ``maintainer`` is set only for pinned entries."""
 
     relation: MatchRelation
-    graph_version: int
     pinned: bool = False
     maintainer: Any = None
     hits: int = 0
@@ -51,16 +45,16 @@ class CacheEntry:
 class QueryCache:
     """LRU cache of match relations with pin support.
 
-    Reads are validated against ``Graph.version`` exactly like
-    :class:`RankCache`: :meth:`get` with a version other than the one
-    recorded at :meth:`put` time drops the entry (pinned or not — a
-    pinned entry's maintainer never saw the out-of-band mutation either,
-    so its relation is just as unreliable) and reports a miss.
+    The cache knows nothing about graph versions: whoever owns it keeps
+    its entries exact for the graph they answer for.  ``QueryEngine``
+    does so in one place (``_entry`` drops every entry of a graph — pinned
+    or not — when it finds a write that bypassed ``update_graph``); an
+    epoch's graph never changes.
 
     Structural operations hold an internal lock: the query service shares
     one cache per snapshot epoch across reader threads, and a check-then-
-    delete sequence (stale drop, eviction) torn between two threads would
-    raise ``KeyError`` from inside the cache.
+    delete sequence (eviction, invalidation) torn between two threads
+    would raise ``KeyError`` from inside the cache.
 
     >>> cache = QueryCache(capacity=2)
     >>> cache.stats()["size"]
@@ -77,20 +71,12 @@ class QueryCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-        self._stale_drops = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey, graph_version: int) -> CacheEntry | None:
+    def get(self, key: CacheKey) -> CacheEntry | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
-                return None
-            if entry.graph_version != graph_version:
-                # Out-of-band mutation (a write that bypassed update_graph):
-                # the relation answers for a graph that no longer exists.
-                del self._entries[key]
-                self._stale_drops += 1
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -98,22 +84,10 @@ class QueryCache:
             self._hits += 1
             return entry
 
-    def fresh(self, key: CacheKey, graph_version: int) -> bool:
-        """Non-mutating version-aware lookup for planning/explain paths.
-
-        Unlike :meth:`get` this neither drops a stale entry nor touches
-        the LRU order or hit counters, so ``explain`` can ask "would the
-        cache route serve this?" without perturbing the cache it is
-        describing.
-        """
-        entry = self._entries.get(key)
-        return entry is not None and entry.graph_version == graph_version
-
     def put(
         self,
         key: CacheKey,
         relation: MatchRelation,
-        graph_version: int,
         pinned: bool = False,
         maintainer: Any = None,
     ) -> CacheEntry:
@@ -122,15 +96,9 @@ class QueryCache:
             if existing is not None and existing.pinned and not pinned:
                 # Refreshing a pinned entry's relation must not unpin it.
                 existing.relation = relation
-                existing.graph_version = graph_version
                 self._entries.move_to_end(key)
                 return existing
-            entry = CacheEntry(
-                relation=relation,
-                graph_version=graph_version,
-                pinned=pinned,
-                maintainer=maintainer,
-            )
+            entry = CacheEntry(relation=relation, pinned=pinned, maintainer=maintainer)
             self._entries[key] = entry
             self._entries.move_to_end(key)
             self._evict_if_needed()
@@ -184,6 +152,8 @@ class QueryCache:
 
     # ------------------------------------------------------------------
     def __contains__(self, key: object) -> bool:
+        # What explain asks ("would the cache route serve this?"): no LRU
+        # touch, no hit counted.
         return key in self._entries
 
     def __len__(self) -> int:
@@ -197,17 +167,15 @@ class QueryCache:
             "misses": self._misses,
             "evictions": self._evictions,
             "invalidations": self._invalidations,
-            "stale_drops": self._stale_drops,
             "pinned": sum(1 for e in self._entries.values() if e.pinned),
         }
 
 
 @dataclass
 class RankEntry:
-    """One cached ranking context, valid for exactly one graph version."""
+    """One cached ranking context."""
 
     context: Any  # repro.ranking.topk.RankingContext
-    graph_version: int
     hits: int = 0
 
 
@@ -217,11 +185,10 @@ class RankCache:
     A ranked result is heavier than a match relation — the context holds a
     result-graph snapshot plus memoized Dijkstra runs — so it gets its own
     (smaller) LRU rather than riding in :class:`QueryCache`.  Keys are the
-    same ``(graph name, canonical pattern)`` tuples; validity is checked
-    against ``Graph.version`` on every read, so *any* mutation of the
-    underlying graph (through the engine or out-of-band) invalidates the
-    entry — except entries the engine refreshes in place through its
-    pinned-query re-ranking path, which advances ``graph_version``.
+    same ``(graph name, canonical pattern)`` tuples, and validity is the
+    owner's business exactly as for :class:`QueryCache`: an engine update
+    drops a graph's contexts except the ones its pinned-query re-ranking
+    path refreshed in place.
 
     >>> cache = RankCache(capacity=2)
     >>> cache.stats()["size"]
@@ -238,19 +205,12 @@ class RankCache:
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
-        self._stale_drops = 0
         self._invalidations = 0
 
-    def get(self, key: CacheKey, graph_version: int) -> RankEntry | None:
-        """The entry for ``key`` iff it matches ``graph_version``."""
+    def get(self, key: CacheKey) -> RankEntry | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
-                return None
-            if entry.graph_version != graph_version:
-                del self._entries[key]
-                self._stale_drops += 1
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -259,12 +219,12 @@ class RankCache:
             return entry
 
     def peek(self, key: CacheKey) -> RankEntry | None:
-        """Raw access without version checks or stats (maintenance paths)."""
+        """Raw access without LRU touch or stats (maintenance paths)."""
         return self._entries.get(key)
 
-    def put(self, key: CacheKey, context: Any, graph_version: int) -> RankEntry:
+    def put(self, key: CacheKey, context: Any) -> RankEntry:
         with self._lock:
-            entry = RankEntry(context=context, graph_version=graph_version)
+            entry = RankEntry(context=context)
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -298,6 +258,5 @@ class RankCache:
             "capacity": self.capacity,
             "hits": self._hits,
             "misses": self._misses,
-            "stale_drops": self._stale_drops,
             "invalidations": self._invalidations,
         }

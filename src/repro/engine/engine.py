@@ -56,23 +56,28 @@ from repro.ranking.topk import (
 #: Lifecycle counters the engine keeps for its graphs' frozen snapshots
 #: and for their oracles (which add ``refreshes``).
 _ARTEFACT_COUNTERS = (
-    "hits", "misses", "stale_drops", "invalidations", "builds",
-    "fault_ins", "fault_in_errors",
+    "hits", "misses", "invalidations", "builds", "fault_ins", "fault_in_errors",
 )
 
 
 class RegisteredGraph:
-    """A named data graph plus its per-graph engine artefacts."""
+    """A named data graph plus its per-graph engine artefacts.
+
+    Everything derived from the graph — the fields below and the graph's
+    query- and rank-cache entries — is exact for ``synced_version``, the
+    one ``Graph.version`` stamp of the record; ``QueryEngine._entry``
+    compares it and ``update_graph`` advances it.
+    """
 
     __slots__ = (
-        "name", "graph", "version", "compression", "attr_index",
-        "oracle_config", "frozen", "oracle", "oracle_version",
+        "name", "graph", "synced_version", "compression", "attr_index",
+        "oracle_config", "frozen", "oracle",
     )
 
     def __init__(self, name: str, graph: Graph) -> None:
         self.name = name
         self.graph = graph
-        self.version = 0
+        self.synced_version = graph.version
         self.compression: MaintainedCompression | CompressedGraph | None = None
         # Attribute postings build lazily on first use, so registration is
         # free; the engine keeps them consistent through update_graph().
@@ -82,14 +87,12 @@ class RegisteredGraph:
         self.oracle_config: dict[str, Any] | None = None
         # The graph's one CSR snapshot, built on the first direct evaluation
         # and shared by every traversal kernel (matchers, pivot partitioning,
-        # shard workers); current iff ``frozen.matches(graph)``.
+        # shard workers).
         self.frozen: FrozenGraph | None = None
-        # The graph's one distance oracle (landmark labels over a snapshot)
-        # and the ``Graph.version`` its labels are exact for: it advances
-        # across distance-preserving update batches, anything else drops
-        # the labels and the next bounded evaluation rebuilds them.
+        # The graph's one distance oracle (landmark labels over a snapshot):
+        # kept across distance-preserving update batches, anything else
+        # drops the labels and the next bounded evaluation rebuilds them.
         self.oracle: DistanceOracle | None = None
-        self.oracle_version = -1
 
     def compressed(self) -> CompressedGraph | None:
         """The current compressed form, if any."""
@@ -116,9 +119,10 @@ class QueryEngine:
         self._registered: dict[str, RegisteredGraph] = {}
         self._cache = QueryCache(capacity=cache_capacity)
         # Ranked results are cached separately: a RankingContext (snapshot
-        # + memoized Dijkstra runs) is much heavier than a relation, and
-        # its validity is tied to Graph.version rather than LRU pressure.
+        # + memoized Dijkstra runs) is much heavier than a relation.
         self._rank_cache = RankCache()
+        # Times _entry found a write that bypassed update_graph.
+        self._resyncs = 0
         # What happened to the per-graph snapshots and oracles (the objects
         # themselves are fields of each RegisteredGraph).
         self._counters: dict[str, dict[str, int]] = {
@@ -152,11 +156,17 @@ class QueryEngine:
             raise EvaluationError(f"graph {name!r} already registered")
         replaced = self._registered.get(name)
         if replaced is not None:
-            self._drop_snapshot(replaced)
-            self._drop_oracle(replaced)
+            self._drop_derived(replaced)
         self._registered[name] = RegisteredGraph(name, graph)
-        self._cache.invalidate_graph(name, keep_pinned=False)
-        self._rank_cache.invalidate_graph(name)
+
+    def _drop_derived(self, entry: RegisteredGraph) -> None:
+        """Forget everything computed from ``entry.graph`` (configs stay)."""
+        self._drop_snapshot(entry)
+        self._drop_oracle(entry)
+        entry.compression = None
+        self._cache.invalidate_graph(entry.name, keep_pinned=False)
+        self._rank_cache.invalidate_graph(entry.name)
+        entry.attr_index.refresh()
 
     def load_graph(self, name: str) -> Graph:
         """Register a graph from the file store (if not already loaded)."""
@@ -175,14 +185,29 @@ class QueryEngine:
         return sorted(self._registered)
 
     def _entry(self, name: str) -> RegisteredGraph:
+        """The record for ``name`` — the engine's one freshness check.
+
+        Every public method resolves its graph here, so this is the only
+        place ``Graph.version`` is compared with a stored stamp.  A
+        mismatch means a write bypassed :meth:`update_graph`: no
+        maintainer, partition or label saw it, so nothing derived survives
+        — snapshot, oracle, compression (maintained or static), every
+        query- and rank-cache entry of the graph (pinned or not), the
+        attribute postings.  Pins and compression must be re-requested.
+        """
         try:
-            return self._registered[name]
+            entry = self._registered[name]
         except KeyError:
             known = ", ".join(sorted(self._registered)) or "none"
             raise EvaluationError(
                 f"unknown graph: {name!r} (registered: {known}; "
                 "use register_graph() or load_graph() first)"
             ) from None
+        if entry.synced_version != entry.graph.version:
+            self._drop_derived(entry)
+            entry.synced_version = entry.graph.version
+            self._resyncs += 1
+        return entry
 
     # ------------------------------------------------------------------
     # compression management
@@ -198,7 +223,9 @@ class QueryEngine:
 
         ``maintained=True`` keeps the partition synchronized through
         :meth:`update_graph`; maintained compression requires the
-        bisimulation method (see ``compression.maintain`` for why).
+        bisimulation method (see ``compression.maintain`` for why).  A
+        static one is dropped by the next update.  A write that bypasses
+        :meth:`update_graph` drops either kind: call this again after it.
         """
         entry = self._entry(name)
         if maintained:
@@ -280,7 +307,7 @@ class QueryEngine:
         entry = self._entry(name)
         if entry.oracle_config is None:
             return None
-        if entry.oracle is None or entry.oracle_version != entry.graph.version:
+        if entry.oracle is None:
             return {"state": "cold", **entry.oracle_config}
         stats = entry.oracle.stats()
         stats["state"] = "warm"
@@ -289,7 +316,7 @@ class QueryEngine:
     def _oracle_for(
         self, entry: RegisteredGraph, workers: int = 1
     ) -> DistanceOracle | None:
-        """The oracle for a graph's current version: held, faulted in, or built.
+        """The graph's oracle: held, faulted in, or built.
 
         A persisted oracle file is tried before a rebuild and validated
         against ``Graph.version``; a stale or corrupt one only costs the
@@ -300,22 +327,16 @@ class QueryEngine:
         if config is None:
             return None
         counters = self._counters["oracles"]
-        version = entry.graph.version
         if entry.oracle is not None:
-            if entry.oracle_version == version:
-                counters["hits"] += 1
-                return entry.oracle
-            # Out-of-band mutation: the labels answer for a graph that no
-            # longer exists.
-            entry.oracle = None
-            counters["stale_drops"] += 1
+            counters["hits"] += 1
+            return entry.oracle
         counters["misses"] += 1
         oracle = None
         if self.store is not None:
             try:
                 if self.store.has_oracle(entry.name):
                     oracle = self.store.load_oracle(
-                        entry.name, expected_version=version
+                        entry.name, expected_version=entry.graph.version
                     )
             except StorageError:
                 counters["fault_in_errors"] += 1
@@ -334,7 +355,7 @@ class QueryEngine:
                     frozen, cap=config["cap"], top=config["top"]
                 )
             counters["builds"] += 1
-        entry.oracle, entry.oracle_version = oracle, version
+        entry.oracle = oracle
         return oracle
 
     # ------------------------------------------------------------------
@@ -371,12 +392,12 @@ class QueryEngine:
         key = cache_key(name, pattern)
         plan = self._plan_query(
             pattern,
-            cached=self._cache.fresh(key, entry.graph.version),
+            cached=key in self._cache,
             available=entry.compressed(),
         )
         if plan.route == ROUTE_DIRECT:
-            # Read-only: explain must neither drop nor fault in a snapshot.
-            if entry.frozen is not None and entry.frozen.matches(entry.graph):
+            # Read-only: explain must not build or fault in a snapshot.
+            if entry.frozen is not None:
                 note = (
                     "frozen snapshot: warm "
                     f"(graph version {entry.frozen.source_version})"
@@ -443,10 +464,7 @@ class QueryEngine:
         if entry.oracle_config is None:
             note = "distance oracle: disabled (enable_oracle() routes selective edges)"
             return note, ()
-        if (
-            entry.oracle is not None
-            and entry.oracle_version == entry.graph.version
-        ):
+        if entry.oracle is not None:
             note = "distance oracle: warm"
             profile = entry.oracle.profile()
         else:
@@ -479,7 +497,7 @@ class QueryEngine:
         return note, tuple(routes)
 
     def _frozen_snapshot(self, entry: RegisteredGraph) -> FrozenGraph:
-        """The CSR snapshot of a graph's current version: held, faulted in, or built.
+        """The graph's CSR snapshot: held, faulted in, or built.
 
         A persisted snapshot file is tried before a re-freeze and validated
         against ``Graph.version``; a stale or corrupt one only costs the
@@ -488,12 +506,8 @@ class QueryEngine:
         """
         counters = self._counters["snapshots"]
         if entry.frozen is not None:
-            if entry.frozen.matches(entry.graph):
-                counters["hits"] += 1
-                return entry.frozen
-            # Out-of-band mutation (a write that bypassed update_graph).
-            entry.frozen = None
-            counters["stale_drops"] += 1
+            counters["hits"] += 1
+            return entry.frozen
         counters["misses"] += 1
         frozen = None
         if self.store is not None:
@@ -558,7 +572,7 @@ class QueryEngine:
             "seconds": seconds,
             "plan": plan,
             "graph": name,
-            "graph_version": entry.version,
+            "graph_version": entry.graph.version,
         }
         if batch is not None:
             stats["batch"] = batch
@@ -601,7 +615,7 @@ class QueryEngine:
         watch = Stopwatch()
         key = cache_key(name, pattern)
         cached_entry: CacheEntry | None = (
-            self._cache.get(key, entry.graph.version) if use_cache else None
+            self._cache.get(key) if use_cache else None
         )
         available = entry.compressed()
         compressed = available if use_compression else None
@@ -650,7 +664,7 @@ class QueryEngine:
             and plan.route != ROUTE_CACHE
             and not result.stats.get("partial")
         ):
-            self._cache.put(key, result.relation, entry.graph.version)
+            self._cache.put(key, result.relation)
         return result
 
     def evaluate_many(
@@ -742,7 +756,7 @@ class QueryEngine:
         for pattern in patterns:
             key = cache_key(name, pattern)
             cached_entry = (
-                self._cache.get(key, entry.graph.version) if use_cache else None
+                self._cache.get(key) if use_cache else None
             )
             plan = self._plan_query(
                 pattern,
@@ -876,7 +890,7 @@ class QueryEngine:
             if route != ROUTE_CACHE and not result.stats.get("partial"):
                 fresh[key] = result.relation
                 if cache_result:
-                    self._cache.put(key, result.relation, entry.graph.version)
+                    self._cache.put(key, result.relation)
             results.append(result)
         batch_info["seconds_total"] = watch.seconds()
         return results
@@ -964,9 +978,9 @@ class QueryEngine:
         metrics and calls, lazy full scoring behind cheap admissible
         bounds, and — with ``workers`` > 1 — per-match scoring fanned out
         through the engine's :class:`ParallelExecutor` (output identical
-        to sequential).  Contexts are cached per ``(graph, pattern)`` and
-        invalidated by ``Graph.version``; for *pinned* queries
-        :meth:`update_graph` re-ranks only the matches an update touched.
+        to sequential).  Contexts are cached per ``(graph, pattern)`` until
+        the graph changes; for *pinned* queries :meth:`update_graph`
+        re-ranks only the matches an update touched.
         ``k`` must be a positive integer for every metric.
         """
         validate_k(k)
@@ -996,7 +1010,7 @@ class QueryEngine:
         entry = self._entry(name)
         key = cache_key(name, pattern)
         if use_rank_cache:
-            cached = self._rank_cache.get(key, entry.graph.version)
+            cached = self._rank_cache.get(key)
             if cached is not None:
                 return cached.context
         result = self.evaluate(name, pattern, workers=workers, **evaluate_kwargs)
@@ -1005,18 +1019,23 @@ class QueryEngine:
         # rankings over it are valid for this call but must not be served
         # to later (possibly unbudgeted) top_k calls.
         if use_rank_cache and not result.stats.get("partial"):
-            self._rank_cache.put(key, context, entry.graph.version)
+            self._rank_cache.put(key, context)
         return context
 
     # ------------------------------------------------------------------
     # updates + pinned queries
     # ------------------------------------------------------------------
     def pin(self, name: str, pattern: Pattern) -> None:
-        """Cache a query and keep its result maintained across updates."""
+        """Cache a query and keep its result maintained across updates.
+
+        Maintained means through :meth:`update_graph`.  A write that
+        bypasses it reaches no maintainer, so the engine drops the pin with
+        everything else derived from the graph: pin again after it.
+        """
         pattern.validate()
         entry = self._entry(name)
         key = cache_key(name, pattern)
-        existing = self._cache.get(key, entry.graph.version)
+        existing = self._cache.get(key)
         if existing is not None and existing.pinned:
             return
         if pattern.is_simulation_pattern:
@@ -1028,11 +1047,7 @@ class QueryEngine:
                 entry.graph, pattern, index=entry.attr_index
             )
         self._cache.put(
-            key,
-            maintainer.relation(),
-            entry.graph.version,
-            pinned=True,
-            maintainer=maintainer,
+            key, maintainer.relation(), pinned=True, maintainer=maintainer
         )
 
     def unpin(self, name: str, pattern: Pattern) -> None:
@@ -1056,7 +1071,6 @@ class QueryEngine:
         """
         entry = self._entry(name)
         pinned = self._cache.pinned_entries(name)
-        start_version = entry.graph.version
         primitives: list[Update] = []
         try:
             for update in updates:
@@ -1064,26 +1078,24 @@ class QueryEngine:
                 # deletions plus a bare node removal, so every maintainer sees
                 # a primitive sequence it can follow without pre-images.
                 for primitive in decompose(entry.graph, update):
-                    prior_version = entry.graph.version
                     primitive.apply(entry.graph)
                     primitives.append(primitive)
                     for _key, cache_entry in pinned:
                         cache_entry.maintainer.apply(primitive, apply_to_graph=False)
                     if isinstance(entry.compression, MaintainedCompression):
                         entry.compression.apply(primitive, apply_to_graph=False)
-                    entry.attr_index.on_update(primitive, prior_version=prior_version)
+                    entry.attr_index.on_update(primitive)
         finally:
-            summary = self._settle_update(entry, pinned, start_version, primitives)
+            summary = self._settle_update(entry, pinned, primitives)
         return {"applied": len(updates), **summary}
 
     def _settle_update(
         self,
         entry: RegisteredGraph,
         pinned: Sequence[tuple[tuple, CacheEntry]],
-        start_version: int,
         primitives: Sequence[Update],
     ) -> dict[str, Any]:
-        """Bring every cache in line with the primitives applied so far."""
+        """Bring every artefact in line with the primitives applied so far."""
         name = entry.name
         # Nodes written as nodes (inserted, deleted, attribute set): their
         # attribute dicts may differ where no match or distance does.
@@ -1113,41 +1125,33 @@ class QueryEngine:
                 added, removed = before.diff(fresh)
                 if added or removed:
                     cache_entry.relation = fresh
-            cache_entry.graph_version = entry.graph.version
             deltas[key[1]] = {"added": added, "removed": removed}
             maintenance = self._refresh_pinned_ranking(
-                entry, key, cache_entry, start_version, dirty, written,
+                entry, key, cache_entry, dirty, written,
                 flipped=before.is_empty != cache_entry.relation.is_empty,
             )
             if maintenance is not None:
                 rank_maintenance[key[1]] = maintenance
                 refreshed_keys.add(key)
-        # Contexts of non-pinned queries are stale now; drop them eagerly
-        # (version checks would catch them lazily, but the snapshots are
-        # the heaviest thing the engine caches).  The frozen CSR snapshot
-        # is version-stale too — drop it so the memory is released before
-        # the next direct evaluation re-freezes.
+        # Contexts of non-pinned queries and the frozen CSR snapshot answer
+        # for the graph before the batch.
         self._rank_cache.invalidate_graph(name, keep=refreshed_keys)
         self._drop_snapshot(entry)
         # Oracle labels are shortest-path distances: a batch of purely
         # distance-preserving primitives (attribute writes, bare node
         # insertions) leaves them exact, so their validity advances in
-        # place instead of paying a rebuild.  Anything structural — or
-        # labels an out-of-band write had already outdated when the batch
-        # began — drops them; the next bounded evaluation rebuilds lazily.
-        if (
-            entry.oracle is not None
-            and entry.oracle_version == start_version
-            and all(DistanceOracle.survives(primitive) for primitive in primitives)
+        # place instead of paying a rebuild.  Anything structural drops
+        # them; the next bounded evaluation rebuilds lazily.
+        if entry.oracle is not None and all(
+            DistanceOracle.survives(primitive) for primitive in primitives
         ):
-            entry.oracle_version = entry.graph.version
             self._counters["oracles"]["refreshes"] += 1
         else:
             self._drop_oracle(entry)
         invalidated = self._cache.invalidate_graph(name, keep_pinned=True)
-        entry.version += 1
+        entry.synced_version = entry.graph.version
         return {
-            "graph_version": entry.version,
+            "graph_version": entry.graph.version,
             "invalidated_cache_entries": invalidated,
             "pinned_deltas": deltas,
             "rank_maintenance": rank_maintenance,
@@ -1158,7 +1162,6 @@ class QueryEngine:
         entry: RegisteredGraph,
         key: tuple,
         cache_entry: CacheEntry,
-        start_version: int,
         dirty: set[NodeId],
         written: set[NodeId],
         flipped: bool,
@@ -1169,7 +1172,7 @@ class QueryEngine:
         is *patched*: only the out-rows of the maintainer's ``dirty`` nodes
         are rebuilt from the maintained state and compared, every other
         row is shared with the old graph.  Nothing differs: the context —
-        details, distance memos, ranked prefixes — stays and is re-stamped.
+        details, distance memos, ranked prefixes — stays.
         Otherwise a new context over the patched graph carries over every
         memoized detail whose impact set is disjoint from the changed
         nodes — same object, no Dijkstra — and touched matches that were
@@ -1177,11 +1180,12 @@ class QueryEngine:
         warm as the old one.  The result graph is rebuilt in full only
         where a delta cannot describe the change: ``M(Q,G)`` became or
         stopped being empty (``flipped``), or the cached context is not
-        one this maintainer's log applies to (stale, or built over another
-        graph or pattern object).  Returns ``{reused, rescored,
+        one this maintainer's log applies to (built over another graph or
+        pattern object).  Returns ``{reused, rescored,
         changed_nodes}``, or ``None`` without a cached context.
         """
-        rank_entry = self._rank_cache.peek(key)  # repro-lint: disable=cache-version-guard -- mid-update refresh: the entry is stale by definition here and is rescored then re-stamped with the new version
+        # peek, not get: maintenance is not a lookup a hit ratio should count.
+        rank_entry = self._rank_cache.peek(key)
         if rank_entry is None:
             return None
         maintainer = cache_entry.maintainer
@@ -1189,7 +1193,6 @@ class QueryEngine:
         candidates: set[NodeId] | None
         if (
             flipped
-            or rank_entry.graph_version != start_version
             or old.result_graph.graph is not entry.graph
             or old.result_graph.pattern is not maintainer.pattern
         ):
@@ -1209,7 +1212,6 @@ class QueryEngine:
                 )
             # A rewritten attribute moves no row but is part of the evidence.
             candidates.update(node for node in written if node in old)
-        rank_entry.graph_version = entry.graph.version
         if result_graph is old.result_graph and not candidates:
             return {"reused": len(old._details), "rescored": 0, "changed_nodes": 0}
         fresh_context = RankingContext(result_graph)
@@ -1228,7 +1230,7 @@ class QueryEngine:
         return self._rank_cache.stats()
 
     def snapshot_stats(self) -> dict[str, int]:
-        """Frozen-snapshot counters (builds, hits, stale drops); ``size`` is
+        """Frozen-snapshot counters (builds, hits, drops); ``size`` is
         how many registered graphs hold one."""
         held = sum(1 for e in self._registered.values() if e.frozen is not None)
         return {"size": held, **self._counters["snapshots"]}
@@ -1271,6 +1273,7 @@ class QueryEngine:
             "rank_cache": self._rank_cache.stats(),
             "snapshots": self.snapshot_stats(),
             "oracles": self.oracle_cache_stats(),
+            "resyncs": self._resyncs,
         }
 
     def persist_graph(self, name: str) -> None:

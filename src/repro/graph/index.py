@@ -168,20 +168,16 @@ class AttributeIndex:
         self._postings = None
         self._node_keys = {}
 
-    def on_update(self, update: Any, prior_version: int | None = None) -> None:
+    def on_update(self, update: Any) -> None:
         """Maintain postings for one engine-routed primitive update.
 
         Must be called *after* the update was applied to the graph (the
-        engine's update loop does exactly that).  Edge updates cannot change
-        attributes, so they only advance the synchronized version; node and
-        attribute updates re-file the touched node.
-
-        ``prior_version`` is the graph version observed just before the
-        update was applied.  When provided (the engine always does), a
-        mismatch with the version the index last synchronized against
-        reveals an out-of-band mutation that happened *before* this update;
-        the index then discards its postings instead of silently absorbing
-        the gap.
+        engine's update loop does exactly that), on an index that was in
+        sync just before it — the caller's contract: the engine
+        :meth:`refresh`-es the index when it finds an out-of-band write,
+        before any batch starts.  Edge updates cannot change attributes, so
+        they only advance the synchronized version; node and attribute
+        updates re-file the touched node.
         """
         from repro.incremental.updates import (
             AttributeUpdate,
@@ -195,11 +191,6 @@ class AttributeIndex:
             # Nothing built yet: stay lazy, but keep the version in sync so
             # the eventual build is not mistaken for a rebuild.
             self._synced_version = self.graph.version
-            return
-        if prior_version is not None and prior_version != self._synced_version:
-            # The graph was mutated behind our back at some point before
-            # this update; incremental maintenance would mask it forever.
-            self.refresh()
             return
         if isinstance(update, (EdgeInsertion, EdgeDeletion)):
             pass

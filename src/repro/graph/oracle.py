@@ -291,8 +291,7 @@ class DistanceOracle:
     Build with :meth:`build` (or in parallel through
     :meth:`ParallelExecutor.build_oracle
     <repro.engine.parallel.ParallelExecutor.build_oracle>`); the engine
-    holds one per registered graph, stamped with the ``Graph.version`` its
-    labels are exact for.  All node ids are the dense ints
+    holds one per registered graph.  All node ids are the dense ints
     of the snapshot the oracle was built from; ids beyond the build-time
     node count (nodes inserted later) have empty labels, which is exactly
     right for a bare inserted node — it reaches nothing and nothing

@@ -140,7 +140,7 @@ class Epoch:
         pattern.validate()
         watch = Stopwatch()
         key = cache_key(self.name, pattern)
-        entry = self.cache.get(key, self.graph.version)
+        entry = self.cache.get(key)
         if entry is not None:
             result = MatchResult(
                 self.graph,
@@ -173,7 +173,7 @@ class Epoch:
                 budget=budget,
             )
         if not result.stats.get("partial"):
-            self.cache.put(key, result.relation, self.graph.version)
+            self.cache.put(key, result.relation)
         result.stats.update(self._stamp({"route": "direct"}, watch))
         return result
 
@@ -187,14 +187,14 @@ class Epoch:
         """Top-K ranked experts against this epoch (rank-cache aware)."""
         pattern.validate(require_output=True)
         key = cache_key(self.name, pattern)
-        entry = self.rank_cache.get(key, self.graph.version)
+        entry = self.rank_cache.get(key)
         if entry is not None:
             return bulk_top_k_detail(entry.context, k)
         result = self.evaluate(pattern, budget=budget, executor=executor)
         context = RankingContext(result.result_graph())
         ranked = bulk_top_k_detail(context, k)
         if not result.stats.get("partial"):
-            self.rank_cache.put(key, context, self.graph.version)
+            self.rank_cache.put(key, context)
         return ranked
 
     def explain(self, pattern: Pattern) -> dict[str, Any]:
@@ -203,7 +203,7 @@ class Epoch:
         key = cache_key(self.name, pattern)
         plan = make_plan(
             pattern,
-            cached=self.cache.fresh(key, self.graph.version),
+            cached=key in self.cache,
             compression_available=False,
         )
         return {

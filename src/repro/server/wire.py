@@ -69,7 +69,9 @@ def decode_budget(
     allow_partial = raw.get("allow_partial", True)
     if node_visits is not None and not isinstance(node_visits, int):
         raise ServerError("budget.node_visits must be an integer")
-    if seconds is not None and not isinstance(seconds, (int, float)):
+    if seconds is not None and (
+        isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+    ):
         raise ServerError("budget.seconds must be a number")
     if not isinstance(allow_partial, bool):
         raise ServerError("budget.allow_partial must be a boolean")

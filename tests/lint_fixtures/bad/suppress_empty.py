@@ -1,7 +1,9 @@
 """Fixture: a suppression without a justification is itself a finding,
 and the directive it botched does not silence the original violation."""
 
-from repro.engine.cache import QueryCache
+from repro.graph.frozen import FrozenGraph
 
-cache = QueryCache(capacity=2)
-entry = cache.peek("key")  # repro-lint: disable=cache-version-guard
+
+def relabel(graph):
+    frozen = FrozenGraph.freeze(graph)
+    frozen.labels = []  # repro-lint: disable=frozen-immutability

@@ -1,9 +1,11 @@
 """Fixture: a real violation silenced by a justified suppression."""
 
-from repro.engine.cache import QueryCache
+from repro.graph.frozen import FrozenGraph
 
-cache = QueryCache(capacity=2)
-trailing = cache.peek("key")  # repro-lint: disable=cache-version-guard -- fixture: trailing-directive form of a justified exception
 
-# repro-lint: disable=cache-version-guard -- fixture: standalone directive covering the next line
-standalone = cache.peek("key")
+def relabel(graph):
+    frozen = FrozenGraph.freeze(graph)
+    frozen.labels = []  # repro-lint: disable=frozen-immutability -- fixture: trailing-directive form of a justified exception
+
+    # repro-lint: disable=frozen-immutability -- fixture: standalone directive covering the next line
+    frozen.out_offsets[0] = 9

@@ -24,17 +24,17 @@ def key(graph="g", suffix="") -> tuple:
 class TestBasics:
     def test_miss_then_hit(self):
         cache = QueryCache()
-        assert cache.get(key(), 0) is None
-        cache.put(key(), relation(), 0)
-        entry = cache.get(key(), 0)
+        assert cache.get(key()) is None
+        cache.put(key(), relation())
+        entry = cache.get(key())
         assert entry is not None
         assert entry.relation == relation()
 
     def test_stats_track_hits_and_misses(self):
         cache = QueryCache()
-        cache.get(key(), 0)
-        cache.put(key(), relation(), 0)
-        cache.get(key(), 0)
+        cache.get(key())
+        cache.put(key(), relation())
+        cache.get(key())
         stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
@@ -47,8 +47,16 @@ class TestBasics:
     def test_key_distinguishes_graphs(self):
         assert key("g1") != key("g2") or True  # same pattern, different name
         cache = QueryCache()
-        cache.put(cache_key("g1", paper_pattern()), relation(), 0)
-        assert cache.get(cache_key("g2", paper_pattern()), 0) is None
+        cache.put(cache_key("g1", paper_pattern()), relation())
+        assert cache.get(cache_key("g2", paper_pattern())) is None
+
+    def test_contains_counts_nothing(self):
+        # What explain asks: no hit, no miss, no LRU touch.
+        cache = QueryCache()
+        cache.put(key(), relation())
+        assert key() in cache and key("other") not in cache
+        stats = cache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 0
 
     def test_capacity_validation(self):
         with pytest.raises(CacheError):
@@ -56,79 +64,90 @@ class TestBasics:
 
 
 class TestVersionValidation:
-    """Reads validate against Graph.version, like every other cache."""
+    """The caches carry no version: the engine keeps their entries exact,
+    comparing Graph.version once, where it resolves the graph."""
 
-    def test_version_mismatch_drops_the_entry(self):
-        cache = QueryCache()
-        cache.put(key(), relation(), 0)
-        assert cache.get(key(), 1) is None  # graph moved on: stale
-        assert key() not in cache  # dropped, not just hidden
-        stats = cache.stats()
-        assert stats["stale_drops"] == 1
-        assert stats["misses"] == 1
+    @pytest.fixture
+    def engine(self):
+        engine = QueryEngine()
+        engine.register_graph("g", paper_graph())
+        return engine
 
-    def test_stale_pinned_entry_is_dropped_too(self):
+    def test_version_mismatch_drops_the_entry(self, engine):
+        engine.evaluate("g", paper_pattern())
+        assert cache_key("g", paper_pattern()) in engine._cache
+        engine.graph("g").add_edge(*EDGE_E1)  # graph moved on: stale
+        assert engine.explain("g", paper_pattern()).route == "direct"
+        assert cache_key("g", paper_pattern()) not in engine._cache  # dropped
+        result = engine.evaluate("g", paper_pattern())
+        assert result.stats["route"] == "direct"
+        assert result.relation == match_bounded(
+            paper_graph(include_e1=True), paper_pattern()
+        ).relation
+        assert engine.stats()["resyncs"] == 1
+
+    def test_stale_pinned_entry_is_dropped_too(self, engine):
         # A pinned entry whose maintainer never saw the mutation is just
         # as wrong as an unpinned one; staleness beats pinning.
-        cache = QueryCache()
-        cache.put(key(), relation(), 0, pinned=True, maintainer="m")
-        assert cache.get(key(), 2) is None
-        assert cache.stats()["pinned"] == 0
+        engine.pin("g", paper_pattern())
+        engine.graph("g").add_edge(*EDGE_E1)
+        result = engine.evaluate("g", paper_pattern(), cache_result=False)
+        assert result.stats["route"] == "direct"
+        assert engine.cache_stats()["pinned"] == 0
+        assert result.relation == match_bounded(
+            paper_graph(include_e1=True), paper_pattern()
+        ).relation
+        assert engine.stats()["resyncs"] == 1
 
-    def test_put_refresh_updates_version(self):
-        cache = QueryCache()
-        cache.put(key(), relation(1), 3, pinned=True, maintainer="m")
-        cache.put(key(), relation(2), 5)  # maintainer refresh after update
-        entry = cache.get(key(), 5)
-        assert entry is not None and entry.graph_version == 5
-
-    def test_fresh_is_version_aware_and_non_mutating(self):
-        cache = QueryCache()
-        cache.put(key(), relation(), 4)
-        assert cache.fresh(key(), 4)
-        assert not cache.fresh(key(), 5)
-        # fresh() neither drops the stale entry nor counts a hit/miss.
-        assert key() in cache
-        stats = cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
-        assert not cache.fresh(key("other"), 0)
+    def test_put_refresh_updates_version(self, engine):
+        engine.pin("g", paper_pattern())
+        engine.update_graph("g", [EdgeInsertion(*EDGE_E1)])  # maintainer refresh
+        record = engine._registered["g"]
+        assert record.synced_version == engine.graph("g").version
+        result = engine.evaluate("g", paper_pattern())
+        assert result.stats["route"] == "cache"
+        assert result.relation == match_bounded(
+            paper_graph(include_e1=True), paper_pattern()
+        ).relation
+        assert engine.cache_stats()["pinned"] == 1
+        assert engine.stats()["resyncs"] == 0
 
 
 class TestEviction:
     def test_lru_eviction(self):
         cache = QueryCache(capacity=2)
-        cache.put(key(suffix="1"), relation(), 0)
-        cache.put(key(suffix="2"), relation(), 0)
-        cache.get(key(suffix="1"), 0)  # 1 is now most recent
-        cache.put(key(suffix="3"), relation(), 0)
-        assert cache.get(key(suffix="2"), 0) is None
-        assert cache.get(key(suffix="1"), 0) is not None
+        cache.put(key(suffix="1"), relation())
+        cache.put(key(suffix="2"), relation())
+        cache.get(key(suffix="1"))  # 1 is now most recent
+        cache.put(key(suffix="3"), relation())
+        assert cache.get(key(suffix="2")) is None
+        assert cache.get(key(suffix="1")) is not None
         assert cache.stats()["evictions"] == 1
 
     def test_pinned_entries_survive_eviction(self):
         cache = QueryCache(capacity=1)
-        cache.put(key(suffix="pinned"), relation(), 0, pinned=True)
-        cache.put(key(suffix="other"), relation(), 0)
-        assert cache.get(key(suffix="pinned"), 0) is not None
+        cache.put(key(suffix="pinned"), relation(), pinned=True)
+        cache.put(key(suffix="other"), relation())
+        assert cache.get(key(suffix="pinned")) is not None
 
     def test_all_pinned_allows_overflow(self):
         cache = QueryCache(capacity=1)
-        cache.put(key(suffix="1"), relation(), 0, pinned=True)
-        cache.put(key(suffix="2"), relation(), 0, pinned=True)
+        cache.put(key(suffix="1"), relation(), pinned=True)
+        cache.put(key(suffix="2"), relation(), pinned=True)
         assert len(cache) == 2
 
 
 class TestPinning:
     def test_pin_and_unpin(self):
         cache = QueryCache()
-        cache.put(key(), relation(), 0)
+        cache.put(key(), relation())
         # Pinning is a put: it replaces the plain entry and attaches the
         # maintainer in one step (what QueryEngine.pin does).
-        entry = cache.put(key(), relation(), 0, pinned=True, maintainer="m")
+        entry = cache.put(key(), relation(), pinned=True, maintainer="m")
         assert cache.stats()["pinned"] == 1 and entry.maintainer == "m"
         cache.unpin(key())
         assert cache.stats()["pinned"] == 0
-        assert cache.get(key(), 0).maintainer is None
+        assert cache.get(key()).maintainer is None
 
     def test_unpin_missing_raises(self):
         with pytest.raises(CacheError):
@@ -136,66 +155,66 @@ class TestPinning:
 
     def test_put_refresh_keeps_pin(self):
         cache = QueryCache()
-        cache.put(key(), relation(1), 0, pinned=True, maintainer="m")
-        cache.put(key(), relation(2), 0)  # refresh with new relation
-        entry = cache.get(key(), 0)
+        cache.put(key(), relation(1), pinned=True, maintainer="m")
+        cache.put(key(), relation(2))  # refresh with new relation
+        entry = cache.get(key())
         assert entry.pinned
         assert entry.maintainer == "m"
         assert entry.relation == relation(2)
 
     def test_pinned_entries_by_graph(self):
         cache = QueryCache()
-        cache.put(cache_key("g1", paper_pattern()), relation(), 0, pinned=True)
-        cache.put(cache_key("g2", paper_pattern()), relation(), 0, pinned=True)
+        cache.put(cache_key("g1", paper_pattern()), relation(), pinned=True)
+        cache.put(cache_key("g2", paper_pattern()), relation(), pinned=True)
         assert len(cache.pinned_entries("g1")) == 1
 
 
 class TestInvalidation:
     def test_invalidate_graph_drops_unpinned(self):
         cache = QueryCache()
-        cache.put(cache_key("g1", paper_pattern()), relation(), 0)
-        cache.put(key("g1", suffix="x"), relation(), 0)
+        cache.put(cache_key("g1", paper_pattern()), relation())
+        cache.put(key("g1", suffix="x"), relation())
         dropped = cache.invalidate_graph("g1")
         assert dropped == 2
         assert len(cache) == 0
 
     def test_invalidate_graph_keeps_pinned_by_default(self):
         cache = QueryCache()
-        cache.put(key("g1", suffix="p"), relation(), 0, pinned=True)
-        cache.put(key("g1", suffix="u"), relation(), 0)
+        cache.put(key("g1", suffix="p"), relation(), pinned=True)
+        cache.put(key("g1", suffix="u"), relation())
         assert cache.invalidate_graph("g1") == 1
         assert len(cache) == 1
 
     def test_invalidate_can_drop_pinned_too(self):
         cache = QueryCache()
-        cache.put(key("g1", suffix="p"), relation(), 0, pinned=True)
+        cache.put(key("g1", suffix="p"), relation(), pinned=True)
         cache.invalidate_graph("g1", keep_pinned=False)
         assert len(cache) == 0
 
     def test_invalidate_other_graph_untouched(self):
         cache = QueryCache()
-        cache.put(key("g1"), relation(), 0)
-        cache.put(key("g2"), relation(), 0)
+        cache.put(key("g1"), relation())
+        cache.put(key("g2"), relation())
         cache.invalidate_graph("g1")
-        assert cache.get(key("g2"), 0) is not None
+        assert cache.get(key("g2")) is not None
 
     def test_clear(self):
         cache = QueryCache()
-        cache.put(key(), relation(), 0)
+        cache.put(key(), relation())
         cache.clear()
         assert len(cache) == 0
 
     def test_hit_counter_per_entry(self):
         cache = QueryCache()
-        cache.put(key(), relation(), 0)
-        cache.get(key(), 0)
-        cache.get(key(), 0)
-        assert cache.get(key(), 0).hits == 3
+        cache.put(key(), relation())
+        cache.get(key())
+        cache.get(key())
+        assert cache.get(key()).hits == 3
 
 
 class TestOracleCache:
-    """The engine's per-graph distance oracle: version-stamped like the
-    frozen snapshot, plus in-place validity refreshes for
+    """The engine's per-graph distance oracle: exact for the record's
+    ``synced_version`` like the frozen snapshot, and kept in place across
     distance-preserving updates."""
 
     COLD = dict(use_cache=False, cache_result=False)
@@ -226,7 +245,8 @@ class TestOracleCache:
         result = engine.evaluate("g", paper_pattern(), **self.COLD)
         assert engine._registered["g"].oracle is not stale
         stats = engine.oracle_cache_stats()
-        assert stats["stale_drops"] == 1 and stats["builds"] == 2
+        assert stats["invalidations"] == 1 and stats["builds"] == 2
+        assert engine.stats()["resyncs"] == 1
         assert result.relation == match_bounded(
             paper_graph(include_e1=True), paper_pattern()
         ).relation
@@ -238,10 +258,14 @@ class TestOracleCache:
         engine.update_graph("g", [AttributeUpdate("Bob", "experience", 9)])
         record = engine._registered["g"]
         assert record.oracle is labels
-        assert record.oracle_version == engine.graph("g").version > before
+        assert record.synced_version == engine.graph("g").version > before
         assert engine.oracle_cache_stats()["refreshes"] == 1
-        engine.evaluate("g", paper_pattern(), **self.COLD)
+        result = engine.evaluate("g", paper_pattern(), **self.COLD)
         assert engine.oracle_cache_stats()["builds"] == 1  # no rebuild
+        assert engine.stats()["resyncs"] == 0
+        assert result.relation == match_bounded(
+            engine.graph("g"), paper_pattern()
+        ).relation
 
     def test_refresh_of_absent_entry_is_a_noop(self, engine):
         engine.update_graph("g", [AttributeUpdate("Bob", "experience", 9)])
@@ -272,7 +296,8 @@ class TestOracleCache:
 
     def test_peek_skips_stats(self, engine):
         """Introspection (oracle_stats, explain) reads the held labels
-        without counting a hit, dropping a stale one or building a cold one."""
+        without counting a hit or building a cold one; what an out-of-band
+        write killed it may drop, never rebuild."""
         engine.oracle_stats("g")
         engine.explain("g", paper_pattern())
         assert engine._registered["g"].oracle is None  # still cold
@@ -280,8 +305,11 @@ class TestOracleCache:
         before = engine.oracle_cache_stats()
         assert engine.oracle_stats("g")["state"] == "warm"
         engine.explain("g", paper_pattern())
+        assert engine.oracle_cache_stats() == before
         engine.graph("g").add_edge(*EDGE_E1)
         assert engine.oracle_stats("g")["state"] == "cold"
         engine.explain("g", paper_pattern())
-        assert engine._registered["g"].oracle is not None  # stale, not dropped
-        assert engine.oracle_cache_stats() == before
+        assert engine._registered["g"].oracle is None  # dropped, not rebuilt
+        assert engine.stats()["resyncs"] == 1
+        after = engine.oracle_cache_stats()
+        assert after == {**before, "size": 0, "invalidations": 1}

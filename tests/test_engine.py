@@ -135,9 +135,9 @@ class TestEvaluationRoutes:
 
 
 class TestOutOfBandStaleness:
-    """QueryCache reads validate Graph.version: a mutation that bypasses
-    ``update_graph`` (any direct write through the counting graph APIs)
-    must never let the engine serve a stale cached relation."""
+    """The engine compares Graph.version where it resolves the graph: a
+    mutation that bypasses ``update_graph`` (any direct write through the
+    counting graph APIs) must never let it serve a stale cached relation."""
 
     def test_direct_mutation_invalidates_cached_result(self, engine):
         engine.evaluate("fig1", paper_pattern())
@@ -146,21 +146,26 @@ class TestOutOfBandStaleness:
         engine.graph("fig1").add_edge(*EDGE_E1)
         second = engine.evaluate("fig1", paper_pattern())
         assert second.stats["route"] == "direct"  # recomputed, not cached
-        assert engine.cache_stats()["stale_drops"] == 1
+        assert engine.stats()["resyncs"] == 1
         # The recomputed answer reflects the mutated graph (inserting e1
         # promotes Bob's SA sponsorship per the paper's Example 5).
         reference = engine.evaluate(
             "fig1", paper_pattern(), use_cache=False, cache_result=False
         )
         assert second.relation == reference.relation
+        assert second.relation == match_bounded(
+            paper_graph(include_e1=True), paper_pattern()
+        ).relation
 
     def test_explain_agrees_after_out_of_band_mutation(self, engine):
         engine.evaluate("fig1", paper_pattern())
         assert engine.explain("fig1", paper_pattern()).route == "cache"
         engine.graph("fig1").add_edge(*EDGE_E1)
-        # explain() consults the same version-aware check evaluate() uses,
-        # so it must not promise a cache route evaluate() would miss.
+        # explain() resolves the graph through the same check evaluate()
+        # does, so it must not promise a cache route evaluate() would miss.
         assert engine.explain("fig1", paper_pattern()).route == "direct"
+        assert engine.evaluate("fig1", paper_pattern()).stats["route"] == "direct"
+        assert engine.stats()["resyncs"] == 1
 
     def test_attribute_write_invalidates_cached_result(self, engine):
         engine.evaluate("fig1", paper_pattern())
@@ -168,6 +173,10 @@ class TestOutOfBandStaleness:
         second = engine.evaluate("fig1", paper_pattern())
         assert second.stats["route"] == "direct"
         assert "Bob" not in second.relation.matches_of("SA")
+        assert second.relation == match_bounded(
+            engine.graph("fig1"), paper_pattern()
+        ).relation
+        assert engine.stats()["resyncs"] == 1
 
 
 class TestCompressionManagement:
@@ -235,9 +244,12 @@ class TestUpdatesAndPinning:
         assert engine.cache_stats()["pinned"] == 0
 
     def test_version_bumps_per_batch(self, engine):
-        engine.update_graph("fig1", [EdgeInsertion(*EDGE_E1)])
+        before = engine.graph("fig1").version
+        summary = engine.update_graph("fig1", [EdgeInsertion(*EDGE_E1)])
         result = engine.evaluate("fig1", paper_pattern())
-        assert result.stats["graph_version"] == 1
+        # One meaning: the graph's own version, as the service reports it.
+        assert result.stats["graph_version"] == engine.graph("fig1").version
+        assert summary["graph_version"] == before + 1
 
     def test_pinned_query_agrees_with_recompute_under_random_updates(self):
         engine = QueryEngine()

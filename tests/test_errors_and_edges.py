@@ -59,9 +59,11 @@ class TestEngineEdges:
     def test_update_with_empty_batch_is_a_version_bump(self):
         engine = QueryEngine()
         engine.register_graph("fig1", paper_graph())
+        before = engine.graph("fig1").version
         summary = engine.update_graph("fig1", [])
         assert summary["applied"] == 0
-        assert summary["graph_version"] == 1
+        # graph_version is the graph's own version: nothing was written.
+        assert summary["graph_version"] == engine.graph("fig1").version == before
 
     def test_register_replace_clears_stale_cache(self):
         engine = QueryEngine()

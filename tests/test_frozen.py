@@ -408,9 +408,10 @@ class TestSnapshotCache:
         fresh = engine._registered["g"].frozen
         assert fresh is not held and fresh.matches(fig1)
         stats = engine.snapshot_stats()
-        assert stats["hits"] == 1 and stats["stale_drops"] == 1
+        assert stats["hits"] == 1 and stats["invalidations"] == 1
         assert stats["misses"] == 2 and stats["builds"] == 2
         assert stats["size"] == 1 and "capacity" not in stats
+        assert engine.stats()["resyncs"] == 1
 
     def test_one_snapshot_per_graph_and_reregistration(self, fig1, fig1_query):
         """Every registered graph keeps its own snapshot (nothing is
@@ -449,7 +450,7 @@ class TestSnapshotCache:
         after = engine.evaluate("g", fig1_query, use_cache=False, cache_result=False)
         stats = engine.snapshot_stats()
         assert stats["builds"] == 2
-        assert stats["stale_drops"] == 1
+        assert stats["invalidations"] == 1 and engine.stats()["resyncs"] == 1
         # ...and the fresh snapshot reflects the mutated graph.
         assert after.relation == match_bounded(fig1, fig1_query).relation
         assert after.relation != before.relation
@@ -578,5 +579,6 @@ class TestUpdateAttrs:
         engine.evaluate("g", fig1_query, use_cache=False, cache_result=False)
         fig1.update_attrs("Bob", field="BA")  # Bob stops matching SA
         after = engine.evaluate("g", fig1_query, use_cache=False, cache_result=False)
-        assert engine.snapshot_stats()["stale_drops"] == 1
+        assert engine.snapshot_stats()["invalidations"] == 1
+        assert engine.stats()["resyncs"] == 1
         assert "Bob" not in after.relation.matches_of("SA")

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ServerError
 from repro.server import ExpFinderService, QueryServer, ServiceConfig
-from repro.server.wire import decode_updates
+from repro.server.wire import decode_budget, decode_updates
 from repro.testing.chaos import GRAPH_NAME, base_graph
 
 MALFORMED_UPDATES = [
@@ -34,6 +34,15 @@ MALFORMED_UPDATES = [
     ({"op": "set-attr", "node": ["n0"], "attr": "x", "value": 1}, "node"),
     ({"op": "set-attr", "node": "n0", "attr": 3, "value": 1}, "attr"),
     ({"op": "add-node", "node": "z", "attrs": {3: 1}}, "attrs"),
+]
+
+# JSON ``true`` is an ``int`` to Python: it must not read as a limit of one.
+MALFORMED_BUDGETS = [
+    ({"node_visits": True}, "node_visits"),
+    ({"seconds": True}, "seconds"),
+    ({"seconds": "1"}, "seconds"),
+    ({"seconds": 0}, "seconds"),
+    ({"allow_partial": 1}, "allow_partial"),
 ]
 
 
@@ -142,6 +151,22 @@ class TestMalformedUpdates:
             revived.update_graph(
                 GRAPH_NAME, {"updates": [{"op": "remove-node", "node": "later"}]}
             )
+
+
+class TestMalformedBudgets:
+    @pytest.mark.parametrize("budget, field", MALFORMED_BUDGETS)
+    def test_decode_refuses_with_a_typed_error(self, budget, field):
+        with pytest.raises(ServerError, match=field):
+            decode_budget({"budget": budget})
+
+    def test_a_boolean_time_limit_is_a_400(self, server):
+        pattern = 'node A* : kind == "seed"\n'
+        body = json.dumps({"pattern": pattern, "budget": {"seconds": True}}).encode()
+        status, _headers, error, _rest = _raw(
+            server.address, _post(f"/graphs/{GRAPH_NAME}/evaluate", body)
+        )
+        assert status == 400
+        assert error["error"] == "ServerError" and "seconds" in error["message"]
 
 
 class TestUnreadableBodies:

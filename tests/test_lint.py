@@ -28,7 +28,6 @@ FIXTURE_EXCLUDES = frozenset({"__pycache__"})
 #: rule id -> (flagged fixture, clean fixture); path-scoped rules opt in
 #: by mirroring the directory shape they scope on.
 CORPUS = {
-    "cache-version-guard": ("bad/cache_guard_bad.py", "good/cache_guard_good.py"),
     "frozen-immutability": ("bad/frozen_bad.py", "good/frozen_good.py"),
     "guard-threading": ("bad/guard_bad.py", "good/guard_good.py"),
     "spawn-safety": ("bad/spawn_bad.py", "good/spawn_good.py"),
@@ -64,9 +63,9 @@ class TestCorpus:
         assert result.active == []
 
     def test_findings_carry_source_lines_and_positions(self):
-        finding = lint_fixture(CORPUS["cache-version-guard"][0]).active[0]
+        finding = lint_fixture(CORPUS["frozen-immutability"][0]).active[0]
         assert finding.line > 0
-        assert "cache.get(key)" in finding.source_line
+        assert "frozen.labels = []" in finding.source_line
 
 
 class TestSuppression:
@@ -78,7 +77,7 @@ class TestSuppression:
     def test_empty_justification_is_flagged_and_does_not_silence(self):
         active = lint_fixture("bad/suppress_empty.py").active
         rules = sorted(finding.rule for finding in active)
-        assert rules == [BAD_SUPPRESSION, "cache-version-guard"]
+        assert rules == [BAD_SUPPRESSION, "frozen-immutability"]
 
     def test_unknown_rule_in_directive_is_flagged(self):
         source = "x = 1  # repro-lint: disable=no-such-rule -- because\n"
@@ -97,13 +96,13 @@ class TestSuppression:
 
     def test_directive_inside_a_string_is_inert(self):
         source = (
-            'from repro.engine.cache import QueryCache\n'
-            'cache = QueryCache(capacity=2)\n'
-            'note = "# repro-lint: disable=cache-version-guard -- nope"\n'
-            'entry = cache.peek(note)\n'
+            'from repro.graph.frozen import FrozenGraph\n'
+            'frozen = FrozenGraph.freeze(graph)\n'
+            'note = "# repro-lint: disable=frozen-immutability -- nope"\n'
+            'frozen.labels = [note]\n'
         )
         active = lint_source(source)
-        assert [f.rule for f in active] == ["cache-version-guard"]
+        assert [f.rule for f in active] == ["frozen-immutability"]
         assert not any(f.suppressed for f in active)
 
     def test_prose_mention_of_the_tool_is_not_a_directive(self):
@@ -151,8 +150,11 @@ class TestBaseline:
         assert len(second.baselined) == len(first.active)
 
     def test_fingerprint_survives_line_drift(self):
-        violation = "entry = cache.peek(key)\n"
-        prefix = "from repro.engine.cache import QueryCache\ncache = QueryCache()\n"
+        violation = "frozen.labels = []\n"
+        prefix = (
+            "from repro.graph.frozen import FrozenGraph\n"
+            "frozen = FrozenGraph.freeze(graph)\n"
+        )
         shifted = prefix + "\n\n\n" + violation
         original = lint_source(prefix + violation, path="same.py")
         moved = lint_source(shifted, path="same.py")
@@ -206,7 +208,7 @@ class TestCliGate:
 
     def test_write_then_enforce_baseline(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        target = str(FIXTURES / "bad" / "cache_guard_bad.py")
+        target = str(FIXTURES / "bad" / "frozen_bad.py")
         assert (
             lint_main(
                 [
@@ -231,4 +233,4 @@ class TestCliGate:
         from repro.cli import main as expfinder_main
 
         assert expfinder_main(["lint", "--list-rules"]) == 0
-        assert "cache-version-guard" in capsys.readouterr().out
+        assert "frozen-immutability" in capsys.readouterr().out

@@ -67,24 +67,6 @@ class TestBasics:
         assert maintained.staleness == 0
         assert maintained.num_classes == 2
 
-    def test_auto_recompress(self):
-        g = make_labelled_graph([], {"x": "A", "y": "A", "c": "C"})
-        maintained = MaintainedCompression(
-            g, attrs=("label",), auto_recompress_after=2
-        )
-        maintained.apply(EdgeInsertion("x", "c"))
-        maintained.apply(EdgeDeletion("x", "c"))
-        assert maintained.staleness == 0  # auto-recompressed
-        assert maintained.num_classes == 2
-
-    def test_invalid_auto_threshold(self):
-        with pytest.raises(CompressionError):
-            MaintainedCompression(
-                make_labelled_graph([], {"x": "A"}),
-                attrs=("label",),
-                auto_recompress_after=0,
-            )
-
     def test_unknown_update_type(self):
         maintained = MaintainedCompression(
             make_labelled_graph([], {"x": "A"}), attrs=("label",)

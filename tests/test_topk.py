@@ -317,7 +317,8 @@ class TestRankCache:
         graph.add_node("b1x", field="SD", experience=5)
         graph.add_edge("b1x", "a1")
         after = engine.top_k("teams", pattern, 10)
-        assert engine.rank_cache_stats()["stale_drops"] == 1
+        assert engine.rank_cache_stats()["invalidations"] == 1
+        assert engine.stats()["resyncs"] == 1
         fresh = rank_matches(match_bounded(graph, pattern).result_graph())
         assert after == fresh[:10]
 
@@ -387,8 +388,10 @@ class TestIncrementalRerank:
         # The untouched match was *not* re-ranked: same object, not a copy.
         untouched_after = engine._rank_cache.peek(key).context._details["a1"]
         assert untouched_after is untouched_before
-        # And the refreshed entry serves reads without a stale drop.
-        assert engine.rank_cache_stats()["stale_drops"] == 0
+        # And the refreshed entry serves reads: a hit, nothing dropped.
+        stats = engine.rank_cache_stats()
+        assert stats["hits"] == 1 and stats["invalidations"] == 0
+        assert engine.stats()["resyncs"] == 0
 
     def test_update_reranks_against_recompute_on_random_graphs(self):
         for seed in range(4):

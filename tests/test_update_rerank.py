@@ -170,8 +170,7 @@ class PinnedTwin:
         if self.relations[key].is_empty != expected.relation.is_empty:
             self.flips += 1
         self.relations[key] = expected.relation
-        assert cache_entry.graph_version == self.graph.version
-        assert rank_entry.graph_version == self.graph.version
+        assert self.engine._registered[NAME].synced_version == self.graph.version
 
         # the patched result graph against fresh builds
         context = rank_entry.context
@@ -398,12 +397,11 @@ def test_unchanged_result_graph_keeps_context_and_ranked_prefix(lazy_selects):
         "changed_nodes": 0,
     }
     assert twin.entries(pattern)[1].context is context
-    assert twin.entries(pattern)[1].graph_version == graph.version
     assert context._details == details
     ranked = twin.engine.top_k(NAME, pattern, 3)
     assert lazy_selects == []
     assert ranked == rank_matches(match_bounded(graph, pattern).result_graph())[:3]
-    assert twin.engine.rank_cache_stats()["stale_drops"] == 0
+    assert twin.engine.stats()["resyncs"] == 0
 
 
 def test_written_attribute_of_a_ranked_match_is_rescored():
@@ -483,8 +481,7 @@ class TestFailingPrimitive:
         assert graph.has_edge(source, target)  # no rollback: the prefix stands
         stats = engine.cache_stats()
         assert stats["pinned"] == pinned_before == len(patterns)
-        assert stats["stale_drops"] == 0
-        assert engine.rank_cache_stats()["stale_drops"] == 0
+        assert engine.stats()["resyncs"] == 0
         for pattern in patterns:
             result = engine.evaluate(NAME, pattern)
             assert result.stats["route"] == "cache"
