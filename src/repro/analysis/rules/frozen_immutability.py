@@ -17,7 +17,7 @@ What this rule matches:
   ``_reach_out``), rebuilt idempotently and never shipped;
 * anywhere else: the same operations on receivers bound to a frozen
   constructor (``FrozenGraph.freeze(...)``, ``DistanceOracle.build(...)``,
-  ``.without_attrs()``) or on parameters named
+  ``.without_attrs()``, ``.patched(...)``) or on parameters named
   ``frozen``/``snapshot``/``oracle``.
 
 Known miss: aliases (``x = frozen; x.labels = ...``) are not tracked.
@@ -41,7 +41,7 @@ from repro.analysis.rules._util import (
 )
 
 FROZEN_CLASSES = frozenset({"FrozenGraph", "DistanceOracle"})
-FACTORY_ATTRS = frozenset({"freeze", "from_buffers", "build", "without_attrs"})
+FACTORY_ATTRS = frozenset({"freeze", "from_buffers", "build", "without_attrs", "patched"})
 ALLOWED_METHODS = frozenset({"__init__", "__setstate__"})
 PARAM_NAMES = frozenset({"frozen", "snapshot", "oracle"})
 

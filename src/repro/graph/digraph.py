@@ -297,12 +297,21 @@ class Graph:
     # derivation
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "Graph":
-        """An independent deep-enough copy (attribute dicts copied, version kept)."""
+        """An independent deep-enough copy, order-exact in both directions.
+
+        Copied: the node table and each node's attribute dict, successor
+        row and predecessor row (one ``dict.copy`` each; attribute *values*
+        are shared); kept: the version.  Node, successor and predecessor
+        order are the original's — re-inserting the edges would re-derive
+        predecessor order from source order — so ``freeze(g.copy())``
+        equals ``freeze(g)`` array for array, which ``FrozenGraph.patched``
+        relies on to carry rows from one epoch to the next.
+        """
         clone = Graph(name=self.name if name is None else name)
-        for node, attrs in self._attrs.items():
-            clone.add_node(node, **attrs)
-        for source, target in self.edges():
-            clone.add_edge(source, target)
+        clone._attrs = {node: attrs.copy() for node, attrs in self._attrs.items()}
+        clone._succ = {node: row.copy() for node, row in self._succ.items()}
+        clone._pred = {node: row.copy() for node, row in self._pred.items()}
+        clone._num_edges = self._num_edges
         return clone.carry_version(self._version)
 
     def subgraph(self, nodes: Iterable[NodeId], name: str = "") -> "Graph":
@@ -332,11 +341,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self._attrs == other._attrs
-            and {n: dict(t) for n, t in self._succ.items()}
-            == {n: dict(t) for n, t in other._succ.items()}
-        )
+        return self._attrs == other._attrs and self._succ == other._succ
 
     def __hash__(self) -> int:  # pragma: no cover - graphs are mutable
         raise TypeError("Graph objects are mutable and unhashable")

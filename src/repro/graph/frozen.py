@@ -49,7 +49,7 @@ True
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import GraphError
 from repro.graph.digraph import Edge, Graph, NodeId
@@ -64,6 +64,46 @@ def _own_buffer(buffer: Any) -> array:
     through untouched.
     """
     return buffer if isinstance(buffer, array) else array("q", buffer)
+
+
+def _spliced(offsets: Any, targets: Any, rows: dict[int, list[int]]) -> tuple[array, array]:
+    """The CSR pair with ``rows`` (node index -> target ids) put in place.
+
+    Indexes past the last row append.  Runs of untouched rows move as one
+    slice each (their offsets shifted by what the earlier replacements
+    grew or shrank).  The inputs, which may be mmap views, are only read;
+    the outputs own their memory.
+    """
+    offsets, targets = _own_buffer(offsets), _own_buffer(targets)
+    if not rows:
+        return offsets, targets
+    count = len(offsets) - 1
+    new_offsets, new_targets = array("q"), array("q")
+    cursor = 0
+    # The sentinel past every row flushes the tail and the closing offset.
+    for index in sorted(rows) + [max(count, max(rows) + 1)]:
+        stop = min(index, count)
+        if stop > cursor:  # rows cursor..stop-1 are carried unchanged
+            shift = len(new_targets) - offsets[cursor]
+            carried = offsets[cursor:stop]
+            new_offsets.extend(map(shift.__add__, carried) if shift else carried)
+            new_targets.extend(targets[offsets[cursor] : offsets[stop]])
+        new_offsets.append(len(new_targets))
+        new_targets.extend(rows.get(index, ()))
+        cursor = stop + 1
+    return new_offsets, new_targets
+
+
+def _patched_sets(
+    sets: tuple[frozenset[int], ...] | None, rows: dict[int, list[int]], count: int
+) -> tuple[frozenset[int], ...] | None:
+    """A built adjacency view with ``rows`` replaced / appended (else None)."""
+    if sets is None or not rows:
+        return sets
+    patched = list(sets) + [frozenset()] * (count - len(sets))
+    for index, row in rows.items():
+        patched[index] = frozenset(row)
+    return tuple(patched)
 
 
 class FrozenGraph:
@@ -93,6 +133,8 @@ class FrozenGraph:
         "_ids",
         "_succ_sets",
         "_pred_sets",
+        "_interned",
+        "_pool_floor",
         "path",
     )
 
@@ -125,6 +167,10 @@ class FrozenGraph:
         self._ids: dict[NodeId, int] | None = None
         self._succ_sets: tuple[frozenset[int], ...] | None = None
         self._pred_sets: tuple[frozenset[int], ...] | None = None
+        # What `patched` needs of the pool: its (lazy) interning table and
+        # its size at the last full freeze or load.
+        self._interned: dict[tuple[type, Any], int] | None = None
+        self._pool_floor = len(values)
         # Backing snapshot file when loaded via the store (mmap views);
         # lets the parallel executor ship the path instead of the buffers.
         self.path: Any = None
@@ -185,6 +231,117 @@ class FrozenGraph:
         )
         frozen._ids = ids
         return frozen
+
+    def patched(self, graph: Graph, primitives: Iterable[Any]) -> "FrozenGraph | None":
+        """The snapshot of ``graph``, built from this one in O(what changed).
+
+        ``graph`` must be a :meth:`Graph.copy` of this snapshot's graph after
+        exactly ``primitives`` (decomposed updates) were applied.  Nothing
+        is replayed: the rows of the touched nodes and the written attribute
+        cells are re-read *from ``graph``* and spliced into copies of the
+        CSR arrays; labels and ids are shared (extended by node insertions),
+        built adjacency views are carried with those rows replaced, only
+        written columns are copied, the value pool only when a value is new.
+        This snapshot is never written — pinned readers see every buffer
+        unchanged — and an mmap-backed one yields a result owning its arrays.
+
+        Returns ``None`` (the caller pays :meth:`freeze`) for a node
+        deletion — dense ids shift — and once the pool has doubled, plus a
+        slot per node, since the last full freeze: overwritten values are
+        never reclaimed, this bounds the leak, and the full build is
+        amortised over at least |V| new values.
+
+        ``Graph.copy`` is order-exact, so inside one lineage the result
+        equals ``FrozenGraph.freeze(graph)`` array for array.  A JSON reload
+        re-derives predecessor order: over a snapshot frozen before one (a
+        checkpoint's file) the rows equal a fresh freeze's as sets only —
+        all that kernels and ``to_graph() == graph`` observe.
+        """
+        from repro.incremental.updates import (
+            AttributeUpdate,
+            EdgeDeletion,
+            EdgeInsertion,
+            NodeInsertion,
+        )
+
+        inserted: list[NodeId] = []
+        touched: dict[NodeId, None] = {}  # dicts, not sets: deterministic order
+        cells: dict[tuple[NodeId, str], None] = {}
+        for primitive in primitives:
+            if isinstance(primitive, (EdgeInsertion, EdgeDeletion)):
+                touched[primitive.source] = touched[primitive.target] = None
+            elif isinstance(primitive, AttributeUpdate):
+                cells[(primitive.node, primitive.attr)] = None
+            elif isinstance(primitive, NodeInsertion):
+                inserted.append(primitive.node)
+                touched[primitive.node] = None
+                cells.update(((primitive.node, attr), None) for attr in primitive.attrs)
+            else:  # NodeDeletion
+                return None
+        if len(self._values) > 2 * self._pool_floor + len(self.labels):
+            return None
+
+        labels, ids = self.labels, self.ids()
+        if inserted:
+            ids = dict(ids)
+            ids.update(zip(inserted, range(len(labels), len(labels) + len(inserted))))
+            labels = labels + tuple(inserted)
+        out_rows = {ids[node]: [ids[t] for t in graph.successors(node)] for node in touched}
+        in_rows = {ids[node]: [ids[s] for s in graph.predecessors(node)] for node in touched}
+
+        columns, values, interned = self._column_dicts(), self._values, self._pool_index()
+        written: set[str] = set()
+        for node, attr in cells:
+            value = graph.attrs(node)[attr]
+            key: Any = (value.__class__, value)
+            try:
+                value_id = interned.get(key)
+            except TypeError:  # unhashable values are stored un-deduped
+                key = value_id = None
+            if value_id is None:
+                if values is self._values:  # first new value: copy the pool
+                    values, interned = list(values), dict(interned)
+                value_id = len(values)
+                values.append(value)
+                if key is not None:
+                    interned[key] = value_id
+            index = ids[node]
+            if columns.get(attr, {}).get(index) == value_id:
+                continue  # a write of the value already there
+            if not written:
+                columns = dict(columns)
+            if attr not in written:
+                columns[attr] = dict(columns.get(attr, ()))
+                written.add(attr)
+            columns[attr][index] = value_id
+
+        result = FrozenGraph(
+            graph.name,
+            graph.version,
+            labels,
+            *_spliced(self.out_offsets, self.out_targets, out_rows),
+            *_spliced(self.in_offsets, self.in_targets, in_rows),
+            columns,
+            values,
+        )
+        result._ids = ids
+        result._interned = interned
+        result._pool_floor = self._pool_floor
+        result._succ_sets = _patched_sets(self._succ_sets, out_rows, len(labels))
+        result._pred_sets = _patched_sets(self._pred_sets, in_rows, len(labels))
+        return result
+
+    def _pool_index(self) -> dict[tuple[type, Any], int]:
+        """``(type, value) -> pool slot`` of the hashable pooled values (lazy)."""
+        if self._interned is None:
+            interned: dict[tuple[type, Any], int] = {}
+            for value_id, value in enumerate(self._values):
+                try:
+                    interned.setdefault((value.__class__, value), value_id)
+                except TypeError:  # unhashable: never deduplicated
+                    pass
+            self._interned = interned
+        return self._interned
 
     def without_attrs(self) -> "FrozenGraph":
         """An adjacency-only twin sharing this snapshot's buffers (O(1)).
@@ -493,6 +650,8 @@ class FrozenGraph:
         self._ids = None
         self._succ_sets = None
         self._pred_sets = None
+        self._interned = None
+        self._pool_floor = len(self._values)
         self.path = None
 
     def __repr__(self) -> str:

@@ -19,17 +19,20 @@ registry instead versions the world into **epochs**:
   registry's master graph — the one copy a publish makes — which
   becomes the master, and the next epoch's graph, only once the whole
   batch has succeeded — a primitive that raises mid-batch leaves the
-  served state untouched — then freezes it and swaps the ``current``
-  pointer under the registry lock: one pointer assignment is the entire
-  critical section readers can observe, so a query sees either epoch N
-  or N+1 in full, never a half-applied batch;
+  served state untouched — then patches the prior epoch's snapshot with
+  the primitives it applied (``FrozenGraph.patched``; a full freeze only
+  where that is unsound or impossible, see ``_build_epoch``) and swaps
+  the ``current`` pointer under the registry lock: one pointer
+  assignment is the entire critical section readers can observe, so a
+  query sees either epoch N or N+1 in full, never a half-applied batch;
 * when the last pin on a superseded epoch drains, the epoch is retired
   and its snapshots become garbage.
 
 Distance oracles carry over between epochs when every primitive in the
 batch is distance-preserving (``DistanceOracle.survives``), exactly
 mirroring the single-engine refresh rule — so an attribute-only write
-burst republishes in O(copy + freeze) without any label rebuild.
+burst republishes in one graph copy plus O(batch), without any freeze or
+label rebuild.
 """
 
 from __future__ import annotations
@@ -321,8 +324,9 @@ class SnapshotRegistry:
     serializes per graph on its write lock and holds the registry lock
     only for the final pointer swap.  Counters make warm-start and
     lifecycle behaviour observable (and testable): ``freezes`` counts
-    snapshot builds paid in-process, ``fault_ins`` counts snapshots
-    mmapped from a store instead.
+    full snapshot builds paid in-process, ``patches`` snapshots carried
+    over a batch from the prior one, ``fault_ins`` snapshots mmapped
+    from a store instead.
     """
 
     def __init__(
@@ -347,6 +351,7 @@ class SnapshotRegistry:
             "epochs_published": 0,
             "epochs_retired": 0,
             "freezes": 0,
+            "patches": 0,
             "fault_ins": 0,
             "oracle_builds": 0,
             "oracle_carries": 0,
@@ -494,15 +499,14 @@ class SnapshotRegistry:
                 wire_batch = [encode_update(update) for update in updates]
                 lsn = self.wal.append(name, wire_batch, state.master.version)
                 state.appended_lsn = lsn
-            scratch = state.master.copy()
-            oracle_survives = True
+            base = state.master
+            scratch = base.copy()
+            applied: list[Update] = []
             try:
                 for update in updates:
                     for primitive in decompose(scratch, update):
-                        oracle_survives = oracle_survives and DistanceOracle.survives(
-                            primitive
-                        )
                         primitive.apply(scratch)
+                        applied.append(primitive)
                         fault_point("registry.apply")
             except ReproError:
                 # The batch is invalid against this base: its WAL record
@@ -516,8 +520,11 @@ class SnapshotRegistry:
             fault_point("registry.publish")
             prior = state.current
             try:
+                # After a degraded build the master is ahead of the served
+                # epoch and this batch alone does not describe the
+                # difference: nothing is carried, the epoch is built in full.
                 epoch = self._build_epoch(
-                    name, state, prior=prior if oracle_survives else None
+                    name, state, prior if prior.graph is base else None, applied
                 )
             except (StorageError, MemoryError) as exc:
                 # Graceful degradation: the master has the batch (and the
@@ -605,22 +612,28 @@ class SnapshotRegistry:
                 with self._lock:
                     self.counters["fault_ins"] += 1
             replayed = skipped = 0
+            applied: list[Update] = []  # the replayed batches' primitives
             last_lsn = checkpoint["lsn"]
             for record in pending.get(name, []):
                 if record.lsn <= checkpoint["lsn"]:
                     continue
                 scratch = graph.copy()
+                batch: list[Update] = []
                 try:
                     for update in decode_updates({"updates": record.updates}):
                         for primitive in decompose(scratch, update):
                             primitive.apply(scratch)
+                            batch.append(primitive)
                 except ReproError:
                     skipped += 1
                 else:
                     graph = scratch
-                    frozen = None  # the stored snapshot is now stale
+                    applied += batch
                     replayed += 1
                 last_lsn = record.lsn
+            if frozen is not None and replayed:
+                # The stored snapshot is stale by exactly the replayed tail.
+                frozen = self._patched(frozen, graph, applied)
             state = _GraphState(graph, None)
             state.appended_lsn = last_lsn
             state.applied_lsn = last_lsn
@@ -682,20 +695,26 @@ class SnapshotRegistry:
         self,
         name: str,
         state: _GraphState,
-        prior: Epoch | None,
+        prior: Epoch | None = None,
+        primitives: Sequence[Update] = (),
         frozen: FrozenGraph | None = None,
         oracle_obj: DistanceOracle | None = None,
     ) -> Epoch:
-        """Freeze + (carry | build | skip) oracle, outside any swap.
+        """(Patch | freeze) + (carry | build | skip) oracle, outside any swap.
 
         Called under the graph's write lock but *not* the registry lock —
-        the expensive work (CSR freeze, adjacency prewarm, possible oracle
-        build) happens while readers continue against the previous epoch
+        the work happens while readers continue against the previous epoch
         untouched.  The epoch serves ``state.master`` itself, uncopied:
-        nothing writes to a master in place.
+        nothing writes to a master in place.  ``prior`` is the epoch whose
+        graph the master is a copy of plus exactly ``primitives``: its
+        snapshot is patched (adjacency views carried, so the prewarm below
+        is a hit) and its oracle carried when every primitive preserves
+        distances.  Without one the epoch is built in full.
         """
         fault_point("registry.rebuild")
         graph = state.master
+        if frozen is None and prior is not None:
+            frozen = self._patched(prior.frozen, graph, primitives)
         if frozen is None:
             frozen = FrozenGraph.freeze(graph)
             with self._lock:
@@ -711,11 +730,13 @@ class SnapshotRegistry:
         frozen.predecessor_sets()
         oracle = oracle_obj
         if oracle is None and state.oracle_config is not None:
-            carried = None
-            if prior is not None and prior.oracle is not None:
-                carried = prior.oracle if prior.oracle.compatible_with(frozen) else None
-            if carried is not None:
-                oracle = carried
+            if (
+                prior is not None
+                and prior.oracle is not None
+                and all(map(DistanceOracle.survives, primitives))
+                and prior.oracle.compatible_with(frozen)
+            ):
+                oracle = prior.oracle
                 with self._lock:
                     self.counters["oracle_carries"] += 1
             else:
@@ -735,6 +756,16 @@ class SnapshotRegistry:
         )
         state.next_epoch_id += 1
         return epoch
+
+    def _patched(
+        self, frozen: FrozenGraph, graph: Graph, primitives: Sequence[Update]
+    ) -> FrozenGraph | None:
+        """``frozen`` carried over ``primitives`` to ``graph`` (None: freeze)."""
+        patched = frozen.patched(graph, primitives)
+        if patched is not None:
+            with self._lock:
+                self.counters["patches"] += 1
+        return patched
 
     def _state_locked(self, name: str) -> _GraphState:
         """The record of a served graph.  Caller holds the registry lock."""
@@ -756,7 +787,7 @@ class SnapshotRegistry:
         """Build ``state``'s first epoch off-lock and serve it as ``name``."""
         with state.write_lock:
             epoch = self._build_epoch(
-                name, state, prior=None, frozen=frozen, oracle_obj=oracle_obj
+                name, state, frozen=frozen, oracle_obj=oracle_obj
             )
             with self._lock:
                 self._drain_leaked_locked()

@@ -10,5 +10,11 @@ def corrupt_snapshot(graph):
     return frozen
 
 
+def corrupt_patched(prior, graph, primitives):
+    carried = prior.patched(graph, primitives)
+    carried.in_targets[0] = 9  # a receiver bound to .patched(...) is tracked
+    return carried
+
+
 def poke_oracle(oracle):
     oracle.rows_filled = 3  # parameter named `oracle` is tracked

@@ -9,5 +9,10 @@ def read_snapshot(graph):
     return frozen.labels, list(first_row)
 
 
+def read_patched(prior, graph, primitives):
+    carried = prior.patched(graph, primitives)
+    return None if carried is None else carried.in_targets[0]
+
+
 def read_oracle(oracle):
     return oracle.rows_filled

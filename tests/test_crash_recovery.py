@@ -17,6 +17,7 @@ import http.client
 import json
 import shutil
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from repro.errors import (
     ServiceDegradedError,
     StorageError,
 )
+from repro.graph.frozen import FrozenGraph
 from repro.graph.io import graph_to_dict
 from repro.incremental.updates import NodeInsertion
 from repro.server import ExpFinderService, QueryServer, ServiceConfig
@@ -379,6 +381,57 @@ class TestServiceRecovery:
                 assert epoch.graph.version == acked[-1]
                 assert epoch.graph.has_edge("n1", "n0")
                 assert not epoch.graph.has_edge("n5", "n0")
+
+    def test_recovery_patches_the_checkpoint_snapshot_across_the_tail(self, tmp_path):
+        """The faulted-in snapshot is stale by exactly the replayed tail: it is
+        patched once over the tail's primitives (skipped batches excluded),
+        owns its arrays, and equals a full freeze row for row as sets (the
+        checkpoint's JSON reload re-derives predecessor order)."""
+        service = ExpFinderService(_service_config(tmp_path))
+        service.register_graph(GRAPH_NAME, base_graph())
+        batches = [
+            [{"op": "set-attr", "node": "n0", "attr": "round", "value": [1, "unhashable"]}],
+            [
+                {"op": "remove-edge", "source": "n0", "target": "n1"},
+                {"op": "add-edge", "source": "n4", "target": "n0"},
+                {"op": "add-edge", "source": "n2", "target": "n0"},
+            ],
+            [  # fails mid-batch, here and at replay: its prefix must not be patched in
+                {"op": "add-node", "node": "ghost", "attrs": {}},
+                {"op": "add-edge", "source": "n1", "target": "n2"},
+            ],
+            [
+                {"op": "add-node", "node": "x", "attrs": {"kind": "late"}},
+                {"op": "add-edge", "source": "x", "target": "n0"},
+            ],
+        ]
+        for batch in batches:
+            try:
+                service.update_graph(GRAPH_NAME, {"updates": batch})
+            except ReproError:
+                pass
+        del service  # simulated crash: no final checkpoint
+        with ExpFinderService(_service_config(tmp_path)) as revived:
+            report = revived.recovered[GRAPH_NAME]
+            assert (report["replayed"], report["skipped"]) == (3, 1)
+            counters = revived.registry.counters
+            assert (counters["fault_ins"], counters["patches"], counters["freezes"]) == (1, 1, 0)
+            with revived.registry.pin(GRAPH_NAME) as epoch:
+                frozen, fresh = epoch.frozen, FrozenGraph.freeze(epoch.graph)
+                assert "ghost" not in frozen and "x" in frozen
+                assert frozen.path is None
+                assert isinstance(frozen.out_targets, array)
+                assert isinstance(frozen.in_targets, array)
+                assert frozen.labels == fresh.labels
+                assert frozen.successor_sets() == fresh.successor_sets()
+                assert frozen.predecessor_sets() == fresh.predecessor_sets()
+                assert frozen.to_graph() == epoch.graph
+                assert frozen.to_graph().version == epoch.graph.version
+            # and the recovered lineage keeps patching
+            revived.update_graph(
+                GRAPH_NAME, {"updates": [{"op": "add-edge", "source": "n0", "target": "x"}]}
+            )
+            assert counters["patches"] == 2 and counters["freezes"] == 0
 
     def test_drain_reports_quiet_service(self, tmp_path):
         with ExpFinderService(_service_config(tmp_path)) as service:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph
+from repro.graph.frozen import FrozenGraph
+from repro.graph.generators import collaboration_graph
+from repro.incremental.updates import random_updates
 
 
 @pytest.fixture
@@ -206,6 +209,41 @@ class TestDerivation:
 
     def test_copy_rename(self, small: Graph):
         assert small.copy(name="other").name == "other"
+
+    def test_copy_preserves_successor_and_predecessor_order(self):
+        graph = Graph()
+        graph.add_nodes("abcd")
+        # pred(a) is [d, c, b]: re-inserting the edges in source order
+        # (what copy() used to do) would give [b, c, d]
+        for source, target in [("d", "a"), ("c", "a"), ("b", "a"), ("a", "d"), ("a", "b")]:
+            graph.add_edge(source, target)
+        graph.remove_edge("c", "a")
+        graph.add_edge("c", "a")  # now [d, b, c]
+        clone = graph.copy()
+        assert list(clone.nodes()) == list(graph.nodes())
+        for node in graph.nodes():
+            assert list(clone.successors(node)) == list(graph.successors(node))
+            assert list(clone.predecessors(node)) == list(graph.predecessors(node))
+        assert list(clone.predecessors("a")) == ["d", "b", "c"]
+        assert clone.num_edges == graph.num_edges and clone.version == graph.version
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_freeze_of_a_copy_equals_freeze_of_the_original(self, seed):
+        graph = collaboration_graph(120, seed=seed)
+        for update in random_updates(graph, 40, seed=seed):
+            update.apply(graph)  # deletions + re-insertions scramble row order
+        ours, theirs = FrozenGraph.freeze(graph), FrozenGraph.freeze(graph.copy())
+        assert theirs.labels == ours.labels
+        for field in ("out_offsets", "out_targets", "in_offsets", "in_targets"):
+            assert getattr(theirs, field) == getattr(ours, field), field
+
+    def test_copy_shares_no_row_with_the_original(self, small: Graph):
+        clone = small.copy()
+        clone.remove_edge("a", "b")
+        clone.update_attrs("a", kind="changed")
+        assert small.has_edge("a", "b") and "a" in set(small.predecessors("b"))
+        assert small.get("a", "kind") == "x"
+        assert small.num_edges == clone.num_edges + 1
 
     def test_subgraph_induced(self, small: Graph):
         sub = small.subgraph(["a", "b"])

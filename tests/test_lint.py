@@ -67,6 +67,13 @@ class TestCorpus:
         assert finding.line > 0
         assert "frozen.labels = []" in finding.source_line
 
+    def test_receivers_bound_to_patched_are_tracked(self):
+        lines = [
+            finding.source_line
+            for finding in lint_fixture(CORPUS["frozen-immutability"][0]).active
+        ]
+        assert any("carried.in_targets[0] = 9" in line for line in lines)
+
 
 class TestSuppression:
     def test_justified_suppression_is_honored(self):

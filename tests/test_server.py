@@ -14,10 +14,16 @@ import pytest
 from repro.datasets.paper_example import paper_graph, paper_pattern
 from repro.engine.estimator import QueryBudget
 from repro.engine.storage import GraphStore
-from repro.errors import AdmissionError, ReproError, ServerError
+from repro.errors import AdmissionError, ReproError, ServerError, ServiceDegradedError
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
-from repro.incremental.updates import AttributeUpdate, EdgeDeletion, EdgeInsertion
+from repro.incremental.updates import (
+    AttributeUpdate,
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    NodeInsertion,
+)
 from repro.matching.bounded import match_bounded
 from repro.pattern.parser import parse_pattern
 from repro.server import (
@@ -34,6 +40,8 @@ from repro.server.wire import (
     error_payload,
     error_status,
 )
+from repro.testing.faults import armed
+from tests.test_frozen_patch import observed
 
 SIM_PATTERN = """
 node SA* : field == "SA"
@@ -287,6 +295,99 @@ class TestOneGraphPerVersion:
         assert epoch.graph.version == version + 1
 
 
+class TestDeltaFreeze:
+    """A publish patches the prior snapshot — only when that is sound."""
+
+    def test_publish_patches_and_freezes_nothing(self, registry):
+        epoch = registry.publish(
+            "fig1", [EdgeInsertion("Fred", "Eva"), AttributeUpdate("Bob", "skill", "db")]
+        )
+        assert registry.counters["patches"] == 1
+        assert registry.counters["freezes"] == 1  # registration's, still
+        assert observed(epoch.frozen) == observed(FrozenGraph.freeze(epoch.graph))
+        assert epoch.frozen.matches(epoch.graph)
+
+    def test_node_deletion_falls_back_to_a_full_freeze(self, registry):
+        epoch = registry.publish("fig1", [NodeDeletion("Fred")])
+        assert registry.counters["patches"] == 0
+        assert registry.counters["freezes"] == 2
+        assert "Fred" not in epoch.frozen
+        registry.publish("fig1", [NodeInsertion.with_attrs("Gil", field="SA")])
+        assert registry.counters["patches"] == 1
+
+    @pytest.mark.parametrize("action", ["storage-error", "memory-error"])
+    def test_publish_after_a_degraded_build_takes_the_full_path(self, registry, action):
+        """The master is ahead of the served epoch by the degraded batch:
+        patching the served snapshot with the next batch alone would lose it."""
+        served = registry.current_epoch("fig1")
+        with armed("registry.rebuild", action=action):
+            with pytest.raises(ServiceDegradedError):
+                registry.publish(
+                    "fig1", [EdgeInsertion("Fred", "Eva"), EdgeDeletion("Bob", "Dan")]
+                )
+        assert registry.current_epoch("fig1") is served
+        counters = dict(registry.counters)
+        epoch = registry.publish("fig1", [AttributeUpdate("Bob", "skill", "db")])
+        assert registry.counters["freezes"] == counters["freezes"] + 1
+        assert registry.counters["patches"] == counters["patches"]
+        assert epoch.graph.has_edge("Fred", "Eva") and not epoch.graph.has_edge("Bob", "Dan")
+        assert observed(epoch.frozen) == observed(FrozenGraph.freeze(epoch.graph))
+        assert "Fred" in epoch.evaluate(paper_pattern()).relation.matches_of("SD")
+        # caught up: the next batch is a delta over the served epoch again
+        registry.publish("fig1", [AttributeUpdate("Bob", "skill", "ml")])
+        assert registry.counters["patches"] == counters["patches"] + 1
+
+    def test_oracle_is_not_carried_over_a_degraded_structural_batch(self):
+        registry = SnapshotRegistry()
+        registry.register("fig1", paper_graph(), oracle={})
+        with armed("registry.rebuild", action="storage-error"):
+            with pytest.raises(ServiceDegradedError):
+                registry.publish(  # same edge count: the spot checks cannot tell
+                    "fig1", [EdgeInsertion("Fred", "Eva"), EdgeDeletion("Bob", "Dan")]
+                )
+        epoch = registry.publish("fig1", [AttributeUpdate("Bob", "skill", "db")])
+        assert registry.counters["oracle_carries"] == 0
+        assert registry.counters["oracle_builds"] == 2
+        pattern = parse_pattern(BOUNDED_PATTERN, name="bounded")
+        assert (
+            epoch.evaluate(pattern).relation
+            == match_bounded(epoch.graph, pattern).relation
+        )
+
+    def test_pinned_reader_sees_its_snapshot_unchanged(self, registry):
+        with registry.pin("fig1") as pinned:
+            frozen = pinned.frozen
+            before, pool = observed(frozen), list(frozen._values)
+            registry.publish("fig1", [EdgeInsertion("Fred", "Eva")])
+            registry.publish(
+                "fig1",
+                [
+                    AttributeUpdate("Bob", "skill", ["unhashable", "and", "new"]),
+                    AttributeUpdate("Bob", "experience", 99),
+                    EdgeDeletion("Bob", "Dan"),
+                ],
+            )
+            registry.publish(
+                "fig1", [NodeInsertion.with_attrs("Gil", field="SA"), EdgeInsertion("Gil", "Bob")]
+            )
+            assert registry.counters["patches"] == 3
+            assert pinned.frozen is frozen
+            assert observed(frozen) == before and frozen._values == pool
+            assert "Gil" not in pinned.frozen and "Gil" not in pinned.frozen.ids()
+        assert "Gil" in registry.current_epoch("fig1").frozen
+
+    def test_failed_batch_keeps_the_served_snapshot_object(self, registry):
+        frozen = registry.current_epoch("fig1").frozen
+        before = observed(frozen)
+        with pytest.raises(ReproError, match="not present"):
+            registry.publish(
+                "fig1", [EdgeInsertion("Fred", "Eva"), EdgeDeletion("Fred", "Pat")]
+            )
+        assert registry.current_epoch("fig1").frozen is frozen
+        assert observed(frozen) == before
+        assert registry.counters["patches"] == 0 and registry.counters["freezes"] == 1
+
+
 class TestRegistryRaces:
     def test_register_race_does_not_overwrite_winner(self):
         """Two concurrent register() calls for one name: the loser must
@@ -389,6 +490,20 @@ class TestPreload:
         assert registry.counters["freezes"] == 0, "warm start must not freeze"
         relation = epoch.evaluate(paper_pattern()).relation
         assert relation == match_bounded(graph, paper_pattern()).relation
+
+    def test_first_publish_after_preload_patches_the_mapped_snapshot(self, tmp_path):
+        store = GraphStore(tmp_path / "catalog")
+        store.save_graph("fig1", paper_graph())
+        store.save_snapshot("fig1", FrozenGraph.freeze(store.load_graph("fig1")))
+        registry = SnapshotRegistry(store=store)
+        mapped = registry.preload("fig1").frozen
+        assert mapped.path is not None
+        epoch = registry.publish("fig1", [EdgeInsertion("Fred", "Eva")])
+        assert (registry.counters["patches"], registry.counters["freezes"]) == (1, 0)
+        assert epoch.frozen.path is None  # owns its arrays: the file is the old version
+        assert epoch.frozen.to_graph() == epoch.graph
+        assert mapped.to_graph() == store.load_graph("fig1")  # never written through
+        assert "Fred" in epoch.evaluate(paper_pattern()).relation.matches_of("SD")
 
     def test_preload_without_snapshot_degrades_to_freeze(self, tmp_path):
         store = GraphStore(tmp_path / "catalog")
@@ -676,6 +791,9 @@ class TestServiceFacade:
         )
         reply = service.evaluate("fig1", {"pattern": SIM_PATTERN})
         assert reply["epoch"] == 1
+        counters = service.stats()["registry"]["counters"]
+        assert counters["patches"] == 1
+        assert counters["freezes"] == 1  # full builds only: registration's
 
     def test_explain_and_health_and_stats(self, service):
         plan = service.explain("fig1", {"pattern": SIM_PATTERN})
