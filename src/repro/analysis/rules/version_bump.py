@@ -19,7 +19,9 @@ What this rule matches:
   (``self._attrs``/``self._succ``/``self._pred`` stores, deletes or
   in-place method calls, or writes through ``self.attrs(...)``) without a
   ``self._version += 1`` in its body — and any ``self._version += 1``
-  nested inside a loop;
+  nested inside a loop.  ``self._T[k] = self._T[k].copy()`` (same table,
+  same key: copy-on-write giving a node a private row) stores an equal
+  value and is not a content write;
 * outside such classes: subscript stores or in-place mutating calls on
   the result of ``<x>.attrs(...)`` — the live-dict bypass the
   ``Graph.version`` docstring warns about — and direct pokes at a
@@ -74,9 +76,26 @@ def _is_attrs_call_root(node: ast.AST) -> bool:
     )
 
 
+def _is_private_copy(node: ast.AST) -> bool:
+    """True for ``X = X.copy()``: the store swaps in an equal value."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        return False
+    value = node.value
+    return (
+        isinstance(value, ast.Call)
+        and not value.args
+        and not value.keywords
+        and isinstance(value.func, ast.Attribute)
+        and value.func.attr == "copy"
+        and ast.unparse(value.func.value) == ast.unparse(node.targets[0])
+    )
+
+
 def _direct_mutations(method: ast.AST) -> Iterator[int]:
     """Lines in ``method`` that mutate versioned state directly."""
     for node in ast.walk(method):
+        if _is_private_copy(node):
+            continue
         for target in assign_targets(node):
             root = subscript_root(target)
             if is_self_attr(root) and root.attr in VERSIONED_STATE:  # type: ignore[union-attr]

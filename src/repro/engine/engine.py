@@ -54,7 +54,7 @@ from repro.ranking.topk import (
 
 
 #: Lifecycle counters the engine keeps for its graphs' frozen snapshots
-#: and for their oracles (which add ``refreshes``).
+#: (which add ``patches``) and for their oracles (which add ``refreshes``).
 _ARTEFACT_COUNTERS = (
     "hits", "misses", "invalidations", "builds", "fault_ins", "fault_in_errors",
 )
@@ -71,7 +71,7 @@ class RegisteredGraph:
 
     __slots__ = (
         "name", "graph", "synced_version", "compression", "attr_index",
-        "oracle_config", "frozen", "oracle",
+        "oracle_config", "frozen", "pending", "oracle",
     )
 
     def __init__(self, name: str, graph: Graph) -> None:
@@ -87,8 +87,10 @@ class RegisteredGraph:
         self.oracle_config: dict[str, Any] | None = None
         # The graph's one CSR snapshot, built on the first direct evaluation
         # and shared by every traversal kernel (matchers, pivot partitioning,
-        # shard workers).
+        # shard workers), and the primitives update_graph applied since:
+        # the next use patches them in (FrozenGraph.patched).
         self.frozen: FrozenGraph | None = None
+        self.pending: list[Update] = []
         # The graph's one distance oracle (landmark labels over a snapshot):
         # kept across distance-preserving update batches, anything else
         # drops the labels and the next bounded evaluation rebuilds them.
@@ -126,7 +128,7 @@ class QueryEngine:
         # What happened to the per-graph snapshots and oracles (the objects
         # themselves are fields of each RegisteredGraph).
         self._counters: dict[str, dict[str, int]] = {
-            "snapshots": dict.fromkeys(_ARTEFACT_COUNTERS, 0),
+            "snapshots": dict.fromkeys(_ARTEFACT_COUNTERS + ("patches",), 0),
             "oracles": dict.fromkeys(_ARTEFACT_COUNTERS + ("refreshes",), 0),
         }
         # One executor per worker count, alive across calls (released by
@@ -397,7 +399,12 @@ class QueryEngine:
         )
         if plan.route == ROUTE_DIRECT:
             # Read-only: explain must not build or fault in a snapshot.
-            if entry.frozen is not None:
+            if entry.pending:
+                note = (
+                    f"frozen snapshot: warm ({len(entry.pending)} primitives "
+                    "to patch on next use)"
+                )
+            elif entry.frozen is not None:
                 note = (
                     "frozen snapshot: warm "
                     f"(graph version {entry.frozen.source_version})"
@@ -497,20 +504,27 @@ class QueryEngine:
         return note, tuple(routes)
 
     def _frozen_snapshot(self, entry: RegisteredGraph) -> FrozenGraph:
-        """The graph's CSR snapshot: held, faulted in, or built.
+        """The graph's CSR snapshot: held, patched, faulted in, or built.
 
-        A persisted snapshot file is tried before a re-freeze and validated
-        against ``Graph.version``; a stale or corrupt one only costs the
-        rebuild — a bad file can slow things down, never break them or
-        change an answer.
+        A held snapshot behind the graph by ``entry.pending`` is patched
+        with those primitives; where ``patched`` cannot (a node deletion,
+        the value-pool bound) the graph is frozen in full.  With nothing
+        held, a persisted snapshot file is tried before a freeze and
+        validated against ``Graph.version``; a stale or corrupt one only
+        costs the rebuild — a bad file can slow things down, never break
+        them or change an answer.
         """
         counters = self._counters["snapshots"]
-        if entry.frozen is not None:
+        if entry.frozen is not None and not entry.pending:
             counters["hits"] += 1
             return entry.frozen
         counters["misses"] += 1
         frozen = None
-        if self.store is not None:
+        if entry.frozen is not None:
+            frozen = entry.frozen.patched(entry.graph, entry.pending)
+            if frozen is not None:
+                counters["patches"] += 1
+        elif self.store is not None:
             try:
                 if self.store.has_snapshot(entry.name):
                     frozen = self.store.load_snapshot(
@@ -518,15 +532,16 @@ class QueryEngine:
                     )
             except StorageError:
                 counters["fault_in_errors"] += 1
-        if frozen is not None:
-            counters["fault_ins"] += 1
-        else:
+            if frozen is not None:
+                counters["fault_ins"] += 1
+        if frozen is None:
             frozen = FrozenGraph.freeze(entry.graph)
             counters["builds"] += 1
-        entry.frozen = frozen
+        entry.frozen, entry.pending = frozen, []
         return frozen
 
     def _drop_snapshot(self, entry: RegisteredGraph) -> None:
+        entry.pending = []
         if entry.frozen is not None:
             entry.frozen = None
             self._counters["snapshots"]["invalidations"] += 1
@@ -1133,10 +1148,14 @@ class QueryEngine:
             if maintenance is not None:
                 rank_maintenance[key[1]] = maintenance
                 refreshed_keys.add(key)
-        # Contexts of non-pinned queries and the frozen CSR snapshot answer
-        # for the graph before the batch.
+        # Contexts of non-pinned queries answer for the graph before the
+        # batch.  The snapshot is patched on its next use — unless the
+        # patch would touch more rows than a freeze reads.
         self._rank_cache.invalidate_graph(name, keep=refreshed_keys)
-        self._drop_snapshot(entry)
+        if entry.frozen is not None:
+            entry.pending += primitives
+            if len(entry.pending) > entry.frozen.num_nodes:
+                self._drop_snapshot(entry)
         # Oracle labels are shortest-path distances: a batch of purely
         # distance-preserving primitives (attribute writes, bare node
         # insertions) leaves them exact, so their validity advances in
@@ -1230,8 +1249,8 @@ class QueryEngine:
         return self._rank_cache.stats()
 
     def snapshot_stats(self) -> dict[str, int]:
-        """Frozen-snapshot counters (builds, hits, drops); ``size`` is
-        how many registered graphs hold one."""
+        """Frozen-snapshot counters (builds, patches, hits, drops);
+        ``size`` is how many registered graphs hold one."""
         held = sum(1 for e in self._registered.values() if e.frozen is not None)
         return {"size": held, **self._counters["snapshots"]}
 

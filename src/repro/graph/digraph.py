@@ -44,7 +44,7 @@ class Graph:
     ['dan']
     """
 
-    __slots__ = ("name", "_attrs", "_succ", "_pred", "_num_edges", "_version")
+    __slots__ = ("name", "_attrs", "_succ", "_pred", "_num_edges", "_version", "_own")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -53,6 +53,19 @@ class Graph:
         self._pred: dict[NodeId, dict[NodeId, None]] = {}
         self._num_edges = 0
         self._version = 0
+        # The nodes whose three rows no other graph holds; None: every node.
+        # copy() shares rows, and the first write to a node copies them.
+        self._own: set[NodeId] | None = None
+
+    def _write(self, node: NodeId) -> None:
+        """Give ``node`` private copies of its rows before writing them."""
+        own = self._own
+        if own is None or node in own or node not in self._attrs:
+            return
+        own.add(node)
+        self._attrs[node] = self._attrs[node].copy()
+        self._succ[node] = self._succ[node].copy()
+        self._pred[node] = self._pred[node].copy()
 
     # ------------------------------------------------------------------
     # construction
@@ -68,8 +81,11 @@ class Graph:
             self._attrs[node] = {}
             self._succ[node] = {}
             self._pred[node] = {}
+            if self._own is not None:
+                self._own.add(node)
             self._version += 1
         if attrs:
+            self._write(node)
             self._attrs[node].update(attrs)
             self._version += 1
 
@@ -92,6 +108,9 @@ class Graph:
             raise GraphError(f"unknown target node: {target!r}")
         if target in self._succ[source]:
             return False
+        if self._own is not None:
+            self._write(source)
+            self._write(target)
         self._succ[source][target] = None
         self._pred[target][source] = None
         self._num_edges += 1
@@ -110,6 +129,9 @@ class Graph:
         """Remove the edge ``source -> target``; raises if absent."""
         if source not in self._succ or target not in self._succ[source]:
             raise GraphError(f"no such edge: {source!r} -> {target!r}")
+        if self._own is not None:
+            self._write(source)
+            self._write(target)
         del self._succ[source][target]
         del self._pred[target][source]
         self._num_edges -= 1
@@ -126,6 +148,8 @@ class Graph:
         del self._attrs[node]
         del self._succ[node]
         del self._pred[node]
+        if self._own is not None:
+            self._own.discard(node)
         self._version += 1
 
     @classmethod
@@ -186,7 +210,7 @@ class Graph:
         for several in one bump, or the engine's update objects — so there
         is no reason to assign into :meth:`attrs`' live dict; doing so
         still bypasses the counter and silently poisons every version-keyed
-        cache.
+        cache — and, the dict being shared with copies, every copy too.
 
         >>> g = Graph()
         >>> g.add_node("a"); g.add_node("b"); g.version
@@ -234,7 +258,13 @@ class Graph:
                 yield (source, target)
 
     def attrs(self, node: NodeId) -> dict[str, Any]:
-        """The attribute dictionary of ``node`` (live, not a copy)."""
+        """The attribute dictionary of ``node`` (live, not a copy).
+
+        Read it, never write it: the dict may be shared with copies of the
+        graph (:meth:`copy`), so a write through it bypasses the version
+        counter *and* shows up in every graph sharing the row.  Use
+        :meth:`set` / :meth:`update_attrs`.
+        """
         try:
             return self._attrs[node]
         except KeyError:
@@ -246,6 +276,7 @@ class Graph:
 
     def set(self, node: NodeId, attr: str, value: Any) -> None:
         """Set a single attribute of ``node``."""
+        self._write(node)
         self.attrs(node)[attr] = value
         self._version += 1
 
@@ -266,6 +297,7 @@ class Graph:
         """
         if not attrs:
             return
+        self._write(node)
         self.attrs(node).update(attrs)
         self._version += 1
 
@@ -297,22 +329,42 @@ class Graph:
     # derivation
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "Graph":
-        """An independent deep-enough copy, order-exact in both directions.
+        """An independent copy in O(|V|), order-exact in both directions.
 
-        Copied: the node table and each node's attribute dict, successor
-        row and predecessor row (one ``dict.copy`` each; attribute *values*
-        are shared); kept: the version.  Node, successor and predecessor
+        Copied: the three node tables, shallowly; *shared*: every node's
+        attribute dict, successor row and predecessor row, until either
+        graph writes that node — each mutator first gives the nodes it
+        writes private copies of their rows — so neither graph ever sees
+        the other's writes through the API, and a copy costs its writes'
+        rows, not |G|.  Kept: the version.  Node, successor and predecessor
         order are the original's — re-inserting the edges would re-derive
         predecessor order from source order — so ``freeze(g.copy())``
         equals ``freeze(g)`` array for array, which ``FrozenGraph.patched``
         relies on to carry rows from one epoch to the next.
         """
         clone = Graph(name=self.name if name is None else name)
-        clone._attrs = {node: attrs.copy() for node, attrs in self._attrs.items()}
-        clone._succ = {node: row.copy() for node, row in self._succ.items()}
-        clone._pred = {node: row.copy() for node, row in self._pred.items()}
+        clone._attrs = dict(self._attrs)
+        clone._succ = dict(self._succ)
+        clone._pred = dict(self._pred)
         clone._num_edges = self._num_edges
+        self._own, clone._own = set(), set()
         return clone.carry_version(self._version)
+
+    def __getstate__(self) -> tuple:
+        # The pickle gets private copies of shared rows, so the unpickled
+        # graph owns every row even when a copy was pickled beside it.
+        tables = (self._attrs, self._succ, self._pred)
+        own = self._own
+        if own is not None:
+            tables = tuple(
+                {node: row if node in own else row.copy() for node, row in table.items()}
+                for table in tables
+            )
+        return (self.name, *tables, self._num_edges, self._version)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.name, self._attrs, self._succ, self._pred, self._num_edges, self._version = state
+        self._own = None
 
     def subgraph(self, nodes: Iterable[NodeId], name: str = "") -> "Graph":
         """The induced subgraph on ``nodes`` (unknown ids raise)."""

@@ -16,7 +16,8 @@ registry instead versions the world into **epochs**:
   snapshots stay alive for the whole query even if newer epochs publish
   meanwhile;
 * a writer applies its update batch to a *scratch copy* of the
-  registry's master graph — the one copy a publish makes — which
+  registry's master graph — a shallow copy that shares every row the
+  batch does not touch (``Graph.copy``: copy-on-write rows) — which
   becomes the master, and the next epoch's graph, only once the whole
   batch has succeeded — a primitive that raises mid-batch leaves the
   served state untouched — then patches the prior epoch's snapshot with
@@ -31,8 +32,8 @@ registry instead versions the world into **epochs**:
 Distance oracles carry over between epochs when every primitive in the
 batch is distance-preserving (``DistanceOracle.survives``), exactly
 mirroring the single-engine refresh rule — so an attribute-only write
-burst republishes in one graph copy plus O(batch), without any freeze or
-label rebuild.
+burst republishes in O(|V|) pointer copies plus O(batch), without any
+freeze or label rebuild.
 """
 
 from __future__ import annotations
@@ -470,6 +471,9 @@ class SnapshotRegistry:
         The batch is all-or-nothing: primitives apply to a *scratch* copy
         of the master graph, which becomes the new master — and the new
         epoch's graph, uncopied — only once every primitive has succeeded.
+        The copy shares the master's rows and each primitive first copies
+        the rows it writes, so the copy costs O(|V|) pointers plus the
+        touched rows and the master never sees a write.
         A primitive that raises mid-batch (e.g. removing a missing edge —
         any HTTP client can send one and gets a 400 back) therefore leaves
         the served state exactly as it was; no later publish can build an

@@ -16,6 +16,9 @@ class MiniGraph:
             self._attrs[node][attr] = value
             self._version += 1  # bump per item inside the loop
 
+    def _write(self, node, other):
+        self._attrs[node] = self._attrs[other].copy()  # another row: a content write
+
     def attrs(self, node):
         return self._attrs[node]
 

@@ -17,6 +17,10 @@ class MiniGraph:
             self._attrs[node][attr] = value
         self._version += 1  # one bump for the whole batch
 
+    def _write(self, node):
+        # copy-on-write: the same row swapped for an equal private copy
+        self._attrs[node] = self._attrs[node].copy()
+
 
 def blessed(graph):
     graph.set("bob", "field", "SA")

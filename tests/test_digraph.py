@@ -1,12 +1,18 @@
 """Unit tests for the directed attributed graph."""
 
+import pickle
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
+from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.incremental.updates import random_updates
+from tests.test_frozen_patch import ARRAYS
 
 
 @pytest.fixture
@@ -237,7 +243,7 @@ class TestDerivation:
         for field in ("out_offsets", "out_targets", "in_offsets", "in_targets"):
             assert getattr(theirs, field) == getattr(ours, field), field
 
-    def test_copy_shares_no_row_with_the_original(self, small: Graph):
+    def test_copy_writes_never_reach_the_original(self, small: Graph):
         clone = small.copy()
         clone.remove_edge("a", "b")
         clone.update_attrs("a", kind="changed")
@@ -277,3 +283,191 @@ class TestDerivation:
     def test_graphs_are_unhashable(self, small: Graph):
         with pytest.raises(TypeError):
             hash(small)
+
+
+# ----------------------------------------------------------------------
+# copy-on-write rows: a copy shares every row neither side has written
+# ----------------------------------------------------------------------
+
+
+def twin_of(graph: Graph) -> Graph:
+    """An independent rebuild sharing no row: every row copied, order kept."""
+    twin = Graph(name=graph.name)
+    twin._attrs = {node: dict(graph.attrs(node)) for node in graph.nodes()}
+    twin._succ = {node: dict.fromkeys(graph.successors(node)) for node in graph.nodes()}
+    twin._pred = {node: dict.fromkeys(graph.predecessors(node)) for node in graph.nodes()}
+    twin._num_edges = graph.num_edges
+    return twin.carry_version(graph.version)
+
+
+def view(graph: Graph) -> dict:
+    """Everything a reader can observe of a graph, as owned values."""
+    return {
+        "nodes": list(graph.nodes()),
+        "succ": {node: list(graph.successors(node)) for node in graph.nodes()},
+        "pred": {node: list(graph.predecessors(node)) for node in graph.nodes()},
+        "attrs": {node: dict(graph.attrs(node)) for node in graph.nodes()},
+        "edges": graph.num_edges,
+        "version": graph.version,
+    }
+
+
+def assert_same_graph(graph: Graph, twin: Graph) -> None:
+    assert graph == twin
+    assert view(graph) == view(twin)
+    ours, theirs = FrozenGraph.freeze(graph), FrozenGraph.freeze(twin)
+    assert ours.labels == theirs.labels
+    for field in ARRAYS:
+        assert getattr(ours, field) == getattr(theirs, field), field
+
+
+def mutate(graph: Graph, code: int, a: int, b: int, fresh: str) -> None:
+    """One call of one of the six mutators, valid against ``graph``."""
+    nodes = list(graph.nodes())
+    if not nodes or code == 0:
+        graph.add_node(fresh, **({"x": a % 5} if b % 2 else {}))
+        return
+    source, target = nodes[a % len(nodes)], nodes[b % len(nodes)]
+    if code == 1:
+        graph.add_node(source, y=b % 7)  # existing node: merges attributes
+    elif code == 2:
+        if graph.has_edge(source, target):
+            graph.remove_edge(source, target)
+        else:
+            graph.add_edge(source, target)
+    elif code == 3:
+        graph.remove_node(source)
+    elif code == 4:
+        graph.set(source, "x", b % 5)
+    else:
+        graph.update_attrs(source, x=a % 5, z=b % 3)
+
+
+def small_graph() -> Graph:
+    graph = Graph(name="cow")
+    for index in range(6):
+        graph.add_node(f"n{index}", x=index % 3)
+    for source, target in [(0, 1), (1, 2), (2, 0), (3, 3), (4, 1), (1, 4), (5, 2)]:
+        graph.add_edge(f"n{source}", f"n{target}")
+    return graph
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # which live graph (6: take a copy of one)
+        st.integers(0, 5),  # which mutator
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestCopyOnWrite:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=STEPS)
+    def test_cow_generations_never_see_each_others_writes(self, steps):
+        original = small_graph()
+        child = original.copy()
+        grandchild = child.copy()  # a copy of a copy: three generations alive
+        graphs = [original, child, grandchild]
+        twins = [twin_of(graph) for graph in graphs]
+        for step, (which, code, a, b) in enumerate(steps):
+            if which == 6:
+                parent = graphs[a % len(graphs)]
+                graphs.append(parent.copy())
+                twins.append(twin_of(parent))
+            else:
+                index = which % len(graphs)
+                mutate(graphs[index], code, a, b, f"new{step}")
+                mutate(twins[index], code, a, b, f"new{step}")
+            for graph, twin in zip(graphs, twins):
+                assert_same_graph(graph, twin)
+
+    def test_cow_copy_shares_rows_until_a_write(self):
+        graph = small_graph()
+        clone = graph.copy()
+        assert graph._own == set() and clone._own == set()
+        for table in ("_attrs", "_succ", "_pred"):
+            ours, theirs = getattr(graph, table), getattr(clone, table)
+            assert ours is not theirs
+            assert all(ours[node] is theirs[node] for node in graph.nodes())
+        clone.set("n5", "x", 9)
+        clone.add_edge("n0", "n3")
+        assert clone._succ["n5"] is not graph._succ["n5"]
+        assert clone._pred["n3"] is not graph._pred["n3"]
+        assert clone._attrs["n1"] is graph._attrs["n1"]  # untouched: still shared
+
+    def test_cow_own_holds_only_touched_or_new_nodes(self):
+        graph = small_graph()
+        clone = graph.copy()
+        clone.add_edge("n0", "n3")  # touches both endpoints
+        clone.update_attrs("n5", x=7)
+        clone.add_node("fresh")  # born owned
+        clone.add_node("n1")  # re-adding without attributes writes nothing
+        clone.update_attrs("n2")  # an empty write writes nothing
+        assert clone._own == {"n0", "n3", "n5", "fresh"}
+        clone.remove_node("fresh")  # a removed node leaves _own
+        clone.remove_node("n4")  # ... and its neighbours' rows were written
+        assert clone._own == {"n0", "n3", "n5", "n1"}
+        assert graph._own == set()
+
+    def test_cow_copy_resets_ownership_on_both_sides(self):
+        graph = small_graph()
+        clone = graph.copy()
+        clone.set("n0", "x", 1)
+        grandchild = clone.copy()  # n0's private rows are now shared again
+        assert clone._own == set() and grandchild._own == set()
+        grandchild.set("n0", "x", 2)
+        assert clone.get("n0", "x") == 1 and graph.get("n0", "x") == 0
+
+    def test_graph_never_copied_owns_every_row(self):
+        assert small_graph()._own is None
+        assert collaboration_graph(30, seed=1)._own is None
+
+    def test_pickled_json_loaded_and_thawed_copies_own_all_rows(self):
+        graph = small_graph()
+        clone = graph.copy()
+        clone.set("n0", "x", 8)
+        for rebuilt in (
+            pickle.loads(pickle.dumps(clone)),
+            graph_from_dict(graph_to_dict(clone)),
+            FrozenGraph.freeze(clone).to_graph(),
+        ):
+            assert rebuilt._own is None
+            assert rebuilt == clone and rebuilt.version == clone.version
+        # pickled together, rows shared in memory must not stay shared
+        thawed, thawed_clone = pickle.loads(pickle.dumps([graph, clone]))
+        assert view(thawed_clone) == view(clone) and view(thawed) == view(graph)
+        assert thawed._own is None and thawed_clone._own is None
+        for table in ("_attrs", "_succ", "_pred"):
+            ours, theirs = getattr(thawed, table), getattr(thawed_clone, table)
+            assert not any(ours[node] is theirs[node] for node in ours)
+        thawed_clone.add_edge("n5", "n5")
+        assert not thawed.has_edge("n5", "n5")
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda g: g.add_node("n1", y=1),
+            lambda g: g.add_edge("n0", "n3"),
+            lambda g: g.remove_edge("n0", "n1"),
+            lambda g: g.remove_node("n1"),
+            lambda g: g.set("n1", "x", 9),
+            lambda g: g.update_attrs("n1", x=9, z=1),
+        ],
+        ids=["add_node", "add_edge", "remove_edge", "remove_node", "set", "update_attrs"],
+    )
+    def test_cow_each_mutator_writes_only_its_own_graph(self, write):
+        # both directions: the copy's write must not reach the original,
+        # nor the original's write the copy
+        for written_side in (0, 1):
+            graph = small_graph()
+            clone = graph.copy()
+            pair = [graph, clone]
+            other = pair[1 - written_side]
+            before = view(other)
+            write(pair[written_side])
+            assert view(other) == before
+            assert view(pair[written_side]) != before

@@ -42,6 +42,7 @@ from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.builder import PatternBuilder
 from repro.ranking.topk import RankingContext
 from tests.test_differential import random_case
+from tests.test_frozen_patch import batch_from_codes, observed
 
 
 # ----------------------------------------------------------------------
@@ -455,16 +456,23 @@ class TestSnapshotCache:
         assert after.relation == match_bounded(fig1, fig1_query).relation
         assert after.relation != before.relation
 
-    def test_engine_update_graph_drops_snapshot(self, fig1, fig1_query):
+    def test_engine_update_graph_patches_snapshot(self, fig1, fig1_query):
+        """update_graph keeps the snapshot and patches it on next use."""
         from repro.incremental.updates import EdgeDeletion
 
         engine = QueryEngine()
         engine.register_graph("g", fig1)
         engine.evaluate("g", fig1_query)
+        held = engine._registered["g"].frozen
         engine.update_graph("g", [EdgeDeletion("Bob", "Dan")])
-        assert engine.snapshot_stats()["invalidations"] == 1
+        assert engine._registered["g"].frozen is held
+        assert engine.snapshot_stats()["invalidations"] == 0
         fresh = engine.evaluate("g", fig1_query, use_cache=False, cache_result=False)
         assert fresh.relation == match_bounded(fig1, fig1_query).relation
+        patched = engine._registered["g"].frozen
+        assert patched is not held and patched.matches(fig1)
+        stats = engine.snapshot_stats()
+        assert stats["patches"] == 1 and stats["builds"] == 1
 
     def test_explain_reports_snapshot_state(self, fig1, fig1_query):
         engine = QueryEngine()
@@ -479,6 +487,161 @@ class TestSnapshotCache:
         engine.evaluate("g2", fig1_query, use_cache=False, cache_result=False)
         warm = engine.explain("g2", fig1_query)
         assert any("frozen snapshot: warm" in reason for reason in warm.reasons)
+
+
+class TestSnapshotPatching:
+    """update_graph keeps the snapshot; its next use patches the batch in."""
+
+    COLD = dict(use_cache=False, cache_result=False)
+
+    @pytest.fixture
+    def uses(self, monkeypatch):
+        """Every snapshot the engine uses must equal a full freeze, array for array."""
+        original = QueryEngine._frozen_snapshot
+        used: list[FrozenGraph] = []
+
+        def checked(engine, entry):
+            frozen = original(engine, entry)
+            assert observed(frozen) == observed(FrozenGraph.freeze(entry.graph))
+            used.append(frozen)
+            return frozen
+
+        monkeypatch.setattr(QueryEngine, "_frozen_snapshot", checked)
+        return used
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interleaved_operations_always_use_a_current_snapshot(self, seed, uses):
+        from repro.datasets.queries import get_query
+        from repro.errors import UpdateError
+        from repro.graph.generators import collaboration_graph
+        from repro.incremental.updates import EdgeDeletion, decompose
+
+        rng = random.Random(seed)
+        graph = collaboration_graph(120, seed=seed)
+        engine = QueryEngine()
+        engine.register_graph("g", graph)
+        entry = engine._registered["g"]
+        patterns = [get_query(name) for name in ("q1-team-star", "q2-delivery-chain", "q5-reachability")]
+        engine.pin("g", patterns[0])
+        for _step in range(80):
+            op = rng.randrange(10)
+            codes = [(rng.randrange(7), rng.randrange(10**6), rng.randrange(10**6))
+                     for _ in range(rng.randint(1, 4))]
+            if op <= 2:  # a batch of any of the five kinds
+                engine.update_graph("g", batch_from_codes(graph, codes))
+            elif op == 3:  # fails mid-batch: the applied prefix is pending
+                prefix = batch_from_codes(graph, codes)
+                scratch, applied = graph.copy(), []
+                for update in prefix:
+                    for primitive in decompose(scratch, update):
+                        primitive.apply(scratch)
+                        applied.append(primitive)
+                expected = entry.pending + applied if entry.frozen is not None else []
+                with pytest.raises(UpdateError):
+                    engine.update_graph("g", prefix + [EdgeDeletion("nobody", "nowhere")])
+                if entry.frozen is not None:  # else: past the |V| bound, dropped
+                    assert entry.pending == expected
+            elif op == 4:  # out of band: drops the snapshot and what is pending
+                node = rng.choice(list(graph.nodes()))
+                graph.set(node, "experience", rng.randrange(10))
+                engine.graph("g")
+                assert entry.frozen is None and entry.pending == []
+                engine.pin("g", patterns[0])
+            elif op == 5:
+                engine.evaluate("g", rng.choice(patterns), **self.COLD)
+            elif op == 6:
+                engine.evaluate_many("g", patterns, **self.COLD)
+            elif op == 7:
+                engine.top_k("g", rng.choice(patterns), 3, use_rank_cache=False, **self.COLD)
+            elif op == 8:
+                pending = list(entry.pending)
+                engine.explain("g", patterns[1])  # read-only: patches nothing
+                assert entry.pending == pending
+            elif engine.oracle_stats("g") is None:
+                engine.enable_oracle("g")
+            else:
+                engine.disable_oracle("g")
+        for pattern in patterns:
+            served = engine.evaluate("g", pattern, **self.COLD).relation
+            assert served == match_bounded(graph, pattern).relation
+        assert uses and engine.snapshot_stats()["patches"] > 0
+
+    def test_update_appends_and_the_next_use_patches_once(self, fig1, fig1_query, uses):
+        from repro.incremental.updates import AttributeUpdate, EdgeInsertion
+
+        engine = QueryEngine()
+        engine.register_graph("g", fig1)
+        engine.evaluate("g", fig1_query, **self.COLD)
+        held = engine._registered["g"].frozen
+        engine.update_graph("g", [EdgeInsertion("Fred", "Eva")])
+        engine.update_graph("g", [AttributeUpdate("Bob", "experience", 9)])
+        entry = engine._registered["g"]
+        assert entry.frozen is held and len(entry.pending) == 2
+        plan = engine.explain("g", fig1_query)
+        assert "frozen snapshot: warm (2 primitives to patch on next use)" in plan.reasons
+        engine.evaluate("g", fig1_query, **self.COLD)
+        assert entry.pending == [] and entry.frozen is not held
+        engine.evaluate("g", fig1_query, **self.COLD)  # a plain hit now
+        stats = engine.snapshot_stats()
+        assert (stats["builds"], stats["patches"], stats["hits"]) == (1, 1, 1)
+        assert stats["invalidations"] == 0
+        assert any("warm (graph version" in r for r in engine.explain("g", fig1_query).reasons)
+
+    def test_node_deletion_takes_a_full_freeze(self, fig1, fig1_query, uses):
+        from repro.incremental.updates import NodeDeletion
+
+        engine = QueryEngine()
+        engine.register_graph("g", fig1)
+        engine.evaluate("g", fig1_query, **self.COLD)
+        engine.update_graph("g", [NodeDeletion("Fred")])
+        engine.evaluate("g", fig1_query, **self.COLD)
+        stats = engine.snapshot_stats()
+        assert (stats["builds"], stats["patches"]) == (2, 0)
+        assert "Fred" not in engine._registered["g"].frozen
+
+    def test_more_pending_primitives_than_nodes_drop_the_snapshot(self, fig1, fig1_query, uses):
+        from repro.incremental.updates import AttributeUpdate
+
+        engine = QueryEngine()
+        engine.register_graph("g", fig1)
+        engine.evaluate("g", fig1_query, **self.COLD)
+        entry = engine._registered["g"]
+        for step in range(fig1.num_nodes):  # |V| pending: still worth a patch
+            engine.update_graph("g", [AttributeUpdate("Bob", "experience", step)])
+        assert entry.frozen is not None and len(entry.pending) == fig1.num_nodes
+        engine.update_graph("g", [AttributeUpdate("Bob", "experience", 99)])
+        assert entry.frozen is None and entry.pending == []
+        assert engine.snapshot_stats()["invalidations"] == 1
+        engine.evaluate("g", fig1_query, **self.COLD)
+        stats = engine.snapshot_stats()
+        assert (stats["builds"], stats["patches"]) == (2, 0)
+
+    def test_store_fault_in_is_tried_only_without_a_held_snapshot(
+        self, tmp_path, fig1, fig1_query, uses, monkeypatch
+    ):
+        from repro.engine.storage import GraphStore
+        from repro.incremental.updates import EdgeInsertion
+
+        store = GraphStore(tmp_path)
+        store.save_snapshot("g", FrozenGraph.freeze(fig1))
+        loads = []
+        original = store.load_snapshot
+        monkeypatch.setattr(
+            store, "load_snapshot", lambda *a, **k: loads.append(a) or original(*a, **k)
+        )
+        engine = QueryEngine(store=store)
+        engine.register_graph("g", fig1)
+        engine.evaluate("g", fig1_query, **self.COLD)
+        assert len(loads) == 1 and engine.snapshot_stats()["fault_ins"] == 1
+        engine.update_graph("g", [EdgeInsertion("Fred", "Eva")])
+        engine.evaluate("g", fig1_query, **self.COLD)
+        assert len(loads) == 1  # held + pending: patched, the store is not asked
+        assert engine.snapshot_stats()["patches"] == 1
+        fig1.add_edge("Bob", "Eva")  # out of band: nothing held any more
+        engine.evaluate("g", fig1_query, **self.COLD)
+        assert len(loads) == 2  # tried again (stale: rebuilt)
+        stats = engine.snapshot_stats()
+        assert (stats["fault_in_errors"], stats["builds"]) == (1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,18 @@ class TestCorpus:
         ]
         assert any("carried.in_targets[0] = 9" in line for line in lines)
 
+    def test_a_copy_on_write_swap_is_not_a_content_write(self):
+        # the same row swapped for its copy passes; another row's copy fires
+        source_lines = {
+            finding.source_line
+            for finding in lint_fixture(CORPUS["version-bump-discipline"][0]).active
+        }
+        assert "self._attrs[node] = self._attrs[other].copy()" in {
+            line.split("  #")[0] for line in source_lines
+        }
+        good = (FIXTURES / CORPUS["version-bump-discipline"][1]).read_text()
+        assert "self._attrs[node] = self._attrs[node].copy()" in good
+
 
 class TestSuppression:
     def test_justified_suppression_is_honored(self):

@@ -41,6 +41,7 @@ from repro.server.wire import (
     error_status,
 )
 from repro.testing.faults import armed
+from tests.test_digraph import view
 from tests.test_frozen_patch import observed
 
 SIM_PATTERN = """
@@ -386,6 +387,78 @@ class TestDeltaFreeze:
         assert registry.current_epoch("fig1").frozen is frozen
         assert observed(frozen) == before
         assert registry.counters["patches"] == 0 and registry.counters["freezes"] == 1
+
+
+#: One batch per update kind, valid in sequence on ``paper_graph()``, with
+#: the nodes whose rows each one writes (a node deletion writes its
+#: neighbours' rows through the incident edge deletions).
+FIVE_KINDS = [
+    ([EdgeInsertion("Fred", "Eva")], {"Fred", "Eva"}),
+    ([EdgeDeletion("Bob", "Dan")], {"Bob", "Dan"}),
+    ([NodeInsertion.with_attrs("Gil", field="SA")], {"Gil"}),
+    ([AttributeUpdate("Mat", "skill", "db")], {"Mat"}),
+    ([NodeDeletion("Walt")], {"Walt", "Fred", "Bill"}),
+]
+TABLES = ("_attrs", "_succ", "_pred")
+
+
+class TestCopyOnWriteEpochs:
+    """Epochs share every row their batches did not touch — and nothing leaks."""
+
+    def test_pinned_epoch_is_unchanged_and_shares_untouched_rows(self, registry):
+        with registry.pin("fig1") as pinned:
+            before = view(pinned.graph)
+            epochs = [pinned]
+            for batch, _touched in FIVE_KINDS:
+                epochs.append(registry.publish("fig1", batch))
+            assert view(pinned.graph) == before
+        for (prior, epoch), (_batch, touched) in zip(zip(epochs, epochs[1:]), FIVE_KINDS):
+            for node in epoch.graph.nodes():
+                if node not in prior.graph:
+                    continue
+                for table in TABLES:
+                    shared = getattr(epoch.graph, table)[node] is getattr(prior.graph, table)[node]
+                    assert shared == (node not in touched), (node, table)
+        assert epochs[-1].graph == epochs[-1].frozen.to_graph()
+
+    def test_batch_raising_mid_apply_leaves_master_rows_untouched(self, registry):
+        state = registry._graphs["fig1"]
+        master = state.master
+        assert registry.current_epoch("fig1").graph is master
+        rows = {table: dict(getattr(master, table)) for table in TABLES}
+        before = view(master)
+        with pytest.raises(ReproError, match="not present"):
+            registry.publish(
+                "fig1",
+                [
+                    EdgeInsertion("Fred", "Eva"),
+                    AttributeUpdate("Bob", "skill", "db"),
+                    EdgeDeletion("Fred", "Pat"),
+                ],
+            )
+        assert state.master is master and registry.current_epoch("fig1").graph is master
+        assert view(master) == before
+        for table, held in rows.items():
+            assert all(getattr(master, table)[node] is row for node, row in held.items())
+
+    def test_register_and_the_callers_graph_never_see_each_others_writes(self):
+        mine = paper_graph()
+        registry = SnapshotRegistry()
+        registry.register("fig1", mine)
+        served = registry.current_epoch("fig1").graph
+        served_before = view(served)
+        mine.add_node("Bob", experience=0)
+        mine.add_edge("Fred", "Eva")
+        mine.remove_edge("Bob", "Dan")
+        mine.set("Mat", "field", "BA")
+        mine.update_attrs("Pat", field="ST", skill="db")
+        mine.remove_node("Walt")
+        assert view(served) == served_before
+        mine_before = view(mine)
+        for batch, _touched in FIVE_KINDS:
+            registry.publish("fig1", batch)
+        assert view(mine) == mine_before
+        assert view(served) == served_before
 
 
 class TestRegistryRaces:
