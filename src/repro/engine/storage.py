@@ -134,10 +134,10 @@ def write_snapshot_file(
     buffers: list[tuple[str, Any]],
 ) -> Path:
     """Write one snapshot (header + metadata + aligned buffers), atomically."""
+    # Unsorted keys: a dict-valued attribute keeps its order, as in JSON.
     try:
         meta_blob = json.dumps(
-            {**meta, "sections": [[name, len(buffer) * 8] for name, buffer in buffers]},
-            sort_keys=True,
+            {**meta, "sections": [[name, len(buffer) * 8] for name, buffer in buffers]}
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise StorageError(f"snapshot metadata is not JSON-serializable: {exc}") from exc

@@ -178,6 +178,34 @@ class Graph:
             graph.add_edge(source, target)
         return graph
 
+    @classmethod
+    def from_rows(
+        cls,
+        attrs: dict[NodeId, dict[str, Any]],
+        successors: dict[NodeId, dict[NodeId, None]],
+        predecessors: dict[NodeId, dict[NodeId, None]],
+        name: str = "",
+        version: int = 0,
+    ) -> "Graph":
+        """A graph that takes over ready-made node tables, rows in place.
+
+        The rebuild path of a snapshot (``FrozenGraph.to_graph``): every
+        row arrives in its final order, so predecessor order is the
+        source's instead of being re-derived from the order edges are
+        added.  The three tables must share one node set and
+        ``predecessors`` must be the transpose of ``successors``; the
+        caller keeps no reference to them.
+        """
+        if not attrs.keys() == successors.keys() == predecessors.keys():
+            raise GraphError("node tables disagree on the node set")
+        num_edges = sum(map(len, successors.values()))
+        if num_edges != sum(map(len, predecessors.values())):
+            raise GraphError("predecessor rows are not the transpose of successor rows")
+        graph = cls(name=name)
+        graph._attrs, graph._succ, graph._pred = attrs, successors, predecessors
+        graph._num_edges = num_edges
+        return graph.carry_version(version)
+
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -49,10 +49,23 @@ True
 from __future__ import annotations
 
 from array import array
+from math import copysign
 from typing import Any, Iterable, Iterator
 
 from repro.errors import GraphError
 from repro.graph.digraph import Edge, Graph, NodeId
+
+
+def _pool_key(value: Any) -> tuple:
+    """The key two attribute values share a value-pool slot under.
+
+    Equal is not enough: 1, 1.0 and True are equal, 0.0 and -0.0 too, and
+    one slot would change a type or a sign on the way back out.  The key
+    of an unhashable value is unhashable too (those are never deduplicated).
+    """
+    if value.__class__ is float:
+        return (float, value, copysign(1.0, value))
+    return (value.__class__, value)
 
 
 def _own_buffer(buffer: Any) -> array:
@@ -169,7 +182,7 @@ class FrozenGraph:
         self._pred_sets: tuple[frozenset[int], ...] | None = None
         # What `patched` needs of the pool: its (lazy) interning table and
         # its size at the last full freeze or load.
-        self._interned: dict[tuple[type, Any], int] | None = None
+        self._interned: dict[tuple, int] | None = None
         self._pool_floor = len(values)
         # Backing snapshot file when loaded via the store (mmap views);
         # lets the parallel executor ship the path instead of the buffers.
@@ -204,15 +217,16 @@ class FrozenGraph:
 
         columns: dict[str, dict[int, int]] = {}
         values: list[Any] = []
-        # Interning key is (type, value): 1, 1.0 and True are equal but must
-        # not collapse to one pool slot or the round-trip changes types.
-        interned: dict[tuple[type, Any], int] = {}
+        interned: dict[tuple, int] = {}
         for index, label in enumerate(labels):
             for attr, value in graph.attrs(label).items():
+                # _pool_key, inlined: this loop runs once per attribute cell
+                kind = value.__class__
+                key = (kind, value) if kind is not float else (kind, value, copysign(1.0, value))
                 try:
-                    value_id = interned[(value.__class__, value)]
+                    value_id = interned[key]
                 except KeyError:
-                    value_id = interned[(value.__class__, value)] = len(values)
+                    value_id = interned[key] = len(values)
                     values.append(value)
                 except TypeError:  # unhashable values are stored un-deduped
                     value_id = len(values)
@@ -252,10 +266,11 @@ class FrozenGraph:
         amortised over at least |V| new values.
 
         ``Graph.copy`` is order-exact, so inside one lineage the result
-        equals ``FrozenGraph.freeze(graph)`` array for array.  A JSON reload
-        re-derives predecessor order: over a snapshot frozen before one (a
-        checkpoint's file) the rows equal a fresh freeze's as sets only —
-        all that kernels and ``to_graph() == graph`` observe.
+        equals ``FrozenGraph.freeze(graph)`` array for array, and so does a
+        graph rebuilt by :meth:`to_graph` (a recovered checkpoint).  A JSON
+        reload re-derives predecessor order: over a snapshot frozen before
+        one the rows equal a fresh freeze's as sets only — all that kernels
+        and ``to_graph() == graph`` observe.
         """
         from repro.incremental.updates import (
             AttributeUpdate,
@@ -293,7 +308,7 @@ class FrozenGraph:
         written: set[str] = set()
         for node, attr in cells:
             value = graph.attrs(node)[attr]
-            key: Any = (value.__class__, value)
+            key: Any = _pool_key(value)
             try:
                 value_id = interned.get(key)
             except TypeError:  # unhashable values are stored un-deduped
@@ -331,13 +346,13 @@ class FrozenGraph:
         result._pred_sets = _patched_sets(self._pred_sets, in_rows, len(labels))
         return result
 
-    def _pool_index(self) -> dict[tuple[type, Any], int]:
-        """``(type, value) -> pool slot`` of the hashable pooled values (lazy)."""
+    def _pool_index(self) -> dict[tuple, int]:
+        """``_pool_key(value) -> pool slot`` of the hashable pooled values (lazy)."""
         if self._interned is None:
-            interned: dict[tuple[type, Any], int] = {}
+            interned: dict[tuple, int] = {}
             for value_id, value in enumerate(self._values):
                 try:
-                    interned.setdefault((value.__class__, value), value_id)
+                    interned.setdefault(_pool_key(value), value_id)
                 except TypeError:  # unhashable: never deduplicated
                     pass
             self._interned = interned
@@ -513,20 +528,34 @@ class FrozenGraph:
     # round trip
     # ------------------------------------------------------------------
     def to_graph(self, name: str | None = None) -> Graph:
-        """Reconstruct an equal :class:`Graph` (labels, edges, attributes, version)."""
+        """Reconstruct an equal :class:`Graph` (labels, edges, attributes, version).
+
+        Order-exact: node, successor and predecessor order are the
+        snapshot's, so ``freeze(to_graph())`` equals this snapshot array
+        for array.  Attribute order within a node is column order.
+        """
         values = self._values
         attr_rows: list[dict[str, Any]] = [{} for _ in self.labels]
         for attr, column in self._column_dicts().items():
             for index, value_id in column.items():
                 attr_rows[index][attr] = values[value_id]
-        graph = Graph(name=self.name if name is None else name)
-        for label, attrs in zip(self.labels, attr_rows):
-            graph.add_node(label, **attrs)
-        labels, offsets, targets = self.labels, self.out_offsets, self.out_targets
-        for index, label in enumerate(labels):
-            for position in range(offsets[index], offsets[index + 1]):
-                graph.add_edge(label, labels[targets[position]])
-        return graph.carry_version(self.source_version)
+        return Graph.from_rows(
+            dict(zip(self.labels, attr_rows)),
+            self._label_rows(self.out_offsets, self.out_targets),
+            self._label_rows(self.in_offsets, self.in_targets),
+            name=self.name if name is None else name,
+            version=self.source_version,
+        )
+
+    def _label_rows(self, offsets: Any, targets: Any) -> dict[NodeId, dict[NodeId, None]]:
+        """One CSR direction as ``Graph`` rows: label -> ordered label keys."""
+        labels = self.labels
+        flat = [labels[target] for target in targets.tolist()]
+        bounds = offsets.tolist()
+        return {
+            label: dict.fromkeys(flat[bounds[index] : bounds[index + 1]])
+            for index, label in enumerate(labels)
+        }
 
     # ------------------------------------------------------------------
     # flat-buffer codec (binary snapshot files)

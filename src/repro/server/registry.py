@@ -567,9 +567,11 @@ class SnapshotRegistry:
         """Rebuild every checkpointed graph + replay its WAL suffix.
 
         Startup path (before the service accepts traffic).  Per graph:
-        load the checkpoint artifacts from the store, then re-apply every
-        batch record with ``lsn > checkpoint.lsn`` through the same
-        decode → decompose → apply pipeline as live publishes.  Each
+        map the checkpoint's snapshot (missing, corrupt, or not taken at
+        the metadata's ``graph_version``: a ``StorageError``), rebuild
+        the master from it with ``to_graph()``, then re-apply every batch
+        record with ``lsn > checkpoint.lsn`` through the same decode →
+        decompose → apply pipeline as live publishes.  Each
         batch replays all-or-nothing on a scratch copy; a batch that
         fails to decode or apply (it failed identically when first
         published — see :meth:`publish`; a malformed record is one an
@@ -600,21 +602,12 @@ class SnapshotRegistry:
                     "records": len(pending.get(name, [])),
                 }
                 continue
-            artifact = checkpoint["artifact"]
-            graph = self.store.load_graph(artifact)
-            if graph.version != checkpoint["graph_version"]:
-                raise ServerError(
-                    f"checkpoint artifact {artifact!r} has version "
-                    f"{graph.version}, metadata says "
-                    f"{checkpoint['graph_version']} — checkpoint is corrupt"
-                )
-            frozen = None
-            if self.store.artifacts(artifact)["snapshot"]:
-                frozen = self.store.load_snapshot(
-                    artifact, expected_version=graph.version
-                )
-                with self._lock:
-                    self.counters["fault_ins"] += 1
+            frozen = self.store.load_snapshot(
+                checkpoint["artifact"], expected_version=checkpoint["graph_version"]
+            )
+            with self._lock:
+                self.counters["fault_ins"] += 1
+            graph = frozen.to_graph()
             replayed = skipped = 0
             applied: list[Update] = []  # the replayed batches' primitives
             last_lsn = checkpoint["lsn"]
@@ -635,10 +628,10 @@ class SnapshotRegistry:
                     applied += batch
                     replayed += 1
                 last_lsn = record.lsn
-            if frozen is not None and replayed:
+            if replayed:
                 # The stored snapshot is stale by exactly the replayed tail.
                 frozen = self._patched(frozen, graph, applied)
-            state = _GraphState(graph, None)
+            state = _GraphState(graph, checkpoint.get("oracle"))
             state.appended_lsn = last_lsn
             state.applied_lsn = last_lsn
             # no baseline: the checkpoint just loaded covers this graph
@@ -653,8 +646,10 @@ class SnapshotRegistry:
             }
         return report
 
-    def checkpoint_capture(self, name: str) -> tuple[Epoch, int] | None:
-        """The current epoch + its applied LSN, atomically (checkpointer).
+    def checkpoint_capture(
+        self, name: str
+    ) -> tuple[Epoch, int, dict[str, Any] | None] | None:
+        """The current epoch, its applied LSN and the oracle config (checkpointer).
 
         ``applied_lsn`` only advances when an epoch installs (or a batch
         deterministically fails, changing nothing), so the pair is always
@@ -664,7 +659,7 @@ class SnapshotRegistry:
             state = self._graphs.get(name)
             if state is None or state.current is None:
                 return None
-            return state.current, state.applied_lsn
+            return state.current, state.applied_lsn, state.oracle_config
 
     def wal_status(self) -> dict[str, Any]:
         """Durability status: per-graph replay lag + WAL/checkpoint stats."""

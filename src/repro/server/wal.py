@@ -13,8 +13,8 @@ framing, atomic ``os.replace`` for metadata):
   so an acknowledged publish is on disk by construction.
 * :class:`Checkpointer` — debounced snapshot persistence: every N
   batches it captures the current epoch (immutable, so the work
-  happens off the write lock), persists the graph + frozen snapshot into
-  the :class:`~repro.engine.storage.GraphStore` under an LSN-stamped
+  happens off the write lock), persists its frozen snapshot into the
+  :class:`~repro.engine.storage.GraphStore` under an LSN-stamped
   artifact name, atomically replaces the checkpoint metadata, and
   truncates sealed segments the checkpoint floor has passed.
 * :meth:`SnapshotRegistry.recover` (in :mod:`repro.server.registry`)
@@ -455,14 +455,15 @@ class WriteAheadLog:
         return self.directory / f"{_CHECKPOINT_PREFIX}{graph}.json"
 
     def write_checkpoint(
-        self, graph: str, lsn: int, graph_version: int, artifact: str
+        self, graph: str, lsn: int, graph_version: int, artifact: str, oracle: Any = None
     ) -> None:
         """Atomically replace the checkpoint metadata for ``graph``.
 
-        The artifacts named here are already on disk (and fsynced by the
+        The snapshot named here is already on disk (and fsynced by the
         store's atomic-write discipline) before this runs, so a crash on
         either side of the ``os.replace`` leaves a *consistent* pair:
-        old meta + old artifacts, or new meta + new artifacts.
+        old meta + old snapshot, or new meta + new snapshot.  ``oracle``
+        is the graph's oracle config (absent: recovered without one).
         """
         atomic_write_text(
             self._checkpoint_path(graph),
@@ -474,6 +475,7 @@ class WriteAheadLog:
                     "lsn": lsn,
                     "graph_version": graph_version,
                     "artifact": artifact,
+                    **({} if oracle is None else {"oracle": oracle}),
                 },
                 indent=2,
                 sort_keys=True,
@@ -561,7 +563,8 @@ class Checkpointer:
     (deterministic tests and the crash sweep).  The work never holds the
     registry write lock: it captures the current epoch (immutable by
     construction) plus its applied LSN under the registry mutex, then
-    persists off-lock.
+    persists off-lock.  A checkpoint is one file, the epoch's binary
+    snapshot: ``FrozenGraph.to_graph`` rebuilds the graph from it exactly.
     """
 
     def __init__(
@@ -625,12 +628,13 @@ class Checkpointer:
                 self._dirty.discard(graph)
             try:
                 self.checkpoint(graph)
-            except (StorageError, OSError) as exc:
+            except (StorageError, OSError, MemoryError) as exc:
                 # A failed checkpoint must not take the service down: the
                 # WAL suffix still covers everything since the last good
                 # one, so durability holds — only replay gets longer.
                 # StorageError covers WalError *and* a plain store failure
-                # from save_graph/save_snapshot — in background mode an
+                # from save_snapshot; MemoryError is the one the registry
+                # already degrades on in publish.  In background mode an
                 # escape here kills the checkpointer thread for good, in
                 # inline mode it fails an already-committed publish.
                 with self._lock:
@@ -643,16 +647,15 @@ class Checkpointer:
         capture = self.registry.checkpoint_capture(graph)
         if capture is None:
             return None
-        epoch, applied_lsn = capture
+        epoch, applied_lsn, oracle = capture
         with self._lock:
             already = self._checkpointed_lsn.get(graph)
         if already is not None and already >= applied_lsn:
             return None  # nothing new since the last checkpoint
         artifact = checkpoint_artifact(graph, applied_lsn)
-        self.store.save_graph(artifact, epoch.graph)
         self.store.save_snapshot(artifact, epoch.frozen)
         fault_point("checkpoint.snapshot")
-        self.wal.write_checkpoint(graph, applied_lsn, epoch.graph.version, artifact)
+        self.wal.write_checkpoint(graph, applied_lsn, epoch.graph.version, artifact, oracle)
         fault_point("checkpoint.meta")
         with self._lock:
             self._checkpointed_lsn[graph] = applied_lsn
@@ -679,13 +682,14 @@ class Checkpointer:
         return out
 
     def _gc_artifacts(self, graph: str, keep_lsn: int) -> None:
-        """Drop checkpoint artifacts older than the one just written.
+        """Drop checkpoint snapshots older than the one just written.
 
-        A crash mid-GC merely leaves orphans; the next checkpoint sweeps
+        With each goes the JSON graph an older binary wrote beside it.  A
+        crash mid-GC merely leaves orphans; the next checkpoint sweeps
         them, so this needs no atomicity of its own.
         """
         prefix = f"{graph}{CHECKPOINT_ARTIFACT_SEP}"
-        for name in self.store.list_graphs():
+        for name in self.store.list_snapshots():
             if not name.startswith(prefix):
                 continue
             try:
@@ -694,9 +698,9 @@ class Checkpointer:
                 continue
             if lsn >= keep_lsn:
                 continue
-            self.store.delete_graph(name)
-            if self.store.has_snapshot(name):
-                self.store.delete_snapshot(name)
+            self.store.delete_snapshot(name)
+            if self.store.has_graph(name):
+                self.store.delete_graph(name)
 
     # ------------------------------------------------------------------
     def close(self, final_checkpoint: bool = True) -> None:

@@ -300,9 +300,10 @@ def run_crash_sweep(
 def canonical_form(graph: Graph) -> str:
     """The canonical serialized form of a graph's content, version included.
 
-    ``Graph.version`` travels with the content through ``copy()`` and the
-    JSON round trip, so the twin replay (live mutations on copies) and a
-    recovery (checkpoint file + replayed suffix) must arrive at the same
+    ``Graph.version`` travels with the content through ``copy()``, the
+    JSON round trip and ``FrozenGraph.to_graph()``, so the twin replay
+    (live mutations on copies) and a recovery (checkpoint snapshot +
+    replayed suffix) must arrive at the same
     count — ``graph_to_dict`` carries it as ``"graph_version"``.  Byte
     identity of this form is the invariant recovery must preserve.
     """

@@ -385,8 +385,8 @@ class TestServiceRecovery:
     def test_recovery_patches_the_checkpoint_snapshot_across_the_tail(self, tmp_path):
         """The faulted-in snapshot is stale by exactly the replayed tail: it is
         patched once over the tail's primitives (skipped batches excluded),
-        owns its arrays, and equals a full freeze row for row as sets (the
-        checkpoint's JSON reload re-derives predecessor order)."""
+        owns its arrays, and equals a full freeze array for array (the
+        master is rebuilt from the snapshot itself, order-exact)."""
         service = ExpFinderService(_service_config(tmp_path))
         service.register_graph(GRAPH_NAME, base_graph())
         batches = [
@@ -423,6 +423,8 @@ class TestServiceRecovery:
                 assert isinstance(frozen.out_targets, array)
                 assert isinstance(frozen.in_targets, array)
                 assert frozen.labels == fresh.labels
+                for field in ("out_offsets", "out_targets", "in_offsets", "in_targets"):
+                    assert getattr(frozen, field) == getattr(fresh, field), field
                 assert frozen.successor_sets() == fresh.successor_sets()
                 assert frozen.predecessor_sets() == fresh.predecessor_sets()
                 assert frozen.to_graph() == epoch.graph

@@ -15,7 +15,7 @@ import zlib
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.engine.engine import QueryEngine
 from repro.engine.estimator import QueryBudget
@@ -35,7 +35,7 @@ from repro.engine.storage import (
 from repro.errors import EvaluationError, StorageError
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
-from repro.graph.io import atomic_write_bytes
+from repro.graph.io import atomic_write_bytes, graph_from_dict, graph_to_dict
 from repro.graph.oracle import DistanceOracle
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion
 from repro.matching.bounded import match_bounded
@@ -142,41 +142,82 @@ class TestOracleRoundTrip:
         assert loaded.distance(0, 1) == full.distance(0, 1)
 
 
+#: Equal values of different type or sign: one value-pool slot for two of
+#: them changes a type or a sign on the way back out.
+_POOL_COLLISIONS = (0, 0.0, -0.0, False, 1, 1.0, True, None)
+
+#: Every attribute value type JSON accepts; big ints pass int64.
+_JSON_SCALARS = st.one_of(
+    st.sampled_from(_POOL_COLLISIONS),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 @st.composite
 def json_safe_graphs(draw):
-    """Random digraphs whose attributes survive a JSON round trip."""
-    num_nodes = draw(st.integers(min_value=0, max_value=12))
-    graph = Graph(name="prop")
-    values = st.one_of(
-        st.integers(-3, 3), st.booleans(), st.text(max_size=3), st.none()
+    """Random digraphs, mixed str / int node ids, JSON-typed attributes."""
+    ids = draw(
+        st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=3)),
+            unique=True,
+            max_size=12,
+        )
     )
-    for index in range(num_nodes):
+    graph = Graph(name="prop")
+    for node in ids:
         attrs = draw(
-            st.dictionaries(st.sampled_from(["a", "b", "c"]), values, max_size=3)
+            st.dictionaries(st.sampled_from(["a", "b", "c"]), _JSON_VALUES, max_size=3)
         )
-        graph.add_node(index, **attrs)
-    if num_nodes:
-        pairs = st.tuples(
-            st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)
-        )
-        for source, target in draw(st.lists(pairs, max_size=3 * num_nodes)):
+        graph.add_node(node, **attrs)
+    if ids:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        for source, target in draw(st.lists(pairs, max_size=3 * len(ids))):
             if not graph.has_edge(source, target):
                 graph.add_edge(source, target)
     return graph
 
 
+def _pool_collision_graph() -> Graph:
+    graph = Graph(name="prop")
+    for node, value in enumerate(_POOL_COLLISIONS):
+        graph.add_node(node, a=value, b=[value])
+    return graph
+
+
 @settings(max_examples=80, deadline=None)
 @given(json_safe_graphs())
+@example(graph=_pool_collision_graph())
 def test_snapshot_file_round_trip_property(tmp_path_factory, graph):
-    """``FrozenGraph -> file -> mmap -> to_graph()`` is exact."""
+    """``to_graph(load(save(freeze(g))))`` keeps what JSON keeps, and order.
+
+    A checkpoint is only the snapshot, so it must lose nothing the JSON
+    image kept: content, version, every value's type and repr (the sign of
+    zero, big ints, nested containers), and all three row orders.
+    """
     path = tmp_path_factory.mktemp("prop") / "g.frozen.snap"
-    frozen = FrozenGraph.freeze(graph)
-    write_frozen_file(path, frozen)
-    loaded = load_frozen_file(path, expected_version=graph.version)
-    rebuilt = loaded.to_graph()
-    assert rebuilt == graph
+    write_frozen_file(path, FrozenGraph.freeze(graph))
+    rebuilt = load_frozen_file(path, expected_version=graph.version).to_graph()
+    via_json = graph_from_dict(json.loads(json.dumps(graph_to_dict(graph))))
+    assert rebuilt == via_json == graph
+    assert rebuilt.name == via_json.name
+    assert rebuilt.version == via_json.version == graph.version
     assert list(rebuilt.nodes()) == list(graph.nodes())
     assert list(rebuilt.edges()) == list(graph.edges())
+    for node in graph.nodes():
+        assert list(rebuilt.predecessors(node)) == list(graph.predecessors(node))
+        got, kept = rebuilt.attrs(node), via_json.attrs(node)
+        assert got.keys() == kept.keys()
+        for attr, value in kept.items():
+            assert type(got[attr]) is type(value)
+            assert repr(got[attr]) == repr(value)
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 
 import pytest
 
 from repro.engine.storage import GraphStore
 from repro.errors import StorageError, WalError
 from repro.graph.digraph import Graph
+from repro.graph.frozen import FrozenGraph
 from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
@@ -23,6 +25,7 @@ from repro.incremental.updates import (
     NodeDeletion,
     NodeInsertion,
 )
+from repro.server import ExpFinderService, ServiceConfig
 from repro.server.registry import SnapshotRegistry
 from repro.server.wal import (
     RECORD_BATCH,
@@ -32,7 +35,9 @@ from repro.server.wal import (
     checkpoint_artifact,
 )
 from repro.server.wire import decode_updates, encode_update
-from repro.testing.faults import armed
+from repro.testing.chaos import GRAPH_NAME, base_graph, build_stack, canonical_form
+from repro.testing.faults import InjectedCrash, armed
+from tests.test_frozen_patch import ARRAYS
 
 BATCH = [{"op": "add-node", "node": "x", "attrs": {}}]
 
@@ -406,8 +411,11 @@ class TestCheckpointer:
         registry.register("g", small_graph())
         meta = wal.read_checkpoints()["g"]
         assert meta["lsn"] == 0
-        assert store.has_graph(meta["artifact"])
+        # a checkpoint is one binary snapshot: no JSON graph beside it
         assert store.has_snapshot(meta["artifact"])
+        assert not store.has_graph(meta["artifact"])
+        info = store.snapshot_info(meta["artifact"])
+        assert info["source_version"] == meta["graph_version"]
 
     def test_debounce_checkpoints_every_n_batches(self, stack):
         registry, wal, _store, cp = stack
@@ -425,9 +433,10 @@ class TestCheckpointer:
         for index in range(4):
             registry.publish("g", [NodeInsertion.with_attrs(f"x{index}")])
         generations = [
-            name for name in store.list_graphs() if name.startswith("g.ckpt-")
+            name for name in store.list_snapshots() if name.startswith("g.ckpt-")
         ]
         assert generations == [checkpoint_artifact("g", 4)]
+        assert store.list_graphs() == []
 
     def test_checkpoint_skips_when_nothing_new(self, stack):
         registry, _wal, _store, cp = stack
@@ -533,10 +542,224 @@ class TestCheckpointer:
         checkpointer.close(final_checkpoint=False)
         wal.close()
 
+    def test_inline_memory_error_is_recorded_not_raised(self, tmp_path):
+        # regression: a MemoryError escaped _drain_dirty and failed the
+        # publish whose epoch was already installed
+        store = GraphStore(tmp_path / "store")
+        wal = WriteAheadLog(tmp_path / "wal", fsync="none", segment_bytes=256)
+        registry = SnapshotRegistry(store=store, wal=wal)
+        cp = Checkpointer(registry, wal, store, every_batches=2, background=False)
+        registry.attach_checkpointer(cp)
+        registry.register("g", small_graph())
+        with armed("checkpoint.snapshot", action="memory-error"):
+            registry.publish("g", [NodeInsertion.with_attrs("x0")])
+            epoch = registry.publish("g", [NodeInsertion.with_attrs("x1")])  # due
+        assert epoch is registry.current_epoch("g") and epoch.graph.has_node("x1")
+        stats = cp.stats()
+        assert stats["failures"] == 1
+        assert stats["last_error"].startswith("MemoryError")
+        assert wal.read_checkpoints()["g"]["lsn"] == 0
+        # the next due checkpoint succeeds and truncates the log behind it
+        # (256-byte segments: the first one is sealed by now)
+        registry.publish("g", [NodeInsertion.with_attrs("x2")])
+        applied = registry.wal_status()["graphs"]["g"]["applied_lsn"]
+        assert wal.read_checkpoints()["g"]["lsn"] == applied
+        assert cp.stats()["pending"] == {}
+        assert wal.stats()["truncated_segments"] >= 1
+        wal.close()
+
+    def test_background_memory_error_keeps_the_thread_alive(self, tmp_path):
+        # regression: a MemoryError killed the checkpointer thread; pending
+        # then grew without bound and the WAL was never truncated again
+        import time
+
+        store = GraphStore(tmp_path / "store")
+        wal = WriteAheadLog(tmp_path / "wal", fsync="none", segment_bytes=256)
+        registry = SnapshotRegistry(store=store, wal=wal)
+        cp = Checkpointer(registry, wal, store, every_batches=1, background=True)
+        registry.attach_checkpointer(cp)
+        registry.register("g", small_graph())
+        with armed("checkpoint.snapshot", action="memory-error"):
+            registry.publish("g", [NodeInsertion.with_attrs("bad")])
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and cp.stats()["failures"] == 0:
+                time.sleep(0.01)
+        stats = cp.stats()
+        assert stats["failures"] == 1
+        assert stats["last_error"].startswith("MemoryError")
+        assert cp._thread is not None and cp._thread.is_alive()
+        for node in ("good", "more"):  # the second seals the first segment
+            registry.publish("g", [NodeInsertion.with_attrs(node)])
+        applied = registry.wal_status()["graphs"]["g"]["applied_lsn"]
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not wal.stats()["truncated_segments"]:
+            time.sleep(0.01)
+        assert wal.stats()["truncated_segments"] >= 1
+        assert wal.read_checkpoints()["g"]["lsn"] == applied
+        cp.close(final_checkpoint=False)
+        wal.close()
+
     def test_validation(self, stack):
         registry, wal, store, _cp = stack
         with pytest.raises(WalError, match="every_batches"):
             Checkpointer(registry, wal, store, every_batches=0, background=False)
+
+
+# ----------------------------------------------------------------------
+# a checkpoint is one binary snapshot
+# ----------------------------------------------------------------------
+
+def _crashed_stack(root, batches: int = 3):
+    """Register + ``batches`` publishes (a checkpoint every 2), then no close().
+
+    With the default three batches the last checkpoint covers two of them
+    and the third is a WAL tail recovery must replay.  ``n2``'s
+    predecessors arrive out of node order (n1, x0, n5, x1, n4, ...), which
+    re-adding the edges in source order would not reproduce.
+    """
+    registry, _wal, _cp = build_stack(root)
+    registry.register(GRAPH_NAME, base_graph())
+    for index in range(batches):
+        node = f"x{index}"
+        registry.publish(
+            GRAPH_NAME,
+            [
+                NodeInsertion.with_attrs(node, zero=0.0, w=-0.0, big=2**70),
+                EdgeInsertion(node, "n2"),
+                EdgeInsertion(f"n{5 - index}", "n2"),
+            ],
+        )
+    return registry
+
+
+def _restarted(root):
+    """What a restarted process does, checkpointer attached."""
+    registry, wal, _cp = build_stack(root)
+    return registry, registry.recover(), wal
+
+
+def _checkpoint_meta_path(root):
+    return root / "wal" / f"checkpoint.{GRAPH_NAME}.json"
+
+
+def _checkpoint_snapshot(root):
+    """The store and the checkpoint metadata, read without opening the WAL."""
+    return GraphStore(root / "store"), json.loads(_checkpoint_meta_path(root).read_text())
+
+
+class TestSnapshotCheckpoints:
+    def test_recovered_master_freezes_to_the_checkpoint_snapshot(self, tmp_path):
+        crashed = _crashed_stack(tmp_path, batches=2)  # no tail
+        expected = crashed.current_epoch(GRAPH_NAME).graph
+        registry, report, wal = _restarted(tmp_path)
+        assert report[GRAPH_NAME]["replayed"] == 0
+        store, meta = _checkpoint_snapshot(tmp_path)
+        stored = store.load_snapshot(meta["artifact"])
+        master = registry.current_epoch(GRAPH_NAME).graph
+        assert canonical_form(master) == canonical_form(expected)
+        refrozen = FrozenGraph.freeze(master)
+        assert refrozen.labels == stored.labels
+        for field in ARRAYS:
+            assert array("q", getattr(refrozen, field)) == array("q", getattr(stored, field))
+        for node in master.nodes():
+            assert list(master.predecessors(node)) == list(expected.predecessors(node))
+        assert repr(master.get("x0", "w")) == "-0.0"
+        assert master.get("x1", "big") == 2**70
+        wal.close()
+
+    def test_checkpoint_in_the_older_json_layout_recovers_and_is_collected(
+        self, tmp_path
+    ):
+        crashed = _crashed_stack(tmp_path)
+        expected = crashed.current_epoch(GRAPH_NAME).graph
+        store, meta = _checkpoint_snapshot(tmp_path)
+        # the layout an older binary wrote: a JSON graph beside the snapshot
+        store.save_graph(meta["artifact"], store.load_snapshot(meta["artifact"]).to_graph())
+        registry, report, wal = _restarted(tmp_path)
+        assert report[GRAPH_NAME]["graph_version"] == expected.version
+        master = registry.current_epoch(GRAPH_NAME).graph
+        assert canonical_form(master) == canonical_form(expected)
+        for index in range(2):  # every_batches=2: the next checkpoint is due
+            registry.publish(GRAPH_NAME, [NodeInsertion.with_attrs(f"y{index}")])
+        newest = wal.read_checkpoints()[GRAPH_NAME]["artifact"]
+        assert newest != meta["artifact"]
+        assert store.list_snapshots() == [newest]
+        assert store.list_graphs() == []
+        wal.close()
+
+    def test_missing_checkpoint_snapshot_is_a_storage_error(self, tmp_path):
+        _crashed_stack(tmp_path)
+        store, meta = _checkpoint_snapshot(tmp_path)
+        store.delete_snapshot(meta["artifact"])
+        with pytest.raises(StorageError, match="no stored snapshot"):
+            _restarted(tmp_path)
+
+    def test_crc_flipped_checkpoint_snapshot_is_a_storage_error(self, tmp_path):
+        _crashed_stack(tmp_path)
+        store, meta = _checkpoint_snapshot(tmp_path)
+        path = store.root / "snapshots" / f"{meta['artifact']}.frozen.snap"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF  # a payload byte: the header still parses
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            _restarted(tmp_path)
+
+    def test_checkpoint_version_skew_is_a_storage_error(self, tmp_path):
+        _crashed_stack(tmp_path)
+        _store, meta = _checkpoint_snapshot(tmp_path)
+        meta["graph_version"] += 1
+        _checkpoint_meta_path(tmp_path).write_text(json.dumps(meta))
+        with pytest.raises(StorageError, match="stale snapshot"):
+            _restarted(tmp_path)
+
+    def test_crash_at_checkpoint_snapshot_leaves_an_orphan_gc_removes(self, tmp_path):
+        registry, _wal, _cp = build_stack(tmp_path)
+        registry.register(GRAPH_NAME, base_graph())
+        with armed("checkpoint.snapshot"):
+            registry.publish(GRAPH_NAME, [NodeInsertion.with_attrs("a")])
+            with pytest.raises(InjectedCrash):
+                registry.publish(GRAPH_NAME, [NodeInsertion.with_attrs("b")])
+        store, meta = _checkpoint_snapshot(tmp_path)
+        orphans = [name for name in store.list_snapshots() if name != meta["artifact"]]
+        assert len(orphans) == 1  # written, never named by the metadata
+        registry, report, wal = _restarted(tmp_path)
+        assert report[GRAPH_NAME]["replayed"] == 2
+        for index in range(2):
+            registry.publish(GRAPH_NAME, [NodeInsertion.with_attrs(f"c{index}")])
+        assert store.list_snapshots() == [wal.read_checkpoints()[GRAPH_NAME]["artifact"]]
+        wal.close()
+
+    def test_restart_keeps_the_oracle(self, tmp_path, fig1, fig1_query):
+        def config(root):
+            return ServiceConfig(
+                wal_dir=str(root), oracle={"cap": 4}, checkpoint_background=False
+            )
+
+        batch = {"updates": [{"op": "add-edge", "source": "Fred", "target": "Eva"}]}
+        twin = ExpFinderService(ServiceConfig(oracle={"cap": 4}))
+        twin.register_graph("fig1", fig1)
+        twin.update_graph("fig1", batch)
+        expected = twin.registry.current_epoch("fig1").evaluate(fig1_query).relation
+
+        clean, killed = tmp_path / "clean", tmp_path / "killed"
+        for root in (clean, killed):
+            service = ExpFinderService(config(root))
+            service.register_graph("fig1", fig1)
+            service.update_graph("fig1", batch)
+            if root is clean:
+                service.close()
+            del service  # the killed one: no close(), the batch is a WAL tail
+        for root in (clean, killed):
+            with ExpFinderService(config(root)) as revived:
+                epoch = revived.registry.current_epoch("fig1")
+                assert epoch.oracle is not None
+                assert revived.registry.stats()["graphs"]["fig1"]["oracle"] is True
+                assert epoch.evaluate(fig1_query).relation == expected
+                revived.update_graph(
+                    "fig1", {"updates": [{"op": "remove-edge", "source": "Fred", "target": "Eva"}]}
+                )
+                assert revived.registry.current_epoch("fig1").oracle is not None
+        twin.close()
 
 
 # ----------------------------------------------------------------------
