@@ -16,7 +16,7 @@ context path and the ``workers=N`` parallel path:
 * **uniform** — every witness weighs 1, so the bound cannot separate
   anything and every match must be fully scored.  This is the worst case
   for laziness, and an honest stress for fan-out: per-match Dijkstras over
-  5-node components are so cheap that per-call pool forks and shipping
+  5-node components are so cheap that per-call process starts and shipping
   5000 ``RankedMatch`` results back dominate (the same Amdahl shape as
   E12's sharded-query case), so on >= 4 cores the assertion is a
   catastrophic-regression floor (>= 0.5x vs. naive, measured number always

@@ -12,11 +12,12 @@ or ``concurrent.futures``):
 
 * the callable argument of ``pool.map`` / ``imap`` / ``imap_unordered`` /
   ``apply`` / ``apply_async`` / ``starmap`` (and ``_async`` variants) and
-  the ``initializer`` of ``Pool(...)`` must be a plain name bound to a
-  module-level ``def`` or an explicit import — lambdas, nested functions,
-  locals/parameters, bound attributes and ``functools.partial`` calls are
-  flagged;
-* a ``lambda`` anywhere among those call arguments is flagged as well.
+  of the parallel executor's own fan-out (``executor._fan_out``), the
+  ``initializer`` of ``Pool(...)`` and the ``target`` of ``Process(...)``
+  must be a plain name bound to a module-level ``def`` or an explicit
+  import — lambdas, nested functions, locals/parameters, bound attributes
+  and ``functools.partial`` calls are flagged;
+* a ``lambda`` anywhere among the pool-call arguments is flagged as well.
 
 Known miss: a module-level *variable* holding a lambda; indirect payloads
 (the mmap-paths-not-buffers half is exercised by the spawn-mode shipping
@@ -45,8 +46,17 @@ POOL_METHODS = frozenset(
         "map_async",
         "starmap_async",
         "submit",
+        "_fan_out",
     }
 )
+
+#: Constructor -> the keyword (or second positional argument) naming the
+#: callable each of its worker processes runs first.
+WORKER_ENTRIES = {
+    "Pool": "initializer",
+    "ProcessPoolExecutor": "initializer",
+    "Process": "target",
+}
 
 
 def _imports_multiprocessing(tree: ast.Module) -> bool:
@@ -82,8 +92,8 @@ def _module_level_callables(tree: ast.Module) -> set[str]:
 class SpawnSafetyRule(Rule):
     id = "spawn-safety"
     description = (
-        "multiprocessing pool payloads must be module-level callables "
-        "(picklable by qualified name under spawn)"
+        "multiprocessing pool payloads and process targets must be "
+        "module-level callables (picklable by qualified name under spawn)"
     )
 
     def check(self, module: ModuleUnderLint) -> Iterator[tuple[int, str]]:
@@ -121,9 +131,13 @@ class SpawnSafetyRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not isinstance(func, ast.Attribute):
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+            elif isinstance(func, ast.Name) and func.id in WORKER_ENTRIES:
+                name = func.id
+            else:
                 continue
-            if func.attr in POOL_METHODS:
+            if name in POOL_METHODS:
                 if node.args:
                     reason = describe(node.args[0])
                     if reason is not None:
@@ -138,20 +152,20 @@ class SpawnSafetyRule(Rule):
                             "lambda among pool-call arguments is not "
                             "spawn-safe",
                         )
-            elif func.attr in {"Pool", "ProcessPoolExecutor"}:
-                initializer: ast.expr | None = None
+            elif name in WORKER_ENTRIES:
+                entry_keyword = WORKER_ENTRIES[name]
+                entry: ast.expr | None = None
                 if len(node.args) >= 2:
-                    initializer = node.args[1]
+                    entry = node.args[1]
                 for keyword in node.keywords:
-                    if keyword.arg == "initializer":
-                        initializer = keyword.value
-                if initializer is not None and not (
-                    isinstance(initializer, ast.Constant)
-                    and initializer.value is None
+                    if keyword.arg == entry_keyword:
+                        entry = keyword.value
+                if entry is not None and not (
+                    isinstance(entry, ast.Constant) and entry.value is None
                 ):
-                    reason = describe(initializer)
+                    reason = describe(entry)
                     if reason is not None:
                         yield (
                             node.lineno,
-                            f"pool initializer is not spawn-safe: {reason}",
+                            f"{name} {entry_keyword} is not spawn-safe: {reason}",
                         )

@@ -133,8 +133,9 @@ class QueryEngine:
         }
         # One executor per worker count, alive across calls (released by
         # close()).  Only node-budget-guarded fan-outs reuse its pool; the
-        # unguarded sharded and batch-farming paths start a fresh pool per
-        # call by design (its initializer carries that call's graph state).
+        # other sharded, batch-farming, ranking and oracle fan-outs start
+        # worker processes of their own per call (the call's graph state
+        # is their process argument) and kill them before returning.
         self._executors: dict[int, ParallelExecutor] = {}
 
     def _executor(self, workers: int) -> ParallelExecutor:

@@ -1,4 +1,4 @@
-"""Parallel sharded evaluation — pivot partitioning plus a worker pool.
+"""Parallel sharded evaluation — pivot partitioning plus worker processes.
 
 Bounded simulation splits into two phases with very different shapes:
 
@@ -20,14 +20,14 @@ Bounded simulation splits into two phases with very different shapes:
    sequential one exactly.  ``tests/test_differential.py`` asserts that
    equality over hundreds of seeded random graphs and patterns.
 
-:class:`ParallelExecutor` fans both workloads out to a
-:mod:`multiprocessing` pool:
+:class:`ParallelExecutor` fans both workloads out to :mod:`multiprocessing`
+worker processes:
 
 * :meth:`ParallelExecutor.match` — *per-query* parallelism: shard one big
   query's successor-row work across workers, merge, refine.
 * :meth:`ParallelExecutor.match_many` — *per-batch* parallelism: farm whole
   (pattern, candidates) tasks out, one query per worker at a time, with
-  the data graph shipped once per worker via the pool initializer.
+  the data graph handed to each worker once, as a process argument.
 
 Simulation patterns (every bound 1) ride the same sharded machinery: with
 all bounds 1, bounded simulation's fixpoint coincides with plain
@@ -46,7 +46,7 @@ import multiprocessing
 import threading
 import time
 from array import array
-from pathlib import Path
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.engine.estimator import GUARD_TIME_LIMIT, QueryBudget, QueryGuard
@@ -54,7 +54,7 @@ from repro.errors import BudgetExceededError, EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
 from repro.graph.index import AttributeIndex, candidates_from_index
-from repro.graph.oracle import DistanceOracle, set_build_context
+from repro.graph.oracle import DistanceOracle, phase_two_chunk
 from repro.graph.partition import Shard, decompose
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
 from repro.matching.bounded import (
@@ -78,30 +78,19 @@ ShardPayload = tuple[
 #: What one shard returns: label-keyed successor rows plus its guard info.
 ShardRows = tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]
 
-# Worker-process state.  Only pool initializers write these — the same
-# ``Pool(initializer=..., initargs=...)`` call under fork and spawn — and
-# only the task functions below read them, so tasks stay tiny (a shard
-# payload, a pattern plus table keys, a chunk of node ids) while the graph,
-# snapshot, oracle and candidate table arrive once per worker.  The parent
-# process never installs anything here: inline runs pass the same objects
-# to the ``*_core`` functions as arguments, so concurrent fan-outs from
-# several threads of one process share no state.
+# Worker-process state of the persistent pool only: a call's own workers
+# get their state as ``Process`` arguments, so the parent never installs
+# anything here and concurrent fan-outs from several threads share none.
 
-#: ``(frozen, oracle, guard triple or None)`` of a dedicated shard pool.
-_shard_state: tuple | None = None
-#: ``(graph, candidate table, frozen, oracle, budget)`` of a batch pool;
-#: the table is {predicate key: node set}, computed once for the batch.
-_batch_state: tuple | None = None
-#: ``(ranking context, metric or None)`` of a bulk-ranking pool.
-_rank_state: tuple | None = None
 #: The persistent pool's shared visit counter, installed at pool creation
 #: so a guarded task only needs to carry its budget.
 _persistent_counter: Any = None
 
-#: Worker-side memo of snapshot/oracle files already mapped in, so a
-#: long-lived pool worker pays ``load_frozen_file`` once per file rather
-#: than once per task.  Bounded: it resets rather than grows.
-_persistent_loads: dict[str, Any] = {}
+#: Worker-side memo of snapshot/oracle files already mapped in, keyed by
+#: ``(path, source_version)``, so a long-lived pool worker pays
+#: ``load_frozen_file`` once per file version rather than once per task.
+#: Bounded: it resets rather than grows.
+_persistent_loads: dict[tuple[str, int], Any] = {}
 _PERSISTENT_LOAD_SLOTS = 8
 
 
@@ -111,76 +100,51 @@ def _shipment(
     """``(frozen, oracle)`` in the form that is cheapest to pickle.
 
     Store-loaded objects record their backing snapshot file in ``.path``;
-    shipping that path lets every worker ``mmap`` the same pages — shared
-    RSS, no per-worker pickle of the buffers.  Objects built in-process
-    have no file and ship as pickled (attribute-less) flat buffers.
+    shipping ``(path, source_version)`` lets every worker ``mmap`` the
+    same pages — shared RSS, no per-worker pickle of the buffers — and
+    refuse the file once it holds another version.  Objects built
+    in-process ship as pickled (attribute-less) flat buffers.
     """
     shipped_frozen: Any = (
-        frozen.path if frozen.path is not None else frozen.without_attrs()
+        (frozen.path, frozen.source_version)
+        if frozen.path is not None
+        else frozen.without_attrs()
     )
     shipped_oracle: Any = (
-        oracle if oracle is None or oracle.path is None else oracle.path
+        oracle
+        if oracle is None or oracle.path is None
+        else (oracle.path, oracle.source_version)
     )
     return shipped_frozen, shipped_oracle
 
 
-def _load_memo(path: Any, loader: Callable[[Any], Any]) -> Any:
-    key = str(path)
+def _load_memo(shipped: tuple[Any, int], loader: Callable[..., Any]) -> Any:
+    path, version = shipped
+    key = (str(path), version)
     obj = _persistent_loads.get(key)
     if obj is None:
         if len(_persistent_loads) >= _PERSISTENT_LOAD_SLOTS:
             _persistent_loads.clear()
-        obj = _persistent_loads[key] = loader(path)
+        obj = _persistent_loads[key] = loader(path, expected_version=version)
     return obj
 
 
 def _resolve_shipped(frozen: Any, oracle: Any) -> tuple[Any, Any]:
-    """Worker-side inverse of :func:`_shipment`: map file paths back in.
-
-    Live objects (fork-inherited, or pickled buffers) pass through.
-    """
+    """Worker-side inverse of :func:`_shipment`: map shipped files back in
+    (a version skew is a :class:`~repro.errors.StorageError`); live
+    objects pass through."""
     from repro.engine.storage import load_frozen_file, load_oracle_file
 
-    if isinstance(frozen, (str, Path)):
+    if isinstance(frozen, tuple):
         frozen = _load_memo(frozen, load_frozen_file)
-    if isinstance(oracle, (str, Path)):
+    if isinstance(oracle, tuple):
         oracle = _load_memo(oracle, load_oracle_file)
     return frozen, oracle
-
-
-def _init_shard_worker(
-    frozen: Any, oracle: Any, guard_state: tuple | None = None
-) -> None:
-    """Initializer of a dedicated shard pool.
-
-    ``guard_state`` is ``(budget, shared counter, absolute deadline)``:
-    every task builds its own guard around the *shared* visit counter, so
-    one budget governs the whole fan-out and sequential and parallel
-    evaluation trip on the same total work.
-    """
-    global _shard_state
-    _shard_state = (*_resolve_shipped(frozen, oracle), guard_state)
 
 
 def _init_persistent_worker(counter: Any) -> None:
     global _persistent_counter
     _persistent_counter = counter
-
-
-def _init_batch_worker(
-    graph: Graph,
-    table: dict[tuple, set[NodeId]],
-    frozen: Any,
-    oracle: Any,
-    budget: "QueryBudget | None",
-) -> None:
-    global _batch_state
-    _batch_state = (graph, table, *_resolve_shipped(frozen, oracle), budget)
-
-
-def _init_rank_worker(context: RankingContext, metric: Any) -> None:
-    global _rank_state
-    _rank_state = (context, metric)
 
 
 def validate_workers(workers: int | None) -> int:
@@ -197,15 +161,30 @@ def validate_workers(workers: int | None) -> int:
     return workers
 
 
-def _shard_rows(payload: ShardPayload) -> ShardRows:
-    """One shard on a *dedicated* pool, against the worker's snapshot."""
-    assert _shard_state is not None, "shard worker was not initialised"
-    frozen, oracle, guard_state = _shard_state
-    guard = None
-    if guard_state is not None:
-        budget, counter, deadline = guard_state
-        guard = QueryGuard(budget, shared_counter=counter, deadline=deadline)
-    return _shard_rows_core(payload, frozen, oracle, guard)
+def _serve_tasks(conn: Any, function: Callable[..., Any], state: tuple) -> None:
+    """Body of one worker process of :meth:`ParallelExecutor._fan_out`.
+
+    Answers every ``(index, task)`` the parent sends with ``(index, True,
+    function(*state, task))`` — or ``(index, False, exception)`` — until
+    the parent kills it or closes its end of the pipe.
+    """
+    while True:
+        try:
+            index, task = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (index, True, function(*state, task))
+        except Exception as exc:
+            reply = (index, False, exc)
+        conn.send(reply)
+
+
+def _worker_died(process: Any) -> EvaluationError:
+    return EvaluationError(
+        f"a worker process died mid-task (pid {process.pid}, exit code "
+        f"{process.exitcode}); the fan-out was cancelled"
+    )
 
 
 def _shard_rows_shipped(
@@ -213,40 +192,38 @@ def _shard_rows_shipped(
 ) -> ShardRows:
     """One shard on the *persistent* pool.
 
-    The task carries everything a long-lived worker does not already
-    hold: the shard payload, the shipped shared snapshot/oracle (a file
-    path when mmap-backed — memoized per worker — or attribute-less flat
-    buffers) and, for a guarded call, its budget.  The guard wraps the
-    process-wide shared counter installed at pool creation, so one node
-    budget still governs the whole fan-out exactly like the
-    dedicated-pool path.
+    The task carries what a long-lived worker does not already hold: the
+    shard payload, the shipped snapshot/oracle (see :func:`_shipment`)
+    and, for a guarded call, its budget.  The guard wraps the shared
+    counter installed at pool creation, so one node budget still governs
+    the whole fan-out.
     """
     payload, shipped_frozen, shipped_oracle, budget = task
-    frozen, oracle = _resolve_shipped(shipped_frozen, shipped_oracle)
     guard = (
         QueryGuard(budget, shared_counter=_persistent_counter)
         if budget is not None
         else None
     )
-    return _shard_rows_core(payload, frozen, oracle, guard)
+    return _shard_rows_core(shipped_frozen, shipped_oracle, guard, payload)
 
 
 def _shard_rows_core(
-    payload: ShardPayload,
-    frozen: FrozenGraph,
-    oracle: "DistanceOracle | None",
+    frozen: Any,
+    oracle: Any,
     guard: "QueryGuard | None",
+    payload: ShardPayload,
 ) -> ShardRows:
-    """Successor rows for one shard — what every route, inline or pooled, runs.
+    """Successor rows for one shard — what every route, inline or not, runs.
 
-    The payload is int-indexed against the shared frozen snapshot.  Rows
-    are computed by the same :func:`frozen_successor_rows` kernel the
-    sequential matcher uses, restricted to the shard's pivots, then
-    converted back to labels for the merge.  Returns the rows plus a
-    guard-info dict (empty when unguarded): each worker's guard charges
-    the *shared* visit counter, so a blown budget stops every sibling at
-    its next check, not just this shard.
+    The payload is int-indexed against the shared frozen snapshot (live
+    or shipped).  Rows are computed by the same
+    :func:`frozen_successor_rows` kernel the sequential matcher uses,
+    restricted to the shard's pivots, then converted back to labels for
+    the merge.  Returns the rows plus a guard-info dict (empty when
+    unguarded): each worker's guard charges the *shared* visit counter, so
+    a blown budget stops every sibling at its next check.
     """
+    frozen, oracle = _resolve_shipped(frozen, oracle)
     edges_spec, pivots, candidate_arrays = payload
     candidate_ids = {u: frozenset(ids) for u, ids in candidate_arrays.items()}
     rows_ids = frozen_successor_rows(
@@ -263,7 +240,13 @@ def _shard_rows_core(
         }
         for edge, edge_rows in rows_ids.items()
     }
-    return converted, (guard.stats() if guard is not None else {})
+    if guard is None:
+        return converted, {}
+    info = guard.stats()
+    # One guard can serve several shards (inline, or one worker's run of
+    # tasks): each shard reports only the re-plans it caused.
+    guard.replans = 0
+    return converted, info
 
 
 def _guard_summary(
@@ -283,12 +266,6 @@ def _guard_summary(
     return summary
 
 
-def _rank_chunk(nodes: Sequence[NodeId]) -> list:
-    """Score one chunk of matches against the worker's snapshot context."""
-    assert _rank_state is not None, "rank worker was not initialised"
-    return _rank_core(*_rank_state, nodes)
-
-
 def _rank_core(context: RankingContext, metric: Any, nodes: Sequence[NodeId]) -> list:
     """Scores for ``nodes``, in order.
 
@@ -303,22 +280,16 @@ def _rank_core(context: RankingContext, metric: Any, nodes: Sequence[NodeId]) ->
     return [metric.score_bulk(context, node) for node in nodes]
 
 
-def _batch_query(
-    task: tuple[Pattern, dict[str, tuple]],
-) -> tuple[MatchRelation, dict[str, Any]]:
-    """Evaluate one whole query against the worker's graph (batch mode)."""
-    assert _batch_state is not None, "batch worker was not initialised"
-    return _batch_query_core(*_batch_state, task)
-
-
 def _batch_query_core(
     graph: Graph,
     table: dict[tuple, set[NodeId]],
-    frozen: FrozenGraph | None,
-    oracle: DistanceOracle | None,
+    frozen: Any,
+    oracle: Any,
     budget: QueryBudget | None,
     task: tuple[Pattern, dict[str, tuple]],
 ) -> tuple[MatchRelation, dict[str, Any]]:
+    """Evaluate one whole query of a batch (``frozen``/``oracle`` live or shipped)."""
+    frozen, oracle = _resolve_shipped(frozen, oracle)
     pattern, key_by_node = task
     candidates = {u: table[key] for u, key in key_by_node.items()}
     if pattern.is_simulation_pattern:
@@ -341,14 +312,14 @@ def _batch_query_core(
 
 
 class ParallelExecutor:
-    """A reusable worker pool for sharded and batched evaluation.
+    """Worker processes for sharded and batched evaluation.
 
-    The pool is created lazily on first parallel use and reused across
-    calls (forking a pool costs more than a small query); close it with
-    :meth:`close` or use the executor as a context manager.  With
-    ``workers=1`` everything runs inline in the calling process — same
-    code path, no processes — so callers can treat the executor as the one
-    evaluation front end regardless of parallelism.
+    A fan-out starts processes of its own and kills them before it
+    returns — except node-budgeted shard calls, and every shard call once
+    :meth:`warm` has run, which use one persistent pool (released by
+    :meth:`close` or the context manager).  With ``workers=1`` everything
+    runs inline — same code path, no processes — so callers can treat the
+    executor as the one evaluation front end regardless of parallelism.
 
     >>> from repro.datasets.paper_example import paper_graph, paper_pattern
     >>> with ParallelExecutor(workers=2) as executor:
@@ -363,9 +334,9 @@ class ParallelExecutor:
         self.workers = validate_workers(workers)
         self._ctx = multiprocessing.get_context(start_method)
         self._pool = None
-        #: Total worker pools this executor has created (persistent and
-        #: dedicated alike) — the regression counter the pool-churn tests
-        #: watch: steady-state guarded serving must not move it.
+        #: Worker sets started: the persistent pool plus one per fan-out
+        #: on processes of its own — the regression counter the pool-churn
+        #: tests watch: steady-state guarded serving must not move it.
         self.pools_created = 0
         # The shared visit counter all persistent-pool guards wrap; it is
         # allocated with the pool so every worker receives it through the
@@ -378,7 +349,7 @@ class ParallelExecutor:
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # pool lifecycle
+    # worker lifecycle
     # ------------------------------------------------------------------
     def _query_pool(self) -> Any:
         with self._pool_lock:
@@ -393,27 +364,94 @@ class ParallelExecutor:
                 self.pools_created += 1
             return self._pool
 
-    def _dedicated_pool(self, **kwargs: Any) -> Any:
-        """A single-call pool (counted in :attr:`pools_created`).
+    def _fan_out(
+        self,
+        function: Callable[..., Any],
+        state: tuple,
+        tasks: Sequence[Any],
+        deadline: float | None = None,
+    ) -> list:
+        """``[function(*state, task) for task in tasks]`` in processes of its own.
 
-        Dedicated pools remain for work that cannot share the persistent
-        one: wall-clock-guarded fan-outs (termination mid-flight) and the
-        calls whose workers hold call-specific state — which reaches them
-        through ``initializer=`` / ``initargs=`` under every start method.
+        Up to ``workers`` children get ``state`` as a ``Process`` argument
+        (inherited under fork, pickled once each under spawn); each next
+        task goes over its duplex pipe to whichever child answered last.
+        Results come back in input order; a child's exception is re-raised
+        as its own type, a child dying mid-task as :class:`EvaluationError`.
+        At ``deadline`` (``time.monotonic``) it returns what arrived — fewer
+        results than tasks.  Every child is killed and joined on return.
         """
         with self._pool_lock:
             self.pools_created += 1
-        return self._ctx.Pool(self.workers, **kwargs)
+        results: dict[int, Any] = {}
+        children: list[tuple[Any, Any]] = []
+        try:
+            for _ in range(min(self.workers, len(tasks))):
+                conn, child_end = self._ctx.Pipe()
+                process = self._ctx.Process(
+                    target=_serve_tasks, args=(child_end, function, state),
+                    daemon=True,
+                )
+                process.start()
+                child_end.close()
+                children.append((process, conn))
+            pending = iter(enumerate(tasks))
+            idle = children
+            busy: dict[Any, Any] = {}
+            while True:
+                for process, conn in idle:
+                    task = next(pending, None)
+                    if task is None:
+                        continue
+                    try:
+                        conn.send(task)
+                    except OSError:
+                        raise _worker_died(process) from None
+                    busy[conn] = process
+                if not busy:
+                    break
+                timeout = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                # A sibling forked by another thread may hold a copy of a
+                # child's pipe end, so only the sentinel proves a death.
+                ready = wait([*busy, *(p.sentinel for p in busy.values())], timeout)
+                if not ready:
+                    break  # the deadline passed with tasks in flight
+                idle = []
+                for conn, process in list(busy.items()):
+                    if conn in ready or process.sentinel in ready:
+                        try:
+                            reply = conn.recv() if conn.poll() else None
+                        except (EOFError, OSError):
+                            reply = None
+                        if reply is None:
+                            raise _worker_died(process)
+                        index, ok, value = reply
+                        if not ok:
+                            raise value
+                        results[index] = value
+                        del busy[conn]
+                        idle.append((process, conn))
+        finally:
+            for process, _conn in children:
+                process.kill()
+            for process, conn in children:
+                process.join()
+                conn.close()
+        return [results[index] for index in sorted(results)]
 
     def _ship(
         self, frozen: FrozenGraph | None, oracle: DistanceOracle | None
     ) -> tuple[Any, Any]:
-        """``(frozen, oracle)`` as a dedicated pool's ``initargs`` carry them.
+        """``(frozen, oracle)`` as :meth:`_fan_out` state carries them.
 
         The one place the start method matters: forked children inherit
-        ``initargs`` — nothing is pickled, so the live objects go as they
-        are — while spawned ones unpickle them once per worker, so they get
-        the :func:`_shipment` form (a file path or attribute-less buffers).
+        their ``Process`` arguments — nothing is pickled, so the live
+        objects go as they are — while spawned ones unpickle them once
+        each, so they get the :func:`_shipment` form (a file path and
+        version, or attribute-less buffers).
         """
         if frozen is None or self._ctx.get_start_method() == "fork":
             return frozen, oracle
@@ -474,17 +512,17 @@ class ParallelExecutor:
         precomputed ``candidates`` — the serving layer computes them
         under its per-epoch index lock); the candidates are partitioned
         into ``num_shards`` (default: one per worker) pivot shards whose
-        successor rows the pool computes; the merged state then runs the
+        successor rows the workers compute; the merged state then runs the
         standard removal fixpoint.  The result carries full refinement
         state, exactly like :func:`~repro.matching.bounded.match_bounded`.
 
         All shard work runs over a :class:`FrozenGraph` snapshot — the
         caller's ``frozen`` (the engine passes its cached one; it must
         match the graph's current version) or one frozen here — and every
-        worker reads that one snapshot: handed to a dedicated pool's
-        initializer when no persistent pool is warm, shipped inside the
-        tasks (a file path when mmap-backed) when one is.  With an
-        ``oracle`` (a :class:`~repro.graph.oracle.DistanceOracle` built
+        worker reads that one snapshot: handed to the call's own worker
+        processes as an argument when no persistent pool is warm, shipped
+        inside the tasks (a file path when mmap-backed) when one is.  With
+        an ``oracle`` (a :class:`~repro.graph.oracle.DistanceOracle` built
         from the same snapshot lineage), workers route selective pattern
         edges to pairwise label merges against the shared oracle.
 
@@ -492,9 +530,9 @@ class ParallelExecutor:
         the fan-out as one query: workers charge a *shared* visit counter,
         so the node budget governs total work across shards (sequential
         and guarded-parallel runs agree on whether the budget trips); a
-        wall-clock limit aborts in-flight workers via pool termination,
-        and shards that never reported merge as empty rows — a sound
-        under-approximation flagged ``stats["partial"] = True``.
+        wall-clock limit kills the call's worker processes at its
+        deadline, and shards that never reported merge as empty rows — a
+        sound under-approximation flagged ``stats["partial"] = True``.
 
         Thread-safe: nothing a call needs lives in process-wide state —
         every route hands its snapshot, oracle and guard to the workers
@@ -526,33 +564,28 @@ class ParallelExecutor:
         guarded = budget is not None and budget.is_limited
         if guarded:
             budget.validate()
+        timed = guarded and budget.seconds is not None
         guard_stats: dict[str, Any] = {}
         if inline:
             guard = QueryGuard(budget) if guarded else None
             results = [
-                _shard_rows_core(payload, frozen, oracle, guard)
+                _shard_rows_core(frozen, oracle, guard, payload)
                 for payload in payloads
             ]
             if guard is not None:
-                guard_stats = guard.stats()
-        elif guarded and budget.seconds is not None:
-            # A wall-clock limit may require terminating in-flight
-            # workers, which would destroy a persistent pool — only
-            # these calls pay for a dedicated pool.
-            results, guard_stats = self._guarded_map(
-                frozen, payloads, oracle, budget
-            )
-        elif guarded or self._pool is not None:
+                guard_stats = _guard_summary(results, guard.visits)
+        elif not timed and (guarded or self._pool is not None):
             # Node-only budgets never need to kill workers mid-flight, and
-            # a warm pool (a long-running service) is there to be used:
-            # both ship the shared snapshot inside the tasks and keep pool
-            # construction off the per-call path (the churn the serving
-            # layer cares about).
+            # a warm pool (a long-running service) is there to be used,
+            # keeping process start-up off the per-call path.
             results, guard_stats = self._persistent_map(
                 frozen, payloads, oracle, budget if guarded else None
             )
         else:
-            results = self._shared_frozen_map(frozen, payloads, oracle)
+            # Killing workers at a deadline would destroy a shared pool.
+            results, guard_stats = self._owned_map(
+                frozen, payloads, oracle, budget if timed else None
+            )
         merged: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]] = {}
         for rows, _info in results:
             for edge, row in rows.items():
@@ -623,15 +656,15 @@ class ParallelExecutor:
     ) -> tuple[list, dict[str, Any]]:
         """Fan shard work out over the *persistent* pool.
 
-        Tasks carry the shipped snapshot (a file path for mmap-backed
-        stores, memoized worker-side) and, for a guarded call, the budget.
-        Only budgets without a wall-clock limit come here — nothing ever
-        has to be terminated mid-flight — and the shared visit counter
-        installed at pool creation aggregates their work across workers
-        exactly like the dedicated-pool path.  Guarded calls are
-        serialized: one budget at a time owns the counter.  ``Pool.map``
-        waits for every task before raising the first error, so no
-        straggler outlives the call and charges a reset counter.
+        Tasks carry the shipped snapshot (a file path and version for
+        mmap-backed stores, memoized worker-side) and, for a guarded call,
+        the budget.  Only budgets without a wall-clock limit come here —
+        nothing ever has to be killed mid-flight — and the shared visit
+        counter installed at pool creation aggregates their work across
+        workers.  Guarded calls are serialized: one budget at a time owns
+        the counter.  ``Pool.map`` waits for every task before raising the
+        first error, so no straggler outlives the call and charges a reset
+        counter.
         """
         shipped = _shipment(frozen, oracle)
         tasks = [(payload, *shipped, budget) for payload in payloads]
@@ -646,48 +679,36 @@ class ParallelExecutor:
             visits = counter.value
         return results, _guard_summary(results, visits)
 
-    def _guarded_map(
+    def _owned_map(
         self,
         frozen: FrozenGraph,
         payloads: list[ShardPayload],
         oracle: DistanceOracle | None,
-        budget: QueryBudget,
+        budget: QueryBudget | None,
     ) -> tuple[list, dict[str, Any]]:
-        """Fan shard work out under a wall-clock limit, killing stragglers.
+        """Fan shard work out over processes of this call's own.
 
-        A dedicated pool starts with the snapshot *and* the guard state —
-        ``(budget, shared counter, absolute deadline)`` — as initializer
-        arguments; each worker builds a :class:`QueryGuard` around the
-        shared counter, so one node budget governs the sum of all shards'
-        work.  The parent drains ``imap_unordered`` with the remaining
-        wall-clock as timeout: when time runs out it *terminates* the
-        pool, cancelling in-flight shards; their pivots merge as missing
-        (empty) rows — a sound under-approximation.  ``time.monotonic`` is
-        comparable across processes on Linux, so the absolute deadline
-        ships as-is.
+        With a wall-clock ``budget`` every child gets a guard around one
+        fresh shared visit counter and the call's absolute
+        ``time.monotonic`` deadline (comparable across processes on
+        Linux); at the deadline the children are killed and the pivots of
+        unfinished shards merge as missing rows — a sound
+        under-approximation.
         """
+        shipped = self._ship(frozen, oracle)
+        if budget is None:
+            return self._fan_out(_shard_rows_core, (*shipped, None), payloads), {}
         assert budget.seconds is not None
         counter = self._ctx.Value("q", 0)
         deadline = time.monotonic() + budget.seconds
-        aborted = False
-        results: list = []
-        pool = self._dedicated_pool(
-            initializer=_init_shard_worker,
-            initargs=(*self._ship(frozen, oracle), (budget, counter, deadline)),
+        guard = QueryGuard(budget, shared_counter=counter, deadline=deadline)
+        results = self._fan_out(
+            _shard_rows_core, (*shipped, guard), payloads, deadline
         )
-        try:
-            iterator = pool.imap_unordered(_shard_rows, payloads)
-            for _ in payloads:
-                try:
-                    remaining = deadline - time.monotonic()
-                    results.append(iterator.next(max(0.0, remaining)))
-                except multiprocessing.TimeoutError:
-                    aborted = True
-                    break
-        finally:
-            pool.terminate()
-            pool.join()
-        visits = counter.value
+        # Unlocked read: the children are gone, and one may have been
+        # killed holding the counter's lock.
+        visits = counter.get_obj().value
+        aborted = len(results) < len(payloads)
         if aborted and not budget.allow_partial:
             raise BudgetExceededError(
                 f"query exceeded its {GUARD_TIME_LIMIT} (visits={visits}, "
@@ -697,30 +718,11 @@ class ParallelExecutor:
             results, visits, tripped=GUARD_TIME_LIMIT if aborted else None
         )
 
-    def _shared_frozen_map(
-        self,
-        frozen: FrozenGraph,
-        payloads: list[ShardPayload],
-        oracle: DistanceOracle | None,
-    ) -> list:
-        """Fan shard work out over a pool that shares the full snapshot.
-
-        A dedicated pool is created per call and receives the snapshot
-        (and oracle labels, when routing uses them) through its
-        initializer: inherited at zero cost under the fork start method,
-        shipped once per worker — as a file path or adjacency-only flat
-        buffers, workers only traverse — under spawn.
-        """
-        with self._dedicated_pool(
-            initializer=_init_shard_worker, initargs=self._ship(frozen, oracle)
-        ) as pool:
-            return pool.map(_shard_rows, payloads)
-
     # ------------------------------------------------------------------
     # bulk-ranking parallelism
     # ------------------------------------------------------------------
-    #: Below this many matches the fork/IPC cost of a pool dwarfs the
-    #: Dijkstra work; rank inline instead (still through the same code).
+    #: Below this many matches the start-up/IPC cost of worker processes
+    #: dwarfs the Dijkstra work; rank inline instead (same code).
     RANK_FANOUT_THRESHOLD = 64
 
     def rank_many(
@@ -729,17 +731,17 @@ class ParallelExecutor:
         metric: Any,
         nodes: Sequence[NodeId],
     ) -> list:
-        """Fan per-match scoring out across the pool, in input order.
+        """Fan per-match scoring out across worker processes, in input order.
 
         ``metric=None`` selects the rich social-impact path (returns
         :class:`RankedMatch` objects); otherwise each node is scored with
         ``metric.score_bulk``.  The snapshot context reaches each worker
-        once, through the pool initializer (inherited under fork, pickled
-        under spawn); tasks carry only node-id chunks.  Scores are
-        deterministic functions of the snapshot, so the output is
-        byte-identical to inline scoring — the differential tests assert
-        it.  Results are absorbed back into ``context``'s memos so
-        subsequent calls (and the engine's rank cache) reuse them.
+        once, as a process argument (inherited under fork, pickled under
+        spawn); tasks carry only node-id chunks.  Scores are deterministic
+        functions of the snapshot, so the output is byte-identical to
+        inline scoring — the differential tests assert it.  Results are
+        absorbed back into ``context``'s memos so subsequent calls (and
+        the engine's rank cache) reuse them.
         """
         nodes = list(nodes)
         if self.workers == 1 or len(nodes) < self.RANK_FANOUT_THRESHOLD:
@@ -751,12 +753,11 @@ class ParallelExecutor:
             chunks = [
                 nodes[i : i + chunk_size] for i in range(0, len(nodes), chunk_size)
             ]
-            with self._dedicated_pool(
-                initializer=_init_rank_worker, initargs=(context, metric)
-            ) as pool:
-                results = [
-                    item for chunk in pool.map(_rank_chunk, chunks) for item in chunk
-                ]
+            results = [
+                item
+                for chunk in self._fan_out(_rank_core, (context, metric), chunks)
+                for item in chunk
+            ]
         if metric is None:
             # Detail memos are keyed by node alone, so absorbing is always
             # safe; metric scores are memoized by the caller, which knows
@@ -776,7 +777,7 @@ class ParallelExecutor:
         oracle: DistanceOracle | None = None,
         budget: QueryBudget | None = None,
     ) -> list[tuple[MatchRelation, dict[str, Any]]]:
-        """Evaluate whole queries across the pool.
+        """Evaluate whole queries across worker processes.
 
         Each task is ``(pattern, {pattern node: candidate-table key})``;
         ``table`` maps those keys (canonical predicate keys) to candidate
@@ -784,10 +785,10 @@ class ParallelExecutor:
         snapshot (when given — worker matchers then run the CSR kernels),
         the distance oracle (when given — worker matchers then route
         selective edges to label merges) and the table reach each worker
-        once, through the pool initializer — inherited under fork; under
-        spawn pickled, the snapshot without its attribute columns (worker
-        matchers get candidates from the table) or as its backing file
-        path — so a task pickles only its pattern and a few keys.  Returns
+        once, as process arguments — inherited under fork; under spawn
+        pickled, the snapshot without its attribute columns (worker
+        matchers get candidates from the table) or as its backing file —
+        so a task pickles only its pattern and a few keys.  Returns
         ``(relation, worker stats)`` per task, in order.  With one worker
         (or one task) everything runs inline.
 
@@ -822,11 +823,8 @@ class ParallelExecutor:
                 _batch_query_core(graph, table, frozen, oracle, budget, task)
                 for task in tasks
             ]
-        with self._dedicated_pool(
-            initializer=_init_batch_worker,
-            initargs=(graph, table, *self._ship(frozen, oracle), budget),
-        ) as pool:
-            return pool.map(_batch_query, list(tasks))
+        state = (graph, table, *self._ship(frozen, oracle), budget)
+        return self._fan_out(_batch_query_core, state, tasks)
 
     # ------------------------------------------------------------------
     # parallel oracle construction
@@ -840,13 +838,14 @@ class ParallelExecutor:
         """Build a :class:`DistanceOracle`, fanning phase two across workers.
 
         Phase one (the sequential top-landmark prefix) runs in the calling
-        process; the independent phase-two landmark chunks are mapped over
-        a dedicated pool that shares the phase-one labels — handed to the
-        pool initializer — and return flat entry triples.  Because phase-two pruning only ever consults the
-        fixed phase-one labels, the resulting label arrays are
-        byte-identical to a sequential :meth:`DistanceOracle.build`
-        (asserted in ``tests/test_oracle.py``); workers only change the
-        wall-clock.  With one worker everything runs inline.
+        process; the independent phase-two landmark chunks are fanned out
+        to worker processes that receive the phase-one labels as their
+        state and return flat entry triples.  Because phase-two pruning
+        only ever consults the fixed phase-one labels, the resulting label
+        arrays are byte-identical to a sequential
+        :meth:`DistanceOracle.build` (asserted in ``tests/test_oracle.py``);
+        workers only change the wall-clock.  With one worker everything
+        runs inline.
         """
         if self.workers == 1:
             return DistanceOracle.build(frozen, cap=cap, top=top)
@@ -854,22 +853,8 @@ class ParallelExecutor:
             frozen, cap=cap, top=top, chunk_map=self._oracle_chunk_map
         )
 
-    def _oracle_chunk_map(
-        self, function: Callable[..., Any], chunks: Sequence[Any]
-    ) -> list:
-        """Map phase-two chunks over a context-sharing pool.
-
-        ``function`` is always :func:`repro.graph.oracle.phase_two_chunk`;
-        ``DistanceOracle.build`` installed the build context right before
-        this call, and the pool initializer installs that same context in
-        every worker.
-        """
-        chunks = list(chunks)
+    def _oracle_chunk_map(self, context: tuple, chunks: Sequence[Any]) -> list:
+        """:func:`~repro.graph.oracle.phase_two_chunk` over ``chunks``."""
         if len(chunks) <= 1:
-            return [function(chunk) for chunk in chunks]
-        from repro.graph.oracle import _build_context
-
-        with self._dedicated_pool(
-            initializer=set_build_context, initargs=(_build_context,)
-        ) as pool:
-            return pool.map(function, chunks)  # repro-lint: disable=spawn-safety -- callers pass the module-level phase_two_chunk; asserted spawn-picklable by tests/test_parallel.py
+            return [phase_two_chunk(*context, chunk) for chunk in chunks]
+        return self._fan_out(phase_two_chunk, context, chunks)

@@ -74,17 +74,6 @@ DEFAULT_TOP = 512
 #: Landmarks per phase-two task when a build is fanned out across workers.
 PHASE_TWO_CHUNK = 512
 
-# Phase-two build context, installed by :func:`set_build_context` in the
-# parent (fork inheritance) or a pool initializer (spawn):
-# (phase-one L_out, phase-one L_in, successor sets, predecessor sets, cap).
-_build_context: tuple | None = None
-
-
-def set_build_context(context: tuple | None) -> None:
-    """Install (or clear) the phase-two context for :func:`phase_two_chunk`."""
-    global _build_context
-    _build_context = context
-
 
 def landmark_order(
     succ: Sequence[frozenset[int]], pred: Sequence[frozenset[int]]
@@ -158,16 +147,21 @@ def _pruned_bfs(
         seen |= frontier
 
 
-def phase_two_chunk(landmarks: Sequence[int]) -> tuple[array, array]:
+def phase_two_chunk(
+    P_out: Sequence[dict[int, int]],
+    P_in: Sequence[dict[int, int]],
+    succ: Sequence[frozenset[int]],
+    pred: Sequence[frozenset[int]],
+    cap: int | None,
+    landmarks: Sequence[int],
+) -> tuple[array, array]:
     """Label entries contributed by one chunk of phase-two landmarks.
 
-    Runs against the installed :func:`set_build_context` (in a worker
-    process or inline).  Returns two flat ``(node, landmark, dist)``
-    triple arrays — forward-label entries and reverse-label entries — so
-    a parallel build ships plain buffers, never label dicts.
+    ``P_out`` / ``P_in`` are the fixed phase-one labels.  Returns two flat
+    ``(node, landmark, dist)`` triple arrays — forward-label entries and
+    reverse-label entries — so a parallel build ships plain buffers, never
+    label dicts.
     """
-    assert _build_context is not None, "oracle build context was not installed"
-    P_out, P_in, succ, pred, cap = _build_context
     out_entries = array("q")
     in_entries = array("q")
     for w in landmarks:
@@ -376,9 +370,10 @@ class DistanceOracle:
         """Build labels for ``frozen``; exact up to ``cap`` (None = all).
 
         ``top`` bounds the sequential phase-one prefix (default
-        :data:`DEFAULT_TOP`).  ``chunk_map(function, chunks)`` runs the
-        independent phase-two chunks — pass a pool ``map`` to build in
-        parallel; the labels are identical either way.
+        :data:`DEFAULT_TOP`).  ``chunk_map(context, chunks)`` returns
+        ``[phase_two_chunk(*context, chunk) for chunk in chunks]`` — pass
+        a parallel one to build in parallel; the labels are identical
+        either way.
         """
         if cap is not None and cap < 1:
             raise GraphError(f"cap must be >= 1 or None: {cap!r}")
@@ -393,19 +388,18 @@ class DistanceOracle:
         L_out, L_in = _phase_one(order[:top], succ, pred, cap)
         rest = order[top:]
         if rest:
-            set_build_context((L_out, L_in, succ, pred, cap))
-            try:
-                chunks = [
-                    rest[i : i + PHASE_TWO_CHUNK]
-                    for i in range(0, len(rest), PHASE_TWO_CHUNK)
-                ]
-                runner = chunk_map if chunk_map is not None else map
-                # Materialise before merging: phase-two pruning must only
-                # ever see the phase-one labels (determinism + the
-                # parallel build's correctness argument).
-                results = list(runner(phase_two_chunk, chunks))
-            finally:
-                set_build_context(None)
+            context = (L_out, L_in, succ, pred, cap)
+            chunks = [
+                rest[i : i + PHASE_TWO_CHUNK]
+                for i in range(0, len(rest), PHASE_TWO_CHUNK)
+            ]
+            # Materialise before merging: phase-two pruning must only ever
+            # see the phase-one labels (determinism + the parallel build's
+            # correctness argument).
+            if chunk_map is None:
+                results = [phase_two_chunk(*context, chunk) for chunk in chunks]
+            else:
+                results = list(chunk_map(context, chunks))
             for out_entries, in_entries in results:
                 for triples, labels in ((out_entries, L_out), (in_entries, L_in)):
                     for position in range(0, len(triples), 3):

@@ -16,8 +16,8 @@ assertion message), so a failure names the exact case to replay:
     pytest tests/test_differential.py -k "seed17" -x
 
 Two executors are shared by the whole module, one per shared-snapshot
-route: a *cold* one (no persistent pool, so every fan-out forks a
-dedicated pool that inherits the snapshot) and a *warmed* one (``.warm()``,
+route: a *cold* one (no persistent pool, so every fan-out forks worker
+processes of its own that inherit the snapshot) and a *warmed* one (``.warm()``,
 so every fan-out ships the snapshot inside tasks on the persistent pool).
 """
 

@@ -62,6 +62,17 @@ class TestCorpus:
         result = lint_fixture(good)
         assert result.active == []
 
+    def test_spawn_safety_covers_process_targets_and_the_fan_out(self):
+        active = lint_fixture("bad/spawn_process_bad.py").active
+        assert {finding.rule for finding in active} == {"spawn-safety"}
+        assert [finding.source_line.strip() for finding in active] == [
+            "child = Process(target=serve)",
+            'return get_context("spawn").Process(target=worker.run)',
+            "return self._fan_out(lambda *args: args, (), nodes)",
+            "return self._fan_out(function, (), chunks)  # a parameter",
+        ]
+        assert lint_fixture("good/spawn_process_good.py").active == []
+
     def test_findings_carry_source_lines_and_positions(self):
         finding = lint_fixture(CORPUS["frozen-immutability"][0]).active[0]
         assert finding.line > 0

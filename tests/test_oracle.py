@@ -169,15 +169,17 @@ class TestDeterminism:
         graph, frozen, _ = small_case(seed)
         sequential = DistanceOracle.build(frozen, top=2)
 
-        def scrambled_map(function, chunks):
-            assert function is phase_two_chunk
+        def scrambled_map(context, chunks):
             # Split every chunk into singletons and run them out of order;
             # results are reassembled in the original submission order by
             # the merge, so labels must not care.
             pieces = [
                 [landmark] for chunk in chunks for landmark in chunk
             ]
-            results = {i: function(piece) for i, piece in enumerate(pieces)}
+            results = {
+                i: phase_two_chunk(*context, pieces[i])
+                for i in reversed(range(len(pieces)))
+            }
             return [results[i] for i in range(len(pieces))]
 
         chunked = DistanceOracle.build(frozen, top=2, chunk_map=scrambled_map)

@@ -7,6 +7,9 @@ worker validation, pool lifecycle, stats, engine routing, and the facade.
 
 from __future__ import annotations
 
+from os import _exit
+from time import sleep
+
 import pytest
 
 from repro.engine.engine import QueryEngine
@@ -16,6 +19,7 @@ from repro.expfinder import ExpFinder
 from repro.matching.bounded import BoundedState, match_bounded
 from repro.matching.simulation import simulation_candidates
 from repro.pattern.builder import PatternBuilder
+from repro.pattern.parser import parse_pattern
 
 
 class TestValidateWorkers:
@@ -289,18 +293,24 @@ class TestPoolChurn:
             # three dedicated pools; now they share the persistent one.
             assert executor.pools_created == 1
 
-    def test_time_limited_calls_use_dedicated_pools(self, selective_case):
+    def test_time_limited_calls_use_owned_processes(self, selective_case):
+        import multiprocessing
+
         from repro.engine.estimator import QueryBudget
 
         graph, pattern = selective_case
         timed = QueryBudget(node_visits=100_000, seconds=30.0, allow_partial=True)
+        before = set(multiprocessing.active_children())
         with ParallelExecutor(workers=2) as executor:
             executor.match(graph, pattern, budget=timed)
             first = executor.pools_created
             executor.match(graph, pattern, budget=timed)
-            # A wall-clock limit may need mid-flight termination, which
-            # would destroy a shared pool — each call pays its own.
+            # A wall-clock limit may need mid-flight kills, which would
+            # destroy a shared pool — each call starts its own processes
+            # and leaves none behind.
             assert executor.pools_created == first + 1
+            assert executor._pool is None
+            assert set(multiprocessing.active_children()) <= before
 
     def test_persistent_pool_survives_guarded_use(self, selective_case):
         from repro.engine.estimator import QueryBudget
@@ -411,22 +421,24 @@ class TestPoolChurn:
             path = tmp_path / f"m{index}.frozen.snap"
             write_frozen_file(path, frozen)
             paths.append(path)
+        version = frozen.source_version
         par._persistent_loads.clear()
         try:
             for path in paths:
-                resolved, _ = par._resolve_shipped(path, None)
+                resolved, _ = par._resolve_shipped((path, version), None)
                 assert resolved.num_nodes == 1
             assert len(par._persistent_loads) <= par._PERSISTENT_LOAD_SLOTS
             # A memo hit returns the same object, no reload
-            again, _ = par._resolve_shipped(paths[-1], None)
+            again, _ = par._resolve_shipped((paths[-1], version), None)
             assert again is resolved
         finally:
             par._persistent_loads.clear()
 
 
 class TestStateHasOneOwner:
-    """Worker state is a pool argument: no fan-out writes process-wide
-    state, so threads overlap; fork and spawn run the same initializers."""
+    """Worker state is a process argument: no fan-out writes process-wide
+    state, so threads overlap; fork and spawn run the same task functions,
+    and a call's worker processes do not outlive it."""
 
     @pytest.fixture
     def case(self):
@@ -451,8 +463,9 @@ class TestStateHasOneOwner:
     @pytest.mark.parametrize("warmed", [False, True], ids=["cold", "warmed"])
     def test_threads_share_one_executor(self, case, warmed):
         """Eight threads (four per core here) fan out through one executor
-        at once — cold: a dedicated pool each; warmed: tasks interleaved on
-        the persistent pool — and every one gets the sequential relation."""
+        at once — cold: worker processes of its own each; warmed: tasks
+        interleaved on the persistent pool — and every one gets the
+        sequential relation."""
         import sys
         import threading
 
@@ -502,36 +515,53 @@ class TestStateHasOneOwner:
             assert executor.pools_created == created + grown
 
     def test_parent_installs_no_worker_state(self, case, monkeypatch):
-        """After every kind of fan-out the module's worker slots are as an
-        import left them: only pool initializers (in the children) write."""
+        """After every kind of fan-out the module's worker state is as an
+        import left it (only the persistent pool's initializer, in its
+        children, writes any), and no call leaves a worker process behind."""
+        import multiprocessing
+
         from repro.engine import parallel as par
         from repro.engine.estimator import QueryBudget
+        from repro.graph import oracle as oracle_module
         from repro.graph.frozen import FrozenGraph
+        from repro.graph.index import predicate_key
         from repro.ranking.topk import RankingContext
 
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
-        slots = ("_shard_state", "_batch_state", "_rank_state", "_persistent_counter")
+        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+        candidates = simulation_candidates(graph, pattern)
+        table = {keys[u]: candidates[u] for u in pattern.nodes()}
         monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
         monkeypatch.setattr(ParallelExecutor, "RANK_FANOUT_THRESHOLD", 1)
+        before = set(multiprocessing.active_children())
         with ParallelExecutor(workers=2) as executor:
             result = executor.match(graph, pattern, frozen=frozen)
+            assert set(multiprocessing.active_children()) <= before
             executor.match(
                 graph, pattern, frozen=frozen,
                 budget=QueryBudget(seconds=60.0, allow_partial=True),
             )
-            executor.match(
-                graph, pattern, frozen=frozen,
-                budget=QueryBudget(node_visits=10**9),
-            )
+            assert set(multiprocessing.active_children()) <= before
+            executor.match_many(graph, [(pattern, keys)] * 3, table, frozen=frozen)
+            assert set(multiprocessing.active_children()) <= before
             executor.rank_many(
                 RankingContext(result.result_graph()), None,
                 sorted(expected.matches_of("SA")),
             )
+            assert set(multiprocessing.active_children()) <= before
             executor.build_oracle(frozen, top=4)
+            assert set(multiprocessing.active_children()) <= before
+            assert executor._pool is None
+            executor.match(
+                graph, pattern, frozen=frozen,
+                budget=QueryBudget(node_visits=10**9),
+            )
         with ParallelExecutor(workers=1) as inline:
             inline.match(graph, pattern, budget=QueryBudget(node_visits=10**9))
-        assert [getattr(par, slot) for slot in slots] == [None] * len(slots)
+        assert par._persistent_counter is None
+        assert par._persistent_loads == {}
+        assert not hasattr(oracle_module, "_build_context")
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_every_fanout_under_both_start_methods(
@@ -539,7 +569,7 @@ class TestStateHasOneOwner:
     ):
         """match (cold, timed, node-budgeted, warmed), match_many, rank_many
         and build_oracle give the sequential answer under fork and under
-        spawn, through the same initializer functions."""
+        spawn, through the same task functions."""
         import multiprocessing
 
         from repro.engine.estimator import QueryBudget
@@ -554,11 +584,11 @@ class TestStateHasOneOwner:
         frozen = FrozenGraph.freeze(graph)
         oracle = DistanceOracle.build(frozen, top=4)
         used: list[str] = []
-        real_pool = ParallelExecutor._dedicated_pool
+        real_fan_out = ParallelExecutor._fan_out
 
-        def recording_pool(self, initializer, initargs):
-            used.append(initializer.__name__)
-            return real_pool(self, initializer=initializer, initargs=initargs)
+        def recording_fan_out(self, function, state, tasks, deadline=None):
+            used.append(function.__name__)
+            return real_fan_out(self, function, state, tasks, deadline)
 
         keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
         candidates = simulation_candidates(graph, pattern)
@@ -567,7 +597,7 @@ class TestStateHasOneOwner:
         reference = RankingContext(match_bounded(graph, pattern).result_graph())
         ranked = bulk_top_k_detail(reference, len(nodes))
 
-        monkeypatch.setattr(ParallelExecutor, "_dedicated_pool", recording_pool)
+        monkeypatch.setattr(ParallelExecutor, "_fan_out", recording_fan_out)
         # Small inputs must still fan out: several phase-two chunks, and
         # no inline shortcut for a short ranking.
         monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
@@ -600,22 +630,24 @@ class TestStateHasOneOwner:
             assert getattr(labels, attr) == getattr(oracle, attr), attr
         # Same functions whatever the start method — there is no second path.
         assert used == [
-            "_init_shard_worker",   # cold dedicated pool
-            "_init_shard_worker",   # wall-clock route (kill-the-pool)
-            "_init_batch_worker",
-            "_init_rank_worker",
-            "set_build_context",
+            "_shard_rows_core",   # cold: processes of its own
+            "_shard_rows_core",   # wall-clock route: the same, with a deadline
+            "_batch_query_core",
+            "_rank_core",
+            "phase_two_chunk",
         ]
 
-    def test_initializers_and_task_functions_inline(self, case):
-        """Drive each initializer + task function pair in-process (pool
-        children are invisible to coverage): what the initializer installs
-        is exactly what the task function computes over."""
+    def test_task_functions_inline(self, case):
+        """Drive each task function in-process (worker children are
+        invisible to coverage) with the state a child receives — live or
+        shipped — and the child loop itself over a pipe."""
         import multiprocessing
+        import threading
         import time
 
         from repro.engine import parallel as par
-        from repro.engine.estimator import QueryBudget
+        from repro.engine.estimator import QueryBudget, QueryGuard
+        from repro.errors import RankingError
         from repro.graph.frozen import FrozenGraph
         from repro.graph.index import predicate_key
         from repro.graph.partition import decompose
@@ -626,28 +658,114 @@ class TestStateHasOneOwner:
         candidates = simulation_candidates(graph, pattern)
         shards = decompose(graph, pattern, candidates, 2, frozen=frozen)
         payloads = ParallelExecutor._shard_payloads(frozen, pattern, shards, candidates)
-        try:
-            par._init_shard_worker(frozen, None)
-            plain = [par._shard_rows(payload) for payload in payloads]
-            assert all(info == {} for _rows, info in plain)
-            counter = multiprocessing.get_context().Value("q", 0)
-            budget = QueryBudget(node_visits=10**9, seconds=60.0)
-            par._init_shard_worker(
-                frozen, None, (budget, counter, time.monotonic() + 60.0)
+        plain = [par._shard_rows_core(frozen, None, None, p) for p in payloads]
+        assert all(info == {} for _rows, info in plain)
+        shipped = par._shipment(frozen, None)
+        assert [
+            par._shard_rows_core(*shipped, None, p) for p in payloads
+        ] == plain
+        # One guard per worker, all around one shared counter.
+        counter = multiprocessing.get_context().Value("q", 0)
+        budget = QueryBudget(node_visits=10**9, seconds=60.0)
+        deadline = time.monotonic() + 60.0
+        guarded = [
+            par._shard_rows_core(
+                frozen, None,
+                QueryGuard(budget, shared_counter=counter, deadline=deadline), p,
             )
-            guarded = [par._shard_rows(payload) for payload in payloads]
-            assert [rows for rows, _ in guarded] == [rows for rows, _ in plain]
-            assert counter.value == sum(info["visits"] for _, info in guarded) > 0
+            for p in payloads
+        ]
+        assert [rows for rows, _ in guarded] == [rows for rows, _ in plain]
+        assert counter.value == sum(info["visits"] for _, info in guarded) > 0
 
-            keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
-            table = {keys[u]: candidates[u] for u in pattern.nodes()}
-            par._init_batch_worker(graph, table, frozen, None, None)
-            relation, stats = par._batch_query((pattern, keys))
-            assert relation == expected and stats["algorithm"] == "bounded-simulation"
+        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+        table = {keys[u]: candidates[u] for u in pattern.nodes()}
+        relation, stats = par._batch_query_core(
+            graph, table, *shipped, None, (pattern, keys)
+        )
+        assert relation == expected and stats["algorithm"] == "bounded-simulation"
 
-            context = RankingContext(match_bounded(graph, pattern).result_graph())
-            nodes = sorted(expected.matches_of("SA"))[:5]
-            par._init_rank_worker(context, None)
-            assert par._rank_chunk(nodes) == [context.detail(v) for v in nodes]
+        context = RankingContext(match_bounded(graph, pattern).result_graph())
+        nodes = sorted(expected.matches_of("SA"))[:5]
+        assert par._rank_core(context, None, nodes) == [
+            context.detail(v) for v in nodes
+        ]
+
+        parent, child = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=par._serve_tasks, args=(child, par._rank_core, (context, None))
+        )
+        worker.start()
+        try:
+            parent.send((0, nodes))
+            assert parent.poll(10)
+            assert parent.recv() == (0, True, [context.detail(v) for v in nodes])
+            parent.send((1, ["not-a-match"]))  # the task raises
+            assert parent.poll(10)
+            index, ok, error = parent.recv()
+            assert (index, ok) == (1, False) and isinstance(error, RankingError)
         finally:
-            par._shard_state = par._batch_state = par._rank_state = None
+            parent.close()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        child.close()
+
+
+class TestOwnedProcesses:
+    """A fan-out's worker processes belong to the call: results in input
+    order, a worker's error re-raised with its type, a dead worker a
+    typed error instead of a hang, and never a child left behind."""
+
+    @pytest.fixture(params=["fork", "spawn"])
+    def executor(self, request):
+        import multiprocessing
+
+        if request.param not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{request.param} is not available on this platform")
+        with ParallelExecutor(workers=2, start_method=request.param) as executor:
+            yield executor
+
+    def test_results_come_back_in_input_order(self, executor):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        texts = [f'node N{i}: label == "x"' for i in range(7)]
+        patterns = executor._fan_out(parse_pattern, (), texts)
+        assert [list(pattern.nodes()) for pattern in patterns] == [
+            [f"N{i}"] for i in range(7)
+        ]
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_worker_error_keeps_its_type(self, executor):
+        import multiprocessing
+
+        from repro.errors import PatternError
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(PatternError):
+            executor._fan_out(parse_pattern, (), ['node A: label == "x"', "((("])
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_a_dead_worker_is_an_error_not_a_hang(self, executor):
+        """A task that kills its own process: the call raises within
+        seconds (a ``Pool`` never returns from ``map`` here) and no
+        worker survives it."""
+        import multiprocessing
+        import time
+
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(EvaluationError, match="died mid-task"):
+            executor._fan_out(_exit, (), [3, 3, 3])
+        assert time.monotonic() - started < 30
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_a_passed_deadline_returns_what_arrived(self, executor):
+        import multiprocessing
+        import time
+
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        assert executor._fan_out(sleep, (), [60, 60], deadline=started + 0.2) == []
+        assert time.monotonic() - started < 30
+        assert set(multiprocessing.active_children()) <= before

@@ -218,18 +218,25 @@ def test_partial_results_are_never_cached():
 
 
 def test_parallel_time_limit_aborts_in_flight_shards():
-    """The wall-clock guard cancels pool workers instead of waiting them out."""
+    """The wall-clock guard kills the call's workers instead of waiting
+    them out, call after call (``tests/time_limit_loop.py`` runs the same
+    abort hundreds of times in one process)."""
+    import multiprocessing
+
     graph = hub_graph(400)
     pattern = wildcard_cycle()
     engine = QueryEngine()
     engine.register_graph("g", graph)
     budget = QueryBudget(seconds=1e-4, allow_partial=True)
-    result = engine.evaluate(
-        "g", pattern, budget=budget, workers=2, use_cache=False,
-        cache_result=False,
-    )
-    assert result.stats["partial"] is True
-    assert result.stats["guard"] == GUARD_TIME_LIMIT
+    before = set(multiprocessing.active_children())
+    for _ in range(20):
+        result = engine.evaluate(
+            "g", pattern, budget=budget, workers=2, use_cache=False,
+            cache_result=False,
+        )
+        assert result.stats["partial"] is True
+        assert result.stats["guard"] == GUARD_TIME_LIMIT
+        assert set(multiprocessing.active_children()) <= before
 
 
 def test_guard_tripping_between_the_two_checks_leaves_sound_rows():
