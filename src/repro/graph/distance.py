@@ -21,7 +21,6 @@ because the set kernels discover a level at once rather than edge by edge.
 from __future__ import annotations
 
 import heapq
-from array import array
 from collections import deque
 from typing import Callable, Iterator, Mapping
 
@@ -151,36 +150,6 @@ def _frozen_to_labels(
     return dist
 
 
-def weighted_distances_ids(
-    offsets: array, targets: array, weights: array, source_id: int
-) -> dict[int, float]:
-    """Int-indexed Dijkstra over weighted CSR rows (nonempty paths).
-
-    The label-keyed :func:`weighted_distances` breaks distance ties with an
-    ``_order_key`` wrapper whose ``__lt__`` is an interpreted call per heap
-    comparison; here ties compare dense ints in C.  When ids are assigned
-    in ``_order_key`` order (the ranking snapshot does exactly that), the
-    pop order — and hence the result — is identical.
-    """
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = [
-        (weights[position], targets[position])
-        for position in range(offsets[source_id], offsets[source_id + 1])
-    ]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, node = pop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        for position in range(offsets[node], offsets[node + 1]):
-            nxt = targets[position]
-            if nxt not in dist:
-                push(heap, (d + weights[position], nxt))
-    return dist
-
-
 def distance(
     graph: Graph | FrozenGraph, source: NodeId, target: NodeId
 ) -> int | None:
@@ -227,15 +196,20 @@ def weighted_distances(
     return dist
 
 
-def node_order_key(node: NodeId) -> tuple[str, str]:
+def node_order_key(node: NodeId) -> str:
     """The total-ordering key Dijkstra uses to break distance ties.
 
+    Orders nodes by type name, then by ``repr``: neither contains a NUL
+    (``repr`` escapes it), so joining them with one orders exactly like
+    the ``(type name, repr)`` pair, and a sort over one string per node
+    compares far faster than over tuples.
+
     Shared by the label-keyed heap wrapper below and by the ranking
-    snapshot's dense-id assignment (:mod:`repro.ranking.topk`): ids sorted
-    by this key make int heap tuples order exactly like label ones, which
-    is what keeps the two Dijkstra paths byte-identical.
+    snapshot's bucket queue (:mod:`repro.ranking.topk`), which settles
+    each distance level in this order — what keeps the two Dijkstras
+    byte-identical.
     """
-    return (type(node).__name__, repr(node))
+    return f"{type(node).__name__}\0{node!r}"
 
 
 class _order_key:

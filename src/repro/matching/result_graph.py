@@ -49,8 +49,12 @@ class ResultGraph:
         self._radj.setdefault(data_node, {})
 
     def _add_edge(self, source: NodeId, target: NodeId, weight: int) -> None:
-        if weight < 1:
-            raise EvaluationError(f"result edge weight must be >= 1: {weight}")
+        # A weight is a path length; ranking's bucket queue relies on it
+        # being a positive integer (a bool's type is not int).
+        if type(weight) is not int or weight < 1:
+            raise EvaluationError(
+                f"result edge weight must be an integer >= 1: {weight!r}"
+            )
         existing = self._adj[source].get(target)
         if existing is not None and existing <= weight:
             return

@@ -40,16 +40,11 @@ graphs; ``benchmarks/bench_topk.py`` asserts it at scale).
 from __future__ import annotations
 
 import math
-from array import array
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import RankingError
 from repro.graph.digraph import NodeId
-from repro.graph.distance import (
-    node_order_key,
-    weighted_distances,
-    weighted_distances_ids,
-)
+from repro.graph.distance import node_order_key
 from repro.matching.result_graph import ResultGraph
 from repro.ranking.social_impact import RankedMatch, ranked_match_from_distances
 
@@ -69,6 +64,23 @@ def validate_k(k: Any) -> int:
     return k
 
 
+_NO_ROW: Mapping[NodeId, int] = {}
+
+
+class _OrderKeys(dict):
+    """``node -> node_order_key(node)``, each key computed on first use.
+
+    A hit is a C-level dict lookup, which is what lets the bucket queue
+    sort a level by ``key=memo.__getitem__`` without re-deriving keys.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, node: NodeId) -> str:
+        key = self[node] = node_order_key(node)
+        return key
+
+
 class RankingContext:
     """A one-shot snapshot of a result graph plus memoized ranking work.
 
@@ -81,6 +93,12 @@ class RankingContext:
     what makes both worker-pool fan-out and the engine's incremental
     re-ranking after updates possible: workers compute from the identical
     adjacency, and the update path can diff two snapshots node by node.
+
+    Dijkstra runs directly over those label rows as a bucket queue
+    (Dial's algorithm): witness weights are small positive integers, so
+    one level of equal distances is settled at a time, in the same
+    tie-break order as the reference heap of
+    :func:`~repro.graph.distance.weighted_distances`.
 
     >>> from repro.datasets.paper_example import paper_graph, paper_pattern
     >>> from repro.matching.bounded import match_bounded
@@ -104,11 +122,7 @@ class RankingContext:
         "_dist_out",
         "_dist_in",
         "_scores",
-        "_csr_out",
-        "_csr_in",
-        "_csr_order",
-        "_csr_threshold",
-        "_reached_total",
+        "_order_keys",
         "stats",
     )
 
@@ -140,20 +154,7 @@ class RankingContext:
         self._dist_in: dict[NodeId, dict[NodeId, float]] = {}
         # Per-metric memoized scores: {metric name: {node: score}}.
         self._scores: dict[str, dict[NodeId, float]] = {}
-        # Frozen weighted CSR per direction: (ids, labels, offsets,
-        # targets, weights).  Ids are assigned in the label path's
-        # tie-break order, so the int kernel makes identical pop decisions
-        # (see distances_from).  Building a CSR costs O(nodes log nodes +
-        # edges) once; a bound-pruned top-K may run only a handful of
-        # Dijkstras, so the build waits until enough runs have accumulated
-        # to amortize it (the first runs use the label path — the results
-        # are byte-identical either way).
-        self._csr_out: tuple | None = None
-        self._csr_in: tuple | None = None
-        # (ids, labels) — direction-independent, computed once, shared.
-        self._csr_order: tuple | None = None
-        self._csr_threshold = max(16, len(self.matched_by) // 64)
-        self._reached_total = 0
+        self._order_keys = _OrderKeys()
         self.stats: dict[str, int] = {
             "dijkstra_runs": 0,
             "details_scored": 0,
@@ -188,15 +189,9 @@ class RankingContext:
     def distances_from(self, node: NodeId) -> dict[NodeId, float]:
         """Weighted shortest distances out of ``node`` (memoized).
 
-        Once enough runs have accumulated to amortize the one-time CSR
-        build, Dijkstra runs int-indexed over a frozen weighted CSR of the
-        snapshot (:func:`~repro.graph.distance.weighted_distances_ids`);
-        a bound-pruned top-K that only ever scores a handful of matches
-        stays on the label path and never pays the build.  Snapshot ids
-        are assigned in the exact tie-break order the label-keyed Dijkstra
-        uses, so the result — values *and* insertion order — is
-        byte-identical to ``weighted_distances(self.out_adj, node)``
-        either way.
+        Computed by a bucket queue over the snapshot's label rows (see
+        :meth:`_dijkstra`); the result — values *and* insertion order — is
+        byte-identical to ``weighted_distances(self.out_adj, node)``.
         """
         cached = self._dist_out.get(node)
         if cached is None:
@@ -212,56 +207,41 @@ class RankingContext:
             self.stats["dijkstra_runs"] += 1
         return cached
 
-    #: Mean nodes-reached-per-run below which a Dijkstra is so small that
-    #: the int kernel's id mapping costs more than its cheaper heap saves.
-    CSR_MIN_AVG_REACH = 64
-
     def _dijkstra(self, node: NodeId, forward: bool) -> dict[NodeId, float]:
-        if self._csr_out is None and self._csr_in is None:
-            runs = self.stats["dijkstra_runs"]
-            if runs < self._csr_threshold or self._reached_total < (
-                runs * self.CSR_MIN_AVG_REACH
-            ):
-                # Not enough (or only trivially small) runs yet: the
-                # label path costs less than freezing a weighted CSR.
-                adjacency = self.out_adj if forward else self.in_adj
-                result = weighted_distances(adjacency, node)
-                self._reached_total += len(result)
-                return result
-        ids, labels, offsets, targets, weights = self._weighted_csr(forward)
-        source_id = ids.get(node)
-        if source_id is None:
-            return {}
-        reached = weighted_distances_ids(offsets, targets, weights, source_id)
-        return {labels[node_id]: d for node_id, d in reached.items()}
+        """Dial's bucket queue: ``weighted_distances`` without the heap.
 
-    def _weighted_csr(self, forward: bool) -> tuple:
-        csr = self._csr_out if forward else self._csr_in
-        if csr is None:
-            adjacency = self.out_adj if forward else self.in_adj
-            if self._csr_order is None:
-                # Dense ids assigned in the label Dijkstra's tie-break
-                # order make (dist, id) heap tuples order exactly like
-                # (dist, _order_key) ones.  The ordering is direction-
-                # independent, so both CSRs share it.
-                labels = sorted(self.matched_by, key=node_order_key)
-                ids = {label: index for index, label in enumerate(labels)}
-                self._csr_order = (ids, labels)
-            ids, labels = self._csr_order
-            offsets = array("q", [0])
-            targets = array("q")
-            weights = array("d")
-            for label in labels:
-                for target, weight in adjacency.get(label, {}).items():
-                    targets.append(ids[target])
-                    weights.append(float(weight))
-                offsets.append(len(targets))
-            csr = (ids, labels, offsets, targets, weights)
-            if forward:
-                self._csr_out = csr
-            else:
-                self._csr_in = csr
-        return csr
+        Result-graph weights are positive integers, so relaxing a node at
+        distance ``d`` only ever fills buckets beyond ``d``: by the time
+        ``min(buckets)`` is popped, every entry at that distance is in it.
+        Settling the bucket in ``node_order_key`` order therefore repeats
+        the heap's ``(d, key)`` pops exactly — the same values in the same
+        insertion order, which the metrics' float sums depend on.
+        """
+        adjacency = self.out_adj if forward else self.in_adj
+        key_of = self._order_keys.__getitem__
+        dist: dict[NodeId, float] = {}
+        buckets: dict[float, set[NodeId]] = {}
+        # The source is relaxed but not settled (nonempty paths: it is
+        # reached only through a cycle); 0.0 + float(w) is float(w).
+        level, d = [node], 0.0
+        while True:
+            for settled in level:
+                for nxt, weight in adjacency.get(settled, _NO_ROW).items():
+                    if nxt not in dist:
+                        far = d + float(weight)
+                        bucket = buckets.get(far)
+                        if bucket is None:
+                            buckets[far] = {nxt}
+                        else:
+                            bucket.add(nxt)
+            if not buckets:
+                return dist
+            d = min(buckets)
+            level = sorted(
+                [v for v in buckets.pop(d) if v not in dist], key=key_of
+            )
+            for settled in level:
+                dist[settled] = d
 
     def node_attrs(self, node: NodeId) -> dict[str, Any]:
         """Attribute snapshot of one node (copied on first use, memoized)."""

@@ -13,7 +13,11 @@ snapshot and distance oracle the server would use:
 
 Each pattern must give the same relation (serialized form), the same
 result graph (nodes, edges, distances), the same kernel log and, for a
-top-K pattern, the same ranking (``repr`` of the ranked matches).  Any
+top-K pattern, the same ranking (``repr`` of the ranked matches).  The
+served ranking of each top-K pattern (the bulk context's bucket-queue
+Dijkstras) must also equal the reference heap's,
+:func:`~repro.ranking.social_impact.rank_matches` sliced to ``k``: node,
+rank and both evidence dicts in insertion order, floats bit for bit.  Any
 mismatch is printed and the exit status is 1; the median time of each
 construction is printed for information::
 
@@ -45,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     from repro.matching.simulation import simulation_candidates
     from repro.pattern.parser import parse_pattern
+    from repro.ranking.social_impact import rank_matches
     from repro.ranking.topk import RankingContext, bulk_top_k_detail
 
     workload = build("serve_cold", args.seed, scale=args.scale)
@@ -82,8 +87,15 @@ def main(argv: list[str] | None = None) -> int:
             set(built.edges()),
         )
 
+    def evidence(ranked):
+        return repr([
+            (m.node, m.rank, list(m.ancestors.items()), list(m.descendants.items()))
+            for m in ranked
+        ])
+
     ops = [op for stream in workload.streams for op in stream]
     mismatches: list[str] = []
+    heap_mismatches = 0
     timings: dict[str, list[float]] = {"relation-first": [], "candidate-rows": []}
     counts = {"evaluate": 0, "topk": 0}
     for op in ops:
@@ -106,17 +118,21 @@ def main(argv: list[str] | None = None) -> int:
         if result_graph_of(fresh) != result_graph_of(reference):
             mismatches.append(f"{where}: result graph")
         if op["op"] == "topk":
-            ranked = [
-                repr(bulk_top_k_detail(RankingContext(result.result_graph()), op["k"]))
-                for result in (fresh, reference)
-            ]
-            if ranked[0] != ranked[1]:
+            result_graph = fresh.result_graph()
+            served = bulk_top_k_detail(RankingContext(result_graph), op["k"])
+            older = bulk_top_k_detail(RankingContext(reference.result_graph()), op["k"])
+            if repr(served) != repr(older):
                 mismatches.append(f"{where}: ranking")
+            if evidence(served) != evidence(rank_matches(result_graph)[: op["k"]]):
+                heap_mismatches += 1
+                mismatches.append(f"{where}: ranking vs reference heap")
 
     for name, seconds in timings.items():
         print(f"{name}: median {statistics.median(seconds) * 1e3:.1f} ms over {len(seconds)}")
     print(f"checked {counts['evaluate']} evaluate + {counts['topk']} top-K patterns "
           f"(serve_cold seed {args.seed}, {args.scale}): {len(mismatches)} mismatches")
+    print(f"served top-K ranking vs reference heap: {heap_mismatches} mismatches "
+          f"over {counts['topk']} patterns")
     for line in mismatches:
         print("  " + line)
     return 1 if mismatches else 0

@@ -356,29 +356,16 @@ class TestFrozenRanking:
         result = match_bounded(graph, pattern)
         if result.relation.is_empty:
             pytest.skip("no match for this seed; nothing to rank")
-        adaptive = RankingContext(result.result_graph())
-        forced = RankingContext(result.result_graph())
-        # Force the frozen CSR so the int kernel is exercised even where
-        # the adaptive rule would keep small graphs on the label path.
-        forced._weighted_csr(forward=True)
-        forced._weighted_csr(forward=False)
-        for node in adaptive.matched_by:
-            label_out = weighted_distances(adaptive.out_adj, node)
-            label_in = weighted_distances(adaptive.in_adj, node)
-            # Byte-identical: same values in the same insertion order,
-            # whichever path the context picks.
-            assert list(adaptive.distances_from(node).items()) == list(
-                label_out.items()
+        context = RankingContext(result.result_graph())
+        for node in context.matched_by:
+            # Byte-identical to the reference heap: same values in the
+            # same insertion order.
+            assert list(context.distances_from(node).items()) == list(
+                weighted_distances(context.out_adj, node).items()
             ), f"seed {seed} node {node!r}"
-            assert list(adaptive.distances_to(node).items()) == list(
-                label_in.items()
-            )
-            assert list(forced.distances_from(node).items()) == list(
-                label_out.items()
-            ), f"seed {seed} node {node!r} (forced CSR)"
-            assert list(forced.distances_to(node).items()) == list(
-                label_in.items()
-            )
+            assert list(context.distances_to(node).items()) == list(
+                weighted_distances(context.in_adj, node).items()
+            ), f"seed {seed} node {node!r}"
 
     def test_top_k_matches_naive_all_metrics(self, fig1, fig1_query):
         from repro.ranking.metrics import METRICS

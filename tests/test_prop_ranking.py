@@ -6,8 +6,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.graph.digraph import Graph
-from repro.graph.distance import weighted_distances
+from repro.graph.distance import node_order_key, weighted_distances
 from repro.matching.bounded import match_bounded
+from repro.matching.result_graph import ResultGraph
 from repro.pattern.pattern import Pattern
 from repro.ranking.social_impact import rank_detail, rank_matches, top_k
 
@@ -99,3 +100,83 @@ def test_bulk_top_k_equals_naive_for_every_metric(data, k):
         assert bulk_top_k_scores(context, k, metric) == metric.rank_all(
             result_graph
         )[:k]
+
+
+#: Mixed int / str ids whose ``repr``s interleave ("1" vs 1, quotes, escapes).
+NODE_IDS = st.one_of(
+    st.integers(min_value=-3, max_value=30),
+    st.sampled_from(["a", "b", "1", "10", "a'b", 'q"', "é", "\x00", ""]),
+)
+
+
+@st.composite
+def weighted_result_graph(draw):
+    """A result graph straight from a payload: cycles, self-loops, many ties.
+
+    Weights are mostly 1-6 with a few long ones (a ``*`` edge's witness
+    can be any path length), so equal distances reached along different
+    paths are common.
+    """
+    nodes = draw(st.lists(NODE_IDS, min_size=1, max_size=12, unique=True))
+    weights = st.one_of(
+        st.integers(min_value=1, max_value=6), st.integers(min_value=7, max_value=20)
+    )
+    edges = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+            weights,
+            max_size=40,
+        )
+    )
+    outputs = draw(st.sets(st.sampled_from(nodes), min_size=1))
+    graph = Graph()
+    for node in nodes:
+        graph.add_node(node)
+    pattern = Pattern()
+    pattern.add_node("OUT", "true", output=True)
+    pattern.add_node("B", "true")
+    payload = {
+        "format": "repro.result_graph",
+        "nodes": [
+            {"id": node, "matches": ["OUT"] if node in outputs else ["B"]}
+            for node in nodes
+        ],
+        "edges": [
+            {"source": source, "target": target, "weight": weight}
+            for (source, target), weight in edges.items()
+        ],
+    }
+    return ResultGraph.from_dict(payload, graph, pattern)
+
+
+@given(weighted_result_graph(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_bucket_queue_is_the_reference_heap(result_graph, k):
+    """Context distances and scores are bit-for-bit the reference's.
+
+    ``repr`` equality pins values, their float type and dict insertion
+    order — what ``HarmonicMetric``'s in-order ``1/d`` sums depend on.
+    """
+    from repro.ranking.metrics import METRICS
+    from repro.ranking.topk import RankingContext, bulk_top_k_scores
+
+    context = RankingContext(result_graph)
+    for node in result_graph.nodes():
+        assert repr(list(context.distances_from(node).items())) == repr(
+            list(weighted_distances(result_graph.out_adjacency(), node).items())
+        )
+        assert repr(list(context.distances_to(node).items())) == repr(
+            list(weighted_distances(result_graph.in_adjacency(), node).items())
+        )
+    for name in ("harmonic", "closeness"):
+        metric = METRICS[name]
+        assert repr(bulk_top_k_scores(RankingContext(result_graph), k, metric)) == repr(
+            metric.rank_all(result_graph)[:k]
+        )
+
+
+@given(st.lists(NODE_IDS, unique=True))
+def test_node_order_key_orders_like_the_type_repr_pair(nodes):
+    assert sorted(nodes, key=node_order_key) == sorted(
+        nodes, key=lambda node: (type(node).__name__, repr(node))
+    )

@@ -52,6 +52,15 @@ class TestDictRoundTrip:
         with pytest.raises(EvaluationError, match="unknown pattern node"):
             ResultGraph.from_dict(payload, paper_graph(), paper_pattern())
 
+    @pytest.mark.parametrize("weight", [1.5, 2.0, True, "2", 0, -1, None])
+    def test_rejects_a_weight_that_is_not_a_positive_integer(
+        self, fig1_result_graph, weight
+    ):
+        payload = fig1_result_graph.to_dict()
+        payload["edges"][0]["weight"] = weight
+        with pytest.raises(EvaluationError, match="must be an integer >= 1"):
+            ResultGraph.from_dict(payload, paper_graph(), paper_pattern())
+
     def test_rejects_malformed_payload(self):
         payload = {"format": "repro.result_graph", "version": 1, "nodes": [{}],
                    "edges": []}
