@@ -225,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="register a graph JSON file at startup "
                             "(default name: the file's stem); repeatable")
     serve.add_argument("--workers", type=int, default=1,
-                       help="warm a persistent N-process evaluation pool at "
-                            "startup (default 1 = inline evaluation)")
+                       help="shard each cache-miss evaluation across N "
+                            "worker processes (default 1 = inline evaluation)")
     serve.add_argument("--max-inflight", type=int, default=8,
                        help="admission control: concurrent request cap")
     serve.add_argument("--queue-depth", type=int, default=16,
@@ -498,7 +498,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         stats = engine.oracle_stats("cli") or {}
         if stats.get("state") == "warm":
             # Engagement is read from each result's kernel log (it travels
-            # back from pool workers too); the oracle instance's own
+            # back from worker processes too); the oracle instance's own
             # counters only move in whichever process filled the rows.
             routed = sum(
                 1

@@ -131,11 +131,10 @@ class QueryEngine:
             "snapshots": dict.fromkeys(_ARTEFACT_COUNTERS + ("patches",), 0),
             "oracles": dict.fromkeys(_ARTEFACT_COUNTERS + ("refreshes",), 0),
         }
-        # One executor per worker count, alive across calls (released by
-        # close()).  Only node-budget-guarded fan-outs reuse its pool; the
-        # other sharded, batch-farming, ranking and oracle fan-outs start
-        # worker processes of their own per call (the call's graph state
-        # is their process argument) and kill them before returning.
+        # One executor per worker count.  Every sharded, batch-farming and
+        # oracle fan-out starts worker processes of its own per call (the
+        # call's graph state is their process argument) and kills them
+        # before returning, so an executor holds no process between calls.
         self._executors: dict[int, ParallelExecutor] = {}
 
     def _executor(self, workers: int) -> ParallelExecutor:
@@ -145,7 +144,7 @@ class QueryEngine:
         return executor
 
     def close(self) -> None:
-        """Release the engine's worker pools (idempotent; engine reusable)."""
+        """Drop the engine's executors (idempotent; engine reusable)."""
         for executor in self._executors.values():
             executor.close()
         self._executors.clear()
@@ -287,7 +286,7 @@ class QueryEngine:
         Long-running deployments call this right after
         :meth:`enable_oracle` so the first query never pays the build;
         ``workers`` > 1 fans the phase-two label construction across the
-        engine's worker pool.  Returns :meth:`oracle_stats` for the warm
+        engine's worker processes.  Returns :meth:`oracle_stats` for the warm
         labels.  Raises :class:`EvaluationError` when the oracle is not
         enabled for ``name``.
         """
@@ -609,7 +608,7 @@ class QueryEngine:
         ``workers`` > 1 evaluates the *direct* route with sharded
         parallelism (:class:`~repro.engine.parallel.ParallelExecutor`):
         the candidates are partitioned into owned pivots and the
-        successor-row work fans out to a worker pool over the one shared
+        successor-row work fans out to worker processes over the one shared
         snapshot, producing exactly the sequential relation.  Cache and
         compressed routes are already cheap and stay sequential.
 
@@ -696,7 +695,7 @@ class QueryEngine:
         """Evaluate a batch of pattern queries, amortising shared work.
 
         A ``budget`` applies *per query* (fresh limits for each bounded
-        direct-route pattern, sequentially and in pool workers alike);
+        direct-route pattern, sequentially and in workers alike);
         partial results are neither cached nor reused for identical
         queries later in the batch.
 
@@ -710,7 +709,7 @@ class QueryEngine:
         pattern, in input order.
 
         ``workers`` > 1 parallelises the batch: each distinct direct-route
-        query becomes one worker-pool task (with its shared candidate
+        query becomes one worker task (with its shared candidate
         sets precomputed here), so many small queries run concurrently.
         A single-query batch instead delegates to :meth:`evaluate`'s
         *per-query* sharded parallelism — one big query is split across
@@ -805,7 +804,7 @@ class QueryEngine:
             }
 
         # Per-batch parallelism: each distinct direct-route query becomes
-        # one pool task carrying its precomputed candidate sets; cache and
+        # one worker task carrying its precomputed candidate sets; cache and
         # compressed routes stay in this process.
         farmed: dict[tuple, tuple[MatchRelation, dict[str, Any]]] = {}
         if workers > 1:
@@ -897,7 +896,7 @@ class QueryEngine:
                 name,
                 entry,
                 # Parent-side wall time is meaningless for a query that ran
-                # in a pool worker; keep the worker-measured seconds there.
+                # in a worker process; keep the worker-measured seconds there.
                 result.stats.get("seconds", query_watch.seconds())
                 if key in farmed
                 else query_watch.seconds(),
@@ -988,15 +987,15 @@ class QueryEngine:
         :class:`RankedMatch` objects; other metrics return ``(node, score)``
         pairs (scores normalized lower-is-better).
 
-        Evaluation follows the usual route order, then ranking runs
-        through a bulk :class:`~repro.ranking.topk.RankingContext`: one
-        result-graph snapshot, memoized distance work shared across
-        metrics and calls, lazy full scoring behind cheap admissible
-        bounds, and — with ``workers`` > 1 — per-match scoring fanned out
-        through the engine's :class:`ParallelExecutor` (output identical
-        to sequential).  Contexts are cached per ``(graph, pattern)`` until
-        the graph changes; for *pinned* queries :meth:`update_graph`
-        re-ranks only the matches an update touched.
+        Evaluation follows the usual route order (``workers`` > 1 shards
+        it through the engine's :class:`ParallelExecutor`), then ranking
+        runs inline through a bulk
+        :class:`~repro.ranking.topk.RankingContext`: one result-graph
+        snapshot, memoized distance work shared across metrics and calls,
+        and lazy full scoring behind cheap admissible bounds.  Contexts
+        are cached per ``(graph, pattern)`` until the graph changes; for
+        *pinned* queries :meth:`update_graph` re-ranks only the matches
+        an update touched.
         ``k`` must be a positive integer for every metric.
         """
         validate_k(k)
@@ -1007,12 +1006,9 @@ class QueryEngine:
             name, pattern, workers=workers, use_rank_cache=use_rank_cache,
             **evaluate_kwargs,
         )
-        score_many = (
-            self._executor(workers).rank_many if workers > 1 else None
-        )
         if isinstance(metric, str) and metric == "social-impact":
-            return bulk_top_k_detail(context, k, score_many=score_many)
-        return bulk_top_k_scores(context, k, chosen, score_many=score_many)
+            return bulk_top_k_detail(context, k)
+        return bulk_top_k_scores(context, k, chosen)
 
     def _ranking_context(
         self,

@@ -47,9 +47,11 @@ import threading
 import time
 from array import array
 from multiprocessing.connection import wait
-from typing import Any, Callable, Sequence
+from pathlib import Path
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.engine.estimator import GUARD_TIME_LIMIT, QueryBudget, QueryGuard
+from repro.engine.storage import load_frozen_file, load_oracle_file
 from repro.errors import BudgetExceededError, EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
@@ -65,7 +67,6 @@ from repro.matching.bounded import (
 )
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
-from repro.ranking.topk import RankingContext
 
 #: Per-shard worker payload, flat int ids over the shared frozen snapshot:
 #: (out-edge spec per pivot pattern node, pivot ids per pattern node,
@@ -78,20 +79,14 @@ ShardPayload = tuple[
 #: What one shard returns: label-keyed successor rows plus its guard info.
 ShardRows = tuple[dict[PatternEdge, dict[NodeId, dict[NodeId, int]]], dict[str, Any]]
 
-# Worker-process state of the persistent pool only: a call's own workers
-# get their state as ``Process`` arguments, so the parent never installs
-# anything here and concurrent fan-outs from several threads share none.
 
-#: The persistent pool's shared visit counter, installed at pool creation
-#: so a guarded task only needs to carry its budget.
-_persistent_counter: Any = None
+class _SnapshotFile(NamedTuple):
+    """A store-backed snapshot or oracle as a spawned child receives it:
+    the file to map, the graph version it must still hold, and its loader."""
 
-#: Worker-side memo of snapshot/oracle files already mapped in, keyed by
-#: ``(path, source_version)``, so a long-lived pool worker pays
-#: ``load_frozen_file`` once per file version rather than once per task.
-#: Bounded: it resets rather than grows.
-_persistent_loads: dict[tuple[str, int], Any] = {}
-_PERSISTENT_LOAD_SLOTS = 8
+    path: Path
+    version: int
+    load: Callable[..., Any]
 
 
 def _shipment(
@@ -100,51 +95,34 @@ def _shipment(
     """``(frozen, oracle)`` in the form that is cheapest to pickle.
 
     Store-loaded objects record their backing snapshot file in ``.path``;
-    shipping ``(path, source_version)`` lets every worker ``mmap`` the
+    shipping it as a :class:`_SnapshotFile` lets every worker ``mmap`` the
     same pages — shared RSS, no per-worker pickle of the buffers — and
     refuse the file once it holds another version.  Objects built
     in-process ship as pickled (attribute-less) flat buffers.
     """
     shipped_frozen: Any = (
-        (frozen.path, frozen.source_version)
+        _SnapshotFile(frozen.path, frozen.source_version, load_frozen_file)
         if frozen.path is not None
         else frozen.without_attrs()
     )
     shipped_oracle: Any = (
         oracle
         if oracle is None or oracle.path is None
-        else (oracle.path, oracle.source_version)
+        else _SnapshotFile(oracle.path, oracle.source_version, load_oracle_file)
     )
     return shipped_frozen, shipped_oracle
 
 
-def _load_memo(shipped: tuple[Any, int], loader: Callable[..., Any]) -> Any:
-    path, version = shipped
-    key = (str(path), version)
-    obj = _persistent_loads.get(key)
-    if obj is None:
-        if len(_persistent_loads) >= _PERSISTENT_LOAD_SLOTS:
-            _persistent_loads.clear()
-        obj = _persistent_loads[key] = loader(path, expected_version=version)
-    return obj
-
-
-def _resolve_shipped(frozen: Any, oracle: Any) -> tuple[Any, Any]:
-    """Worker-side inverse of :func:`_shipment`: map shipped files back in
-    (a version skew is a :class:`~repro.errors.StorageError`); live
-    objects pass through."""
-    from repro.engine.storage import load_frozen_file, load_oracle_file
-
-    if isinstance(frozen, tuple):
-        frozen = _load_memo(frozen, load_frozen_file)
-    if isinstance(oracle, tuple):
-        oracle = _load_memo(oracle, load_oracle_file)
-    return frozen, oracle
-
-
-def _init_persistent_worker(counter: Any) -> None:
-    global _persistent_counter
-    _persistent_counter = counter
+def _resolve_shipped(*state: Any) -> tuple:
+    """Worker-side inverse of :func:`_shipment`: map every shipped file of
+    ``state`` back in (a version skew is a
+    :class:`~repro.errors.StorageError`); everything else passes through."""
+    return tuple(
+        item.load(item.path, expected_version=item.version)
+        if isinstance(item, _SnapshotFile)
+        else item
+        for item in state
+    )
 
 
 def validate_workers(workers: int | None) -> int:
@@ -166,15 +144,20 @@ def _serve_tasks(conn: Any, function: Callable[..., Any], state: tuple) -> None:
 
     Answers every ``(index, task)`` the parent sends with ``(index, True,
     function(*state, task))`` — or ``(index, False, exception)`` — until
-    the parent kills it or closes its end of the pipe.
+    the parent kills it or closes its end of the pipe.  Shipped snapshot
+    and oracle files in ``state`` are mapped once, when the first task
+    arrives, so a version skew answers that task as its error.
     """
+    resolved: tuple | None = None
     while True:
         try:
             index, task = conn.recv()
         except EOFError:
             return
         try:
-            reply = (index, True, function(*state, task))
+            if resolved is None:
+                resolved = _resolve_shipped(*state)
+            reply = (index, True, function(*resolved, task))
         except Exception as exc:
             reply = (index, False, exc)
         conn.send(reply)
@@ -187,26 +170,6 @@ def _worker_died(process: Any) -> EvaluationError:
     )
 
 
-def _shard_rows_shipped(
-    task: "tuple[ShardPayload, Any, Any, QueryBudget | None]",
-) -> ShardRows:
-    """One shard on the *persistent* pool.
-
-    The task carries what a long-lived worker does not already hold: the
-    shard payload, the shipped snapshot/oracle (see :func:`_shipment`)
-    and, for a guarded call, its budget.  The guard wraps the shared
-    counter installed at pool creation, so one node budget still governs
-    the whole fan-out.
-    """
-    payload, shipped_frozen, shipped_oracle, budget = task
-    guard = (
-        QueryGuard(budget, shared_counter=_persistent_counter)
-        if budget is not None
-        else None
-    )
-    return _shard_rows_core(shipped_frozen, shipped_oracle, guard, payload)
-
-
 def _shard_rows_core(
     frozen: Any,
     oracle: Any,
@@ -215,15 +178,13 @@ def _shard_rows_core(
 ) -> ShardRows:
     """Successor rows for one shard — what every route, inline or not, runs.
 
-    The payload is int-indexed against the shared frozen snapshot (live
-    or shipped).  Rows are computed by the same
-    :func:`frozen_successor_rows` kernel the sequential matcher uses,
-    restricted to the shard's pivots, then converted back to labels for
-    the merge.  Returns the rows plus a guard-info dict (empty when
+    The payload is int-indexed against the shared frozen snapshot.  Rows
+    are computed by the same :func:`frozen_successor_rows` kernel the
+    sequential matcher uses, restricted to the shard's pivots, then
+    converted back to labels for the merge.  Returns the rows plus a guard-info dict (empty when
     unguarded): each worker's guard charges the *shared* visit counter, so
     a blown budget stops every sibling at its next check.
     """
-    frozen, oracle = _resolve_shipped(frozen, oracle)
     edges_spec, pivots, candidate_arrays = payload
     candidate_ids = {u: frozenset(ids) for u, ids in candidate_arrays.items()}
     rows_ids = frozen_successor_rows(
@@ -266,20 +227,6 @@ def _guard_summary(
     return summary
 
 
-def _rank_core(context: RankingContext, metric: Any, nodes: Sequence[NodeId]) -> list:
-    """Scores for ``nodes``, in order.
-
-    With no metric this is the rich social-impact path and returns
-    :class:`~repro.ranking.social_impact.RankedMatch` objects; otherwise
-    it returns the metric's ``score_bulk`` floats.  Either way the values
-    are pure functions of the immutable snapshot, so a worker computes
-    exactly what the parent would inline.
-    """
-    if metric is None:
-        return [context.detail(node) for node in nodes]
-    return [metric.score_bulk(context, node) for node in nodes]
-
-
 def _batch_query_core(
     graph: Graph,
     table: dict[tuple, set[NodeId]],
@@ -288,8 +235,7 @@ def _batch_query_core(
     budget: QueryBudget | None,
     task: tuple[Pattern, dict[str, tuple]],
 ) -> tuple[MatchRelation, dict[str, Any]]:
-    """Evaluate one whole query of a batch (``frozen``/``oracle`` live or shipped)."""
-    frozen, oracle = _resolve_shipped(frozen, oracle)
+    """Evaluate one whole query of a batch."""
     pattern, key_by_node = task
     candidates = {u: table[key] for u, key in key_by_node.items()}
     if pattern.is_simulation_pattern:
@@ -314,12 +260,11 @@ def _batch_query_core(
 class ParallelExecutor:
     """Worker processes for sharded and batched evaluation.
 
-    A fan-out starts processes of its own and kills them before it
-    returns — except node-budgeted shard calls, and every shard call once
-    :meth:`warm` has run, which use one persistent pool (released by
-    :meth:`close` or the context manager).  With ``workers=1`` everything
-    runs inline — same code path, no processes — so callers can treat the
-    executor as the one evaluation front end regardless of parallelism.
+    Every fan-out starts processes of its own and kills them before it
+    returns; between calls the executor holds no process.  With
+    ``workers=1`` everything runs inline — same code path, no processes —
+    so callers can treat the executor as the one evaluation front end
+    regardless of parallelism.
 
     >>> from repro.datasets.paper_example import paper_graph, paper_pattern
     >>> with ParallelExecutor(workers=2) as executor:
@@ -333,37 +278,15 @@ class ParallelExecutor:
     def __init__(self, workers: int, start_method: str | None = None) -> None:
         self.workers = validate_workers(workers)
         self._ctx = multiprocessing.get_context(start_method)
-        self._pool = None
-        #: Worker sets started: the persistent pool plus one per fan-out
-        #: on processes of its own — the regression counter the pool-churn
-        #: tests watch: steady-state guarded serving must not move it.
+        #: Worker sets started, one per fan-out — the counter the serving
+        #: tests watch: a cached repeat must not move it.
         self.pools_created = 0
-        # The shared visit counter all persistent-pool guards wrap; it is
-        # allocated with the pool so every worker receives it through the
-        # initializer, and guarded calls are serialized by ``_guard_serial``
-        # (one budget at a time owns the counter).
-        self._guard_counter: Any = None
-        self._guard_serial = threading.Lock()
-        # Pool creation and its counter are check-then-act / read-modify-
-        # write on shared fields; the fan-outs themselves take no lock.
-        self._pool_lock = threading.Lock()
+        # Concurrent fan-outs from several threads bump the counter.
+        self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
-    def _query_pool(self) -> Any:
-        with self._pool_lock:
-            if self._pool is None:
-                if self._guard_counter is None:
-                    self._guard_counter = self._ctx.Value("q", 0)
-                self._pool = self._ctx.Pool(
-                    self.workers,
-                    initializer=_init_persistent_worker,
-                    initargs=(self._guard_counter,),
-                )
-                self.pools_created += 1
-            return self._pool
-
     def _fan_out(
         self,
         function: Callable[..., Any],
@@ -381,7 +304,7 @@ class ParallelExecutor:
         At ``deadline`` (``time.monotonic``) it returns what arrived — fewer
         results than tasks.  Every child is killed and joined on return.
         """
-        with self._pool_lock:
+        with self._count_lock:
             self.pools_created += 1
         results: dict[int, Any] = {}
         children: list[tuple[Any, Any]] = []
@@ -457,23 +380,8 @@ class ParallelExecutor:
             return frozen, oracle
         return _shipment(frozen, oracle)
 
-    def warm(self) -> "ParallelExecutor":
-        """Create the persistent pool now, off any request path.
-
-        Long-running services call this at startup so the first guarded
-        or sharded query never pays pool construction.  With one worker
-        there is nothing to warm (everything runs inline).
-        """
-        if self.workers > 1:
-            self._query_pool()
-        return self
-
     def close(self) -> None:
-        """Terminate the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Nothing to release: a fan-out's processes die with its call."""
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -481,15 +389,8 @@ class ParallelExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
     def __repr__(self) -> str:
-        state = "live pool" if self._pool is not None else "no pool"
-        return f"<ParallelExecutor workers={self.workers} ({state})>"
+        return f"<ParallelExecutor workers={self.workers}>"
 
     # ------------------------------------------------------------------
     # per-query parallelism
@@ -499,7 +400,6 @@ class ParallelExecutor:
         graph: Graph,
         pattern: Pattern,
         index: AttributeIndex | None = None,
-        num_shards: int | None = None,
         frozen: FrozenGraph | None = None,
         oracle: DistanceOracle | None = None,
         budget: QueryBudget | None = None,
@@ -511,37 +411,36 @@ class ParallelExecutor:
         ``index`` when given, or skipped entirely when the caller passes
         precomputed ``candidates`` — the serving layer computes them
         under its per-epoch index lock); the candidates are partitioned
-        into ``num_shards`` (default: one per worker) pivot shards whose
-        successor rows the workers compute; the merged state then runs the
-        standard removal fixpoint.  The result carries that merged
-        :class:`~repro.matching.bounded.BoundedState` (candidate-indexed,
-        as a dict-graph :func:`~repro.matching.bounded.match_bounded`
-        returns it).
+        into one pivot shard per worker, whose successor rows the workers
+        compute; the merged state then runs the standard removal fixpoint.
+        The result carries that merged
+        :class:`~repro.matching.bounded.BoundedState` (candidate-indexed, as
+        a dict-graph :func:`~repro.matching.bounded.match_bounded` returns
+        it).
 
         All shard work runs over a :class:`FrozenGraph` snapshot — the
         caller's ``frozen`` (the engine passes its cached one; it must
         match the graph's current version) or one frozen here — and every
-        worker reads that one snapshot: handed to the call's own worker
-        processes as an argument when no persistent pool is warm, shipped
-        inside the tasks (a file path when mmap-backed) when one is.  With
-        an ``oracle`` (a :class:`~repro.graph.oracle.DistanceOracle` built
-        from the same snapshot lineage), workers route selective pattern
-        edges to pairwise label merges against the shared oracle.
+        worker reads that one snapshot, handed to the call's own worker
+        processes as an argument (a file path when mmap-backed and the
+        children are spawned).  With an ``oracle`` (a
+        :class:`~repro.graph.oracle.DistanceOracle` built from the same
+        snapshot lineage), workers route selective pattern edges to
+        pairwise label merges against the shared oracle.
 
         A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
-        the fan-out as one query: workers charge a *shared* visit counter,
-        so the node budget governs total work across shards (sequential
-        and guarded-parallel runs agree on whether the budget trips); a
-        wall-clock limit kills the call's worker processes at its
-        deadline, and shards that never reported merge as empty rows — a
-        sound under-approximation flagged ``stats["partial"] = True``.
+        the fan-out as one query: workers charge a visit counter of the
+        call's own, so the node budget governs total work across shards
+        (sequential and guarded-parallel runs agree on whether the budget
+        trips); a wall-clock limit kills the call's worker processes at
+        its deadline, and shards that never reported merge as empty rows —
+        a sound under-approximation flagged ``stats["partial"] = True``.
 
         Thread-safe: nothing a call needs lives in process-wide state —
-        every route hands its snapshot, oracle and guard to the workers
-        (or, inline, to the shard kernel) as arguments — so a threaded
-        query service shares one executor across requests and concurrent
-        fan-outs overlap.  Only node-budgeted calls on the persistent
-        pool take turns: one budget at a time owns its visit counter.
+        every call hands its snapshot, oracle and guard to the workers (or,
+        inline, to the shard kernel) as arguments — so a threaded query
+        service shares one executor across requests and concurrent
+        fan-outs, budgeted or not, overlap.
         """
         pattern.validate()
         watch = Stopwatch()
@@ -550,7 +449,10 @@ class ParallelExecutor:
                 f"stale frozen snapshot: {frozen!r} does not match "
                 f"graph version {graph.version}"
             )
-        if candidates is None:
+        if candidates is not None:
+            candidate_source = "precomputed"
+        else:
+            candidate_source = "scan" if index is None else "index"
             candidates = candidates_from_index(graph, pattern, index)
         if frozen is None:
             frozen = FrozenGraph.freeze(graph)
@@ -558,15 +460,12 @@ class ParallelExecutor:
             raise EvaluationError(
                 f"stale distance oracle: {oracle!r} does not match {frozen!r}"
             )
-        shards = decompose(
-            graph, pattern, candidates, num_shards or self.workers, frozen=frozen
-        )
+        shards = decompose(graph, pattern, candidates, self.workers, frozen=frozen)
         inline = self.workers == 1 or len(shards) <= 1
         payloads = self._shard_payloads(frozen, pattern, shards, candidates)
         guarded = budget is not None and budget.is_limited
         if guarded:
             budget.validate()
-        timed = guarded and budget.seconds is not None
         guard_stats: dict[str, Any] = {}
         if inline:
             guard = QueryGuard(budget) if guarded else None
@@ -576,17 +475,9 @@ class ParallelExecutor:
             ]
             if guard is not None:
                 guard_stats = _guard_summary(results, guard.visits)
-        elif not timed and (guarded or self._pool is not None):
-            # Node-only budgets never need to kill workers mid-flight, and
-            # a warm pool (a long-running service) is there to be used,
-            # keeping process start-up off the per-call path.
-            results, guard_stats = self._persistent_map(
-                frozen, payloads, oracle, budget if guarded else None
-            )
         else:
-            # Killing workers at a deadline would destroy a shared pool.
             results, guard_stats = self._owned_map(
-                frozen, payloads, oracle, budget if timed else None
+                frozen, payloads, oracle, budget if guarded else None
             )
         merged: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]] = {}
         for rows, _info in results:
@@ -602,7 +493,7 @@ class ParallelExecutor:
                 "simulation" if pattern.is_simulation_pattern else "bounded-simulation"
             ),
             "seconds": watch.seconds(),
-            "candidate_source": "scan" if index is None else "index",
+            "candidate_source": candidate_source,
             "parallel": {
                 "mode": "sharded-query",
                 "workers": self.workers,
@@ -649,38 +540,6 @@ class ParallelExecutor:
             )
         return payloads
 
-    def _persistent_map(
-        self,
-        frozen: FrozenGraph,
-        payloads: list[ShardPayload],
-        oracle: DistanceOracle | None,
-        budget: QueryBudget | None,
-    ) -> tuple[list, dict[str, Any]]:
-        """Fan shard work out over the *persistent* pool.
-
-        Tasks carry the shipped snapshot (a file path and version for
-        mmap-backed stores, memoized worker-side) and, for a guarded call,
-        the budget.  Only budgets without a wall-clock limit come here —
-        nothing ever has to be killed mid-flight — and the shared visit
-        counter installed at pool creation aggregates their work across
-        workers.  Guarded calls are serialized: one budget at a time owns
-        the counter.  ``Pool.map`` waits for every task before raising the
-        first error, so no straggler outlives the call and charges a reset
-        counter.
-        """
-        shipped = _shipment(frozen, oracle)
-        tasks = [(payload, *shipped, budget) for payload in payloads]
-        if budget is None:
-            return self._query_pool().map(_shard_rows_shipped, tasks), {}
-        with self._guard_serial:
-            pool = self._query_pool()
-            counter = self._guard_counter
-            with counter.get_lock():
-                counter.value = 0
-            results = pool.map(_shard_rows_shipped, tasks)
-            visits = counter.value
-        return results, _guard_summary(results, visits)
-
     def _owned_map(
         self,
         frozen: FrozenGraph,
@@ -690,19 +549,20 @@ class ParallelExecutor:
     ) -> tuple[list, dict[str, Any]]:
         """Fan shard work out over processes of this call's own.
 
-        With a wall-clock ``budget`` every child gets a guard around one
-        fresh shared visit counter and the call's absolute
-        ``time.monotonic`` deadline (comparable across processes on
-        Linux); at the deadline the children are killed and the pivots of
-        unfinished shards merge as missing rows — a sound
+        With a ``budget`` every child gets a guard around one fresh shared
+        visit counter and, when the budget has a wall-clock limit, the
+        call's absolute ``time.monotonic`` deadline (comparable across
+        processes on Linux); at the deadline the children are killed and
+        the pivots of unfinished shards merge as missing rows — a sound
         under-approximation.
         """
         shipped = self._ship(frozen, oracle)
         if budget is None:
             return self._fan_out(_shard_rows_core, (*shipped, None), payloads), {}
-        assert budget.seconds is not None
         counter = self._ctx.Value("q", 0)
-        deadline = time.monotonic() + budget.seconds
+        deadline = (
+            None if budget.seconds is None else time.monotonic() + budget.seconds
+        )
         guard = QueryGuard(budget, shared_counter=counter, deadline=deadline)
         results = self._fan_out(
             _shard_rows_core, (*shipped, guard), payloads, deadline
@@ -719,53 +579,6 @@ class ParallelExecutor:
         return results, _guard_summary(
             results, visits, tripped=GUARD_TIME_LIMIT if aborted else None
         )
-
-    # ------------------------------------------------------------------
-    # bulk-ranking parallelism
-    # ------------------------------------------------------------------
-    #: Below this many matches the start-up/IPC cost of worker processes
-    #: dwarfs the Dijkstra work; rank inline instead (same code).
-    RANK_FANOUT_THRESHOLD = 64
-
-    def rank_many(
-        self,
-        context: RankingContext,
-        metric: Any,
-        nodes: Sequence[NodeId],
-    ) -> list:
-        """Fan per-match scoring out across worker processes, in input order.
-
-        ``metric=None`` selects the rich social-impact path (returns
-        :class:`RankedMatch` objects); otherwise each node is scored with
-        ``metric.score_bulk``.  The snapshot context reaches each worker
-        once, as a process argument (inherited under fork, pickled under
-        spawn); tasks carry only node-id chunks.  Scores are deterministic
-        functions of the snapshot, so the output is byte-identical to
-        inline scoring — the differential tests assert it.  Results are
-        absorbed back into ``context``'s memos so subsequent calls (and
-        the engine's rank cache) reuse them.
-        """
-        nodes = list(nodes)
-        if self.workers == 1 or len(nodes) < self.RANK_FANOUT_THRESHOLD:
-            results = _rank_core(context, metric, nodes)
-        else:
-            # ~4 chunks per worker smooths out uneven per-match cost
-            # (component sizes vary wildly) without inflating IPC.
-            chunk_size = max(1, -(-len(nodes) // (self.workers * 4)))
-            chunks = [
-                nodes[i : i + chunk_size] for i in range(0, len(nodes), chunk_size)
-            ]
-            results = [
-                item
-                for chunk in self._fan_out(_rank_core, (context, metric), chunks)
-                for item in chunk
-            ]
-        if metric is None:
-            # Detail memos are keyed by node alone, so absorbing is always
-            # safe; metric scores are memoized by the caller, which knows
-            # whether this metric instance may share the context's memo.
-            context.absorb_details(results)
-        return results
 
     # ------------------------------------------------------------------
     # per-batch parallelism

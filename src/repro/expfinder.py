@@ -100,7 +100,7 @@ class ExpFinder:
         """``M(Q,G)`` with engine routing (cache / compressed / direct).
 
         ``workers`` > 1 runs the direct route with pivot-sharded parallel
-        evaluation (identical result, fanned out to a process pool).
+        evaluation (identical result, fanned out to worker processes).
         """
         return self.engine.evaluate(graph_name, pattern, workers=workers, **kwargs)
 
@@ -114,7 +114,7 @@ class ExpFinder:
         """Evaluate many queries in one batch (shared candidate work).
 
         ``workers`` > 1 farms the batch's distinct direct-route queries out
-        to a process pool (one big query is sharded instead).
+        to worker processes (one big query is sharded instead).
         """
         return self.engine.evaluate_many(
             graph_name, patterns, workers=workers, **kwargs

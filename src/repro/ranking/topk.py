@@ -4,7 +4,7 @@ The naive path (:func:`repro.ranking.social_impact.rank_matches`) treats
 every match independently: two full Dijkstra runs per match over the live
 result-graph views, then a sort, then a slice.  That shape is fine for the
 paper's nine-node Fig. 1 but wrong for a result graph with thousands of
-matches.  This module restructures ranking around three ideas:
+matches.  This module restructures ranking around two ideas:
 
 1. **One snapshot, shared by everything.**  A :class:`RankingContext`
    copies the result graph's weighted adjacency (both directions), match
@@ -24,17 +24,10 @@ matches.  This module restructures ranking around three ideas:
    set lies at least that far away, so the average does too), with
    isolated matches resolved exactly to ``+inf`` for free.
 
-3. **Parallel fan-out with identical output.**  Full scoring of the
-   surviving candidates can be farmed to a worker pool (the engine routes
-   this through its :class:`~repro.engine.parallel.ParallelExecutor`);
-   scores are pure functions of the snapshot, so the parallel result is
-   byte-identical to the sequential one — order, scores and
-   :class:`~repro.ranking.social_impact.RankedMatch` evidence.
-
-The selection is *exact*: for every metric, every ``k`` and every worker
-count, the output equals the naive rank-everything-then-slice path
-(``tests/test_topk.py`` asserts it differentially over seeded random
-graphs; ``benchmarks/bench_topk.py`` asserts it at scale).
+The selection is *exact*: for every metric and every ``k``, the output
+equals the naive rank-everything-then-slice path (``tests/test_topk.py``
+asserts it differentially over seeded random graphs;
+``benchmarks/bench_topk.py`` asserts it at scale).
 """
 
 from __future__ import annotations
@@ -90,9 +83,8 @@ class RankingContext:
     rank-cache hit in the engine) never repeat a Dijkstra run.
 
     The snapshot is self-contained — plain dicts, no live views — which is
-    what makes both worker-pool fan-out and the engine's incremental
-    re-ranking after updates possible: workers compute from the identical
-    adjacency, and the update path can diff two snapshots node by node.
+    what makes the engine's incremental re-ranking after updates possible:
+    the update path can diff two snapshots node by node.
 
     Dijkstra runs directly over those label rows as a bucket queue
     (Dial's algorithm): witness weights are small positive integers, so
@@ -299,15 +291,6 @@ class RankingContext:
     # ------------------------------------------------------------------
     # memo maintenance (the engine's incremental re-ranking uses these)
     # ------------------------------------------------------------------
-    def absorb_details(self, details: Sequence[RankedMatch]) -> None:
-        """Install externally computed details (e.g. from pool workers)."""
-        for detail in details:
-            self._details[detail.node] = detail
-            # The evidence dicts double as distance memos: they are the
-            # exact dicts a local Dijkstra would have produced.
-            self._dist_out.setdefault(detail.node, detail.descendants)
-            self._dist_in.setdefault(detail.node, detail.ancestors)
-
     def carry_over_from(self, old: "RankingContext", changed: set[NodeId]) -> int:
         """Reuse ``old``'s memos for nodes an update provably did not touch.
 
@@ -399,25 +382,12 @@ class RankingContext:
 # lazy exact top-K selection
 # ----------------------------------------------------------------------
 
-#: Scoring backend signature: given a context, metric (or None for the
-#: rich social-impact detail path) and nodes, return one result per node.
-ScoreMany = Callable[[RankingContext, Any, Sequence[NodeId]], list]
-
-
-def _score_inline(
-    context: RankingContext, metric: "RankingMetric | None", nodes: Sequence[NodeId]
-) -> list:
-    if metric is None:
-        return [context.detail(node) for node in nodes]
-    return [metric.score_bulk(context, node) for node in nodes]
-
-
 def _lazy_select(
     context: RankingContext,
     candidates: list[NodeId],
     k: int | None,
     bound_of: Callable[[NodeId], float],
-    score_many: Callable[[Sequence[NodeId]], list[float]],
+    score: Callable[[Sequence[NodeId]], list[float]],
 ) -> list[NodeId]:
     """Exact top-K node selection with bound-based pruning.
 
@@ -426,12 +396,12 @@ def _lazy_select(
     ``k=None`` (rank everything) all candidates are scored.
     """
     if k is None or k >= len(candidates):
-        score_many(candidates)
+        score(candidates)
         return candidates
     bounds = {node: bound_of(node) for node in candidates}
     order = sorted(candidates, key=lambda node: (bounds[node], repr(node)))
     frontier = order[:k]
-    frontier_scores = score_many(frontier)
+    frontier_scores = score(frontier)
     kth = sorted(frontier_scores)[k - 1]
     # A candidate whose optimistic bound already exceeds the k-th best
     # *confirmed* score cannot enter the top-K (its true score is at least
@@ -439,7 +409,7 @@ def _lazy_select(
     # node-id tie-break can prefer them.
     rest = [node for node in order[k:] if bounds[node] <= kth]
     context.stats["pruned_by_bound"] += len(order) - k - len(rest)
-    score_many(rest)
+    score(rest)
     return frontier + rest
 
 
@@ -447,7 +417,6 @@ def bulk_top_k_detail(
     context: RankingContext,
     k: int | None,
     pattern_node: str | None = None,
-    score_many: ScoreMany | None = None,
 ) -> list[RankedMatch]:
     """Top-K :class:`RankedMatch` list by social impact (the paper metric).
 
@@ -456,17 +425,16 @@ def bulk_top_k_detail(
     ranks everything (the bulk analogue of ``rank_matches``).
 
     A top-K list is a prefix of the full ranking and the snapshot never
-    changes, so with the inline scorer the context keeps the longest
-    prefix selected so far per pattern node and a repeated call (a
-    rank-cache hit) is a slice: no bounds, no sort.  An update replaces
-    the context instead of editing it, which is the whole invalidation
-    rule.  The returned list is always fresh.
+    changes, so the context keeps the longest prefix selected so far per
+    pattern node and a repeated call (a rank-cache hit) is a slice: no
+    bounds, no sort.  An update replaces the context instead of editing
+    it, which is the whole invalidation rule.  The returned list is
+    always fresh.
     """
     if k is not None:
         validate_k(k)
-    backend = score_many or _score_inline
     target = pattern_node or context.pattern.output_node
-    memo = context._ranked.get(target) if score_many is None else None
+    memo = context._ranked.get(target)
     if memo is not None and (memo[0] is None or (k is not None and k <= memo[0])):
         return list(memo[1][:k])
     candidates = context.matches(pattern_node)
@@ -474,11 +442,6 @@ def bulk_top_k_detail(
         return []
 
     def rank_nodes(nodes: Sequence[NodeId]) -> list[float]:
-        # Only un-memoized nodes travel to the backend (which may be a
-        # worker pool); a warm context re-ranks nothing.
-        missing = [node for node in nodes if node not in context._details]
-        if missing:
-            backend(context, None, missing)
         return [context.detail(node).rank for node in nodes]
 
     scored = _lazy_select(context, candidates, k, context.impact_bound, rank_nodes)
@@ -486,8 +449,7 @@ def bulk_top_k_detail(
     ranked.sort(key=lambda r: (r.rank, repr(r.node)))
     if k is not None:
         del ranked[k:]
-    if score_many is None:
-        context._ranked[target] = (k, tuple(ranked))
+    context._ranked[target] = (k, tuple(ranked))
     return ranked
 
 
@@ -496,17 +458,14 @@ def bulk_top_k_scores(
     k: int | None,
     metric: "RankingMetric",
     pattern_node: str | None = None,
-    score_many: ScoreMany | None = None,
 ) -> list[tuple[NodeId, float]]:
     """Top-K ``(node, score)`` pairs for any pluggable metric.
 
     Identical to ``metric.rank_all(result_graph)[:k]``, but scored against
-    the shared snapshot with memoization, bound pruning and (when the
-    caller provides a parallel ``score_many`` backend) pool fan-out.
+    the shared snapshot with memoization and bound pruning.
     """
     if k is not None:
         validate_k(k)
-    backend = score_many or _score_inline
     candidates = context.matches(pattern_node)
     if not candidates:
         return []
@@ -522,10 +481,9 @@ def bulk_top_k_scores(
         memo = {}
 
     def score_nodes(nodes: Sequence[NodeId]) -> list[float]:
-        missing = [node for node in nodes if node not in memo]
-        if missing:
-            for node, score in zip(missing, backend(context, metric, missing)):
-                memo[node] = score
+        for node in nodes:
+            if node not in memo:
+                memo[node] = metric.score_bulk(context, node)
         return [memo[node] for node in nodes]
 
     scored = _lazy_select(

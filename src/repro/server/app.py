@@ -4,9 +4,9 @@ Layering (each usable on its own):
 
 * :class:`ExpFinderService` — the in-process facade: graph registration,
   epoch-pinned reads, atomic update publishing, admission control and a
-  warm :class:`~repro.engine.parallel.ParallelExecutor` pool built at
-  startup, through which ``evaluate``/``batch``/``topk`` fan sharded
-  evaluation out when ``workers > 1``.  Tests and benchmarks drive this
+  :class:`~repro.engine.parallel.ParallelExecutor`, through which
+  ``evaluate``/``batch``/``topk`` fan sharded evaluation out when
+  ``workers > 1``.  Tests and benchmarks drive this
   object directly; its read path is relation-identical to
   :class:`~repro.engine.engine.QueryEngine`.
 * :class:`QueryServer` — ``ThreadingHTTPServer`` + JSON around the
@@ -124,14 +124,13 @@ class ServiceConfig:
 
 
 class ExpFinderService:
-    """Registry + admission + warm pool behind one facade.
+    """Registry + admission + executor behind one facade.
 
-    The executor pool (``workers > 1``) is built once at construction —
-    :meth:`ParallelExecutor.warm` — and every cache-miss ``evaluate`` /
-    ``batch`` / ``topk`` evaluation routes through it
-    (:meth:`Epoch.evaluate` with ``executor=``), so no request ever pays
-    pool construction; request threads share the executor freely — a
-    fan-out keeps no process-wide state.
+    With ``workers > 1`` every cache-miss ``evaluate`` / ``batch`` /
+    ``topk`` evaluation routes through one executor
+    (:meth:`Epoch.evaluate` with ``executor=``), whose fan-outs start and
+    kill worker processes of their own; request threads share the
+    executor freely — a fan-out keeps no process-wide state.
     """
 
     def __init__(self, config: ServiceConfig | None = None, store: Any = None) -> None:
@@ -174,7 +173,7 @@ class ExpFinderService:
         )
         self._executor: ParallelExecutor | None = None
         if self.config.workers > 1:
-            self._executor = ParallelExecutor(self.config.workers).warm()
+            self._executor = ParallelExecutor(self.config.workers)
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._closed = False

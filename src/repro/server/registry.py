@@ -135,8 +135,8 @@ class Epoch:
         (budget-tripped) results are never cached.
 
         An ``executor`` (a :class:`~repro.engine.parallel.ParallelExecutor`
-        with ``workers > 1``) fans cache-miss evaluation out across its
-        worker pool instead of running the kernels inline; the sharded
+        with ``workers > 1``) fans cache-miss evaluation out across worker
+        processes instead of running the kernels inline; the sharded
         result is relation-identical to the inline one (asserted by the
         differential suite), so the cache and byte-identity contracts are
         unchanged.

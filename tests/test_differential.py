@@ -15,10 +15,12 @@ assertion message), so a failure names the exact case to replay:
 
     pytest tests/test_differential.py -k "seed17" -x
 
-Two executors are shared by the whole module, one per shared-snapshot
-route: a *cold* one (no persistent pool, so every fan-out forks worker
-processes of its own that inherit the snapshot) and a *warmed* one (``.warm()``,
-so every fan-out ships the snapshot inside tasks on the persistent pool).
+One executor is shared by the whole module; every fan-out forks worker
+processes of its own that inherit the snapshot.  Each sharded case runs
+twice: ``cold`` calls are unbudgeted, ``warmed`` calls carry a node budget
+that never trips, so the workers charge one shared visit counter per call.
+(The ``warmed`` id is historical: budgeted calls used to run on a warm
+persistent pool.)
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import random
 import pytest
 
 from repro.engine.engine import QueryEngine
+from repro.engine.estimator import QueryBudget
 from repro.engine.parallel import ParallelExecutor
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
@@ -44,14 +47,25 @@ ENGINE_SEEDS = range(6)
 ORACLE_SEEDS = range(40)
 
 
-@pytest.fixture(scope="module", params=["cold", "warmed"])
-def executor(request):
+@pytest.fixture(scope="module")
+def shared_executor():
     with ParallelExecutor(workers=2) as shared:
-        if request.param == "warmed":
-            shared.warm()
         yield shared
-        # the route under test is the one the fixture promises
-        assert (shared._pool is not None) == (request.param == "warmed")
+
+
+@pytest.fixture(params=["cold", "warmed"])
+def sharded_match(request, shared_executor):
+    """``match(graph, pattern)`` through the shared executor, unbudgeted
+    (``cold``) or under a node budget that never trips (``warmed``)."""
+    budget = QueryBudget(node_visits=10**12) if request.param == "warmed" else None
+
+    def match(graph, pattern):
+        result = shared_executor.match(graph, pattern, budget=budget)
+        assert ("visits" in result.stats) == (budget is not None)
+        assert not result.stats.get("partial")
+        return result
+
+    return match
 
 
 def random_case(seed: int, simulation_only: bool = False) -> tuple[Graph, Pattern]:
@@ -134,10 +148,10 @@ def assert_identical(seed, parallel, sequential) -> None:
 
 
 @pytest.mark.parametrize("seed", BOUNDED_SEEDS, ids=lambda s: f"seed{s}")
-def test_parallel_equals_sequential_bounded(executor, seed):
+def test_parallel_equals_sequential_bounded(sharded_match, seed):
     graph, pattern = random_case(seed)
     sequential = sequential_result(graph, pattern)
-    parallel = executor.match(graph, pattern)
+    parallel = sharded_match(graph, pattern)
     assert_identical(seed, parallel, sequential)
     # The merged state must also be internally consistent, not merely land
     # on the right answer; this catches S/R/cnt merge bugs at their source.
@@ -180,7 +194,7 @@ def test_relation_first_equals_dict_state_bounded(seed):
 
 
 @pytest.mark.parametrize("seed", SIMULATION_SEEDS, ids=lambda s: f"seed{s}")
-def test_parallel_equals_sequential_simulation(executor, seed):
+def test_parallel_equals_sequential_simulation(sharded_match, seed):
     """All-bounds-1 cases, plus the cross-matcher invariant.
 
     With every bound 1, bounded simulation's fixpoint coincides with plain
@@ -193,7 +207,7 @@ def test_parallel_equals_sequential_simulation(executor, seed):
     assert via_bounded.relation == via_simulation.relation, (
         f"seed {seed}: bounded(all bounds=1) != plain simulation"
     )
-    parallel = executor.match(graph, pattern)
+    parallel = sharded_match(graph, pattern)
     assert_identical(seed, parallel, via_simulation)
 
 

@@ -2,7 +2,8 @@
 
 The exhaustive parallel-vs-sequential equivalence lives in
 tests/test_differential.py; this module covers the machinery itself:
-worker validation, pool lifecycle, stats, engine routing, and the facade.
+worker validation, worker-process lifecycle, stats, engine routing, and
+the facade.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class TestExecutor:
     def test_single_worker_runs_inline(self, fig1, fig1_query):
         executor = ParallelExecutor(workers=1)
         result = executor.match(fig1, fig1_query)
-        assert executor._pool is None  # no processes were forked
+        assert executor.pools_created == 0  # no processes were started
         assert result.relation == match_bounded(fig1, fig1_query).relation
 
     def test_fan_out_shares_the_graph(self, fig1, fig1_query):
@@ -67,30 +68,18 @@ class TestExecutor:
             result = executor.match(fig1, fig1_query)
         assert result.stats["parallel"]["shipping"] == "shared-graph"
 
-    def test_close_is_idempotent(self):
-        executor = ParallelExecutor(workers=2).warm()
-        assert executor._pool is not None
+    def test_close_is_idempotent(self, fig1, fig1_query):
+        executor = ParallelExecutor(workers=2)
         executor.close()
         executor.close()
-        assert executor._pool is None
-
-    def test_pool_reused_across_matches(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2).warm() as executor:
-            pool = executor._pool
-            executor.match(fig1, fig1_query)
-            executor.match(fig1, fig1_query)
-            assert executor._pool is pool
-            assert executor.pools_created == 1
+        # The executor holds no process between calls: nothing a later
+        # call needs was released.
+        result = executor.match(fig1, fig1_query)
+        assert result.relation == match_bounded(fig1, fig1_query).relation
 
     def test_bad_workers_rejected_at_construction(self):
         with pytest.raises(EvaluationError, match="positive integer"):
             ParallelExecutor(workers=0)
-
-    def test_num_shards_override(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(fig1, fig1_query, num_shards=4)
-        assert result.stats["parallel"]["shards"] == 4
-        assert result.relation == match_bounded(fig1, fig1_query).relation
 
     def test_match_many_parity(self, fig1, fig1_query):
         from repro.graph.index import predicate_key
@@ -254,8 +243,8 @@ class TestFacadeWorkers:
 
 
 class TestPoolChurn:
-    """Guarded calls without a wall-clock limit must reuse the persistent
-    pool — pool construction stays off the steady-state serving path."""
+    """Budgeted calls start worker processes of their own, like every
+    fan-out: one visit counter per call, and no child left behind."""
 
     @pytest.fixture
     def selective_case(self):
@@ -277,22 +266,6 @@ class TestPoolChurn:
         )
         return graph, pattern
 
-    def test_node_budget_calls_share_one_pool(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-
-        graph, pattern = selective_case
-        budget = QueryBudget(node_visits=100_000, allow_partial=True)
-        sequential = match_bounded(graph, pattern, budget=budget)
-        with ParallelExecutor(workers=2) as executor:
-            for _ in range(3):
-                result = executor.match(graph, pattern, budget=budget)
-                assert result.relation == sequential.relation
-                assert not result.stats["partial"]
-                assert result.stats["visits"] > 0
-            # The regression this guards: three guarded calls used to fork
-            # three dedicated pools; now they share the persistent one.
-            assert executor.pools_created == 1
-
     def test_time_limited_calls_use_owned_processes(self, selective_case):
         import multiprocessing
 
@@ -305,39 +278,12 @@ class TestPoolChurn:
             executor.match(graph, pattern, budget=timed)
             first = executor.pools_created
             executor.match(graph, pattern, budget=timed)
-            # A wall-clock limit may need mid-flight kills, which would
-            # destroy a shared pool — each call starts its own processes
-            # and leaves none behind.
+            # Each call starts its own processes and leaves none behind.
             assert executor.pools_created == first + 1
-            assert executor._pool is None
             assert set(multiprocessing.active_children()) <= before
 
-    def test_persistent_pool_survives_guarded_use(self, selective_case):
-        from repro.engine.estimator import QueryBudget
-
-        graph, pattern = selective_case
-        budget = QueryBudget(node_visits=100_000, allow_partial=True)
-        with ParallelExecutor(workers=2).warm() as executor:
-            executor.match(graph, pattern)  # unguarded, task-shipped
-            pool = executor._pool
-            executor.match(graph, pattern, budget=budget)
-            assert executor._pool is pool
-            executor.match(graph, pattern)
-            assert executor._pool is pool
-
-    def test_warm_builds_pool_before_first_call(self, selective_case):
-        graph, pattern = selective_case
-        with ParallelExecutor(workers=2) as executor:
-            assert executor._pool is None
-            executor.warm()
-            assert executor._pool is not None
-            assert executor.pools_created == 1
-            executor.match(graph, pattern)
-            assert executor.pools_created == 1
-        # workers=1 has nothing to warm (inline evaluation)
-        inline = ParallelExecutor(workers=1).warm()
-        assert inline._pool is None
-
+    # This test and the next keep the names they had when node-budgeted
+    # calls ran on a persistent pool.
     def test_blown_budget_raises_from_persistent_pool(self, selective_case):
         from repro.engine.estimator import QueryBudget
         from repro.errors import BudgetExceededError
@@ -347,7 +293,7 @@ class TestPoolChurn:
         with ParallelExecutor(workers=2) as executor:
             with pytest.raises(BudgetExceededError):
                 executor.match(graph, pattern, budget=strict)
-            # ...and the pool remains usable afterwards
+            # ...and the executor remains usable afterwards
             result = executor.match(graph, pattern)
             assert sorted(result.relation.matches_of("S")) == ["s1", "s2"]
 
@@ -361,78 +307,108 @@ class TestPoolChurn:
         assert result.stats["partial"]
         assert result.stats["guard"]
 
-    def test_guarded_worker_entry_inline(self, selective_case):
-        """Drive the persistent-pool worker function in-process.
+    def test_concurrent_node_budgets_count_their_own_visits(self, selective_case):
+        """Two threads make node-budgeted calls through one executor at
+        once: each gets the sequential relation and the visits of a call
+        made alone, and a blown strict budget raises and leaves no child."""
+        import multiprocessing
+        import threading
 
-        The real pool runs it in forked children (invisible to coverage);
-        calling it inline proves the task tuple round-trips: shipped
-        snapshot resolution, guard construction around the installed
-        counter, and the shard kernel.
+        from repro.engine.estimator import QueryBudget
+        from repro.errors import BudgetExceededError
+
+        graph, pattern = selective_case
+        budget = QueryBudget(node_visits=100_000, allow_partial=True)
+        expected = match_bounded(graph, pattern).relation
+        before = set(multiprocessing.active_children())
+        with ParallelExecutor(workers=2) as executor:
+            alone = executor.match(graph, pattern, budget=budget).stats["visits"]
+            assert alone > 0
+            start = threading.Barrier(2)
+            outcomes: list = []
+            errors: list = []
+
+            def work():
+                try:
+                    start.wait(timeout=60)
+                    for _ in range(3):
+                        outcomes.append(executor.match(graph, pattern, budget=budget))
+                except BaseException as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and len(outcomes) == 6
+            for result in outcomes:
+                assert result.relation == expected
+                assert not result.stats["partial"]
+                assert result.stats["visits"] == alone
+            strict = QueryBudget(node_visits=1, allow_partial=False)
+            with pytest.raises(BudgetExceededError):
+                executor.match(graph, pattern, budget=strict)
+        assert set(multiprocessing.active_children()) <= before
+
+
+    def test_guarded_worker_entry_inline(self, selective_case):
+        """Drive a guarded call's worker entry in-process.
+
+        Real children are invisible to coverage; running the child loop
+        over a pipe in a thread proves the guard travels as process state:
+        each shard charges the call's shared counter, and the same entry
+        without a guard reports no guard info.
         """
         import multiprocessing
+        import threading
 
         from repro.engine import parallel as par
-        from repro.engine.estimator import QueryBudget
+        from repro.engine.estimator import QueryBudget, QueryGuard
         from repro.graph.frozen import FrozenGraph
-        from repro.matching.simulation import simulation_candidates
+        from repro.graph.partition import decompose
 
         graph, pattern = selective_case
         frozen = FrozenGraph.freeze(graph)
         candidates = simulation_candidates(graph, pattern)
-        from repro.graph.partition import decompose
-
         shards = decompose(graph, pattern, candidates, 2, frozen=frozen)
-        payload = ParallelExecutor._shard_payloads(
+        payloads = ParallelExecutor._shard_payloads(
             frozen, pattern, shards, candidates
-        )[0]
+        )
         counter = multiprocessing.get_context().Value("q", 0)
-        par._init_persistent_worker(counter)
-        try:
-            budget = QueryBudget(node_visits=100_000, allow_partial=True)
-            rows, info = par._shard_rows_shipped(
-                (payload, frozen.without_attrs(), None, budget)
-            )
-            assert counter.value > 0
-            assert info["visits"] == counter.value
-            assert rows
-            # The same task function serves unguarded calls: no budget in
-            # the task, no guard, the counter stays where it was.
-            charged = counter.value
-            unguarded_rows, info = par._shard_rows_shipped(
-                (payload, frozen.without_attrs(), None, None)
-            )
-            assert unguarded_rows == rows and info == {}
-            assert counter.value == charged
-        finally:
-            par._init_persistent_worker(None)
+        guard = QueryGuard(
+            QueryBudget(node_visits=100_000, allow_partial=True),
+            shared_counter=counter,
+        )
 
-    def test_load_memo_bounded(self, tmp_path):
-        """Worker-side snapshot memo caps its slots instead of growing."""
-        from repro.engine import parallel as par
-        from repro.engine.storage import write_frozen_file
-        from repro.graph.digraph import Graph
-        from repro.graph.frozen import FrozenGraph
+        def serve(guard):
+            parent, child = multiprocessing.Pipe()
+            worker = threading.Thread(
+                target=par._serve_tasks,
+                args=(child, par._shard_rows_core, (frozen, None, guard)),
+            )
+            worker.start()
+            try:
+                replies = []
+                for index, payload in enumerate(payloads):
+                    parent.send((index, payload))
+                    assert parent.poll(10)
+                    answer, ok, value = parent.recv()
+                    assert (answer, ok) == (index, True)
+                    replies.append(value)
+                return replies
+            finally:
+                parent.close()
+                worker.join(timeout=10)
+                child.close()
 
-        graph = Graph(name="memo")
-        graph.add_node("a", label="A")
-        frozen = FrozenGraph.freeze(graph)
-        paths = []
-        for index in range(par._PERSISTENT_LOAD_SLOTS + 1):
-            path = tmp_path / f"m{index}.frozen.snap"
-            write_frozen_file(path, frozen)
-            paths.append(path)
-        version = frozen.source_version
-        par._persistent_loads.clear()
-        try:
-            for path in paths:
-                resolved, _ = par._resolve_shipped((path, version), None)
-                assert resolved.num_nodes == 1
-            assert len(par._persistent_loads) <= par._PERSISTENT_LOAD_SLOTS
-            # A memo hit returns the same object, no reload
-            again, _ = par._resolve_shipped((paths[-1], version), None)
-            assert again is resolved
-        finally:
-            par._persistent_loads.clear()
+        guarded = serve(guard)
+        # One child's guard counts across the tasks it serves.
+        assert counter.value == guarded[-1][1]["visits"] > 0
+        plain = serve(None)
+        assert [rows for rows, _ in plain] == [rows for rows, _ in guarded]
+        assert all(info == {} for _, info in plain)
 
 
 class TestStateHasOneOwner:
@@ -460,15 +436,19 @@ class TestStateHasOneOwner:
         assert not expected.is_empty
         return graph, pattern, expected
 
-    @pytest.mark.parametrize("warmed", [False, True], ids=["cold", "warmed"])
-    def test_threads_share_one_executor(self, case, warmed):
+    # The ids are historical: ``warmed`` ran every call on the persistent
+    # pool, which served node-budgeted calls; that route now starts
+    # processes of its own around a fresh visit counter per call.
+    @pytest.mark.parametrize("budgeted", [False, True], ids=["cold", "warmed"])
+    def test_threads_share_one_executor(self, case, budgeted):
         """Eight threads (four per core here) fan out through one executor
-        at once — cold: worker processes of its own each; warmed: tasks
-        interleaved on the persistent pool — and every one gets the
-        sequential relation."""
+        at once — unbudgeted, or each call under a node budget that never
+        trips — and every one gets the sequential relation, each call from
+        worker processes of its own."""
         import sys
         import threading
 
+        from repro.engine.estimator import QueryBudget
         from repro.graph.frozen import FrozenGraph
 
         graph, pattern, expected = case
@@ -477,12 +457,15 @@ class TestStateHasOneOwner:
         relations: list = []
         errors: list = []
         start = threading.Barrier(threads_n)
+        budget = QueryBudget(node_visits=10**9) if budgeted else None
 
         def work(executor):
             try:
                 start.wait(timeout=60)
                 for _ in range(rounds):
-                    result = executor.match(graph, pattern, frozen=frozen)
+                    result = executor.match(
+                        graph, pattern, frozen=frozen, budget=budget
+                    )
                     assert result.stats["parallel"]["shipping"] == "shared-graph"
                     relations.append(result.relation.to_dict())
             except BaseException as exc:  # surfaced by the assert below
@@ -490,8 +473,6 @@ class TestStateHasOneOwner:
 
         with ParallelExecutor(workers=2) as executor:
             assert not hasattr(executor, "_match_serial")
-            if warmed:
-                executor.warm()
             executor.match(graph, pattern, frozen=frozen)  # imports settled
             created = executor.pools_created
             interval = sys.getswitchinterval()
@@ -510,14 +491,12 @@ class TestStateHasOneOwner:
                 sys.setswitchinterval(interval)
             assert errors == []
             assert relations == [expected.to_dict()] * (threads_n * rounds)
-            # No lost update on the pool counter, no pool built by accident.
-            grown = 0 if warmed else threads_n * rounds
-            assert executor.pools_created == created + grown
+            # One worker set per call, and no lost update on the counter.
+            assert executor.pools_created == created + threads_n * rounds
 
     def test_parent_installs_no_worker_state(self, case, monkeypatch):
-        """After every kind of fan-out the module's worker state is as an
-        import left it (only the persistent pool's initializer, in its
-        children, writes any), and no call leaves a worker process behind."""
+        """The module keeps no mutable state for its workers, and no kind
+        of fan-out leaves a worker process behind."""
         import multiprocessing
 
         from repro.engine import parallel as par
@@ -525,7 +504,6 @@ class TestStateHasOneOwner:
         from repro.graph import oracle as oracle_module
         from repro.graph.frozen import FrozenGraph
         from repro.graph.index import predicate_key
-        from repro.ranking.topk import RankingContext
 
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
@@ -533,10 +511,9 @@ class TestStateHasOneOwner:
         candidates = simulation_candidates(graph, pattern)
         table = {keys[u]: candidates[u] for u in pattern.nodes()}
         monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
-        monkeypatch.setattr(ParallelExecutor, "RANK_FANOUT_THRESHOLD", 1)
         before = set(multiprocessing.active_children())
         with ParallelExecutor(workers=2) as executor:
-            result = executor.match(graph, pattern, frozen=frozen)
+            executor.match(graph, pattern, frozen=frozen)
             assert set(multiprocessing.active_children()) <= before
             executor.match(
                 graph, pattern, frozen=frozen,
@@ -545,38 +522,34 @@ class TestStateHasOneOwner:
             assert set(multiprocessing.active_children()) <= before
             executor.match_many(graph, [(pattern, keys)] * 3, table, frozen=frozen)
             assert set(multiprocessing.active_children()) <= before
-            executor.rank_many(
-                RankingContext(result.result_graph()), None,
-                sorted(expected.matches_of("SA")),
-            )
-            assert set(multiprocessing.active_children()) <= before
             executor.build_oracle(frozen, top=4)
             assert set(multiprocessing.active_children()) <= before
-            assert executor._pool is None
             executor.match(
                 graph, pattern, frozen=frozen,
                 budget=QueryBudget(node_visits=10**9),
             )
+            assert set(multiprocessing.active_children()) <= before
         with ParallelExecutor(workers=1) as inline:
             inline.match(graph, pattern, budget=QueryBudget(node_visits=10**9))
-        assert par._persistent_counter is None
-        assert par._persistent_loads == {}
+        assert not [
+            name for name, value in vars(par).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
         assert not hasattr(oracle_module, "_build_context")
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_every_fanout_under_both_start_methods(
         self, case, start_method, monkeypatch
     ):
-        """match (cold, timed, node-budgeted, warmed), match_many, rank_many
-        and build_oracle give the sequential answer under fork and under
-        spawn, through the same task functions."""
+        """match (unbudgeted, timed, node-budgeted), match_many and
+        build_oracle give the sequential answer under fork and under spawn,
+        through the same task functions."""
         import multiprocessing
 
         from repro.engine.estimator import QueryBudget
         from repro.graph.frozen import FrozenGraph
         from repro.graph.index import predicate_key
         from repro.graph.oracle import DistanceOracle
-        from repro.ranking.topk import RankingContext, bulk_top_k_detail
 
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} is not available on this platform")
@@ -593,15 +566,10 @@ class TestStateHasOneOwner:
         keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
         candidates = simulation_candidates(graph, pattern)
         table = {keys[u]: candidates[u] for u in pattern.nodes()}
-        nodes = sorted(expected.matches_of("SA"))
-        reference = RankingContext(match_bounded(graph, pattern).result_graph())
-        ranked = bulk_top_k_detail(reference, len(nodes))
 
         monkeypatch.setattr(ParallelExecutor, "_fan_out", recording_fan_out)
-        # Small inputs must still fan out: several phase-two chunks, and
-        # no inline shortcut for a short ranking.
+        # Small inputs must still fan out: several phase-two chunks.
         monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
-        monkeypatch.setattr(ParallelExecutor, "RANK_FANOUT_THRESHOLD", 1)
         with ParallelExecutor(workers=2, start_method=start_method) as executor:
             cold = executor.match(graph, pattern, frozen=frozen, oracle=oracle)
             timed = executor.match(
@@ -612,28 +580,23 @@ class TestStateHasOneOwner:
                 graph, pattern, frozen=frozen, oracle=oracle,
                 budget=QueryBudget(node_visits=10**9),
             )
-            warm = executor.match(graph, pattern, frozen=frozen, oracle=oracle)
             many = executor.match_many(
                 graph, [(pattern, keys)] * 3, table, frozen=frozen, oracle=oracle
             )
-            context = RankingContext(cold.result_graph())
-            details = executor.rank_many(context, None, nodes)
             labels = executor.build_oracle(frozen, top=4)
-        for result in (cold, timed, counted, warm):
+        for result in (cold, timed, counted):
             assert result.relation.to_dict() == expected.to_dict()
+        assert counted.stats["visits"] > 0
         assert [relation for relation, _stats in many] == [expected] * 3
-        assert sorted(details, key=lambda d: (d.rank, str(d.node))) == sorted(
-            ranked, key=lambda d: (d.rank, str(d.node))
-        )
         for attr in ("out_offsets", "out_hubs", "out_dists",
                      "in_offsets", "in_hubs", "in_dists"):
             assert getattr(labels, attr) == getattr(oracle, attr), attr
         # Same functions whatever the start method — there is no second path.
         assert used == [
-            "_shard_rows_core",   # cold: processes of its own
-            "_shard_rows_core",   # wall-clock route: the same, with a deadline
+            "_shard_rows_core",   # unbudgeted: processes of its own
+            "_shard_rows_core",   # wall-clock budget: the same, with a deadline
+            "_shard_rows_core",   # node budget: the same, with a counter
             "_batch_query_core",
-            "_rank_core",
             "phase_two_chunk",
         ]
 
@@ -647,11 +610,9 @@ class TestStateHasOneOwner:
 
         from repro.engine import parallel as par
         from repro.engine.estimator import QueryBudget, QueryGuard
-        from repro.errors import RankingError
         from repro.graph.frozen import FrozenGraph
         from repro.graph.index import predicate_key
         from repro.graph.partition import decompose
-        from repro.ranking.topk import RankingContext
 
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
@@ -685,25 +646,32 @@ class TestStateHasOneOwner:
         )
         assert relation == expected and stats["algorithm"] == "bounded-simulation"
 
-        context = RankingContext(match_bounded(graph, pattern).result_graph())
-        nodes = sorted(expected.matches_of("SA"))[:5]
-        assert par._rank_core(context, None, nodes) == [
-            context.detail(v) for v in nodes
-        ]
+        # The child loop maps a shipped file once, when its first task
+        # arrives, however many tasks follow.
+        loads: list = []
 
+        def load(path, expected_version):
+            loads.append((path, expected_version))
+            return frozen
+
+        mapped = par._SnapshotFile("snapshot-file", graph.version, load)
         parent, child = multiprocessing.Pipe()
         worker = threading.Thread(
-            target=par._serve_tasks, args=(child, par._rank_core, (context, None))
+            target=par._serve_tasks,
+            args=(child, par._batch_query_core, (graph, table, mapped, None, None)),
         )
         worker.start()
         try:
-            parent.send((0, nodes))
-            assert parent.poll(10)
-            assert parent.recv() == (0, True, [context.detail(v) for v in nodes])
-            parent.send((1, ["not-a-match"]))  # the task raises
-            assert parent.poll(10)
+            for index in range(3):
+                parent.send((index, (pattern, keys)))
+                assert parent.poll(10)
+                answer, ok, (relation, _stats) = parent.recv()
+                assert (answer, ok, relation) == (index, True, expected)
+            assert loads == [("snapshot-file", graph.version)]
+            parent.send((3, (pattern, {u: ("no", "such", "key") for u in keys})))
+            assert parent.poll(10)  # the task raises
             index, ok, error = parent.recv()
-            assert (index, ok) == (1, False) and isinstance(error, RankingError)
+            assert (index, ok) == (3, False) and isinstance(error, KeyError)
         finally:
             parent.close()
             worker.join(timeout=10)

@@ -900,8 +900,9 @@ class TestServiceFacade:
 
 
 class TestServiceExecutorRouting:
-    """``workers > 1`` must actually serve evaluation from the warm pool
-    (not spawn idle processes), with relations identical to inline."""
+    """``workers > 1`` must actually shard cache-miss evaluation across
+    worker processes, with relations identical to inline, and a cached
+    repeat must start no worker set."""
 
     def test_workers_route_evaluation_through_warm_pool(self):
         with ExpFinderService(ServiceConfig(workers=2)) as parallel_svc, \
@@ -914,10 +915,16 @@ class TestServiceExecutorRouting:
                 # the fan-out is visible in the stats...
                 assert sharded["stats"]["parallel"]["workers"] == 2
                 assert sharded["stats"]["parallel"]["mode"] == "sharded-query"
-                # ...and the relation is identical to the inline kernels
+                # ...and the relation and the stats that do not describe
+                # the fan-out are identical to the inline kernels'
                 assert sharded["relation"] == inline["relation"]
-            # steady-state serving never builds a pool on the request path
-            assert parallel_svc.stats()["pools_created"] == 1
+                assert sharded["stats"]["candidate_source"] == "precomputed"
+                assert (
+                    sharded["stats"]["candidate_source"]
+                    == inline["stats"]["candidate_source"]
+                )
+            # one worker set per cache miss, started by the request
+            assert parallel_svc.stats()["pools_created"] == 2
 
     def test_workers_route_batch_and_topk(self):
         with ExpFinderService(ServiceConfig(workers=2)) as svc:
@@ -926,12 +933,18 @@ class TestServiceExecutorRouting:
             assert reply["results"][0]["stats"]["parallel"]["workers"] == 2
             ranked = svc.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
             assert [row["node"] for row in ranked["experts"]]
-            assert svc.stats()["pools_created"] == 1
+            # the top-K repeat is a rank-cache hit: no worker set starts
+            started = svc.stats()["pools_created"]
+            again = svc.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
+            assert again["experts"] == ranked["experts"]
+            assert svc.stats()["pools_created"] == started
 
     def test_cached_repeat_skips_the_pool(self):
         with ExpFinderService(ServiceConfig(workers=2)) as svc:
             svc.register_graph("fig1", paper_graph())
             first = svc.evaluate("fig1", {"pattern": SIM_PATTERN})
+            started = svc.stats()["pools_created"]
             again = svc.evaluate("fig1", {"pattern": SIM_PATTERN})
             assert again["stats"]["route"] == "cache"
             assert again["relation"] == first["relation"]
+            assert svc.stats()["pools_created"] == started

@@ -740,10 +740,10 @@ class TestSpawnShipping:
 
         loaded_frozen, loaded_oracle = served
         shipped = _shipment(loaded_frozen, loaded_oracle)
-        assert shipped == (
+        assert [(item.path, item.version) for item in shipped] == [
             (loaded_frozen.path, loaded_frozen.source_version),
             (loaded_oracle.path, loaded_oracle.source_version),
-        )
+        ]
         back_frozen, back_oracle = _resolve_shipped(*shipped)
         assert back_frozen.labels == loaded_frozen.labels
         assert back_frozen.out_targets.tobytes() == loaded_frozen.out_targets.tobytes()
@@ -757,32 +757,26 @@ class TestSpawnShipping:
         assert _resolve_shipped(twin, None) == (twin, None)
 
     def test_resaved_file_resolves_to_its_new_version(self, store, fig1):
-        """A name re-saved at a new version is a new worker-memo entry: a
-        long-lived worker never computes over the old mapping, and a
-        shipment naming a version the file no longer holds is refused."""
-        from repro.engine import parallel
+        """Each shipment maps the file as it is now: a name re-saved at a
+        new version resolves to the new content, and a shipment naming a
+        version the file no longer holds is refused."""
         from repro.engine.parallel import _resolve_shipped, _shipment
 
         graph = fig1.copy()
-        parallel._persistent_loads.clear()
-        try:
-            store.save_snapshot("team", FrozenGraph.freeze(graph))
-            first = store.load_snapshot("team", expected_version=graph.version)
-            resolved_first, _ = _resolve_shipped(*_shipment(first, None))
-            assert resolved_first.source_version == first.source_version
-            graph.add_edge("Fred", "Eva")
-            store.save_snapshot("team", FrozenGraph.freeze(graph))
-            second = store.load_snapshot("team", expected_version=graph.version)
-            assert first.path == second.path
-            assert first.source_version != second.source_version
-            resolved_second, _ = _resolve_shipped(*_shipment(second, None))
-            assert resolved_second.source_version == second.source_version
-            assert resolved_second.num_edges == second.num_edges
-            parallel._persistent_loads.clear()
-            with pytest.raises(StorageError, match="stale snapshot"):
-                _resolve_shipped(*_shipment(first, None))
-        finally:
-            parallel._persistent_loads.clear()
+        store.save_snapshot("team", FrozenGraph.freeze(graph))
+        first = store.load_snapshot("team", expected_version=graph.version)
+        resolved_first, _ = _resolve_shipped(*_shipment(first, None))
+        assert resolved_first.source_version == first.source_version
+        graph.add_edge("Fred", "Eva")
+        store.save_snapshot("team", FrozenGraph.freeze(graph))
+        second = store.load_snapshot("team", expected_version=graph.version)
+        assert first.path == second.path
+        assert first.source_version != second.source_version
+        resolved_second, _ = _resolve_shipped(*_shipment(second, None))
+        assert resolved_second.source_version == second.source_version
+        assert resolved_second.num_edges == second.num_edges
+        with pytest.raises(StorageError, match="stale snapshot"):
+            _resolve_shipped(*_shipment(first, None))
 
 
 # ----------------------------------------------------------------------

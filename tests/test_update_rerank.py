@@ -404,6 +404,22 @@ def test_unchanged_result_graph_keeps_context_and_ranked_prefix(lazy_selects):
     assert twin.engine.stats()["resyncs"] == 0
 
 
+def test_a_rank_cache_hit_with_workers_is_a_slice(lazy_selects):
+    """``top_k(workers=2)`` shards the evaluation and ranks inline, so a
+    rank-cache hit slices the memoised prefix as ``workers=1`` does."""
+    graph = random_digraph(22, 60, seed=3)
+    pattern = bounded_patterns()[0]
+    engine = QueryEngine()
+    engine.register_graph(NAME, graph)
+    first = engine.top_k(NAME, pattern, 5, workers=2)
+    assert lazy_selects == [5]
+    lazy_selects.clear()
+    again = engine.top_k(NAME, pattern, 3, workers=2)
+    assert lazy_selects == []
+    expected = rank_matches(match_bounded(graph, pattern).result_graph())
+    assert again == first[:3] == expected[:3]
+
+
 def test_written_attribute_of_a_ranked_match_is_rescored():
     graph = random_digraph(22, 60, seed=3)
     pattern = bounded_patterns()[0]

@@ -191,20 +191,6 @@ class TestSelectionIsDoneOnce:
             ranked.clear()  # the caller's own list: the memo must not notice
         assert topk.bulk_top_k_detail(context, None) == expected
 
-    def test_a_scoring_backend_bypasses_the_memo(self):
-        result = match_bounded(paper_graph(), paper_pattern())
-        context = topk.RankingContext(result.result_graph())
-        expected = topk.bulk_top_k_detail(context, 2)
-        calls = []
-
-        def backend(ctx, metric, nodes):
-            calls.append(list(nodes))
-            return topk._score_inline(ctx, metric, nodes)
-
-        cold = topk.RankingContext(result.result_graph())
-        assert topk.bulk_top_k_detail(cold, 2, score_many=backend) == expected
-        assert calls and not cold._ranked
-
 
 # ----------------------------------------------------------------------
 # (c) a memo dies with the value that owns it
