@@ -19,6 +19,13 @@ Design points:
   in O(attributes of the touched node); any out-of-band mutation is detected
   by the version mismatch and triggers a lazy rebuild instead of serving
   stale answers;
+* **carried, not rebuilt** — a served epoch's index is the prior epoch's
+  re-filed for the nodes its batch wrote (:meth:`AttributeIndex.carried`):
+  the posting dict is copied shallowly and a posting set only on its first
+  write, so a new epoch's first read costs what the batch touched, never
+  |G|, and the prior index — still read by pinned queries — never changes.
+  The engine's :meth:`~AttributeIndex.on_update` re-files through the same
+  helper, in place;
 * **exactness over coverage** — :meth:`AttributeIndex.resolve` answers only
   the fragment it can answer *exactly* (equality, membership, and their
   and/or combinations) or as a verified superset (conjunctions with one
@@ -42,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.pattern.pattern import Pattern
 
 PostingKey = tuple[str, Any]
+
+#: The value slot of a node's key for an attribute whose value is
+#: unhashable: recorded per node so unfiling it can release the attribute.
+_UNFILED = object()
 
 
 def _hashable(value: Any) -> bool:
@@ -93,7 +104,7 @@ class AttributeIndex:
         "graph",
         "_postings",
         "_node_keys",
-        "_unindexed_attrs",
+        "_unfiled",
         "_synced_version",
         "_discarded",
         "_builds",
@@ -107,12 +118,13 @@ class AttributeIndex:
         self.graph = graph
         self._postings: dict[PostingKey, set[NodeId]] | None = None
         # node -> posting keys it is filed under; makes removal O(attrs).
+        # An unhashable value's key is ``(attr, _UNFILED)``.
         self._node_keys: dict[NodeId, tuple[PostingKey, ...]] = {}
-        # Attrs for which some node value could not be filed (unhashable).
+        # attr -> how many nodes hold an unhashable (unfiled) value for it.
         # Postings for these attrs are incomplete, so equality lookups on
         # them must decline (an unhashable value can compare equal to a
         # hashable query constant, e.g. {1} == frozenset({1})).
-        self._unindexed_attrs: set[str] = set()
+        self._unfiled: dict[str, int] = {}
         self._synced_version = graph.version
         self._discarded = False  # a built index was dropped via refresh()
         self._builds = 0
@@ -136,29 +148,83 @@ class AttributeIndex:
             self._rebuilds += 1
         self._discarded = False
         self._builds += 1
+        # Fresh containers, never cleared ones: a carried index may share
+        # them with the index it was carried from.
         postings: dict[PostingKey, set[NodeId]] = {}
         node_keys: dict[NodeId, tuple[PostingKey, ...]] = {}
-        self._unindexed_attrs = set()
+        unfiled: dict[str, int] = {}
         for node in self.graph.nodes():
             keys = self._keys_of(self.graph.attrs(node))
+            if not keys:
+                continue
             node_keys[node] = keys
             for key in keys:
-                postings.setdefault(key, set()).add(node)
-        self._postings = postings
-        self._node_keys = node_keys
+                if key[1] is _UNFILED:
+                    unfiled[key[0]] = unfiled.get(key[0], 0) + 1
+                else:
+                    postings.setdefault(key, set()).add(node)
+        self._postings, self._node_keys, self._unfiled = postings, node_keys, unfiled
         self._synced_version = self.graph.version
         return postings
 
-    def _keys_of(self, attrs: dict[str, Any]) -> tuple[PostingKey, ...]:
+    @staticmethod
+    def _keys_of(attrs: dict[str, Any]) -> tuple[PostingKey, ...]:
         keys = []
         for attr, value in attrs.items():
             try:
                 hash(value)
             except TypeError:
-                self._unindexed_attrs.add(attr)
-                continue
+                value = _UNFILED
             keys.append((attr, value))
         return tuple(keys)
+
+    def _refile(self, node: NodeId, copied: set[PostingKey] | None) -> None:
+        """File ``node`` under the graph's current attributes (absent: unfile).
+
+        Only the keys that changed are written.  ``copied`` names the posting
+        sets this index has made its own during a carry: any other set is
+        shared with the prior index and is copied before its first write.
+        ``None``: every set belongs to this index.
+        """
+        assert self._postings is not None
+        old = self._node_keys.pop(node, ())
+        new = self._keys_of(self.graph.attrs(node)) if node in self.graph else ()
+        if new:
+            self._node_keys[node] = new
+        kept = set(old).intersection(new)
+        for key in old:
+            if key not in kept:
+                self._write(key, copied, node, add=False)
+        for key in new:
+            if key not in kept:
+                self._write(key, copied, node, add=True)
+
+    def _write(
+        self, key: PostingKey, copied: set[PostingKey] | None, node: NodeId, add: bool
+    ) -> None:
+        postings = self._postings
+        assert postings is not None
+        attr, value = key
+        if value is _UNFILED:
+            count = self._unfiled.get(attr, 0) + (1 if add else -1)
+            if count:
+                self._unfiled[attr] = count
+            else:
+                del self._unfiled[attr]
+            return
+        posting = postings.get(key)
+        if posting is None:
+            posting = postings[key] = set()
+        elif copied is not None and key not in copied:
+            posting = postings[key] = set(posting)
+        if copied is not None:
+            copied.add(key)
+        if add:
+            posting.add(node)
+        else:
+            posting.discard(node)
+            if not posting:
+                del postings[key]
 
     def refresh(self) -> None:
         """Force a rebuild on next use (e.g. after mutating attribute dicts
@@ -179,47 +245,40 @@ class AttributeIndex:
         they only advance the synchronized version; node and attribute
         updates re-file the touched node.
         """
-        from repro.incremental.updates import (
-            AttributeUpdate,
-            EdgeDeletion,
-            EdgeInsertion,
-            NodeDeletion,
-            NodeInsertion,
-        )
-
         if self._postings is None:
             # Nothing built yet: stay lazy, but keep the version in sync so
             # the eventual build is not mistaken for a rebuild.
             self._synced_version = self.graph.version
             return
-        if isinstance(update, (EdgeInsertion, EdgeDeletion)):
-            pass
-        elif isinstance(update, NodeInsertion):
-            self._file_node(update.node)
-        elif isinstance(update, NodeDeletion):
-            self._unfile_node(update.node)
-        elif isinstance(update, AttributeUpdate):
-            self._unfile_node(update.node)
-            self._file_node(update.node)
-        else:
-            raise GraphError(f"unknown update type: {update!r}")
+        for node in _written_nodes((update,)):
+            self._refile(node, None)
         self._synced_version = self.graph.version
 
-    def _file_node(self, node: NodeId) -> None:
-        assert self._postings is not None
-        keys = self._keys_of(self.graph.attrs(node))
-        self._node_keys[node] = keys
-        for key in keys:
-            self._postings.setdefault(key, set()).add(node)
+    def carried(self, graph: Graph, primitives: Iterable[Any]) -> "AttributeIndex":
+        """This index, re-filed for ``graph``, in O(nodes the batch wrote).
 
-    def _unfile_node(self, node: NodeId) -> None:
-        assert self._postings is not None
-        for key in self._node_keys.pop(node, ()):
-            posting = self._postings.get(key)
-            if posting is not None:
-                posting.discard(node)
-                if not posting:
-                    del self._postings[key]
+        ``graph`` must be a :meth:`Graph.copy` of this index's graph after
+        exactly ``primitives`` (decomposed updates) were applied, and must
+        not be written afterwards (an epoch's graph).  Each node a node or
+        attribute primitive names is re-filed from ``graph`` itself, so a
+        node inserted and deleted (or deleted and re-inserted) inside the
+        batch ends as a fresh build would file it.  The posting dict is
+        copied shallowly and a posting set only on its first write: this
+        index — which pinned readers may still be using — never changes,
+        and an edge-only batch shares its postings outright.  An index not
+        built yet (or out of sync) carries nothing: the result is lazy.
+        """
+        carried = AttributeIndex(graph)
+        if self._postings is None or self._synced_version != self.graph.version:
+            return carried
+        written = _written_nodes(primitives)
+        carried._postings = dict(self._postings) if written else self._postings
+        carried._node_keys = dict(self._node_keys) if written else self._node_keys
+        carried._unfiled = dict(self._unfiled) if written else self._unfiled
+        copied: set[PostingKey] = set()
+        for node in written:
+            carried._refile(node, copied)
+        return carried
 
     # ------------------------------------------------------------------
     # queries
@@ -232,7 +291,7 @@ class AttributeIndex:
         them — and lookups *with* an unhashable value — scan instead.
         """
         postings = self._ensure()
-        unindexable = attr in self._unindexed_attrs
+        unindexable = attr in self._unfiled
         if not unindexable:
             try:
                 return frozenset(postings.get((attr, value), ()))
@@ -285,7 +344,7 @@ class AttributeIndex:
         postings = self._postings
         assert postings is not None
         if isinstance(predicate, Cmp):
-            if predicate.op != "==" or predicate.attr in self._unindexed_attrs:
+            if predicate.op != "==" or predicate.attr in self._unfiled:
                 # Postings for an attr with unhashable node values are
                 # incomplete: such a value can compare equal to a hashable
                 # query constant ({1} == frozenset({1})), so only the scan
@@ -298,7 +357,7 @@ class AttributeIndex:
                 return None
             return Resolution(set(posting), True)
         if isinstance(predicate, In):
-            if predicate.attr in self._unindexed_attrs:
+            if predicate.attr in self._unfiled:
                 return None
             nodes: set[NodeId] = set()
             for choice in predicate.choices:
@@ -355,6 +414,25 @@ class AttributeIndex:
     def __repr__(self) -> str:
         state = f"{len(self)} postings" if self.is_built else "unbuilt"
         return f"<AttributeIndex {state} over {self.graph!r}>"
+
+
+def _written_nodes(primitives: Iterable[Any]) -> dict[NodeId, None]:
+    """The nodes whose attributes ``primitives`` may have written, in order."""
+    from repro.incremental.updates import (
+        AttributeUpdate,
+        EdgeDeletion,
+        EdgeInsertion,
+        NodeDeletion,
+        NodeInsertion,
+    )
+
+    written: dict[NodeId, None] = {}  # a dict, not a set: deterministic order
+    for primitive in primitives:
+        if isinstance(primitive, (NodeInsertion, NodeDeletion, AttributeUpdate)):
+            written[primitive.node] = None
+        elif not isinstance(primitive, (EdgeInsertion, EdgeDeletion)):
+            raise GraphError(f"unknown update type: {primitive!r}")
+    return written
 
 
 def predicate_key(predicate: Predicate) -> tuple:

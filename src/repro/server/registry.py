@@ -33,7 +33,9 @@ Distance oracles carry over between epochs when every primitive in the
 batch is distance-preserving (``DistanceOracle.survives``), exactly
 mirroring the single-engine refresh rule — so an attribute-only write
 burst republishes in O(|V|) pointer copies plus O(batch), without any
-freeze or label rebuild.
+freeze or label rebuild.  The attribute index carries over every batch
+the snapshot does (``AttributeIndex.carried``), so the first read of a
+new epoch does not rebuild postings over the whole graph either.
 """
 
 from __future__ import annotations
@@ -68,10 +70,11 @@ class Epoch:
 
     The graph object is the batch's own graph, never mutated after install
     (the next batch works on a copy of it), so its version/attributes can
-    never change under a reader.  Candidate generation shares the epoch's lazily-built
-    :class:`AttributeIndex` and is serialized by a per-epoch lock (the
-    index memoizes postings on first use); matching itself runs unlocked
-    over the frozen snapshot.
+    never change under a reader.  Candidate generation shares the epoch's
+    :class:`AttributeIndex` — carried from the prior epoch's over the batch
+    (:meth:`AttributeIndex.carried`), or built lazily on first use when
+    there was nothing to carry — under a per-epoch lock; matching itself
+    runs unlocked over the frozen snapshot.
     """
 
     __slots__ = (
@@ -95,6 +98,7 @@ class Epoch:
         graph: Graph,
         frozen: FrozenGraph,
         oracle: DistanceOracle | None,
+        attr_index: AttributeIndex,
         cache_capacity: int = 64,
     ) -> None:
         self.name = name
@@ -102,7 +106,7 @@ class Epoch:
         self.graph = graph
         self.frozen = frozen
         self.oracle = oracle
-        self.attr_index = AttributeIndex(graph)
+        self.attr_index = attr_index
         self.cache = QueryCache(capacity=cache_capacity)
         self.rank_cache = RankCache(capacity=max(4, cache_capacity // 4))
         self._index_lock = threading.Lock()
@@ -113,9 +117,10 @@ class Epoch:
     def candidates(self, pattern: Pattern) -> dict[str, set]:
         """Predicate candidates via the epoch's shared attribute index.
 
-        The lock covers the index's lazy posting builds; once built,
-        lookups are read-only dict probes, so contention is a startup
-        phenomenon per distinct predicate.
+        The lock orders everything that touches the index: a lazy build
+        (an epoch with nothing carried), the hit counters of each lookup,
+        and the next publish reading this index to carry it forward — so
+        that publish never sees a half-built one.
         """
         with self._index_lock:
             return simulation_candidates(self.graph, pattern, index=self.attr_index)
@@ -327,7 +332,9 @@ class SnapshotRegistry:
     lifecycle behaviour observable (and testable): ``freezes`` counts
     full snapshot builds paid in-process, ``patches`` snapshots carried
     over a batch from the prior one, ``fault_ins`` snapshots mmapped
-    from a store instead.
+    from a store instead; ``index_carries`` attribute indexes carried
+    over a batch from the prior epoch's (the rest build on first use),
+    ``oracle_carries`` / ``oracle_builds`` the same for distance oracles.
     """
 
     def __init__(
@@ -356,6 +363,7 @@ class SnapshotRegistry:
             "fault_ins": 0,
             "oracle_builds": 0,
             "oracle_carries": 0,
+            "index_carries": 0,
         }
 
     # ------------------------------------------------------------------
@@ -699,7 +707,7 @@ class SnapshotRegistry:
         frozen: FrozenGraph | None = None,
         oracle_obj: DistanceOracle | None = None,
     ) -> Epoch:
-        """(Patch | freeze) + (carry | build | skip) oracle, outside any swap.
+        """(Patch | freeze) + (carry | build | skip) oracle + (carry | lazy) index.
 
         Called under the graph's write lock but *not* the registry lock —
         the work happens while readers continue against the previous epoch
@@ -707,8 +715,9 @@ class SnapshotRegistry:
         nothing writes to a master in place.  ``prior`` is the epoch whose
         graph the master is a copy of plus exactly ``primitives``: its
         snapshot is patched (adjacency views carried, so the prewarm below
-        is a hit) and its oracle carried when every primitive preserves
-        distances.  Without one the epoch is built in full.
+        is a hit), its oracle carried when every primitive preserves
+        distances, and its attribute index carried when it was built.
+        Without one the epoch is built in full (its index on first use).
         """
         fault_point("registry.rebuild")
         graph = state.master
@@ -745,12 +754,21 @@ class SnapshotRegistry:
                 )
                 with self._lock:
                     self.counters["oracle_builds"] += 1
+        if prior is None:
+            attr_index = AttributeIndex(graph)  # built on first use
+        else:
+            with prior._index_lock:
+                attr_index = prior.attr_index.carried(graph, primitives)
+            if attr_index.is_built:
+                with self._lock:
+                    self.counters["index_carries"] += 1
         epoch = Epoch(
             name,
             state.next_epoch_id,
             graph,
             frozen,
             oracle,
+            attr_index,
             cache_capacity=self.cache_capacity,
         )
         state.next_epoch_id += 1

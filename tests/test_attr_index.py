@@ -25,6 +25,7 @@ from repro.incremental.updates import (
     EdgeInsertion,
     NodeDeletion,
     NodeInsertion,
+    decompose,
     random_updates,
 )
 from repro.matching.simulation import simulation_candidates
@@ -241,6 +242,35 @@ class TestMaintenance:
         assert table[predicate_key(predicate)] == {"bob"}
         # Fully-hashable attrs keep exact resolution.
         assert index.resolve(Cmp("field", "==", "SA")).exact
+
+    def test_attr_is_indexed_again_once_its_unhashable_values_are_gone(self):
+        """Regression: an attr that once held an unhashable value declined
+        to the scan path forever, until a rebuild.  The index counts the
+        nodes holding one per attr; overwriting the last one releases it."""
+        graph = small_graph()
+        index = AttributeIndex(graph)
+        index.lookup("field", "SA")  # force build
+        predicate = Cmp("tag", "==", "x")
+        for node, value in (("bob", ["x"]), ("dan", {"x"}), ("bob", "x")):
+            update = AttributeUpdate(node, "tag", value)
+            update.apply(graph)
+            index.on_update(update)
+        assert index.resolve(predicate) is None  # dan still holds a set
+        for update in (AttributeUpdate("dan", "tag", "y"), NodeDeletion("eva")):
+            update.apply(graph)
+            index.on_update(update)
+        assert index.resolve(predicate) == ({"bob"}, True)
+        assert index.stats()["rebuilds"] == 0
+        # ... and a node deletion releases its unhashable values too.
+        graph = small_graph()
+        graph.set("eva", "tag", ["x"])
+        index = AttributeIndex(graph)
+        assert index.resolve(predicate) is None
+        for update in (AttributeUpdate("bob", "tag", "x"), NodeDeletion("eva")):
+            for primitive in decompose(graph, update):
+                primitive.apply(graph)
+                index.on_update(primitive)
+        assert index.resolve(predicate) == ({"bob"}, True)
 
     def test_out_of_band_mutation_triggers_rebuild(self):
         graph = small_graph()

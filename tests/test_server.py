@@ -7,6 +7,7 @@ admission control, wire decoding, and the in-process service facade.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,8 @@ from repro.engine.storage import GraphStore
 from repro.errors import AdmissionError, ReproError, ServerError, ServiceDegradedError
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
+from repro.graph.generators import collaboration_graph
+from repro.graph.index import AttributeIndex
 from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
@@ -25,6 +28,7 @@ from repro.incremental.updates import (
     NodeInsertion,
 )
 from repro.matching.bounded import match_bounded
+from repro.matching.simulation import simulation_candidates
 from repro.pattern.parser import parse_pattern
 from repro.server import (
     AdmissionController,
@@ -376,6 +380,105 @@ class TestDeltaFreeze:
             assert observed(frozen) == before and frozen._values == pool
             assert "Gil" not in pinned.frozen and "Gil" not in pinned.frozen.ids()
         assert "Gil" in registry.current_epoch("fig1").frozen
+
+    def test_index_is_carried_once_built_and_shown_in_stats(self, registry):
+        registry.publish("fig1", [EdgeInsertion("Fred", "Eva")])
+        assert registry.counters["index_carries"] == 0  # nothing built to carry
+        assert not registry.current_epoch("fig1").attr_index.is_built
+        registry.current_epoch("fig1").evaluate(paper_pattern())  # builds it
+        epoch = registry.publish("fig1", [AttributeUpdate("Bob", "field", "SD")])
+        assert epoch.attr_index.is_built
+        assert registry.stats()["counters"]["index_carries"] == 1
+        service = ExpFinderService()
+        service.register_graph("fig1", paper_graph())
+        assert service.stats()["registry"]["counters"]["index_carries"] == 0
+        fresh = AttributeIndex(epoch.graph)
+        for predicate in ('field == "SD"', 'field == "SA"'):
+            pattern = parse_pattern(f"node X* : {predicate}")
+            assert epoch.candidates(pattern) == simulation_candidates(
+                epoch.graph, pattern, index=fresh
+            )
+        assert "Bob" in epoch.candidates(parse_pattern('node X* : field == "SD"'))["X"]
+
+    @pytest.mark.parametrize("action", ["storage-error", "memory-error"])
+    def test_index_is_not_carried_over_a_degraded_build(self, registry, action):
+        """After a degraded build the served index is behind the master by
+        the degraded batch: carrying it over the next batch alone would
+        lose that batch's attribute writes."""
+        registry.current_epoch("fig1").evaluate(paper_pattern())  # built
+        with armed("registry.rebuild", action=action):
+            with pytest.raises(ServiceDegradedError):
+                registry.publish("fig1", [AttributeUpdate("Fred", "field", "SA")])
+        epoch = registry.publish("fig1", [AttributeUpdate("Bob", "skill", "db")])
+        assert registry.counters["index_carries"] == 0
+        assert not epoch.attr_index.is_built
+        pattern = parse_pattern('node X* : field == "SA"')
+        assert "Fred" in epoch.candidates(pattern)["X"]
+        registry.publish("fig1", [AttributeUpdate("Bob", "skill", "ml")])
+        assert registry.counters["index_carries"] == 1  # caught up
+
+    def test_epoch_pinned_across_publishes_keeps_its_candidates(self, registry):
+        patterns = [
+            parse_pattern(f'node X* : field == "{field}"') for field in ("SA", "SD", "BA")
+        ] + [paper_pattern()]
+        with registry.pin("fig1") as pinned:
+            before = [pinned.candidates(pattern) for pattern in patterns]
+            registry.publish(
+                "fig1", [AttributeUpdate("Bob", "field", "SD"), EdgeInsertion("Fred", "Eva")]
+            )
+            registry.publish(
+                "fig1",
+                [NodeInsertion.with_attrs("Gil", field="SA"), AttributeUpdate("Dan", "field", ["x"])],
+            )
+            registry.publish("fig1", [NodeDeletion("Walt"), AttributeUpdate("Dan", "field", "SA")])
+            assert registry.counters["index_carries"] == 3
+            assert [pinned.candidates(pattern) for pattern in patterns] == before
+        current = registry.current_epoch("fig1")
+        fresh = AttributeIndex(current.graph)
+        for pattern in patterns:
+            assert current.candidates(pattern) == simulation_candidates(
+                current.graph, pattern, index=fresh
+            )
+
+    def test_carry_racing_readers_building_the_prior_index(self):
+        """Readers build the served index while a publish carries it: the
+        carry sees the index unbuilt (the new epoch builds lazily) or built
+        in full (it is carried), never half-built.  Three readers on two
+        cores, with a short switch interval to interleave them finely."""
+        pattern = parse_pattern('node X* : field == "SA"\nnode Y : field == "SD"\nedge X -> Y : 2')
+        graph = collaboration_graph(3000, seed=5)
+        nodes = list(graph.nodes())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for attempt in range(6):
+                registry = SnapshotRegistry()
+                registry.register("g", graph)
+                prior = registry.current_epoch("g")
+                readers = [
+                    threading.Thread(target=prior.candidates, args=(pattern,)) for _ in range(3)
+                ]
+                for reader in readers:
+                    reader.start()
+                batch = [AttributeUpdate(nodes[attempt], "field", "SA")]
+                if attempt % 2:  # a full freeze first: the carry starts later
+                    batch.append(NodeDeletion(nodes[-1 - attempt]))
+                epoch = registry.publish("g", batch)
+                for reader in readers:
+                    reader.join(timeout=30)
+                    assert not reader.is_alive()
+                fresh = AttributeIndex(epoch.graph)
+                assert epoch.candidates(pattern) == simulation_candidates(
+                    epoch.graph, pattern, index=fresh
+                )
+                index = epoch.attr_index
+                assert (index._postings, index._node_keys, index._unfiled) == (
+                    fresh._postings,
+                    fresh._node_keys,
+                    fresh._unfiled,
+                )
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_failed_batch_keeps_the_served_snapshot_object(self, registry):
         frozen = registry.current_epoch("fig1").frozen
