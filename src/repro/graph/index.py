@@ -1,4 +1,4 @@
-"""Attribute indexes: inverted ``(attribute, value) -> node set`` postings.
+"""Attribute indexes: inverted ``attribute -> value -> node set`` postings.
 
 Every matcher starts from predicate-satisfying candidate sets, and the scan
 path (:func:`~repro.matching.simulation.simulation_candidates`) pays one
@@ -6,8 +6,8 @@ predicate evaluation per pattern node per graph node to get them.  Real
 expert-finding deployments put indexes in front of that step — per-attribute
 indexes created before any query runs — and this module is the engine's
 version of the same idea: an :class:`AttributeIndex` over a graph's node
-attributes answers equality-shaped predicates by set algebra over postings
-instead of scanning.
+attributes answers comparisons — ranges included — and memberships by set
+algebra over postings instead of scanning.
 
 Design points:
 
@@ -21,16 +21,23 @@ Design points:
   stale answers;
 * **carried, not rebuilt** — a served epoch's index is the prior epoch's
   re-filed for the nodes its batch wrote (:meth:`AttributeIndex.carried`):
-  the posting dict is copied shallowly and a posting set only on its first
-  write, so a new epoch's first read costs what the batch touched, never
-  |G|, and the prior index — still read by pinned queries — never changes.
-  The engine's :meth:`~AttributeIndex.on_update` re-files through the same
+  the attribute dict is copied shallowly, an attribute's value dict on the
+  first write to that attribute and a posting set on its first write, so a
+  new epoch's first read costs what the batch touched, never |G|, and the
+  prior index — still read by pinned queries — never changes.  The
+  engine's :meth:`~AttributeIndex.on_update` re-files through the same
   helper, in place;
-* **exactness over coverage** — :meth:`AttributeIndex.resolve` answers only
-  the fragment it can answer *exactly* (equality, membership, and their
-  and/or combinations) or as a verified superset (conjunctions with one
-  indexable part).  Ranges, negation and ``AlwaysTrue`` fall back to the
-  scan path, so index-backed candidates always equal scan-backed ones.
+* **exactness over coverage** — :meth:`AttributeIndex.resolve` answers
+  every comparison exactly, all six operators: the distinct values filed
+  under an attribute are the keys of its value dict, so a range costs one
+  comparison per distinct value (a ``TypeError`` is ``False``, as in
+  :meth:`~repro.pattern.predicates.Cmp.evaluate`) plus a union of the
+  postings that pass.  Inside a conjunction the equality parts are
+  intersected first and every other part is restricted to that set.  Only
+  negation, ``AlwaysTrue`` and user-defined predicates are not indexable:
+  alone they fall back to the scan path, inside a conjunction they make
+  the answer a superset that the caller verifies — so index-backed
+  candidates always equal scan-backed ones.
 
 :func:`candidates_from_index` and :func:`batch_candidates` are the
 candidate-generation entry points the matchers and the query engine's batch
@@ -39,7 +46,8 @@ evaluator route through.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
+import operator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph, NodeId
@@ -49,10 +57,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.pattern.pattern import Pattern
 
 PostingKey = tuple[str, Any]
+#: ``attr -> value -> nodes carrying exactly that value``.
+Postings = dict[str, dict[Any, set[NodeId]]]
 
 #: The value slot of a node's key for an attribute whose value is
 #: unhashable: recorded per node so unfiling it can release the attribute.
 _UNFILED = object()
+#: The value slot of the key under which a carry records that an
+#: attribute's value dict is its own (the dict, not one posting set).
+_VALUES = object()
 
 
 def _hashable(value: Any) -> bool:
@@ -67,8 +80,8 @@ class Resolution(NamedTuple):
     """An index answer: the node set and whether it is exact.
 
     ``exact=False`` means ``nodes`` is a *superset* of the satisfying nodes
-    (a conjunction where only some parts were indexable); the caller must
-    verify members against the full predicate.
+    (a conjunction with a part the index cannot answer, such as a
+    negation); the caller must verify members against the full predicate.
     """
 
     nodes: set[NodeId]
@@ -79,10 +92,11 @@ class AttributeIndex:
     """Inverted index from attribute key/value pairs to node sets.
 
     Built lazily over a :class:`~repro.graph.digraph.Graph`; postings map
-    ``(attr, value)`` to the set of nodes carrying exactly that value
-    (labels are ordinary attributes, so a ``field`` or ``label`` index
-    needs no special casing).  Unhashable attribute values are skipped:
-    they can never equal a predicate's atomic comparison value.
+    an attribute to a dict from each value filed under it to the set of
+    nodes carrying exactly that value (labels are ordinary attributes, so a
+    ``field`` or ``label`` index needs no special casing).  Unhashable
+    attribute values are not filed; an attribute holding one declines
+    every predicate on it.
 
     >>> from repro.graph.digraph import Graph
     >>> g = Graph.from_edges([], nodes={
@@ -96,8 +110,10 @@ class AttributeIndex:
     >>> from repro.pattern.predicates import Cmp, And
     >>> index.resolve(Cmp("field", "==", "SA"))
     Resolution(nodes={'bob'}, exact=True)
-    >>> index.resolve(Cmp("experience", ">=", 3)) is None   # ranges fall back
-    True
+    >>> sorted(index.resolve(Cmp("experience", ">=", 3)).nodes)   # ranges too
+    ['bob', 'dan']
+    >>> index.resolve(And(Cmp("field", "==", "SD"), Cmp("experience", ">=", 3)))
+    Resolution(nodes={'dan'}, exact=True)
     """
 
     __slots__ = (
@@ -116,7 +132,7 @@ class AttributeIndex:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self._postings: dict[PostingKey, set[NodeId]] | None = None
+        self._postings: Postings | None = None
         # node -> posting keys it is filed under; makes removal O(attrs).
         # An unhashable value's key is ``(attr, _UNFILED)``.
         self._node_keys: dict[NodeId, tuple[PostingKey, ...]] = {}
@@ -141,7 +157,7 @@ class AttributeIndex:
         """Whether postings exist right now (they build on first use)."""
         return self._postings is not None
 
-    def _ensure(self) -> dict[PostingKey, set[NodeId]]:
+    def _ensure(self) -> Postings:
         if self._postings is not None and self._synced_version == self.graph.version:
             return self._postings
         if self._postings is not None or self._discarded:
@@ -150,7 +166,7 @@ class AttributeIndex:
         self._builds += 1
         # Fresh containers, never cleared ones: a carried index may share
         # them with the index it was carried from.
-        postings: dict[PostingKey, set[NodeId]] = {}
+        postings: Postings = {}
         node_keys: dict[NodeId, tuple[PostingKey, ...]] = {}
         unfiled: dict[str, int] = {}
         for node in self.graph.nodes():
@@ -162,7 +178,7 @@ class AttributeIndex:
                 if key[1] is _UNFILED:
                     unfiled[key[0]] = unfiled.get(key[0], 0) + 1
                 else:
-                    postings.setdefault(key, set()).add(node)
+                    postings.setdefault(key[0], {}).setdefault(key[1], set()).add(node)
         self._postings, self._node_keys, self._unfiled = postings, node_keys, unfiled
         self._synced_version = self.graph.version
         return postings
@@ -181,10 +197,11 @@ class AttributeIndex:
     def _refile(self, node: NodeId, copied: set[PostingKey] | None) -> None:
         """File ``node`` under the graph's current attributes (absent: unfile).
 
-        Only the keys that changed are written.  ``copied`` names the posting
-        sets this index has made its own during a carry: any other set is
+        Only the keys that changed are written.  ``copied`` names the value
+        dicts (as ``(attr, _VALUES)``) and posting sets (as ``(attr,
+        value)``) this index has made its own during a carry: any other is
         shared with the prior index and is copied before its first write.
-        ``None``: every set belongs to this index.
+        ``None``: every container belongs to this index.
         """
         assert self._postings is not None
         old = self._node_keys.pop(node, ())
@@ -212,19 +229,26 @@ class AttributeIndex:
             else:
                 del self._unfiled[attr]
             return
-        posting = postings.get(key)
+        values = postings.get(attr)
+        if values is None:
+            values = postings[attr] = {}
+        elif copied is not None and (attr, _VALUES) not in copied:
+            values = postings[attr] = dict(values)
+        posting = values.get(value)
         if posting is None:
-            posting = postings[key] = set()
+            posting = values[value] = set()
         elif copied is not None and key not in copied:
-            posting = postings[key] = set(posting)
+            posting = values[value] = set(posting)
         if copied is not None:
-            copied.add(key)
+            copied.update(((attr, _VALUES), key))
         if add:
             posting.add(node)
         else:
             posting.discard(node)
             if not posting:
-                del postings[key]
+                del values[value]
+                if not values:
+                    del postings[attr]
 
     def refresh(self) -> None:
         """Force a rebuild on next use (e.g. after mutating attribute dicts
@@ -262,11 +286,12 @@ class AttributeIndex:
         not be written afterwards (an epoch's graph).  Each node a node or
         attribute primitive names is re-filed from ``graph`` itself, so a
         node inserted and deleted (or deleted and re-inserted) inside the
-        batch ends as a fresh build would file it.  The posting dict is
-        copied shallowly and a posting set only on its first write: this
-        index — which pinned readers may still be using — never changes,
-        and an edge-only batch shares its postings outright.  An index not
-        built yet (or out of sync) carries nothing: the result is lazy.
+        batch ends as a fresh build would file it.  The attribute dict is
+        copied shallowly, a value dict on the first write to its attribute
+        and a posting set on its first write: this index — which pinned
+        readers may still be using — never changes, and an edge-only batch
+        shares its postings outright.  An index not built yet (or out of
+        sync) carries nothing: the result is lazy.
         """
         carried = AttributeIndex(graph)
         if self._postings is None or self._synced_version != self.graph.version:
@@ -294,7 +319,7 @@ class AttributeIndex:
         unindexable = attr in self._unfiled
         if not unindexable:
             try:
-                return frozenset(postings.get((attr, value), ()))
+                return frozenset(postings.get(attr, {}).get(value, ()))
             except TypeError:
                 pass  # unhashable query value: postings cannot answer it
         matches = set()
@@ -307,18 +332,21 @@ class AttributeIndex:
     def resolve(self, predicate: Predicate) -> Resolution | None:
         """Answer a predicate from postings, or ``None`` to request a scan.
 
-        Returns an exact node set for the equality fragment (``==``, ``in``,
-        and ``and``/``or`` over it), a non-exact superset for conjunctions
-        with at least one indexable part, and ``None`` for everything else
-        (ranges, ``!=``, negation, ``AlwaysTrue``).  Structurally
-        unanswerable predicates decline *without* building postings, so a
-        range-only workload never pays for an index it cannot use.
+        Returns an exact node set for every comparison (all six operators)
+        and membership with a hashable constant, and for ``and``/``or`` over
+        them; a non-exact superset for conjunctions that also hold a part
+        the index cannot answer (negation, ``AlwaysTrue``, user-defined);
+        and ``None`` for those parts alone, for an ``or`` with one of them
+        among its branches, and for any attribute holding an unhashable
+        value.  Structurally unanswerable predicates decline *without*
+        building postings, so a workload the index cannot serve never pays
+        for it.
         """
         if not self._could_answer(predicate):
             self._misses += 1
             return None
         self._ensure()
-        result = self._resolve(predicate)
+        result = self._resolve(predicate, None)
         if result is None:
             self._misses += 1
         elif result.exact:
@@ -329,9 +357,14 @@ class AttributeIndex:
 
     @classmethod
     def _could_answer(cls, predicate: Predicate) -> bool:
-        """Structural answerability — decidable without any postings."""
+        """Structural answerability — decidable without any postings.
+
+        A comparison or membership is answerable when its constants are
+        hashable (whatever the operator), an ``or`` when every branch is,
+        an ``and`` when any part is.
+        """
         if isinstance(predicate, Cmp):
-            return predicate.op == "==" and _hashable(predicate.value)
+            return _hashable(predicate.value)
         if isinstance(predicate, In):
             return all(_hashable(choice) for choice in predicate.choices)
         if isinstance(predicate, Or):
@@ -340,37 +373,28 @@ class AttributeIndex:
             return any(cls._could_answer(part) for part in predicate.parts)
         return False
 
-    def _resolve(self, predicate: Predicate) -> Resolution | None:
+    def _resolve(
+        self, predicate: Predicate, within: set[NodeId] | None
+    ) -> Resolution | None:
+        """The nodes satisfying ``predicate``, intersected with ``within``
+        when given (``exact=False``: a superset of them; ``None``: no
+        answer, the part constrains nothing the index can see)."""
         postings = self._postings
         assert postings is not None
-        if isinstance(predicate, Cmp):
-            if predicate.op != "==" or predicate.attr in self._unfiled:
+        if isinstance(predicate, (Cmp, In)):
+            if predicate.attr in self._unfiled or not self._could_answer(predicate):
                 # Postings for an attr with unhashable node values are
                 # incomplete: such a value can compare equal to a hashable
-                # query constant ({1} == frozenset({1})), so only the scan
-                # path answers correctly.
+                # query constant ({1} == frozenset({1})) or unequal to any,
+                # so only the scan path answers correctly.
                 return None
-            try:
-                posting = postings.get((predicate.attr, predicate.value), ())
-            except TypeError:
-                # Unhashable comparison value: same story, mirrored — scan.
-                return None
-            return Resolution(set(posting), True)
-        if isinstance(predicate, In):
-            if predicate.attr in self._unfiled:
-                return None
-            nodes: set[NodeId] = set()
-            for choice in predicate.choices:
-                try:
-                    nodes |= postings.get((predicate.attr, choice), set())
-                except TypeError:
-                    return None
-            return Resolution(nodes, True)
+            values = postings.get(predicate.attr, {})
+            return Resolution(_matching(values, predicate, within), True)
         if isinstance(predicate, Or):
             union: set[NodeId] = set()
             exact = True
             for part in predicate.parts:
-                resolved = self._resolve(part)
+                resolved = self._resolve(part, within)
                 if resolved is None:
                     # A superset of an Or needs *every* branch covered.
                     return None
@@ -378,27 +402,29 @@ class AttributeIndex:
                 exact = exact and resolved.exact
             return Resolution(union, exact)
         if isinstance(predicate, And):
-            resolved_parts = [
-                resolved
-                for part in predicate.parts
-                if (resolved := self._resolve(part)) is not None
-            ]
-            if not resolved_parts:
-                return None
-            nodes = set(resolved_parts[0].nodes)
-            for other in resolved_parts[1:]:
-                nodes &= other.nodes
-            exact = len(resolved_parts) == len(predicate.parts) and all(
-                resolved.exact for resolved in resolved_parts
-            )
-            return Resolution(nodes, exact)
+            # Equality parts first: each is one posting lookup, and their
+            # intersection is all that every later part has to look at.
+            nodes, exact, answered = within, True, False
+            for part in sorted(predicate.parts, key=_not_equality):
+                resolved = self._resolve(part, nodes)
+                if resolved is None:
+                    exact = False
+                    continue
+                nodes, answered = resolved.nodes, True
+                exact = exact and resolved.exact
+                if not nodes:  # an empty superset is exact
+                    return Resolution(nodes, True)
+            return Resolution(nodes, exact) if answered and nodes is not None else None
         return None  # AlwaysTrue, Not, and anything user-defined
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._postings) if self._postings is not None else 0
+        """The number of ``(attr, value)`` postings."""
+        if self._postings is None:
+            return 0
+        return sum(map(len, self._postings.values()))
 
     def stats(self) -> dict[str, int]:
         return {
@@ -414,6 +440,56 @@ class AttributeIndex:
     def __repr__(self) -> str:
         state = f"{len(self)} postings" if self.is_built else "unbuilt"
         return f"<AttributeIndex {state} over {self.graph!r}>"
+
+
+#: The comparison each ``Cmp`` operator applies, node value first.
+_COMPARE: dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    "<=": operator.le,
+    ">": operator.gt,
+    "<": operator.lt,
+}
+
+
+def _not_equality(predicate: Predicate) -> bool:
+    """Sort key putting ``==`` and ``in`` parts of a conjunction first."""
+    if isinstance(predicate, Cmp):
+        return predicate.op != "=="
+    return not isinstance(predicate, In)
+
+
+def _matching(
+    values: dict[Any, set[NodeId]], predicate: Cmp | In, within: set[NodeId] | None
+) -> set[NodeId]:
+    """The union of the postings in ``values`` whose value passes
+    ``predicate``, each restricted to ``within`` when given.
+
+    ``in``, and ``==`` with a constant equal to itself, look their postings
+    up; any other comparison is evaluated once per distinct value, with a
+    ``TypeError`` counting as ``False`` exactly as in ``Cmp.evaluate`` (a
+    NaN constant equals nothing, not even the same NaN object a dict lookup
+    would find).
+    """
+    if isinstance(predicate, In):
+        passing = [values.get(choice) for choice in predicate.choices]
+    elif predicate.op == "==" and predicate.value == predicate.value:
+        passing = [values.get(predicate.value)]
+    else:
+        compare, constant = _COMPARE[predicate.op], predicate.value
+        passing = []
+        for value, posting in values.items():
+            try:
+                if compare(value, constant):
+                    passing.append(posting)
+            except TypeError:
+                pass
+    nodes: set[NodeId] = set()
+    for posting in passing:
+        if posting:
+            nodes |= posting if within is None else within & posting
+    return nodes
 
 
 def _written_nodes(primitives: Iterable[Any]) -> dict[NodeId, None]:
@@ -459,10 +535,12 @@ def batch_candidates(
     """Candidate sets for many predicates, keyed by :func:`predicate_key`.
 
     Duplicate predicates (same canonical key) are computed once.  With an
-    index, equality-shaped predicates are answered from postings and
-    conjunction supersets are verified member-by-member; every predicate the
-    index declines is evaluated in one shared pass over the graph's nodes —
-    the scan cost is paid once regardless of how many predicates need it.
+    index, comparisons, memberships and their and/or combinations are
+    answered from postings, and the superset of a conjunction with a part
+    the index cannot answer (a negation, say) is verified member-by-member;
+    every predicate the index declines is evaluated in one shared pass over
+    the graph's nodes — the scan cost is paid once regardless of how many
+    predicates need it.
     """
     by_key: dict[tuple, Predicate] = {}
     for predicate in predicates:

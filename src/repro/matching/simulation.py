@@ -34,10 +34,10 @@ def simulation_candidates(
 ) -> dict[str, set[NodeId]]:
     """Predicate-satisfying candidates per pattern node.
 
-    With an :class:`~repro.graph.index.AttributeIndex`, equality-shaped
-    predicates are answered from postings and only the rest scan.  Without
-    one, a single shared pass over the graph evaluates every distinct
-    pattern predicate on every node.  Both paths live in
+    With an :class:`~repro.graph.index.AttributeIndex`, comparisons and
+    memberships (ranges included) are answered from postings and only the
+    rest scan.  Without one, a single shared pass over the graph evaluates
+    every distinct pattern predicate on every node.  Both paths live in
     :func:`~repro.graph.index.candidates_from_index`, so indexed and
     scanned candidates cannot drift apart.
     """

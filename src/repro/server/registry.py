@@ -833,7 +833,9 @@ class SnapshotRegistry:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Lifecycle counters plus a per-graph epoch inventory."""
+        """Lifecycle counters, a per-graph epoch inventory, and the current
+        epochs' cache and attribute-index counters (the latter read under
+        the epoch's index lock)."""
         with self._lock:
             self._drain_leaked_locked()
             graphs = {
@@ -850,10 +852,15 @@ class SnapshotRegistry:
             }
             counters = dict(self.counters)
             current = {name: state.current for name, state in self._graphs.items()}
-        cache_totals = {
-            name: {"cache": epoch.cache.stats(), "rank_cache": epoch.rank_cache.stats()}
-            for name, epoch in sorted(current.items())
-        }
+        cache_totals = {}
+        for name, epoch in sorted(current.items()):
+            with epoch._index_lock:
+                index = epoch.attr_index.stats()
+            cache_totals[name] = {
+                "cache": epoch.cache.stats(),
+                "rank_cache": epoch.rank_cache.stats(),
+                "index": index,
+            }
         return {"graphs": graphs, "counters": counters, "caches": cache_totals}
 
     def live_epochs(self, name: str) -> list[Epoch]:

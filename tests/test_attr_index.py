@@ -54,16 +54,15 @@ class TestPostings:
         assert index.stats()["builds"] == 1
 
     def test_unanswerable_predicates_never_trigger_a_build(self):
-        """A range-only workload must not pay for postings it cannot use."""
+        """A workload the index cannot serve must not pay for postings."""
         index = AttributeIndex(small_graph())
-        assert index.resolve(Cmp("experience", ">=", 3)) is None
         assert index.resolve(Not(Cmp("field", "==", "SA"))) is None
         assert index.resolve(AlwaysTrue()) is None
         assert index.resolve(Cmp("tags", "==", ["a"])) is None  # unhashable value
         assert index.resolve(In("tags", [["a"], "x"])) is None  # unhashable choice
         assert not index.is_built
         assert index.stats()["builds"] == 0
-        assert index.stats()["misses"] == 5
+        assert index.stats()["misses"] == 4
 
     def test_lookup_unknown_value_is_empty(self):
         index = AttributeIndex(small_graph())
@@ -142,23 +141,45 @@ class TestResolve:
         resolved = index.resolve(Or(Cmp("field", "==", "SA"), Cmp("experience", "==", 2)))
         assert resolved.exact and resolved.nodes == {"bob", "eva"}
 
-    def test_range_falls_back(self, index):
-        assert index.resolve(Cmp("experience", ">=", 3)) is None
+    def test_range_is_exact(self, index):
+        for op, expected in (
+            (">=", {"bob", "dan"}),
+            (">", {"bob"}),
+            ("<=", {"dan", "eva"}),
+            ("<", {"eva"}),
+        ):
+            assert index.resolve(Cmp("experience", op, 3)) == (expected, True), op
+        # Incomparable values fail the comparison, as Cmp.evaluate has it.
+        assert index.resolve(Cmp("experience", ">=", "3")) == (set(), True)
+        assert index.resolve(Cmp("nope", "<", 3)) == (set(), True)
 
     def test_negation_falls_back(self, index):
         assert index.resolve(Not(Cmp("field", "==", "SD"))) is None
-        assert index.resolve(Cmp("field", "!=", "SD")) is None
+        # ``!=`` is a comparison like the others: exact, never a scan.
+        assert index.resolve(Cmp("field", "!=", "SD")) == ({"bob"}, True)
 
     def test_always_true_falls_back(self, index):
         assert index.resolve(AlwaysTrue()) is None
 
+    def test_equality_and_range_is_exact(self, index):
+        resolved = index.resolve(And(Cmp("experience", ">=", 3), Cmp("field", "==", "SD")))
+        assert resolved == ({"dan"}, True)
+        assert index.stats()["superset_hits"] == 0
+
     def test_mixed_and_yields_superset(self, index):
-        resolved = index.resolve(And(Cmp("field", "==", "SD"), Cmp("experience", ">=", 3)))
+        resolved = index.resolve(
+            And(
+                Cmp("field", "==", "SD"),
+                Cmp("experience", ">=", 2),
+                Not(Cmp("experience", "==", 3)),
+            )
+        )
         assert resolved is not None and not resolved.exact
-        assert resolved.nodes == {"dan", "eva"}  # field filter only
+        assert resolved.nodes == {"dan", "eva"}  # the negation is left to the caller
 
     def test_or_with_unindexable_branch_falls_back(self, index):
-        assert index.resolve(Or(Cmp("field", "==", "SA"), Cmp("experience", ">=", 3))) is None
+        predicate = Or(Cmp("field", "==", "SA"), Not(Cmp("experience", ">=", 3)))
+        assert index.resolve(predicate) is None
 
 
 class TestCandidates:
@@ -168,6 +189,14 @@ class TestCandidates:
         predicate = And(Cmp("field", "==", "SD"), Cmp("experience", ">=", 3))
         table = batch_candidates(graph, [predicate], index=index)
         assert table[predicate.key()] == {"dan"}
+
+    def test_superset_with_a_negation_is_verified(self):
+        graph = small_graph()
+        index = AttributeIndex(graph)
+        predicate = And(Cmp("field", "==", "SD"), Not(Cmp("experience", "==", 3)))
+        table = batch_candidates(graph, [predicate], index=index)
+        assert table[predicate.key()] == {"eva"}
+        assert index.stats()["superset_hits"] == 1
 
     def test_shared_scan_covers_unindexable_predicates(self):
         graph = small_graph()

@@ -4,9 +4,10 @@ A publish carries the prior epoch's attribute index over its batch instead
 of letting the new epoch rebuild it on first read: only the nodes a node or
 attribute primitive names are re-filed, posting sets are copied on first
 write, and everything else is shared.  The oracle is a fresh build of the
-same graph — postings, per-node keys, the unfiled-attribute counts and the
-answers of a fixed predicate set must all agree — and the index it was
-carried *from* must not change by a single set: pinned readers are still
+same graph — postings (attribute -> value -> nodes), per-node keys, the
+unfiled-attribute counts and the answers of a fixed predicate set, ranges
+and ``!=`` included, must all agree — and the index it was carried *from*
+must not change by a single value dict or set: pinned readers are still
 resolving against it.
 """
 
@@ -42,9 +43,16 @@ PREDICATES = [
     *(Cmp(attr, "==", value) for attr in ("a", "b", "c", "loop") for value in HASHABLE),
     *(In(attr, [1, "x", None]) for attr in "abc"),
     And(Cmp("a", "==", 1), Cmp("b", "==", "x")),
-    And(Cmp("a", "==", "x"), Cmp("c", ">=", 1)),  # a verified superset
+    And(Cmp("a", "==", "x"), Cmp("c", ">=", 1)),
     Or(Cmp("a", "==", 0), Cmp("b", "==", True)),
-    Cmp("a", ">=", 1),  # declines on both sides
+    *(
+        Cmp(attr, op, value)
+        for attr in "abc"
+        for op in ("!=", ">=", "<", ">", "<=")
+        for value in (1, "x", 0.5)
+    ),
+    And(In("a", [1, "x"]), Cmp("b", "<=", 1), Cmp("c", "!=", None)),
+    Or(Cmp("a", ">", 0), Cmp("b", "<", "y")),
 ]
 
 
@@ -57,7 +65,10 @@ def built(graph) -> AttributeIndex:
 def content(index: AttributeIndex) -> dict:
     """Everything a reader can observe of an index, as owned copies."""
     return {
-        "postings": {key: set(nodes) for key, nodes in index._postings.items()},
+        "postings": {
+            attr: {value: set(nodes) for value, nodes in values.items()}
+            for attr, values in index._postings.items()
+        },
         "node_keys": dict(index._node_keys),
         "unfiled": dict(index._unfiled),
     }
@@ -71,10 +82,18 @@ def assert_equals_fresh_build(carried: AttributeIndex, graph) -> None:
         assert carried.resolve(predicate) == fresh.resolve(predicate), predicate
 
 
+def identities(index: AttributeIndex) -> dict:
+    """The object identity of every value dict and posting set."""
+    return {
+        attr: (id(values), {value: id(nodes) for value, nodes in values.items()})
+        for attr, values in index._postings.items()
+    }
+
+
 def assert_carried_from(prior: AttributeIndex, before: dict, sets: dict) -> None:
-    """The prior's content is as it was, set object for set object."""
+    """The prior's content is as it was, dict for dict and set for set."""
     assert content(prior) == before
-    assert {key: id(nodes) for key, nodes in prior._postings.items()} == sets
+    assert identities(prior) == sets
 
 
 class TestCarriedEqualsFreshBuild:
@@ -95,7 +114,7 @@ class TestCarriedEqualsFreshBuild:
         for codes in soup:
             graph, primitives = apply_batch(graph, batch_from_codes(graph, codes))
             before = content(prior)
-            sets = {key: id(nodes) for key, nodes in prior._postings.items()}
+            sets = identities(prior)
             carried = prior.carried(graph, primitives)
             assert_carried_from(prior, before, sets)
             assert_equals_fresh_build(carried, graph)

@@ -772,6 +772,15 @@ class TestConcurrentReaders:
         assert stats["counters"]["epochs_published"] == 1
         assert stats["caches"]["fig1"]["cache"]["size"] == 1
 
+    def test_registry_stats_show_the_index_answering_range_conjunctions(self, registry):
+        """Every node of the paper's pattern is ``field == X, experience >=
+        N``: a miss resolves all four exactly, none as a superset."""
+        assert registry.stats()["caches"]["fig1"]["index"]["built"] == 0
+        registry.current_epoch("fig1").evaluate(paper_pattern())
+        index = registry.stats()["caches"]["fig1"]["index"]
+        assert index["built"] == 1 and index["builds"] == 1
+        assert (index["exact_hits"], index["superset_hits"], index["misses"]) == (4, 0, 0)
+
 
 class TestAdmission:
     def test_rejects_when_saturated_with_no_queue(self):
