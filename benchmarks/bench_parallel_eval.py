@@ -1,25 +1,19 @@
-"""E12 — parallel sharded evaluation vs. sequential bounded simulation.
+"""E12 — parallel batch evaluation vs. sequential bounded simulation.
 
-Two workloads on a seeded 50k-node collaboration graph, both asserting
-(always) that the parallel relation is *identical* to the sequential one,
-and asserting wall-clock wins where the hardware can physically deliver
-them:
+One workload on a seeded 50k-node collaboration graph, asserting (always)
+that the parallel relations are *identical* to the sequential ones, and
+asserting the wall-clock win where the hardware can physically deliver it:
+12 distinct bounded hiring queries farmed whole to a 4-worker pool
+(`QueryEngine.evaluate_many(workers=4)`).  The per-query serial fraction
+is tiny (planning plus shared candidate generation), so this is the
+near-embarrassingly-parallel case: with >= 4 cores it must beat sequential
+evaluation by >= 1.5x (asserted).  A single query always runs in one
+process; there is no per-query split to measure.
 
-* **per-batch parallelism** — 12 distinct bounded hiring queries farmed
-  whole to a 4-worker pool (`QueryEngine.evaluate_many(workers=4)`).  The
-  per-query serial fraction is tiny (planning plus shared candidate
-  generation), so this is the near-embarrassingly-parallel case: with >= 4
-  cores it must beat sequential evaluation by >= 1.5x (asserted).
-* **per-query sharding** — one big query's candidates partitioned into pivot shards
-  (`ParallelExecutor.match`).  Amdahl bites harder here: partitioning, row
-  merging and the removal fixpoint stay serial, so on >= 4 cores the bar
-  is only a catastrophic-regression floor (asserted >= 0.5x — contended
-  shared runners hover around break-even, and a hard "must win" assert
-  would be flaky there) and the measured number is reported either way.
-
-Worker processes cannot speed anything up without spare cores; on a
-single-core host both speedup assertions are skipped (the skip message
-carries the measured numbers, and the correctness assertions still run).
+Worker processes cannot speed anything up without spare cores; on a host
+with fewer cores than workers the speedup assertion is skipped (the skip
+message carries the measured numbers, and the correctness assertions
+still run).
 Everything is seeded — the graph is ``collaboration_graph(50_000, seed=0)``
 — so failures reproduce exactly.
 """
@@ -31,9 +25,6 @@ import pytest
 
 from benchmarks.conftest import cached_collab, summary_recorder, team_pattern
 from repro.engine.engine import QueryEngine
-from repro.engine.parallel import ParallelExecutor
-from repro.graph.index import AttributeIndex
-from repro.matching.bounded import match_bounded
 
 SIZE = 50_000
 WORKERS = 4
@@ -45,12 +36,6 @@ summary = summary_recorder("E12", workers=WORKERS, graph_nodes=SIZE)
 @pytest.fixture(scope="module")
 def graph():
     return cached_collab(SIZE)
-
-
-def _warm_index(graph) -> AttributeIndex:
-    index = AttributeIndex(graph)
-    index.lookup("field", "SA")  # force the lazy build outside the timers
-    return index
 
 
 def _require_cores(speedup: float, label: str) -> None:
@@ -109,44 +94,4 @@ def test_batch_parallel_beats_sequential(graph, summary):
     assert speedup >= 1.5, (
         f"expected >= 1.5x from {WORKERS}-worker batching on {CORES} cores, "
         f"got {speedup:.2f}x"
-    )
-
-
-def test_sharded_query_parallelism(graph, summary):
-    """One heavy query, sequential matcher vs. pivot-sharded 4-worker pool."""
-    pattern = team_pattern(bound=3)
-    index = _warm_index(graph)
-
-    start = time.perf_counter()
-    sequential = match_bounded(graph, pattern, index=index)
-    t_seq = time.perf_counter() - start
-
-    with ParallelExecutor(WORKERS) as executor:
-        start = time.perf_counter()
-        parallel = executor.match(graph, pattern, index=index)
-        t_par = time.perf_counter() - start
-
-    assert parallel.relation == sequential.relation  # always, any host
-    info = parallel.stats["parallel"]
-    assert info["shards"] == WORKERS
-
-    speedup = t_seq / t_par
-    print(
-        f"\n[E12/sharded] bound-3 team query on {SIZE} nodes: "
-        f"sequential {t_seq:.2f}s, {info['shards']} shards / {WORKERS} workers "
-        f"{t_par:.2f}s -> {speedup:.2f}x "
-        f"(shipping={info['shipping']}, {info['pivots']} pivots, {CORES} cores)"
-    )
-    summary.record(
-        "sharded",
-        seconds_sequential=t_seq,
-        seconds_parallel=t_par,
-        speedup=speedup,
-        shipping=info["shipping"],
-        cores=CORES,
-    )
-    _require_cores(speedup, "sharded")
-    assert speedup >= 0.5, (
-        f"sharded evaluation regressed catastrophically on {CORES} cores: "
-        f"{speedup:.2f}x"
     )

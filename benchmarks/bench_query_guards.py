@@ -10,8 +10,8 @@ claims on seeded generator graphs:
   own cost projection is put on the record instead of timing it) returns
   a *partial* result under a 100k-visit budget in a few seconds, with the
   tripped guard and the visit count in ``MatchResult.stats``.
-* **query bomb, wall clock**: the same bomb under a 0.5 s time limit with
-  sharded workers aborts the in-flight pool and returns partial well
+* **query bomb, wall clock**: the same bomb under a 0.5 s time limit
+  stops at the cooperative guard's next check and returns partial well
   inside the CI smoke step's 60 s timeout.
 * **well-behaved workload**: the recurring E11/E12 hiring query over a
   10k-node ``collaboration_graph`` with a generous budget is byte-
@@ -43,7 +43,6 @@ GOOD_SIZE = 10_000
 BOMB_BUDGET = 100_000
 BOMB_SECONDS = 0.5
 GENEROUS = 10**9
-WORKERS = 4
 
 summary = summary_recorder(
     "E16",
@@ -52,7 +51,6 @@ summary = summary_recorder(
     bomb_budget_visits=BOMB_BUDGET,
     bomb_time_limit=BOMB_SECONDS,
     generous_budget_visits=GENEROUS,
-    workers=WORKERS,
 )
 
 
@@ -131,7 +129,10 @@ def test_node_budget_defuses_bomb(bomb_graph, summary):
 
 
 def test_time_limit_aborts_sharded_bomb(bomb_graph, summary):
-    """Wall-clock guard cancels in-flight shard workers, returns partial."""
+    """The wall-clock guard stops the inline bomb and returns partial.
+
+    (The name is historical: the bomb used to run sharded across worker
+    processes that the deadline killed.)"""
     pattern = bomb_pattern()
     engine = QueryEngine()
     engine.register_graph("g", bomb_graph)
@@ -141,7 +142,6 @@ def test_time_limit_aborts_sharded_bomb(bomb_graph, summary):
         "g",
         pattern,
         budget=budget,
-        workers=WORKERS,
         use_cache=False,
         cache_result=False,
     )
@@ -149,7 +149,7 @@ def test_time_limit_aborts_sharded_bomb(bomb_graph, summary):
 
     assert result.stats["partial"] is True, result.stats
     print(
-        f"\n[E16/time-limit] {WORKERS}-worker bomb with a {BOMB_SECONDS}s "
+        f"\n[E16/time-limit] inline bomb with a {BOMB_SECONDS}s "
         f"limit: aborted after {seconds:.2f}s wall clock "
         f"(guard={result.stats['guard']})"
     )
@@ -159,9 +159,9 @@ def test_time_limit_aborts_sharded_bomb(bomb_graph, summary):
         limit=BOMB_SECONDS,
         guard=result.stats["guard"],
     )
-    # Shard spin-up and the post-abort merge are outside the limit; what
-    # matters is staying orders of magnitude under the unguarded minutes
-    # (and the CI smoke step's 60s timeout).
+    # Freezing the snapshot and the post-trip removal fixpoint are outside
+    # the limit; what matters is staying orders of magnitude under the
+    # unguarded minutes (and the CI smoke step's 60s timeout).
     assert seconds < 30.0, f"time-limited bomb took {seconds:.1f}s"
 
 

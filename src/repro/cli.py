@@ -85,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--pattern", required=True)
     query.add_argument("--explain", action="store_true", help="print the plan")
     query.add_argument("--result-graph", action="store_true", help="print witness edges")
-    query.add_argument("--workers", type=int, default=1,
-                       help="evaluate with N worker processes "
-                            "(pivot-sharded; default 1 = sequential)")
     query.add_argument("--oracle", action="store_true",
                        help="build a landmark distance oracle first and let "
                             "the planner route selective pattern edges to "
@@ -111,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--verbose", action="store_true",
                        help="print the full relation of every query")
     batch.add_argument("--workers", type=int, default=1,
-                       help="farm queries out to N worker processes "
+                       help="farm the batch's distinct queries out to N "
+                            "worker processes, one query per process "
                             "(default 1 = sequential)")
     batch.add_argument("--oracle", action="store_true",
                        help="enable the landmark distance oracle for the "
@@ -146,9 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     topk.add_argument("-k", type=int, default=5)
     topk.add_argument("--metric", choices=sorted(METRICS), default="social-impact")
     topk.add_argument("--dot", default=None, help="write a DOT file highlighting the top-1")
-    topk.add_argument("--workers", type=int, default=1,
-                      help="evaluate and score with N worker processes "
-                           "(default 1 = sequential)")
     _add_budget_flags(topk)
     topk.set_defaults(handler=_cmd_topk)
 
@@ -224,9 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="[NAME=]FILE",
                        help="register a graph JSON file at startup "
                             "(default name: the file's stem); repeatable")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="shard each cache-miss evaluation across N "
-                            "worker processes (default 1 = inline evaluation)")
     serve.add_argument("--max-inflight", type=int, default=8,
                        help="admission control: concurrent request cap")
     serve.add_argument("--queue-depth", type=int, default=16,
@@ -427,7 +419,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     # estimator-driven query guards.
     from repro.engine.engine import QueryEngine
 
-    workers = _check_workers(args.workers)
     budget = _parse_budget(args)
     graph, pattern = _load_inputs(args)
     engine = QueryEngine()
@@ -438,7 +429,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.explain:
             print(engine.explain("cli", pattern, budget=budget).explain())
             print()
-        result = engine.evaluate("cli", pattern, workers=workers, budget=budget)
+        result = engine.evaluate("cli", pattern, budget=budget)
         if args.explain and "kernels" in result.stats:
             kernels = ", ".join(
                 f"{edge}: {kernel}"
@@ -647,12 +638,10 @@ def _cmd_topk(args: argparse.Namespace) -> int:
 
     Routing through :class:`QueryEngine` gives `topk` everything the other
     subcommands already had: plan-based route selection, the attribute
-    index, the query and ranked-result caches, and `--workers` fan-out for
-    both evaluation and per-match scoring.
+    index, and the query and ranked-result caches.
     """
     from repro.engine.engine import QueryEngine
 
-    workers = _check_workers(args.workers)
     budget = _parse_budget(args)
     graph, pattern = _load_inputs(args)
     pattern.validate(require_output=True)
@@ -660,8 +649,7 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     engine.register_graph("cli", graph)
     try:
         ranked = engine.top_k(
-            "cli", pattern, args.k, metric=args.metric, workers=workers,
-            budget=budget,
+            "cli", pattern, args.k, metric=args.metric, budget=budget
         )
         # M(Q,G) is total-or-empty: no ranked experts means no match at all.
         if not ranked:
@@ -789,7 +777,6 @@ def _serve_config(args: argparse.Namespace):
     from repro.errors import EvaluationError, ServerError
     from repro.server import ServiceConfig
 
-    _check_workers(args.workers)
     default_budget = None
     if args.default_budget is not None or args.default_time_limit is not None:
         default_budget = QueryBudget(
@@ -805,7 +792,6 @@ def _serve_config(args: argparse.Namespace):
             ) from None
     try:
         return ServiceConfig(
-            workers=args.workers,
             max_inflight=args.max_inflight,
             max_queue=args.queue_depth,
             queue_timeout=args.admission_timeout,

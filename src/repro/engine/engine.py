@@ -86,8 +86,8 @@ class RegisteredGraph:
         # None while disabled.
         self.oracle_config: dict[str, Any] | None = None
         # The graph's one CSR snapshot, built on the first direct evaluation
-        # and shared by every traversal kernel (matchers, pivot partitioning,
-        # shard workers), and the primitives update_graph applied since:
+        # and shared by every traversal kernel (matchers, batch workers),
+        # and the primitives update_graph applied since:
         # the next use patches them in (FrozenGraph.patched).
         self.frozen: FrozenGraph | None = None
         self.pending: list[Update] = []
@@ -131,8 +131,8 @@ class QueryEngine:
             "snapshots": dict.fromkeys(_ARTEFACT_COUNTERS + ("patches",), 0),
             "oracles": dict.fromkeys(_ARTEFACT_COUNTERS + ("refreshes",), 0),
         }
-        # One executor per worker count.  Every sharded, batch-farming and
-        # oracle fan-out starts worker processes of its own per call (the
+        # One executor per worker count.  Every batch-farming and oracle
+        # fan-out starts worker processes of its own per call (the
         # call's graph state is their process argument) and kills them
         # before returning, so an executor holds no process between calls.
         self._executors: dict[int, ParallelExecutor] = {}
@@ -600,30 +600,21 @@ class QueryEngine:
         use_cache: bool = True,
         use_compression: bool = True,
         cache_result: bool = True,
-        workers: int | None = None,
         budget: QueryBudget | None = None,
     ) -> MatchResult:
         """Evaluate a pattern query following the §II route order.
 
-        ``workers`` > 1 evaluates the *direct* route with sharded
-        parallelism (:class:`~repro.engine.parallel.ParallelExecutor`):
-        the candidates are partitioned into owned pivots and the
-        successor-row work fans out to worker processes over the one shared
-        snapshot, producing exactly the sequential relation.  Cache and
-        compressed routes are already cheap and stay sequential.
-
         A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
         direct bounded evaluation — the one route/algorithm combination
         that can run away (cache and compressed routes are cheap by
-        construction; the quadratic simulation matcher is not guarded, so
-        sequential and parallel runs agree on the partial flag).  A blown
+        construction; the quadratic simulation matcher is not guarded).  A
+        blown
         budget raises :class:`~repro.errors.BudgetExceededError`, or with
         ``allow_partial=True`` returns a sound subset of the exact answer
         flagged ``stats["partial"] = True``.  Partial results are never
         cached.
         """
         pattern.validate()
-        workers = validate_workers(workers)
         if budget is not None:
             budget.validate()
         entry = self._entry(name)
@@ -642,33 +633,16 @@ class QueryEngine:
             use_compression=use_compression,
         )
 
-        bounded_direct = (
-            plan.route == ROUTE_DIRECT and plan.algorithm != ALGORITHM_SIMULATION
+        result = self._dispatch_route(
+            entry,
+            pattern,
+            plan,
+            cached_relation=(
+                cached_entry.relation if cached_entry is not None else None
+            ),
+            compressed=compressed,
+            budget=budget,
         )
-        if workers > 1 and plan.route == ROUTE_DIRECT:
-            result = self._executor(workers).match(
-                entry.graph,
-                pattern,
-                index=entry.attr_index,
-                frozen=self._frozen_snapshot(entry),
-                oracle=(
-                    self._oracle_for(entry, workers=workers)
-                    if plan.algorithm != ALGORITHM_SIMULATION
-                    else None
-                ),
-                budget=budget if bounded_direct else None,
-            )
-        else:
-            result = self._dispatch_route(
-                entry,
-                pattern,
-                plan,
-                cached_relation=(
-                    cached_entry.relation if cached_entry is not None else None
-                ),
-                compressed=compressed,
-                budget=budget if bounded_direct else None,
-            )
 
         self._stamp_stats(result, plan.route, plan, name, entry, watch.seconds())
         # A partial result is an artefact of this call's budget, not the
@@ -710,10 +684,8 @@ class QueryEngine:
 
         ``workers`` > 1 parallelises the batch: each distinct direct-route
         query becomes one worker task (with its shared candidate
-        sets precomputed here), so many small queries run concurrently.
-        A single-query batch instead delegates to :meth:`evaluate`'s
-        *per-query* sharded parallelism — one big query is split across
-        workers rather than occupying one.  Farmed results carry no
+        sets precomputed here), so many small queries run concurrently;
+        a single task runs inline.  Farmed results carry no
         refinement state (relations cross a process boundary); deriving a
         result graph from them recomputes witnesses on demand.
 
@@ -731,37 +703,6 @@ class QueryEngine:
         workers = validate_workers(workers)
         if budget is not None:
             budget.validate()
-        if workers > 1 and len(patterns) == 1:
-            result = self.evaluate(
-                name,
-                patterns[0],
-                use_cache=use_cache,
-                use_compression=use_compression,
-                cache_result=cache_result,
-                workers=workers,
-                budget=budget,
-            )
-            # Preserve evaluate_many's contract: every result carries batch
-            # stats (the CLI and callers read them unconditionally).  Like
-            # the multi-query path, distinct predicates are counted only
-            # when the query actually went the direct route (0 on a cache
-            # or compressed hit).
-            result.stats["batch"] = {
-                "size": 1,
-                "distinct_predicates": (
-                    len(
-                        {
-                            predicate_key(patterns[0].predicate(u))
-                            for u in patterns[0].nodes()
-                        }
-                    )
-                    if result.stats["route"] == ROUTE_DIRECT
-                    else 0
-                ),
-                "workers": workers,
-                "seconds_total": result.stats["seconds"],
-            }
-            return [result]
         watch = Stopwatch()
         available = entry.compressed()
         compressed = available if use_compression else None
@@ -882,12 +823,7 @@ class QueryEngine:
                     ),
                     compressed=compressed,
                     candidates=candidates,
-                    budget=(
-                        budget
-                        if route == ROUTE_DIRECT
-                        and plan.algorithm != ALGORITHM_SIMULATION
-                        else None
-                    ),
+                    budget=budget,
                 )
             self._stamp_stats(
                 result,
@@ -920,7 +856,12 @@ class QueryEngine:
         candidates: dict[str, set[NodeId]] | None = None,
         budget: QueryBudget | None = None,
     ) -> MatchResult:
-        """Execute a plan's route — the one dispatch both evaluate paths use."""
+        """Execute a plan's route — the one dispatch both evaluate paths use.
+
+        ``budget`` guards the direct bounded route only: cache and
+        compressed routes are cheap by construction, and the quadratic
+        simulation matcher is not guarded.
+        """
         if plan.route == ROUTE_CACHE:
             assert cached_relation is not None
             return MatchResult(entry.graph, pattern, cached_relation)
@@ -977,7 +918,6 @@ class QueryEngine:
         pattern: Pattern,
         k: int,
         metric: str | RankingMetric = "social-impact",
-        workers: int | None = None,
         use_rank_cache: bool = True,
         **evaluate_kwargs: Any,
     ) -> list[RankedMatch] | list[tuple[NodeId, float]]:
@@ -987,9 +927,8 @@ class QueryEngine:
         :class:`RankedMatch` objects; other metrics return ``(node, score)``
         pairs (scores normalized lower-is-better).
 
-        Evaluation follows the usual route order (``workers`` > 1 shards
-        it through the engine's :class:`ParallelExecutor`), then ranking
-        runs inline through a bulk
+        Evaluation follows the usual route order, then ranking runs
+        through a bulk
         :class:`~repro.ranking.topk.RankingContext`: one result-graph
         snapshot, memoized distance work shared across metrics and calls,
         and lazy full scoring behind cheap admissible bounds.  Contexts
@@ -1001,10 +940,8 @@ class QueryEngine:
         validate_k(k)
         pattern.validate(require_output=True)
         chosen = get_metric(metric) if isinstance(metric, str) else metric
-        workers = validate_workers(workers)
         context = self._ranking_context(
-            name, pattern, workers=workers, use_rank_cache=use_rank_cache,
-            **evaluate_kwargs,
+            name, pattern, use_rank_cache=use_rank_cache, **evaluate_kwargs
         )
         if isinstance(metric, str) and metric == "social-impact":
             return bulk_top_k_detail(context, k)
@@ -1014,7 +951,6 @@ class QueryEngine:
         self,
         name: str,
         pattern: Pattern,
-        workers: int = 1,
         use_rank_cache: bool = True,
         **evaluate_kwargs: Any,
     ) -> RankingContext:
@@ -1025,7 +961,7 @@ class QueryEngine:
             cached = self._rank_cache.get(key)
             if cached is not None:
                 return cached.context
-        result = self.evaluate(name, pattern, workers=workers, **evaluate_kwargs)
+        result = self.evaluate(name, pattern, **evaluate_kwargs)
         context = RankingContext(result.result_graph())
         # A guarded evaluation that tripped produced a partial relation;
         # rankings over it are valid for this call but must not be served

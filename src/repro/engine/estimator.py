@@ -348,10 +348,7 @@ class QueryGuard:
 
     Kernels call :meth:`charge` after each unit of work (a source's ball,
     a bitset level's arrivals, a filled oracle row) and consult
-    :meth:`should_stop` before starting the next.  ``shared_counter`` (a
-    ``multiprocessing.Value('q')``) aggregates visits across shard
-    workers, so one budget governs a whole parallel evaluation and a blown
-    budget stops *every* in-flight worker at its next check.
+    :meth:`should_stop` before starting the next.
 
     >>> guard = QueryGuard(QueryBudget(node_visits=10, allow_partial=True))
     >>> guard.charge(4); guard.should_stop()
@@ -362,16 +359,11 @@ class QueryGuard:
     'node-budget'
     """
 
-    __slots__ = (
-        "budget", "visits", "tripped", "replans", "_deadline", "_counter",
-        "_clock",
-    )
+    __slots__ = ("budget", "visits", "tripped", "replans", "_deadline", "_clock")
 
     def __init__(
         self,
         budget: QueryBudget,
-        shared_counter: Any = None,
-        deadline: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         budget.validate()
@@ -379,43 +371,26 @@ class QueryGuard:
         self.visits = 0
         self.replans = 0
         self.tripped: str | None = None
-        self._counter = shared_counter
         self._clock = clock
-        if deadline is not None:
-            self._deadline = deadline
-        elif budget.seconds is not None:
-            self._deadline = clock() + budget.seconds
-        else:
-            self._deadline = None
+        self._deadline = (
+            None if budget.seconds is None else clock() + budget.seconds
+        )
 
     def charge(self, visits: int) -> None:
         """Account ``visits`` units of work; trip when the budget is blown."""
         if visits <= 0:
             return
         self.visits += visits
-        total = self.visits
-        if self._counter is not None:
-            with self._counter.get_lock():
-                self._counter.value += visits
-                total = self._counter.value
         limit = self.budget.node_visits
-        if limit is not None and total > limit:
+        if limit is not None and self.visits > limit:
             self._trip(GUARD_NODE_BUDGET)
 
     def should_stop(self) -> bool:
-        """True once any limit tripped (checks the clock and shared total)."""
+        """True once any limit tripped (checks the clock)."""
         if self.tripped is not None:
             return True
         if self._deadline is not None and self._clock() > self._deadline:
             self._trip(GUARD_TIME_LIMIT)
-            return True
-        limit = self.budget.node_visits
-        if (
-            limit is not None
-            and self._counter is not None
-            and self._counter.value > limit
-        ):
-            self._trip(GUARD_NODE_BUDGET)
             return True
         return False
 

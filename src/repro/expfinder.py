@@ -94,15 +94,10 @@ class ExpFinder:
         self,
         graph_name: str,
         pattern: Pattern,
-        workers: int | None = None,
         **kwargs: Any,
     ) -> MatchResult:
-        """``M(Q,G)`` with engine routing (cache / compressed / direct).
-
-        ``workers`` > 1 runs the direct route with pivot-sharded parallel
-        evaluation (identical result, fanned out to worker processes).
-        """
-        return self.engine.evaluate(graph_name, pattern, workers=workers, **kwargs)
+        """``M(Q,G)`` with engine routing (cache / compressed / direct)."""
+        return self.engine.evaluate(graph_name, pattern, **kwargs)
 
     def match_many(
         self,
@@ -114,7 +109,7 @@ class ExpFinder:
         """Evaluate many queries in one batch (shared candidate work).
 
         ``workers`` > 1 farms the batch's distinct direct-route queries out
-        to worker processes (one big query is sharded instead).
+        to worker processes.
         """
         return self.engine.evaluate_many(
             graph_name, patterns, workers=workers, **kwargs
@@ -126,19 +121,16 @@ class ExpFinder:
         pattern: Pattern,
         k: int = 5,
         metric: str | RankingMetric = "social-impact",
-        workers: int | None = None,
         **evaluate_kwargs: Any,
     ) -> list[RankedMatch] | list[tuple[NodeId, float]]:
         """Top-K matches of the output node, best first.
 
-        ``workers`` > 1 parallelises both evaluation and per-match scoring;
-        any other keyword (``use_cache``, ``use_compression``, ...) is
+        Evaluation keywords (``use_cache``, ``use_compression``, ...) are
         forwarded to :meth:`QueryEngine.evaluate`, exactly as
         :meth:`QueryEngine.top_k` accepts them.
         """
         return self.engine.top_k(
-            graph_name, pattern, k, metric=metric, workers=workers,
-            **evaluate_kwargs,
+            graph_name, pattern, k, metric=metric, **evaluate_kwargs
         )
 
     def explain(self, graph_name: str, pattern: Pattern) -> Plan:

@@ -32,8 +32,7 @@ Two evaluators compute that relation, byte for byte the same:
   Because ``S`` is indexed by candidates, membership changes never
   invalidate it — only graph distance changes do — which is why the
   incremental module (SIGMOD 2011) maintains this state under edge
-  updates, and why the sharded parallel evaluator merges worker rows into
-  it (:meth:`BoundedState.from_successor_rows`).
+  updates.
 
 Under a guard (:class:`~repro.engine.estimator.QueryGuard`) both charge
 node arrivals — BFS arrivals of either direction and row entries alike.
@@ -95,8 +94,8 @@ def frozen_successor_rows(
     """Bounded successor rows for every source candidate, int-indexed.
 
     For each pattern node ``u`` with out-edges and each source id ``v``
-    (``sources_by_node[u]`` when given — the sharded evaluator's pivots,
-    or the relation-first matcher's matches — else every candidate of
+    (``sources_by_node[u]`` when given — the relation-first matcher's
+    matches — else every candidate of
     ``u``), computes per out-edge ``(u, u')`` the row ``{w: dist}`` of
     ``u'``-candidates within the edge bound.  ``route_on``, when given,
     names the id sets the planner routes on in place of the sources and
@@ -407,20 +406,18 @@ class BoundedState:
     ) -> "BoundedState":
         """Assemble a state from externally computed ``S`` rows.
 
-        This is the merge step of parallel sharded evaluation
-        (:mod:`repro.engine.parallel`): workers return, per pattern edge and
-        owned source candidate, the bounded successor entries the shared
-        snapshot yields, and this constructor rebuilds ``R``/``cnt`` and
-        runs the very same initial removal fixpoint the sequential
-        constructor runs — the boundary refinement that makes cross-shard
-        refutations cascade.  Every candidate of every pattern edge's source
-        must have a row (possibly empty); a missing row means the shard
-        decomposition lost a pivot and raises instead of silently producing
-        a wrong (too large) relation.
+        ``rows`` holds, per pattern edge and source candidate, the bounded
+        successor entries a snapshot yields (as
+        :func:`frozen_successor_rows` computes them); this constructor
+        rebuilds ``R``/``cnt`` and runs the very same initial removal
+        fixpoint the sequential constructor runs.  Every candidate of every
+        pattern edge's source must have a row (possibly empty); a missing
+        row raises instead of silently producing a wrong (too large)
+        relation.
 
         ``allow_missing=True`` relaxes that check for *guarded* partial
-        evaluation: shards aborted by a tripped budget never report their
-        rows (nor does a relation-first evaluation cut short), so missing
+        evaluation: a relation-first evaluation cut short by a tripped
+        budget never builds some rows, so missing
         candidates get an empty row (cnt 0) and the fixpoint prunes them —
         an under-approximation, which is exactly the sound direction for a
         partial result.
@@ -710,7 +707,6 @@ def match_bounded(
     frozen: FrozenGraph | None = None,
     oracle=None,
     budget=None,
-    guard=None,
 ) -> MatchResult:
     """Compute ``M(Q,G)`` under bounded simulation.
 
@@ -736,9 +732,7 @@ def match_bounded(
     either raises :class:`~repro.errors.BudgetExceededError` or — with
     ``allow_partial=True`` — degrades to a *sound subset* of the exact
     relation flagged ``stats["partial"] = True`` with the tripped guard in
-    ``stats["guard"]``.  Callers that already own a
-    :class:`~repro.engine.estimator.QueryGuard` (the parallel executor's
-    shard workers share one counter) pass ``guard`` instead.
+    ``stats["guard"]``.
 
     >>> from repro.graph.digraph import Graph
     >>> from repro.pattern.pattern import Pattern
@@ -768,7 +762,8 @@ def match_bounded(
             raise EvaluationError(
                 f"stale distance oracle: {oracle!r} does not match {frozen!r}"
             )
-    if guard is None and budget is not None and budget.is_limited:
+    guard = None
+    if budget is not None and budget.is_limited:
         from repro.engine.estimator import QueryGuard
 
         guard = QueryGuard(budget)

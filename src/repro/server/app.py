@@ -3,10 +3,8 @@
 Layering (each usable on its own):
 
 * :class:`ExpFinderService` — the in-process facade: graph registration,
-  epoch-pinned reads, atomic update publishing, admission control and a
-  :class:`~repro.engine.parallel.ParallelExecutor`, through which
-  ``evaluate``/``batch``/``topk`` fan sharded evaluation out when
-  ``workers > 1``.  Tests and benchmarks drive this
+  epoch-pinned reads, atomic update publishing and admission control.
+  Tests and benchmarks drive this
   object directly; its read path is relation-identical to
   :class:`~repro.engine.engine.QueryEngine`.
 * :class:`QueryServer` — ``ThreadingHTTPServer`` + JSON around the
@@ -57,7 +55,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.estimator import QueryBudget
-from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.errors import ReproError, ServerError
 from repro.graph.digraph import Graph
 from repro.graph.io import graph_from_dict
@@ -85,7 +82,6 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 class ServiceConfig:
     """Tunables of one service instance (all have serving-safe defaults)."""
 
-    workers: int = 1
     max_inflight: int = 8
     max_queue: int = 16
     queue_timeout: float = 5.0
@@ -102,7 +98,6 @@ class ServiceConfig:
     checkpoint_background: bool = True
 
     def validated(self) -> "ServiceConfig":
-        validate_workers(self.workers)
         # the same checks the controller applies, surfaced at config time
         # so the CLI can name the offending flag
         AdmissionController(
@@ -124,13 +119,10 @@ class ServiceConfig:
 
 
 class ExpFinderService:
-    """Registry + admission + executor behind one facade.
+    """Registry + admission behind one facade.
 
-    With ``workers > 1`` every cache-miss ``evaluate`` / ``batch`` /
-    ``topk`` evaluation routes through one executor
-    (:meth:`Epoch.evaluate` with ``executor=``), whose fan-outs start and
-    kill worker processes of their own; request threads share the
-    executor freely — a fan-out keeps no process-wide state.
+    Every request evaluates in the request's own thread, against the
+    epoch it pinned.
     """
 
     def __init__(self, config: ServiceConfig | None = None, store: Any = None) -> None:
@@ -171,9 +163,6 @@ class ExpFinderService:
             max_queue=self.config.max_queue,
             queue_timeout=self.config.queue_timeout,
         )
-        self._executor: ParallelExecutor | None = None
-        if self.config.workers > 1:
-            self._executor = ParallelExecutor(self.config.workers)
         self._requests_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._closed = False
@@ -206,8 +195,6 @@ class ExpFinderService:
                 self.checkpointer.close(final_checkpoint=True)
             if self.wal is not None:
                 self.wal.close()
-            if self._executor is not None:
-                self._executor.close()
 
     def __enter__(self) -> "ExpFinderService":
         return self
@@ -275,9 +262,7 @@ class ExpFinderService:
         budget = decode_budget(payload, default=self.config.default_budget)
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
-                result = epoch.evaluate(
-                    pattern, budget=budget, executor=self._executor
-                )
+                result = epoch.evaluate(pattern, budget=budget)
                 return {
                     "graph": name,
                     "epoch": epoch.epoch_id,
@@ -303,10 +288,7 @@ class ExpFinderService:
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
                 results = [
-                    epoch.evaluate(
-                        pattern, budget=budget, executor=self._executor
-                    )
-                    for pattern in patterns
+                    epoch.evaluate(pattern, budget=budget) for pattern in patterns
                 ]
                 return {
                     "graph": name,
@@ -330,9 +312,7 @@ class ExpFinderService:
         budget = decode_budget(payload, default=self.config.default_budget)
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
-                ranked = epoch.top_k(
-                    pattern, k, budget=budget, executor=self._executor
-                )
+                ranked = epoch.top_k(pattern, k, budget=budget)
                 return {
                     "graph": name,
                     "epoch": epoch.epoch_id,
@@ -377,12 +357,9 @@ class ExpFinderService:
             "registry": self.registry.stats(),
             "admission": self.admission.stats(),
             "requests": requests,
-            "workers": self.config.workers,
         }
         if self.wal is not None:
             stats["wal"] = self.registry.wal_status()
-        if self._executor is not None:
-            stats["pools_created"] = self._executor.pools_created
         return stats
 
 

@@ -129,7 +129,6 @@ class Epoch:
         self,
         pattern: Pattern,
         budget: QueryBudget | None = None,
-        executor: Any = None,
     ) -> MatchResult:
         """``M(Q,G)`` against this epoch — cache, then frozen kernels.
 
@@ -138,13 +137,6 @@ class Epoch:
         is byte-identical to ``QueryEngine.evaluate`` on the same graph
         version — the E18 benchmark asserts exactly that.  Partial
         (budget-tripped) results are never cached.
-
-        An ``executor`` (a :class:`~repro.engine.parallel.ParallelExecutor`
-        with ``workers > 1``) fans cache-miss evaluation out across worker
-        processes instead of running the kernels inline; the sharded
-        result is relation-identical to the inline one (asserted by the
-        differential suite), so the cache and byte-identity contracts are
-        unchanged.
         """
         pattern.validate()
         watch = Stopwatch()
@@ -159,16 +151,7 @@ class Epoch:
             )
             return result
         candidates = self.candidates(pattern)
-        if executor is not None and executor.workers > 1:
-            result = executor.match(
-                self.graph,
-                pattern,
-                candidates=candidates,
-                frozen=self.frozen,
-                oracle=self.oracle,
-                budget=budget,
-            )
-        elif pattern.is_simulation_pattern:
+        if pattern.is_simulation_pattern:
             result = match_simulation(
                 self.graph, pattern, candidates=candidates, frozen=self.frozen
             )
@@ -191,7 +174,6 @@ class Epoch:
         pattern: Pattern,
         k: int,
         budget: QueryBudget | None = None,
-        executor: Any = None,
     ) -> list:
         """Top-K ranked experts against this epoch (rank-cache aware)."""
         pattern.validate(require_output=True)
@@ -199,7 +181,7 @@ class Epoch:
         entry = self.rank_cache.get(key)
         if entry is not None:
             return bulk_top_k_detail(entry.context, k)
-        result = self.evaluate(pattern, budget=budget, executor=executor)
+        result = self.evaluate(pattern, budget=budget)
         context = RankingContext(result.result_graph())
         ranked = bulk_top_k_detail(context, k)
         if not result.stats.get("partial"):

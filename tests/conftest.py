@@ -6,6 +6,8 @@ import pytest
 
 from repro.datasets.paper_example import paper_graph, paper_pattern
 from repro.graph.digraph import Graph
+from repro.graph.index import predicate_key
+from repro.matching.simulation import simulation_candidates
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
 
@@ -68,3 +70,12 @@ def make_labelled_graph(edges: list[tuple[str, str]], labels: dict[str, str]) ->
         graph.add_node(node, label=label)
     graph.add_edges(edges)
     return graph
+
+
+def batch_of(graph: Graph, pattern: Pattern, copies: int = 2) -> tuple[list, dict]:
+    """``(tasks, table)`` for a ``ParallelExecutor.match_many`` batch that
+    runs ``pattern`` ``copies`` times (two tasks fork two workers)."""
+    keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+    candidates = simulation_candidates(graph, pattern)
+    table = {keys[u]: candidates[u] for u in pattern.nodes()}
+    return [(pattern, keys)] * copies, table

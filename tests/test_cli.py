@@ -95,12 +95,13 @@ class TestTopK:
 
     def test_topk_with_workers_matches_sequential(self, graph_file, pattern_file,
                                                   capsys):
+        """One query runs in one process: ``topk`` has no ``--workers``."""
         assert main(["topk", "--graph", graph_file, "--pattern", pattern_file,
                      "-k", "2"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["topk", "--graph", graph_file, "--pattern", pattern_file,
-                     "-k", "2", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == sequential
+        assert "Bob" in capsys.readouterr().out
+        assert_no_workers_flag(["topk", "--graph", graph_file, "--pattern",
+                                pattern_file, "-k", "2", "--workers", "2"],
+                               capsys)
 
     @pytest.mark.parametrize("metric", ["social-impact", "degree", "closeness",
                                         "harmonic"])
@@ -113,10 +114,8 @@ class TestTopK:
         assert "k must be a positive integer" in capsys.readouterr().err
 
     def test_topk_rejects_bad_workers(self, graph_file, pattern_file, capsys):
-        code = main(["topk", "--graph", graph_file, "--pattern", pattern_file,
-                     "--workers", "0"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert_no_workers_flag(["topk", "--graph", graph_file, "--pattern",
+                                pattern_file, "--workers", "0"], capsys)
 
     def test_topk_no_match_exits_1(self, tmp_path, graph_file, capsys):
         q = tmp_path / "none.pattern"
@@ -236,28 +235,32 @@ class TestDemo:
         assert "ΔM +(SD, Fred)" in out  # Example 3
 
 
+def assert_no_workers_flag(argv, capsys) -> None:
+    """``argv`` names ``--workers`` on a command that has no such flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 class TestWorkers:
-    """CLI error paths and happy paths for the --workers flag."""
+    """CLI error paths and happy paths for the --workers flag, which only
+    the commands with a fan-out (batch, oracle, snapshot save) take."""
 
     def test_query_parallel_matches_sequential_output(
         self, graph_file, pattern_file, capsys
     ):
         assert main(["query", "--graph", graph_file, "--pattern", pattern_file]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["query", "--graph", graph_file, "--pattern", pattern_file,
-                     "--workers", "2"]) == 0
-        assert capsys.readouterr().out == sequential
-        assert "SA: Bob, Walt" in sequential
+        assert "SA: Bob, Walt" in capsys.readouterr().out
+        assert_no_workers_flag(["query", "--graph", graph_file, "--pattern",
+                                pattern_file, "--workers", "2"], capsys)
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_query_rejects_bad_workers(self, graph_file, pattern_file, capsys,
                                        workers):
-        code = main(["query", "--graph", graph_file, "--pattern", pattern_file,
-                     "--workers", workers])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "--workers: workers must be a positive integer" in err
+        for command in (["query", "--graph", graph_file, "--pattern", pattern_file],
+                        ["serve", "--port", "0"]):
+            assert_no_workers_flag([*command, "--workers", workers], capsys)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_batch_rejects_bad_workers(self, graph_file, pattern_file, capsys,
@@ -269,8 +272,8 @@ class TestWorkers:
 
     def test_batch_single_pattern_with_workers(self, graph_file, pattern_file,
                                                capsys):
-        # A one-query batch delegates to per-query sharding; the summary
-        # line must still render (regression: KeyError on stats["batch"]).
+        # A one-query batch runs its one task inline; the summary line
+        # must still render (regression: KeyError on stats["batch"]).
         code = main(["batch", "--graph", graph_file, "--pattern", pattern_file,
                      "--workers", "2"])
         assert code == 0
@@ -296,7 +299,7 @@ class TestWorkers:
 
     def test_query_parallel_missing_graph_file_is_error(self, tmp_path,
                                                         pattern_file, capsys):
-        code = main(["query", "--graph", str(tmp_path / "none.json"),
+        code = main(["batch", "--graph", str(tmp_path / "none.json"),
                      "--pattern", pattern_file, "--workers", "2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
@@ -438,7 +441,7 @@ class TestBudgetFlags:
     def test_query_workers_with_budget(self, hub_graph_file, bomb_file, capsys):
         code = main([
             "query", "--graph", hub_graph_file, "--pattern", bomb_file,
-            "--workers", "2", "--budget", "500", "--allow-partial",
+            "--budget", "500", "--allow-partial",
         ])
         out = capsys.readouterr().out
         assert code == 1

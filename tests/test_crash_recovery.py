@@ -292,7 +292,7 @@ class TestDegradation:
         wal.close()
 
     def test_degraded_service_health(self, tmp_path):
-        config = ServiceConfig(wal_dir=str(tmp_path / "wal"), workers=1)
+        config = ServiceConfig(wal_dir=str(tmp_path / "wal"))
         with ExpFinderService(config) as service:
             service.register_graph(GRAPH_NAME, base_graph())
             with armed("registry.rebuild", action="storage-error"):
@@ -313,7 +313,6 @@ class TestDegradation:
 def _service_config(tmp_path, **overrides):
     defaults = dict(
         wal_dir=str(tmp_path / "wal"),
-        workers=1,
         checkpoint_background=False,
         checkpoint_every=1000,  # keep the WAL suffix around for replay
     )

@@ -1,10 +1,10 @@
-"""Differential testing: parallel sharded evaluation ≡ sequential evaluation.
+"""Differential testing: multiprocess evaluation ≡ sequential evaluation.
 
 Every case generates a seeded random graph and a seeded random pattern,
-evaluates both sequentially and through the sharded
-:class:`~repro.engine.parallel.ParallelExecutor`, and requires the two
-relations to be *byte-identical* (set equality plus equal serialized
-forms).  The query-set evaluation literature (Brochier et al.,
+evaluates it sequentially (over the dict graph) and in worker processes
+through :meth:`~repro.engine.parallel.ParallelExecutor.match_many` (over a
+frozen snapshot), and requires the relations to be *byte-identical* (set
+equality plus equal serialized forms).  The query-set evaluation literature (Brochier et al.,
 arXiv:1806.10813) shows expert-finding results depend heavily on which
 queries you test with, so the harness sweeps many query shapes — chains,
 cycles, mixed bounds, ``*`` edges, edge-free patterns — not just the paper
@@ -16,11 +16,11 @@ assertion message), so a failure names the exact case to replay:
     pytest tests/test_differential.py -k "seed17" -x
 
 One executor is shared by the whole module; every fan-out forks worker
-processes of its own that inherit the snapshot.  Each sharded case runs
-twice: ``cold`` calls are unbudgeted, ``warmed`` calls carry a node budget
-that never trips, so the workers charge one shared visit counter per call.
-(The ``warmed`` id is historical: budgeted calls used to run on a warm
-persistent pool.)
+processes of its own that inherit the snapshot.  Each case is a batch of
+two tasks, so the call really forks two workers, and runs twice: ``cold``
+calls are unbudgeted, ``warmed`` calls carry a per-query node budget that
+never trips.  (The ``warmed`` id is historical: budgeted calls used to run
+on a warm persistent pool.)
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
 from repro.graph.oracle import DistanceOracle
+from repro.matching.base import MatchResult
 from repro.matching.bounded import frozen_successor_rows, match_bounded
 from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.pattern import Pattern
 from repro.ranking.topk import RankingContext, bulk_top_k_detail
+from tests.conftest import batch_of
 
 BOUNDED_SEEDS = range(60)
 SIMULATION_SEEDS = range(60)
@@ -55,15 +57,22 @@ def shared_executor():
 
 @pytest.fixture(params=["cold", "warmed"])
 def sharded_match(request, shared_executor):
-    """``match(graph, pattern)`` through the shared executor, unbudgeted
-    (``cold``) or under a node budget that never trips (``warmed``)."""
+    """``match(graph, pattern)`` as a two-task ``match_many`` batch through
+    the shared executor (two forked workers over one frozen snapshot),
+    unbudgeted (``cold``) or under a per-query node budget that never trips
+    (``warmed``).  Both tasks must agree; the first one's answer returns."""
     budget = QueryBudget(node_visits=10**12) if request.param == "warmed" else None
 
     def match(graph, pattern):
-        result = shared_executor.match(graph, pattern, budget=budget)
-        assert ("visits" in result.stats) == (budget is not None)
-        assert not result.stats.get("partial")
-        return result
+        (relation, stats), (twin, _twin_stats) = shared_executor.match_many(
+            graph, *batch_of(graph, pattern),
+            frozen=FrozenGraph.freeze(graph), budget=budget,
+        )
+        assert relation.to_dict() == twin.to_dict()
+        guarded = budget is not None and not pattern.is_simulation_pattern
+        assert ("visits" in stats) == guarded
+        assert not stats.get("partial")
+        return MatchResult(graph, pattern, relation, stats=stats)
 
     return match
 
@@ -153,10 +162,6 @@ def test_parallel_equals_sequential_bounded(sharded_match, seed):
     sequential = sequential_result(graph, pattern)
     parallel = sharded_match(graph, pattern)
     assert_identical(seed, parallel, sequential)
-    # The merged state must also be internally consistent, not merely land
-    # on the right answer; this catches S/R/cnt merge bugs at their source.
-    if parallel._state is not None:
-        parallel._state.check_invariants()
 
 
 @pytest.mark.parametrize("seed", BOUNDED_SEEDS, ids=lambda s: f"seed{s}")
@@ -199,7 +204,7 @@ def test_parallel_equals_sequential_simulation(sharded_match, seed):
 
     With every bound 1, bounded simulation's fixpoint coincides with plain
     simulation's, so all three evaluators must agree: the quadratic
-    matcher, the cubic matcher, and the sharded parallel path.
+    matcher, the cubic matcher, and the multiprocess batch path.
     """
     graph, pattern = random_case(seed, simulation_only=True)
     via_simulation = match_simulation(graph, pattern)
@@ -211,18 +216,30 @@ def test_parallel_equals_sequential_simulation(sharded_match, seed):
     assert_identical(seed, parallel, via_simulation)
 
 
+def engine_batch(seed: int) -> tuple[Graph, list[Pattern]]:
+    """Seed ``seed``'s graph with its pattern and the first later seed's
+    pattern that differs from it, so the batch farms out two tasks."""
+    graph, pattern = random_case(seed)
+    for later in range(seed + 1, seed + 100):
+        other = random_case(later)[1]
+        if other.canonical_key() != pattern.canonical_key():
+            return graph, [pattern, other]
+    raise AssertionError(f"seed {seed}: no distinct second pattern")
+
+
 @pytest.mark.parametrize("seed", ENGINE_SEEDS, ids=lambda s: f"seed{s}")
 def test_engine_workers_equals_sequential(seed):
-    """The engine's ``workers=N`` route produces the sequential relation."""
-    graph, pattern = random_case(seed)
+    """The engine's ``evaluate_many(workers=N)`` route produces the
+    sequential relations."""
+    graph, patterns = engine_batch(seed)
     engine = QueryEngine()
     engine.register_graph("g", graph)
-    sequential = engine.evaluate("g", pattern, use_cache=False, cache_result=False)
-    parallel = engine.evaluate(
-        "g", pattern, use_cache=False, cache_result=False, workers=2
-    )
-    assert_identical(seed, parallel, sequential)
-    assert parallel.stats["parallel"]["workers"] == 2
+    kwargs = dict(use_cache=False, cache_result=False)
+    sequential = [engine.evaluate("g", pattern, **kwargs) for pattern in patterns]
+    parallel = engine.evaluate_many("g", patterns, workers=2, **kwargs)
+    for seq, par in zip(sequential, parallel):
+        assert_identical(seed, par, seq)
+    assert parallel[0].stats["batch"]["workers"] == 2
 
 
 def test_engine_batch_workers_equals_sequential():
@@ -355,17 +372,18 @@ def test_guarded_equals_unguarded_simulation(seed):
 
 @pytest.mark.parametrize("seed", ENGINE_SEEDS, ids=lambda s: f"seed{s}")
 def test_engine_guarded_workers_equals_sequential(seed):
-    """Budget + sharded workers + generous limits = the sequential answer."""
-    graph, pattern = random_case(seed)
+    """Budget + batch workers + generous limits = the sequential answer."""
+    graph, patterns = engine_batch(seed)
     engine = QueryEngine()
     engine.register_graph("g", graph)
     kwargs = dict(use_cache=False, cache_result=False)
-    sequential = engine.evaluate("g", pattern, **kwargs)
-    guarded = engine.evaluate(
-        "g", pattern, budget=generous_budget(), workers=2, **kwargs
+    sequential = [engine.evaluate("g", pattern, **kwargs) for pattern in patterns]
+    guarded = engine.evaluate_many(
+        "g", patterns, budget=generous_budget(), workers=2, **kwargs
     )
-    assert_identical(seed, guarded, sequential)
-    assert not guarded.stats.get("partial")
+    for seq, limited in zip(sequential, guarded):
+        assert_identical(seed, limited, seq)
+        assert not limited.stats.get("partial")
 
 
 def test_engine_batch_guarded_equals_unguarded():

@@ -24,7 +24,6 @@ MODULE_NAMES = [
     "repro.graph.distance",
     "repro.graph.generators",
     "repro.graph.index",
-    "repro.graph.partition",
     "repro.incremental.inc_simulation",
     "repro.matching.bounded",
     "repro.matching.isomorphism",

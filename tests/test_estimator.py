@@ -10,7 +10,6 @@ exact-ball reference; the guard/budget classes get direct unit coverage.
 
 from __future__ import annotations
 
-import multiprocessing
 
 import hypothesis.strategies as st
 import pytest
@@ -273,20 +272,6 @@ def test_guard_time_limit_uses_injected_clock():
     assert guard.should_stop()
     assert guard.tripped == GUARD_TIME_LIMIT
     assert "within budget" not in repr(guard)
-
-
-def test_guard_shared_counter_aggregates_across_instances():
-    """Two guards over one counter model two shard workers on one budget."""
-    counter = multiprocessing.Value("q", 0)
-    budget = QueryBudget(node_visits=100, allow_partial=True)
-    left = QueryGuard(budget, shared_counter=counter)
-    right = QueryGuard(budget, shared_counter=counter)
-    left.charge(60)
-    right.charge(60)  # joint total 120 > 100: the *shared* budget is blown
-    assert right.tripped == GUARD_NODE_BUDGET
-    assert left.should_stop()  # sees the shared total, not its local 60
-    assert left.stats()["visits"] == 60  # local accounting stays local
-    assert counter.value == 120
 
 
 def test_guard_ignores_nonpositive_charges():

@@ -36,11 +36,11 @@ from repro.graph.distance import (
 )
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
-from repro.graph.partition import decompose
 from repro.matching.bounded import frozen_successor_rows, match_bounded
 from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.builder import PatternBuilder
 from repro.ranking.topk import RankingContext
+from tests.conftest import batch_of
 from tests.test_differential import candidate_rows, random_case, weighted_edges
 from tests.test_frozen_patch import batch_from_codes, observed
 
@@ -324,25 +324,11 @@ class TestFrozenMatchers:
             refine_simulation(
                 fig1, simple, simulation_candidates(fig1, simple), frozen=frozen
             )
-        with pytest.raises(GraphError, match="stale frozen snapshot"):
-            decompose(
-                fig1, fig1_query, simulation_candidates(fig1, fig1_query), 2,
-                frozen=frozen,
-            )
         with ParallelExecutor(workers=1) as executor:
             with pytest.raises(EvaluationError, match="stale frozen snapshot"):
-                executor.match(fig1, fig1_query, frozen=frozen)
-
-
-class TestFrozenPartition:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_decompose_matches_dict_path(self, seed):
-        graph, pattern = random_case(seed)
-        frozen = FrozenGraph.freeze(graph)
-        candidates = simulation_candidates(graph, pattern)
-        plain = decompose(graph, pattern, dict(candidates), 3)
-        accelerated = decompose(graph, pattern, dict(candidates), 3, frozen=frozen)
-        assert accelerated == plain, f"seed {seed}"
+                executor.match_many(
+                    fig1, *batch_of(fig1, fig1_query), frozen=frozen
+                )
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +627,7 @@ class TestSnapshotPatching:
 
 
 # ----------------------------------------------------------------------
-# frozen shard shipping (workers > 0)
+# frozen snapshot shipping (workers > 1)
 # ----------------------------------------------------------------------
 
 class TestFrozenShipping:
@@ -650,41 +636,24 @@ class TestFrozenShipping:
         graph, pattern = random_case(seed)
         sequential = match_bounded(graph, pattern)
         with ParallelExecutor(workers=2) as executor:
-            parallel = executor.match(graph, pattern)
-        assert parallel.relation == sequential.relation, f"seed {seed}"
-        assert parallel.relation.to_dict() == sequential.relation.to_dict()
-
-    def test_shard_payloads_are_flat_ids_over_the_shared_snapshot(
-        self, fig1, fig1_query
-    ):
-        """Shards ship pivot ids and candidate id arrays, never a graph."""
-        frozen = FrozenGraph.freeze(fig1)
-        candidates = simulation_candidates(fig1, fig1_query)
-        shards = decompose(fig1, fig1_query, candidates, 2, frozen=frozen)
-        payloads = ParallelExecutor._shard_payloads(
-            frozen, fig1_query, shards, candidates
-        )
-        shared_arrays: dict = {}
-        for shard, (edges_spec, pivot_ids, candidate_arrays) in zip(shards, payloads):
-            assert set(edges_spec) == set(shard.pivots)
-            for u, pivots in shard.pivots.items():
-                assert tuple(frozen.labels[i] for i in pivot_ids[u]) == pivots
-            for u, arr in candidate_arrays.items():
-                assert [frozen.labels[i] for i in arr] == sorted(
-                    candidates[u], key=frozen.ids().__getitem__
-                )
-                # built once, shared by every shard that filters against u
-                assert shared_arrays.setdefault(u, arr) is arr
+            outcomes = executor.match_many(
+                graph, *batch_of(graph, pattern),
+                frozen=FrozenGraph.freeze(graph),
+            )
+        for relation, _stats in outcomes:
+            assert relation == sequential.relation, f"seed {seed}"
+            assert relation.to_dict() == sequential.relation.to_dict()
 
     def test_engine_workers_with_warm_snapshot(self, fig1, fig1_query):
         engine = QueryEngine()
         engine.register_graph("g", fig1)
         sequential = engine.evaluate("g", fig1_query, use_cache=False,
                                      cache_result=False)
-        parallel = engine.evaluate(
-            "g", fig1_query, use_cache=False, cache_result=False, workers=2
+        parallel = engine.evaluate_many(
+            "g", [fig1_query, deep_pattern(2)], use_cache=False,
+            cache_result=False, workers=2,
         )
-        assert parallel.relation == sequential.relation
+        assert parallel[0].relation == sequential.relation
         assert engine.snapshot_stats()["builds"] == 1  # one snapshot fed both
 
 

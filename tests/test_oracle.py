@@ -33,6 +33,7 @@ from repro.incremental.updates import (
 )
 from repro.matching.bounded import match_bounded
 from repro.pattern.pattern import Pattern
+from tests.conftest import batch_of
 
 SWEEP_SEEDS = range(25)
 
@@ -326,6 +327,8 @@ class TestRouting:
 class TestParallelMatching:
     @pytest.mark.parametrize("seed", range(8), ids=lambda s: f"seed{s}")
     def test_sharded_match_with_oracle_is_identical(self, seed, executor):
+        """Batch workers routing edges to the shared oracle's labels give
+        the inline answer."""
         rng = random.Random(seed)
         n = rng.randint(16, 48)
         graph = random_digraph(n, rng.randint(n, 3 * n), seed=seed)
@@ -336,10 +339,12 @@ class TestParallelMatching:
         pattern.add_node("Y", f'label == "L{rng.randrange(3)}"')
         pattern.add_edge("X", "Y", rng.choice([2, 3, 5, None]))
         sequential = match_bounded(graph, pattern, frozen=frozen, oracle=oracle)
-        parallel = executor.match(graph, pattern, frozen=frozen, oracle=oracle)
-        assert parallel.relation == sequential.relation, f"seed {seed}"
-        assert parallel.relation.to_dict() == sequential.relation.to_dict()
-        parallel._state.check_invariants()
+        outcomes = executor.match_many(
+            graph, *batch_of(graph, pattern), frozen=frozen, oracle=oracle
+        )
+        for relation, _stats in outcomes:
+            assert relation == sequential.relation, f"seed {seed}"
+            assert relation.to_dict() == sequential.relation.to_dict()
 
     def test_stale_oracle_rejected_by_executor(self, executor):
         graph = Graph.from_edges([("a", "b")])
@@ -348,7 +353,10 @@ class TestParallelMatching:
         pattern = Pattern()
         pattern.add_node("X")
         with pytest.raises(EvaluationError, match="stale distance oracle"):
-            executor.match(graph, pattern, oracle=oracle)
+            executor.match_many(
+                graph, *batch_of(graph, pattern),
+                frozen=FrozenGraph.freeze(graph), oracle=oracle,
+            )
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,13 @@
 The exhaustive parallel-vs-sequential equivalence lives in
 tests/test_differential.py; this module covers the machinery itself:
 worker validation, worker-process lifecycle, stats, engine routing, and
-the facade.
+the facade.  One query always runs in one process; the fan-outs are
+``match_many`` (whole queries of a batch) and ``build_oracle``.
 """
 
 from __future__ import annotations
 
 from os import _exit
-from time import sleep
 
 import pytest
 
@@ -17,10 +17,23 @@ from repro.engine.engine import QueryEngine
 from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.errors import EvaluationError
 from repro.expfinder import ExpFinder
-from repro.matching.bounded import BoundedState, match_bounded
-from repro.matching.simulation import simulation_candidates
+from repro.matching.bounded import match_bounded
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.parser import parse_pattern
+from tests.conftest import batch_of
+
+
+def counting_fan_outs(monkeypatch) -> list:
+    """Record the task function of every fan-out any executor starts."""
+    used: list[str] = []
+    real_fan_out = ParallelExecutor._fan_out
+
+    def recording_fan_out(self, function, state, tasks):
+        used.append(function.__name__)
+        return real_fan_out(self, function, state, tasks)
+
+    monkeypatch.setattr(ParallelExecutor, "_fan_out", recording_fan_out)
+    return used
 
 
 class TestValidateWorkers:
@@ -38,35 +51,27 @@ class TestValidateWorkers:
 
 
 class TestExecutor:
-    def test_match_parity_and_stats(self, fig1, fig1_query):
-        sequential = match_bounded(fig1, fig1_query)
-        with ParallelExecutor(workers=2) as executor:
-            parallel = executor.match(fig1, fig1_query)
-        assert parallel.relation == sequential.relation
-        info = parallel.stats["parallel"]
-        assert info["mode"] == "sharded-query"
-        assert info["workers"] == 2
-        assert info["shards"] == 2
-        assert parallel.stats["algorithm"] == "bounded-simulation"
-        assert parallel.stats["candidate_source"] == "scan"
-
-    def test_result_carries_state(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(fig1, fig1_query)
-        assert isinstance(result._state, BoundedState)
-        result._state.check_invariants()
-        assert result.result_graph().num_nodes > 0
-
-    def test_single_worker_runs_inline(self, fig1, fig1_query):
+    def test_single_worker_runs_inline(self, fig1, fig1_query, monkeypatch):
+        used = counting_fan_outs(monkeypatch)
         executor = ParallelExecutor(workers=1)
-        result = executor.match(fig1, fig1_query)
-        assert executor.pools_created == 0  # no processes were started
-        assert result.relation == match_bounded(fig1, fig1_query).relation
+        tasks, table = batch_of(fig1, fig1_query)
+        outcomes = executor.match_many(fig1, tasks, table)
+        assert used == []  # no processes were started
+        expected = match_bounded(fig1, fig1_query).relation
+        assert [relation for relation, _stats in outcomes] == [expected] * 2
 
-    def test_fan_out_shares_the_graph(self, fig1, fig1_query):
-        with ParallelExecutor(workers=2) as executor:
-            result = executor.match(fig1, fig1_query)
-        assert result.stats["parallel"]["shipping"] == "shared-graph"
+    def test_fan_out_shares_the_graph(self, fig1):
+        """Forked children inherit the live snapshot; spawned ones get the
+        attribute-less buffers (or the backing file) instead."""
+        from repro.graph.frozen import FrozenGraph
+
+        frozen = FrozenGraph.freeze(fig1)
+        forked = ParallelExecutor(workers=2, start_method="fork")
+        assert forked._ship(frozen, None) == (frozen, None)
+        spawned = ParallelExecutor(workers=2, start_method="spawn")
+        shipped, oracle = spawned._ship(frozen, None)
+        assert shipped is not frozen and oracle is None
+        assert shipped.labels == frozen.labels
 
     def test_close_is_idempotent(self, fig1, fig1_query):
         executor = ParallelExecutor(workers=2)
@@ -74,22 +79,17 @@ class TestExecutor:
         executor.close()
         # The executor holds no process between calls: nothing a later
         # call needs was released.
-        result = executor.match(fig1, fig1_query)
-        assert result.relation == match_bounded(fig1, fig1_query).relation
+        tasks, table = batch_of(fig1, fig1_query)
+        outcomes = executor.match_many(fig1, tasks, table)
+        expected = match_bounded(fig1, fig1_query).relation
+        assert [relation for relation, _stats in outcomes] == [expected] * 2
 
     def test_bad_workers_rejected_at_construction(self):
         with pytest.raises(EvaluationError, match="positive integer"):
             ParallelExecutor(workers=0)
 
     def test_match_many_parity(self, fig1, fig1_query):
-        from repro.graph.index import predicate_key
-
-        candidates = simulation_candidates(fig1, fig1_query)
-        keys = {
-            u: predicate_key(fig1_query.predicate(u)) for u in fig1_query.nodes()
-        }
-        table = {keys[u]: candidates[u] for u in fig1_query.nodes()}
-        tasks = [(fig1_query, keys)] * 3
+        tasks, table = batch_of(fig1, fig1_query, copies=3)
         with ParallelExecutor(workers=2) as executor:
             outcomes = executor.match_many(fig1, tasks, table)
         expected = match_bounded(fig1, fig1_query).relation
@@ -110,10 +110,13 @@ class TestExecutor:
         )
         from repro.matching.simulation import match_simulation
 
+        tasks, table = batch_of(diamond, pattern)
         with ParallelExecutor(workers=2) as executor:
-            result = executor.match(diamond, pattern)
-        assert result.relation == match_simulation(diamond, pattern).relation
-        assert result.stats["algorithm"] == "simulation"
+            outcomes = executor.match_many(diamond, tasks, table)
+        expected = match_simulation(diamond, pattern).relation
+        for relation, stats in outcomes:
+            assert relation == expected
+            assert stats["algorithm"] == "simulation"
 
 
 class TestEngineWorkers:
@@ -123,40 +126,56 @@ class TestEngineWorkers:
         engine.register_graph("fig1", fig1)
         return engine
 
-    def test_direct_route_parity(self, engine, fig1_query):
-        sequential = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False
+    @pytest.fixture
+    def pair_query(self):
+        return (
+            PatternBuilder("pair")
+            .node("SA", 'field == "SA"', output=True)
+            .node("SD", 'field == "SD"')
+            .edge("SA", "SD", 2)
+            .build()
         )
-        parallel = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert parallel.relation == sequential.relation
-        assert parallel.stats["route"] == "direct"
-        assert parallel.stats["parallel"]["workers"] == 2
 
-    def test_parallel_result_is_cached(self, engine, fig1_query):
-        engine.evaluate("fig1", fig1_query, workers=2)
-        again = engine.evaluate("fig1", fig1_query, workers=2)
+    def test_direct_route_parity(self, engine, fig1_query, pair_query):
+        patterns = [fig1_query, pair_query]
+        kwargs = dict(use_cache=False, cache_result=False)
+        sequential = engine.evaluate_many("fig1", patterns, **kwargs)
+        parallel = engine.evaluate_many("fig1", patterns, workers=2, **kwargs)
+        assert [r.relation for r in parallel] == [r.relation for r in sequential]
+        assert [r.stats["route"] for r in parallel] == ["direct", "direct"]
+        assert parallel[0].stats["batch"]["workers"] == 2
+
+    def test_evaluate_and_top_k_take_no_workers(self, engine, fig1_query):
+        """One query runs in one process: there is no knob to split it."""
+        with pytest.raises(TypeError):
+            engine.evaluate("fig1", fig1_query, workers=2)
+        with pytest.raises(TypeError):
+            engine.top_k("fig1", fig1_query, 2, workers=2)
+
+    def test_parallel_result_is_cached(self, engine, fig1_query, pair_query):
+        engine.evaluate_many("fig1", [fig1_query, pair_query], workers=2)
+        again = engine.evaluate("fig1", fig1_query)
         assert again.stats["route"] == "cache"
-        assert "parallel" not in again.stats
 
     def test_unknown_graph_still_names_registered_graphs(self, engine, fig1_query):
         with pytest.raises(EvaluationError, match="registered: fig1"):
-            engine.evaluate("nope", fig1_query, workers=2)
+            engine.evaluate_many("nope", [fig1_query, fig1_query], workers=2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_workers_raise_before_evaluating(self, engine, fig1_query, workers):
         with pytest.raises(EvaluationError, match="positive integer"):
-            engine.evaluate("fig1", fig1_query, workers=workers)
-        with pytest.raises(EvaluationError, match="positive integer"):
             engine.evaluate_many("fig1", [fig1_query], workers=workers)
+        engine.enable_oracle("fig1")
+        with pytest.raises(EvaluationError, match="positive integer"):
+            engine.warm_oracle("fig1", workers=workers)
 
-    def test_compressed_route_ignores_workers(self, engine, fig1_query):
+    def test_compressed_route_ignores_workers(self, engine, fig1_query, pair_query):
         engine.compress_graph("fig1", ["field", "specialty", "experience"])
-        result = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False, workers=2
+        results = engine.evaluate_many(
+            "fig1", [fig1_query, pair_query], use_cache=False, cache_result=False,
+            workers=2,
         )
-        assert result.stats["route"] == "compressed"
+        assert [r.stats["route"] for r in results] == ["compressed", "compressed"]
         sequential = engine.evaluate(
             "fig1",
             fig1_query,
@@ -164,7 +183,7 @@ class TestEngineWorkers:
             use_compression=False,
             cache_result=False,
         )
-        assert result.relation == sequential.relation
+        assert results[0].relation == sequential.relation
 
     def test_batch_workers_parity_and_dedup(self, engine, fig1_query):
         patterns = [fig1_query, fig1_query, fig1_query]
@@ -178,45 +197,40 @@ class TestEngineWorkers:
         assert results[1].stats["route"] == "cache"
         assert results[0].stats["batch"]["workers"] == 2
 
-    def test_single_query_batch_uses_sharded_parallelism(self, engine, fig1_query):
+    def test_single_query_batch_runs_inline(self, engine, fig1_query, monkeypatch):
+        used = counting_fan_outs(monkeypatch)
         results = engine.evaluate_many(
             "fig1", [fig1_query], use_cache=False, cache_result=False, workers=2
         )
-        assert results[0].stats["parallel"]["mode"] == "sharded-query"
-        # The evaluate_many contract holds on the delegated path too: every
-        # result carries batch stats (the CLI reads them unconditionally).
+        assert used == []  # one task: match_many runs it in this process
+        assert results[0].relation == match_bounded(
+            engine.graph("fig1"), fig1_query
+        ).relation
         batch_info = results[0].stats["batch"]
         assert batch_info["size"] == 1
         assert batch_info["workers"] == 2
         assert batch_info["distinct_predicates"] == 4
 
-    def test_engine_reuses_one_executor_per_worker_count(self, engine, fig1_query):
-        engine.evaluate("fig1", fig1_query, use_cache=False, cache_result=False,
-                        workers=2)
+    def test_engine_reuses_one_executor_per_worker_count(
+        self, engine, fig1_query, pair_query
+    ):
+        patterns = [fig1_query, pair_query]
+        kwargs = dict(use_cache=False, cache_result=False, workers=2)
+        engine.evaluate_many("fig1", patterns, **kwargs)
         first = engine._executors[2]
-        engine.evaluate("fig1", fig1_query, use_cache=False, cache_result=False,
-                        workers=2)
+        engine.evaluate_many("fig1", patterns, **kwargs)
         assert engine._executors[2] is first
         engine.close()
         assert engine._executors == {}
         engine.close()  # idempotent
         # ...and the engine keeps working after close()
-        result = engine.evaluate(
-            "fig1", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert result.is_match
+        results = engine.evaluate_many("fig1", patterns, **kwargs)
+        assert all(result.is_match for result in results)
 
-    def test_farmed_result_graph_recomputes(self, engine, fig1_query):
-        second = (
-            PatternBuilder("pair")
-            .node("SA", 'field == "SA"', output=True)
-            .node("SD", 'field == "SD"')
-            .edge("SA", "SD", 2)
-            .build()
-        )
+    def test_farmed_result_graph_recomputes(self, engine, fig1_query, pair_query):
         results = engine.evaluate_many(
             "fig1",
-            [fig1_query, second],
+            [fig1_query, pair_query],
             use_cache=False,
             cache_result=False,
             workers=2,
@@ -231,10 +245,8 @@ class TestFacadeWorkers:
         finder = ExpFinder()
         finder.add_graph("g", fig1)
         sequential = finder.match("g", fig1_query, use_cache=False, cache_result=False)
-        parallel = finder.match(
-            "g", fig1_query, use_cache=False, cache_result=False, workers=2
-        )
-        assert parallel.relation == sequential.relation
+        with pytest.raises(TypeError):
+            finder.match("g", fig1_query, workers=2)
         many = finder.match_many(
             "g", [fig1_query, fig1_query], use_cache=False, cache_result=False,
             workers=2,
@@ -243,8 +255,8 @@ class TestFacadeWorkers:
 
 
 class TestPoolChurn:
-    """Budgeted calls start worker processes of their own, like every
-    fan-out: one visit counter per call, and no child left behind."""
+    """Budgeted batches start worker processes of their own, like every
+    fan-out: each task gets a fresh guard, and no child is left behind."""
 
     @pytest.fixture
     def selective_case(self):
@@ -261,25 +273,26 @@ class TestPoolChurn:
             PatternBuilder("chain")
             .node("S", 'label == "S"')
             .node("T", 'label == "T"')
-            .edge("S", "T", 1)
+            .edge("S", "T", 2)  # a bounded pattern: guards cover it
             .build()
         )
         return graph, pattern
 
-    def test_time_limited_calls_use_owned_processes(self, selective_case):
+    def test_time_limited_calls_use_owned_processes(self, selective_case, monkeypatch):
         import multiprocessing
 
         from repro.engine.estimator import QueryBudget
 
         graph, pattern = selective_case
+        tasks, table = batch_of(graph, pattern)
         timed = QueryBudget(node_visits=100_000, seconds=30.0, allow_partial=True)
+        used = counting_fan_outs(monkeypatch)
         before = set(multiprocessing.active_children())
         with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern, budget=timed)
-            first = executor.pools_created
-            executor.match(graph, pattern, budget=timed)
+            executor.match_many(graph, tasks, table, budget=timed)
+            executor.match_many(graph, tasks, table, budget=timed)
             # Each call starts its own processes and leaves none behind.
-            assert executor.pools_created == first + 1
+            assert used == ["_batch_query_core"] * 2
             assert set(multiprocessing.active_children()) <= before
 
     # This test and the next keep the names they had when node-budgeted
@@ -289,28 +302,33 @@ class TestPoolChurn:
         from repro.errors import BudgetExceededError
 
         graph, pattern = selective_case
+        tasks, table = batch_of(graph, pattern)
         strict = QueryBudget(node_visits=1, allow_partial=False)
         with ParallelExecutor(workers=2) as executor:
             with pytest.raises(BudgetExceededError):
-                executor.match(graph, pattern, budget=strict)
+                executor.match_many(graph, tasks, table, budget=strict)
             # ...and the executor remains usable afterwards
-            result = executor.match(graph, pattern)
-            assert sorted(result.relation.matches_of("S")) == ["s1", "s2"]
+            outcomes = executor.match_many(graph, tasks, table)
+            for relation, _stats in outcomes:
+                assert sorted(relation.matches_of("S")) == ["s1", "s2"]
 
     def test_partial_degrades_on_persistent_pool(self, selective_case):
         from repro.engine.estimator import QueryBudget
 
         graph, pattern = selective_case
+        tasks, table = batch_of(graph, pattern)
         tiny = QueryBudget(node_visits=1, allow_partial=True)
         with ParallelExecutor(workers=2) as executor:
-            result = executor.match(graph, pattern, budget=tiny)
-        assert result.stats["partial"]
-        assert result.stats["guard"]
+            outcomes = executor.match_many(graph, tasks, table, budget=tiny)
+        for _relation, stats in outcomes:
+            assert stats["partial"]
+            assert stats["guard"]
 
     def test_concurrent_node_budgets_count_their_own_visits(self, selective_case):
-        """Two threads make node-budgeted calls through one executor at
-        once: each gets the sequential relation and the visits of a call
-        made alone, and a blown strict budget raises and leaves no child."""
+        """Two threads make node-budgeted batches through one executor at
+        once: each task gets the sequential relation and the visits of a
+        call made alone, and a blown strict budget raises and leaves no
+        child."""
         import multiprocessing
         import threading
 
@@ -318,12 +336,13 @@ class TestPoolChurn:
         from repro.errors import BudgetExceededError
 
         graph, pattern = selective_case
+        tasks, table = batch_of(graph, pattern)
         budget = QueryBudget(node_visits=100_000, allow_partial=True)
         expected = match_bounded(graph, pattern).relation
+        alone = match_bounded(graph, pattern, budget=budget).stats["visits"]
+        assert alone > 0
         before = set(multiprocessing.active_children())
         with ParallelExecutor(workers=2) as executor:
-            alone = executor.match(graph, pattern, budget=budget).stats["visits"]
-            assert alone > 0
             start = threading.Barrier(2)
             outcomes: list = []
             errors: list = []
@@ -332,7 +351,9 @@ class TestPoolChurn:
                 try:
                     start.wait(timeout=60)
                     for _ in range(3):
-                        outcomes.append(executor.match(graph, pattern, budget=budget))
+                        outcomes.extend(
+                            executor.match_many(graph, tasks, table, budget=budget)
+                        )
                 except BaseException as exc:  # surfaced by the assert below
                     errors.append(exc)
 
@@ -342,57 +363,50 @@ class TestPoolChurn:
             for thread in threads:
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
-            assert errors == [] and len(outcomes) == 6
-            for result in outcomes:
-                assert result.relation == expected
-                assert not result.stats["partial"]
-                assert result.stats["visits"] == alone
+            assert errors == [] and len(outcomes) == 12
+            for relation, stats in outcomes:
+                assert relation == expected
+                assert not stats["partial"]
+                assert stats["visits"] == alone
             strict = QueryBudget(node_visits=1, allow_partial=False)
             with pytest.raises(BudgetExceededError):
-                executor.match(graph, pattern, budget=strict)
+                executor.match_many(graph, tasks, table, budget=strict)
         assert set(multiprocessing.active_children()) <= before
 
-
     def test_guarded_worker_entry_inline(self, selective_case):
-        """Drive a guarded call's worker entry in-process.
+        """Drive a guarded batch's worker entry in-process.
 
         Real children are invisible to coverage; running the child loop
-        over a pipe in a thread proves the guard travels as process state:
-        each shard charges the call's shared counter, and the same entry
-        without a guard reports no guard info.
+        over a pipe in a thread proves the budget travels as process state:
+        every task gets a guard of its own, and the same entry without a
+        budget reports no guard info.
         """
         import multiprocessing
         import threading
 
         from repro.engine import parallel as par
-        from repro.engine.estimator import QueryBudget, QueryGuard
+        from repro.engine.estimator import QueryBudget
         from repro.graph.frozen import FrozenGraph
-        from repro.graph.partition import decompose
 
         graph, pattern = selective_case
         frozen = FrozenGraph.freeze(graph)
-        candidates = simulation_candidates(graph, pattern)
-        shards = decompose(graph, pattern, candidates, 2, frozen=frozen)
-        payloads = ParallelExecutor._shard_payloads(
-            frozen, pattern, shards, candidates
-        )
-        counter = multiprocessing.get_context().Value("q", 0)
-        guard = QueryGuard(
-            QueryBudget(node_visits=100_000, allow_partial=True),
-            shared_counter=counter,
-        )
+        tasks, table = batch_of(graph, pattern)
+        budget = QueryBudget(node_visits=100_000, allow_partial=True)
 
-        def serve(guard):
+        def serve(budget):
             parent, child = multiprocessing.Pipe()
             worker = threading.Thread(
                 target=par._serve_tasks,
-                args=(child, par._shard_rows_core, (frozen, None, guard)),
+                args=(
+                    child, par._batch_query_core,
+                    (graph, table, frozen, None, budget),
+                ),
             )
             worker.start()
             try:
                 replies = []
-                for index, payload in enumerate(payloads):
-                    parent.send((index, payload))
+                for index, task in enumerate(tasks):
+                    parent.send((index, task))
                     assert parent.poll(10)
                     answer, ok, value = parent.recv()
                     assert (answer, ok) == (index, True)
@@ -403,12 +417,15 @@ class TestPoolChurn:
                 worker.join(timeout=10)
                 child.close()
 
-        guarded = serve(guard)
-        # One child's guard counts across the tasks it serves.
-        assert counter.value == guarded[-1][1]["visits"] > 0
+        guarded = serve(budget)
+        # Each task counts its own visits from zero.
+        visits = [stats["visits"] for _relation, stats in guarded]
+        assert visits[0] == visits[1] > 0
         plain = serve(None)
-        assert [rows for rows, _ in plain] == [rows for rows, _ in guarded]
-        assert all(info == {} for _, info in plain)
+        assert [relation for relation, _ in plain] == [
+            relation for relation, _ in guarded
+        ]
+        assert all("visits" not in stats for _, stats in plain)
 
 
 class TestStateHasOneOwner:
@@ -437,14 +454,13 @@ class TestStateHasOneOwner:
         return graph, pattern, expected
 
     # The ids are historical: ``warmed`` ran every call on the persistent
-    # pool, which served node-budgeted calls; that route now starts
-    # processes of its own around a fresh visit counter per call.
+    # pool.  ``cold`` calls are unbudgeted, ``warmed`` ones carry a node
+    # budget that never trips.
     @pytest.mark.parametrize("budgeted", [False, True], ids=["cold", "warmed"])
-    def test_threads_share_one_executor(self, case, budgeted):
-        """Eight threads (four per core here) fan out through one executor
-        at once — unbudgeted, or each call under a node budget that never
-        trips — and every one gets the sequential relation, each call from
-        worker processes of its own."""
+    def test_threads_share_one_executor(self, case, budgeted, monkeypatch):
+        """Eight threads (four per core here) fan batches out through one
+        executor at once, and every task gets the sequential relation, each
+        call from worker processes of its own."""
         import sys
         import threading
 
@@ -453,6 +469,7 @@ class TestStateHasOneOwner:
 
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
+        tasks, table = batch_of(graph, pattern)
         threads_n, rounds = 8, 3
         relations: list = []
         errors: list = []
@@ -463,18 +480,18 @@ class TestStateHasOneOwner:
             try:
                 start.wait(timeout=60)
                 for _ in range(rounds):
-                    result = executor.match(
-                        graph, pattern, frozen=frozen, budget=budget
+                    outcomes = executor.match_many(
+                        graph, tasks, table, frozen=frozen, budget=budget
                     )
-                    assert result.stats["parallel"]["shipping"] == "shared-graph"
-                    relations.append(result.relation.to_dict())
+                    relations.extend(
+                        relation.to_dict() for relation, _stats in outcomes
+                    )
             except BaseException as exc:  # surfaced by the assert below
                 errors.append(exc)
 
         with ParallelExecutor(workers=2) as executor:
-            assert not hasattr(executor, "_match_serial")
-            executor.match(graph, pattern, frozen=frozen)  # imports settled
-            created = executor.pools_created
+            executor.match_many(graph, tasks, table, frozen=frozen)  # imports settled
+            used = counting_fan_outs(monkeypatch)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
@@ -490,9 +507,9 @@ class TestStateHasOneOwner:
             finally:
                 sys.setswitchinterval(interval)
             assert errors == []
-            assert relations == [expected.to_dict()] * (threads_n * rounds)
-            # One worker set per call, and no lost update on the counter.
-            assert executor.pools_created == created + threads_n * rounds
+            assert relations == [expected.to_dict()] * (threads_n * rounds * 2)
+            # One worker set per call.
+            assert len(used) == threads_n * rounds
 
     def test_parent_installs_no_worker_state(self, case, monkeypatch):
         """The module keeps no mutable state for its workers, and no kind
@@ -503,34 +520,31 @@ class TestStateHasOneOwner:
         from repro.engine.estimator import QueryBudget
         from repro.graph import oracle as oracle_module
         from repro.graph.frozen import FrozenGraph
-        from repro.graph.index import predicate_key
 
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
-        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
-        candidates = simulation_candidates(graph, pattern)
-        table = {keys[u]: candidates[u] for u in pattern.nodes()}
+        tasks, table = batch_of(graph, pattern, copies=3)
         monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
         before = set(multiprocessing.active_children())
         with ParallelExecutor(workers=2) as executor:
-            executor.match(graph, pattern, frozen=frozen)
+            executor.match_many(graph, tasks, table, frozen=frozen)
             assert set(multiprocessing.active_children()) <= before
-            executor.match(
-                graph, pattern, frozen=frozen,
+            executor.match_many(
+                graph, tasks, table, frozen=frozen,
                 budget=QueryBudget(seconds=60.0, allow_partial=True),
             )
             assert set(multiprocessing.active_children()) <= before
-            executor.match_many(graph, [(pattern, keys)] * 3, table, frozen=frozen)
-            assert set(multiprocessing.active_children()) <= before
             executor.build_oracle(frozen, top=4)
             assert set(multiprocessing.active_children()) <= before
-            executor.match(
-                graph, pattern, frozen=frozen,
+            executor.match_many(
+                graph, tasks, table, frozen=frozen,
                 budget=QueryBudget(node_visits=10**9),
             )
             assert set(multiprocessing.active_children()) <= before
         with ParallelExecutor(workers=1) as inline:
-            inline.match(graph, pattern, budget=QueryBudget(node_visits=10**9))
+            inline.match_many(
+                graph, tasks, table, budget=QueryBudget(node_visits=10**9)
+            )
         assert not [
             name for name, value in vars(par).items()
             if not name.startswith("__") and isinstance(value, (dict, list, set))
@@ -541,14 +555,13 @@ class TestStateHasOneOwner:
     def test_every_fanout_under_both_start_methods(
         self, case, start_method, monkeypatch
     ):
-        """match (unbudgeted, timed, node-budgeted), match_many and
-        build_oracle give the sequential answer under fork and under spawn,
-        through the same task functions."""
+        """match_many (unbudgeted, timed, node-budgeted) and build_oracle
+        give the sequential answer under fork and under spawn, through the
+        same task functions."""
         import multiprocessing
 
         from repro.engine.estimator import QueryBudget
         from repro.graph.frozen import FrozenGraph
-        from repro.graph.index import predicate_key
         from repro.graph.oracle import DistanceOracle
 
         if start_method not in multiprocessing.get_all_start_methods():
@@ -556,47 +569,35 @@ class TestStateHasOneOwner:
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
         oracle = DistanceOracle.build(frozen, top=4)
-        used: list[str] = []
-        real_fan_out = ParallelExecutor._fan_out
-
-        def recording_fan_out(self, function, state, tasks, deadline=None):
-            used.append(function.__name__)
-            return real_fan_out(self, function, state, tasks, deadline)
-
-        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
-        candidates = simulation_candidates(graph, pattern)
-        table = {keys[u]: candidates[u] for u in pattern.nodes()}
-
-        monkeypatch.setattr(ParallelExecutor, "_fan_out", recording_fan_out)
+        tasks, table = batch_of(graph, pattern, copies=3)
+        used = counting_fan_outs(monkeypatch)
         # Small inputs must still fan out: several phase-two chunks.
         monkeypatch.setattr("repro.graph.oracle.PHASE_TWO_CHUNK", 64)
         with ParallelExecutor(workers=2, start_method=start_method) as executor:
-            cold = executor.match(graph, pattern, frozen=frozen, oracle=oracle)
-            timed = executor.match(
-                graph, pattern, frozen=frozen, oracle=oracle,
-                budget=QueryBudget(seconds=120.0),
-            )
-            counted = executor.match(
-                graph, pattern, frozen=frozen, oracle=oracle,
-                budget=QueryBudget(node_visits=10**9),
-            )
-            many = executor.match_many(
-                graph, [(pattern, keys)] * 3, table, frozen=frozen, oracle=oracle
+            cold, timed, counted = (
+                executor.match_many(
+                    graph, tasks, table, frozen=frozen, oracle=oracle, budget=budget
+                )
+                for budget in (
+                    None,
+                    QueryBudget(seconds=120.0),
+                    QueryBudget(node_visits=10**9),
+                )
             )
             labels = executor.build_oracle(frozen, top=4)
-        for result in (cold, timed, counted):
-            assert result.relation.to_dict() == expected.to_dict()
-        assert counted.stats["visits"] > 0
-        assert [relation for relation, _stats in many] == [expected] * 3
+        for outcomes in (cold, timed, counted):
+            assert [
+                relation.to_dict() for relation, _stats in outcomes
+            ] == [expected.to_dict()] * 3
+        assert all(stats["visits"] > 0 for _relation, stats in counted)
         for attr in ("out_offsets", "out_hubs", "out_dists",
                      "in_offsets", "in_hubs", "in_dists"):
             assert getattr(labels, attr) == getattr(oracle, attr), attr
         # Same functions whatever the start method — there is no second path.
         assert used == [
-            "_shard_rows_core",   # unbudgeted: processes of its own
-            "_shard_rows_core",   # wall-clock budget: the same, with a deadline
-            "_shard_rows_core",   # node budget: the same, with a counter
-            "_batch_query_core",
+            "_batch_query_core",  # unbudgeted
+            "_batch_query_core",  # wall-clock budget: a guard per task
+            "_batch_query_core",  # node budget: the same
             "phase_two_chunk",
         ]
 
@@ -606,45 +607,24 @@ class TestStateHasOneOwner:
         shipped — and the child loop itself over a pipe."""
         import multiprocessing
         import threading
-        import time
 
         from repro.engine import parallel as par
-        from repro.engine.estimator import QueryBudget, QueryGuard
+        from repro.engine.estimator import QueryBudget
         from repro.graph.frozen import FrozenGraph
-        from repro.graph.index import predicate_key
-        from repro.graph.partition import decompose
 
         graph, pattern, expected = case
         frozen = FrozenGraph.freeze(graph)
-        candidates = simulation_candidates(graph, pattern)
-        shards = decompose(graph, pattern, candidates, 2, frozen=frozen)
-        payloads = ParallelExecutor._shard_payloads(frozen, pattern, shards, candidates)
-        plain = [par._shard_rows_core(frozen, None, None, p) for p in payloads]
-        assert all(info == {} for _rows, info in plain)
+        [(pattern, keys)], table = batch_of(graph, pattern, copies=1)
         shipped = par._shipment(frozen, None)
-        assert [
-            par._shard_rows_core(*shipped, None, p) for p in payloads
-        ] == plain
-        # One guard per worker, all around one shared counter.
-        counter = multiprocessing.get_context().Value("q", 0)
-        budget = QueryBudget(node_visits=10**9, seconds=60.0)
-        deadline = time.monotonic() + 60.0
-        guarded = [
-            par._shard_rows_core(
-                frozen, None,
-                QueryGuard(budget, shared_counter=counter, deadline=deadline), p,
-            )
-            for p in payloads
-        ]
-        assert [rows for rows, _ in guarded] == [rows for rows, _ in plain]
-        assert counter.value == sum(info["visits"] for _, info in guarded) > 0
-
-        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
-        table = {keys[u]: candidates[u] for u in pattern.nodes()}
         relation, stats = par._batch_query_core(
             graph, table, *shipped, None, (pattern, keys)
         )
         assert relation == expected and stats["algorithm"] == "bounded-simulation"
+        budget = QueryBudget(node_visits=10**9, seconds=60.0)
+        relation, stats = par._batch_query_core(
+            graph, table, *shipped, budget, (pattern, keys)
+        )
+        assert relation == expected and stats["visits"] > 0
 
         # The child loop maps a shipped file once, when its first task
         # arrives, however many tasks follow.
@@ -725,15 +705,5 @@ class TestOwnedProcesses:
         started = time.monotonic()
         with pytest.raises(EvaluationError, match="died mid-task"):
             executor._fan_out(_exit, (), [3, 3, 3])
-        assert time.monotonic() - started < 30
-        assert set(multiprocessing.active_children()) <= before
-
-    def test_a_passed_deadline_returns_what_arrived(self, executor):
-        import multiprocessing
-        import time
-
-        before = set(multiprocessing.active_children())
-        started = time.monotonic()
-        assert executor._fan_out(sleep, (), [60, 60], deadline=started + 0.2) == []
         assert time.monotonic() - started < 30
         assert set(multiprocessing.active_children()) <= before

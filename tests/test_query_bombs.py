@@ -12,9 +12,9 @@ through the guarded paths and asserts the three promises
 * a partial result is a **sound subset**: every pair it reports is in the
   exact relation, verified against unguarded evaluation on small twins of
   each bomb;
-* sequential and sharded-parallel guarded runs **agree on the partial
-  flag** (one shared budget governs the whole fan-out), and with a
-  generous budget both are byte-identical to the unguarded answer.
+* sequential runs and batch workers **agree on the partial flag** (a
+  budget applies per query wherever the query runs), and with a generous
+  budget both are byte-identical to the unguarded answer.
 """
 
 from __future__ import annotations
@@ -219,39 +219,52 @@ def test_time_limit_trips_and_reports():
     assert result.stats["partial"] is True
     assert result.stats["guard"] == GUARD_TIME_LIMIT
 
+    # Through the engine under a 0.1 ms limit, call after call: the
+    # cooperative guard stops the one process the query runs in, and the
+    # truncated answer never reaches the cache.
+    engine = QueryEngine()
+    engine.register_graph("g", graph)
+    limited = QueryBudget(seconds=1e-4, allow_partial=True)
+    for _ in range(5):
+        result = engine.evaluate("g", pattern, budget=limited)
+        assert result.stats["route"] == "direct"
+        assert result.stats["partial"] is True
+        assert result.stats["guard"] == GUARD_TIME_LIMIT
+    assert engine.cache_stats()["size"] == 0
+
 
 @pytest.mark.parametrize(("case_id", "big", "_small"), BOMB_CASES, ids=BOMB_IDS)
 def test_sequential_and_parallel_agree_on_partial(case_id, big, _small):
     """One budget, any worker count: the partial flag is a query property.
 
-    The node budget is shared across shard workers through a cross-process
-    counter, so a bomb trips it sharded exactly as it does sequentially —
-    and with a generous budget both paths return the identical exact
-    relation with ``partial=False``.
+    A batch budget applies per query, in a worker exactly as inline, so a
+    bomb farmed out with a second bomb trips it as it does sequentially,
+    at the same visit count — and with a generous budget both paths
+    return the identical exact relation with ``partial=False``.
     """
     graph = big()
-    pattern = wildcard_cycle()
+    patterns = [wildcard_cycle(), wildcard_cycle(2)]
     engine = QueryEngine()
     engine.register_graph("g", graph)
     kwargs = dict(use_cache=False, cache_result=False)
 
-    sequential = engine.evaluate("g", pattern, budget=TIGHT, **kwargs)
-    parallel = engine.evaluate("g", pattern, budget=TIGHT, workers=2, **kwargs)
-    assert sequential.stats["partial"] is True, (case_id, sequential.stats)
-    assert parallel.stats["partial"] is True, (case_id, parallel.stats)
-
-    relaxed_seq = engine.evaluate("g", pattern, budget=GENEROUS, **kwargs)
-    relaxed_par = engine.evaluate(
-        "g", pattern, budget=GENEROUS, workers=2, **kwargs
-    )
-    unguarded = engine.evaluate("g", pattern, **kwargs)
-    for label, result in (("sequential", relaxed_seq), ("parallel", relaxed_par)):
-        assert result.stats["partial"] is False, (case_id, label, result.stats)
-        assert result.relation == unguarded.relation, (case_id, label)
-        assert result.relation.to_dict() == unguarded.relation.to_dict(), (
-            case_id,
-            label,
+    for budget in (TIGHT, GENEROUS):
+        sequential = [
+            engine.evaluate("g", pattern, budget=budget, **kwargs)
+            for pattern in patterns
+        ]
+        parallel = engine.evaluate_many(
+            "g", patterns, budget=budget, workers=2, **kwargs
         )
+        for seq, par in zip(sequential, parallel):
+            assert seq.stats["partial"] is par.stats["partial"] is (
+                budget is TIGHT
+            ), (case_id, seq.stats, par.stats)
+            assert seq.stats["visits"] == par.stats["visits"], case_id
+    unguarded = engine.evaluate_many("g", patterns, **kwargs)
+    for exact, result in zip(unguarded, parallel):
+        assert result.relation == exact.relation, case_id
+        assert result.relation.to_dict() == exact.relation.to_dict(), case_id
 
 
 def test_partial_results_are_never_cached():
@@ -278,31 +291,9 @@ def test_partial_results_are_never_cached():
     assert cached.relation == exact.relation
 
 
-def test_parallel_time_limit_aborts_in_flight_shards():
-    """The wall-clock guard kills the call's workers instead of waiting
-    them out, call after call (``tests/time_limit_loop.py`` runs the same
-    abort hundreds of times in one process)."""
-    import multiprocessing
-
-    graph = hub_graph(400)
-    pattern = wildcard_cycle()
-    engine = QueryEngine()
-    engine.register_graph("g", graph)
-    budget = QueryBudget(seconds=1e-4, allow_partial=True)
-    before = set(multiprocessing.active_children())
-    for _ in range(20):
-        result = engine.evaluate(
-            "g", pattern, budget=budget, workers=2, use_cache=False,
-            cache_result=False,
-        )
-        assert result.stats["partial"] is True
-        assert result.stats["guard"] == GUARD_TIME_LIMIT
-        assert set(multiprocessing.active_children()) <= before
-
-
 def test_guard_tripping_between_the_two_checks_leaves_sound_rows():
-    """Another worker can blow the shared budget between a source group's
-    two ``should_stop()`` checks (group admitted, enumeration refused).
+    """The wall clock can run out between a source group's two
+    ``should_stop()`` checks (group admitted, enumeration refused).
     That used to raise ``UnboundLocalError: kernel`` in the route relabel;
     the group must instead keep its empty rows and its estimated routes."""
     from repro.engine.estimator import QueryGuard
@@ -344,18 +335,27 @@ def test_guard_tripping_between_the_two_checks_leaves_sound_rows():
 def test_simulation_patterns_are_never_guarded():
     """Guards cover the bounded matcher only; all-bounds-1 queries run the
     quadratic simulation matcher, which cannot bomb — and must not report
-    guard stats (sequential and parallel modes agree by construction)."""
+    guard stats (sequential and batch-worker modes agree by construction)."""
     graph = hub_graph(200)
-    pattern = Pattern("unit")
-    pattern.add_node("A", None)
-    pattern.add_node("B", None)
-    pattern.add_edge("A", "B", 1)
+    patterns = []
+    for name in ("unit", "unit-back"):
+        pattern = Pattern(name)
+        pattern.add_node("A", None)
+        pattern.add_node("B", None)
+        patterns.append(pattern)
+    patterns[0].add_edge("A", "B", 1)
+    patterns[1].add_edge("B", "A", 1)
+    patterns[1].add_edge("A", "A", 1)
     engine = QueryEngine()
     engine.register_graph("g", graph)
     tight = QueryBudget(node_visits=1, allow_partial=True)
     kwargs = dict(use_cache=False, cache_result=False)
-    sequential = engine.evaluate("g", pattern, budget=tight, **kwargs)
-    parallel = engine.evaluate("g", pattern, budget=tight, workers=2, **kwargs)
-    for result in (sequential, parallel):
+    sequential = [
+        engine.evaluate("g", pattern, budget=tight, **kwargs) for pattern in patterns
+    ]
+    parallel = engine.evaluate_many(
+        "g", patterns, budget=tight, workers=2, **kwargs
+    )
+    for result in (*sequential, *parallel):
         assert "partial" not in result.stats or not result.stats["partial"]
-    assert sequential.relation == parallel.relation
+    assert [r.relation for r in sequential] == [r.relation for r in parallel]

@@ -985,8 +985,7 @@ class TestServiceFacade:
         assert plan["graph"] == "fig1"
         assert service.health() == {"status": "ok", "graphs": ["fig1"]}
         stats = service.stats()
-        assert stats["workers"] == 1
-        assert "pools_created" not in stats
+        assert "workers" not in stats and "pools_created" not in stats
         assert stats["requests"]["register"] == 1
         assert stats["admission"]["max_inflight"] == 8
 
@@ -1003,8 +1002,8 @@ class TestServiceFacade:
             assert not full["stats"].get("partial")
 
     def test_config_validation(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(workers=0).validated()
+        with pytest.raises(TypeError):  # a query runs in one process
+            ServiceConfig(workers=2)
         with pytest.raises(ReproError):
             ServiceConfig(
                 default_budget=QueryBudget(node_visits=-1)
@@ -1012,51 +1011,41 @@ class TestServiceFacade:
 
 
 class TestServiceExecutorRouting:
-    """``workers > 1`` must actually shard cache-miss evaluation across
-    worker processes, with relations identical to inline, and a cached
-    repeat must start no worker set."""
+    """Every request evaluates in its own thread: no cache miss, batch or
+    top-K starts a worker process.  (The test names are historical: the
+    service used to shard cache misses across worker processes.)"""
 
-    def test_workers_route_evaluation_through_warm_pool(self):
-        with ExpFinderService(ServiceConfig(workers=2)) as parallel_svc, \
-                ExpFinderService(ServiceConfig(workers=1)) as inline_svc:
-            for svc in (parallel_svc, inline_svc):
-                svc.register_graph("fig1", paper_graph())
-            for pattern in (SIM_PATTERN, BOUNDED_PATTERN):
-                sharded = parallel_svc.evaluate("fig1", {"pattern": pattern})
-                inline = inline_svc.evaluate("fig1", {"pattern": pattern})
-                # the fan-out is visible in the stats...
-                assert sharded["stats"]["parallel"]["workers"] == 2
-                assert sharded["stats"]["parallel"]["mode"] == "sharded-query"
-                # ...and the relation and the stats that do not describe
-                # the fan-out are identical to the inline kernels'
-                assert sharded["relation"] == inline["relation"]
-                assert sharded["stats"]["candidate_source"] == "precomputed"
-                assert (
-                    sharded["stats"]["candidate_source"]
-                    == inline["stats"]["candidate_source"]
-                )
-            # one worker set per cache miss, started by the request
-            assert parallel_svc.stats()["pools_created"] == 2
+    @pytest.fixture
+    def fan_outs(self, monkeypatch):
+        from repro.engine.parallel import ParallelExecutor
 
-    def test_workers_route_batch_and_topk(self):
-        with ExpFinderService(ServiceConfig(workers=2)) as svc:
-            svc.register_graph("fig1", paper_graph())
-            reply = svc.batch("fig1", {"patterns": [BOUNDED_PATTERN, SIM_PATTERN]})
-            assert reply["results"][0]["stats"]["parallel"]["workers"] == 2
-            ranked = svc.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
-            assert [row["node"] for row in ranked["experts"]]
-            # the top-K repeat is a rank-cache hit: no worker set starts
-            started = svc.stats()["pools_created"]
-            again = svc.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
-            assert again["experts"] == ranked["experts"]
-            assert svc.stats()["pools_created"] == started
+        used: list = []
+        monkeypatch.setattr(
+            ParallelExecutor, "_fan_out",
+            lambda self, function, state, tasks: used.append(function),
+        )
+        return used
 
-    def test_cached_repeat_skips_the_pool(self):
-        with ExpFinderService(ServiceConfig(workers=2)) as svc:
-            svc.register_graph("fig1", paper_graph())
-            first = svc.evaluate("fig1", {"pattern": SIM_PATTERN})
-            started = svc.stats()["pools_created"]
-            again = svc.evaluate("fig1", {"pattern": SIM_PATTERN})
-            assert again["stats"]["route"] == "cache"
-            assert again["relation"] == first["relation"]
-            assert svc.stats()["pools_created"] == started
+    def test_workers_route_evaluation_through_warm_pool(self, service, fan_outs):
+        for pattern in (SIM_PATTERN, BOUNDED_PATTERN):
+            reply = service.evaluate("fig1", {"pattern": pattern})
+            assert reply["stats"]["route"] == "direct"
+            assert reply["stats"]["candidate_source"] == "precomputed"
+            assert "parallel" not in reply["stats"]
+        assert fan_outs == []
+
+    def test_workers_route_batch_and_topk(self, service, fan_outs):
+        reply = service.batch("fig1", {"patterns": [BOUNDED_PATTERN, SIM_PATTERN]})
+        assert all("parallel" not in r["stats"] for r in reply["results"])
+        ranked = service.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
+        assert [row["node"] for row in ranked["experts"]]
+        again = service.topk("fig1", {"pattern": SIM_PATTERN, "k": 3})
+        assert again["experts"] == ranked["experts"]
+        assert fan_outs == []
+
+    def test_cached_repeat_skips_the_pool(self, service, fan_outs):
+        first = service.evaluate("fig1", {"pattern": SIM_PATTERN})
+        again = service.evaluate("fig1", {"pattern": SIM_PATTERN})
+        assert again["stats"]["route"] == "cache"
+        assert again["relation"] == first["relation"]
+        assert fan_outs == []

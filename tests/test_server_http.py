@@ -335,7 +335,7 @@ class TestConcurrency:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        service = ExpFinderService(ServiceConfig(workers=1))
+        service = ExpFinderService(ServiceConfig())
         server = QueryServer(service)
         server.start()
         server.close()

@@ -40,8 +40,8 @@ from repro.graph.oracle import DistanceOracle
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion
 from repro.matching.bounded import match_bounded
 from repro.matching.reference import naive_bounded
-from repro.matching.simulation import simulation_candidates
 from repro.pattern.pattern import Pattern
+from tests.conftest import batch_of
 
 
 @pytest.fixture
@@ -691,34 +691,34 @@ class TestSpawnShipping:
         loaded_frozen, loaded_oracle = served
         expected = match_bounded(fig1, fig1_query).relation
         with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            result = executor.match(
-                fig1, fig1_query, frozen=loaded_frozen, oracle=loaded_oracle
+            shipped = executor._ship(loaded_frozen, loaded_oracle)
+            outcomes = executor.match_many(
+                fig1, *batch_of(fig1, fig1_query),
+                frozen=loaded_frozen, oracle=loaded_oracle,
             )
-        assert result.stats["parallel"]["shipping"] == "shared-graph"
-        assert result.relation == expected
+        # Both reach the workers as the file they are mapped from.
+        assert [(item.path, item.version) for item in shipped] == [
+            (loaded_frozen.path, loaded_frozen.source_version),
+            (loaded_oracle.path, loaded_oracle.source_version),
+        ]
+        assert [relation for relation, _stats in outcomes] == [expected] * 2
 
     def test_guarded_match(self, fig1, fig1_query, served):
         loaded_frozen, loaded_oracle = served
         expected = match_bounded(fig1, fig1_query).relation
         budget = QueryBudget(node_visits=1_000_000)
         with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            result = executor.match(
-                fig1, fig1_query,
+            outcomes = executor.match_many(
+                fig1, *batch_of(fig1, fig1_query),
                 frozen=loaded_frozen, oracle=loaded_oracle, budget=budget,
             )
-        assert result.relation == expected
-        assert result.stats["partial"] is False
+        for relation, stats in outcomes:
+            assert relation == expected
+            assert stats["partial"] is False
 
     def test_match_many(self, fig1, fig1_query, served):
-        from repro.graph.index import predicate_key
-
         loaded_frozen, loaded_oracle = served
-        candidates = simulation_candidates(fig1, fig1_query)
-        keys = {
-            u: predicate_key(fig1_query.predicate(u)) for u in fig1_query.nodes()
-        }
-        table = {keys[u]: candidates[u] for u in fig1_query.nodes()}
-        tasks = [(fig1_query, keys)] * 3
+        tasks, table = batch_of(fig1, fig1_query, copies=3)
         expected = match_bounded(fig1, fig1_query).relation
         with ParallelExecutor(workers=2, start_method="spawn") as executor:
             outcomes = executor.match_many(
@@ -731,8 +731,10 @@ class TestSpawnShipping:
         assert frozen.path is None
         expected = match_bounded(fig1, fig1_query).relation
         with ParallelExecutor(workers=2, start_method="spawn") as executor:
-            result = executor.match(fig1, fig1_query, frozen=frozen)
-        assert result.relation == expected
+            outcomes = executor.match_many(
+                fig1, *batch_of(fig1, fig1_query), frozen=frozen
+            )
+        assert [relation for relation, _stats in outcomes] == [expected] * 2
 
     def test_shipment_round_trip(self, frozen, served):
         # The worker-side inverse maps shipped paths back to live objects.

@@ -4,9 +4,10 @@ Covers the ranking edge cases the naive path never had tests for (empty
 result graphs, weighted cycles, oversized ``k``, metric-name errors), the
 engine's ranked-result cache and its `Graph.version` invalidation, the
 pinned-query incremental re-ranking in ``update_graph``, and — most
-importantly — differential identity: bulk ranking (sequential and
-``workers=N``) must match the naive per-match ``rank_detail`` path
-exactly, on seeded random graphs, for every metric.
+importantly — differential identity: bulk ranking (over a relation
+computed inline or farmed out by ``evaluate_many(workers=N)``) must match
+the naive per-match ``rank_detail`` path exactly, on seeded random graphs,
+for every metric.
 """
 
 from __future__ import annotations
@@ -242,6 +243,17 @@ class TestDifferential:
                     f"seed={seed} metric={metric.name} k={k}: lazy top-K diverged"
                 )
 
+    @staticmethod
+    def farmed_top_k(engine, name, pattern, k):
+        """Top-K over the relation a two-query worker batch cached: the
+        ranking reads a relation that crossed a process boundary without
+        its refinement state, so the result graph recomputes witnesses."""
+        twin = Pattern.from_dict(pattern.to_dict())
+        twin.add_node("EXTRA", None)
+        farmed = engine.evaluate_many(name, [pattern, twin], workers=2)
+        assert farmed[0]._state is None  # the relation crossed a process
+        return engine.top_k(name, pattern, k, use_rank_cache=False)
+
     def test_parallel_identical_to_sequential(self):
         engine = QueryEngine()
         try:
@@ -249,18 +261,17 @@ class TestDifferential:
                 graph, pattern = random_ranked_case(seed)
                 engine.register_graph(f"g{seed}", graph)
                 sequential = engine.top_k(
-                    f"g{seed}", pattern, 5, use_rank_cache=False
+                    f"g{seed}", pattern, 5, use_rank_cache=False, use_cache=False,
+                    cache_result=False,
                 )
-                parallel = engine.top_k(
-                    f"g{seed}", pattern, 5, workers=2, use_rank_cache=False
-                )
+                parallel = self.farmed_top_k(engine, f"g{seed}", pattern, 5)
                 assert parallel == sequential, f"seed={seed}: workers=2 diverged"
         finally:
             engine.close()
 
     def test_parallel_pool_fanout_identical_on_large_match_set(self):
-        # Enough matches to cross the executor's inline threshold, so the
-        # scoring genuinely crosses the process boundary.
+        # Enough matches that witness recomputation over the farmed
+        # relation covers a large result graph.
         graph = random_digraph(240, 720, seed=11)
         pattern = Pattern("broad")
         pattern.add_node("OUT", None, output=True)
@@ -269,11 +280,12 @@ class TestDifferential:
         engine = QueryEngine()
         try:
             engine.register_graph("big", graph)
-            sequential = engine.top_k("big", pattern, 500, use_rank_cache=False)
-            assert len(sequential) >= 100  # the fan-out threshold is 64
-            parallel = engine.top_k(
-                "big", pattern, 500, workers=2, use_rank_cache=False
+            sequential = engine.top_k(
+                "big", pattern, 500, use_rank_cache=False, use_cache=False,
+                cache_result=False,
             )
+            assert len(sequential) >= 100
+            parallel = self.farmed_top_k(engine, "big", pattern, 500)
             assert parallel == sequential
             naive = rank_matches(match_bounded(graph, pattern).result_graph())
             assert sequential == naive[:500]
@@ -441,16 +453,13 @@ class TestIncrementalRerank:
 # ----------------------------------------------------------------------
 class TestFacadeForwarding:
     def test_find_experts_forwards_workers(self):
+        """``workers`` reaches the engine, which splits no single query."""
         finder = ExpFinder()
         finder.add_graph("fig1", paper_graph())
-        try:
-            sequential = finder.find_experts("fig1", paper_pattern(), k=2)
-            parallel = finder.find_experts(
+        with pytest.raises(TypeError):
+            finder.find_experts(
                 "fig1", paper_pattern(), k=2, workers=2, use_rank_cache=False
             )
-            assert parallel == sequential
-        finally:
-            finder.engine.close()
 
     def test_find_experts_forwards_evaluate_kwargs(self):
         finder = ExpFinder()
