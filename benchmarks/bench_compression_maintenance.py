@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import cached_collab
 from repro.compression.compress import compress
 from repro.compression.maintain import MaintainedCompression
-from repro.incremental.updates import random_updates
+from repro.incremental.updates import apply_updates, random_updates
 
 GRAPH_NODES = 1000
 PERCENTS = (1, 5, 10)
@@ -38,7 +38,7 @@ def test_maintenance(benchmark, percent):
         return (maintained, batch), {}
 
     benchmark.pedantic(
-        lambda maintained, batch: maintained.apply_batch(batch),
+        lambda maintained, batch: apply_updates(maintained.graph, batch, [maintained.apply]),
         setup=setup, rounds=5, iterations=1,
     )
     benchmark.extra_info["percent_changed"] = percent
@@ -77,7 +77,7 @@ def test_shape_maintenance_beats_recompression(benchmark):
         maintained = MaintainedCompression(graph, attrs=("field",))
         batch = _batch(graph, 5)
         started = time.perf_counter()
-        maintained.apply_batch(batch)
+        apply_updates(maintained.graph, batch, [maintained.apply])
         maintain_seconds = time.perf_counter() - started
 
         fresh_graph = base.copy()

@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import cached_collab, team_pattern
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
-from repro.incremental.updates import random_updates
+from repro.incremental.updates import apply_updates, random_updates
 from repro.matching.bounded import match_bounded
 
 GRAPH_NODES = 800
@@ -40,7 +40,7 @@ def test_incremental_bounded(benchmark, percent):
         return (maintainer, batch), {}
 
     benchmark.pedantic(
-        lambda maintainer, batch: maintainer.apply_batch(batch),
+        lambda maintainer, batch: apply_updates(maintainer.graph, batch, [maintainer.apply]),
         setup=setup, rounds=5, iterations=1,
     )
     benchmark.extra_info["percent_changed"] = percent
@@ -78,7 +78,7 @@ def test_shape_crossover_is_tighter_than_simulation(benchmark):
         maintainer = IncrementalBoundedSimulation(graph, pattern)
         batch = random_updates(graph, count, seed=321)
         started = time.perf_counter()
-        maintainer.apply_batch(batch)
+        apply_updates(maintainer.graph, batch, [maintainer.apply])
         incremental_seconds = time.perf_counter() - started
 
         fresh = base.copy()

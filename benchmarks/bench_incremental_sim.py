@@ -17,7 +17,7 @@ import pytest
 
 from benchmarks.conftest import cached_collab, unit_pattern
 from repro.incremental.inc_simulation import IncrementalSimulation
-from repro.incremental.updates import random_updates
+from repro.incremental.updates import apply_updates, random_updates
 from repro.matching.simulation import match_simulation
 
 GRAPH_NODES = 1500
@@ -42,7 +42,7 @@ def test_incremental_simulation(benchmark, percent):
         return (maintainer, batch), {}
 
     def run(maintainer, batch):
-        maintainer.apply_batch(batch)
+        apply_updates(maintainer.graph, batch, [maintainer.apply])
 
     benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
     benchmark.extra_info["percent_changed"] = percent
@@ -80,7 +80,7 @@ def test_shape_incremental_wins_at_small_delta(benchmark):
         maintainer = IncrementalSimulation(graph, pattern)
         batch = _make_batch(graph, 1)
         started = time.perf_counter()
-        maintainer.apply_batch(batch)
+        apply_updates(maintainer.graph, batch, [maintainer.apply])
         incremental_seconds = time.perf_counter() - started
 
         fresh = base.copy()

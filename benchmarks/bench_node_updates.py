@@ -11,7 +11,12 @@ import pytest
 
 from benchmarks.conftest import cached_collab, team_pattern
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
-from repro.incremental.updates import AttributeUpdate, EdgeInsertion, NodeInsertion
+from repro.incremental.updates import (
+    AttributeUpdate,
+    EdgeInsertion,
+    NodeInsertion,
+    apply_updates,
+)
 from repro.matching.bounded import match_bounded
 
 GRAPH_NODES = 800
@@ -40,7 +45,7 @@ def test_attribute_updates_incremental(benchmark, count):
         return (maintainer, _attribute_flips(graph, count)), {}
 
     benchmark.pedantic(
-        lambda maintainer, batch: maintainer.apply_batch(batch),
+        lambda maintainer, batch: apply_updates(maintainer.graph, batch, [maintainer.apply]),
         setup=setup, rounds=5, iterations=1,
     )
     benchmark.extra_info["updates"] = count
@@ -86,7 +91,7 @@ def test_hire_scenario_incremental(benchmark):
         return (maintainer, batch), {}
 
     benchmark.pedantic(
-        lambda maintainer, batch: maintainer.apply_batch(batch),
+        lambda maintainer, batch: apply_updates(maintainer.graph, batch, [maintainer.apply]),
         setup=setup, rounds=5, iterations=1,
     )
 
@@ -103,7 +108,7 @@ def test_shape_attribute_maintenance_beats_recompute(benchmark):
         maintainer = IncrementalBoundedSimulation(graph, pattern)
         batch = _attribute_flips(graph, 10)
         started = time.perf_counter()
-        maintainer.apply_batch(batch)
+        apply_updates(maintainer.graph, batch, [maintainer.apply])
         incremental_seconds = time.perf_counter() - started
 
         fresh = base.copy()

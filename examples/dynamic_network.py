@@ -15,7 +15,7 @@ import time
 from repro.expfinder import ExpFinder
 from repro.graph.generators import collaboration_graph
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
-from repro.incremental.updates import random_updates
+from repro.incremental.updates import apply_updates, random_updates
 from repro.matching.bounded import match_bounded
 from repro.pattern.builder import PatternBuilder
 
@@ -65,12 +65,11 @@ def main() -> None:
         maintainer = IncrementalBoundedSimulation(inc_graph, query)
         updates = random_updates(inc_graph, batch_size, seed=999)
         started = time.perf_counter()
-        maintainer.apply_batch(updates)
+        apply_updates(inc_graph, updates, [maintainer.apply])
         incremental_seconds = time.perf_counter() - started
 
         batch_graph = base.copy()
-        for update in updates:
-            update.apply(batch_graph)
+        apply_updates(batch_graph, updates)
         started = time.perf_counter()
         recomputed = match_bounded(batch_graph, query)
         batch_seconds = time.perf_counter() - started

@@ -17,7 +17,7 @@ from fractions import Fraction
 from repro.compression.compress import compress
 from repro.datasets.paper_example import EDGE_E1, paper_graph, paper_pattern
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
-from repro.incremental.updates import EdgeInsertion
+from repro.incremental.updates import EdgeInsertion, apply_updates
 from repro.matching.bounded import match_bounded
 from repro.matching.isomorphism import count_isomorphisms
 from repro.matching.simulation import match_simulation
@@ -71,7 +71,7 @@ def main() -> None:
     print("=" * 70)
     incremental = IncrementalBoundedSimulation(graph, pattern, state=bounded._state)
     before = incremental.relation()
-    incremental.apply(EdgeInsertion(*EDGE_E1))
+    apply_updates(graph, [EdgeInsertion(*EDGE_E1)], [incremental.apply])
     added, removed = before.diff(incremental.relation())
     print(f"inserted e1 = {EDGE_E1[0]} -> {EDGE_E1[1]}")
     print(f"ΔM added:   {sorted(added)}")

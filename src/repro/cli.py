@@ -934,7 +934,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.datasets.paper_example import EDGE_E1, paper_graph, paper_pattern
     from repro.incremental.inc_bounded import IncrementalBoundedSimulation
-    from repro.incremental.updates import EdgeInsertion as Ins
+    from repro.incremental.updates import EdgeInsertion as Ins, apply_updates
 
     graph = paper_graph()
     pattern = paper_pattern()
@@ -951,7 +951,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print("== Example 3: incremental evaluation after inserting e1 ==")
     incremental = IncrementalBoundedSimulation(graph, pattern, state=result._state)
     before = incremental.relation()
-    incremental.apply(Ins(*EDGE_E1))
+    apply_updates(graph, [Ins(*EDGE_E1)], [incremental.apply])
     added, removed = before.diff(incremental.relation())
     for pattern_node, data_node in sorted(added):
         print(f"ΔM +({pattern_node}, {data_node})")

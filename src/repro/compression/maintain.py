@@ -41,9 +41,9 @@ from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
     EdgeInsertion,
-    NodeDeletion,
     NodeInsertion,
     Update,
+    ensure_applied,
 )
 
 ClassId = str
@@ -54,11 +54,11 @@ class MaintainedCompression:
     """A compressed graph that follows its data graph through edge updates.
 
     >>> from repro.graph.generators import collaboration_graph
-    >>> from repro.incremental.updates import random_updates
+    >>> from repro.incremental.updates import apply_updates, random_updates
     >>> g = collaboration_graph(80, seed=3)
     >>> mc = MaintainedCompression(g, attrs=("field",))
     >>> before = mc.compressed().quotient.num_nodes
-    >>> mc.apply_batch(random_updates(g, 5, seed=4))
+    >>> _ = apply_updates(g, random_updates(g, 5, seed=4), [mc.apply])
     >>> mc.check_partition()  # still signature-stable
     """
 
@@ -108,32 +108,26 @@ class MaintainedCompression:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def apply(self, update: Update, apply_to_graph: bool = True) -> None:
-        """Apply one edge update to the graph and re-stabilize the partition.
+    def apply(self, update: Update) -> None:
+        """Re-stabilize the partition for a primitive ``graph`` already shows.
 
-        ``apply_to_graph=False`` assumes the caller already mutated the
-        shared graph and only the partition needs to follow.
+        The graph is written by :func:`~repro.incremental.updates.apply_updates`
+        (node deletions arrive after their incident edge deletions); the
+        partition only follows it.  A primitive the graph does not reflect
+        is an :class:`~repro.errors.UpdateError`, with the partition
+        untouched.
         """
+        ensure_applied(self.graph, update)
         if isinstance(update, EdgeInsertion):
-            if apply_to_graph:
-                update.apply(self.graph)
             self._edge_changed(update.source, update.target, +1)
         elif isinstance(update, EdgeDeletion):
-            if apply_to_graph:
-                update.apply(self.graph)
             self._edge_changed(update.source, update.target, -1)
         elif isinstance(update, NodeInsertion):
-            if apply_to_graph:
-                update.apply(self.graph)
             self._node_added(update.node)
         elif isinstance(update, AttributeUpdate):
-            if apply_to_graph:
-                update.apply(self.graph)
             self._label_maybe_changed(update.node)
-        elif isinstance(update, NodeDeletion):
-            self._apply_node_deletion(update, apply_to_graph)
-        else:
-            raise CompressionError(f"unknown update type: {update!r}")
+        else:  # NodeDeletion
+            self._node_removed(update.node)
         self._cached = None
         self.staleness += 1
 
@@ -171,24 +165,13 @@ class MaintainedCompression:
         dirty = self._dirty_after_split(cid, [new_cid], touched)
         self._stabilize(deque(dirty))
 
-    def _apply_node_deletion(self, update: NodeDeletion, apply_to_graph: bool) -> None:
-        node = update.node
-        if apply_to_graph:
-            for successor in list(self.graph.successors(node)):
-                self.apply(EdgeDeletion(node, successor))
-            for predecessor in list(self.graph.predecessors(node)):
-                if predecessor != node:
-                    self.apply(EdgeDeletion(predecessor, node))
-            update.apply(self.graph)
+    def _node_removed(self, node: NodeId) -> None:
+        """Drop a node whose incident edges are already gone."""
         cid = self._node_class.pop(node)
         members = self._class_members[cid]
         members.discard(node)
         if not members:
             del self._class_members[cid]
-
-    def apply_batch(self, updates: list[Update], apply_to_graph: bool = True) -> None:
-        for update in updates:
-            self.apply(update, apply_to_graph=apply_to_graph)
 
     # ------------------------------------------------------------------
     # split-based stabilization

@@ -37,7 +37,7 @@ from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.engine.storage import GraphStore
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.inc_simulation import IncrementalSimulation
-from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, decompose
+from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, apply_updates
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
 from repro.matching.bounded import match_bounded
 from repro.matching.result_graph import build_result_graph
@@ -114,12 +114,10 @@ class QueryEngine:
     ['Bob', 'Walt']
     """
 
-    def __init__(
-        self, store: GraphStore | None = None, cache_capacity: int = 64
-    ) -> None:
+    def __init__(self, store: GraphStore | None = None) -> None:
         self.store = store
         self._registered: dict[str, RegisteredGraph] = {}
-        self._cache = QueryCache(capacity=cache_capacity)
+        self._cache = QueryCache()
         # Ranked results are cached separately: a RankingContext (snapshot
         # + memoized Dijkstra runs) is much heavier than a relation.
         self._rank_cache = RankCache()
@@ -1019,20 +1017,16 @@ class QueryEngine:
         """
         entry = self._entry(name)
         pinned = self._cache.pinned_entries(name)
+        # The first observer records each primitive the graph has taken,
+        # so the settle below sees the applied prefix even on an error.
         primitives: list[Update] = []
+        observers: list[Any] = [primitives.append]
+        observers += [cache_entry.maintainer.apply for _key, cache_entry in pinned]
+        if isinstance(entry.compression, MaintainedCompression):
+            observers.append(entry.compression.apply)
+        observers.append(entry.attr_index.on_update)
         try:
-            for update in updates:
-                # Node deletions are decomposed into their incident edge
-                # deletions plus a bare node removal, so every maintainer sees
-                # a primitive sequence it can follow without pre-images.
-                for primitive in decompose(entry.graph, update):
-                    primitive.apply(entry.graph)
-                    primitives.append(primitive)
-                    for _key, cache_entry in pinned:
-                        cache_entry.maintainer.apply(primitive, apply_to_graph=False)
-                    if isinstance(entry.compression, MaintainedCompression):
-                        entry.compression.apply(primitive, apply_to_graph=False)
-                    entry.attr_index.on_update(primitive)
+            apply_updates(entry.graph, updates, observers)
         finally:
             summary = self._settle_update(entry, pinned, primitives)
         return {"applied": len(updates), **summary}

@@ -233,7 +233,6 @@ def estimate_pattern(
     sample_size: int = DEFAULT_SAMPLE,
     probe_cap: int = DEFAULT_PROBE_CAP,
     seed: int = DEFAULT_SEED,
-    oracle_profile: dict | None = None,
 ) -> PatternEstimate:
     """Sampled per-edge estimates for ``pattern`` over a frozen snapshot.
 
@@ -270,7 +269,6 @@ def estimate_pattern(
                 len(children),
                 num_nodes,
                 num_edges,
-                oracle_profile,
                 bulk_depth=FROZEN_BULK_DEPTH,
                 ball_edges_estimate=sampled.ball_edges,
             )

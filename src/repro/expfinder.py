@@ -43,9 +43,9 @@ class ExpFinder:
         results.  Without it, everything stays in memory.
     """
 
-    def __init__(self, workdir: str | Path | None = None, cache_capacity: int = 64) -> None:
+    def __init__(self, workdir: str | Path | None = None) -> None:
         store = GraphStore(workdir) if workdir is not None else None
-        self.engine = QueryEngine(store=store, cache_capacity=cache_capacity)
+        self.engine = QueryEngine(store=store)
 
     # ------------------------------------------------------------------
     # data management

@@ -27,18 +27,17 @@ than the single counter touch of the simulation case.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import UpdateError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.distance import bounded_ancestors, bounded_descendants
 from repro.incremental.updates import (
-    AttributeUpdate,
     EdgeDeletion,
     EdgeInsertion,
     NodeDeletion,
-    NodeInsertion,
     Update,
+    ensure_applied,
 )
 from repro.matching.base import ChangeLog, MatchRelation
 from repro.matching.bounded import BoundedState
@@ -122,17 +121,20 @@ class IncrementalBoundedSimulation:
         """See :meth:`BoundedState.match_row`."""
         return self.state.match_row(data_node)
 
-    def apply(self, update: Update, apply_to_graph: bool = True) -> None:
-        """Apply one edge update to the graph *and* the match state.
+    def apply(self, update: Update) -> None:
+        """Maintain the match state for a primitive ``graph`` already shows.
 
-        ``apply_to_graph=False`` assumes the caller already mutated the
-        shared graph.  (Safe for deletions too: the set of ancestors of the
-        deleted edge's tail is identical before and after the deletion —
-        paths to the tail through the deleted edge would revisit the tail.)
+        The graph is written by :func:`~repro.incremental.updates.apply_updates`
+        (which also decomposes node deletions into incident edge deletions
+        first); this maintainer only follows it.  A primitive the graph
+        does not reflect is an :class:`UpdateError`, with the state
+        untouched.  Deletions are safe to follow: the ancestors of the
+        deleted edge's tail are the same before and after the deletion
+        (a path to the tail through the deleted edge would revisit the
+        tail).
         """
+        ensure_applied(self.graph, update)
         if isinstance(update, EdgeInsertion):
-            if apply_to_graph:
-                update.apply(self.graph)
             if not self._depth_of:  # edge-less pattern: membership is static
                 return
             affected = self._affected_sources(update.source)
@@ -141,52 +143,21 @@ class IncrementalBoundedSimulation:
                 self._resurrect(gains)
         elif isinstance(update, EdgeDeletion):
             if not self._depth_of:
-                if apply_to_graph:
-                    update.apply(self.graph)
                 return
             affected = self._affected_sources(update.source)
-            if apply_to_graph:
-                update.apply(self.graph)
             seeds = self._refresh_sources(affected, collect_gains=False)
             self.state.removal_fixpoint(seeds)
-        elif isinstance(update, (NodeInsertion, AttributeUpdate)):
-            if apply_to_graph:
-                update.apply(self.graph)
-            self._candidacy_changed(update.node)
         elif isinstance(update, NodeDeletion):
-            self._apply_node_deletion(update, apply_to_graph)
-        else:
-            raise UpdateError(f"unknown update type: {update!r}")
-
-    def _apply_node_deletion(self, update: NodeDeletion, apply_to_graph: bool) -> None:
-        """Node removal; with ``apply_to_graph=False`` the caller must have
-        already routed the incident edge deletions through :meth:`apply`."""
-        if apply_to_graph:
-            node = update.node
-            for successor in list(self.graph.successors(node)):
-                self.apply(EdgeDeletion(node, successor))
-            for predecessor in list(self.graph.predecessors(node)):
-                if predecessor != node:
-                    self.apply(EdgeDeletion(predecessor, node))
-            self._node_removed(node)
-            update.apply(self.graph)
-        else:
             self._node_removed(update.node)
-
-    def apply_batch(self, updates: Sequence[Update], apply_to_graph: bool = True) -> None:
-        """Apply a batch in order (each update maintained incrementally)."""
-        for update in updates:
-            self.apply(update, apply_to_graph=apply_to_graph)
+        else:  # NodeInsertion, AttributeUpdate
+            self._candidacy_changed(update.node)
 
     # ------------------------------------------------------------------
     # distance maintenance
     # ------------------------------------------------------------------
     def _affected_sources(self, tail: NodeId) -> list[NodeId]:
-        """``tail`` plus every node reaching it within the ancestor depth.
-
-        For deletions this must run on the *old* graph (callers do), since
-        ancestors that used the doomed edge are exactly the ones to check.
-        """
+        """``tail`` plus every node reaching it within the ancestor depth
+        (the same set before and after an edge leaving ``tail`` changes)."""
         if self._ancestor_depth == 0:
             return [tail]
         ancestors = bounded_ancestors(self.graph, tail, self._ancestor_depth)

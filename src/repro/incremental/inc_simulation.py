@@ -19,17 +19,16 @@ which is what makes the resurrection check O(affected area).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.errors import EvaluationError, UpdateError
+from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.incremental.updates import (
-    AttributeUpdate,
     EdgeDeletion,
     EdgeInsertion,
     NodeDeletion,
-    NodeInsertion,
     Update,
+    ensure_applied,
 )
 from repro.matching.base import ChangeLog, MatchRelation
 from repro.matching.simulation import simulation_candidates
@@ -43,14 +42,14 @@ class IncrementalSimulation:
 
     >>> from repro.graph.digraph import Graph
     >>> from repro.pattern.pattern import Pattern
-    >>> from repro.incremental.updates import EdgeInsertion
+    >>> from repro.incremental.updates import EdgeInsertion, apply_updates
     >>> g = Graph.from_edges([], nodes={"a": {"l": "X"}, "b": {"l": "Y"}})
     >>> q = Pattern(); q.add_node("X", 'l == "X"'); q.add_node("Y", 'l == "Y"')
     >>> q.add_edge("X", "Y", 1)
     >>> inc = IncrementalSimulation(g, q)
     >>> inc.relation().is_empty
     True
-    >>> inc.apply(EdgeInsertion("a", "b"))
+    >>> _ = apply_updates(g, [EdgeInsertion("a", "b")], [inc.apply])
     >>> sorted(inc.relation().pairs())
     [('X', 'a'), ('Y', 'b')]
     """
@@ -133,50 +132,24 @@ class IncrementalSimulation:
             if self._in_edges[pattern_node] and self.graph.has_node(data_node):
                 log.dirty.update(self.graph.predecessors(data_node))
 
-    def apply(self, update: Update, apply_to_graph: bool = True) -> None:
-        """Apply one edge update to the graph *and* the match state.
+    def apply(self, update: Update) -> None:
+        """Maintain the match state for a primitive ``graph`` already shows.
 
-        ``apply_to_graph=False`` assumes the caller already mutated the
-        shared graph (the engine applies each update once and then informs
-        every maintainer); state maintenance alone is performed.
+        The graph is written by :func:`~repro.incremental.updates.apply_updates`
+        (which also decomposes node deletions into incident edge deletions
+        first); this maintainer only follows it.  A primitive the graph
+        does not reflect is an :class:`UpdateError`, with the state
+        untouched.
         """
+        ensure_applied(self.graph, update)
         if isinstance(update, EdgeInsertion):
-            if apply_to_graph:
-                update.apply(self.graph)
             self._after_insertion(update.source, update.target)
         elif isinstance(update, EdgeDeletion):
-            if apply_to_graph:
-                update.apply(self.graph)
             self._after_deletion(update.source, update.target)
-        elif isinstance(update, (NodeInsertion, AttributeUpdate)):
-            if apply_to_graph:
-                update.apply(self.graph)
-            self._candidacy_changed(update.node)
         elif isinstance(update, NodeDeletion):
-            self._apply_node_deletion(update, apply_to_graph)
-        else:
-            raise UpdateError(f"unknown update type: {update!r}")
-
-    def _apply_node_deletion(self, update: NodeDeletion, apply_to_graph: bool) -> None:
-        """Node removal; with ``apply_to_graph=False`` the caller must have
-        already routed the incident edge deletions through :meth:`apply`
-        (see ``updates.decompose``)."""
-        if apply_to_graph:
-            node = update.node
-            for successor in list(self.graph.successors(node)):
-                self.apply(EdgeDeletion(node, successor))
-            for predecessor in list(self.graph.predecessors(node)):
-                if predecessor != node:
-                    self.apply(EdgeDeletion(predecessor, node))
-            self._node_removed(node)
-            update.apply(self.graph)
-        else:
             self._node_removed(update.node)
-
-    def apply_batch(self, updates: Sequence[Update], apply_to_graph: bool = True) -> None:
-        """Apply a batch in order (each update maintained incrementally)."""
-        for update in updates:
-            self.apply(update, apply_to_graph=apply_to_graph)
+        else:  # NodeInsertion, AttributeUpdate
+            self._candidacy_changed(update.node)
 
     # ------------------------------------------------------------------
     # deletion: counters down, cascade removals

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from repro.errors import UpdateError
 from repro.graph.digraph import Graph, NodeId
@@ -84,8 +84,8 @@ class NodeDeletion:
     """Delete a node (and, at the graph level, its incident edges).
 
     Incremental maintainers require incident edges to be deleted first;
-    :func:`decompose` produces exactly that primitive sequence, and the
-    maintainers self-decompose when they own the graph mutation.
+    :func:`decompose` produces exactly that primitive sequence, and
+    :func:`apply_updates` is how it reaches a graph and its maintainers.
     """
 
     node: NodeId
@@ -148,17 +148,72 @@ def decompose(graph: Graph, update: Update) -> list[Update]:
     return primitives
 
 
-def apply_updates(graph: Graph, updates: Iterable[Update]) -> int:
-    """Apply updates in order; returns how many were applied.
+def apply_updates(
+    graph: Graph,
+    updates: Iterable[Update],
+    observers: Sequence[Callable[[Update], object]] = (),
+) -> list[Update]:
+    """Apply ``updates`` to ``graph`` in order; return the primitives applied.
 
-    Raises :class:`UpdateError` on the first inapplicable update (earlier
-    updates stay applied — callers wanting atomicity should work on a copy).
+    The one way a batch reaches a graph.  Each update is decomposed (see
+    :func:`decompose`) against the graph as it stands, each primitive is
+    applied once, and only then handed to every observer in order — the
+    maintainers (``IncrementalSimulation.apply`` and friends) follow a
+    graph that already reflects it.
+
+    A primitive counts as applied once the graph has taken it, before any
+    observer runs.  On an error (an inapplicable primitive raises
+    :class:`UpdateError`) earlier primitives stay applied; a caller that
+    must settle that prefix records it with its first observer
+    (``applied.append``), callers wanting atomicity work on a copy.
+
+    >>> g = Graph.from_edges([("a", "b"), ("b", "c")])
+    >>> seen = []
+    >>> apply_updates(g, [NodeDeletion("b")], [seen.append]) == seen
+    True
+    >>> [type(p).__name__ for p in seen]
+    ['EdgeDeletion', 'EdgeDeletion', 'NodeDeletion']
     """
-    count = 0
+    applied: list[Update] = []
     for update in updates:
-        update.apply(graph)
-        count += 1
-    return count
+        for primitive in decompose(graph, update):
+            primitive.apply(graph)
+            applied.append(primitive)
+            for observer in observers:
+                observer(primitive)
+    return applied
+
+
+_ABSENT = object()
+
+
+def ensure_applied(graph: Graph, primitive: Update) -> None:
+    """Raise :class:`UpdateError` unless ``graph`` already reflects ``primitive``.
+
+    An O(1) presence check, run by every maintainer before it touches its
+    state: maintainers follow the graph (:func:`apply_updates` writes it),
+    so a primitive handed to one first is refused rather than silently
+    diverging.
+    """
+    if isinstance(primitive, EdgeInsertion):
+        reflected = graph.has_edge(primitive.source, primitive.target)
+    elif isinstance(primitive, EdgeDeletion):
+        reflected = not graph.has_edge(primitive.source, primitive.target)
+    elif isinstance(primitive, NodeInsertion):
+        reflected = graph.has_node(primitive.node)
+    elif isinstance(primitive, NodeDeletion):
+        reflected = not graph.has_node(primitive.node)
+    elif isinstance(primitive, AttributeUpdate):
+        current = (
+            graph.attrs(primitive.node).get(primitive.attr, _ABSENT)
+            if graph.has_node(primitive.node)
+            else _ABSENT
+        )
+        reflected = current is primitive.value or current == primitive.value
+    else:
+        raise UpdateError(f"unknown update type: {primitive!r}")
+    if not reflected:
+        raise UpdateError(f"graph does not reflect {primitive!r}: apply it first")
 
 
 def invert_batch(updates: Sequence[Update]) -> list[Update]:

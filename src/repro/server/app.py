@@ -55,9 +55,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.estimator import QueryBudget
-from repro.errors import ReproError, ServerError
+from repro.errors import RankingError, ReproError, ServerError
 from repro.graph.digraph import Graph
 from repro.graph.io import graph_from_dict
+from repro.ranking.topk import validate_k
 from repro.server.admission import AdmissionController
 from repro.server.registry import SnapshotRegistry
 from repro.server.wal import Checkpointer, WriteAheadLog
@@ -85,14 +86,12 @@ class ServiceConfig:
     max_inflight: int = 8
     max_queue: int = 16
     queue_timeout: float = 5.0
-    cache_capacity: int = 64
     default_budget: QueryBudget | None = None
     oracle: dict[str, Any] | None = field(default=None)
     # Durability plane (all inert while wal_dir is None):
     wal_dir: str | None = None
     fsync: str = "batch"
     checkpoint_every: int = 64
-    wal_segment_bytes: int = 4 * 1024 * 1024
     # Inline (synchronous) checkpointing for deterministic tests/sweeps;
     # production keeps the background thread so publishes never block.
     checkpoint_background: bool = True
@@ -137,14 +136,8 @@ class ExpFinderService:
                 from repro.engine.storage import GraphStore
 
                 store = GraphStore(Path(self.config.wal_dir) / "store")
-            self.wal = WriteAheadLog(
-                self.config.wal_dir,
-                fsync=self.config.fsync,
-                segment_bytes=self.config.wal_segment_bytes,
-            )
-        self.registry = SnapshotRegistry(
-            store=store, cache_capacity=self.config.cache_capacity, wal=self.wal
-        )
+            self.wal = WriteAheadLog(self.config.wal_dir, fsync=self.config.fsync)
+        self.registry = SnapshotRegistry(store=store, wal=self.wal)
         if self.wal is not None:
             self.checkpointer = Checkpointer(
                 self.registry,
@@ -306,9 +299,10 @@ class ExpFinderService:
     def topk(self, name: str, payload: dict[str, Any]) -> dict[str, Any]:
         self._count("topk")
         pattern = decode_pattern(payload)
-        k = payload.get("k", 10)
-        if not isinstance(k, int) or k < 1:
-            raise ServerError(f"k must be a positive integer (got {k!r})")
+        try:
+            k = validate_k(payload.get("k", 10))
+        except RankingError as exc:
+            raise ServerError(str(exc)) from None
         budget = decode_budget(payload, default=self.config.default_budget)
         with self.admission.slot():
             with self.registry.pin(name) as epoch:
@@ -431,6 +425,12 @@ class _Handler(BaseHTTPRequestHandler):
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise ServerError("request needs a non-empty string field 'name'")
+        replace, preload = (payload.get(flag, False) for flag in ("replace", "preload"))
+        if not isinstance(replace, bool) or not isinstance(preload, bool):
+            raise ServerError(
+                "'replace' and 'preload' must be JSON booleans "
+                f"(got {replace!r}, {preload!r})"
+            )
         if "graph" in payload:
             try:
                 graph = graph_from_dict(payload["graph"])
@@ -438,10 +438,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise
             except Exception as exc:
                 raise ServerError(f"malformed graph payload: {exc}") from exc
-            return self.service.register_graph(
-                name, graph, replace=bool(payload.get("replace", False))
-            )
-        if payload.get("preload"):
+            return self.service.register_graph(name, graph, replace=replace)
+        if preload:
             return self.service.preload(name)
         raise ServerError(
             "register needs either a 'graph' object or 'preload': true"

@@ -56,7 +56,7 @@ from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.index import AttributeIndex
 from repro.graph.oracle import DistanceOracle
-from repro.incremental.updates import Update, decompose
+from repro.incremental.updates import Update, apply_updates
 from repro.matching.base import MatchResult, Stopwatch
 from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation, simulation_candidates
@@ -99,7 +99,6 @@ class Epoch:
         frozen: FrozenGraph,
         oracle: DistanceOracle | None,
         attr_index: AttributeIndex,
-        cache_capacity: int = 64,
     ) -> None:
         self.name = name
         self.epoch_id = epoch_id
@@ -107,8 +106,8 @@ class Epoch:
         self.frozen = frozen
         self.oracle = oracle
         self.attr_index = attr_index
-        self.cache = QueryCache(capacity=cache_capacity)
-        self.rank_cache = RankCache(capacity=max(4, cache_capacity // 4))
+        self.cache = QueryCache()
+        self.rank_cache = RankCache()
         self._index_lock = threading.Lock()
         self._pins = 0
         self.retired = False
@@ -319,11 +318,8 @@ class SnapshotRegistry:
     ``oracle_carries`` / ``oracle_builds`` the same for distance oracles.
     """
 
-    def __init__(
-        self, store: Any = None, cache_capacity: int = 64, wal: Any = None
-    ) -> None:
+    def __init__(self, store: Any = None, wal: Any = None) -> None:
         self.store = store
-        self.cache_capacity = cache_capacity
         # Optional durability plane: a WriteAheadLog every publish appends
         # to before applying, and a Checkpointer (attached by the service
         # after construction — it needs the registry) that persists
@@ -495,13 +491,10 @@ class SnapshotRegistry:
                 state.appended_lsn = lsn
             base = state.master
             scratch = base.copy()
-            applied: list[Update] = []
             try:
-                for update in updates:
-                    for primitive in decompose(scratch, update):
-                        primitive.apply(scratch)
-                        applied.append(primitive)
-                        fault_point("registry.apply")
+                applied = apply_updates(
+                    scratch, updates, [lambda _primitive: fault_point("registry.apply")]
+                )
             except ReproError:
                 # The batch is invalid against this base: its WAL record
                 # will fail identically at replay and be skipped, so its
@@ -561,7 +554,7 @@ class SnapshotRegistry:
         the metadata's ``graph_version``: a ``StorageError``), rebuild
         the master from it with ``to_graph()``, then re-apply every batch
         record with ``lsn > checkpoint.lsn`` through the same decode →
-        decompose → apply pipeline as live publishes.  Each
+        ``apply_updates`` pipeline as live publishes.  Each
         batch replays all-or-nothing on a scratch copy; a batch that
         fails to decode or apply (it failed identically when first
         published — see :meth:`publish`; a malformed record is one an
@@ -605,12 +598,10 @@ class SnapshotRegistry:
                 if record.lsn <= checkpoint["lsn"]:
                     continue
                 scratch = graph.copy()
-                batch: list[Update] = []
                 try:
-                    for update in decode_updates({"updates": record.updates}):
-                        for primitive in decompose(scratch, update):
-                            primitive.apply(scratch)
-                            batch.append(primitive)
+                    batch = apply_updates(
+                        scratch, decode_updates({"updates": record.updates})
+                    )
                 except ReproError:
                     skipped += 1
                 else:
@@ -744,15 +735,7 @@ class SnapshotRegistry:
             if attr_index.is_built:
                 with self._lock:
                     self.counters["index_carries"] += 1
-        epoch = Epoch(
-            name,
-            state.next_epoch_id,
-            graph,
-            frozen,
-            oracle,
-            attr_index,
-            cache_capacity=self.cache_capacity,
-        )
+        epoch = Epoch(name, state.next_epoch_id, graph, frozen, oracle, attr_index)
         state.next_epoch_id += 1
         return epoch
 

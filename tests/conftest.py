@@ -7,6 +7,7 @@ import pytest
 from repro.datasets.paper_example import paper_graph, paper_pattern
 from repro.graph.digraph import Graph
 from repro.graph.index import predicate_key
+from repro.incremental.updates import apply_updates
 from repro.matching.simulation import simulation_candidates
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
@@ -70,6 +71,12 @@ def make_labelled_graph(edges: list[tuple[str, str]], labels: dict[str, str]) ->
         graph.add_node(node, label=label)
     graph.add_edges(edges)
     return graph
+
+
+def drive(maintainer, *updates) -> list:
+    """Apply ``updates`` to ``maintainer.graph`` through the one update
+    driver, with ``maintainer`` following; returns the primitives."""
+    return apply_updates(maintainer.graph, updates, [maintainer.apply])
 
 
 def batch_of(graph: Graph, pattern: Pattern, copies: int = 2) -> tuple[list, dict]:

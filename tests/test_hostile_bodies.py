@@ -230,3 +230,58 @@ class TestUnreadableBodies:
                 data += chunk
         first, second = data.split(b"HTTP/1.1 ")[1:]
         assert first.startswith(b"400 ") and second.startswith(b"200 ")
+
+
+class TestRegisterFlags:
+    """``replace`` / ``preload`` are JSON booleans or absent: a string
+    ``"false"`` once read as true and replaced the served graph."""
+
+    @staticmethod
+    def _served(service) -> tuple[int, int]:
+        epoch = service.registry.current_epoch(GRAPH_NAME)
+        return epoch.graph.num_nodes, epoch.epoch_id
+
+    @pytest.mark.parametrize("flag", ["replace", "preload"])
+    @pytest.mark.parametrize("value", ["false", "true", "", 0, 1])
+    def test_a_non_boolean_flag_is_a_400_before_any_registration(
+        self, server, flag, value
+    ):
+        from repro.graph.io import graph_to_dict
+
+        before = self._served(server.service)
+        body = json.dumps(
+            {"name": GRAPH_NAME, "graph": graph_to_dict(base_graph(3)), flag: value}
+        ).encode()
+        status, _headers, error, _rest = _raw(server.address, _post("/graphs", body))
+        assert status == 400
+        assert error["error"] == "ServerError" and flag in error["message"]
+        assert self._served(server.service) == before
+
+    def test_json_true_still_replaces(self, server):
+        from repro.graph.io import graph_to_dict
+
+        body = json.dumps(
+            {"name": GRAPH_NAME, "graph": graph_to_dict(base_graph(3)), "replace": True}
+        ).encode()
+        status, _headers, _reply, _rest = _raw(server.address, _post("/graphs", body))
+        assert status == 200
+        assert self._served(server.service)[0] == 3
+
+
+class TestTopkK:
+    """``k`` is checked by ``validate_k`` before admission or evaluation:
+    ``true`` once passed, was evaluated and cached, then refused late."""
+
+    @pytest.mark.parametrize("k", [True, 1.5, "3", 0])
+    def test_a_bad_k_is_a_400_and_evaluates_nothing(self, server, k):
+        epoch = server.service.registry.current_epoch(GRAPH_NAME)
+        misses = epoch.cache.stats()["misses"]
+        admitted = server.service.stats()["admission"]["admitted"]
+        body = json.dumps({"pattern": 'node A* : kind == "seed"\n', "k": k}).encode()
+        status, _headers, error, _rest = _raw(
+            server.address, _post(f"/graphs/{GRAPH_NAME}/topk", body)
+        )
+        assert status == 400
+        assert error["error"] == "ServerError" and "k must be" in error["message"]
+        assert epoch.cache.stats()["misses"] == misses
+        assert server.service.stats()["admission"]["admitted"] == admitted

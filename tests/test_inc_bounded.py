@@ -10,7 +10,7 @@ from repro.matching.bounded import match_bounded
 from repro.matching.reference import naive_bounded
 from repro.pattern.builder import PatternBuilder
 
-from tests.conftest import make_labelled_graph
+from tests.conftest import drive, make_labelled_graph
 
 
 def bounded_ab(bound=2):
@@ -32,7 +32,7 @@ class TestInsertion:
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("a", "m2"))
+        drive(inc, EdgeInsertion("a", "m2"))
         assert inc.relation().num_pairs == 2
         inc.state.check_invariants()
 
@@ -42,7 +42,7 @@ class TestInsertion:
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
         assert inc.state.S[("A", "B")]["a"]["b"] == 2
-        inc.apply(EdgeInsertion("a", "b"))
+        drive(inc, EdgeInsertion("a", "b"))
         assert inc.state.S[("A", "B")]["a"]["b"] == 1
         inc.state.check_invariants()
 
@@ -60,9 +60,9 @@ class TestInsertion:
         )
         inc = IncrementalBoundedSimulation(g, q)
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("a", "m1"))
+        drive(inc, EdgeInsertion("a", "m1"))
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("m1", "b"))  # closes a->m1->b->m2->a
+        drive(inc, EdgeInsertion("m1", "b"))  # closes a->m1->b->m2->a
         assert inc.relation().num_pairs == 2
         inc.state.check_invariants()
 
@@ -72,7 +72,7 @@ class TestInsertion:
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
         before = inc.relation()
-        inc.apply(EdgeInsertion("y", "x"))
+        drive(inc, EdgeInsertion("y", "x"))
         assert inc.relation() == before
         inc.state.check_invariants()
 
@@ -84,7 +84,7 @@ class TestDeletion:
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
         assert inc.relation().num_pairs == 2
-        inc.apply(EdgeDeletion("m", "b"))
+        drive(inc, EdgeDeletion("m", "b"))
         assert inc.relation().is_empty
         inc.state.check_invariants()
 
@@ -93,7 +93,7 @@ class TestDeletion:
             [("a", "b"), ("a", "m"), ("m", "b")], {"a": "A", "m": "M", "b": "B"}
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
-        inc.apply(EdgeDeletion("a", "b"))
+        drive(inc, EdgeDeletion("a", "b"))
         assert inc.relation().num_pairs == 2  # still reaches within 2
         assert inc.state.S[("A", "B")]["a"]["b"] == 2
         inc.state.check_invariants()
@@ -114,7 +114,7 @@ class TestDeletion:
         )
         inc = IncrementalBoundedSimulation(g, q)
         assert inc.relation().num_pairs == 3
-        inc.apply(EdgeDeletion("m", "c"))
+        drive(inc, EdgeDeletion("m", "c"))
         assert inc.relation().is_empty
         inc.state.check_invariants()
 
@@ -127,9 +127,9 @@ class TestUnboundedEdges:
         )
         inc = IncrementalBoundedSimulation(g, q)
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("m2", "b"))
+        drive(inc, EdgeInsertion("m2", "b"))
         assert inc.relation().num_pairs == 2
-        inc.apply(EdgeDeletion("m1", "m2"))
+        drive(inc, EdgeDeletion("m1", "m2"))
         assert inc.relation().is_empty
         inc.state.check_invariants()
 
@@ -170,7 +170,7 @@ class TestStateReuse:
         q = PatternBuilder().node("A", 'label == "A"').build()
         g = make_labelled_graph([], {"a": "A", "b": "B"})
         inc = IncrementalBoundedSimulation(g, q)
-        inc.apply(EdgeInsertion("a", "b"))
+        drive(inc, EdgeInsertion("a", "b"))
         assert inc.relation().matches_of("A") == {"a"}
 
 
@@ -190,7 +190,7 @@ class TestAgainstOracle:
         )
         inc = IncrementalBoundedSimulation(g, q)
         for update in random_updates(g, 20, seed=seed + 500):
-            inc.apply(update)
+            drive(inc, update)
             assert inc.relation() == naive_bounded(g, q), update
         inc.state.check_invariants()
 
@@ -206,12 +206,12 @@ class TestAgainstOracle:
         )
         inc = IncrementalBoundedSimulation(g, q)
         for update in random_updates(g, 15, seed=seed + 900):
-            inc.apply(update)
+            drive(inc, update)
             assert inc.relation() == naive_bounded(g, q), update
         inc.state.check_invariants()
 
     def test_batch_equals_recompute_on_paper_graph(self, fig1, fig1_query):
         inc = IncrementalBoundedSimulation(fig1, fig1_query)
         batch = random_updates(fig1, 8, seed=77)
-        inc.apply_batch(batch)
+        drive(inc, *batch)
         assert inc.relation() == match_bounded(fig1, fig1_query).relation

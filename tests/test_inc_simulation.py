@@ -10,7 +10,7 @@ from repro.matching.reference import naive_simulation
 from repro.matching.simulation import match_simulation
 from repro.pattern.builder import PatternBuilder
 
-from tests.conftest import make_labelled_graph
+from tests.conftest import drive, make_labelled_graph
 
 
 def chain_ab():
@@ -39,7 +39,7 @@ class TestInsertion:
         g = make_labelled_graph([], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, chain_ab())
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("a", "b"))
+        drive(inc, EdgeInsertion("a", "b"))
         assert sorted(inc.relation().pairs()) == [("A", "a"), ("B", "b")]
 
     def test_insertion_resurrects_chain(self):
@@ -58,7 +58,7 @@ class TestInsertion:
         )
         inc = IncrementalSimulation(g, q)
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("b", "c"))
+        drive(inc, EdgeInsertion("b", "c"))
         assert inc.relation().num_pairs == 3
 
     def test_mutual_resurrection_on_cyclic_pattern(self):
@@ -66,7 +66,7 @@ class TestInsertion:
         g = make_labelled_graph([("b", "a")], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, cycle_ab())
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("a", "b"))  # now a->b->a: both valid together
+        drive(inc, EdgeInsertion("a", "b"))  # now a->b->a: both valid together
         assert inc.relation().num_pairs == 2
         inc.check_invariants()
 
@@ -74,7 +74,7 @@ class TestInsertion:
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B", "c": "C"})
         inc = IncrementalSimulation(g, chain_ab())
         before = inc.relation()
-        inc.apply(EdgeInsertion("c", "a"))
+        drive(inc, EdgeInsertion("c", "a"))
         assert inc.relation() == before
 
 
@@ -82,7 +82,7 @@ class TestDeletion:
     def test_deletion_removes_match(self):
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, chain_ab())
-        inc.apply(EdgeDeletion("a", "b"))
+        drive(inc, EdgeDeletion("a", "b"))
         assert inc.relation().is_empty
 
     def test_deletion_with_remaining_witness_keeps_match(self):
@@ -90,12 +90,12 @@ class TestDeletion:
             [("a", "b1"), ("a", "b2")], {"a": "A", "b1": "B", "b2": "B"}
         )
         inc = IncrementalSimulation(g, chain_ab())
-        inc.apply(EdgeDeletion("a", "b1"))
+        drive(inc, EdgeDeletion("a", "b1"))
         # a still has the witness b2; b1 keeps matching B because membership
         # depends only on predicates and *outgoing* requirements.
         assert inc.relation().matches_of("A") == {"a"}
         assert inc.relation().matches_of("B") == {"b1", "b2"}
-        inc.apply(EdgeDeletion("a", "b2"))
+        drive(inc, EdgeDeletion("a", "b2"))
         assert inc.relation().is_empty
 
     def test_deletion_cascades_upstream(self):
@@ -113,7 +113,7 @@ class TestDeletion:
         )
         inc = IncrementalSimulation(g, q)
         assert inc.relation().num_pairs == 3
-        inc.apply(EdgeDeletion("b", "c"))
+        drive(inc, EdgeDeletion("b", "c"))
         assert inc.relation().is_empty
         inc.check_invariants()
 
@@ -123,8 +123,8 @@ class TestRoundTripsAndOracle:
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B", "c": "B"})
         inc = IncrementalSimulation(g, chain_ab())
         before = inc.relation()
-        inc.apply(EdgeInsertion("a", "c"))
-        inc.apply(EdgeDeletion("a", "c"))
+        drive(inc, EdgeInsertion("a", "c"))
+        drive(inc, EdgeDeletion("a", "c"))
         assert inc.relation() == before
         inc.check_invariants()
 
@@ -143,20 +143,20 @@ class TestRoundTripsAndOracle:
         )
         inc = IncrementalSimulation(g, q)
         for update in random_updates(g, 25, seed=seed + 50):
-            inc.apply(update)
+            drive(inc, update)
             assert inc.relation() == naive_simulation(g, q)
         inc.check_invariants()
 
-    def test_apply_batch_equals_unit_sequence(self):
+    def test_one_driver_call_equals_unit_calls(self):
         g1 = random_digraph(12, 25, num_labels=2, seed=1)
         g2 = g1.copy()
         q = chain_ab_for_random()
         inc_batch = IncrementalSimulation(g1, q)
         inc_units = IncrementalSimulation(g2, q)
         batch = random_updates(g1, 12, seed=2)
-        inc_batch.apply_batch(batch)
+        drive(inc_batch, *batch)
         for update in batch:
-            inc_units.apply(update)
+            drive(inc_units, update)
         assert inc_batch.relation() == inc_units.relation()
 
     def test_initial_state_matches_batch_matcher(self):
@@ -164,11 +164,11 @@ class TestRoundTripsAndOracle:
         q = chain_ab_for_random()
         assert IncrementalSimulation(g, q).relation() == match_simulation(g, q).relation
 
-    def test_apply_to_graph_false_mode(self):
+    def test_follows_a_write_made_by_the_caller(self):
         g = make_labelled_graph([], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, chain_ab())
         g.add_edge("a", "b")  # caller mutates the graph first
-        inc.apply(EdgeInsertion("a", "b"), apply_to_graph=False)
+        inc.apply(EdgeInsertion("a", "b"))
         assert inc.relation().num_pairs == 2
         inc.check_invariants()
 

@@ -5,13 +5,13 @@ import pytest
 from repro.compression.compress import compress
 from repro.compression.decompress import decompress_relation
 from repro.compression.maintain import MaintainedCompression
-from repro.errors import CompressionError
+from repro.errors import UpdateError
 from repro.graph.generators import collaboration_graph, random_digraph
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, random_updates
 from repro.matching.bounded import match_bounded
 from repro.pattern.builder import PatternBuilder
 
-from tests.conftest import make_labelled_graph
+from tests.conftest import drive, make_labelled_graph
 
 
 class TestBasics:
@@ -26,7 +26,7 @@ class TestBasics:
         g = make_labelled_graph([], {"x": "A", "y": "A", "c": "C"})
         maintained = MaintainedCompression(g, attrs=("label",))
         assert maintained.num_classes == 2  # {x,y}, {c}
-        maintained.apply(EdgeInsertion("x", "c"))
+        drive(maintained, EdgeInsertion("x", "c"))
         assert maintained.num_classes == 3  # x split away from y
         maintained.check_partition()
 
@@ -36,7 +36,7 @@ class TestBasics:
         )
         maintained = MaintainedCompression(g, attrs=("label",))
         assert maintained.num_classes == 2
-        maintained.apply(EdgeDeletion("x", "c"))
+        drive(maintained, EdgeDeletion("x", "c"))
         maintained.check_partition()
         assert maintained.num_classes == 3
 
@@ -49,7 +49,7 @@ class TestBasics:
         )
         maintained = MaintainedCompression(g, attrs=("label",))
         assert maintained.num_classes == 3
-        maintained.apply(EdgeInsertion("x", "c"))
+        drive(maintained, EdgeInsertion("x", "c"))
         maintained.check_partition()
         node_class = maintained.compressed().node_to_class
         assert node_class["p1"] != node_class["p2"]
@@ -57,8 +57,8 @@ class TestBasics:
     def test_staleness_counter_and_recompress(self):
         g = make_labelled_graph([], {"x": "A", "y": "A", "c": "C"})
         maintained = MaintainedCompression(g, attrs=("label",))
-        maintained.apply(EdgeInsertion("x", "c"))
-        maintained.apply(EdgeDeletion("x", "c"))
+        drive(maintained, EdgeInsertion("x", "c"))
+        drive(maintained, EdgeDeletion("x", "c"))
         assert maintained.staleness == 2
         # After deleting the edge again, x and y are structurally identical,
         # but local splitting never re-merges; recompress restores coarseness.
@@ -71,7 +71,7 @@ class TestBasics:
         maintained = MaintainedCompression(
             make_labelled_graph([], {"x": "A"}), attrs=("label",)
         )
-        with pytest.raises(CompressionError):
+        with pytest.raises(UpdateError):
             maintained.apply("nope")  # type: ignore[arg-type]
 
 
@@ -88,7 +88,7 @@ class TestQueryPreservationUnderUpdates:
             .build()
         )
         for update in random_updates(g, 15, seed=seed + 40):
-            maintained.apply(update)
+            drive(maintained, update)
             maintained.check_partition()
             compressed = maintained.compressed()
             direct = match_bounded(g, q).relation
@@ -99,15 +99,15 @@ class TestQueryPreservationUnderUpdates:
         g = random_digraph(25, 50, num_labels=2, seed=9)
         maintained = MaintainedCompression(g, attrs=("label",))
         for update in random_updates(g, 20, seed=10):
-            maintained.apply(update)
+            drive(maintained, update)
         fresh = compress(g, attrs=("label",), method="bisimulation")
         assert maintained.num_classes >= fresh.quotient.num_nodes
 
-    def test_apply_to_graph_false(self):
+    def test_follows_a_write_made_by_the_caller(self):
         g = make_labelled_graph([], {"x": "A", "y": "A", "c": "C"})
         maintained = MaintainedCompression(g, attrs=("label",))
         g.add_edge("x", "c")
-        maintained.apply(EdgeInsertion("x", "c"), apply_to_graph=False)
+        maintained.apply(EdgeInsertion("x", "c"))
         maintained.check_partition()
         assert maintained.num_classes == 3
 

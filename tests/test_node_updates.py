@@ -21,6 +21,7 @@ from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.inc_simulation import IncrementalSimulation
 from repro.incremental.updates import (
     AttributeUpdate,
+    EdgeDeletion,
     EdgeInsertion,
     NodeDeletion,
     NodeInsertion,
@@ -30,7 +31,7 @@ from repro.matching.bounded import match_bounded
 from repro.matching.reference import naive_bounded, naive_simulation
 from repro.pattern.builder import PatternBuilder
 
-from tests.conftest import make_labelled_graph
+from tests.conftest import drive, make_labelled_graph
 
 
 class TestUpdateValues:
@@ -107,30 +108,30 @@ class TestIncrementalSimulationNodeUpdates:
         g = make_labelled_graph([("a", "b")], {"a": "X", "b": "B"})
         inc = IncrementalSimulation(g, bounded_ab(1))
         assert inc.relation().is_empty
-        inc.apply(AttributeUpdate("a", "label", "A"))
+        drive(inc, AttributeUpdate("a", "label", "A"))
         assert inc.relation().num_pairs == 2
         inc.check_invariants()
 
     def test_attribute_update_loses_match(self):
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, bounded_ab(1))
-        inc.apply(AttributeUpdate("b", "label", "X"))
+        drive(inc, AttributeUpdate("b", "label", "X"))
         assert inc.relation().is_empty
         inc.check_invariants()
 
     def test_node_insertion_then_edges(self):
         g = make_labelled_graph([], {"b": "B"})
         inc = IncrementalSimulation(g, bounded_ab(1))
-        inc.apply(NodeInsertion.with_attrs("a", label="A"))
+        drive(inc, NodeInsertion.with_attrs("a", label="A"))
         assert inc.relation().is_empty  # no edge yet
-        inc.apply(EdgeInsertion("a", "b"))
+        drive(inc, EdgeInsertion("a", "b"))
         assert inc.relation().num_pairs == 2
         inc.check_invariants()
 
     def test_node_deletion_cascades(self):
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, bounded_ab(1))
-        inc.apply(NodeDeletion("b"))
+        drive(inc, NodeDeletion("b"))
         assert inc.relation().is_empty
         assert "b" not in g
         inc.check_invariants()
@@ -142,7 +143,7 @@ class TestIncrementalBoundedNodeUpdates:
             [("a", "m"), ("m", "b")], {"a": "X", "m": "M", "b": "B"}
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
-        inc.apply(AttributeUpdate("a", "label", "A"))
+        drive(inc, AttributeUpdate("a", "label", "A"))
         assert inc.relation().num_pairs == 2
         inc.state.check_invariants()
 
@@ -153,16 +154,16 @@ class TestIncrementalBoundedNodeUpdates:
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
         assert inc.relation().num_pairs == 2
-        inc.apply(AttributeUpdate("b", "label", "X"))
+        drive(inc, AttributeUpdate("b", "label", "X"))
         assert inc.relation().is_empty
         inc.state.check_invariants()
 
     def test_node_insertion_and_wiring(self):
         g = make_labelled_graph([("a", "m")], {"a": "A", "m": "M"})
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
-        inc.apply(NodeInsertion.with_attrs("b", label="B"))
+        drive(inc, NodeInsertion.with_attrs("b", label="B"))
         assert inc.relation().is_empty
-        inc.apply(EdgeInsertion("m", "b"))
+        drive(inc, EdgeInsertion("m", "b"))
         assert inc.relation().num_pairs == 2
         inc.state.check_invariants()
 
@@ -171,7 +172,7 @@ class TestIncrementalBoundedNodeUpdates:
             [("a", "m"), ("m", "b")], {"a": "A", "m": "M", "b": "B"}
         )
         inc = IncrementalBoundedSimulation(g, bounded_ab(2))
-        inc.apply(NodeDeletion("m"))
+        drive(inc, NodeDeletion("m"))
         assert inc.relation().is_empty
         assert "m" not in g
         inc.state.check_invariants()
@@ -187,11 +188,11 @@ class TestIncrementalBoundedNodeUpdates:
         inc = IncrementalBoundedSimulation(g, pattern)
         # x already matches: the 2-cycle is a nonempty path back to itself.
         assert set(inc.relation().matches_of("A")) == {"x"}
-        inc.apply(AttributeUpdate("y", "label", "A"))
+        drive(inc, AttributeUpdate("y", "label", "A"))
         assert set(inc.relation().matches_of("A")) == {"x", "y"}
         inc.state.check_invariants()
         # And leaving candidacy unwinds it symmetrically.
-        inc.apply(AttributeUpdate("y", "label", "Z"))
+        drive(inc, AttributeUpdate("y", "label", "Z"))
         assert set(inc.relation().matches_of("A")) == {"x"}
         inc.state.check_invariants()
 
@@ -247,20 +248,13 @@ class TestIncrementalBoundedNodeUpdates:
                 if not candidates:
                     continue
                 update = EdgeInsertion(*rng.choice(candidates))
-            inc_bounded.apply(update)
+            drive(inc_bounded, update)
             inc_bounded.state.check_invariants()
             assert inc_bounded.relation() == naive_bounded(
                 inc_bounded.graph, pattern
             ), update
             # replay on the simulation maintainer (independent graph copy)
-            replay = (
-                decompose(inc_sim_graph, update)
-                if isinstance(update, NodeDeletion)
-                else [update]
-            )
-            for primitive in replay:
-                primitive.apply(inc_sim_graph)
-                inc_sim.apply(primitive, apply_to_graph=False)
+            drive(inc_sim, update)
             inc_sim.check_invariants()
             assert inc_sim.relation() == naive_simulation(inc_sim_graph, unit), update
 
@@ -270,23 +264,23 @@ class TestMaintainedCompressionNodeUpdates:
         g = make_labelled_graph([], {"x": "A", "y": "A"})
         maintained = MaintainedCompression(g, attrs=("label",))
         assert maintained.num_classes == 1
-        maintained.apply(AttributeUpdate("x", "label", "B"))
+        drive(maintained, AttributeUpdate("x", "label", "B"))
         maintained.check_partition()
         assert maintained.num_classes == 2
 
     def test_attribute_update_same_label_is_noop_split(self):
         g = make_labelled_graph([], {"x": "A", "y": "A"})
         maintained = MaintainedCompression(g, attrs=("label",))
-        maintained.apply(AttributeUpdate("x", "other", 42))
+        drive(maintained, AttributeUpdate("x", "other", 42))
         maintained.check_partition()
         assert maintained.num_classes == 1
 
     def test_node_insertion_and_deletion(self):
         g = make_labelled_graph([("x", "c")], {"x": "A", "c": "C"})
         maintained = MaintainedCompression(g, attrs=("label",))
-        maintained.apply(NodeInsertion.with_attrs("z", label="A"))
+        drive(maintained, NodeInsertion.with_attrs("z", label="A"))
         maintained.check_partition()
-        maintained.apply(NodeDeletion("x"))
+        drive(maintained, NodeDeletion("x"))
         maintained.check_partition()
         assert "x" not in g
 
@@ -327,7 +321,7 @@ class TestMaintainedCompressionNodeUpdates:
                 if not pairs:
                     continue
                 update = EdgeInsertion(*rng.choice(pairs))
-            maintained.apply(update)
+            drive(maintained, update)
             maintained.check_partition()
             compressed = maintained.compressed()
             direct = match_bounded(g, pattern).relation
@@ -370,3 +364,57 @@ class TestEngineNodeUpdates:
         cached = engine.evaluate("fig1", pattern)
         assert cached.stats["route"] == "cache"
         assert cached.relation == match_bounded(graph, pattern).relation
+
+
+class TestMaintainersFollowTheGraph:
+    """A maintainer only follows ``apply_updates``: handed a primitive the
+    graph does not show yet, it refuses and keeps its state."""
+
+    UNREFLECTED = [
+        EdgeInsertion("b", "a"),
+        EdgeDeletion("a", "b"),
+        NodeInsertion.with_attrs("new", label="A"),
+        NodeDeletion("a"),
+        AttributeUpdate("x", "label", "A"),
+    ]
+
+    @staticmethod
+    def maintainers(graph):
+        return {
+            "simulation": IncrementalSimulation(graph, bounded_ab(1)),
+            "bounded": IncrementalBoundedSimulation(graph, bounded_ab(2)),
+            "compression": MaintainedCompression(graph, attrs=("label",)),
+        }
+
+    @staticmethod
+    def snapshot(name, maintainer):
+        if name == "compression":
+            compressed = maintainer.compressed()
+            return compressed.node_to_class, sorted(compressed.quotient.edges())
+        return maintainer.relation()
+
+    @pytest.mark.parametrize("name", ["simulation", "bounded", "compression"])
+    @pytest.mark.parametrize("primitive", UNREFLECTED, ids=lambda p: type(p).__name__)
+    def test_unreflected_primitive_is_refused(self, name, primitive):
+        g = make_labelled_graph([("a", "b"), ("x", "b")], {"a": "A", "b": "B", "x": "X"})
+        maintainer = self.maintainers(g)[name]
+        before = self.snapshot(name, maintainer)
+        version = g.version
+        with pytest.raises(UpdateError, match="does not reflect"):
+            maintainer.apply(primitive)
+        assert self.snapshot(name, maintainer) == before
+        assert g.version == version
+
+    @pytest.mark.parametrize("name", ["simulation", "bounded", "compression"])
+    def test_reflected_primitives_are_followed(self, name):
+        g = make_labelled_graph([("a", "b"), ("x", "b")], {"a": "A", "b": "B", "x": "X"})
+        maintainer = self.maintainers(g)[name]
+        drive(maintainer, *self.UNREFLECTED)
+        if name == "compression":
+            maintainer.check_partition()
+        elif name == "simulation":
+            maintainer.check_invariants()
+            assert maintainer.relation() == naive_simulation(g, bounded_ab(1))
+        else:
+            maintainer.state.check_invariants()
+            assert maintainer.relation() == naive_bounded(g, bounded_ab(2))

@@ -27,6 +27,8 @@ from repro.matching.isomorphism import count_isomorphisms
 from repro.matching.simulation import match_simulation
 from repro.ranking.social_impact import rank_matches, social_impact_rank
 
+from tests.conftest import drive
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -120,7 +122,7 @@ class TestExample3:
         graph = paper_graph()
         incremental = IncrementalBoundedSimulation(graph, paper_pattern())
         before = incremental.relation()
-        incremental.apply(EdgeInsertion(*EDGE_E1))
+        drive(incremental, EdgeInsertion(*EDGE_E1))
         added, removed = before.diff(incremental.relation())
         assert added == {("SD", "Fred")}
         assert removed == set()
@@ -128,7 +130,7 @@ class TestExample3:
     def test_incremental_state_is_consistent_after_e1(self):
         graph = paper_graph()
         incremental = IncrementalBoundedSimulation(graph, paper_pattern())
-        incremental.apply(EdgeInsertion(*EDGE_E1))
+        drive(incremental, EdgeInsertion(*EDGE_E1))
         incremental.state.check_invariants()
 
 

@@ -20,6 +20,8 @@ from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
 
+from tests.conftest import drive
+
 LABELS = ("A", "B")
 
 
@@ -128,7 +130,7 @@ def test_maintained_compression_stays_query_preserving(data):
     graph, pattern, updates = data
     maintained = MaintainedCompression(graph, attrs=("label",))
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
     compressed = maintained.compressed()
     direct = match_bounded(graph, pattern).relation
     on_quotient = match_bounded(compressed.quotient, pattern).relation
@@ -141,7 +143,7 @@ def test_maintained_partition_stays_stable_and_consistent(data):
     graph, _pattern, updates = data
     maintained = MaintainedCompression(graph, attrs=("label",))
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
         maintained.check_partition()
     label_of = lambda v: graph.get(v, "label")
     node_class = maintained.compressed().node_to_class

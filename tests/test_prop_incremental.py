@@ -24,6 +24,8 @@ from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
 
+from tests.conftest import drive
+
 LABELS = ("A", "B", "C")
 
 
@@ -85,7 +87,7 @@ def test_incremental_bounded_equals_batch(data):
     graph, pattern, updates = data
     maintained = IncrementalBoundedSimulation(graph, pattern)
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
     assert maintained.relation() == match_bounded(graph, pattern).relation
     maintained.state.check_invariants()
 
@@ -101,7 +103,7 @@ def test_incremental_simulation_equals_batch(data):
         unit.add_edge(source, target, 1)
     maintained = IncrementalSimulation(graph, unit)
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
     assert maintained.relation() == match_simulation(graph, unit).relation
     maintained.check_invariants()
 
@@ -113,9 +115,9 @@ def test_update_then_inverse_restores_relation(data):
     maintained = IncrementalBoundedSimulation(graph, pattern)
     initial = maintained.relation()
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
     for update in reversed(updates):
-        maintained.apply(update.inverted())
+        drive(maintained, update.inverted())
     assert maintained.relation() == initial
     maintained.state.check_invariants()
 
@@ -176,7 +178,7 @@ def test_incremental_bounded_handles_node_updates(data):
     graph, pattern, updates = data
     maintained = IncrementalBoundedSimulation(graph, pattern)
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
         maintained.state.check_invariants()
     assert maintained.relation() == match_bounded(graph, pattern).relation
 
@@ -192,7 +194,7 @@ def test_incremental_simulation_handles_node_updates(data):
         unit.add_edge(source, target, 1)
     maintained = IncrementalSimulation(graph, unit)
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
         maintained.check_invariants()
     assert maintained.relation() == match_simulation(graph, unit).relation
 
@@ -206,8 +208,7 @@ def test_maintained_compression_handles_node_updates(data):
     graph, pattern, updates = data
     maintained = MaintainedCompression(graph, attrs=("label",))
     for update in updates:
-        for primitive in decompose(graph, update):
-            maintained.apply(primitive)
+        drive(maintained, update)
         maintained.check_partition()
     compressed = maintained.compressed()
     direct = match_bounded(graph, pattern).relation
@@ -222,7 +223,7 @@ def test_incremental_state_equals_fresh_state(data):
     graph, pattern, updates = data
     maintained = IncrementalBoundedSimulation(graph, pattern)
     for update in updates:
-        maintained.apply(update)
+        drive(maintained, update)
     from repro.matching.bounded import BoundedState
 
     fresh = BoundedState(graph, pattern)

@@ -1009,6 +1009,26 @@ class TestServiceFacade:
                 default_budget=QueryBudget(node_visits=-1)
             ).validated()
 
+    def test_cache_and_segment_sizes_are_not_knobs(self):
+        from repro.engine.engine import QueryEngine
+        from repro.engine.estimator import estimate_pattern
+        from repro.expfinder import ExpFinder
+
+        for make in (
+            lambda: ServiceConfig(cache_capacity=8),
+            lambda: ServiceConfig(wal_segment_bytes=1 << 20),
+            lambda: SnapshotRegistry(cache_capacity=8),
+            lambda: QueryEngine(cache_capacity=8),
+            lambda: ExpFinder(cache_capacity=8),
+            lambda: estimate_pattern(None, None, {}, oracle_profile={}),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        with ExpFinderService(ServiceConfig()) as svc:
+            svc.register_graph("fig1", paper_graph())
+            epoch = svc.registry.current_epoch("fig1")
+            assert (epoch.cache.capacity, epoch.rank_cache.capacity) == (64, 16)
+
 
 class TestServiceExecutorRouting:
     """Every request evaluates in its own thread: no cache miss, batch or

@@ -8,6 +8,7 @@ from repro.graph.generators import random_digraph
 from repro.incremental.updates import (
     EdgeDeletion,
     EdgeInsertion,
+    NodeDeletion,
     apply_updates,
     invert_batch,
     random_deletions,
@@ -54,12 +55,43 @@ class TestUnitUpdates:
 
 class TestBatches:
     def test_apply_updates_in_order(self, triangle: Graph):
-        count = apply_updates(
-            triangle,
-            [EdgeDeletion("a", "b"), EdgeInsertion("a", "b")],  # delete then re-add
-        )
-        assert count == 2
+        batch = [EdgeDeletion("a", "b"), EdgeInsertion("a", "b")]  # delete then re-add
+        assert apply_updates(triangle, batch) == batch
         assert triangle.has_edge("a", "b")
+
+    def test_observers_see_each_primitive_after_the_graph_took_it(self, triangle: Graph):
+        seen = []
+
+        def first(primitive):
+            seen.append(("first", primitive, triangle.has_node("a")))
+
+        def second(primitive):
+            seen.append(("second", primitive, triangle.has_node("a")))
+
+        applied = apply_updates(triangle, [NodeDeletion("a")], [first, second])
+        assert applied == [EdgeDeletion("a", "b"), EdgeDeletion("c", "a"), NodeDeletion("a")]
+        assert [entry[:2] for entry in seen] == [
+            (name, primitive) for primitive in applied for name in ("first", "second")
+        ]
+        # the node is still there for its edge deletions, gone for its own
+        assert [present for _, _, present in seen] == [True] * 4 + [False] * 2
+
+    def test_failing_observer_leaves_the_graph_ahead_by_that_primitive(
+        self, triangle: Graph
+    ):
+        applied: list = []
+
+        def refuse(primitive):
+            raise UpdateError("observer refused")
+
+        with pytest.raises(UpdateError, match="observer refused"):
+            apply_updates(
+                triangle,
+                [EdgeDeletion("a", "b"), EdgeDeletion("b", "c")],
+                [applied.append, refuse],
+            )
+        assert applied == [EdgeDeletion("a", "b")]
+        assert not triangle.has_edge("a", "b") and triangle.has_edge("b", "c")
 
     def test_invert_batch_round_trips(self, triangle: Graph):
         snapshot = triangle.copy()
