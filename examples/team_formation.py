@@ -69,7 +69,7 @@ def main() -> None:
     print("=" * 70)
     print("Example 3: the network changes — incremental evaluation")
     print("=" * 70)
-    incremental = IncrementalBoundedSimulation(graph, pattern, state=bounded._state)
+    incremental = IncrementalBoundedSimulation(graph, pattern)
     before = incremental.relation()
     apply_updates(graph, [EdgeInsertion(*EDGE_E1)], [incremental.apply])
     added, removed = before.diff(incremental.relation())

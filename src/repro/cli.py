@@ -949,7 +949,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(views.render_ranking(ranked))
     print()
     print("== Example 3: incremental evaluation after inserting e1 ==")
-    incremental = IncrementalBoundedSimulation(graph, pattern, state=result._state)
+    incremental = IncrementalBoundedSimulation(graph, pattern)
     before = incremental.relation()
     apply_updates(graph, [Ins(*EDGE_E1)], [incremental.apply])
     added, removed = before.diff(incremental.relation())

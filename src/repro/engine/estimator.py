@@ -24,7 +24,7 @@ the layer that makes the engine safe to expose to untrusted query traffic:
   exact answer (``tests/test_query_bombs.py`` asserts it against
   unguarded twins);
 * **adaptive re-planning** — when a kernel's measured work exceeds its
-  estimate by :attr:`QueryBudget.replan_factor`, the remaining pattern
+  estimate by :data:`REPLAN_FACTOR`, the remaining pattern
   edges are re-routed with the estimates scaled by the observed ratio
   (the cost model self-corrects mid-query instead of riding a bad sample
   into the ground).
@@ -54,6 +54,11 @@ DEFAULT_PROBE_CAP = 4096
 
 #: Fixed default sampling seed: estimates are reproducible run to run.
 DEFAULT_SEED = 0x5EED
+
+#: Adaptive re-planning threshold: when a source group's measured work
+#: exceeds its estimate by this factor, the remaining groups' estimates are
+#: scaled by the observed ratio before they are routed.
+REPLAN_FACTOR = 8.0
 
 #: Guard-trip reasons, surfaced in ``MatchResult.stats["guard"]``.
 GUARD_NODE_BUDGET = "node-budget"
@@ -301,10 +306,7 @@ class QueryBudget:
     tripped guard degrades gracefully: evaluation stops admitting work and
     returns a *sound subset* of the exact answer flagged
     ``stats["partial"] = True``; otherwise the trip raises
-    :class:`~repro.errors.BudgetExceededError`.  ``replan_factor`` tunes
-    adaptive mid-query re-planning: when an edge group's measured work
-    exceeds its estimate by this factor, the remaining edges are re-routed
-    with scaled estimates.
+    :class:`~repro.errors.BudgetExceededError`.
 
     >>> QueryBudget(node_visits=10_000).validate()
     >>> QueryBudget(node_visits=0).validate()
@@ -316,7 +318,6 @@ class QueryBudget:
     node_visits: int | None = None
     seconds: float | None = None
     allow_partial: bool = False
-    replan_factor: float = 8.0
 
     def validate(self) -> None:
         if self.node_visits is not None and (
@@ -330,10 +331,6 @@ class QueryBudget:
         if self.seconds is not None and not self.seconds > 0:
             raise EvaluationError(
                 f"seconds must be positive (got {self.seconds!r})"
-            )
-        if not self.replan_factor > 1:
-            raise EvaluationError(
-                f"replan_factor must be > 1 (got {self.replan_factor!r})"
             )
 
     @property

@@ -6,7 +6,8 @@ decisions, all made here so they are inspectable and testable:
 * **route** — cache hit, compressed graph, or the original graph, in that
   order of preference (§II's evaluation flow);
 * **algorithm** — the quadratic simulation matcher when every bound is 1,
-  the cubic bounded matcher otherwise;
+  the bounded-simulation matcher otherwise (relation-first over the
+  snapshot on the direct route, ``BoundedState`` on a compressed quotient);
 * **kernel, per pattern edge** — how the bounded matcher materialises the
   edge's successor rows over a frozen snapshot: *oracle-pairwise* label
   merges (when a :class:`~repro.graph.oracle.DistanceOracle` covers the
@@ -251,7 +252,8 @@ def choose_algorithm(pattern: Pattern) -> tuple[str, str]:
         )
     return (
         ALGORITHM_BOUNDED,
-        "pattern has bounds > 1 (or '*'): cubic bounded-simulation matcher",
+        "pattern has bounds > 1 (or '*'): bounded simulation, relation-first "
+        "over the snapshot (BoundedState on a compressed quotient)",
     )
 
 

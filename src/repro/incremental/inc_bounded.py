@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from repro.errors import UpdateError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.distance import bounded_ancestors, bounded_descendants
 from repro.incremental.updates import (
@@ -47,13 +46,8 @@ PatternEdge = tuple[str, str]
 
 
 class IncrementalBoundedSimulation:
-    """Maintains a bounded-simulation match relation under edge updates.
-
-    Accepts an existing :class:`BoundedState` (e.g. from
-    :func:`~repro.matching.bounded.match_bounded` without a snapshot) to
-    avoid recomputing the initial match; otherwise builds one.  Any other
-    state — a frozen evaluation's :class:`~repro.matching.bounded.MatchRows`
-    — is an :class:`~repro.errors.UpdateError`.
+    """Maintains a bounded-simulation match relation under edge updates,
+    from the :class:`BoundedState` it builds for ``graph`` and ``pattern``.
     """
 
     __slots__ = ("graph", "pattern", "state", "_depth_of", "_ancestor_depth", "_in_edges")
@@ -62,22 +56,10 @@ class IncrementalBoundedSimulation:
         self,
         graph: Graph,
         pattern: Pattern,
-        state: BoundedState | None = None,
         index=None,
     ) -> None:
         pattern.validate()
-        if state is None:
-            state = BoundedState(graph, pattern, index=index)
-        elif not isinstance(state, BoundedState):
-            # e.g. a frozen one-shot result's MatchRows: rows between
-            # matches only, nothing to maintain from.
-            raise UpdateError(
-                f"cannot maintain from a {type(state).__name__}: incremental "
-                "maintenance needs the candidate-indexed BoundedState of a "
-                "dict-graph evaluation"
-            )
-        elif state.graph is not graph or state.pattern is not pattern:
-            raise UpdateError("state belongs to a different graph/pattern")
+        state = BoundedState(graph, pattern, index=index)
         self.graph = graph
         self.pattern = pattern
         self.state = state
@@ -127,9 +109,9 @@ class IncrementalBoundedSimulation:
         The graph is written by :func:`~repro.incremental.updates.apply_updates`
         (which also decomposes node deletions into incident edge deletions
         first); this maintainer only follows it.  A primitive the graph
-        does not reflect is an :class:`UpdateError`, with the state
-        untouched.  Deletions are safe to follow: the ancestors of the
-        deleted edge's tail are the same before and after the deletion
+        does not reflect is an :class:`~repro.errors.UpdateError`, with the
+        state untouched.  Deletions are safe to follow: the ancestors of
+        the deleted edge's tail are the same before and after the deletion
         (a path to the tail through the deleted edge would revisit the
         tail).
         """

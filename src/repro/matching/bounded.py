@@ -10,18 +10,19 @@ Two evaluators compute that relation, byte for byte the same:
 
 * **Relation-first, over a frozen snapshot** — what a one-shot
   :func:`match_bounded` with ``frozen=`` runs (the served ``evaluate`` /
-  ``top_k`` misses, the engine's direct route).  Membership comes first:
-  ``sim`` starts at the candidate ids, and for each pattern edge
-  ``(u,u',b)`` one multi-source *backward* BFS over the snapshot's
-  predecessor sets, from the current ``sim(u')`` along nonempty paths of
-  length <= ``b``, yields the nodes that can still witness the edge;
-  ``sim(u)`` shrinks to them, and the edges into a shrunk node are checked
-  again until nothing changes (the greatest fixpoint, reached from above).
-  Only then are bounded successor rows built, and only from matched
-  sources to matched children (:func:`frozen_successor_rows`).  Those rows
-  are exactly the result graph's weighted edges; :class:`MatchRows` keeps
-  them int-indexed and turns ids into labels only when the result graph
-  is asked for.
+  ``top_k`` misses, the engine's direct route).  It runs one straight
+  line.  ``sim`` starts at the candidate ids; one backward pass runs one
+  multi-source BFS per pattern edge ``(u,u',b)`` over the snapshot's
+  predecessor sets, sinks first, and shrinks ``sim(u)`` to the nodes that
+  reach ``sim(u')`` by a nonempty path of length <= ``b``.  Bounded
+  successor rows are then built between the pass's sets
+  (:func:`frozen_successor_rows`), and one linear removal cascade over
+  those int rows drops every member left without a witness.  For an
+  acyclic pattern the pass is already exact and the cascade removes
+  nothing; for a cyclic one the cascade finishes the greatest fixpoint.
+  The surviving rows are exactly the result graph's weighted edges;
+  :class:`MatchRows` keeps them int-indexed and turns ids into labels
+  only when the result graph is asked for.
 * **Candidate-indexed state, over the dict graph** —
   :class:`BoundedState`, the cubic algorithm of Fan et al. (PVLDB 2010).
   It materializes, per pattern edge ``e`` and *candidate* ``v``, the
@@ -36,9 +37,10 @@ Two evaluators compute that relation, byte for byte the same:
 
 Under a guard (:class:`~repro.engine.estimator.QueryGuard`) both charge
 node arrivals — BFS arrivals of either direction and row entries alike.
-When the guard trips, the relation-first evaluator runs the ordinary
-removal fixpoint over the rows it did build, so a partial relation is
-still a valid bounded simulation and hence a subset of the exact one.
+A tripped guard changes nothing in the relation-first line: rows it cut
+short are empty or incomplete but hold only true entries, so the same
+cascade leaves a valid bounded simulation and hence a subset of the
+exact one.
 """
 
 from __future__ import annotations
@@ -94,14 +96,14 @@ def frozen_successor_rows(
     """Bounded successor rows for every source candidate, int-indexed.
 
     For each pattern node ``u`` with out-edges and each source id ``v``
-    (``sources_by_node[u]`` when given — the relation-first matcher's
-    matches — else every candidate of
-    ``u``), computes per out-edge ``(u, u')`` the row ``{w: dist}`` of
+    (``sources_by_node[u]`` when given — the sets the relation-first
+    matcher's backward pass left — else every candidate of ``u``),
+    computes per out-edge ``(u, u')`` the row ``{w: dist}`` of
     ``u'``-candidates within the edge bound.  ``route_on``, when given,
     names the id sets the planner routes on in place of the sources and
     children the rows are built for: :func:`match_bounded` builds rows
-    between matches but routes on the candidates, so the kernel choice
-    does not depend on the answer.  This is
+    between the pass's sets but routes on the candidates, so the kernel
+    choice does not depend on the answer.  This is
     exactly what :meth:`BoundedState._build_successor_sets` materializes,
     with three kernel strategies instead of one truncated BFS per candidate,
     routed per pattern edge by the planner's cost model
@@ -130,17 +132,20 @@ def frozen_successor_rows(
     things.  First, routing: each source group's analytic frontier is
     replaced by a *sampled* one (:func:`~repro.engine.estimator.
     sample_frontier`), and when a group's measured work overshoots its
-    estimate by the budget's ``replan_factor`` the remaining groups'
-    estimates are re-scaled by the observed ratio before they are routed —
-    adaptive mid-query re-planning.  Second, enforcement: every kernel
-    charges node arrivals as it works and stops admitting new work once
-    the guard trips.  Rows already filled stay; rows not reached stay at
-    their initialized empty dict.  Incomplete-but-honest rows are *sound*:
-    the removal fixpoint over them yields a valid bounded simulation,
-    hence a subset of the exact ``M(Q,G)``.
+    estimate by :data:`~repro.engine.estimator.REPLAN_FACTOR` the
+    remaining groups' estimates are re-scaled by the observed ratio before
+    they are routed — adaptive mid-query re-planning.  Second,
+    enforcement: every kernel charges node arrivals as it works and stops
+    admitting new work once the guard trips.  Rows already filled stay;
+    rows not reached stay at their initialized empty dict.
+    Incomplete-but-honest rows are *sound*: the removal cascade over them
+    yields a valid bounded simulation, hence a subset of the exact
+    ``M(Q,G)``.
     """
-    # Local import: the planner lives in the engine package, which imports
-    # this module at load time — a module-level import would be circular.
+    # Local imports: the planner and estimator live in the engine package,
+    # which imports this module at load time — a module-level import would
+    # be circular.
+    from repro.engine.estimator import REPLAN_FACTOR, sample_frontier
     from repro.engine.planner import (
         KERNEL_BITSET,
         KERNEL_ORACLE,
@@ -156,11 +161,8 @@ def frozen_successor_rows(
     oracle_profile = oracle.profile() if oracle is not None else None
     # Guarded evaluation routes from *sampled* frontier estimates and
     # re-scales the remaining estimates (``correction``) whenever a group's
-    # measured work overshoots its estimate by the budget's replan factor.
+    # measured work overshoots its estimate by the replan factor.
     correction = 1.0
-    replan_factor = (
-        guard.budget.replan_factor if guard is not None else None
-    )
     for source_pattern, out_edges in out_edges_by_node.items():
         out_edges = list(out_edges)
         if not out_edges:
@@ -175,8 +177,6 @@ def frozen_successor_rows(
         sampled = None
         ball_edges_estimate = None
         if guard is not None and sources:
-            from repro.engine.estimator import sample_frontier
-
             sampled = sample_frontier(
                 adjacency,
                 route_sources,
@@ -231,10 +231,10 @@ def frozen_successor_rows(
                     _bitset_rows(
                         adjacency, sources, depth, enum_edges, rows, guard=guard
                     )
-            if guard is not None and sampled is not None and replan_factor:
+            if sampled is not None:
                 measured = guard.visits - visits_before
                 estimated = max(1.0, len(sources) * sampled.frontier * correction)
-                if measured > replan_factor * estimated:
+                if measured > REPLAN_FACTOR * estimated:
                     correction *= measured / estimated
                     guard.replans += 1
                 # Enumeration edges of one source node share a traversal,
@@ -370,15 +370,7 @@ class BoundedState:
         pattern.validate()
         if candidates is None:
             candidates = simulation_candidates(graph, pattern, index=index)
-        self._init_containers(graph, pattern, candidates)
-        self._build_successor_sets(guard=guard)
-        self._initial_refinement()
-
-    def _init_containers(
-        self, graph: Graph, pattern: Pattern, candidates: dict[str, set[NodeId]]
-    ) -> None:
-        """Shared state setup for both constructors (candidates are copied:
-        the state owns and mutates its sets)."""
+        # Candidates are copied: the state owns and mutates its sets.
         self.graph = graph
         self.pattern = pattern
         self.log: ChangeLog | None = None
@@ -394,66 +386,8 @@ class BoundedState:
             self.S[edge] = {}
             self.R[edge] = {}
             self.cnt[edge] = {}
-
-    @classmethod
-    def from_successor_rows(
-        cls,
-        graph: Graph,
-        pattern: Pattern,
-        candidates: dict[str, set[NodeId]],
-        rows: dict[PatternEdge, dict[NodeId, dict[NodeId, int]]],
-        allow_missing: bool = False,
-    ) -> "BoundedState":
-        """Assemble a state from externally computed ``S`` rows.
-
-        ``rows`` holds, per pattern edge and source candidate, the bounded
-        successor entries a snapshot yields (as
-        :func:`frozen_successor_rows` computes them); this constructor
-        rebuilds ``R``/``cnt`` and runs the very same initial removal
-        fixpoint the sequential constructor runs.  Every candidate of every
-        pattern edge's source must have a row (possibly empty); a missing
-        row raises instead of silently producing a wrong (too large)
-        relation.
-
-        ``allow_missing=True`` relaxes that check for *guarded* partial
-        evaluation: a relation-first evaluation cut short by a tripped
-        budget never builds some rows, so missing
-        candidates get an empty row (cnt 0) and the fixpoint prunes them —
-        an under-approximation, which is exactly the sound direction for a
-        partial result.
-        """
-        pattern.validate()
-        state = cls.__new__(cls)
-        state._init_containers(graph, pattern, candidates)
-        unknown = [edge for edge in rows if edge not in state.S]
-        if unknown:
-            raise EvaluationError(f"rows for unknown pattern edges: {unknown}")
-        for edge, row in rows.items():
-            child_sim = state.sim[edge[1]]
-            for data_node, entries in row.items():
-                if data_node not in state.cand[edge[0]]:
-                    raise EvaluationError(
-                        f"row for non-candidate {data_node!r} of {edge[0]!r}"
-                    )
-                state.S[edge][data_node] = dict(entries)
-                for reached in entries:
-                    state.R[edge].setdefault(reached, set()).add(data_node)
-                state.cnt[edge][data_node] = sum(
-                    1 for reached in entries if reached in child_sim
-                )
-        for (source, target), edge_rows in state.S.items():
-            if set(edge_rows) != state.cand[source]:
-                lost = state.cand[source] - set(edge_rows)
-                if not allow_missing:
-                    raise EvaluationError(
-                        f"merged S rows incomplete for source {source!r}: "
-                        f"{len(lost)} candidate(s) have no row"
-                    )
-                for data_node in lost:
-                    state.S[(source, target)][data_node] = {}
-                    state.cnt[(source, target)][data_node] = 0
-        state._initial_refinement()
-        return state
+        self._build_successor_sets(guard=guard)
+        self._initial_refinement()
 
     # ------------------------------------------------------------------
     # construction
@@ -717,7 +651,7 @@ def match_bounded(
     outright (the batch evaluator's shared-work path).
 
     Without a snapshot the dict-graph :class:`BoundedState` is built and
-    carried (an incremental maintainer can adopt it).  A ``frozen``
+    carried.  A ``frozen``
     snapshot of ``graph`` (usually the engine's cached one; it must match
     the graph's current ``version``) runs the relation-first evaluator
     instead — same relation, same result graph, far less work — and the
@@ -804,14 +738,14 @@ def _match_relation_first(
     kernel_log: dict[PatternEdge, Any],
     guard,
 ) -> tuple[MatchRelation, "MatchRows"]:
-    """Membership by backward BFS, then rows only between matches."""
+    """One backward pass, rows between its sets, one removal cascade."""
     ids = frozen.ids()
     labels = frozen.labels
     candidate_ids = {
         u: frozenset(ids[v] for v in vs) for u, vs in candidates.items()
     }
     sim = {u: set(vs) for u, vs in candidate_ids.items()}
-    total = _membership_fixpoint(frozen.predecessor_sets(), pattern, sim, guard)
+    total = _membership_pass(frozen.predecessor_sets(), pattern, sim, guard)
     out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
     # Routed on the candidates (the kernel log does not depend on the
     # answer); an empty relation still logs its routes but builds nothing.
@@ -827,68 +761,128 @@ def _match_relation_first(
         guard=guard,
         route_on=candidate_ids,
     )
-    if total and guard is not None and guard.tripped is not None:
-        # Rows the guard cut short may leave a match unwitnessed: the
-        # removal fixpoint over the rows that were built restores a valid
-        # (smaller) bounded simulation.
-        sim = BoundedState.from_successor_rows(
-            graph, pattern, sim, rows, allow_missing=True
-        ).sim
-        rows = {
-            (source, target): {
-                node: {
-                    reached: dist
-                    for reached, dist in row.items()
-                    if reached in sim[target]
-                }
-                for node, row in edge_rows.items()
-                if node in sim[source]
-            }
-            for (source, target), edge_rows in rows.items()
-        }
+    if total and not _removal_cascade(sim, rows):
+        rows = {edge: {} for edge in rows}
     relation = MatchRelation.from_sets(
         pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
     )
     return relation, MatchRows(graph, pattern, rows, labels)
 
 
-def _membership_fixpoint(
+def _membership_pass(
     predecessors: Sequence[frozenset[int]],
     pattern: Pattern,
     sim: dict[str, set[int]],
     guard=None,
 ) -> bool:
-    """Shrink ``sim`` (candidate ids, in place) to ``M(Q,G)``'s sets.
+    """Shrink ``sim`` (candidate ids, in place) with one backward BFS per
+    pattern edge, sinks first.
 
-    Each pattern edge ``(u, u', b)`` keeps only the members of ``sim(u)``
-    that reach the current ``sim(u')`` by a nonempty path of length <= b;
-    whenever ``sim(u)`` shrinks, the edges into ``u`` are checked again.
+    Edge ``(u, u', b)`` keeps only the members of ``sim(u)`` that reach
+    the current ``sim(u')`` by a nonempty path of length <= b.  Pattern
+    nodes are visited in DFS postorder along out-edges, so in an acyclic
+    pattern every ``sim(u')`` is final before an edge into it runs and the
+    pass alone yields ``M(Q,G)``'s sets; in a cyclic one a back edge ran
+    against a superset, which :func:`_removal_cascade` shrinks afterwards.
     Returns False as soon as some set is empty (the relation is empty).
-    A tripped guard stops the fixpoint early with sets that may be too
-    small, never too large, for the caller's removal fixpoint to repair.
+    A tripped guard stops the pass early with sets that may be too small
+    or too large; the rows and the cascade make the result sound.
     """
     if not all(sim.values()):
         return False
-    in_edges: dict[str, list[tuple[str, str, Bound]]] = {u: [] for u in sim}
-    for edge in pattern.edges():
-        in_edges[edge[1]].append(edge)
-    queue = deque(pattern.edges())
-    queued = {(source, target) for source, target, _bound in queue}
-    while queue:
-        if guard is not None and guard.should_stop():
-            break
-        source, target, bound = queue.popleft()
-        queued.discard((source, target))
-        kept = _reaching(predecessors, sim[target], bound, sim[source], guard)
-        if len(kept) == len(sim[source]):
+    for source in _sinks_first(pattern):
+        for target, bound in pattern.out_edges(source):
+            if guard is not None and guard.should_stop():
+                return True
+            sim[source] = _reaching(
+                predecessors, sim[target], bound, sim[source], guard
+            )
+            if not sim[source]:
+                return False
+    return True
+
+
+def _sinks_first(pattern: Pattern) -> list[str]:
+    """Pattern nodes in DFS postorder along out-edges (iterative, so a
+    deep pattern cannot reach the recursion limit): every node follows
+    the nodes it reaches, except along a back edge of a cycle."""
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in pattern.nodes():
+        if root in seen:
             continue
-        sim[source] = kept
-        if not kept:
+        seen.add(root)
+        stack = [(root, iter(pattern.out_edges(root)))]
+        while stack:
+            node, children = stack[-1]
+            for child, _bound in children:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(pattern.out_edges(child))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
+def _removal_cascade(
+    sim: dict[str, set[int]],
+    rows: dict[PatternEdge, dict[int, dict[int, int]]],
+) -> bool:
+    """Finish the fixpoint over the rows :func:`_membership_pass` left.
+
+    Every member ``v`` of ``sim(u)`` has a row per out-edge ``(u, u')``,
+    built against the same sets, so its live count is the row's length.
+    A member with an empty row fails that edge: it leaves ``sim(u)``, and
+    the count of every source whose row holds it drops by one, queueing
+    that source at zero — linear in the rows.  The reverse index is built
+    only when some count starts at zero (never for an acyclic pattern
+    unless a guard cut rows short).  Rows are then cut to the survivors.
+    Returns False as soon as some set is empty (the relation is empty).
+    """
+    counts = {
+        edge: {v: len(row) for v, row in edge_rows.items()}
+        for edge, edge_rows in rows.items()
+    }
+    queue = deque(
+        (edge[0], v)
+        for edge, edge_counts in counts.items()
+        for v, live in edge_counts.items()
+        if not live
+    )
+    if not queue:
+        return True
+    reverse: dict[PatternEdge, dict[int, list[int]]] = {}
+    in_edges: dict[str, list[PatternEdge]] = {u: [] for u in sim}
+    for edge, edge_rows in rows.items():
+        in_edges[edge[1]].append(edge)
+        index = reverse[edge] = {}
+        for v, row in edge_rows.items():
+            for reached in row:
+                index.setdefault(reached, []).append(v)
+    while queue:
+        pattern_node, data_node = queue.popleft()
+        members = sim[pattern_node]
+        if data_node not in members:
+            continue
+        members.remove(data_node)
+        if not members:
             return False
-        for edge in in_edges[source]:
-            if edge[:2] not in queued:
-                queued.add(edge[:2])
-                queue.append(edge)
+        for edge in in_edges[pattern_node]:
+            edge_counts = counts[edge]
+            upstream = sim[edge[0]]
+            for v in reverse[edge].get(data_node, ()):
+                edge_counts[v] -= 1
+                if not edge_counts[v] and v in upstream:
+                    queue.append((edge[0], v))
+    for (source, target), edge_rows in rows.items():
+        sources, targets = sim[source], sim[target]
+        rows[(source, target)] = {
+            v: {reached: dist for reached, dist in row.items() if reached in targets}
+            for v, row in edge_rows.items()
+            if v in sources
+        }
     return True
 
 

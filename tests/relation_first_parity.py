@@ -1,19 +1,22 @@
-"""Relation-first evaluation against candidate-row construction, at full scale.
+"""Relation-first evaluation against the dict-graph state, at full scale.
 
 Builds the ``serve_cold`` workload of the perf harness
 (``benchmarks.perf.workloads``, imported read-only) for one seed, then
-evaluates every one of its evaluate and top-K patterns twice over the same
-snapshot and distance oracle the server would use:
+evaluates every one of its evaluate and top-K patterns twice:
 
 * **relation-first** — :func:`repro.matching.bounded.match_bounded` with
-  the snapshot: membership by backward BFS, rows only between matches;
-* **candidate rows** — :func:`~repro.matching.bounded.frozen_successor_rows`
-  over every candidate, merged by
-  :meth:`~repro.matching.bounded.BoundedState.from_successor_rows`.
+  the snapshot and distance oracle the server would use: one backward
+  pass, rows between its sets, one removal cascade;
+* **dict state** — :func:`~repro.matching.bounded.match_bounded` without a
+  snapshot: the candidate-indexed
+  :class:`~repro.matching.bounded.BoundedState`, an independent algorithm.
 
 Each pattern must give the same relation (serialized form), the same
-result graph (nodes, edges, distances), the same kernel log and, for a
-top-K pattern, the same ranking (``repr`` of the ranked matches).  The
+result graph (nodes, edges, distances), the same kernel log — the
+reference log is what
+:func:`~repro.matching.bounded.frozen_successor_rows` routes over every
+candidate — and, for a top-K pattern, the same ranking (``repr`` of the
+ranked matches).  The
 served ranking of each top-K pattern (the bulk context's bucket-queue
 Dijkstras) must also equal the reference heap's,
 :func:`~repro.ranking.social_impact.rank_matches` sliced to ``k``: node,
@@ -41,12 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     from benchmarks.perf.workloads import build
     from repro.graph.frozen import FrozenGraph
     from repro.graph.oracle import DistanceOracle
-    from repro.matching.base import MatchResult
-    from repro.matching.bounded import (
-        BoundedState,
-        frozen_successor_rows,
-        match_bounded,
-    )
+    from repro.matching.bounded import frozen_successor_rows, match_bounded
     from repro.matching.simulation import simulation_candidates
     from repro.pattern.parser import parse_pattern
     from repro.ranking.social_impact import rank_matches
@@ -58,27 +56,18 @@ def main(argv: list[str] | None = None) -> int:
     frozen.successor_sets()
     frozen.predecessor_sets()
     oracle = DistanceOracle.build(frozen, cap=workload.options["oracle"]["cap"])
-    ids, labels = frozen.ids(), frozen.labels
+    ids = frozen.ids()
 
-    def candidate_rows(pattern, candidates):
+    def candidate_kernels(pattern, candidates):
         log: dict = {}
         candidate_ids = {
             u: frozenset(ids[v] for v in vs) for u, vs in candidates.items()
         }
         spec = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
-        rows = frozen_successor_rows(
+        frozen_successor_rows(
             frozen, spec, candidate_ids, oracle=oracle, kernel_log=log
         )
-        merged = {
-            edge: {
-                labels[source]: {labels[t]: d for t, d in row.items()}
-                for source, row in edge_rows.items()
-            }
-            for edge, edge_rows in rows.items()
-        }
-        state = BoundedState.from_successor_rows(graph, pattern, candidates, merged)
-        kernels = {f"{a}->{b}": route.kernel for (a, b), route in log.items()}
-        return MatchResult(graph, pattern, state.relation(), state=state), kernels
+        return {f"{a}->{b}": route.kernel for (a, b), route in log.items()}
 
     def result_graph_of(result):
         built = result.result_graph()
@@ -96,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     ops = [op for stream in workload.streams for op in stream]
     mismatches: list[str] = []
     heap_mismatches = 0
-    timings: dict[str, list[float]] = {"relation-first": [], "candidate-rows": []}
+    timings: dict[str, list[float]] = {"relation-first": [], "dict-state": []}
     counts = {"evaluate": 0, "topk": 0}
     for op in ops:
         pattern = parse_pattern(op["pattern"])
@@ -107,8 +96,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         timings["relation-first"].append(time.perf_counter() - started)
         started = time.perf_counter()
-        reference, kernels = candidate_rows(pattern, candidates)
-        timings["candidate-rows"].append(time.perf_counter() - started)
+        reference = match_bounded(graph, pattern, candidates=candidates)
+        timings["dict-state"].append(time.perf_counter() - started)
+        kernels = candidate_kernels(pattern, candidates)
         counts[op["op"]] += 1
         where = f"{op['op']} {op['stratum']}"
         if fresh.relation.to_dict() != reference.relation.to_dict():

@@ -240,8 +240,6 @@ def test_budget_validation_rules():
         QueryBudget(node_visits=True).validate()
     with pytest.raises(EvaluationError, match="seconds"):
         QueryBudget(seconds=0.0).validate()
-    with pytest.raises(EvaluationError, match="replan_factor"):
-        QueryBudget(replan_factor=1.0).validate()
 
 
 def test_guard_trips_on_visits_and_raises_without_allow_partial():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import UpdateError
 from repro.graph.generators import random_digraph
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, random_updates
@@ -135,35 +134,25 @@ class TestUnboundedEdges:
 
 
 class TestStateReuse:
-    def test_accepts_existing_state(self):
-        g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
-        result = match_bounded(g, bounded_ab(2))
-        inc = IncrementalBoundedSimulation(g, result.pattern, state=result._state)
-        assert inc.relation() == result.relation
-
-    def test_rejects_foreign_state(self):
-        g1 = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
-        g2 = g1.copy()
-        result = match_bounded(g1, bounded_ab(2))
-        with pytest.raises(UpdateError, match="different graph"):
-            IncrementalBoundedSimulation(g2, result.pattern, state=result._state)
-
-    @pytest.mark.parametrize("kind", ["match-rows", "relation", "object"])
+    @pytest.mark.parametrize(
+        "kind", ["bounded-state", "match-rows", "relation", "object"]
+    )
     def test_rejects_a_state_that_is_not_a_bounded_state(self, kind):
-        """A frozen one-shot result carries match rows, not a maintainable
-        state; handing it (or anything else) over is a typed error up
-        front, not an AttributeError at the first update."""
+        """No state is handed over, not even a dict-graph BoundedState:
+        the maintainer always builds its own, and a ``state=`` argument is
+        refused up front, not at the first update."""
         from repro.graph.frozen import FrozenGraph
 
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
         pattern = bounded_ab(2)
         result = match_bounded(g, pattern, frozen=FrozenGraph.freeze(g))
         foreign = {
+            "bounded-state": match_bounded(g, pattern)._state,
             "match-rows": result._state,
             "relation": result.relation,
             "object": object(),
         }[kind]
-        with pytest.raises(UpdateError, match="cannot maintain from"):
+        with pytest.raises(TypeError, match="state"):
             IncrementalBoundedSimulation(g, pattern, state=foreign)
 
     def test_edgeless_pattern_is_static(self):

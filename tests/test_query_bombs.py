@@ -197,6 +197,57 @@ def test_relation_first_partial_results_are_valid_subsets(
     assert partial.stats["partial"] is False, f"{case_id}: largest budget tripped"
 
 
+def ping_pong(bound: int) -> Pattern:
+    """Unconstrained ``A`` and ``B``, each reaching the other within
+    ``bound``: on a path no node qualifies, but only after the removals
+    have walked the whole path."""
+    pattern = Pattern(f"ping-pong{bound}")
+    pattern.add_node("A", None)
+    pattern.add_node("B", None)
+    pattern.add_edge("A", "B", bound)
+    pattern.add_edge("B", "A", bound)
+    return pattern
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_relation_first_is_linear_on_a_chain(bound):
+    """A cyclic pattern over a 1,000-edge path empties one node per round
+    of its fixpoint; relation-first evaluation must still charge work
+    linear in the graph, finish without a trip and agree with the dict
+    state (both say: empty)."""
+    from repro.graph.frozen import FrozenGraph
+
+    graph, pattern = chain_graph(1001), ping_pong(bound)
+    budget = QueryBudget(node_visits=10**12, allow_partial=True)
+    result = match_bounded(
+        graph, pattern, frozen=FrozenGraph.freeze(graph), budget=budget
+    )
+    size = graph.num_nodes + graph.num_edges
+    assert result.stats["visits"] <= 4 * size, result.stats
+    assert result.stats["partial"] is False
+    assert result.relation == match_bounded(graph, pattern).relation
+    assert result.relation.is_empty
+
+
+def test_a_pattern_deeper_than_the_recursion_limit_evaluates():
+    """The sinks-first order is an iterative DFS: a chain pattern twice as
+    deep as the interpreter's recursion limit still evaluates exactly."""
+    import sys
+
+    from repro.graph.frozen import FrozenGraph
+
+    graph = Graph.from_edges([("a", "b"), ("b", "a")])
+    depth = 2 * sys.getrecursionlimit()
+    pattern = Pattern("deep")
+    for index in range(depth):
+        pattern.add_node(f"Q{index}", None)
+    for index in range(depth - 1):
+        pattern.add_edge(f"Q{index}", f"Q{index + 1}", 2)
+    result = match_bounded(graph, pattern, frozen=FrozenGraph.freeze(graph))
+    assert result.relation.num_pairs == 2 * depth
+    assert result.relation == match_bounded(graph, pattern).relation
+
+
 @pytest.mark.parametrize(("case_id", "big", "_small"), BOMB_CASES, ids=BOMB_IDS)
 def test_hard_budget_raises_without_allow_partial(case_id, big, _small):
     graph = big()
