@@ -21,6 +21,7 @@ from typing import Hashable
 
 from repro.errors import CompressionError
 from repro.graph.digraph import Graph, NodeId
+from repro.graph.frozen import FrozenGraph
 from repro.compression.equivalence import (
     LabelFn,
     Partition,
@@ -61,10 +62,13 @@ class CompressedGraph:
         class node carries the compression-label attributes (shared by all
         members) plus ``_size`` (member count).
     node_to_class / members:
-        The partition in both directions.
+        The partition in both directions; each class lists its members in
+        the original graph's node order.
     """
 
-    __slots__ = ("original", "quotient", "node_to_class", "members", "spec")
+    __slots__ = (
+        "original", "quotient", "node_to_class", "members", "spec", "_frozen"
+    )
 
     def __init__(
         self,
@@ -79,6 +83,15 @@ class CompressedGraph:
         self.node_to_class = node_to_class
         self.members = members
         self.spec = spec
+        self._frozen: FrozenGraph | None = None
+
+    def frozen(self) -> FrozenGraph:
+        """A frozen snapshot of the quotient, built on first use and kept
+        until it stops matching the quotient (the engine's compressed
+        route evaluates over it)."""
+        if self._frozen is None or not self._frozen.matches(self.quotient):
+            self._frozen = FrozenGraph.freeze(self.quotient)
+        return self._frozen
 
     # ------------------------------------------------------------------
     # effectiveness metrics (the paper's "reduced by 57%")

@@ -263,12 +263,14 @@ class MaintainedCompression:
                 quotient.add_node(cid, _size=len(members), **label_attrs)
             for (source_class, target_class) in self._edge_count:
                 quotient.add_edge(source_class, target_class)
+            # Members in graph order, as build_quotient lists them.
+            members: dict[ClassId, list[NodeId]] = {
+                cid: [] for cid in self._class_members
+            }
+            for node in self.graph.nodes():
+                members[self._node_class[node]].append(node)
             self._cached = CompressedGraph(
-                self.graph,
-                quotient,
-                dict(self._node_class),
-                {cid: sorted(ms, key=repr) for cid, ms in self._class_members.items()},
-                self.spec,
+                self.graph, quotient, dict(self._node_class), members, self.spec
             )
         return self._cached
 

@@ -39,7 +39,7 @@ from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.inc_simulation import IncrementalSimulation
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, apply_updates
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
-from repro.matching.bounded import match_bounded
+from repro.matching.bounded import bounded_relation, match_bounded
 from repro.matching.result_graph import build_result_graph
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
@@ -864,10 +864,14 @@ class QueryEngine:
             assert cached_relation is not None
             return MatchResult(entry.graph, pattern, cached_relation)
         if plan.route == ROUTE_COMPRESSED:
-            # Quotient graphs are small by construction; freezing them
-            # would cost more bookkeeping than the matcher saves.
+            # Decompression reads only the relation, and at bound 1 bounded
+            # simulation is graph simulation: one call for both algorithms.
             assert compressed is not None
-            quotient_result = self._run_matcher(compressed.quotient, pattern, plan)
+            quotient = compressed.quotient
+            relation = bounded_relation(quotient, pattern, compressed.frozen())
+            quotient_result = MatchResult(
+                quotient, pattern, relation, stats={"candidate_source": "scan"}
+            )
             return decompress_result(quotient_result, compressed)
         bounded = plan.algorithm != ALGORITHM_SIMULATION
         oracle = self._oracle_for(entry) if bounded else None

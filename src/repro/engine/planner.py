@@ -7,7 +7,9 @@ decisions, all made here so they are inspectable and testable:
   order of preference (§II's evaluation flow);
 * **algorithm** — the quadratic simulation matcher when every bound is 1,
   the bounded-simulation matcher otherwise (relation-first over the
-  snapshot on the direct route, ``BoundedState`` on a compressed quotient);
+  snapshot on the direct route).  On a compressed quotient both run as one
+  relation-only pass over the quotient's frozen snapshot
+  (:func:`~repro.matching.bounded.bounded_relation`);
 * **kernel, per pattern edge** — how the bounded matcher materialises the
   edge's successor rows over a frozen snapshot: *oracle-pairwise* label
   merges (when a :class:`~repro.graph.oracle.DistanceOracle` covers the
@@ -248,12 +250,13 @@ def choose_algorithm(pattern: Pattern) -> tuple[str, str]:
     if pattern.is_simulation_pattern:
         return (
             ALGORITHM_SIMULATION,
-            "all pattern bounds are 1: quadratic simulation matcher applies",
+            "all pattern bounds are 1: quadratic simulation matcher applies "
+            "(relation-only over a compressed quotient's snapshot)",
         )
     return (
         ALGORITHM_BOUNDED,
         "pattern has bounds > 1 (or '*'): bounded simulation, relation-first "
-        "over the snapshot (BoundedState on a compressed quotient)",
+        "over the snapshot (relation-only over a compressed quotient's snapshot)",
     )
 
 

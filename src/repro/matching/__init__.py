@@ -1,7 +1,7 @@
 """Matchers: (bounded) simulation, isomorphism baseline, result graphs."""
 
 from repro.matching.base import MatchRelation, MatchResult
-from repro.matching.bounded import BoundedState, match_bounded
+from repro.matching.bounded import BoundedState, bounded_relation, match_bounded
 from repro.matching.isomorphism import (
     count_isomorphisms,
     find_isomorphisms,
@@ -25,6 +25,7 @@ __all__ = [
     "MatchRelation",
     "MatchResult",
     "BoundedState",
+    "bounded_relation",
     "match_bounded",
     "count_isomorphisms",
     "find_isomorphisms",

@@ -22,7 +22,10 @@ Two evaluators compute that relation, byte for byte the same:
   nothing; for a cyclic one the cascade finishes the greatest fixpoint.
   The surviving rows are exactly the result graph's weighted edges;
   :class:`MatchRows` keeps them int-indexed and turns ids into labels
-  only when the result graph is asked for.
+  only when the result graph is asked for.  :func:`bounded_relation` is
+  the same line for a caller that needs only the relation (the engine's
+  compressed route): it stops after the pass unless the pattern has a
+  cycle, and builds no rows it does not cascade over.
 * **Candidate-indexed state, over the dict graph** —
   :class:`BoundedState`, the cubic algorithm of Fan et al. (PVLDB 2010).
   It materializes, per pattern edge ``e`` and *candidate* ``v``, the
@@ -767,6 +770,57 @@ def _match_relation_first(
         pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
     )
     return relation, MatchRows(graph, pattern, rows, labels)
+
+
+def bounded_relation(
+    graph: Graph, pattern: Pattern, frozen: FrozenGraph
+) -> MatchRelation:
+    """``M(Q,G)`` alone: the relation-first line without its result rows.
+
+    The backward pass over ``frozen.predecessor_sets()`` is the whole
+    evaluation for an acyclic pattern.  Only a cyclic one (some edge
+    ``(u, u')`` with ``u'`` at or after ``u`` in sinks-first order,
+    self-loops included) goes on to rows between the pass's sets and the
+    removal cascade.  No kernel log, oracle or guard: nothing here is
+    reported but the relation.  At bound 1 bounded simulation *is* graph
+    simulation, so this answers plain simulation patterns too — the
+    engine's compressed route runs it on the quotient's snapshot.
+
+    >>> from repro.graph.digraph import Graph
+    >>> from repro.pattern.pattern import Pattern
+    >>> g = Graph.from_edges(
+    ...     [("a", "b"), ("b", "a")],
+    ...     nodes={"a": {"l": "X"}, "b": {"l": "Y"}},
+    ... )
+    >>> q = Pattern(); q.add_node("X", 'l == "X"'); q.add_node("Y", 'l == "Y"')
+    >>> q.add_edge("X", "Y", 1); q.add_edge("Y", "X", 1)
+    >>> sorted(bounded_relation(g, q, FrozenGraph.freeze(g)).pairs())
+    [('X', 'a'), ('Y', 'b')]
+    """
+    pattern.validate()
+    if not frozen.matches(graph):
+        raise EvaluationError(
+            f"stale frozen snapshot: {frozen!r} does not match "
+            f"graph version {graph.version}"
+        )
+    ids = frozen.ids()
+    sim = {
+        u: {ids[v] for v in vs}
+        for u, vs in simulation_candidates(graph, pattern).items()
+    }
+    total = _membership_pass(frozen.predecessor_sets(), pattern, sim)
+    if total:
+        order = {u: position for position, u in enumerate(_sinks_first(pattern))}
+        if any(order[target] >= order[source] for source, target, _ in pattern.edges()):
+            out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
+            rows = frozen_successor_rows(frozen, out_edges_by_node, sim)
+            total = _removal_cascade(sim, rows)
+    if not total:
+        return MatchRelation.from_sets(pattern, {u: () for u in pattern.nodes()})
+    labels = frozen.labels
+    return MatchRelation.from_sets(
+        pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
+    )
 
 
 def _membership_pass(

@@ -5,12 +5,16 @@ import pytest
 from repro.errors import EvaluationError
 from repro.graph.digraph import Graph
 from repro.graph.generators import random_digraph
-from repro.matching.bounded import BoundedState, match_bounded
+import random
+
+from repro.graph.frozen import FrozenGraph
+from repro.matching.bounded import BoundedState, bounded_relation, match_bounded
 from repro.matching.reference import (
     is_maximal_bounded_relation,
     is_valid_bounded_relation,
     naive_bounded,
 )
+from repro.matching.simulation import match_simulation
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
 
@@ -201,6 +205,85 @@ class TestStateInvariants:
         q = two_node_query(2)
         state = BoundedState(g, q)
         assert state.relation().is_empty
+
+
+def _random_case(rng: random.Random) -> tuple[Graph, Pattern]:
+    """A graph of <= 14 nodes (self-loops allowed) and a pattern of <= 4
+    nodes whose edges draw bounds from 1, 2, 3 and ``*``."""
+    graph = Graph()
+    size = rng.randint(1, 14)
+    for node in range(size):
+        graph.add_node(node, label=rng.choice("AB"))
+    for _ in range(rng.randint(0, 3 * size)):
+        source, target = rng.randrange(size), rng.randrange(size)
+        if not graph.has_edge(source, target):
+            graph.add_edge(source, target)
+    pattern = Pattern()
+    names = [f"P{i}" for i in range(rng.randint(1, 4))]
+    for name in names:
+        pattern.add_node(name, f'label == "{rng.choice("AB")}"')
+    bounds = [1, 1, 2, 3, None]
+    pairs = [(a, b) for a in names for b in names]
+    for source, target in rng.sample(pairs, min(len(pairs), rng.randint(0, len(names) + 2))):
+        pattern.add_edge(source, target, rng.choice(bounds))
+    return graph, pattern
+
+
+def _is_cyclic(pattern: Pattern) -> bool:
+    """Does some pattern node reach itself by a nonempty path?"""
+    for node in pattern.nodes():
+        stack = [child for child, _bound in pattern.out_edges(node)]
+        seen: set[str] = set()
+        while stack:
+            current = stack.pop()
+            if current == node:
+                return True
+            if current not in seen:
+                seen.add(current)
+                stack.extend(child for child, _bound in pattern.out_edges(current))
+    return False
+
+
+class TestBoundedRelation:
+    def test_equals_dict_matcher_on_random_inputs(self):
+        """The relation-only pass (plus cascade on cyclic patterns) equals
+        the dict BoundedState, and plain simulation on bound-1 patterns."""
+        rng = random.Random(37)
+        cyclic = unit = 0
+        for _case in range(2000):
+            graph, pattern = _random_case(rng)
+            relation = bounded_relation(graph, pattern, FrozenGraph.freeze(graph))
+            assert relation == match_bounded(graph, pattern).relation
+            if pattern.is_simulation_pattern:
+                unit += 1
+                assert relation == match_simulation(graph, pattern).relation
+            cyclic += _is_cyclic(pattern)
+        assert cyclic > 500 and unit > 300
+
+    def test_cycle_needs_the_cascade(self):
+        """A 2-cycle the pass alone over-approximates: ``b`` reaches an
+        ``A`` candidate (``c``) that itself reaches no ``B``."""
+        g = make_labelled_graph(
+            [("a", "b"), ("b", "a"), ("b", "c")],
+            {"a": "A", "b": "B", "c": "A", "d": "B"},
+        )
+        q = two_node_query(1)
+        q.add_edge("B", "A", 1)
+        relation = bounded_relation(g, q, FrozenGraph.freeze(g))
+        assert sorted(relation.pairs()) == [("A", "a"), ("B", "b")]
+        assert relation == match_bounded(g, q).relation
+
+    def test_rejects_stale_snapshot(self):
+        g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
+        frozen = FrozenGraph.freeze(g)
+        g.add_edge("b", "a")
+        with pytest.raises(EvaluationError, match="stale frozen snapshot"):
+            bounded_relation(g, two_node_query(1), frozen)
+
+    def test_empty_candidate_set_gives_empty_relation(self):
+        g = make_labelled_graph([("a", "a")], {"a": "A"})
+        relation = bounded_relation(g, two_node_query(2), FrozenGraph.freeze(g))
+        assert relation.is_empty and set(relation) == {"A", "B"}
 
 
 @pytest.mark.xfail(

@@ -93,6 +93,17 @@ class TestQuotientStructure:
         assert sim.quotient.num_nodes <= bis.quotient.num_nodes
 
 
+    def test_frozen_quotient_cached_until_stale(self):
+        g = random_digraph(30, 70, num_labels=2, seed=3)
+        compressed = compress(g, attrs=("label",))
+        frozen = compressed.frozen()
+        assert frozen.matches(compressed.quotient)
+        assert compressed.frozen() is frozen
+        compressed.quotient.set(next(compressed.quotient.nodes()), "_size", 0)
+        rebuilt = compressed.frozen()
+        assert rebuilt is not frozen and rebuilt.matches(compressed.quotient)
+
+
 class TestCompatibility:
     def test_compatible_when_attrs_covered(self):
         g = collaboration_graph(30, seed=7)

@@ -22,6 +22,17 @@ class TestBasics:
         assert maintained.compressed().quotient.num_nodes == batch.quotient.num_nodes
         assert maintained.compressed().quotient.num_edges == batch.quotient.num_edges
 
+    def test_members_listed_in_graph_order_as_batch_compression(self):
+        g = collaboration_graph(60, seed=1)
+        maintained = MaintainedCompression(g, attrs=("field",))
+        batch = compress(g, attrs=("field",), method="bisimulation")
+        assert maintained.compressed().members == batch.members
+        drive(maintained, *random_updates(g, 6, seed=2))
+        compressed = maintained.compressed()
+        order = {node: i for i, node in enumerate(g.nodes())}
+        for members in compressed.members.values():
+            assert members == sorted(members, key=order.__getitem__)
+
     def test_insertion_splits_class(self):
         g = make_labelled_graph([], {"x": "A", "y": "A", "c": "C"})
         maintained = MaintainedCompression(g, attrs=("label",))

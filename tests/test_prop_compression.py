@@ -14,10 +14,12 @@ from repro.compression.compress import compress
 from repro.compression.decompress import decompress_relation
 from repro.compression.equivalence import is_stable_partition
 from repro.compression.maintain import MaintainedCompression
+from repro.engine.engine import QueryEngine
 from repro.graph.digraph import Graph
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion
 from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation
+from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
 
 from tests.conftest import drive
@@ -149,3 +151,67 @@ def test_maintained_partition_stays_stable_and_consistent(data):
     node_class = maintained.compressed().node_to_class
     numeric = {node: int(cid[1:]) for node, cid in node_class.items()}
     assert is_stable_partition(graph, label_of, numeric)
+
+
+def _route_pattern(name, labels, edges):
+    builder = PatternBuilder(name)
+    for node, label in labels.items():
+        builder.node(node, f'label == "{label}"')
+    for source, target, bound in edges:
+        builder.edge(source, target, bound)
+    return builder.build()
+
+
+#: Cyclic shapes (the relation-only pass needs the cascade), a ``*`` edge
+#: and an all-bound-1 pattern (the simulation algorithm's plans).
+ROUTE_PATTERNS = (
+    _route_pattern("two-cycle", {"A": "A", "B": "B"}, [("A", "B", 2), ("B", "A", 1)]),
+    _route_pattern("self-loop", {"A": "A", "B": "B"}, [("A", "A", 2), ("A", "B", 1)]),
+    _route_pattern(
+        "three-cycle",
+        {"X": "A", "Y": "B", "Z": "A"},
+        [("X", "Y", 1), ("Y", "Z", 2), ("Z", "X", 3)],
+    ),
+    _route_pattern("star-edge", {"A": "A", "B": "B", "C": "B"}, [("A", "B", None), ("B", "C", 2)]),
+    _route_pattern(
+        "unit",
+        {"A": "A", "B": "B", "C": "A"},
+        [("A", "B", 1), ("B", "A", 1), ("B", "C", 1)],
+    ),
+)
+
+
+@given(maintained_scenario(), st.sampled_from(["maintained", "simulation"]))
+@settings(max_examples=60, deadline=None)
+def test_engine_compressed_route_equals_direct_under_updates(data, kind):
+    """The engine's compressed route (relation-only over the quotient's
+    snapshot) answers what the direct route answers, batch after batch.
+    A maintained compression follows the updates; a static simulation one
+    is dropped by each batch and built again."""
+    graph, _pattern, updates = data
+    engine = QueryEngine()
+    engine.register_graph("g", graph)
+
+    def compress_again():
+        if kind == "maintained":
+            engine.compress_graph("g", ("label",))
+        else:
+            engine.compress_graph("g", ("label",), method="simulation", maintained=False)
+
+    compress_again()
+    batches = [[]] + [updates[i:i + 3] for i in range(0, len(updates), 3)]
+    for batch in batches:
+        if batch:
+            engine.update_graph("g", batch)
+            if kind != "maintained":
+                compress_again()
+        for pattern in ROUTE_PATTERNS:
+            on_quotient = engine.evaluate("g", pattern, use_cache=False)
+            direct = engine.evaluate(
+                "g", pattern, use_cache=False, use_compression=False
+            )
+            assert on_quotient.stats["route"] == "compressed"
+            # A quotient kernel is not an original-graph kernel.
+            assert "kernels" not in on_quotient.stats
+            assert on_quotient.relation == direct.relation
+            assert direct.relation == match_bounded(graph, pattern).relation
