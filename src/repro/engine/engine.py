@@ -873,40 +873,22 @@ class QueryEngine:
                 quotient, pattern, relation, stats={"candidate_source": "scan"}
             )
             return decompress_result(quotient_result, compressed)
-        bounded = plan.algorithm != ALGORITHM_SIMULATION
-        oracle = self._oracle_for(entry) if bounded else None
-        return self._run_matcher(
-            entry.graph,
-            pattern,
-            plan,
-            index=None if candidates is not None else entry.attr_index,
-            candidates=candidates,
-            frozen=self._frozen_snapshot(entry),
-            oracle=oracle,
-            budget=budget,
-        )
-
-    @staticmethod
-    def _run_matcher(
-        graph: Graph,
-        pattern: Pattern,
-        plan: Plan,
-        index: AttributeIndex | None = None,
-        candidates: dict[str, set[NodeId]] | None = None,
-        frozen: FrozenGraph | None = None,
-        oracle: DistanceOracle | None = None,
-        budget: QueryBudget | None = None,
-    ) -> MatchResult:
+        index = None if candidates is not None else entry.attr_index
         if plan.algorithm == ALGORITHM_SIMULATION:
             return match_simulation(
-                graph, pattern, index=index, candidates=candidates, frozen=frozen
+                entry.graph,
+                pattern,
+                index=index,
+                candidates=candidates,
+                frozen=self._frozen_snapshot(entry),
             )
+        oracle = self._oracle_for(entry)
         return match_bounded(
-            graph,
+            entry.graph,
             pattern,
             index=index,
             candidates=candidates,
-            frozen=frozen,
+            frozen=self._frozen_snapshot(entry),
             oracle=oracle,
             budget=budget,
         )
