@@ -1,13 +1,13 @@
 """Unit tests for bounded simulation — the core matcher."""
 
+import random
+
 import pytest
 
 from repro.errors import EvaluationError
 from repro.graph.digraph import Graph
-from repro.graph.generators import random_digraph
-import random
-
 from repro.graph.frozen import FrozenGraph
+from repro.graph.generators import random_digraph
 from repro.matching.bounded import BoundedState, bounded_relation, match_bounded
 from repro.matching.reference import (
     is_maximal_bounded_relation,
@@ -261,10 +261,11 @@ class TestBoundedRelation:
         assert cyclic > 500 and unit > 300
 
     def test_cycle_needs_the_cascade(self):
-        """A 2-cycle the pass alone over-approximates: ``b`` reaches an
-        ``A`` candidate (``c``) that itself reaches no ``B``."""
+        """A 2-cycle the pass alone over-approximates: the edge ``B -> A``
+        runs first and keeps ``d``, whose only ``A`` successor ``c`` then
+        fails ``A -> B``; the cascade removes ``d``."""
         g = make_labelled_graph(
-            [("a", "b"), ("b", "a"), ("b", "c")],
+            [("a", "b"), ("b", "a"), ("d", "c")],
             {"a": "A", "b": "B", "c": "A", "d": "B"},
         )
         q = two_node_query(1)

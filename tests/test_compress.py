@@ -92,7 +92,6 @@ class TestQuotientStructure:
         sim = compress(g, attrs=("label",), method="simulation")
         assert sim.quotient.num_nodes <= bis.quotient.num_nodes
 
-
     def test_frozen_quotient_cached_until_stale(self):
         g = random_digraph(30, 70, num_labels=2, seed=3)
         compressed = compress(g, attrs=("label",))
