@@ -49,6 +49,7 @@ from repro.ranking.topk import (
     RankingContext,
     bulk_top_k_detail,
     bulk_top_k_scores,
+    context_for,
     validate_k,
 )
 
@@ -946,7 +947,7 @@ class QueryEngine:
             if cached is not None:
                 return cached.context
         result = self.evaluate(name, pattern, **evaluate_kwargs)
-        context = RankingContext(result.result_graph())
+        context = context_for(result, entry.frozen)
         # A guarded evaluation that tripped produced a partial relation;
         # rankings over it are valid for this call but must not be served
         # to later (possibly unbudgeted) top_k calls.
@@ -1104,17 +1105,20 @@ class QueryEngine:
         is *patched*: only the out-rows of the maintainer's ``dirty`` nodes
         are rebuilt from the maintained state and compared, every other
         row is shared with the old graph.  Nothing differs: the context —
-        details, distance memos, ranked prefixes — stays.
+        scores, distance memos, ranked prefixes — stays.
         Otherwise a new context over the patched graph carries over every
-        memoized detail whose impact set is disjoint from the changed
-        nodes — same object, no Dijkstra — and touched matches that were
-        ranked before are eagerly re-scored, so the refreshed entry is as
-        warm as the old one.  The result graph is rebuilt in full only
+        memoized score whose impact set is disjoint from the changed
+        nodes — same distance sets, no Dijkstra — and touched matches that
+        were scored before are eagerly re-scored, so the refreshed entry is
+        as warm as the old one.  The result graph is rebuilt in full only
         where a delta cannot describe the change: ``M(Q,G)`` became or
         stopped being empty (``flipped``), or the cached context is not
-        one this maintainer's log applies to (built over another graph or
-        pattern object).  Returns ``{reused, rescored,
-        changed_nodes}``, or ``None`` without a cached context.
+        one this maintainer's log applies to (built from the matcher's
+        rows before the pin, or over another graph or pattern object).
+        A context built from rows is keyed by snapshot ids, so nothing of
+        it carries over and every node counts as changed.  Returns
+        ``{reused, rescored, changed_nodes}``, or ``None`` without a
+        cached context.
         """
         # peek, not get: maintenance is not a lookup a hit ratio should count.
         rank_entry = self._rank_cache.peek(key)
@@ -1125,6 +1129,7 @@ class QueryEngine:
         candidates: set[NodeId] | None
         if (
             flipped
+            or old.rows is not None
             or old.result_graph.graph is not entry.graph
             or old.result_graph.pattern is not maintainer.pattern
         ):
@@ -1145,14 +1150,20 @@ class QueryEngine:
             # A rewritten attribute moves no row but is part of the evidence.
             candidates.update(node for node in written if node in old)
         if result_graph is old.result_graph and not candidates:
-            return {"reused": len(old._details), "rescored": 0, "changed_nodes": 0}
+            return {"reused": len(old._impact), "rescored": 0, "changed_nodes": 0}
         fresh_context = RankingContext(result_graph)
-        changed = fresh_context.diff_nodes(old, candidates)
-        reused = fresh_context.carry_over_from(old, changed)
+        if old.rows is None:
+            changed = fresh_context.diff_nodes(old, candidates)
+            reused = fresh_context.carry_over_from(old, changed)
+        else:
+            changed = set(fresh_context.matched_by).union(
+                map(old.label_of, old.matched_by)
+            )
+            reused = 0
         rescored = 0
-        for node in old._details:
-            if node in fresh_context.matched_by and node not in fresh_context._details:
-                fresh_context.detail(node)
+        for node in map(old.label_of, old._impact):
+            if node in fresh_context.matched_by and node not in fresh_context._impact:
+                fresh_context.impact(node)
                 rescored += 1
         rank_entry.context = fresh_context
         return {"reused": reused, "rescored": rescored, "changed_nodes": len(changed)}

@@ -158,6 +158,16 @@ class MatchResult:
         self._result_graph: "ResultGraph | None" = None
 
     @property
+    def state(self) -> Any:
+        """The matcher's final state, or ``None``.
+
+        A :class:`~repro.matching.bounded.BoundedState`, or a relation-first
+        evaluation's :class:`~repro.matching.bounded.MatchRows` (int rows
+        over a snapshot's ids).
+        """
+        return self._state
+
+    @property
     def is_match(self) -> bool:
         """True iff the pattern matched (relation is total, hence nonempty)."""
         return not self.relation.is_empty

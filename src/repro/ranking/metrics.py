@@ -36,13 +36,14 @@ class RankingMetric(ABC):
     def score_bulk(self, context: "RankingContext", node: NodeId) -> float:
         """Score against a bulk :class:`~repro.ranking.topk.RankingContext`.
 
-        Must return exactly what :meth:`score` would for the result graph
-        the context snapshotted.  The default delegates to :meth:`score`;
-        the built-in metrics override it to draw from the context's
-        memoized Dijkstra runs so bulk top-K shares distance work across
-        metrics and calls.
+        ``node`` is one of the context's nodes (a snapshot id in a context
+        built from rows; ``context.label_of`` gives its label).  Must return
+        exactly what :meth:`score` would for the result graph the context
+        ranks.  The default delegates to :meth:`score`; the built-in metrics
+        override it to draw from the context's memoized Dijkstra runs so
+        bulk top-K shares distance work across metrics and calls.
         """
-        return self.score(context.result_graph, node)
+        return self.score(context.result_graph, context.label_of(node))
 
     def bound(self, context: "RankingContext", node: NodeId) -> float:
         """Cheap admissible bound: never above :meth:`score_bulk`.
@@ -78,7 +79,7 @@ class SocialImpactMetric(RankingMetric):
         return rank_detail(result_graph, node).rank
 
     def score_bulk(self, context: "RankingContext", node: NodeId) -> float:
-        return context.detail(node).rank
+        return context.impact(node)
 
     def bound(self, context: "RankingContext", node: NodeId) -> float:
         return context.impact_bound(node)
@@ -106,10 +107,10 @@ class ClosenessMetric(RankingMetric):
         # Every reachable node is at least the minimum outgoing weight
         # away, so closeness <= 1/w_min, i.e. the score >= -1/w_min; a
         # node with no out-edges reaches nothing, making +inf exact.
-        out_row = context.out_adj.get(node)
-        if not out_row:
+        weights = [min(row.values()) for row in context.out_rows(node) if row]
+        if not weights:
             return math.inf
-        return -1.0 / min(out_row.values())
+        return -1.0 / min(weights)
 
     @staticmethod
     def _from_distances(distances: dict[NodeId, float]) -> float:
@@ -160,9 +161,7 @@ class DegreeMetric(RankingMetric):
         return -(out_deg + in_deg)
 
     def score_bulk(self, context: "RankingContext", node: NodeId) -> float:
-        return -(
-            len(context.out_adj.get(node, {})) + len(context.in_adj.get(node, {}))
-        )
+        return -context.degree(node)
 
     def bound(self, context: "RankingContext", node: NodeId) -> float:
         # The score itself is O(1) on the snapshot — the bound is exact,

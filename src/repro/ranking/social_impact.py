@@ -54,19 +54,18 @@ def social_impact_rank(result_graph: ResultGraph, node: NodeId) -> float:
     return detail.rank
 
 
-def ranked_match_from_distances(
-    node: NodeId,
-    ancestors: dict[NodeId, float],
-    descendants: dict[NodeId, float],
-    attrs: dict[str, Any],
-) -> RankedMatch:
-    """Apply §II's formula to precomputed distance sets.
+def rank_detail(result_graph: ResultGraph, node: NodeId) -> RankedMatch:
+    """Rank one node, returning distances to/from its impact set.
 
-    The single implementation of ``f(uo, v)`` — both the per-match
-    :func:`rank_detail` path and the bulk context
-    (:class:`repro.ranking.topk.RankingContext`) build their
-    :class:`RankedMatch` through here, so the two paths cannot drift.
+    The reference implementation of ``f(uo, v)``.  The bulk context
+    (:class:`repro.ranking.topk.RankingContext`) computes the same value
+    from int distance sums (``RankingContext.impact``); the differential
+    tests hold the two bit-identical.
     """
+    if node not in result_graph:
+        raise RankingError(f"{node!r} is not a node of the result graph")
+    descendants = weighted_distances(result_graph.out_adjacency(), node)
+    ancestors = weighted_distances(result_graph.in_adjacency(), node)
     impact_set = set(ancestors) | set(descendants)
     if not impact_set:
         rank = math.inf
@@ -78,18 +77,7 @@ def ranked_match_from_distances(
         rank=rank,
         ancestors=ancestors,
         descendants=descendants,
-        attrs=attrs,
-    )
-
-
-def rank_detail(result_graph: ResultGraph, node: NodeId) -> RankedMatch:
-    """Rank one node, returning distances to/from its impact set."""
-    if node not in result_graph:
-        raise RankingError(f"{node!r} is not a node of the result graph")
-    descendants = weighted_distances(result_graph.out_adjacency(), node)
-    ancestors = weighted_distances(result_graph.in_adjacency(), node)
-    return ranked_match_from_distances(
-        node, ancestors, descendants, dict(result_graph.node_attrs(node))
+        attrs=dict(result_graph.node_attrs(node)),
     )
 
 

@@ -7,12 +7,13 @@ paper's nine-node Fig. 1 but wrong for a result graph with thousands of
 matches.  This module restructures ranking around two ideas:
 
 1. **One snapshot, shared by everything.**  A :class:`RankingContext`
-   copies the result graph's weighted adjacency (both directions), match
-   sets and node attributes exactly once.  Every distance computation —
-   for any metric, any ``k``, any number of calls — runs against that
-   snapshot and is memoized per ``(direction, source)``, so the paper's
-   social-impact metric and e.g. the harmonic metric share their Dijkstra
-   runs instead of repeating them.
+   captures the weighted adjacency (both directions) and match sets of one
+   evaluation exactly once — from its result graph, or straight from the
+   relation-first matcher's int rows, so a served top-K never builds a
+   result graph.  Every distance computation — for any metric, any ``k``,
+   any number of calls — runs against that snapshot and is memoized per
+   ``(direction, source)``, so the paper's social-impact metric and e.g.
+   the harmonic metric share their Dijkstra runs instead of repeating them.
 
 2. **True top-K: cheap admissible bounds + lazy full scoring.**  Each
    metric can provide a *bound* — a cheap optimistic (never above the real
@@ -22,7 +23,8 @@ matches.  This module restructures ranking around two ideas:
    and is never scored at all.  For the social-impact metric the bound is
    the minimum incident witness-edge weight (every member of the impact
    set lies at least that far away, so the average does too), with
-   isolated matches resolved exactly to ``+inf`` for free.
+   isolated matches resolved exactly to ``+inf`` for free.  Only the
+   matches returned get labels, attributes and evidence dicts.
 
 The selection is *exact*: for every metric and every ``k``, the output
 equals the naive rank-everything-then-slice path (``tests/test_topk.py``
@@ -33,13 +35,17 @@ asserts it differentially over seeded random graphs;
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import RankingError
 from repro.graph.digraph import NodeId
 from repro.graph.distance import node_order_key
+from repro.graph.frozen import FrozenGraph
+from repro.matching.base import MatchResult
+from repro.matching.bounded import MatchRows
 from repro.matching.result_graph import ResultGraph
-from repro.ranking.social_impact import RankedMatch, ranked_match_from_distances
+from repro.ranking.social_impact import RankedMatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.ranking.metrics import RankingMetric
@@ -60,104 +66,207 @@ def validate_k(k: Any) -> int:
 _NO_ROW: Mapping[NodeId, int] = {}
 
 
-class _OrderKeys(dict):
-    """``node -> node_order_key(node)``, each key computed on first use.
+def _same(node: NodeId) -> NodeId:
+    return node
 
-    A hit is a C-level dict lookup, which is what lets the bucket queue
-    sort a level by ``key=memo.__getitem__`` without re-deriving keys.
+
+class _OrderKeys(dict):
+    """``node -> node_order_key(label_of(node))``, each key computed on first use.
+
+    A hit is a C-level dict lookup, which is what lets a distance set be
+    sorted by ``key=memo.__getitem__`` without re-deriving keys.
     """
 
-    __slots__ = ()
+    __slots__ = ("label_of",)
 
-    def __missing__(self, node: NodeId) -> str:
-        key = self[node] = node_order_key(node)
+    def __init__(self, label_of: Callable[[Any], NodeId]) -> None:
+        super().__init__()
+        self.label_of = label_of
+
+    def __missing__(self, node: Any) -> str:
+        key = self[node] = node_order_key(self.label_of(node))
         return key
 
 
 class RankingContext:
-    """A one-shot snapshot of a result graph plus memoized ranking work.
+    """A one-shot snapshot of one evaluation's result plus memoized ranking work.
 
     Build it once per evaluated query; ask it for top-K lists as often as
     needed.  All distance computations are memoized per source node and per
     direction, so repeated calls (different ``k``, different metrics, a
     rank-cache hit in the engine) never repeat a Dijkstra run.
 
-    The snapshot is self-contained — plain dicts, no live views — which is
-    what makes the engine's incremental re-ranking after updates possible:
-    the update path can diff two snapshots node by node.
+    Two constructors read the same weighted graph two ways:
 
-    Dijkstra runs directly over those label rows as a bucket queue
-    (Dial's algorithm): witness weights are small positive integers, so
-    one level of equal distances is settled at a time, in the same
-    tie-break order as the reference heap of
-    :func:`~repro.graph.distance.weighted_distances`.
+    * ``RankingContext(result_graph)`` — nodes are labels and each node's
+      rows are the result graph's (shared, never copied).  The engine's
+      incremental re-ranking after updates diffs two of these node by node.
+    * :meth:`from_rows` — nodes are the snapshot's dense ids: each node's
+      out-adjacency is the tuple of its per-pattern-edge rows of the
+      matcher's :class:`~repro.matching.bounded.MatchRows`, shared and never
+      merged, plus one reverse row set.  Labels appear only in what a
+      top-K returns.
+
+    Dijkstra runs directly over those rows as a bucket queue (Dial's
+    algorithm) with integer distances.  The social-impact rank is the sum
+    of both distance sets over the size of their union — int sums, exact,
+    so the value is bit-identical to the reference heap's float sum.  A
+    distance set handed out (:meth:`distances_from`, the evidence of
+    :meth:`detail`) is sorted once into the reference heap's ``(distance,
+    node_order_key(label))`` settle order with float values, because other
+    metrics sum floats in that order.
 
     >>> from repro.datasets.paper_example import paper_graph, paper_pattern
+    >>> from repro.graph.frozen import FrozenGraph
     >>> from repro.matching.bounded import match_bounded
     >>> result = match_bounded(paper_graph(), paper_pattern())
     >>> context = RankingContext(result.result_graph())
     >>> [match.node for match in bulk_top_k_detail(context, 1)]
     ['Bob']
-    >>> context.stats["dijkstra_runs"]
-    4
+    >>> context.stats["dijkstra_runs"]  # Walt's bound beats Bob's rank
+    2
+    >>> graph = paper_graph()
+    >>> frozen = FrozenGraph.freeze(graph)
+    >>> rows = RankingContext.from_rows(
+    ...     match_bounded(graph, paper_pattern(), frozen=frozen), frozen
+    ... )
+    >>> bulk_top_k_detail(rows, 2) == bulk_top_k_detail(context, 2)
+    True
     """
 
     __slots__ = (
-        "result_graph",
         "pattern",
+        "graph",
+        "rows",
+        "label_of",
         "out_adj",
         "in_adj",
         "matched_by",
+        "_result",
+        "_result_graph",
         "_attr_cache",
-        "_details",
+        "_impact",
         "_ranked",
         "_dist_out",
         "_dist_in",
+        "_sorted_out",
+        "_sorted_in",
         "_scores",
         "_order_keys",
         "stats",
     )
 
-    def __init__(self, result_graph: ResultGraph) -> None:
-        self.result_graph = result_graph
-        self.pattern = result_graph.pattern
-        # The one adjacency snapshot, in the result graph's deterministic
-        # iteration order.  The outer dicts are copied; the row dicts are
-        # *shared* with the result graph, which is frozen once built (every
-        # construction path — matcher, decompression, update maintenance —
-        # creates a fresh ResultGraph rather than mutating one), so sharing
-        # is safe and keeps snapshotting O(nodes) instead of O(edges).
-        self.out_adj: dict[NodeId, Mapping[NodeId, int]] = dict(
-            result_graph.out_adjacency()
-        )
-        self.in_adj: dict[NodeId, Mapping[NodeId, int]] = dict(
-            result_graph.in_adjacency()
-        )
-        self.matched_by: dict[NodeId, set[str]] = dict(result_graph.match_map())
-        # Node attributes are fetched (and copied) lazily, per ranked node:
-        # most matches are never fully scored, and their attributes live in
-        # the data graph which the snapshot must not have to walk.
-        self._attr_cache: dict[NodeId, dict[str, Any]] = {}
-        self._details: dict[NodeId, RankedMatch] = {}
+    def __init__(
+        self,
+        result_graph: ResultGraph | None = None,
+        *,
+        result: MatchResult | None = None,
+        frozen: FrozenGraph | None = None,
+    ) -> None:
+        # One of ``result_graph`` or ``result`` + ``frozen`` (see from_rows).
+        self._result_graph = result_graph
+        self._result = result
+        self.out_adj: dict[Any, Any]
+        self.in_adj: dict[Any, Mapping[Any, int]]
+        self.matched_by: dict[Any, set[str]]
+        self.rows: MatchRows | None
+        if result_graph is not None:
+            self.pattern, self.graph = result_graph.pattern, result_graph.graph
+            self.rows = None
+            self.label_of: Callable[[Any], NodeId] = _same
+            # The outer dicts are copied; the row dicts are *shared* with
+            # the result graph, which is frozen once built (every
+            # construction path — matcher, decompression, update
+            # maintenance — creates a fresh ResultGraph rather than mutating
+            # one), so snapshotting is O(nodes) instead of O(edges).
+            self.out_adj = dict(result_graph.out_adjacency())
+            self.in_adj = dict(result_graph.in_adjacency())
+            self.matched_by = dict(result_graph.match_map())
+        else:
+            assert result is not None and frozen is not None
+            rows = result.state
+            assert isinstance(rows, MatchRows)
+            self.pattern, self.graph = result.pattern, result.graph
+            self.rows = rows
+            self.label_of = frozen.labels.__getitem__
+            ids = frozen.ids()
+            matched_by: dict[int, set[str]] = {}
+            for pattern_node, label in result.relation.pairs():
+                members = matched_by.get(ids[label])
+                if members is None:
+                    matched_by[ids[label]] = {pattern_node}
+                else:
+                    members.add(pattern_node)
+            # A pattern edge's row is shared as is; a node that matches
+            # several pattern nodes holds several rows, and a target two of
+            # them reach is relaxed twice — Dijkstra keeps the shorter.  The
+            # one reverse row set keeps the shorter weight itself, which only
+            # a source's second row can undercut.
+            out_adj: dict[int, tuple[Mapping[int, int], ...]] = {}
+            in_adj: defaultdict[int, dict[int, int]] = defaultdict(dict)
+            for edge_rows in rows.rows.values():
+                for source, row in edge_rows.items():
+                    held = out_adj.get(source)
+                    if held is None:
+                        out_adj[source] = (row,)
+                        for target, dist in row.items():
+                            in_adj[target][source] = dist
+                        continue
+                    out_adj[source] = held + (row,)
+                    for target, dist in row.items():
+                        back = in_adj[target]
+                        if back.get(source, dist) >= dist:
+                            back[source] = dist
+            self.out_adj, self.in_adj = out_adj, dict(in_adj)
+            self.matched_by = matched_by
+        # Node attributes are fetched (and copied) lazily, per returned
+        # node: most matches are never returned, and their attributes live
+        # in the data graph which the snapshot must not have to walk.
+        self._attr_cache: dict[Any, dict[str, Any]] = {}
+        # Social-impact rank per scored node (what ``details_scored`` counts).
+        self._impact: dict[Any, float] = {}
         # Longest social-impact ranking selected so far, per pattern node:
         # ``(k it was selected for, ranked prefix)`` — see bulk_top_k_detail.
         self._ranked: dict[str, tuple[int | None, tuple[RankedMatch, ...]]] = {}
-        self._dist_out: dict[NodeId, dict[NodeId, float]] = {}
-        self._dist_in: dict[NodeId, dict[NodeId, float]] = {}
+        # Int distances in settle order (scoring), and the same sets sorted
+        # into the reference order with float values (handed out).
+        self._dist_out: dict[Any, dict[Any, int]] = {}
+        self._dist_in: dict[Any, dict[Any, int]] = {}
+        self._sorted_out: dict[Any, dict[Any, float]] = {}
+        self._sorted_in: dict[Any, dict[Any, float]] = {}
         # Per-metric memoized scores: {metric name: {node: score}}.
-        self._scores: dict[str, dict[NodeId, float]] = {}
-        self._order_keys = _OrderKeys()
+        self._scores: dict[str, dict[Any, float]] = {}
+        self._order_keys = _OrderKeys(self.label_of)
         self.stats: dict[str, int] = {
             "dijkstra_runs": 0,
             "details_scored": 0,
-            "details_reused": 0,
             "pruned_by_bound": 0,
         }
+
+    @classmethod
+    def from_rows(cls, result: MatchResult, frozen: FrozenGraph) -> "RankingContext":
+        """The context of a relation-first result, over ``frozen``'s ids.
+
+        ``result.state`` must be the :class:`~repro.matching.bounded.MatchRows`
+        the matcher built over ``frozen``.  No result graph is built; the
+        context's nodes (:meth:`matches`, :meth:`detail`) are dense ids and
+        ``label_of`` maps them back.
+        """
+        return cls(result=result, frozen=frozen)
+
+    @property
+    def result_graph(self) -> ResultGraph:
+        """The result graph ranked — built on first use for a context over
+        rows (only a custom metric without ``score_bulk`` asks for it)."""
+        if self._result_graph is None:
+            assert self._result is not None
+            self._result_graph = self._result.result_graph()
+        return self._result_graph
 
     # ------------------------------------------------------------------
     # match enumeration
     # ------------------------------------------------------------------
-    def matches(self, pattern_node: str | None = None) -> list[NodeId]:
+    def matches(self, pattern_node: str | None = None) -> list[Any]:
         """All matches of ``pattern_node`` (default: the output node)."""
         target = pattern_node or self.pattern.output_node
         if target is None:
@@ -175,110 +284,143 @@ class RankingContext:
     def num_nodes(self) -> int:
         return len(self.matched_by)
 
+    def out_rows(self, node: Any) -> tuple[Mapping[Any, int], ...]:
+        """The out-rows of ``node``: one per pattern edge over rows, else one."""
+        row = self.out_adj.get(node)
+        if row is None:
+            return ()
+        return row if self.rows is not None else (row,)
+
     # ------------------------------------------------------------------
-    # memoized distances and details
+    # memoized distances, scores and details
     # ------------------------------------------------------------------
-    def distances_from(self, node: NodeId) -> dict[NodeId, float]:
+    def distances_from(self, node: Any) -> dict[Any, float]:
         """Weighted shortest distances out of ``node`` (memoized).
 
-        Computed by a bucket queue over the snapshot's label rows (see
-        :meth:`_dijkstra`); the result — values *and* insertion order — is
-        byte-identical to ``weighted_distances(self.out_adj, node)``.
+        Values *and* insertion order are those of
+        ``weighted_distances(out-adjacency, node)``: the bucket queue's
+        int distances (:meth:`_dijkstra`), sorted once by ``(distance,
+        node_order_key(label))`` — the reference heap's pop order.
         """
-        cached = self._dist_out.get(node)
-        if cached is None:
-            cached = self._dist_out[node] = self._dijkstra(node, forward=True)
-            self.stats["dijkstra_runs"] += 1
-        return cached
+        ordered = self._sorted_out.get(node)
+        if ordered is None:
+            ordered = self._sorted_out[node] = self._in_order(self._reach(node, True))
+        return ordered
 
-    def distances_to(self, node: NodeId) -> dict[NodeId, float]:
+    def distances_to(self, node: Any) -> dict[Any, float]:
         """Weighted shortest distances into ``node`` (memoized)."""
-        cached = self._dist_in.get(node)
-        if cached is None:
-            cached = self._dist_in[node] = self._dijkstra(node, forward=False)
-            self.stats["dijkstra_runs"] += 1
-        return cached
+        ordered = self._sorted_in.get(node)
+        if ordered is None:
+            ordered = self._sorted_in[node] = self._in_order(self._reach(node, False))
+        return ordered
 
-    def _dijkstra(self, node: NodeId, forward: bool) -> dict[NodeId, float]:
+    def _in_order(self, dist: dict[Any, int]) -> dict[Any, float]:
+        order = sorted(dist, key=self._order_keys.__getitem__)
+        order.sort(key=dist.__getitem__)  # stable: keys stay ordered per level
+        return {node: float(dist[node]) for node in order}
+
+    def _reach(self, node: Any, forward: bool) -> dict[Any, int]:
+        memo = self._dist_out if forward else self._dist_in
+        dist = memo.get(node)
+        if dist is None:
+            dist = memo[node] = self._dijkstra(node, forward)
+            self.stats["dijkstra_runs"] += 1
+        return dist
+
+    def _dijkstra(self, node: Any, forward: bool) -> dict[Any, int]:
         """Dial's bucket queue: ``weighted_distances`` without the heap.
 
-        Result-graph weights are positive integers, so relaxing a node at
-        distance ``d`` only ever fills buckets beyond ``d``: by the time
-        ``min(buckets)`` is popped, every entry at that distance is in it.
-        Settling the bucket in ``node_order_key`` order therefore repeats
-        the heap's ``(d, key)`` pops exactly — the same values in the same
-        insertion order, which the metrics' float sums depend on.
+        Weights are positive integers, so relaxing a node at distance ``d``
+        only ever fills buckets beyond ``d``: by the time ``min(buckets)``
+        is popped, every entry at that distance is in it and its distance
+        is final.  Levels are settled in no particular order — the
+        distances are what scoring needs; the order is restored by one
+        sort where a distance set is handed out (:meth:`_in_order`).
         """
-        adjacency = self.out_adj if forward else self.in_adj
-        key_of = self._order_keys.__getitem__
-        dist: dict[NodeId, float] = {}
-        buckets: dict[float, set[NodeId]] = {}
+        if forward:
+            adjacency, per_edge = self.out_adj, self.rows is not None
+        else:
+            adjacency, per_edge = self.in_adj, False
+        dist: dict[Any, int] = {}
+        buckets: dict[int, set[Any]] = {}
         # The source is relaxed but not settled (nonempty paths: it is
-        # reached only through a cycle); 0.0 + float(w) is float(w).
-        level, d = [node], 0.0
+        # reached only through a cycle).
+        level, d = [node], 0
         while True:
             for settled in level:
-                for nxt, weight in adjacency.get(settled, _NO_ROW).items():
-                    if nxt not in dist:
-                        far = d + float(weight)
-                        bucket = buckets.get(far)
-                        if bucket is None:
-                            buckets[far] = {nxt}
-                        else:
-                            bucket.add(nxt)
+                rows = adjacency.get(settled)
+                if rows is None:
+                    continue
+                for row in rows if per_edge else (rows,):
+                    for nxt, weight in row.items():
+                        if nxt not in dist:
+                            far = d + weight
+                            bucket = buckets.get(far)
+                            if bucket is None:
+                                buckets[far] = {nxt}
+                            else:
+                                bucket.add(nxt)
             if not buckets:
                 return dist
             d = min(buckets)
-            level = sorted(
-                [v for v in buckets.pop(d) if v not in dist], key=key_of
-            )
+            level = [v for v in buckets.pop(d) if v not in dist]
             for settled in level:
                 dist[settled] = d
 
-    def node_attrs(self, node: NodeId) -> dict[str, Any]:
+    def impact(self, node: Any) -> float:
+        """The social-impact rank ``f(uo, v)`` of one node (memoized).
+
+        ``(Σ in-distances + Σ out-distances) / |V'r|`` over int distances.
+        Every partial sum of the reference's float sum is an integer below
+        2^53, hence exact, so both divide the same two integers: the ranks
+        are bit-identical.  An isolated node ranks ``+inf``.
+        """
+        score = self._impact.get(node)
+        if score is None:
+            back, out = self._reach(node, False), self._reach(node, True)
+            size = len(back.keys() | out.keys())
+            if size:
+                score = (sum(back.values()) + sum(out.values())) / size
+            else:
+                score = math.inf
+            self._impact[node] = score
+            self.stats["details_scored"] += 1
+        return score
+
+    def node_attrs(self, node: Any) -> dict[str, Any]:
         """Attribute snapshot of one node (copied on first use, memoized)."""
         cached = self._attr_cache.get(node)
         if cached is None:
-            cached = self._attr_cache[node] = dict(
-                self.result_graph.node_attrs(node)
-            )
+            cached = self._attr_cache[node] = dict(self.graph.attrs(self.label_of(node)))
         return cached
 
-    def detail(self, node: NodeId) -> RankedMatch:
-        """The full :class:`RankedMatch` of one match (memoized).
+    def detail(self, node: Any) -> RankedMatch:
+        """The full :class:`RankedMatch` of one match, built on request.
 
         Produces exactly what :func:`repro.ranking.social_impact.rank_detail`
-        would for the same result graph — same rank, same evidence dicts.
+        would for the same result graph — label keys, same rank, same
+        evidence dicts in the same order.
         """
-        cached = self._details.get(node)
-        if cached is not None:
-            self.stats["details_reused"] += 1
-            return cached
         if node not in self.matched_by:
             raise RankingError(f"{node!r} is not a node of the result graph")
-        detail = ranked_match_from_distances(
-            node,
-            self.distances_to(node),
-            self.distances_from(node),
-            dict(self.node_attrs(node)),
+        label_of = self.label_of
+        return RankedMatch(
+            node=label_of(node),
+            rank=self.impact(node),
+            ancestors={label_of(n): d for n, d in self.distances_to(node).items()},
+            descendants={label_of(n): d for n, d in self.distances_from(node).items()},
+            attrs=dict(self.node_attrs(node)),
         )
-        self._details[node] = detail
-        self.stats["details_scored"] += 1
-        return detail
 
     # ------------------------------------------------------------------
     # cheap admissible bounds
     # ------------------------------------------------------------------
-    def min_incident_weight(self, node: NodeId) -> float:
+    def min_incident_weight(self, node: Any) -> float:
         """Smallest witness-edge weight touching ``node`` (``inf`` if none)."""
-        out_row = self.out_adj.get(node) or {}
-        in_row = self.in_adj.get(node) or {}
-        return min(
-            min(out_row.values(), default=math.inf),
-            min(in_row.values(), default=math.inf),
-        )
+        rows = (*self.out_rows(node), self.in_adj.get(node, _NO_ROW))
+        return min((min(row.values()) for row in rows if row), default=math.inf)
 
-    def impact_bound(self, node: NodeId) -> float:
+    def impact_bound(self, node: Any) -> float:
         """Admissible lower bound on the social-impact rank of ``node``.
 
         Every descendant lies at least the minimum outgoing weight away and
@@ -288,8 +430,15 @@ class RankingContext:
         """
         return float(self.min_incident_weight(node))
 
+    def degree(self, node: Any) -> int:
+        """Result-graph in-degree plus out-degree of ``node``."""
+        rows = self.out_rows(node)
+        out = len(rows[0]) if len(rows) == 1 else len(set().union(*rows))
+        return out + len(self.in_adj.get(node, _NO_ROW))
+
     # ------------------------------------------------------------------
-    # memo maintenance (the engine's incremental re-ranking uses these)
+    # memo maintenance (the engine's incremental re-ranking uses these;
+    # both contexts are built from result graphs)
     # ------------------------------------------------------------------
     def carry_over_from(self, old: "RankingContext", changed: set[NodeId]) -> int:
         """Reuse ``old``'s memos for nodes an update provably did not touch.
@@ -300,11 +449,11 @@ class RankingContext:
         or removed edge ``a -> b`` can only alter distances from ``v`` if
         ``a`` was reachable from ``v`` or the path enters through ``b``;
         both endpoints are in ``changed``) and ``v`` itself is unchanged.
-        Returns the number of fully reused details.
+        A score is still valid iff both its distance sets are.  Returns
+        the number of reused scores.
         """
         # ``keys().isdisjoint(set)`` walks the smaller side: ``changed`` is a
         # handful of nodes, a memoized distance dict dozens.
-        reused = 0
         for node, dist in old._dist_out.items():
             if node in changed or node not in self.matched_by:
                 continue
@@ -318,13 +467,13 @@ class RankingContext:
         for node, attrs in old._attr_cache.items():
             if node not in changed and node in self.matched_by:
                 self._attr_cache.setdefault(node, attrs)
-        for node, detail in old._details.items():
-            if node in changed or node not in self.matched_by:
-                continue
-            if detail.ancestors.keys().isdisjoint(
-                changed
-            ) and detail.descendants.keys().isdisjoint(changed):
-                self._details.setdefault(node, detail)
+        reused = 0
+        for node, score in old._impact.items():
+            if (
+                self._dist_out.get(node) is old._dist_out[node]
+                and self._dist_in.get(node) is old._dist_in[node]
+            ):
+                self._impact.setdefault(node, score)
                 reused += 1
         return reused
 
@@ -378,17 +527,31 @@ class RankingContext:
         )
 
 
+def context_for(result: MatchResult, frozen: FrozenGraph | None) -> RankingContext:
+    """The ranking context of one evaluation — the one place that chooses.
+
+    Over the matcher's rows when ``result`` carries
+    :class:`~repro.matching.bounded.MatchRows` over ``frozen``'s ids (a
+    relation-first evaluation); over the result graph otherwise (a cached
+    relation, a compressed-route result, a dict-state evaluation).
+    """
+    rows = result.state
+    if isinstance(rows, MatchRows) and frozen is not None and rows.labels is frozen.labels:
+        return RankingContext.from_rows(result, frozen)
+    return RankingContext(result.result_graph())
+
+
 # ----------------------------------------------------------------------
 # lazy exact top-K selection
 # ----------------------------------------------------------------------
 
 def _lazy_select(
     context: RankingContext,
-    candidates: list[NodeId],
+    candidates: list[Any],
     k: int | None,
-    bound_of: Callable[[NodeId], float],
-    score: Callable[[Sequence[NodeId]], list[float]],
-) -> list[NodeId]:
+    bound_of: Callable[[Any], float],
+    score: Callable[[Sequence[Any]], list[float]],
+) -> list[Any]:
     """Exact top-K node selection with bound-based pruning.
 
     Returns the node ids whose scores ended up computed (a provable
@@ -399,7 +562,8 @@ def _lazy_select(
         score(candidates)
         return candidates
     bounds = {node: bound_of(node) for node in candidates}
-    order = sorted(candidates, key=lambda node: (bounds[node], repr(node)))
+    label_of = context.label_of
+    order = sorted(candidates, key=lambda node: (bounds[node], repr(label_of(node))))
     frontier = order[:k]
     frontier_scores = score(frontier)
     kth = sorted(frontier_scores)[k - 1]
@@ -441,14 +605,13 @@ def bulk_top_k_detail(
     if not candidates:
         return []
 
-    def rank_nodes(nodes: Sequence[NodeId]) -> list[float]:
-        return [context.detail(node).rank for node in nodes]
+    def rank_nodes(nodes: Sequence[Any]) -> list[float]:
+        return [context.impact(node) for node in nodes]
 
     scored = _lazy_select(context, candidates, k, context.impact_bound, rank_nodes)
-    ranked = [context.detail(node) for node in scored]
-    ranked.sort(key=lambda r: (r.rank, repr(r.node)))
-    if k is not None:
-        del ranked[k:]
+    impact, label_of = context._impact, context.label_of
+    best = sorted(scored, key=lambda node: (impact[node], repr(label_of(node))))
+    ranked = [context.detail(node) for node in best[:k]]
     context._ranked[target] = (k, tuple(ranked))
     return ranked
 
@@ -480,7 +643,7 @@ def bulk_top_k_scores(
     else:
         memo = {}
 
-    def score_nodes(nodes: Sequence[NodeId]) -> list[float]:
+    def score_nodes(nodes: Sequence[Any]) -> list[float]:
         for node in nodes:
             if node not in memo:
                 memo[node] = metric.score_bulk(context, node)
@@ -493,6 +656,6 @@ def bulk_top_k_scores(
         lambda node: metric.bound(context, node),
         score_nodes,
     )
-    pairs = [(node, memo[node]) for node in scored]
-    pairs.sort(key=lambda pair: (pair[1], repr(pair[0])))
-    return pairs if k is None else pairs[:k]
+    label_of = context.label_of
+    best = sorted(scored, key=lambda node: (memo[node], repr(label_of(node))))
+    return [(label_of(node), memo[node]) for node in best[:k]]

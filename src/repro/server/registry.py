@@ -61,7 +61,7 @@ from repro.matching.base import MatchResult, Stopwatch
 from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.pattern import Pattern
-from repro.ranking.topk import RankingContext, bulk_top_k_detail
+from repro.ranking.topk import bulk_top_k_detail, context_for
 from repro.testing.faults import fault_point
 
 
@@ -181,7 +181,7 @@ class Epoch:
         if entry is not None:
             return bulk_top_k_detail(entry.context, k)
         result = self.evaluate(pattern, budget=budget)
-        context = RankingContext(result.result_graph())
+        context = context_for(result, self.frozen)
         ranked = bulk_top_k_detail(context, k)
         if not result.stats.get("partial"):
             self.rank_cache.put(key, context)

@@ -16,13 +16,14 @@ result graph (nodes, edges, distances), the same kernel log — the
 reference log is what
 :func:`~repro.matching.bounded.frozen_successor_rows` routes over every
 candidate — and, for a top-K pattern, the same ranking (``repr`` of the
-ranked matches).  The
-served ranking of each top-K pattern (the bulk context's bucket-queue
-Dijkstras) must also equal the reference heap's,
-:func:`~repro.ranking.social_impact.rank_matches` sliced to ``k``: node,
-rank and both evidence dicts in insertion order, floats bit for bit.  Any
-mismatch is printed and the exit status is 1; the median time of each
-construction is printed for information::
+ranked matches).  Each top-K pattern is also ranked the way the server
+ranks it, by ``RankingContext.from_rows`` over the relation-first
+result's int rows, and that ranking must equal both the reference heap's,
+:func:`~repro.ranking.social_impact.rank_matches` sliced to ``k``, and the
+label constructor's, ``RankingContext(result_graph)``: node, rank, both
+evidence dicts in insertion order, floats bit for bit, and attributes.
+Any mismatch is printed, with a count per comparison, and the exit status
+is 1; the median time of each construction is printed for information::
 
     PYTHONPATH=src:. timeout 300 python tests/relation_first_parity.py --seed 0
 """
@@ -78,13 +79,13 @@ def main(argv: list[str] | None = None) -> int:
 
     def evidence(ranked):
         return repr([
-            (m.node, m.rank, list(m.ancestors.items()), list(m.descendants.items()))
+            (m.node, m.rank, list(m.ancestors.items()), list(m.descendants.items()), m.attrs)
             for m in ranked
         ])
 
     ops = [op for stream in workload.streams for op in stream]
     mismatches: list[str] = []
-    heap_mismatches = 0
+    heap_mismatches = label_mismatches = 0
     timings: dict[str, list[float]] = {"relation-first": [], "dict-state": []}
     counts = {"evaluate": 0, "topk": 0}
     for op in ops:
@@ -109,20 +110,26 @@ def main(argv: list[str] | None = None) -> int:
             mismatches.append(f"{where}: result graph")
         if op["op"] == "topk":
             result_graph = fresh.result_graph()
-            served = bulk_top_k_detail(RankingContext(result_graph), op["k"])
+            served = bulk_top_k_detail(RankingContext.from_rows(fresh, frozen), op["k"])
+            labelled = bulk_top_k_detail(RankingContext(result_graph), op["k"])
             older = bulk_top_k_detail(RankingContext(reference.result_graph()), op["k"])
-            if repr(served) != repr(older):
+            if repr(labelled) != repr(older):
                 mismatches.append(f"{where}: ranking")
             if evidence(served) != evidence(rank_matches(result_graph)[: op["k"]]):
                 heap_mismatches += 1
-                mismatches.append(f"{where}: ranking vs reference heap")
+                mismatches.append(f"{where}: ranking from rows vs reference heap")
+            if evidence(served) != evidence(labelled):
+                label_mismatches += 1
+                mismatches.append(f"{where}: ranking from rows vs label constructor")
 
     for name, seconds in timings.items():
         print(f"{name}: median {statistics.median(seconds) * 1e3:.1f} ms over {len(seconds)}")
     print(f"checked {counts['evaluate']} evaluate + {counts['topk']} top-K patterns "
           f"(serve_cold seed {args.seed}, {args.scale}): {len(mismatches)} mismatches")
-    print(f"served top-K ranking vs reference heap: {heap_mismatches} mismatches "
-          f"over {counts['topk']} patterns")
+    print(f"served top-K ranking (from rows) vs reference heap: {heap_mismatches} "
+          f"mismatches over {counts['topk']} patterns")
+    print(f"served top-K ranking (from rows) vs label constructor: {label_mismatches} "
+          f"mismatches over {counts['topk']} patterns")
     for line in mismatches:
         print("  " + line)
     return 1 if mismatches else 0

@@ -32,6 +32,7 @@ MODULE_NAMES = [
     "repro.pattern.pattern",
     "repro.pattern.predicates",
     "repro.ranking.social_impact",
+    "repro.ranking.topk",
 ]
 
 

@@ -23,6 +23,7 @@ from repro.engine.engine import QueryEngine
 from repro.errors import RankingError
 from repro.expfinder import ExpFinder
 from repro.graph.digraph import Graph
+from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
 from repro.incremental.updates import EdgeInsertion, NodeInsertion
 from repro.matching.bounded import match_bounded
@@ -78,6 +79,45 @@ def random_ranked_case(seed: int) -> tuple[Graph, Pattern]:
     for source, target in pairs[: rng.randint(0, len(pairs))]:
         pattern.add_edge(source, target, rng.choice([1, 2, 3, None]))
     return graph, pattern
+
+
+def rows_ranked_case(seed: int) -> tuple[Graph, Pattern]:
+    """:func:`random_ranked_case` plus what the rows constructor must read
+    exactly: a cycle of ``str`` labels beside the ``int`` ones, an isolated
+    node, and by seed either an output node with two pattern edges whose
+    targets overlap (a node matching both; a cycle back through it) or an
+    output node with no pattern edge at all (isolated matches, rank inf)."""
+    graph, pattern = random_ranked_case(seed)
+    for index, label in enumerate(("L0", "L1", "L0")):
+        graph.add_node(f"c{index}", label=label, x=5)
+    for source, target in (("c0", "c1"), ("c1", "c2"), ("c2", "c0"), ("c0", 0), (1, "c2")):
+        graph.add_edge(source, target)
+    graph.add_node("lonely", label="L0", x=9)
+    shape = seed % 3
+    if shape == 1:
+        pattern = Pattern(f"overlap-s{seed}")
+        pattern.add_node("OUT", None, output=True)
+        pattern.add_node("Q0", "x >= 1")
+        pattern.add_node("Q1", None)
+        pattern.add_edge("OUT", "Q0", 2)
+        pattern.add_edge("OUT", "Q1", 3)
+        pattern.add_edge("Q1", "OUT", 2)
+    elif shape == 2:
+        pattern = Pattern(f"apart-s{seed}")
+        pattern.add_node("OUT", 'label == "L0"', output=True)
+        pattern.add_node("Q0", None)
+        pattern.add_node("Q1", "x >= 1")
+        pattern.add_edge("Q0", "Q1", 1)
+    return graph, pattern
+
+
+def evidence(ranked) -> str:
+    """Everything a ranked list carries, dict insertion order and float
+    bits included (``repr`` of a float round-trips)."""
+    return repr([
+        (m.node, m.rank, list(m.ancestors.items()), list(m.descendants.items()), m.attrs)
+        for m in ranked
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +283,54 @@ class TestDifferential:
                     f"seed={seed} metric={metric.name} k={k}: lazy top-K diverged"
                 )
 
+    @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS, ids=lambda s: f"seed{s}")
+    def test_rows_constructor_identical_to_label_constructor(self, seed):
+        graph, pattern = rows_ranked_case(seed)
+        frozen = FrozenGraph.freeze(graph)
+        result = match_bounded(graph, pattern, frozen=frozen)
+        result_graph = result.result_graph()
+        for pattern_node in pattern.nodes():
+            naive = rank_matches(result_graph, pattern_node)
+            for k in (1, 3, None):
+                label = bulk_top_k_detail(RankingContext(result_graph), k, pattern_node)
+                rows = bulk_top_k_detail(
+                    RankingContext.from_rows(result, frozen), k, pattern_node
+                )
+                assert evidence(rows) == evidence(label) == evidence(naive[:k]), (
+                    f"seed={seed} node={pattern_node} k={k}: ranking diverged"
+                )
+            for metric in METRICS.values():
+                naive_scores = metric.rank_all(result_graph, pattern_node)
+                for k in (1, 3, None):
+                    label_scores = bulk_top_k_scores(
+                        RankingContext(result_graph), k, metric, pattern_node
+                    )
+                    rows_scores = bulk_top_k_scores(
+                        RankingContext.from_rows(result, frozen), k, metric, pattern_node
+                    )
+                    assert repr(rows_scores) == repr(label_scores) == repr(
+                        naive_scores[:k]
+                    ), f"seed={seed} node={pattern_node} {metric.name} k={k}: diverged"
+
+    def test_rows_cases_cover_what_the_rows_constructor_merges(self):
+        """The inputs above are not vacuous: across the seeds some match
+        reaches itself around a cycle, some node holds two rows reaching
+        one target, and some match ranks ``inf``."""
+        cyclic = overlapping = isolated = 0
+        for seed in DIFFERENTIAL_SEEDS:
+            graph, pattern = rows_ranked_case(seed)
+            frozen = FrozenGraph.freeze(graph)
+            result = match_bounded(graph, pattern, frozen=frozen)
+            context = RankingContext.from_rows(result, frozen)
+            for node in context.matched_by:
+                rows = context.out_rows(node)
+                overlapping += len(rows) > 1 and bool(set(rows[0]) & set(rows[1]))
+                cyclic += node in context.distances_from(node)
+            isolated += sum(
+                match.rank == math.inf for match in bulk_top_k_detail(context, None)
+            )
+        assert cyclic and overlapping and isolated
+
     @staticmethod
     def farmed_top_k(engine, name, pattern, k):
         """Top-K over the relation a two-query worker batch cached: the
@@ -380,7 +468,12 @@ class TestIncrementalRerank:
         before = engine.top_k("teams", pattern, 10)
         assert {match.node for match in before} == {"a1", "a2"}
         key = cache_key("teams", pattern)
-        untouched_before = engine._rank_cache.peek(key).context._details["a1"]
+        context_before = engine._rank_cache.peek(key).context
+        untouched_before = (
+            context_before._impact["a1"],
+            context_before._dist_in["a1"],
+            context_before._dist_out["a1"],
+        )
 
         # Grow team 2 only: a new SD within reach of a2.
         summary = engine.update_graph(
@@ -397,9 +490,16 @@ class TestIncrementalRerank:
         after = engine.top_k("teams", pattern, 10)
         fresh = rank_matches(match_bounded(graph, pattern).result_graph())
         assert after == fresh[:10]
-        # The untouched match was *not* re-ranked: same object, not a copy.
-        untouched_after = engine._rank_cache.peek(key).context._details["a1"]
-        assert untouched_after is untouched_before
+        # The untouched match was *not* re-ranked: its score and both
+        # distance sets are the same objects, not recomputed copies.
+        context_after = engine._rank_cache.peek(key).context
+        assert context_after is not context_before
+        untouched_after = (
+            context_after._impact["a1"],
+            context_after._dist_in["a1"],
+            context_after._dist_out["a1"],
+        )
+        assert all(a is b for a, b in zip(untouched_after, untouched_before))
         # And the refreshed entry serves reads: a hit, nothing dropped.
         stats = engine.rank_cache_stats()
         assert stats["hits"] == 1 and stats["invalidations"] == 0
@@ -430,6 +530,39 @@ class TestIncrementalRerank:
                 assert maintained == recomputed, (
                     f"seed={seed}: maintained ranking diverged after update"
                 )
+
+    def test_pinning_after_an_unpinned_top_k_rebuilds_the_rows_context(self):
+        """An unpinned top-K ranks from the matcher's rows, keyed by snapshot
+        ids; pinning the query leaves that context cached.  The first update
+        takes the full-rebuild branch: there is no result graph to patch and
+        nothing keyed by ids carries over."""
+        graph = two_team_graph()
+        engine = QueryEngine()
+        engine.register_graph("teams", graph)
+        pattern = team_pattern()
+        engine.top_k("teams", pattern, 10)
+        key = cache_key("teams", pattern)
+        old = engine._rank_cache.peek(key).context
+        assert old.rows is not None and len(old._impact) == 2
+        engine.pin("teams", pattern)
+        summary = engine.update_graph(
+            "teams",
+            [
+                NodeInsertion.with_attrs("x2", field="SD", experience=5),
+                EdgeInsertion("a2", "x2"),
+            ],
+        )
+        refreshed = engine._rank_cache.peek(key).context
+        assert refreshed.rows is None
+        assert summary["rank_maintenance"][pattern.canonical_key()] == {
+            "reused": 0,
+            "rescored": 2,
+            "changed_nodes": 5,  # a1 b1 a2 b2, and x2 joined
+        }
+        after = engine.top_k("teams", pattern, 10)
+        assert engine._rank_cache.peek(key).context is refreshed
+        assert after == rank_matches(match_bounded(graph, pattern).result_graph())
+        assert engine.rank_cache_stats()["hits"] == 1
 
     def test_unpinned_queries_lose_rank_entries_on_update(self):
         graph = two_team_graph()

@@ -17,7 +17,7 @@ done from scratch on the same graph, after *every* update:
 * identity: an empty ``ΔM`` keeps the relation object, an unchanged
   result graph keeps the context object (and the next ``top_k`` selects
   nothing), a changed one gets a new context that carries untouched
-  details over by identity.
+  scores and their distance sets over by identity.
 
 The streams mix all five update kinds over bounded and plain-simulation
 patterns, in batches of several updates, on graphs small enough that
@@ -195,9 +195,9 @@ class PinnedTwin:
         reused = reference_context.carry_over_from(old_context, changed)
         rescored = sum(
             1
-            for node in old_context._details
+            for node in old_context._impact
             if node in reference_context.matched_by
-            and node not in reference_context._details
+            and node not in reference_context._impact
         )
         assert summary["rank_maintenance"][key] == {
             "reused": reused,
@@ -217,9 +217,13 @@ class PinnedTwin:
         else:
             assert context is not old_context
             self.replaced += 1
-            for node, detail in reference_context._details.items():
-                assert context._details[node] is detail
-                assert detail is old_context._details[node]
+            for node, score in reference_context._impact.items():
+                assert context._impact[node] is score
+                assert score is old_context._impact[node]
+                for memo in ("_dist_in", "_dist_out"):
+                    carried = getattr(reference_context, memo)[node]
+                    assert getattr(context, memo)[node] is carried
+                    assert carried is getattr(old_context, memo)[node]
 
         # rankings against ranking the recomputed result
         assert self.engine.evaluate(NAME, pattern).stats["route"] == "cache"
@@ -384,20 +388,20 @@ def test_unchanged_result_graph_keeps_context_and_ranked_prefix(lazy_selects):
     twin.engine.top_k(NAME, pattern, ALL)
     _cache_entry, rank_entry = twin.entries(pattern)
     context = rank_entry.context
-    details = dict(context._details)
-    assert details
+    scores = dict(context._impact)
+    assert scores
     # an isolated newcomer that matches nothing cannot move the result graph
     lazy_selects.clear()
     summary = twin.engine.update_graph(
         NAME, [NodeInsertion.with_attrs(999, label="L9", x=0), EdgeInsertion(999, 0)]
     )
     assert summary["rank_maintenance"][pattern.canonical_key()] == {
-        "reused": len(details),
+        "reused": len(scores),
         "rescored": 0,
         "changed_nodes": 0,
     }
     assert twin.entries(pattern)[1].context is context
-    assert context._details == details
+    assert context._impact == scores
     ranked = twin.engine.top_k(NAME, pattern, 3)
     assert lazy_selects == []
     assert ranked == rank_matches(match_bounded(graph, pattern).result_graph())[:3]

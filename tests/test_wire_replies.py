@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.datasets.paper_example import paper_graph, paper_pattern
+from repro.engine.cache import cache_key
 from repro.engine.engine import QueryEngine
 from repro.incremental.updates import EdgeDeletion
 from repro.matching.base import MatchRelation
@@ -112,6 +113,30 @@ class TestBytesEqualTheDictApi:
         assert reply["stats"]["route"] == "cache"
         assert list(reply) == ["graph", "epoch", "graph_version", "relation", "stats"]
         assert reply["relation"] == expected_relation().to_dict()
+
+    def test_topk_over_a_cached_relation_has_the_cold_bytes(self):
+        """``evaluate`` then ``top_k`` on one epoch: a query-cache hit and a
+        rank-cache miss, so the ranking reads the result graph (a cached
+        relation carries no rows).  Its reply bytes equal a cold ``top_k``,
+        which ranks the matcher's rows, on a fresh epoch."""
+        request = ("POST", "/graphs/fig1/topk", {"pattern": PATTERN, "k": 5})
+        replies, rows = [], []
+        for warm in (True, False):
+            service = ExpFinderService()
+            service.register_graph("fig1", paper_graph())
+            with QueryServer(service) as srv:
+                srv.start()
+                if warm:
+                    raw(srv, "POST", "/graphs/fig1/evaluate", {"pattern": PATTERN})
+                status, body = raw(srv, *request)
+                assert status == 200
+                replies.append(body)
+                with service.registry.pin("fig1") as epoch:
+                    key = cache_key("fig1", parse_pattern(PATTERN, name="pattern"))
+                    rows.append(epoch.rank_cache.peek(key).context.rows is not None)
+        assert rows == [False, True]
+        assert replies[0] == replies[1]
+        assert len(json.loads(replies[0])["experts"]) == 2
 
     def test_update(self, server):
         spy = Spy(server.service)
