@@ -183,9 +183,12 @@ class RankingContext:
             self.in_adj = dict(result_graph.in_adjacency())
             self.matched_by = dict(result_graph.match_map())
         else:
-            assert result is not None and frozen is not None
-            rows = result.state
-            assert isinstance(rows, MatchRows)
+            rows = _rows_over(result, frozen)
+            if rows is None or result is None or frozen is None:
+                raise RankingError(
+                    "a context over rows needs a relation-first result "
+                    "evaluated over the given snapshot"
+                )
             self.pattern, self.graph = result.pattern, result.graph
             self.rows = rows
             self.label_of = frozen.labels.__getitem__
@@ -248,9 +251,10 @@ class RankingContext:
         """The context of a relation-first result, over ``frozen``'s ids.
 
         ``result.state`` must be the :class:`~repro.matching.bounded.MatchRows`
-        the matcher built over ``frozen``.  No result graph is built; the
-        context's nodes (:meth:`matches`, :meth:`detail`) are dense ids and
-        ``label_of`` maps them back.
+        the matcher built over ``frozen`` (:class:`RankingError`
+        otherwise).  No result graph is built; the context's nodes
+        (:meth:`matches`, :meth:`detail`) are dense ids and ``label_of``
+        maps them back.
         """
         return cls(result=result, frozen=frozen)
 
@@ -527,6 +531,21 @@ class RankingContext:
         )
 
 
+def _rows_over(
+    result: MatchResult | None, frozen: FrozenGraph | None
+) -> MatchRows | None:
+    """``result``'s rows if they are over ``frozen``'s ids, else ``None``.
+
+    A patched snapshot shares its predecessor's ``labels`` unless nodes
+    were inserted, and ids never move while it does, so the same
+    ``labels`` object means the same ids.
+    """
+    rows = None if result is None else result.state
+    if isinstance(rows, MatchRows) and frozen is not None and rows.labels is frozen.labels:
+        return rows
+    return None
+
+
 def context_for(result: MatchResult, frozen: FrozenGraph | None) -> RankingContext:
     """The ranking context of one evaluation — the one place that chooses.
 
@@ -535,8 +554,7 @@ def context_for(result: MatchResult, frozen: FrozenGraph | None) -> RankingConte
     relation-first evaluation); over the result graph otherwise (a cached
     relation, a compressed-route result, a dict-state evaluation).
     """
-    rows = result.state
-    if isinstance(rows, MatchRows) and frozen is not None and rows.labels is frozen.labels:
+    if _rows_over(result, frozen) is not None:
         return RankingContext.from_rows(result, frozen)
     return RankingContext(result.result_graph())
 
@@ -570,7 +588,7 @@ def _lazy_select(
     # A candidate whose optimistic bound already exceeds the k-th best
     # *confirmed* score cannot enter the top-K (its true score is at least
     # its bound); ties at the k-th score must still be scored because the
-    # node-id tie-break can prefer them.
+    # label tie-break can prefer them.
     rest = [node for node in order[k:] if bounds[node] <= kth]
     context.stats["pruned_by_bound"] += len(order) - k - len(rest)
     score(rest)

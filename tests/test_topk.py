@@ -238,6 +238,34 @@ class TestRankingEdgeCases:
         with pytest.raises(RankingError, match="not a node"):
             context.detail("Nobody")
 
+    def test_rows_context_needs_rows_over_the_snapshot(self):
+        graph = paper_graph()
+        frozen = FrozenGraph.freeze(graph)
+        for result in (
+            match_bounded(graph, paper_pattern()),  # dict state, no rows
+            match_bounded(graph, paper_pattern(), frozen=FrozenGraph.freeze(graph)),
+        ):
+            with pytest.raises(RankingError, match="relation-first"):
+                RankingContext.from_rows(result, frozen)
+
+    def test_custom_metric_scores_labels_over_a_rows_context(self):
+        # A metric without score_bulk scores the result graph by label; the
+        # engine's unpinned context is built from rows (ids).
+        from repro.ranking.metrics import RankingMetric
+
+        class LabelLength(RankingMetric):
+            def score(self, result_graph, node):
+                assert node in result_graph
+                return float(len(str(node)))
+
+        engine = QueryEngine()
+        engine.register_graph("fig1", paper_graph())
+        ranked = engine.top_k("fig1", paper_pattern(), 2, metric=LabelLength())
+        key = cache_key("fig1", paper_pattern())
+        assert engine._rank_cache.peek(key).context.rows is not None
+        result_graph = match_bounded(paper_graph(), paper_pattern()).result_graph()
+        assert ranked == LabelLength().rank_all(result_graph)[:2]
+
     def test_bounds_are_admissible(self):
         # The cheap bound must never exceed the true score — the lazy
         # top-K's exactness hangs on this.
