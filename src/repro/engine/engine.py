@@ -1149,8 +1149,8 @@ class QueryEngine:
                 )
             # A rewritten attribute moves no row but is part of the evidence.
             candidates.update(node for node in written if node in old)
-        if result_graph is old.result_graph and not candidates:
-            return {"reused": len(old._impact), "rescored": 0, "changed_nodes": 0}
+            if result_graph is old.result_graph and not candidates:
+                return {"reused": len(old._impact), "rescored": 0, "changed_nodes": 0}
         fresh_context = RankingContext(result_graph)
         if old.rows is None:
             changed = fresh_context.diff_nodes(old, candidates)

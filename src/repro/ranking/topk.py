@@ -195,31 +195,18 @@ class RankingContext:
             ids = frozen.ids()
             matched_by: dict[int, set[str]] = {}
             for pattern_node, label in result.relation.pairs():
-                members = matched_by.get(ids[label])
-                if members is None:
-                    matched_by[ids[label]] = {pattern_node}
-                else:
-                    members.add(pattern_node)
-            # A pattern edge's row is shared as is; a node that matches
-            # several pattern nodes holds several rows, and a target two of
-            # them reach is relaxed twice — Dijkstra keeps the shorter.  The
-            # one reverse row set keeps the shorter weight itself, which only
-            # a source's second row can undercut.
+                matched_by.setdefault(ids[label], set()).add(pattern_node)
+            # A pattern edge's row is shared as is: a node that matches
+            # several pattern nodes holds several rows.  A pair two of them
+            # both hold has one weight, its distance in the data graph, so
+            # the reverse rows need no minimum.
             out_adj: dict[int, tuple[Mapping[int, int], ...]] = {}
             in_adj: defaultdict[int, dict[int, int]] = defaultdict(dict)
             for edge_rows in rows.rows.values():
                 for source, row in edge_rows.items():
-                    held = out_adj.get(source)
-                    if held is None:
-                        out_adj[source] = (row,)
-                        for target, dist in row.items():
-                            in_adj[target][source] = dist
-                        continue
-                    out_adj[source] = held + (row,)
+                    out_adj[source] = out_adj.get(source, ()) + (row,)
                     for target, dist in row.items():
-                        back = in_adj[target]
-                        if back.get(source, dist) >= dist:
-                            back[source] = dist
+                        in_adj[target][source] = dist
             self.out_adj, self.in_adj = out_adj, dict(in_adj)
             self.matched_by = matched_by
         # Node attributes are fetched (and copied) lazily, per returned

@@ -582,6 +582,7 @@ class TestIncrementalRerank:
         )
         refreshed = engine._rank_cache.peek(key).context
         assert refreshed.rows is None
+        assert old._result_graph is None  # rebuilt from the maintainer alone
         assert summary["rank_maintenance"][pattern.canonical_key()] == {
             "reused": 0,
             "rescored": 2,
