@@ -22,6 +22,7 @@ from typing import Hashable
 from repro.errors import CompressionError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.frozen import FrozenGraph
+from repro.graph.index import AttributeIndex
 from repro.compression.equivalence import (
     LabelFn,
     Partition,
@@ -64,10 +65,23 @@ class CompressedGraph:
     node_to_class / members:
         The partition in both directions; each class lists its members in
         the original graph's node order.
+    index:
+        An :class:`~repro.graph.index.AttributeIndex` over the quotient
+        that the compressed route draws candidates from, or ``None`` (a
+        static compression: candidates are scanned).
+
+    A static compression owns its quotient.  One handed out by
+    :meth:`MaintainedCompression.compressed
+    <repro.compression.maintain.MaintainedCompression.compressed>` is a
+    *view* of the current version, valid until the next update (like
+    ``RegisteredGraph.graph``): its quotient is the maintainer's live one,
+    and ``frozen`` — the snapshot the maintainer patched for this version
+    — is immutable, so a reader holding it keeps an exact picture of the
+    version it was taken at.
     """
 
     __slots__ = (
-        "original", "quotient", "node_to_class", "members", "spec", "_frozen"
+        "original", "quotient", "node_to_class", "members", "spec", "index", "_frozen"
     )
 
     def __init__(
@@ -77,18 +91,21 @@ class CompressedGraph:
         node_to_class: dict[NodeId, str],
         members: dict[str, list[NodeId]],
         spec: CompressionSpec,
+        frozen: FrozenGraph | None = None,
+        index: AttributeIndex | None = None,
     ) -> None:
         self.original = original
         self.quotient = quotient
         self.node_to_class = node_to_class
         self.members = members
         self.spec = spec
-        self._frozen: FrozenGraph | None = None
+        self.index = index
+        self._frozen = frozen
 
     def frozen(self) -> FrozenGraph:
-        """A frozen snapshot of the quotient, built on first use and kept
-        until it stops matching the quotient (the engine's compressed
-        route evaluates over it)."""
+        """A frozen snapshot of the quotient: the one handed in, else built
+        on first use, and kept until it stops matching the quotient (the
+        engine's compressed route evaluates over it)."""
         if self._frozen is None or not self._frozen.matches(self.quotient):
             self._frozen = FrozenGraph.freeze(self.quotient)
         return self._frozen
@@ -153,6 +170,15 @@ def label_function(graph: Graph, attrs: tuple[str, ...]) -> LabelFn:
     return label_of
 
 
+def class_attrs(
+    graph: Graph, representative: NodeId, attrs: tuple[str, ...], size: int
+) -> dict[str, object]:
+    """A class node's attributes: the compression label, read off any one
+    member (all members share it), plus ``_size``, the member count."""
+    node_attrs = graph.attrs(representative)
+    return {"_size": size, **{a: node_attrs.get(a) for a in attrs}}
+
+
 def build_quotient(
     graph: Graph, partition: Partition, spec: CompressionSpec
 ) -> CompressedGraph:
@@ -171,9 +197,7 @@ def build_quotient(
 
     quotient = Graph(name=f"{graph.name}~{spec.method}" if graph.name else "quotient")
     for cls, nodes in members.items():
-        representative = graph.attrs(nodes[0])
-        label_attrs = {a: representative.get(a) for a in spec.attrs}
-        quotient.add_node(cls, _size=len(nodes), **label_attrs)
+        quotient.add_node(cls, **class_attrs(graph, nodes[0], spec.attrs, len(nodes)))
     for source, target in graph.edges():
         quotient.add_edge(node_to_class[source], node_to_class[target])
     return CompressedGraph(graph, quotient, node_to_class, members, spec)

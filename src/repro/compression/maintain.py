@@ -11,6 +11,15 @@ edge updates without recompressing:
   propagating dirtiness to predecessor classes until the partition is
   signature-stable again.
 
+The quotient graph follows the partition the same way: after each
+primitive, every class-edge counter that crossed 0 becomes an edge
+insertion or deletion, a new class a node insertion, an emptied class a
+node deletion and a changed class size or label an attribute write — the
+update vocabulary of :mod:`repro.incremental.updates`, applied to one live
+quotient and replayed into its frozen snapshot by
+:meth:`~repro.graph.frozen.FrozenGraph.patched` instead of a rebuild and
+a refreeze per graph version.
+
 Splitting never merges, so long update sequences can leave the partition
 finer than optimal — correctness is unaffected (a finer stable partition is
 still query-preserving), only the compression ratio decays.  Call
@@ -31,9 +40,13 @@ from collections import deque
 
 from repro.errors import CompressionError
 from repro.graph.digraph import Graph, NodeId
+from repro.graph.frozen import FrozenGraph
+from repro.graph.index import AttributeIndex
 from repro.compression.compress import (
     CompressedGraph,
     CompressionSpec,
+    build_quotient,
+    class_attrs,
     label_function,
 )
 from repro.compression.equivalence import bisimulation_partition
@@ -41,6 +54,7 @@ from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
     EdgeInsertion,
+    NodeDeletion,
     NodeInsertion,
     Update,
     ensure_applied,
@@ -67,11 +81,10 @@ class MaintainedCompression:
         self.spec = CompressionSpec(attrs=tuple(attrs), method="bisimulation")
         self.staleness = 0
         self._label_of = label_function(graph, self.spec.attrs)
-        self._node_class: dict[NodeId, ClassId] = {}
-        self._class_members: dict[ClassId, set[NodeId]] = {}
-        self._edge_count: dict[ClassEdge, int] = {}
-        self._next_index = 0
-        self._cached: CompressedGraph | None = None
+        # Classes and class edges the current primitive touched: the
+        # quotient is brought in line with them once it is done.
+        self._dirty_classes: dict[ClassId, None] = {}
+        self._dirty_edges: dict[ClassEdge, None] = {}
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -79,21 +92,25 @@ class MaintainedCompression:
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         partition = bisimulation_partition(self.graph, self._label_of)
-        self._node_class.clear()
-        self._class_members.clear()
-        self._edge_count.clear()
-        self._next_index = 0
-        seen: dict[int, ClassId] = {}
-        for node in self.graph.nodes():
-            raw = partition[node]
-            if raw not in seen:
-                seen[raw] = self._new_class_id()
-                self._class_members[seen[raw]] = set()
-            self._node_class[node] = seen[raw]
-            self._class_members[seen[raw]].add(node)
+        built = build_quotient(self.graph, partition, self.spec)
+        self._node_class: dict[NodeId, ClassId] = built.node_to_class
+        self._class_members: dict[ClassId, set[NodeId]] = {
+            cid: set(members) for cid, members in built.members.items()
+        }
+        self._edge_count: dict[ClassEdge, int] = {}
         for source, target in self.graph.edges():
-            self._bump_edge(self._node_class[source], self._node_class[target], +1)
-        self._cached = None
+            key = (self._node_class[source], self._node_class[target])
+            self._edge_count[key] = self._edge_count.get(key, 0) + 1
+        self._next_index = len(self._class_members)
+        # The live quotient, written only through update primitives; its
+        # postings build on the first compressed-route query.
+        self._quotient = built.quotient
+        self._index = AttributeIndex(self._quotient)
+        # The last snapshot handed out (None: the next one is a full
+        # freeze) and the primitives the quotient took since.
+        self._snapshot: FrozenGraph | None = None
+        self._pending: list[Update] = []
+        self._cached: CompressedGraph | None = None
 
     def recompress(self) -> None:
         """Throw the partition away and recompute the coarsest one."""
@@ -115,7 +132,8 @@ class MaintainedCompression:
         (node deletions arrive after their incident edge deletions); the
         partition only follows it.  A primitive the graph does not reflect
         is an :class:`~repro.errors.UpdateError`, with the partition
-        untouched.
+        untouched — quotient included.  Once the partition is stable
+        again, the quotient takes the primitives that bring it in line.
         """
         ensure_applied(self.graph, update)
         if isinstance(update, EdgeInsertion):
@@ -129,6 +147,7 @@ class MaintainedCompression:
         else:  # NodeDeletion
             self._node_removed(update.node)
         self._cached = None
+        self._sync_quotient()
         self.staleness += 1
 
     def _edge_changed(self, source: NodeId, target: NodeId, delta: int) -> None:
@@ -143,11 +162,13 @@ class MaintainedCompression:
         cid = self._new_class_id()
         self._class_members[cid] = {node}
         self._node_class[node] = cid
+        self._dirty_classes[cid] = None
 
     def _label_maybe_changed(self, node: NodeId) -> None:
         """After an attribute update, re-home the node if its compression
         label no longer matches its class."""
         cid = self._node_class[node]
+        self._dirty_classes[cid] = None  # a singleton's label is its class's
         peers = self._class_members[cid] - {node}
         if not peers:
             return  # singleton classes stay label-uniform by definition
@@ -161,6 +182,7 @@ class MaintainedCompression:
         new_cid = self._new_class_id()
         self._class_members[new_cid] = {node}
         self._node_class[node] = new_cid
+        self._dirty_classes[new_cid] = None
         self._shift_incident_edges(touched, touched_set, delta=+1)
         dirty = self._dirty_after_split(cid, [new_cid], touched)
         self._stabilize(deque(dirty))
@@ -172,6 +194,7 @@ class MaintainedCompression:
         members.discard(node)
         if not members:
             del self._class_members[cid]
+        self._dirty_classes[cid] = None
 
     # ------------------------------------------------------------------
     # split-based stabilization
@@ -200,9 +223,11 @@ class MaintainedCompression:
 
             self._shift_incident_edges(touched, touched_set, delta=-1)
             new_ids: list[ClassId] = []
+            self._dirty_classes[cid] = None
             for group in moved_groups:
                 new_cid = self._new_class_id()
                 new_ids.append(new_cid)
+                self._dirty_classes[new_cid] = None
                 self._class_members[new_cid] = set(group)
                 for member in group:
                     self._node_class[member] = new_cid
@@ -247,22 +272,75 @@ class MaintainedCompression:
             self._edge_count.pop(key, None)
         else:
             self._edge_count[key] = value
+        self._dirty_edges[key] = None
+
+    # ------------------------------------------------------------------
+    # the live quotient
+    # ------------------------------------------------------------------
+    def _sync_quotient(self) -> None:
+        """Write what the last primitive changed into the quotient, as
+        update primitives: classes that appeared or changed size or label
+        first, then class edges whose counter crossed 0 (a counter that
+        went 0 -> 1 -> 0 inside one primitive writes nothing), then
+        classes that emptied."""
+        quotient = self._quotient
+        primitives: list[Update] = []
+        emptied: list[Update] = []
+        for cid in self._dirty_classes:
+            members = self._class_members.get(cid)
+            if members is None:
+                emptied.append(NodeDeletion(cid))
+                continue
+            attrs = class_attrs(self.graph, next(iter(members)), self.spec.attrs, len(members))
+            if cid not in quotient:
+                primitives.append(NodeInsertion.with_attrs(cid, **attrs))
+                continue
+            current = quotient.attrs(cid)
+            primitives += [
+                AttributeUpdate(cid, attr, value)
+                for attr, value in attrs.items()
+                if current.get(attr) != value
+            ]
+        for key in self._dirty_edges:
+            if (key in self._edge_count) != quotient.has_edge(*key):
+                primitives.append(
+                    EdgeInsertion(*key) if key in self._edge_count else EdgeDeletion(*key)
+                )
+        primitives += emptied
+        self._dirty_classes.clear()
+        self._dirty_edges.clear()
+        for primitive in primitives:
+            primitive.apply(quotient)
+            self._index.on_update(primitive)
+        if self._snapshot is not None:
+            self._pending += primitives
+            # Past |Gc| primitives a full freeze costs less than the patch.
+            if len(self._pending) > quotient.size:
+                self._snapshot, self._pending = None, []
 
     # ------------------------------------------------------------------
     # views / diagnostics
     # ------------------------------------------------------------------
     def compressed(self) -> CompressedGraph:
-        """The current compressed graph (rebuilt lazily after changes)."""
+        """The current compressed graph: a view of this version.
+
+        The view is valid until the next update (like
+        ``RegisteredGraph.graph``): its ``quotient`` is the live quotient
+        the next primitive writes, while its partition maps are this
+        version's.  Its ``frozen()`` snapshot is immutable — the previous
+        one patched with the quotient primitives taken since
+        (:meth:`FrozenGraph.patched`), a full freeze only where that
+        declines (a class deletion, the value-pool bound) and after
+        :meth:`recompress` — and its ``index`` is the quotient's
+        attribute index, maintained through the same primitives.
+        """
         if self._cached is None:
-            quotient = Graph(
-                name=f"{self.graph.name}~maintained" if self.graph.name else "quotient"
-            )
-            for cid, members in self._class_members.items():
-                representative = self.graph.attrs(next(iter(members)))
-                label_attrs = {a: representative.get(a) for a in self.spec.attrs}
-                quotient.add_node(cid, _size=len(members), **label_attrs)
-            for (source_class, target_class) in self._edge_count:
-                quotient.add_edge(source_class, target_class)
+            snapshot = self._snapshot
+            if snapshot is not None and self._pending:
+                snapshot = snapshot.patched(self._quotient, self._pending)
+            if snapshot is None:
+                snapshot = FrozenGraph.freeze(self._quotient)
+            self._snapshot, self._pending = snapshot, []
             # Members in graph order, as build_quotient lists them.
             members: dict[ClassId, list[NodeId]] = {
                 cid: [] for cid in self._class_members
@@ -270,7 +348,13 @@ class MaintainedCompression:
             for node in self.graph.nodes():
                 members[self._node_class[node]].append(node)
             self._cached = CompressedGraph(
-                self.graph, quotient, dict(self._node_class), members, self.spec
+                self.graph,
+                self._quotient,
+                dict(self._node_class),
+                members,
+                self.spec,
+                frozen=snapshot,
+                index=self._index,
             )
         return self._cached
 
@@ -279,7 +363,8 @@ class MaintainedCompression:
         return len(self._class_members)
 
     def check_partition(self) -> None:
-        """Verify signature stability and counter consistency (test support)."""
+        """Verify signature stability, counter consistency and that the
+        live quotient is the partition's (test support)."""
         from repro.compression.equivalence import is_stable_partition
 
         numeric = {
@@ -297,3 +382,14 @@ class MaintainedCompression:
             for member in members:
                 if self._node_class[member] != cid:
                     raise CompressionError("node/class maps out of sync")
+        quotient = self._quotient
+        if set(quotient.nodes()) != set(self._class_members) or set(
+            quotient.edges()
+        ) != set(self._edge_count):
+            raise CompressionError("quotient nodes or edges out of sync")
+        for cid, members in self._class_members.items():
+            expected = class_attrs(
+                self.graph, next(iter(members)), self.spec.attrs, len(members)
+            )
+            if quotient.attrs(cid) != expected:
+                raise CompressionError(f"quotient attributes of {cid} out of sync")

@@ -869,9 +869,12 @@ class QueryEngine:
             # simulation is graph simulation: one call for both algorithms.
             assert compressed is not None
             quotient = compressed.quotient
-            relation = bounded_relation(quotient, pattern, compressed.frozen())
+            relation = bounded_relation(
+                quotient, pattern, compressed.frozen(), index=compressed.index
+            )
+            source = "scan" if compressed.index is None else "index"
             quotient_result = MatchResult(
-                quotient, pattern, relation, stats={"candidate_source": "scan"}
+                quotient, pattern, relation, stats={"candidate_source": source}
             )
             return decompress_result(quotient_result, compressed)
         index = None if candidates is not None else entry.attr_index

@@ -773,7 +773,10 @@ def _match_relation_first(
 
 
 def bounded_relation(
-    graph: Graph, pattern: Pattern, frozen: FrozenGraph
+    graph: Graph,
+    pattern: Pattern,
+    frozen: FrozenGraph,
+    index=None,
 ) -> MatchRelation:
     """``M(Q,G)`` alone: the relation-first line without its result rows.
 
@@ -784,7 +787,9 @@ def bounded_relation(
     removal cascade.  No kernel log, oracle or guard: nothing here is
     reported but the relation.  At bound 1 bounded simulation *is* graph
     simulation, so this answers plain simulation patterns too — the
-    engine's compressed route runs it on the quotient's snapshot.
+    engine's compressed route runs it on the quotient's snapshot, with
+    candidates from the quotient's ``index`` where it keeps one (as
+    :func:`~repro.matching.simulation.simulation_candidates`).
 
     >>> from repro.graph.digraph import Graph
     >>> from repro.pattern.pattern import Pattern
@@ -806,7 +811,7 @@ def bounded_relation(
     ids = frozen.ids()
     sim = {
         u: {ids[v] for v in vs}
-        for u, vs in simulation_candidates(graph, pattern).items()
+        for u, vs in simulation_candidates(graph, pattern, index=index).items()
     }
     total = _membership_pass(frozen.predecessor_sets(), pattern, sim)
     if total:

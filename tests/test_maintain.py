@@ -5,9 +5,18 @@ import pytest
 from repro.compression.compress import compress
 from repro.compression.decompress import decompress_relation
 from repro.compression.maintain import MaintainedCompression
+from repro.engine.engine import QueryEngine
 from repro.errors import UpdateError
+from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph, random_digraph
-from repro.incremental.updates import EdgeDeletion, EdgeInsertion, random_updates
+from repro.incremental.updates import (
+    AttributeUpdate,
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    apply_updates,
+    random_updates,
+)
 from repro.matching.bounded import match_bounded
 from repro.pattern.builder import PatternBuilder
 
@@ -140,3 +149,124 @@ class TestQueryPreservationUnderUpdates:
         assert mutually_similar(g, label_of, "x", "y")
         g.add_edge("n", "d")  # n can now move where m cannot follow
         assert not mutually_similar(g, label_of, "x", "y")
+
+
+def readable(frozen):
+    """What a reader sees of a snapshot: labels, rows, attributes."""
+    return (
+        tuple(frozen.labels),
+        [list(frozen.successors(v)) for v in frozen.labels],
+        [list(frozen.predecessors(v)) for v in frozen.labels],
+        [frozen.node_attrs(v) for v in frozen.labels],
+    )
+
+
+class TestLiveQuotient:
+    """The quotient is one live graph written through update primitives;
+    its snapshot is patched from them."""
+
+    def test_view_is_valid_until_the_next_update_and_its_snapshot_is_immutable(self):
+        g = collaboration_graph(60, seed=1)
+        maintained = MaintainedCompression(g, attrs=("field",))
+        view = maintained.compressed()
+        snapshot = view.frozen()
+        shown = readable(snapshot)
+        assert maintained.compressed() is view  # one view per version
+        drive(maintained, *random_updates(g, 8, seed=2))
+        current = maintained.compressed()
+        assert current is not view
+        assert current.quotient is view.quotient  # the live quotient
+        assert not snapshot.matches(current.quotient)
+        assert current.frozen() is not snapshot
+        assert current.frozen().matches(current.quotient)
+        assert readable(snapshot) == shown
+
+    def test_label_write_on_a_singleton_class_rewrites_its_class_node(self):
+        g = make_labelled_graph([("x", "c")], {"x": "A", "c": "C"})
+        maintained = MaintainedCompression(g, attrs=("label",))
+        maintained.compressed()
+        drive(maintained, AttributeUpdate("x", "label", "B"))
+        maintained.check_partition()
+        compressed = maintained.compressed()
+        cid = compressed.class_of("x")
+        assert compressed.quotient.attrs(cid)["label"] == "B"
+        assert compressed.frozen().node_attrs(cid)["label"] == "B"
+
+    def test_refused_primitive_leaves_the_quotient_untouched(self):
+        g = make_labelled_graph([("x", "c")], {"x": "A", "y": "A", "c": "C"})
+        maintained = MaintainedCompression(g, attrs=("label",))
+        view = maintained.compressed()
+        version = view.quotient.version
+        with pytest.raises(UpdateError, match="does not reflect"):
+            maintained.apply(EdgeInsertion("y", "c"))
+        assert view.quotient.version == version
+        assert maintained.compressed() is view
+
+    def test_error_mid_batch_leaves_the_applied_prefix_exact(self):
+        g = make_labelled_graph([("x", "c")], {"x": "A", "y": "A", "c": "C"})
+        maintained = MaintainedCompression(g, attrs=("label",))
+        maintained.compressed()
+        batch = [EdgeInsertion("y", "c"), EdgeDeletion("x", "c"), EdgeDeletion("x", "c")]
+        with pytest.raises(UpdateError):
+            apply_updates(g, batch, [maintained.apply])
+        maintained.check_partition()
+        compressed = maintained.compressed()
+        assert readable(compressed.frozen()) == readable(
+            FrozenGraph.freeze(compressed.quotient)
+        )
+
+
+class TestQuotientWork:
+    """After the first build, single-edge updates patch the quotient
+    snapshot: the only full freezes are ``patched``'s fallbacks (a class
+    deletion) and ``recompress``."""
+
+    FIELD_ONLY = (
+        PatternBuilder()
+        .node("A", 'field == "SA"')
+        .node("B", 'field == "SD"')
+        .edge("A", "B", 2)
+        .build()
+    )
+
+    @staticmethod
+    def quotient_freezes(monkeypatch, graph):
+        frozen_graphs = []
+        freeze = FrozenGraph.freeze
+
+        def counting(cls, frozen_graph):
+            frozen_graphs.append(frozen_graph)
+            return freeze(frozen_graph)
+
+        monkeypatch.setattr(FrozenGraph, "freeze", classmethod(counting))
+        return lambda: sum(1 for seen in frozen_graphs if seen is not graph)
+
+    def evaluate(self, engine, graph):
+        result = engine.evaluate("g", self.FIELD_ONLY, use_cache=False)
+        assert result.stats["route"] == "compressed"
+        assert result.stats["candidate_source"] == "index"
+        assert result.relation == match_bounded(graph, self.FIELD_ONLY).relation
+
+    def test_freezes_only_on_a_class_deletion_and_after_recompress(self, monkeypatch):
+        g = collaboration_graph(300, seed=1)
+        engine = QueryEngine()
+        engine.register_graph("g", g)
+        engine.compress_graph("g", ("field",))
+        self.evaluate(engine, g)
+        count = self.quotient_freezes(monkeypatch, g)
+        for update in random_updates(g, 30, seed=5):
+            engine.update_graph("g", [update])
+            self.evaluate(engine, g)
+        assert count() == 0
+
+        engine._registered["g"].compression.recompress()
+        self.evaluate(engine, g)
+        self.evaluate(engine, g)
+        assert count() == 1
+
+        members = engine._registered["g"].compressed().members
+        singleton = next(nodes[0] for nodes in members.values() if len(nodes) == 1)
+        engine.update_graph("g", [NodeDeletion(singleton)])
+        self.evaluate(engine, g)
+        self.evaluate(engine, g)
+        assert count() == 2

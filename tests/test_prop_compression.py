@@ -4,7 +4,10 @@ under maintenance.
 The SIGMOD'12 contract: for ANY graph, ANY compression label covering the
 pattern's attributes, and ANY (bounded) simulation pattern,
 ``decompress(M(Q, Gc)) == M(Q, G)`` — and the maintained partition keeps
-that property through arbitrary update sequences.
+that property through arbitrary update sequences of all five kinds.  The
+maintained quotient is patched, never rebuilt: after every step it must
+equal the quotient of the maintainer's partition, and its patched
+snapshot and index a full freeze and a fresh index of it.
 """
 
 import hypothesis.strategies as st
@@ -16,11 +19,20 @@ from repro.compression.equivalence import is_stable_partition
 from repro.compression.maintain import MaintainedCompression
 from repro.engine.engine import QueryEngine
 from repro.graph.digraph import Graph
-from repro.incremental.updates import EdgeDeletion, EdgeInsertion
+from repro.graph.frozen import FrozenGraph
+from repro.graph.index import AttributeIndex
+from repro.incremental.updates import (
+    AttributeUpdate,
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    NodeInsertion,
+)
 from repro.matching.bounded import match_bounded
 from repro.matching.simulation import match_simulation
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
+from repro.pattern.predicates import Cmp
 
 from tests.conftest import drive
 
@@ -96,31 +108,39 @@ def test_simulation_method_at_least_as_coarse(data):
     assert sim.quotient.num_nodes <= bis.quotient.num_nodes
 
 
+#: What a scenario step may be: an edge insertion or deletion, a labelled
+#: node insertion, a node deletion (decomposed by the update driver into
+#: its edge deletions first), and label-changing / label-preserving writes.
+STEP_KINDS = ("edge", "add-node", "delete-node", "relabel", "other-attr")
+
+
 @st.composite
 def maintained_scenario(draw, max_nodes=7, max_updates=8):
     graph, pattern = draw(graph_and_pattern(max_nodes=max_nodes))
     if graph.num_nodes < 2:
         return graph, pattern, []
-    possible = [
-        (s, t)
-        for s in graph.nodes()
-        for t in graph.nodes()
-        if s != t
-    ]
     scratch = graph.copy()
     updates = []
-    for _ in range(draw(st.integers(min_value=0, max_value=max_updates))):
-        existing = list(scratch.edges())
-        missing = [pair for pair in possible if not scratch.has_edge(*pair)]
-        kinds = ([("delete", e) for e in existing] + [("insert", m) for m in missing])
-        if not kinds:
-            break
-        kind, (source, target) = draw(st.sampled_from(kinds))
-        update = (
-            EdgeInsertion(source, target)
-            if kind == "insert"
-            else EdgeDeletion(source, target)
-        )
+    for step in range(draw(st.integers(min_value=0, max_value=max_updates))):
+        nodes = list(scratch.nodes())
+        kind = draw(st.sampled_from(STEP_KINDS))
+        if kind == "add-node":
+            update = NodeInsertion.with_attrs(100 + step, label=draw(st.sampled_from(LABELS)))
+        elif kind == "delete-node" and len(nodes) > 2:
+            update = NodeDeletion(draw(st.sampled_from(nodes)))
+        elif kind == "relabel":
+            node = draw(st.sampled_from(nodes))
+            update = AttributeUpdate(node, "label", draw(st.sampled_from(LABELS)))
+        elif kind == "other-attr":
+            update = AttributeUpdate(draw(st.sampled_from(nodes)), "weight", step)
+        else:
+            pairs = [(s, t) for s in nodes for t in nodes if s != t]
+            source, target = draw(st.sampled_from(pairs))
+            update = (
+                EdgeDeletion(source, target)
+                if scratch.has_edge(source, target)
+                else EdgeInsertion(source, target)
+            )
         update.apply(scratch)
         updates.append(update)
     return graph, pattern, updates
@@ -151,6 +171,54 @@ def test_maintained_partition_stays_stable_and_consistent(data):
     node_class = maintained.compressed().node_to_class
     numeric = {node: int(cid[1:]) for node, cid in node_class.items()}
     assert is_stable_partition(graph, label_of, numeric)
+
+
+def partition_quotient(graph, compressed):
+    """The quotient of ``compressed``'s partition, built from scratch."""
+    quotient = Graph()
+    for cid, members in compressed.members.items():
+        quotient.add_node(cid, _size=len(members), label=graph.get(members[0], "label"))
+    node_class = compressed.node_to_class
+    for source, target in graph.edges():
+        quotient.add_edge(node_class[source], node_class[target])
+    return quotient
+
+
+def readable(frozen):
+    """What a reader sees of a snapshot: labels, rows as sets, attributes."""
+    return (
+        tuple(frozen.labels),
+        {v: set(frozen.successors(v)) for v in frozen.labels},
+        {v: set(frozen.predecessors(v)) for v in frozen.labels},
+        {v: frozen.node_attrs(v) for v in frozen.labels},
+    )
+
+
+QUOTIENT_PREDICATES = [Cmp("label", "==", label) for label in LABELS] + [
+    Cmp("_size", ">=", 2)
+]
+
+
+@given(maintained_scenario())
+@settings(max_examples=80, deadline=None)
+def test_patched_quotient_equals_rebuilt_and_snapshot_equals_full_freeze(data):
+    graph, _pattern, updates = data
+    maintained = MaintainedCompression(graph, attrs=("label",))
+    earlier = []  # (snapshot, what it showed when handed out)
+    for update in [None] + updates:
+        if update is not None:
+            drive(maintained, update)
+        compressed = maintained.compressed()
+        quotient = compressed.quotient
+        assert quotient == partition_quotient(graph, compressed)
+        snapshot = compressed.frozen()
+        assert readable(snapshot) == readable(FrozenGraph.freeze(quotient))
+        fresh = AttributeIndex(quotient)
+        for predicate in QUOTIENT_PREDICATES:
+            assert compressed.index.resolve(predicate) == fresh.resolve(predicate)
+        for handed_out, shown in earlier:
+            assert readable(handed_out) == shown
+        earlier.append((snapshot, readable(snapshot)))
 
 
 def _route_pattern(name, labels, edges):
