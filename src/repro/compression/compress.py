@@ -75,9 +75,9 @@ class CompressedGraph:
     <repro.compression.maintain.MaintainedCompression.compressed>` is a
     *view* of the current version, valid until the next update (like
     ``RegisteredGraph.graph``): its quotient is the maintainer's live one,
-    and ``frozen`` — the snapshot the maintainer patched for this version
-    — is immutable, so a reader holding it keeps an exact picture of the
-    version it was taken at.
+    and its ``frozen()`` snapshot — patched by the maintainer for this
+    version, or frozen on first use — is immutable, so a reader holding
+    it keeps an exact picture of the version it was taken at.
     """
 
     __slots__ = (

@@ -106,8 +106,8 @@ class MaintainedCompression:
         # postings build on the first compressed-route query.
         self._quotient = built.quotient
         self._index = AttributeIndex(self._quotient)
-        # The last snapshot handed out (None: the next one is a full
-        # freeze) and the primitives the quotient took since.
+        # The last snapshot handed out (None: the next view freezes one on
+        # first use) and the primitives the quotient took since.
         self._snapshot: FrozenGraph | None = None
         self._pending: list[Update] = []
         self._cached: CompressedGraph | None = None
@@ -136,6 +136,12 @@ class MaintainedCompression:
         again, the quotient takes the primitives that bring it in line.
         """
         ensure_applied(self.graph, update)
+        if self._cached is not None:
+            # This version's view goes stale now; a snapshot it froze for
+            # a reader is the base the next patch starts from.
+            if self._snapshot is None:
+                self._snapshot = self._cached._frozen
+            self._cached = None
         if isinstance(update, EdgeInsertion):
             self._edge_changed(update.source, update.target, +1)
         elif isinstance(update, EdgeDeletion):
@@ -146,7 +152,6 @@ class MaintainedCompression:
             self._label_maybe_changed(update.node)
         else:  # NodeDeletion
             self._node_removed(update.node)
-        self._cached = None
         self._sync_quotient()
         self.staleness += 1
 
@@ -327,19 +332,18 @@ class MaintainedCompression:
         The view is valid until the next update (like
         ``RegisteredGraph.graph``): its ``quotient`` is the live quotient
         the next primitive writes, while its partition maps are this
-        version's.  Its ``frozen()`` snapshot is immutable — the previous
+        version's.  Its ``frozen()`` snapshot is immutable: the previous
         one patched with the quotient primitives taken since
-        (:meth:`FrozenGraph.patched`), a full freeze only where that
-        declines (a class deletion, the value-pool bound) and after
-        :meth:`recompress` — and its ``index`` is the quotient's
-        attribute index, maintained through the same primitives.
+        (:meth:`FrozenGraph.patched`).  A full freeze, on first use, runs
+        only for the first view, where ``patched`` declines (a class
+        deletion, the value-pool bound) and after :meth:`recompress`.
+        Its ``index`` is the quotient's attribute index, maintained
+        through the same primitives.
         """
         if self._cached is None:
             snapshot = self._snapshot
             if snapshot is not None and self._pending:
                 snapshot = snapshot.patched(self._quotient, self._pending)
-            if snapshot is None:
-                snapshot = FrozenGraph.freeze(self._quotient)
             self._snapshot, self._pending = snapshot, []
             # Members in graph order, as build_quotient lists them.
             members: dict[ClassId, list[NodeId]] = {
