@@ -27,14 +27,20 @@ class MatchRelation(Mapping):
     pattern node has no valid match the whole relation is empty.  Builders
     enforce that via :meth:`from_sets`' ``totality`` handling; the raw
     constructor stores exactly what it is given (useful for diagnostics).
+
+    ``_wire`` is :func:`repro.server.wire.encode_relation`'s memo of the
+    relation's wire form; only that module reads or writes it.  It needs
+    no invalidation because ``_sets`` never changes after construction,
+    and equality and hashing ignore it.
     """
 
-    __slots__ = ("_sets",)
+    __slots__ = ("_sets", "_wire")
 
     def __init__(self, sets: Mapping[str, Iterable[NodeId]]) -> None:
         self._sets: dict[str, frozenset[NodeId]] = {
             u: frozenset(vs) for u, vs in sets.items()
         }
+        self._wire: tuple[dict[str, Any], str] | None = None
 
     @classmethod
     def from_sets(

@@ -33,8 +33,11 @@ request — non-UTF-8 bytes, JSON nested too deeply to parse), and so is an upda
 attribute names are not JSON scalars: it is refused before the WAL sees it.
 
 Every reply is ``json.dumps`` of the dict the matching
-:class:`ExpFinderService` method returned, sent with its status line and
-headers in one socket write.
+:class:`ExpFinderService` method returned, byte for byte, sent with its
+status line and headers in one socket write.  :func:`wire.dumps
+<repro.server.wire.dumps>` composes those bytes: a relation in the reply
+was serialised once, when its epoch first encoded it, and its stored text
+is spliced in, so a cache hit neither sorts nor serialises it again.
 
 With ``wal_dir`` configured the service is **durable**: every update
 batch is appended to a :class:`~repro.server.wal.WriteAheadLog` before
@@ -66,6 +69,7 @@ from repro.server.wire import (
     decode_budget,
     decode_pattern,
     decode_updates,
+    dumps,
     encode_ranked,
     encode_relation,
     error_payload,
@@ -482,7 +486,7 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _reply(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = dumps(payload).encode("utf-8")
         # Explicit length keeps HTTP/1.1 keep-alive working (no chunking),
         # which the load generator relies on for steady connections.
         lines = [

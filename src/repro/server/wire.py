@@ -10,10 +10,15 @@ Relations travel in the persisted ``repro.relation`` format
 (:meth:`MatchRelation.to_dict`): sorted, deterministic — two services
 serving the same epoch emit byte-identical JSON, which is what lets the
 E18 load benchmark assert identity against direct engine calls.
+
+A relation is encoded once: :func:`encode_relation` memoises its sorted
+sets and JSON text on the (immutable) relation, and :func:`dumps` splices
+that text into every reply that carries it.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from repro.engine.estimator import QueryBudget
@@ -179,9 +184,68 @@ def encode_update(update: Update) -> dict[str, Any]:
     raise ServerError(f"cannot encode update of type {type(update).__name__}")
 
 
-def encode_relation(relation: MatchRelation) -> dict[str, Any]:
-    """The deterministic persisted form (sorted sets, stable keys)."""
-    return relation.to_dict()
+class EncodedRelation(dict[str, Any]):
+    """A relation's wire dict that also carries its ``json.dumps`` text.
+
+    It is a plain dict to every reader (``json.dumps`` of it is ``text``
+    until a caller mutates it); only :func:`dumps` reads ``text``.
+    """
+
+    __slots__ = ("text",)
+
+
+def encode_relation(relation: MatchRelation) -> EncodedRelation:
+    """The deterministic persisted form (sorted sets, stable keys).
+
+    The first call on a relation sorts it (:meth:`MatchRelation.to_dict`)
+    and serialises it once; later calls reuse both.  Each call returns
+    its own dict and ``sets`` lists, so a caller that mutates them
+    changes no later reply.
+    """
+    memo = relation._wire
+    if memo is None:
+        plain = relation.to_dict()
+        memo = relation._wire = (plain, json.dumps(plain))
+    plain, text = memo
+    encoded = EncodedRelation(plain)
+    encoded["sets"] = {u: list(vs) for u, vs in plain["sets"].items()}
+    encoded.text = text
+    return encoded
+
+
+def dumps(payload: Any) -> str:
+    """``json.dumps(payload)``, byte for byte, with the stored text of each
+    :class:`EncodedRelation` in it spliced in instead of re-serialised.
+
+    The bytes are equal as long as no encoded relation in ``payload`` was
+    mutated after :func:`encode_relation` returned it.
+    """
+    spliced = _splice(payload)
+    return json.dumps(payload) if spliced is None else spliced
+
+
+def _splice(value: Any) -> str | None:
+    """The JSON text of ``value`` if it holds an encoded relation at any
+    depth, else ``None``: the caller then serialises it whole."""
+    if isinstance(value, EncodedRelation):
+        return value.text
+    if isinstance(value, dict):
+        entries = [(key, item, _splice(item)) for key, item in value.items()]
+        if all(part is None for _key, _item, part in entries):
+            return None
+        return "{%s}" % ", ".join(
+            # json.dumps({key: None}) is "{KEY: null}": the key as json writes it
+            json.dumps({key: None})[1:-5] + (json.dumps(item) if part is None else part)
+            for key, item, part in entries
+        )
+    if isinstance(value, (list, tuple)):
+        parts = [_splice(item) for item in value]
+        if all(part is None for part in parts):
+            return None
+        return "[%s]" % ", ".join(
+            json.dumps(item) if part is None else part for item, part in zip(value, parts)
+        )
+    return None
 
 
 def encode_ranked(ranked: list) -> list[dict[str, Any]]:

@@ -1,8 +1,10 @@
 """The reply contract: bytes equal ``json.dumps`` of the dict API; a
-rank-cache hit slices the ranking already selected.
+cached relation is encoded once; a rank-cache hit slices the ranking
+already selected.
 
 These tests pin what must hold whatever is memoised behind a hit: the
 bytes are exactly what ``json.dumps`` of the in-process result would be,
+a relation is sorted and serialised once however many replies carry it,
 the top-K selection really runs once per ranking context, and nothing
 memoised outlives the value that owns it.
 """
@@ -25,7 +27,7 @@ from repro.pattern.parser import parse_pattern
 from repro.ranking import topk
 from repro.ranking.social_impact import rank_matches
 from repro.server import ExpFinderService, QueryServer, ServiceConfig
-from repro.server.wire import error_payload
+from repro.server.wire import encode_relation, error_payload
 
 PATTERN = """
 node SA* : field == "SA", experience >= 5
@@ -215,6 +217,55 @@ class TestSelectionIsDoneOnce:
             assert ranked == topk.bulk_top_k_detail(fresh, k) == expected[:k]
             ranked.clear()  # the caller's own list: the memo must not notice
         assert topk.bulk_top_k_detail(context, None) == expected
+
+
+# ----------------------------------------------------------------------
+# (b') a cached relation is encoded once
+# ----------------------------------------------------------------------
+@pytest.fixture
+def to_dict_calls(monkeypatch):
+    calls: list[MatchRelation] = []
+    original = MatchRelation.to_dict
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MatchRelation, "to_dict", counting)
+    return calls
+
+
+class TestEncodedOnce:
+    def test_a_miss_hits_and_a_batch_encode_once(self, server, to_dict_calls):
+        spy = Spy(server.service)
+        request = ("POST", "/graphs/fig1/evaluate", {"pattern": PATTERN})
+        bodies = [raw(server, *request)[1] for _attempt in range(6)]
+        _status, batch = raw(server, "POST", "/graphs/fig1/batch", {"patterns": [PATTERN, PATTERN]})
+        assert len(to_dict_calls) == 1
+        routes = [json.loads(body)["stats"]["route"] for body in bodies]
+        assert routes == ["direct"] + ["cache"] * 5
+        assert batch == json.dumps(spy.returned[-1]).encode()
+        relations = [reply["relation"] for reply in spy.returned[:6]]
+        relations += [result["relation"] for result in spy.returned[-1]["results"]]
+        assert all(relation == expected_relation().to_dict() for relation in relations)
+
+    def test_a_publish_encodes_the_new_relation_once_more(self, server, to_dict_calls):
+        request = ("POST", "/graphs/fig1/evaluate", {"pattern": PATTERN})
+        raw(server, *request)
+        raw(server, *request)
+        raw(server, "POST", "/graphs/fig1/update", GROW)
+        bodies = [raw(server, *request)[1] for _attempt in range(3)]
+        assert len(to_dict_calls) == 2 and to_dict_calls[0] != to_dict_calls[1]
+        segments = {body[body.find(b'"relation": ') : body.rfind(b', "stats": ')] for body in bodies}
+        assert len(segments) == 1 and b'"Zed"' in segments.pop()
+
+    def test_the_memo_changes_no_value_semantics(self):
+        relation = expected_relation()
+        fresh = MatchRelation({u: set(vs) for u, vs in relation.items()})
+        assert encode_relation(relation) == fresh.to_dict()
+        assert relation._wire is not None and fresh._wire is None
+        assert relation == fresh and hash(relation) == hash(fresh)
+        assert len({relation, fresh}) == 1
 
 
 # ----------------------------------------------------------------------
