@@ -204,6 +204,7 @@ def encode_relation(relation: MatchRelation) -> EncodedRelation:
     """
     memo = relation._wire
     if memo is None:
+        # two threads racing here build equal memos; either store may win
         plain = relation.to_dict()
         memo = relation._wire = (plain, json.dumps(plain))
     plain, text = memo
