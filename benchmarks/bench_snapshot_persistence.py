@@ -100,10 +100,8 @@ def test_frozen_reload_beats_refreeze(graph, store, summary):
     )
 
     # Identity: every CSR buffer byte-equal, labels and attributes intact.
-    assert loaded.out_offsets.tobytes() == frozen.out_offsets.tobytes()
-    assert loaded.out_targets.tobytes() == frozen.out_targets.tobytes()
-    assert loaded.in_offsets.tobytes() == frozen.in_offsets.tobytes()
-    assert loaded.in_targets.tobytes() == frozen.in_targets.tobytes()
+    for field in ("out_starts", "out_ends", "out_targets", "in_starts", "in_ends", "in_targets"):
+        assert getattr(loaded, field).tobytes() == getattr(frozen, field).tobytes(), field
     assert loaded.labels == frozen.labels
     rng = random.Random(17)
     for node in (rng.randrange(NODES) for _ in range(100)):

@@ -10,11 +10,20 @@ for exactly that read-mostly workload:
 
 * node labels are **interned to dense ints** ``0..n-1`` in the graph's
   deterministic insertion order (``labels[i]`` maps back);
-* adjacency is **CSR** (compressed sparse row) in both directions: flat
-  ``array('q')`` offset/target buffers, so a neighbourhood is a slice, the
-  whole structure pickles as a handful of raw byte buffers, and shipping
-  the snapshot to a worker process costs a fraction of pickling the
-  equivalent dict ``Graph``;
+* adjacency is **CSR** (compressed sparse row) in both directions: per
+  node a ``(start, end)`` pair into a flat ``array('q')`` target buffer
+  (``out_starts`` / ``out_ends`` / ``out_targets`` and the ``in_`` three),
+  so a neighbourhood is a slice, the whole structure pickles as a handful
+  of raw byte buffers, and shipping the snapshot to a worker process costs
+  a fraction of pickling the equivalent dict ``Graph``.  A fresh
+  :meth:`~FrozenGraph.freeze` or a store load is the *compact* case — the
+  rows tile the targets in node order and ``start`` / ``end`` are the two
+  shifted views of one offsets array (zero-copy slices over an mmap).  A
+  :meth:`~FrozenGraph.patched` snapshot appends each replaced row at the
+  end of a copy of the targets and repoints only that row's pair, leaving
+  the entries it replaced dead; once dead entries outnumber the live
+  edges, the patch compacts.  Files and pickles always carry the compact
+  offsets, so neither format knows about dead entries;
 * node attributes are stored as **columns** (``attr -> {node id: value
   id}``) over one interned value pool, so a 50k-node graph with three
   distinct ``field`` values stores three field strings, not 50k;
@@ -49,7 +58,9 @@ True
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, compress
 from math import copysign
+from operator import sub
 from typing import Any, Iterable, Iterator
 
 from repro.errors import GraphError
@@ -68,6 +79,13 @@ def _pool_key(value: Any) -> tuple:
     return (value.__class__, value)
 
 
+def _copied(buffer: Any) -> array:
+    """An ``array('q')`` copy of ``buffer`` (an array or an int64 view): one memcpy."""
+    copy = array("q")
+    copy.frombytes(memoryview(buffer).cast("B"))
+    return copy
+
+
 def _own_buffer(buffer: Any) -> array:
     """``buffer`` as an ``array('q')`` that owns its memory.
 
@@ -76,35 +94,69 @@ def _own_buffer(buffer: Any) -> array:
     mapping), so pickling materializes them.  Already-owned arrays pass
     through untouched.
     """
-    return buffer if isinstance(buffer, array) else array("q", buffer)
+    return buffer if isinstance(buffer, array) else _copied(buffer)
 
 
-def _spliced(offsets: Any, targets: Any, rows: dict[int, list[int]]) -> tuple[array, array]:
-    """The CSR pair with ``rows`` (node index -> target ids) put in place.
+def _rows(offsets: Any) -> tuple[Any, Any]:
+    """The compact ``(starts, ends)`` over ``offsets``: row i is ``offsets[i]:offsets[i + 1]``.
 
-    Indexes past the last row append.  Runs of untouched rows move as one
-    slice each (their offsets shifted by what the earlier replacements
-    grew or shrank).  The inputs, which may be mmap views, are only read;
-    the outputs own their memory.
+    Slices of an array are copies (one memcpy each); slices of an mmap
+    view are views, so a store load stays O(1).
     """
-    offsets, targets = _own_buffer(offsets), _own_buffer(targets)
+    return offsets[:-1], offsets[1:]
+
+
+def _compact(starts: Any, ends: Any, targets: Any) -> tuple[array, array]:
+    """The compact CSR ``(offsets, targets)`` of one direction's rows, in node order.
+
+    Rows that already tile the targets in order (a freeze, a load, a
+    compacted patch) are copied as they stand.  Otherwise the live rows are
+    gathered a run at a time, leaving the dead entries behind: a run is a
+    stretch of rows each starting where the one before ended, and a patch
+    breaks the stretch only around the rows it moved.
+    """
+    count = len(starts)
+    offsets = array("q", [0])
+    if not count or (
+        starts[0] == 0 and ends[-1] == len(targets) and starts[1:] == ends[:-1]
+    ):
+        offsets.frombytes(memoryview(ends).cast("B"))
+        return offsets, _own_buffer(targets)
+    offsets.extend(accumulate(map(sub, ends, starts)))
+    breaks = list(compress(range(1, count), map(sub, starts[1:], ends[:-1])))
+    gathered = array("q")
+    for low, high in zip([0, *breaks], [*breaks, count]):
+        gathered.extend(targets[starts[low] : ends[high - 1]])
+    return offsets, gathered
+
+
+def _repointed(
+    starts: Any, ends: Any, targets: Any, rows: dict[int, list[int]], count: int, live: int
+) -> tuple[Any, Any, Any]:
+    """One direction's ``(starts, ends, targets)`` with ``rows`` put in place.
+
+    ``rows`` maps node index -> target ids; indexes past the last row are
+    new rows (``count`` rows in all).  The three buffers are copied (one
+    memcpy each; the inputs, which may be mmap views, are only read), each
+    row is appended to the end of the target copy and its pair pointed
+    there, and the entries it replaced stay behind, dead.  Once dead
+    entries outnumber the ``live`` ones the direction is compacted, so a
+    chain of patches pays one gather per |E| entries it appended.
+    """
     if not rows:
-        return offsets, targets
-    count = len(offsets) - 1
-    new_offsets, new_targets = array("q"), array("q")
-    cursor = 0
-    # The sentinel past every row flushes the tail and the closing offset.
-    for index in sorted(rows) + [max(count, max(rows) + 1)]:
-        stop = min(index, count)
-        if stop > cursor:  # rows cursor..stop-1 are carried unchanged
-            shift = len(new_targets) - offsets[cursor]
-            carried = offsets[cursor:stop]
-            new_offsets.extend(map(shift.__add__, carried) if shift else carried)
-            new_targets.extend(targets[offsets[cursor] : offsets[stop]])
-        new_offsets.append(len(new_targets))
-        new_targets.extend(rows.get(index, ()))
-        cursor = stop + 1
-    return new_offsets, new_targets
+        return _own_buffer(starts), _own_buffer(ends), _own_buffer(targets)
+    starts, ends, targets = _copied(starts), _copied(ends), _copied(targets)
+    grown = bytes(starts.itemsize * (count - len(starts)))
+    starts.frombytes(grown)
+    ends.frombytes(grown)
+    for index in sorted(rows):
+        starts[index] = len(targets)
+        targets.extend(rows[index])
+        ends[index] = len(targets)
+    if len(targets) - live > live:
+        offsets, targets = _compact(starts, ends, targets)
+        starts, ends = _rows(offsets)
+    return starts, ends, targets
 
 
 def _patched_sets(
@@ -136,10 +188,13 @@ class FrozenGraph:
         "name",
         "source_version",
         "labels",
-        "out_offsets",
+        "out_starts",
+        "out_ends",
         "out_targets",
-        "in_offsets",
+        "in_starts",
+        "in_ends",
         "in_targets",
+        "_edge_count",
         "_columns",
         "_columns_packed",
         "_values",
@@ -156,20 +211,22 @@ class FrozenGraph:
         name: str,
         source_version: int,
         labels: tuple[NodeId, ...],
-        out_offsets: array,
-        out_targets: array,
-        in_offsets: array,
-        in_targets: array,
+        out_rows: tuple[Any, Any, Any],
+        in_rows: tuple[Any, Any, Any],
+        edge_count: int,
         columns: dict[str, dict[int, int]],
         values: list[Any],
     ) -> None:
         self.name = name
         self.source_version = source_version
         self.labels = labels
-        self.out_offsets = out_offsets
-        self.out_targets = out_targets
-        self.in_offsets = in_offsets
-        self.in_targets = in_targets
+        # (starts, ends, targets) per direction: arrays, or int64 views
+        # over an mmap for a store-loaded snapshot.
+        self.out_starts, self.out_ends, self.out_targets = out_rows
+        self.in_starts, self.in_ends, self.in_targets = in_rows
+        # The live edges: the targets of a patched snapshot also hold dead
+        # entries, the rows its patches replaced.
+        self._edge_count = edge_count
         self._columns = columns
         # Store-loaded snapshots keep the columns packed as paired
         # (node index, value id) int64 sections until first attribute
@@ -236,10 +293,9 @@ class FrozenGraph:
             graph.name,
             graph.version,
             labels,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
+            (*_rows(out_offsets), out_targets),
+            (*_rows(in_offsets), in_targets),
+            len(out_targets),
             columns,
             values,
         )
@@ -251,13 +307,21 @@ class FrozenGraph:
 
         ``graph`` must be a :meth:`Graph.copy` of this snapshot's graph after
         exactly ``primitives`` (decomposed updates) were applied.  Nothing
-        is replayed: the rows of the touched nodes and the written attribute
-        cells are re-read *from ``graph``* and spliced into copies of the
-        CSR arrays; labels and ids are shared (extended by node insertions),
-        built adjacency views are carried with those rows replaced, only
-        written columns are copied, the value pool only when a value is new.
-        This snapshot is never written — pinned readers see every buffer
-        unchanged — and an mmap-backed one yields a result owning its arrays.
+        is replayed: the changed rows (an edge's source out-row and target
+        in-row, both rows of an inserted node) and the written attribute
+        cells are re-read *from ``graph``*.  The CSR buffers are copied (a
+        memcpy each), every changed row is appended to the end of its
+        target copy and its ``(start, end)`` pair repointed there; the
+        entries it replaced stay behind, dead, and :attr:`num_edges` counts
+        the live ones.  Once a direction's dead entries outnumber its live
+        ones the patch compacts that direction (one gather, amortised over
+        at least |E| appended entries), so dead entries never exceed the
+        live edges.  Labels and ids are shared (extended by node
+        insertions), built adjacency views are carried with those rows
+        replaced, only written columns are copied, the value pool only when
+        a value is new.  This snapshot is never written — pinned readers
+        see every buffer unchanged — and an mmap-backed one yields a result
+        owning its arrays.
 
         Returns ``None`` (the caller pays :meth:`freeze`) for a node
         deletion — dense ids shift — and once the pool has doubled, plus a
@@ -265,12 +329,16 @@ class FrozenGraph:
         never reclaimed, this bounds the leak, and the full build is
         amortised over at least |V| new values.
 
-        ``Graph.copy`` is order-exact, so inside one lineage the result
-        equals ``FrozenGraph.freeze(graph)`` array for array, and so does a
-        graph rebuilt by :meth:`to_graph` (a recovered checkpoint).  A JSON
-        reload re-derives predecessor order: over a snapshot frozen before
-        one the rows equal a fresh freeze's as sets only — all that kernels
-        and ``to_graph() == graph`` observe.
+        ``Graph.copy`` is order-exact, so inside one lineage every row of
+        the result equals that of ``FrozenGraph.freeze(graph)`` as an
+        ordered list, and the arrays are equal too once compacted;
+        :meth:`to_buffers` and pickles always carry the compact arrays, so
+        a saved patched snapshot is byte-identical to a saved full freeze
+        when their value pools agree, and so is a graph rebuilt by
+        :meth:`to_graph` (a recovered checkpoint).  A JSON reload
+        re-derives predecessor order: over a snapshot frozen before one the
+        rows equal a fresh freeze's as sets only — all that kernels and
+        ``to_graph() == graph`` observe.
         """
         from repro.incremental.updates import (
             AttributeUpdate,
@@ -280,16 +348,18 @@ class FrozenGraph:
         )
 
         inserted: list[NodeId] = []
-        touched: dict[NodeId, None] = {}  # dicts, not sets: deterministic order
+        # nodes whose out-row / in-row changed; dicts, not sets: deterministic order
+        sources: dict[NodeId, None] = {}
+        sinks: dict[NodeId, None] = {}
         cells: dict[tuple[NodeId, str], None] = {}
         for primitive in primitives:
             if isinstance(primitive, (EdgeInsertion, EdgeDeletion)):
-                touched[primitive.source] = touched[primitive.target] = None
+                sources[primitive.source] = sinks[primitive.target] = None
             elif isinstance(primitive, AttributeUpdate):
                 cells[(primitive.node, primitive.attr)] = None
             elif isinstance(primitive, NodeInsertion):
                 inserted.append(primitive.node)
-                touched[primitive.node] = None
+                sources[primitive.node] = sinks[primitive.node] = None
                 cells.update(((primitive.node, attr), None) for attr in primitive.attrs)
             else:  # NodeDeletion
                 return None
@@ -301,8 +371,8 @@ class FrozenGraph:
             ids = dict(ids)
             ids.update(zip(inserted, range(len(labels), len(labels) + len(inserted))))
             labels = labels + tuple(inserted)
-        out_rows = {ids[node]: [ids[t] for t in graph.successors(node)] for node in touched}
-        in_rows = {ids[node]: [ids[s] for s in graph.predecessors(node)] for node in touched}
+        out_rows = {ids[node]: [ids[t] for t in graph.successors(node)] for node in sources}
+        in_rows = {ids[node]: [ids[s] for s in graph.predecessors(node)] for node in sinks}
 
         columns, values, interned = self._column_dicts(), self._values, self._pool_index()
         written: set[str] = set()
@@ -330,20 +400,26 @@ class FrozenGraph:
                 written.add(attr)
             columns[attr][index] = value_id
 
+        count, starts, ends = len(labels), self.out_starts, self.out_ends
+        live = self._edge_count + sum(
+            len(row) - (ends[index] - starts[index] if index < len(starts) else 0)
+            for index, row in out_rows.items()
+        )
         result = FrozenGraph(
             graph.name,
             graph.version,
             labels,
-            *_spliced(self.out_offsets, self.out_targets, out_rows),
-            *_spliced(self.in_offsets, self.in_targets, in_rows),
+            _repointed(starts, ends, self.out_targets, out_rows, count, live),
+            _repointed(self.in_starts, self.in_ends, self.in_targets, in_rows, count, live),
+            live,
             columns,
             values,
         )
         result._ids = ids
         result._interned = interned
         result._pool_floor = self._pool_floor
-        result._succ_sets = _patched_sets(self._succ_sets, out_rows, len(labels))
-        result._pred_sets = _patched_sets(self._pred_sets, in_rows, len(labels))
+        result._succ_sets = _patched_sets(self._succ_sets, out_rows, count)
+        result._pred_sets = _patched_sets(self._pred_sets, in_rows, count)
         return result
 
     def _pool_index(self) -> dict[tuple, int]:
@@ -371,10 +447,9 @@ class FrozenGraph:
             self.name,
             self.source_version,
             self.labels,
-            self.out_offsets,
-            self.out_targets,
-            self.in_offsets,
-            self.in_targets,
+            (self.out_starts, self.out_ends, self.out_targets),
+            (self.in_starts, self.in_ends, self.in_targets),
+            self._edge_count,
             {},
             [],
         )
@@ -390,7 +465,7 @@ class FrozenGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.out_targets)
+        return self._edge_count
 
     @property
     def size(self) -> int:
@@ -422,35 +497,34 @@ class FrozenGraph:
         return iter(self.labels)
 
     def edges(self) -> Iterator[Edge]:
-        labels = self.labels
-        offsets, targets = self.out_offsets, self.out_targets
-        for index, label in enumerate(labels):
-            for position in range(offsets[index], offsets[index + 1]):
+        labels, targets = self.labels, self.out_targets
+        for label, start, end in zip(labels, self.out_starts, self.out_ends):
+            for position in range(start, end):
                 yield (label, labels[targets[position]])
 
     def successors(self, node: NodeId) -> Iterator[NodeId]:
         index = self.id_of(node)
-        labels, offsets, targets = self.labels, self.out_offsets, self.out_targets
+        labels, targets = self.labels, self.out_targets
         return (
             labels[targets[position]]
-            for position in range(offsets[index], offsets[index + 1])
+            for position in range(self.out_starts[index], self.out_ends[index])
         )
 
     def predecessors(self, node: NodeId) -> Iterator[NodeId]:
         index = self.id_of(node)
-        labels, offsets, targets = self.labels, self.in_offsets, self.in_targets
+        labels, targets = self.labels, self.in_targets
         return (
             labels[targets[position]]
-            for position in range(offsets[index], offsets[index + 1])
+            for position in range(self.in_starts[index], self.in_ends[index])
         )
 
     def out_degree(self, node: NodeId) -> int:
         index = self.id_of(node)
-        return self.out_offsets[index + 1] - self.out_offsets[index]
+        return self.out_ends[index] - self.out_starts[index]
 
     def in_degree(self, node: NodeId) -> int:
         index = self.id_of(node)
-        return self.in_offsets[index + 1] - self.in_offsets[index]
+        return self.in_ends[index] - self.in_starts[index]
 
     def has_edge(self, source: NodeId, target: NodeId) -> bool:
         source_id = self.id_of(source)
@@ -498,8 +572,7 @@ class FrozenGraph:
         return (
             graph.has_node(first)
             and graph.has_node(last)
-            and graph.out_degree(first)
-            == self.out_offsets[1] - self.out_offsets[0]
+            and graph.out_degree(first) == self.out_ends[0] - self.out_starts[0]
         )
 
     # ------------------------------------------------------------------
@@ -508,20 +581,20 @@ class FrozenGraph:
     def successor_sets(self) -> tuple[frozenset[int], ...]:
         """Per-node successor id sets (lazy; the BFS kernels' substrate)."""
         if self._succ_sets is None:
-            self._succ_sets = self._row_sets(self.out_offsets, self.out_targets)
+            self._succ_sets = self._row_sets(self.out_starts, self.out_ends, self.out_targets)
         return self._succ_sets
 
     def predecessor_sets(self) -> tuple[frozenset[int], ...]:
         """Per-node predecessor id sets (lazy)."""
         if self._pred_sets is None:
-            self._pred_sets = self._row_sets(self.in_offsets, self.in_targets)
+            self._pred_sets = self._row_sets(self.in_starts, self.in_ends, self.in_targets)
         return self._pred_sets
 
-    def _row_sets(self, offsets: array, targets: array) -> tuple[frozenset[int], ...]:
+    @staticmethod
+    def _row_sets(starts: Any, ends: Any, targets: Any) -> tuple[frozenset[int], ...]:
         flat = targets.tolist()
         return tuple(
-            frozenset(flat[offsets[index] : offsets[index + 1]])
-            for index in range(len(self.labels))
+            frozenset(flat[start:end]) for start, end in zip(starts.tolist(), ends.tolist())
         )
 
     # ------------------------------------------------------------------
@@ -531,8 +604,9 @@ class FrozenGraph:
         """Reconstruct an equal :class:`Graph` (labels, edges, attributes, version).
 
         Order-exact: node, successor and predecessor order are the
-        snapshot's, so ``freeze(to_graph())`` equals this snapshot array
-        for array.  Attribute order within a node is column order.
+        snapshot's, so ``freeze(to_graph())`` equals this snapshot row for
+        row (array for array when compact).  Attribute order within a node
+        is column order.
         """
         values = self._values
         attr_rows: list[dict[str, Any]] = [{} for _ in self.labels]
@@ -541,20 +615,21 @@ class FrozenGraph:
                 attr_rows[index][attr] = values[value_id]
         return Graph.from_rows(
             dict(zip(self.labels, attr_rows)),
-            self._label_rows(self.out_offsets, self.out_targets),
-            self._label_rows(self.in_offsets, self.in_targets),
+            self._label_rows(self.out_starts, self.out_ends, self.out_targets),
+            self._label_rows(self.in_starts, self.in_ends, self.in_targets),
             name=self.name if name is None else name,
             version=self.source_version,
         )
 
-    def _label_rows(self, offsets: Any, targets: Any) -> dict[NodeId, dict[NodeId, None]]:
+    def _label_rows(
+        self, starts: Any, ends: Any, targets: Any
+    ) -> dict[NodeId, dict[NodeId, None]]:
         """One CSR direction as ``Graph`` rows: label -> ordered label keys."""
         labels = self.labels
         flat = [labels[target] for target in targets.tolist()]
-        bounds = offsets.tolist()
         return {
-            label: dict.fromkeys(flat[bounds[index] : bounds[index + 1]])
-            for index, label in enumerate(labels)
+            label: dict.fromkeys(flat[start:end])
+            for label, start, end in zip(labels, starts.tolist(), ends.tolist())
         }
 
     # ------------------------------------------------------------------
@@ -572,8 +647,9 @@ class FrozenGraph:
     def to_buffers(self) -> tuple[dict[str, Any], list[tuple[str, Any]]]:
         """Split the snapshot into JSON-ready metadata and flat buffers.
 
-        The buffer list carries the four CSR arrays as ``(section,
-        buffer)`` pairs, plus one ``labels`` section when every node id is
+        The buffer list carries the four compact CSR arrays (offsets and
+        targets per direction; a patched snapshot's dead entries are left
+        out) as ``(section, buffer)`` pairs, plus one ``labels`` section when every node id is
         a plain int (the common case for generated graphs — JSON-encoding
         and re-parsing millions of int labels would dominate an otherwise
         O(1) load) and one ``col<i>.idx`` / ``col<i>.val`` section pair
@@ -583,11 +659,13 @@ class FrozenGraph:
         themselves.  :meth:`from_buffers` inverts this over either
         materialized arrays or zero-copy mmap views.
         """
+        out_offsets, out_targets = _compact(self.out_starts, self.out_ends, self.out_targets)
+        in_offsets, in_targets = _compact(self.in_starts, self.in_ends, self.in_targets)
         buffers = [
-            ("out_offsets", self.out_offsets),
-            ("out_targets", self.out_targets),
-            ("in_offsets", self.in_offsets),
-            ("in_targets", self.in_targets),
+            ("out_offsets", out_offsets),
+            ("out_targets", out_targets),
+            ("in_offsets", in_offsets),
+            ("in_targets", in_targets),
         ]
         labels_buffer = self._packed_labels()
         if labels_buffer is not None:
@@ -633,10 +711,9 @@ class FrozenGraph:
             meta["name"],
             source_version,
             labels,
-            buffers["out_offsets"],
-            buffers["out_targets"],
-            buffers["in_offsets"],
-            buffers["in_targets"],
+            (*_rows(buffers["out_offsets"]), buffers["out_targets"]),
+            (*_rows(buffers["in_offsets"]), buffers["in_targets"]),
+            len(buffers["out_targets"]),
             {},
             list(meta["values"]),
         )
@@ -655,10 +732,8 @@ class FrozenGraph:
             self.name,
             self.source_version,
             self.labels,
-            _own_buffer(self.out_offsets),
-            _own_buffer(self.out_targets),
-            _own_buffer(self.in_offsets),
-            _own_buffer(self.in_targets),
+            *_compact(self.out_starts, self.out_ends, self.out_targets),
+            *_compact(self.in_starts, self.in_ends, self.in_targets),
             self._column_dicts(),
             self._values,
         )
@@ -668,13 +743,16 @@ class FrozenGraph:
             self.name,
             self.source_version,
             self.labels,
-            self.out_offsets,
+            out_offsets,
             self.out_targets,
-            self.in_offsets,
+            in_offsets,
             self.in_targets,
             self._columns,
             self._values,
         ) = state
+        self.out_starts, self.out_ends = _rows(out_offsets)
+        self.in_starts, self.in_ends = _rows(in_offsets)
+        self._edge_count = len(self.out_targets)
         self._columns_packed = None
         self._ids = None
         self._succ_sets = None

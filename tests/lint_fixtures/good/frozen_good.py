@@ -5,7 +5,7 @@ from repro.graph.frozen import FrozenGraph
 
 def read_snapshot(graph):
     frozen = FrozenGraph.freeze(graph)
-    first_row = frozen.out_targets[frozen.out_offsets[0] : frozen.out_offsets[1]]
+    first_row = frozen.out_targets[frozen.out_starts[0] : frozen.out_ends[0]]
     return frozen.labels, list(first_row)
 
 

@@ -8,4 +8,4 @@ def relabel(graph):
     frozen.labels = []  # repro-lint: disable=frozen-immutability -- fixture: trailing-directive form of a justified exception
 
     # repro-lint: disable=frozen-immutability -- fixture: standalone directive covering the next line
-    frozen.out_offsets[0] = 9
+    frozen.out_starts[0] = 9

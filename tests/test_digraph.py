@@ -240,7 +240,7 @@ class TestDerivation:
             update.apply(graph)  # deletions + re-insertions scramble row order
         ours, theirs = FrozenGraph.freeze(graph), FrozenGraph.freeze(graph.copy())
         assert theirs.labels == ours.labels
-        for field in ("out_offsets", "out_targets", "in_offsets", "in_targets"):
+        for field in ARRAYS:
             assert getattr(theirs, field) == getattr(ours, field), field
 
     def test_copy_writes_never_reach_the_original(self, small: Graph):

@@ -42,7 +42,7 @@ from repro.pattern.builder import PatternBuilder
 from repro.ranking.topk import RankingContext
 from tests.conftest import batch_of
 from tests.test_differential import candidate_rows, random_case, weighted_edges
-from tests.test_frozen_patch import batch_from_codes, observed
+from tests.test_frozen_patch import assert_equals_full_freeze, batch_from_codes
 
 
 # ----------------------------------------------------------------------
@@ -478,13 +478,14 @@ class TestSnapshotPatching:
 
     @pytest.fixture
     def uses(self, monkeypatch):
-        """Every snapshot the engine uses must equal a full freeze, array for array."""
+        """Every snapshot the engine uses must equal a full freeze, row for row
+        (and array for array wherever its rows tile the arrays)."""
         original = QueryEngine._frozen_snapshot
         used: list[FrozenGraph] = []
 
         def checked(engine, entry):
             frozen = original(engine, entry)
-            assert observed(frozen) == observed(FrozenGraph.freeze(entry.graph))
+            assert_equals_full_freeze(frozen, entry.graph)
             used.append(frozen)
             return frozen
 

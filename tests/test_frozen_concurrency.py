@@ -1,0 +1,146 @@
+"""Readers and writers share snapshots and memos without locks: a stress test.
+
+A served epoch's :class:`FrozenGraph` is read by many handler threads while
+the writer publishes the next epochs, each one patched from the snapshot
+before it.  Nothing guards those reads: they are safe only because
+``FrozenGraph.patched`` copies every buffer it appends to and never writes
+the snapshot it starts from.  Likewise a cached relation's wire memo is
+filled by whichever handler thread encodes it first, unlocked.
+
+Both run here under a one-microsecond interpreter switch interval, so
+threads interleave inside every buffer copy, row append and memo store.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+import threading
+
+import pytest
+
+from repro.graph.generators import collaboration_graph
+from repro.incremental.updates import EdgeDeletion, EdgeInsertion, NodeInsertion
+from repro.pattern.parser import parse_pattern
+from repro.server import SnapshotRegistry
+from repro.server.wire import dumps, encode_relation
+from tests.test_frozen_patch import assert_equals_full_freeze, observed
+
+READERS = 4
+PUBLISHES = 60
+PATTERN = """
+node SA* : field == "SA"
+node SD : field == "SD"
+edge SA -> SD : 2
+"""
+
+
+@pytest.fixture
+def fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def run_threads(targets) -> list[BaseException]:
+    """Start every target at once; the exceptions they raised."""
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(len(targets))
+
+    def guarded(target):
+        try:
+            barrier.wait()
+            target()
+        except BaseException as exc:  # noqa: BLE001 - reported to the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(target,)) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads), "a thread hung"
+    return errors
+
+
+def test_pinned_readers_see_their_rows_while_patched_epochs_publish(fast_switching):
+    graph = collaboration_graph(150, seed=5)
+    registry = SnapshotRegistry()
+    registry.register("g", graph)
+    rng = random.Random(5)
+    nodes = list(graph.nodes())
+    with registry.pin("g") as pinned:
+        frozen = pinned.frozen
+        before = observed(frozen)
+        out_rows = {node: list(frozen.successors(node)) for node in nodes}
+        in_rows = {node: list(frozen.predecessors(node)) for node in nodes}
+        succ, rebuilt = frozen.successor_sets(), frozen.to_graph()
+        published = threading.Event()
+
+        def read() -> None:
+            passes = 0
+            while not published.is_set() or passes < 3:
+                for node in nodes:
+                    assert list(frozen.successors(node)) == out_rows[node]
+                    assert list(frozen.predecessors(node)) == in_rows[node]
+                assert frozen.successor_sets() == succ
+                assert frozen.to_graph() == rebuilt
+                passes += 1
+
+        def publish() -> None:
+            present = set(graph.edges())
+            try:
+                for step in range(PUBLISHES):
+                    source, target = rng.sample(nodes, 2)
+                    if (source, target) in present:
+                        present.discard((source, target))
+                        updates = [EdgeDeletion(source, target)]
+                    else:
+                        present.add((source, target))
+                        updates = [EdgeInsertion(source, target)]
+                    if step % 15 == 14:
+                        updates.append(NodeInsertion.with_attrs(f"late{step}", field="SD"))
+                    registry.publish("g", updates)
+            finally:
+                published.set()
+
+        errors = run_threads([read] * READERS + [publish])
+        assert errors == []
+        assert pinned.frozen is frozen and observed(frozen) == before
+    assert registry.counters["patches"] == PUBLISHES  # every epoch was a patch
+    with registry.pin("g") as latest:
+        assert latest.frozen is not frozen
+        assert_equals_full_freeze(latest.frozen, latest.graph)
+
+
+def race_to_encode(relation, threads: int = 8) -> list[str]:
+    """Reply bodies of ``threads`` handlers encoding ``relation`` at once."""
+    replies: list[str] = []
+
+    def reply() -> None:
+        replies.append(dumps({"relation": encode_relation(relation)}))
+
+    assert run_threads([reply] * threads) == []
+    return replies
+
+
+def test_threads_racing_on_a_cached_relations_memo_send_equal_bytes(fast_switching):
+    graph = collaboration_graph(300, seed=7)
+    registry = SnapshotRegistry()
+    registry.register("g", graph)
+    pattern = parse_pattern(PATTERN, name="race")
+    for round_ in range(8):
+        with registry.pin("g") as epoch:
+            relation = epoch.evaluate(pattern).relation
+            assert epoch.evaluate(pattern).relation is relation  # one cached entry
+            assert any(relation.pairs())  # something to encode
+            expected = json.dumps({"relation": relation.to_dict()})
+            replies = race_to_encode(relation)
+            assert len(replies) == 8 and set(replies) == {expected}
+            assert dumps({"relation": encode_relation(relation)}) == expected
+        # the next round races on the next epoch's own cached relation
+        registry.publish("g", [NodeInsertion.with_attrs(f"race{round_}", field="SD")])

@@ -1,13 +1,17 @@
 """Delta-freeze differential: ``prior.patched(g2, prims)`` ≡ ``freeze(g2)``.
 
 ``FrozenGraph.patched`` builds the post-batch snapshot from the prior one
-by re-reading only what the batch touched.  The oracle is the full build:
-inside one lineage (``Graph.copy`` is order-exact) the patched snapshot
-must equal ``FrozenGraph.freeze`` of the same graph array for array, and
-the snapshot it was built *from* must not change by a single bit — pinned
-readers are still traversing it.
+by re-reading only what the batch touched, appending each changed row to
+copies of the target arrays.  The oracle is the full build: inside one
+lineage (``Graph.copy`` is order-exact) every node's out- and in-row of
+the patched snapshot must equal ``FrozenGraph.freeze``'s as an ordered
+label list, the arrays must equal array for array whenever the rows tile
+them (after a compaction), a saved or pickled patched snapshot must carry
+the compact arrays, and the snapshot it was built *from* must not change
+by a single bit — pinned readers are still traversing it.
 """
 
+import pickle
 import random
 from array import array
 
@@ -15,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
-from repro.engine.storage import GraphStore
+from repro.engine.storage import GraphStore, write_frozen_file
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
@@ -29,16 +33,33 @@ from repro.incremental.updates import (
     decompose,
 )
 
-ARRAYS = ("out_offsets", "out_targets", "in_offsets", "in_targets")
+ARRAYS = ("out_starts", "out_ends", "out_targets", "in_starts", "in_ends", "in_targets")
+DIRECTIONS = (("out_starts", "out_ends", "out_targets"), ("in_starts", "in_ends", "in_targets"))
 
 
-def observed(frozen: FrozenGraph) -> dict:
-    """Everything a reader can see of a snapshot, as owned copies."""
+def arrays(frozen: FrozenGraph) -> dict:
+    """The six CSR buffers, as owned copies."""
+    return {field: array("q", getattr(frozen, field)) for field in ARRAYS}
+
+
+def rows(frozen: FrozenGraph) -> dict:
+    """Every node's out-row and in-row, as ordered label lists."""
+    return {
+        node: (list(frozen.successors(node)), list(frozen.predecessors(node)))
+        for node in frozen.labels
+    }
+
+
+def readable(frozen: FrozenGraph) -> dict:
+    """Everything a reader can see of a snapshot through its methods."""
     return {
         "name": frozen.name,
         "version": frozen.source_version,
         "labels": tuple(frozen.labels),
-        **{field: array("q", getattr(frozen, field)) for field in ARRAYS},
+        "edges": frozen.num_edges,
+        "edge_list": list(frozen.edges()),
+        "rows": rows(frozen),
+        "degrees": [(frozen.out_degree(v), frozen.in_degree(v)) for v in frozen.labels],
         "succ": tuple(frozen.successor_sets()),
         "pred": tuple(frozen.predecessor_sets()),
         "attrs": {node: frozen.node_attrs(node) for node in frozen.labels},
@@ -49,8 +70,38 @@ def observed(frozen: FrozenGraph) -> dict:
     }
 
 
+def observed(frozen: FrozenGraph) -> dict:
+    """What a reader can see plus the raw buffers: bit-for-bit identity."""
+    return {**readable(frozen), **arrays(frozen)}
+
+
+def dead(frozen: FrozenGraph) -> list[int]:
+    """Per direction, the target entries no row points at."""
+    return [len(getattr(frozen, targets)) - frozen.num_edges for _s, _e, targets in DIRECTIONS]
+
+
+def tiled(frozen: FrozenGraph, direction: tuple[str, str, str]) -> bool:
+    """The direction's rows tile its targets in node order (no dead entries)."""
+    starts, ends, targets = (getattr(frozen, field) for field in direction)
+    bounds = [0] + list(ends)
+    return list(starts) == bounds[:-1] and bounds[-1] == len(targets)
+
+
+def compact(frozen: FrozenGraph) -> bool:
+    return all(tiled(frozen, direction) for direction in DIRECTIONS)
+
+
 def assert_equals_full_freeze(patched: FrozenGraph, graph: Graph) -> None:
-    assert observed(patched) == observed(FrozenGraph.freeze(graph))
+    fresh = FrozenGraph.freeze(graph)
+    assert compact(fresh) and dead(fresh) == [0, 0]
+    # row for row, always; array for array wherever the rows tile the arrays
+    assert readable(patched) == readable(fresh)
+    for direction in DIRECTIONS:
+        if tiled(patched, direction):
+            for field in direction:
+                assert array("q", getattr(patched, field)) == getattr(fresh, field), field
+    # dead entries never outnumber the live ones: a patch compacts first
+    assert all(0 <= count <= patched.num_edges for count in dead(patched))
     assert patched.ids() == {label: index for index, label in enumerate(patched.labels)}
     assert patched.matches(graph)
     rebuilt = patched.to_graph()
@@ -321,10 +372,11 @@ class TestAcrossASaveAndLoad:
         patched = prior.patched(after, primitives)
         fresh = FrozenGraph.freeze(after)
         assert patched.labels == fresh.labels
-        assert patched.out_offsets == fresh.out_offsets
-        assert patched.out_targets == fresh.out_targets
-        assert patched.in_offsets == fresh.in_offsets
-        assert patched.in_targets != fresh.in_targets  # the weaker guarantee is real
+        outs, ins = zip(*rows(patched).values())
+        fresh_outs, fresh_ins = zip(*rows(fresh).values())
+        assert outs == fresh_outs  # out-rows in order
+        assert ins != fresh_ins  # the weaker guarantee is real
+        assert list(map(sorted, ins)) == list(map(sorted, fresh_ins))
         assert patched.successor_sets() == fresh.successor_sets()
         assert patched.predecessor_sets() == fresh.predecessor_sets()
         assert patched.to_graph() == after
@@ -339,6 +391,7 @@ class TestAcrossASaveAndLoad:
         loaded = store.load_graph("g")
         prior = store.load_snapshot("g", expected_version=loaded.version)
         assert prior.path is not None and not isinstance(prior.out_targets, array)
+        before = observed(prior)
         for updates in (
             [EdgeInsertion("c", "b"), NodeInsertion.with_attrs("d", f="D")],
             [AttributeUpdate("a", "f", "Q")],  # attribute-only: still owned
@@ -352,4 +405,106 @@ class TestAcrossASaveAndLoad:
             assert patched.predecessor_sets() == FrozenGraph.freeze(after).predecessor_sets()
             assert patched.to_graph() == after
         assert path.read_bytes() == stored
+        assert observed(prior) == before
         assert prior.to_graph() == loaded
+
+
+def edge_toggles(graph: Graph, rng: random.Random, steps: int, arrivals: int = 0):
+    """A single-edge update stream: each step inserts or deletes one edge;
+    every ``arrivals``-th step a node with attributes and an edge arrives too."""
+    nodes = list(graph.nodes())
+    for step in range(1, steps + 1):
+        source, target = rng.sample(nodes, 2)
+        toggle = EdgeDeletion if graph.has_edge(source, target) else EdgeInsertion
+        updates = [toggle(source, target)]
+        if arrivals and step % arrivals == 0:
+            updates += [
+                NodeInsertion.with_attrs(f"late{step}", field="SA", experience=step),
+                EdgeInsertion(f"late{step}", source),
+            ]
+        graph, primitives = apply_batch(graph, updates)
+        yield graph, primitives
+
+
+class TestAppendOnlyRows:
+    """Replaced rows go to the end of the target copies; dead entries are
+    compacted away once they outnumber the live ones."""
+
+    def test_single_edge_chain_compacts_and_stays_bounded(self):
+        graph = collaboration_graph(60, seed=3)
+        prior = FrozenGraph.freeze(graph)
+        prior.successor_sets(), prior.predecessor_sets()
+        compactions = [0, 0]
+        for graph, primitives in edge_toggles(graph, random.Random(3), 400):
+            patched = prior.patched(graph, primitives)
+            for direction, (was, now) in enumerate(zip(dead(prior), dead(patched))):
+                # tighter than "live + one batch's rows": the patch appends,
+                # then compacts when dead entries outnumber live ones
+                assert now <= patched.num_edges
+                if was and not now:
+                    compactions[direction] += 1
+            assert_equals_full_freeze(patched, graph)  # arrays too, once compacted
+            prior = patched
+        assert min(compactions) >= 2, compactions
+
+    def test_a_touched_row_is_appended_and_the_rest_stay_put(self):
+        graph = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a")], name="g")
+        prior = FrozenGraph.freeze(graph)
+        after, primitives = apply_batch(graph, [EdgeInsertion("a", "c")])
+        patched = prior.patched(after, primitives)
+        # a's out-row and c's in-row moved to the end; b's rows did not
+        assert list(patched.out_targets) == [1, 2, 0, 1, 2]
+        assert (patched.out_starts[0], patched.out_ends[0]) == (3, 5)
+        assert list(patched.in_targets) == [2, 0, 1, 1, 0]
+        assert (patched.in_starts[2], patched.in_ends[2]) == (3, 5)
+        assert (patched.out_starts[1], patched.out_ends[1]) == (1, 2)
+        assert dead(patched) == [1, 1] and patched.num_edges == 4
+        assert_equals_full_freeze(patched, after)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saved_patched_chain_is_byte_identical_to_a_saved_freeze(self, seed, tmp_path):
+        rng = random.Random(seed)
+        graph = collaboration_graph(80, seed=seed)
+        prior = FrozenGraph.freeze(graph)
+        compactions = 0
+        for graph, primitives in edge_toggles(graph, rng, 240, arrivals=40):
+            patched = prior.patched(graph, primitives)
+            compactions += any(was and not now for was, now in zip(dead(prior), dead(patched)))
+            written = write_frozen_file(tmp_path / "patched.snap", patched).read_bytes()
+            fresh = write_frozen_file(tmp_path / "fresh.snap", FrozenGraph.freeze(graph))
+            assert written == fresh.read_bytes()
+            prior = patched
+        assert "late240" in graph and compactions >= 2  # both layouts were written
+
+    def test_a_pickled_patched_snapshot_carries_compact_arrays(self):
+        graph = collaboration_graph(50, seed=1)
+        prior = FrozenGraph.freeze(graph)
+        for graph, primitives in edge_toggles(graph, random.Random(1), 5):
+            prior = prior.patched(graph, primitives)
+        assert not compact(prior) and dead(prior) != [0, 0]
+        before = observed(prior)
+        clone = pickle.loads(pickle.dumps(prior))
+        assert observed(prior) == before  # pickling compacts a copy, never in place
+        assert compact(clone) and dead(clone) == [0, 0]
+        assert arrays(clone) == arrays(FrozenGraph.freeze(graph))
+        assert readable(clone) == readable(prior)
+        assert all(isinstance(getattr(clone, field), array) for field in ARRAYS)
+
+    def test_an_mmap_backed_prior_is_never_written(self, tmp_path):
+        graph = collaboration_graph(50, seed=2)
+        path = write_frozen_file(tmp_path / "g.snap", FrozenGraph.freeze(graph))
+        stored = path.read_bytes()
+        store = GraphStore(tmp_path / "store")
+        store.save_graph("g", graph)
+        store.save_snapshot("g", FrozenGraph.freeze(graph))
+        prior = store.load_snapshot("g", expected_version=graph.version)
+        assert all(not isinstance(getattr(prior, field), array) for field in ARRAYS)
+        before = observed(prior)
+        chained = prior
+        for after, primitives in edge_toggles(graph, random.Random(2), 120):
+            assert prior.patched(after, primitives) is not None  # from the mapped one
+            chained = chained.patched(after, primitives)
+            assert_equals_full_freeze(chained, after)
+            graph = after
+        assert observed(prior) == before
+        assert (store.root / "snapshots" / "g.frozen.snap").read_bytes() == stored

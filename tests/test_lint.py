@@ -85,6 +85,17 @@ class TestCorpus:
         ]
         assert any("carried.in_targets[0] = 9" in line for line in lines)
 
+    def test_growing_a_patched_snapshots_rows_in_place_is_flagged(self):
+        # patched() appends rows to *copies* of the target arrays; appending
+        # to a snapshot's own would change what its pinned readers see
+        active = lint_fixture(CORPUS["frozen-immutability"][0]).active
+        found = {
+            (finding.source_line.strip().split("  #")[0], finding.message.split(" on ")[0])
+            for finding in active
+        }
+        assert ("carried.out_targets.extend([0, 1])", "in-place extend()") in found
+        assert ("carried.out_ends.append(2)", "in-place append()") in found
+
     def test_a_copy_on_write_swap_is_not_a_content_write(self):
         # the same row swapped for its copy passes; another row's copy fires
         source_lines = {

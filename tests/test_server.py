@@ -46,7 +46,7 @@ from repro.server.wire import (
 )
 from repro.testing.faults import armed
 from tests.test_digraph import view
-from tests.test_frozen_patch import observed
+from tests.test_frozen_patch import assert_equals_full_freeze, observed
 
 SIM_PATTERN = """
 node SA* : field == "SA"
@@ -309,7 +309,7 @@ class TestDeltaFreeze:
         )
         assert registry.counters["patches"] == 1
         assert registry.counters["freezes"] == 1  # registration's, still
-        assert observed(epoch.frozen) == observed(FrozenGraph.freeze(epoch.graph))
+        assert_equals_full_freeze(epoch.frozen, epoch.graph)
         assert epoch.frozen.matches(epoch.graph)
 
     def test_node_deletion_falls_back_to_a_full_freeze(self, registry):

@@ -83,10 +83,10 @@ class TestFrozenRoundTrip:
         assert loaded.source_version == frozen.source_version
         assert loaded.matches(fig1)
         assert loaded.to_graph() == fig1
-        assert list(loaded.out_offsets) == list(frozen.out_offsets)
-        assert list(loaded.out_targets) == list(frozen.out_targets)
-        assert list(loaded.in_offsets) == list(frozen.in_offsets)
-        assert list(loaded.in_targets) == list(frozen.in_targets)
+        for field in (
+            "out_starts", "out_ends", "out_targets", "in_starts", "in_ends", "in_targets"
+        ):
+            assert list(getattr(loaded, field)) == list(getattr(frozen, field)), field
         assert loaded.labels == frozen.labels
 
     def test_load_is_zero_copy(self, store, frozen):
@@ -94,7 +94,8 @@ class TestFrozenRoundTrip:
         loaded = store.load_snapshot("team")
         # The CSR buffers are casts over the shared mmap, not copies.
         assert isinstance(loaded.out_targets, memoryview)
-        assert isinstance(loaded.in_offsets, memoryview)
+        assert isinstance(loaded.in_starts, memoryview)
+        assert isinstance(loaded.in_ends, memoryview)
         assert loaded.path == store.root / "snapshots" / "team.frozen.snap"
 
     def test_attributes_survive(self, store, fig1, frozen):
