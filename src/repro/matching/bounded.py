@@ -14,18 +14,15 @@ Two evaluators compute that relation, byte for byte the same:
   line.  ``sim`` starts at the candidate ids; one backward pass runs one
   multi-source BFS per pattern edge ``(u,u',b)`` over the snapshot's
   predecessor sets, sinks first, and shrinks ``sim(u)`` to the nodes that
-  reach ``sim(u')`` by a nonempty path of length <= ``b``.  Bounded
-  successor rows are then built between the pass's sets
-  (:func:`frozen_successor_rows`), and one linear removal cascade over
-  those int rows drops every member left without a witness.  For an
-  acyclic pattern the pass is already exact and the cascade removes
-  nothing; for a cyclic one the cascade finishes the greatest fixpoint.
-  The surviving rows are exactly the result graph's weighted edges;
-  :class:`MatchRows` keeps them int-indexed and turns ids into labels
-  only when the result graph is asked for.  :func:`bounded_relation` is
-  the same line for a caller that needs only the relation (the engine's
-  compressed route): it stops after the pass unless the pattern has a
-  cycle, and builds no rows it does not cascade over.
+  reach ``sim(u')`` by a nonempty path of length <= ``b``.  For an
+  acyclic pattern that pass is exact, and the bounded successor rows
+  between its sets (:func:`frozen_successor_rows`), the result graph's
+  weighted edges, are built on the first read of the result's
+  :class:`MatchRows`: never for a caller that needs only the relation.
+  A cyclic pattern or a guard builds them at once, and one linear removal
+  cascade over them drops every member left without a witness.
+  :class:`MatchRows` keeps the rows int-indexed and turns ids into labels
+  only when the result graph is asked for.
 * **Candidate-indexed state, over the dict graph** —
   :class:`BoundedState`, the cubic algorithm of Fan et al. (PVLDB 2010).
   It materializes, per pattern edge ``e`` and *candidate* ``v``, the
@@ -90,7 +87,6 @@ def frozen_successor_rows(
     frozen: FrozenGraph,
     out_edges_by_node: Mapping[str, Sequence[tuple[str, Bound]]],
     candidate_ids: Mapping[str, frozenset[int]],
-    sources_by_node: Mapping[str, Sequence[int]] | None = None,
     oracle=None,
     kernel_log: dict[PatternEdge, Any] | None = None,
     guard=None,
@@ -98,14 +94,12 @@ def frozen_successor_rows(
 ) -> dict[PatternEdge, dict[int, dict[int, int]]]:
     """Bounded successor rows for every source candidate, int-indexed.
 
-    For each pattern node ``u`` with out-edges and each source id ``v``
-    (``sources_by_node[u]`` when given — the sets the relation-first
-    matcher's backward pass left — else every candidate of ``u``),
-    computes per out-edge ``(u, u')`` the row ``{w: dist}`` of
-    ``u'``-candidates within the edge bound.  ``route_on``, when given,
-    names the id sets the planner routes on in place of the sources and
-    children the rows are built for: :func:`match_bounded` builds rows
-    between the pass's sets but routes on the candidates, so the kernel
+    For each pattern node ``u`` with out-edges and each id ``v`` in
+    ``candidate_ids[u]``, computes per out-edge ``(u, u')`` the row
+    ``{w: dist}`` of the ids in ``candidate_ids[u']`` within the edge
+    bound.  ``route_on``, when given, names the id sets the planner routes
+    on in place of those: :func:`match_bounded` builds rows between the
+    backward pass's sets but routes on the candidates, so the kernel
     choice does not depend on the answer.  This is
     exactly what :meth:`BoundedState._build_successor_sets` materializes,
     with three kernel strategies instead of one truncated BFS per candidate,
@@ -128,8 +122,8 @@ def frozen_successor_rows(
     All strategies produce identical rows (the seeded differential suite
     asserts it); the split is purely a cost model.  ``kernel_log``, when
     given, receives the chosen :class:`~repro.engine.planner.EdgeRoute`
-    per pattern edge — this is what ``explain()`` and the matcher stats
-    surface.
+    per pattern edge, the route its rows take — what ``explain()`` and the
+    matcher stats surface, built or not (see :func:`match_bounded`).
 
     ``guard`` (a :class:`~repro.engine.estimator.QueryGuard`) changes two
     things.  First, routing: each source group's analytic frontier is
@@ -150,18 +144,13 @@ def frozen_successor_rows(
     # be circular.
     from repro.engine.estimator import REPLAN_FACTOR, sample_frontier
     from repro.engine.planner import (
-        KERNEL_BITSET,
         KERNEL_ORACLE,
         KERNEL_PER_SOURCE,
         enumeration_kernel,
-        route_edge,
     )
 
     rows: dict[PatternEdge, dict[int, dict[int, int]]] = {}
     adjacency = frozen.successor_sets()
-    num_nodes = len(adjacency)
-    num_edges = frozen.num_edges
-    oracle_profile = oracle.profile() if oracle is not None else None
     # Guarded evaluation routes from *sampled* frontier estimates and
     # re-scales the remaining estimates (``correction``) whenever a group's
     # measured work overshoots its estimate by the replan factor.
@@ -170,10 +159,7 @@ def frozen_successor_rows(
         out_edges = list(out_edges)
         if not out_edges:
             continue
-        if sources_by_node is not None:
-            sources = list(sources_by_node.get(source_pattern, ()))
-        else:
-            sources = sorted(candidate_ids[source_pattern])
+        sources = sorted(candidate_ids[source_pattern])
         route_sources = (
             sources if route_on is None else route_on[source_pattern]
         )
@@ -186,27 +172,17 @@ def frozen_successor_rows(
                 BoundedState._bfs_depth(bound for _, bound in out_edges),
             )
             ball_edges_estimate = max(1.0, sampled.ball_edges * correction)
+        routes = _edge_routes(
+            frozen, oracle, source_pattern, out_edges, len(route_sources),
+            candidate_ids if route_on is None else route_on, ball_edges_estimate,
+        )
         oracle_edges = []
         enum_edges = []
-        routes = {}
         for edge_target, bound in out_edges:
             edge = (source_pattern, edge_target)
             rows[edge] = {source: {} for source in sources}
-            children = candidate_ids[edge_target]
-            route = route_edge(
-                edge,
-                bound,
-                len(route_sources),
-                len(children if route_on is None else route_on[edge_target]),
-                num_nodes,
-                num_edges,
-                oracle_profile if oracle is not None and oracle.covers(bound) else None,
-                bulk_depth=FROZEN_BULK_DEPTH,
-                ball_edges_estimate=ball_edges_estimate,
-            )
-            routes[edge] = route
-            item = (edge, bound, children)
-            if route.kernel == KERNEL_ORACLE:
+            item = (edge, bound, candidate_ids[edge_target])
+            if routes[edge].kernel == KERNEL_ORACLE:
                 oracle_edges.append(item)
             else:
                 enum_edges.append(item)
@@ -253,6 +229,26 @@ def frozen_successor_rows(
         if kernel_log is not None:
             kernel_log.update(routes)
     return rows
+
+
+def _edge_routes(
+    frozen, oracle, source, out_edges, num_sources, children, ball_edges_estimate=None
+) -> dict[PatternEdge, Any]:
+    """The planner's route of each out-edge ``(source, u')``, on
+    ``num_sources`` sources and the size of ``children[u']``
+    (:func:`repro.engine.planner.route_edge`)."""
+    from repro.engine.planner import route_edge
+
+    profile = oracle.profile() if oracle is not None else None
+    return {
+        (source, target): route_edge(
+            (source, target), bound, num_sources, len(children[target]),
+            frozen.num_nodes, frozen.num_edges,
+            profile if oracle is not None and oracle.covers(bound) else None,
+            bulk_depth=FROZEN_BULK_DEPTH, ball_edges_estimate=ball_edges_estimate,
+        )
+        for target, bound in out_edges
+    }
 
 
 def _per_source_rows(adjacency, sources, depth, edge_data, rows, guard=None) -> None:
@@ -661,8 +657,8 @@ def match_bounded(
     result carries :class:`MatchRows`.  An ``oracle``
     (:class:`~repro.graph.oracle.DistanceOracle` built from a compatible
     snapshot) additionally lets the planner route selective pattern edges
-    to pairwise label merges; the kernel routed per edge, decided on the
-    candidate counts, lands in ``stats["kernels"]``.
+    to pairwise label merges; ``stats["kernels"]`` is the route each
+    edge's rows take when they are built, decided on the candidate counts.
 
     A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards the
     evaluation: kernels charge node visits against it, a blown limit
@@ -741,7 +737,8 @@ def _match_relation_first(
     kernel_log: dict[PatternEdge, Any],
     guard,
 ) -> tuple[MatchRelation, "MatchRows"]:
-    """One backward pass, rows between its sets, one removal cascade."""
+    """One backward pass; rows between its sets and one removal cascade
+    now for a cyclic pattern or under a guard, else on first read."""
     ids = frozen.ids()
     labels = frozen.labels
     candidate_ids = {
@@ -750,26 +747,42 @@ def _match_relation_first(
     sim = {u: set(vs) for u, vs in candidate_ids.items()}
     total = _membership_pass(frozen.predecessor_sets(), pattern, sim, guard)
     out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
-    # Routed on the candidates (the kernel log does not depend on the
-    # answer); an empty relation still logs its routes but builds nothing.
-    rows = frozen_successor_rows(
-        frozen,
-        out_edges_by_node,
-        sim,
-        sources_by_node={
-            u: sorted(sim[u]) if total else () for u in out_edges_by_node
-        },
-        oracle=oracle,
-        kernel_log=kernel_log,
-        guard=guard,
-        route_on=candidate_ids,
-    )
-    if total and not _removal_cascade(sim, rows):
-        rows = {edge: {} for edge in rows}
+    order = {u: position for position, u in enumerate(_sinks_first(pattern))}
+    pending = (frozen, out_edges_by_node, sim, oracle, candidate_ids)
+    # A guard charges row work and may have cut the pass short; a back
+    # edge (``u'`` at or after ``u`` sinks first, self-loops included) ran
+    # against a superset.  Both need the rows and the cascade now.
+    if total and (
+        guard is not None or any(order[v] >= order[u] for u, v, _ in pattern.edges())
+    ):
+        rows = _rows_between(*pending, kernel_log, guard)
+        if not _removal_cascade(sim, rows):
+            rows = {edge: {} for edge in rows}
+        state = MatchRows(graph, pattern, labels, rows)
+    else:
+        # Routed on the candidates, as the rows will be (the kernel log
+        # does not depend on the answer); an empty relation has no rows.
+        for u, out_edges in out_edges_by_node.items():
+            kernel_log.update(_edge_routes(
+                frozen, oracle, u, out_edges, len(candidate_ids[u]), candidate_ids
+            ))
+        rows = None if total else {edge: {} for edge in kernel_log}
+        state = MatchRows(graph, pattern, labels, rows, pending if total else None)
     relation = MatchRelation.from_sets(
         pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
     )
-    return relation, MatchRows(graph, pattern, rows, labels)
+    return relation, state
+
+
+def _rows_between(
+    frozen, out_edges_by_node, sim, oracle, candidate_ids, kernel_log=None, guard=None
+) -> dict[PatternEdge, dict[int, dict[int, int]]]:
+    """Rows between the sets of ``sim``, routed on the candidates: the one
+    call that builds a relation-first result's rows, now or on first read."""
+    return frozen_successor_rows(
+        frozen, out_edges_by_node, sim, oracle=oracle, kernel_log=kernel_log,
+        guard=guard, route_on=candidate_ids,
+    )
 
 
 def bounded_relation(
@@ -778,17 +791,13 @@ def bounded_relation(
     frozen: FrozenGraph,
     index=None,
 ) -> MatchRelation:
-    """``M(Q,G)`` alone: the relation-first line without its result rows.
+    """``M(Q,G)`` alone: :func:`match_bounded`'s relation over ``frozen``
+    (rows only for a cyclic pattern's cascade; no oracle, no guard).
 
-    The backward pass over ``frozen.predecessor_sets()`` is the whole
-    evaluation for an acyclic pattern.  Only a cyclic one (some edge
-    ``(u, u')`` with ``u'`` at or after ``u`` in sinks-first order,
-    self-loops included) goes on to rows between the pass's sets and the
-    removal cascade.  No kernel log, oracle or guard: nothing here is
-    reported but the relation.  At bound 1 bounded simulation *is* graph
-    simulation, so this answers plain simulation patterns too — the
-    engine's compressed route runs it on the quotient's snapshot, with
-    candidates from the quotient's ``index`` where it keeps one (as
+    At bound 1 bounded simulation *is* graph simulation, so this answers
+    plain simulation patterns too — the engine's compressed route runs it
+    on the quotient's snapshot, with candidates from the quotient's
+    ``index`` where it keeps one (as
     :func:`~repro.matching.simulation.simulation_candidates`).
 
     >>> from repro.graph.digraph import Graph
@@ -802,30 +811,7 @@ def bounded_relation(
     >>> sorted(bounded_relation(g, q, FrozenGraph.freeze(g)).pairs())
     [('X', 'a'), ('Y', 'b')]
     """
-    pattern.validate()
-    if not frozen.matches(graph):
-        raise EvaluationError(
-            f"stale frozen snapshot: {frozen!r} does not match "
-            f"graph version {graph.version}"
-        )
-    ids = frozen.ids()
-    sim = {
-        u: {ids[v] for v in vs}
-        for u, vs in simulation_candidates(graph, pattern, index=index).items()
-    }
-    total = _membership_pass(frozen.predecessor_sets(), pattern, sim)
-    if total:
-        order = {u: position for position, u in enumerate(_sinks_first(pattern))}
-        if any(order[target] >= order[source] for source, target, _ in pattern.edges()):
-            out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
-            rows = frozen_successor_rows(frozen, out_edges_by_node, sim)
-            total = _removal_cascade(sim, rows)
-    if not total:
-        return MatchRelation.from_sets(pattern, {u: () for u in pattern.nodes()})
-    labels = frozen.labels
-    return MatchRelation.from_sets(
-        pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
-    )
+    return match_bounded(graph, pattern, index=index, frozen=frozen).relation
 
 
 def _membership_pass(
@@ -982,26 +968,40 @@ class MatchRows:
 
     ``rows[(u, u')][v] = {v': dist}`` holds, per pattern edge, every match
     ``v`` of ``u`` and the matches ``v'`` of ``u'`` it reaches within the
-    bound, over the snapshot's dense ids.  Ids become labels only when
-    :meth:`match_edges` is iterated (the result graph asks; an evaluation
-    that only needs the relation never does).  Unlike
+    bound, over the snapshot's dense ids; an unguarded acyclic evaluation
+    leaves ``pending`` to build them on first read.  Ids become labels
+    only when :meth:`match_edges` is iterated (the result graph asks; an
+    evaluation that only needs the relation never does).  Unlike
     :class:`BoundedState` it holds nothing an incremental maintainer
     could work from: candidates that are not matches have no rows.
     """
 
-    __slots__ = ("graph", "pattern", "rows", "labels")
+    __slots__ = ("graph", "pattern", "labels", "_rows", "_pending")
 
     def __init__(
         self,
         graph: Graph,
         pattern: Pattern,
-        rows: dict[PatternEdge, dict[int, dict[int, int]]],
         labels: Sequence[NodeId],
+        rows: dict[PatternEdge, dict[int, dict[int, int]]] | None,
+        pending: tuple | None = None,
     ) -> None:
         self.graph = graph
         self.pattern = pattern
-        self.rows = rows
         self.labels = labels
+        self._rows = rows
+        self._pending = pending
+
+    @property
+    def rows(self) -> dict[PatternEdge, dict[int, dict[int, int]]]:
+        """The rows; the first read builds them, then drops ``pending``
+        (racing first readers build equal rows, and the last store wins)."""
+        if self._rows is None:
+            pending = self._pending
+            if pending is not None:
+                self._rows = _rows_between(*pending)
+                self._pending = None
+        return self._rows  # type: ignore[return-value]
 
     def match_edges(self) -> Iterator[tuple[NodeId, NodeId, int]]:
         """Same contract as :meth:`BoundedState.match_edges`."""

@@ -17,6 +17,7 @@ from repro.matching.reference import (
 from repro.matching.simulation import match_simulation
 from repro.pattern.builder import PatternBuilder
 from repro.pattern.pattern import Pattern
+from repro.ranking.topk import context_for
 
 from tests.conftest import make_labelled_graph
 
@@ -332,3 +333,170 @@ def test_kernel_log_names_the_kernel_that_ran(monkeypatch):
         ("A", "B"): planner.KERNEL_BITSET,
         ("A", "C"): planner.KERNEL_BITSET,
     }
+
+
+# ----------------------------------------------------------------------
+# lazy rows: an evaluation stops at the relation
+# ----------------------------------------------------------------------
+
+#: Every way a relation-first result's rows are read.
+ROW_READERS = {
+    "rows": lambda result, frozen: result.state.rows,
+    "result_graph": lambda result, frozen: result.result_graph(),
+    "context_for": lambda result, frozen: context_for(result, frozen),
+}
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """The calls made to ``frozen_successor_rows`` (their ``guard``s)."""
+    from repro.matching import bounded as bounded_module
+
+    calls: list = []
+    original = bounded_module.frozen_successor_rows
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("guard"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounded_module, "frozen_successor_rows", counting)
+    return calls
+
+
+def _chain() -> Graph:
+    return make_labelled_graph([("a", "m"), ("m", "b")], {"a": "A", "m": "M", "b": "B"})
+
+
+def _two_cycle() -> tuple[Graph, Pattern]:
+    graph = make_labelled_graph([("a", "b"), ("b", "a")], {"a": "A", "b": "B"})
+    pattern = two_node_query(1)
+    pattern.add_edge("B", "A", 1)
+    return graph, pattern
+
+
+class TestLazyRows:
+    @pytest.mark.parametrize("reader", sorted(ROW_READERS))
+    def test_unguarded_acyclic_builds_rows_on_first_read(self, row_calls, reader):
+        graph = _chain()
+        frozen = FrozenGraph.freeze(graph)
+        result = match_bounded(graph, two_node_query(2), frozen=frozen)
+        assert sorted(result.relation.pairs()) == [("A", "a"), ("B", "b")]
+        assert row_calls == []
+        assert result.stats["kernels"] == {"A->B": "bfs-enumeration"}
+        ROW_READERS[reader](result, frozen)
+        assert row_calls == [None]
+        for read in ROW_READERS.values():
+            read(result, frozen)
+        assert row_calls == [None]
+        assert result.state.rows == {("A", "B"): {frozen.ids()["a"]: {frozen.ids()["b"]: 2}}}
+        assert result.state._pending is None  # snapshot, oracle and sets dropped
+
+    def test_cyclic_builds_rows_once_at_evaluation(self, row_calls):
+        graph, pattern = _two_cycle()
+        frozen = FrozenGraph.freeze(graph)
+        result = match_bounded(graph, pattern, frozen=frozen)
+        assert not result.relation.is_empty and row_calls == [None]
+        for read in ROW_READERS.values():
+            read(result, frozen)
+        assert row_calls == [None]
+
+    def test_guarded_stays_eager(self, row_calls):
+        from repro.engine.estimator import QueryBudget
+
+        graph = _chain()
+        frozen = FrozenGraph.freeze(graph)
+        result = match_bounded(
+            graph, two_node_query(2), frozen=frozen, budget=QueryBudget(node_visits=10**6)
+        )
+        assert not result.relation.is_empty and len(row_calls) == 1
+        assert row_calls[0] is not None
+        for read in ROW_READERS.values():
+            read(result, frozen)
+        assert len(row_calls) == 1
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_empty_relation_builds_none(self, row_calls, cyclic):
+        graph = make_labelled_graph([("b", "a")], {"a": "A", "b": "B"})
+        pattern = two_node_query(2)
+        if cyclic:
+            pattern.add_edge("B", "A", 1)
+        frozen = FrozenGraph.freeze(graph)
+        result = match_bounded(graph, pattern, frozen=frozen)
+        assert result.relation.is_empty
+        for read in ROW_READERS.values():
+            read(result, frozen)
+        assert row_calls == []
+        assert list(result.stats["kernels"]) == ["A->B", "B->A"][: 1 + cyclic]
+        assert all(not rows for rows in result.state.rows.values())
+        assert result.result_graph().num_edges == 0
+
+    def test_lazy_rows_equal_eager_rows_and_the_reference(self):
+        """Seeded differential: rows built on first read equal the rows
+        between the final sets; the result graph and top-K equal the
+        naive reference's; the kernel log is the candidate-routed plan,
+        in its order."""
+        from repro.engine.estimator import QueryBudget
+        from repro.graph.oracle import DistanceOracle
+        from repro.matching.bounded import frozen_successor_rows
+        from repro.matching.result_graph import build_result_graph
+        from repro.matching.simulation import simulation_candidates
+        from repro.ranking.topk import RankingContext, bulk_top_k_detail
+
+        def evidence(ranked):
+            return [
+                (m.node, m.rank, list(m.ancestors.items()), list(m.descendants.items()))
+                for m in ranked
+            ]
+
+        def shape(result_graph):
+            return (
+                {node: result_graph.matched_pattern_nodes(node) for node in result_graph.nodes()},
+                set(result_graph.edges()),
+            )
+
+        rng = random.Random(42)
+        lazy = matched = 0
+        for case in range(600):
+            graph, pattern = _random_case(rng)
+            pattern.set_output(next(pattern.nodes()))
+            frozen = FrozenGraph.freeze(graph)
+            ids = frozen.ids()
+            oracle = DistanceOracle.build(frozen, cap=2) if case % 2 else None
+            guarded = case % 5 == 0
+            result = match_bounded(
+                graph,
+                pattern,
+                frozen=frozen,
+                oracle=oracle,
+                budget=QueryBudget(node_visits=10**9) if guarded else None,
+            )
+            where = f"case {case}"
+            lazy += result.state._pending is not None
+            reference = naive_bounded(graph, pattern)
+            assert result.relation == reference, where
+            spec = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
+            if not guarded:
+                log: dict = {}
+                candidates = simulation_candidates(graph, pattern)
+                frozen_successor_rows(
+                    frozen,
+                    spec,
+                    {u: frozenset(ids[v] for v in vs) for u, vs in candidates.items()},
+                    oracle=oracle,
+                    kernel_log=log,
+                )
+                plan = [(f"{a}->{b}", route.kernel) for (a, b), route in log.items()]
+                assert list(result.stats.get("kernels", {}).items()) == plan, where
+            # the first reader varies; every later read sees the same rows
+            ROW_READERS[sorted(ROW_READERS)[case % 3]](result, frozen)
+            final = {u: frozenset(ids[v] for v in vs) for u, vs in reference.items()}
+            assert result.state.rows == frozen_successor_rows(frozen, spec, final), where
+            reference_graph = build_result_graph(graph, pattern, reference)
+            assert shape(result.result_graph()) == shape(reference_graph), where
+            if reference.is_empty:
+                continue
+            matched += 1
+            served = bulk_top_k_detail(context_for(result, frozen), 3)
+            expected = bulk_top_k_detail(RankingContext(reference_graph), 3)
+            assert evidence(served) == evidence(expected), where
+        assert lazy > 100 and matched > 100

@@ -9,6 +9,8 @@ filled by whichever handler thread encodes it first, unlocked.
 
 Both run here under a one-microsecond interpreter switch interval, so
 threads interleave inside every buffer copy, row append and memo store.
+A relation-first result's rows, built by whichever reader reads them
+first, race the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import threading
 
 import pytest
 
+from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, NodeInsertion
+from repro.matching.bounded import match_bounded
 from repro.pattern.parser import parse_pattern
 from repro.server import SnapshotRegistry
 from repro.server.wire import dumps, encode_relation
@@ -144,3 +148,18 @@ def test_threads_racing_on_a_cached_relations_memo_send_equal_bytes(fast_switchi
             assert dumps({"relation": encode_relation(relation)}) == expected
         # the next round races on the next epoch's own cached relation
         registry.publish("g", [NodeInsertion.with_attrs(f"race{round_}", field="SD")])
+
+
+def test_threads_racing_to_read_unread_rows_see_equal_rows(fast_switching):
+    graph = collaboration_graph(300, seed=7)
+    frozen = FrozenGraph.freeze(graph)
+    pattern = parse_pattern(PATTERN, name="race")
+    expected = match_bounded(graph, pattern, frozen=frozen).state.rows
+    assert any(row for rows in expected.values() for row in rows.values())
+    for _round in range(8):
+        state = match_bounded(graph, pattern, frozen=frozen).state
+        assert state._pending is not None  # unread: the rows are not built yet
+        seen: list = []
+        assert run_threads([lambda: seen.append(state.rows)] * 8) == []
+        assert len(seen) == 8 and all(rows == expected for rows in seen)
+        assert state._pending is None and state.rows == expected
