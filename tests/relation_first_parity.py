@@ -6,14 +6,17 @@ evaluates every one of its evaluate and top-K patterns twice:
 
 * **relation-first** — :func:`repro.matching.bounded.match_bounded` with
   the snapshot and distance oracle the server would use: one backward
-  pass, rows between its sets, one removal cascade;
+  pass; rows between its sets and one removal cascade at once for a
+  cyclic pattern, else rows built when the result graph first reads
+  them (the timing below covers the evaluation alone, as an ``evaluate``
+  reply pays it);
 * **dict state** — :func:`~repro.matching.bounded.match_bounded` without a
   snapshot: the candidate-indexed
   :class:`~repro.matching.bounded.BoundedState`, an independent algorithm.
 
 Each pattern must give the same relation (serialized form), the same
-result graph (nodes, edges, distances), the same kernel log — the
-reference log is what
+result graph (nodes, edges, distances), the same kernel log — logged at
+evaluation whether or not the rows are built; the reference log is what
 :func:`~repro.matching.bounded.frozen_successor_rows` routes over every
 candidate — and, for a top-K pattern, the same ranking (``repr`` of the
 ranked matches).  Each top-K pattern is also ranked the way the server
