@@ -60,6 +60,13 @@ DEFAULT_SEED = 0x5EED
 #: scaled by the observed ratio before they are routed.
 REPLAN_FACTOR = 8.0
 
+#: Re-pass limit of an unguarded cyclic pattern: once re-running stale
+#: pattern edges has cost this many times the first backward pass's BFS
+#: arrivals, the matcher stops re-running and finishes with rows and the
+#: removal cascade, which are linear (a long path matched against
+#: ``A <-> B`` sheds one node per re-pass round).
+REPASS_FACTOR = 4
+
 #: Guard-trip reasons, surfaced in ``MatchResult.stats["guard"]``.
 GUARD_NODE_BUDGET = "node-budget"
 GUARD_TIME_LIMIT = "time-limit"

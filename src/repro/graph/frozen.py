@@ -228,9 +228,10 @@ class FrozenGraph:
         # entries, the rows its patches replaced.
         self._edge_count = edge_count
         self._columns = columns
-        # Store-loaded snapshots keep the columns packed as paired
-        # (node index, value id) int64 sections until first attribute
-        # access, so loading is O(1) in attribute count.
+        # Columns packed as paired (node index, value id) int64 sections.
+        # Store-loaded snapshots keep them packed (``_columns`` None) until
+        # first attribute access, so loading is O(1) in attribute count;
+        # otherwise it memoises :meth:`to_buffers`' packing, per column.
         self._columns_packed: dict[str, tuple[Any, Any]] | None = None
         self._values = values
         # Derived structures; rebuilt lazily, excluded from pickles.
@@ -319,9 +320,10 @@ class FrozenGraph:
         live edges.  Labels and ids are shared (extended by node
         insertions), built adjacency views are carried with those rows
         replaced, only written columns are copied, the value pool only when
-        a value is new.  This snapshot is never written — pinned readers
-        see every buffer unchanged — and an mmap-backed one yields a result
-        owning its arrays.
+        a value is new, and a column left unwritten keeps the packed pair
+        a checkpoint's :meth:`to_buffers` made of it.  This snapshot is
+        never written — pinned readers see every buffer unchanged — and an
+        mmap-backed one yields a result owning its arrays.
 
         Returns ``None`` (the caller pays :meth:`freeze`) for a node
         deletion — dense ids shift — and once the pool has doubled, plus a
@@ -420,6 +422,13 @@ class FrozenGraph:
         result._pool_floor = self._pool_floor
         result._succ_sets = _patched_sets(self._succ_sets, out_rows, count)
         result._pred_sets = _patched_sets(self._pred_sets, in_rows, count)
+        packed = self._columns_packed
+        if packed:  # unwritten columns are shared, so are their owned pairs
+            result._columns_packed = {
+                attr: pair
+                for attr, pair in packed.items()
+                if attr not in written and isinstance(pair[0], array)
+            }
         return result
 
     def _pool_index(self) -> dict[tuple, int]:
@@ -673,10 +682,16 @@ class FrozenGraph:
         if self._columns is None and self._columns_packed is not None:
             packed = self._columns_packed  # never unpacked: reuse verbatim
         else:
+            # Column dicts are never written in place, so a pair packed
+            # before (here, or for the snapshot this one was patched from)
+            # still packs its column; the memo is replaced, never mutated.
+            known = self._columns_packed or {}
             packed = {
-                attr: (array("q", column.keys()), array("q", column.values()))
+                attr: known.get(attr)
+                or (array("q", column.keys()), array("q", column.values()))
                 for attr, column in self._column_dicts().items()
             }
+            self._columns_packed = packed
         for ordinal, pair in enumerate(packed.values()):
             buffers.append((f"col{ordinal}.idx", pair[0]))
             buffers.append((f"col{ordinal}.val", pair[1]))

@@ -15,14 +15,18 @@ Two evaluators compute that relation, byte for byte the same:
   multi-source BFS per pattern edge ``(u,u',b)`` over the snapshot's
   predecessor sets, sinks first, and shrinks ``sim(u)`` to the nodes that
   reach ``sim(u')`` by a nonempty path of length <= ``b``.  For an
-  acyclic pattern that pass is exact, and the bounded successor rows
-  between its sets (:func:`frozen_successor_rows`), the result graph's
-  weighted edges, are built on the first read of the result's
-  :class:`MatchRows`: never for a caller that needs only the relation.
-  A cyclic pattern or a guard builds them at once, and one linear removal
-  cascade over them drops every member left without a witness.
-  :class:`MatchRows` keeps the rows int-indexed and turns ids into labels
-  only when the result graph is asked for.
+  acyclic pattern that pass is exact; for a cyclic one every edge whose
+  target set shrank since it ran is run again until none is left.  The
+  bounded successor rows between the settled sets
+  (:func:`frozen_successor_rows`), the result graph's weighted edges, are
+  built on the first read of the result's :class:`MatchRows`: never for a
+  caller that needs only the relation.  Only a guard, or a cycle whose
+  re-runs exceed a fixed multiple of the first pass's work
+  (:data:`~repro.engine.estimator.REPASS_FACTOR`), builds them at once,
+  between the sets as they stand; one linear removal cascade over them
+  then drops every member left without a witness.  :class:`MatchRows`
+  keeps the rows int-indexed and turns ids into labels only when the
+  result graph is asked for.
 * **Candidate-indexed state, over the dict graph** —
   :class:`BoundedState`, the cubic algorithm of Fan et al. (PVLDB 2010).
   It materializes, per pattern edge ``e`` and *candidate* ``v``, the
@@ -737,24 +741,22 @@ def _match_relation_first(
     kernel_log: dict[PatternEdge, Any],
     guard,
 ) -> tuple[MatchRelation, "MatchRows"]:
-    """One backward pass; rows between its sets and one removal cascade
-    now for a cyclic pattern or under a guard, else on first read."""
+    """The backward pass, re-run on a cycle until the sets settle; rows
+    between the settled sets on first read.  Under a guard, or once the
+    re-pass cap trips, rows and one removal cascade run now instead."""
     ids = frozen.ids()
     labels = frozen.labels
     candidate_ids = {
         u: frozenset(ids[v] for v in vs) for u, vs in candidates.items()
     }
     sim = {u: set(vs) for u, vs in candidate_ids.items()}
-    total = _membership_pass(frozen.predecessor_sets(), pattern, sim, guard)
+    settled = _membership_pass(frozen.predecessor_sets(), pattern, sim, guard)
     out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
-    order = {u: position for position, u in enumerate(_sinks_first(pattern))}
     pending = (frozen, out_edges_by_node, sim, oracle, candidate_ids)
-    # A guard charges row work and may have cut the pass short; a back
-    # edge (``u'`` at or after ``u`` sinks first, self-loops included) ran
-    # against a superset.  Both need the rows and the cascade now.
-    if total and (
-        guard is not None or any(order[v] >= order[u] for u, v, _ in pattern.edges())
-    ):
+    if settled is None:
+        # A guard charges row work and may have cut the pass short; a
+        # tripped re-pass cap left sets that may be too large.  Both need
+        # the rows and the cascade now.
         rows = _rows_between(*pending, kernel_log, guard)
         if not _removal_cascade(sim, rows):
             rows = {edge: {} for edge in rows}
@@ -766,8 +768,8 @@ def _match_relation_first(
             kernel_log.update(_edge_routes(
                 frozen, oracle, u, out_edges, len(candidate_ids[u]), candidate_ids
             ))
-        rows = None if total else {edge: {} for edge in kernel_log}
-        state = MatchRows(graph, pattern, labels, rows, pending if total else None)
+        rows = None if settled else {edge: {} for edge in kernel_log}
+        state = MatchRows(graph, pattern, labels, rows, pending if settled else None)
     relation = MatchRelation.from_sets(
         pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
     )
@@ -792,7 +794,8 @@ def bounded_relation(
     index=None,
 ) -> MatchRelation:
     """``M(Q,G)`` alone: :func:`match_bounded`'s relation over ``frozen``
-    (rows only for a cyclic pattern's cascade; no oracle, no guard).
+    (no oracle, no guard; rows only for the cascade of a cycle whose
+    re-pass cap trips).
 
     At bound 1 bounded simulation *is* graph simulation, so this answers
     plain simulation patterns too — the engine's compressed route runs it
@@ -819,31 +822,72 @@ def _membership_pass(
     pattern: Pattern,
     sim: dict[str, set[int]],
     guard=None,
-) -> bool:
-    """Shrink ``sim`` (candidate ids, in place) with one backward BFS per
-    pattern edge, sinks first.
+) -> bool | None:
+    """Shrink ``sim`` (candidate ids, in place) to ``M(Q,G)``'s sets with
+    backward BFSs: one per pattern edge, sinks first, then re-runs of
+    stale edges.
 
     Edge ``(u, u', b)`` keeps only the members of ``sim(u)`` that reach
     the current ``sim(u')`` by a nonempty path of length <= b.  Pattern
     nodes are visited in DFS postorder along out-edges, so in an acyclic
     pattern every ``sim(u')`` is final before an edge into it runs and the
-    pass alone yields ``M(Q,G)``'s sets; in a cyclic one a back edge ran
-    against a superset, which :func:`_removal_cascade` shrinks afterwards.
-    Returns False as soon as some set is empty (the relation is empty).
-    A tripped guard stops the pass early with sets that may be too small
-    or too large; the rows and the cascade make the result sound.
+    pass alone yields ``M(Q,G)``'s sets.  In a cyclic one a back edge
+    (self-loops included) may have run against a superset: every edge
+    whose target set shrank since it last ran is re-run, and a set that
+    shrinks queues the edges into it, until no edge is stale.  Every edge
+    then holds against the current sets, the greatest such fixpoint below
+    the candidates, which is ``M(Q,G)``.
+
+    Returns False as soon as some set is empty (the relation is empty),
+    True once the sets are ``M(Q,G)``'s, and None when they may still be
+    too large: rows and :func:`_removal_cascade` must finish the fixpoint.
+    That is the case under a guard, which charges the pass and may stop it
+    early with sets too small or too large (the rows and the cascade make
+    the result sound), and once the re-runs have cost
+    :data:`~repro.engine.estimator.REPASS_FACTOR` times the first pass's
+    BFS arrivals: a path matched against ``A <-> B`` sheds one node per
+    round, quadratic in re-runs and linear in the cascade.
     """
     if not all(sim.values()):
         return False
+    ran: dict[PatternEdge, int] = {}  # edge -> |sim(u')| when it ran
+    arrivals = 0
     for source in _sinks_first(pattern):
         for target, bound in pattern.out_edges(source):
             if guard is not None and guard.should_stop():
-                return True
-            sim[source] = _reaching(
+                return None
+            ran[(source, target)] = len(sim[target])
+            sim[source], reached = _reaching(
                 predecessors, sim[target], bound, sim[source], guard
             )
+            arrivals += reached
             if not sim[source]:
                 return False
+    if guard is not None:
+        return None
+    from repro.engine.estimator import REPASS_FACTOR
+
+    stale = deque(edge for edge, size in ran.items() if len(sim[edge[1]]) < size)
+    queued = set(stale)
+    allowance = REPASS_FACTOR * arrivals
+    while stale:
+        if allowance < 0:
+            return None
+        edge = stale.popleft()
+        queued.remove(edge)
+        source, target = edge
+        before = len(sim[source])
+        sim[source], reached = _reaching(
+            predecessors, sim[target], pattern.bound(source, target), sim[source], guard
+        )
+        allowance -= reached
+        if not sim[source]:
+            return False
+        if len(sim[source]) < before:
+            for upstream, _bound in pattern.in_edges(source):
+                if (upstream, source) not in queued:
+                    queued.add((upstream, source))
+                    stale.append((upstream, source))
     return True
 
 
@@ -875,14 +919,16 @@ def _removal_cascade(
     sim: dict[str, set[int]],
     rows: dict[PatternEdge, dict[int, dict[int, int]]],
 ) -> bool:
-    """Finish the fixpoint over the rows :func:`_membership_pass` left.
+    """Finish the fixpoint over rows between the sets
+    :func:`_membership_pass` left unsettled: under a guard, or once a
+    cycle's re-passes hit their cap.
 
     Every member ``v`` of ``sim(u)`` has a row per out-edge ``(u, u')``,
     built against the same sets, so its live count is the row's length.
     A member with an empty row fails that edge: it leaves ``sim(u)``, and
     the count of every source whose row holds it drops by one, queueing
     that source at zero — linear in the rows.  The reverse index is built
-    only when some count starts at zero (never for an acyclic pattern
+    only when some count starts at zero (never for sets the pass settled,
     unless a guard cut rows short).  Rows are then cut to the survivors.
     Returns False as soon as some set is empty (the relation is empty).
     """
@@ -937,10 +983,11 @@ def _reaching(
     bound: Bound,
     wanted: set[int],
     guard=None,
-) -> set[int]:
+) -> tuple[set[int], int]:
     """The ids of ``wanted`` with a nonempty path of length <= ``bound``
-    into ``targets``: one multi-source BFS over the predecessor sets,
-    stopped as soon as every wanted id has been reached."""
+    into ``targets``, and the BFS's arrivals: one multi-source BFS over
+    the predecessor sets, stopped as soon as every wanted id has been
+    reached."""
     pending = set(wanted)
     found: set[int] = set()
     seen: set[int] = set()
@@ -960,7 +1007,7 @@ def _reaching(
             if guard.should_stop():
                 break
         frontier = arrived
-    return found
+    return found, len(seen)
 
 
 class MatchRows:
@@ -968,8 +1015,8 @@ class MatchRows:
 
     ``rows[(u, u')][v] = {v': dist}`` holds, per pattern edge, every match
     ``v`` of ``u`` and the matches ``v'`` of ``u'`` it reaches within the
-    bound, over the snapshot's dense ids; an unguarded acyclic evaluation
-    leaves ``pending`` to build them on first read.  Ids become labels
+    bound, over the snapshot's dense ids; an unguarded evaluation whose
+    sets settled leaves ``pending`` to build them on first read.  Ids become labels
     only when :meth:`match_edges` is iterated (the result graph asks; an
     evaluation that only needs the relation never does).  Unlike
     :class:`BoundedState` it holds nothing an incremental maintainer

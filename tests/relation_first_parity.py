@@ -5,11 +5,12 @@ Builds the ``serve_cold`` workload of the perf harness
 evaluates every one of its evaluate and top-K patterns twice:
 
 * **relation-first** — :func:`repro.matching.bounded.match_bounded` with
-  the snapshot and distance oracle the server would use: one backward
-  pass; rows between its sets and one removal cascade at once for a
-  cyclic pattern, else rows built when the result graph first reads
-  them (the timing below covers the evaluation alone, as an ``evaluate``
-  reply pays it);
+  the snapshot and distance oracle the server would use: the backward
+  pass, re-run on a cycle's stale edges until its sets settle; rows
+  between the sets are built when the result graph first reads them
+  (at once, with one removal cascade, only when a cycle's re-pass cap
+  trips; the timing below covers the evaluation alone, as an
+  ``evaluate`` reply pays it);
 * **dict state** — :func:`~repro.matching.bounded.match_bounded` without a
   snapshot: the candidate-indexed
   :class:`~repro.matching.bounded.BoundedState`, an independent algorithm.

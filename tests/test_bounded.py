@@ -262,9 +262,10 @@ class TestBoundedRelation:
         assert cyclic > 500 and unit > 300
 
     def test_cycle_needs_the_cascade(self):
-        """A 2-cycle the pass alone over-approximates: the edge ``B -> A``
-        runs first and keeps ``d``, whose only ``A`` successor ``c`` then
-        fails ``A -> B``; the cascade removes ``d``."""
+        """A 2-cycle the first pass alone over-approximates: the edge
+        ``B -> A`` runs first and keeps ``d``, whose only ``A`` successor
+        ``c`` then fails ``A -> B``; ``B -> A``'s target shrank, so the
+        re-pass runs it again and drops ``d``."""
         g = make_labelled_graph(
             [("a", "b"), ("b", "a"), ("d", "c")],
             {"a": "A", "b": "B", "c": "A", "d": "B"},
@@ -391,11 +392,49 @@ class TestLazyRows:
         assert result.state.rows == {("A", "B"): {frozen.ids()["a"]: {frozen.ids()["b"]: 2}}}
         assert result.state._pending is None  # snapshot, oracle and sets dropped
 
-    def test_cyclic_builds_rows_once_at_evaluation(self, row_calls):
-        graph, pattern = _two_cycle()
+    @pytest.mark.parametrize("reader", sorted(ROW_READERS))
+    def test_cyclic_builds_no_rows_until_first_read(self, row_calls, reader):
+        """The re-pass settles a cycle's sets: rows are built between them
+        on first read, then once, and need no cascade."""
+        graph = make_labelled_graph(
+            [("a", "b"), ("b", "a"), ("d", "c")],  # the re-pass drops d
+            {"a": "A", "b": "B", "c": "A", "d": "B"},
+        )
+        _, pattern = _two_cycle()
         frozen = FrozenGraph.freeze(graph)
         result = match_bounded(graph, pattern, frozen=frozen)
-        assert not result.relation.is_empty and row_calls == [None]
+        assert sorted(result.relation.pairs()) == [("A", "a"), ("B", "b")]
+        assert row_calls == [] and result.state._pending is not None
+        assert result.stats["kernels"] == {
+            "A->B": "bfs-enumeration", "B->A": "bfs-enumeration"
+        }
+        ROW_READERS[reader](result, frozen)
+        for read in ROW_READERS.values():
+            read(result, frozen)
+        assert row_calls == [None]
+        ids = frozen.ids()
+        assert result.state.rows == {
+            ("A", "B"): {ids["a"]: {ids["b"]: 1}},
+            ("B", "A"): {ids["b"]: {ids["a"]: 1}},
+        }
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_cyclic_over_the_repass_cap_builds_rows_at_evaluation(
+        self, row_calls, bound
+    ):
+        """A long path against ``A <-> B`` trips the re-pass cap: rows are
+        built once, at evaluation, and the cascade empties the relation."""
+        graph = Graph.from_edges([(index, index + 1) for index in range(199)])
+        pattern = Pattern("ping-pong")
+        pattern.add_node("A", None)
+        pattern.add_node("B", None)
+        pattern.add_edge("A", "B", bound)
+        pattern.add_edge("B", "A", bound)
+        frozen = FrozenGraph.freeze(graph)
+        result = match_bounded(graph, pattern, frozen=frozen)
+        assert row_calls == [None] and result.state._pending is None
+        assert result.relation.is_empty
+        assert result.relation == naive_bounded(graph, pattern)
         for read in ROW_READERS.values():
             read(result, frozen)
         assert row_calls == [None]
@@ -455,7 +494,7 @@ class TestLazyRows:
             )
 
         rng = random.Random(42)
-        lazy = matched = 0
+        lazy = matched = cyclic = cyclic_lazy = 0
         for case in range(600):
             graph, pattern = _random_case(rng)
             pattern.set_output(next(pattern.nodes()))
@@ -472,6 +511,9 @@ class TestLazyRows:
             )
             where = f"case {case}"
             lazy += result.state._pending is not None
+            if _is_cyclic(pattern) and not guarded and not result.relation.is_empty:
+                cyclic += 1
+                cyclic_lazy += result.state._pending is not None
             reference = naive_bounded(graph, pattern)
             assert result.relation == reference, where
             spec = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
@@ -500,3 +542,5 @@ class TestLazyRows:
             expected = bulk_top_k_detail(RankingContext(reference_graph), 3)
             assert evidence(served) == evidence(expected), where
         assert lazy > 100 and matched > 100
+        # most unguarded cycles settle by re-passes and end lazy
+        assert cyclic > 50 and cyclic_lazy > 0.9 * cyclic, (cyclic, cyclic_lazy)

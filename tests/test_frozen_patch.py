@@ -279,6 +279,22 @@ class TestWhatIsShared:
         assert patched.source_version == graph.version == self.graph.version + 1
         assert_equals_full_freeze(patched, graph)
 
+    def test_unwritten_columns_keep_their_packed_pair(self):
+        """A checkpoint packs a column once per lineage: a patch keeps the
+        pair of every column it did not write, and the buffers stay those
+        of an unpacked copy."""
+        self.prior.to_buffers()
+        packed = self.prior._columns_packed
+        _graph, patched = self.patch(
+            AttributeUpdate("b", "f", "X"), EdgeInsertion("a", "c"), NodeInsertion.with_attrs("d", m=2)
+        )
+        assert set(patched._columns_packed) == {"n"}
+        assert patched._columns_packed["n"] is packed["n"]
+        assert patched.to_buffers() == pickle.loads(pickle.dumps(patched)).to_buffers()
+        assert patched._columns_packed["n"] is packed["n"]
+        assert list(patched._columns_packed) == ["f", "n", "m"]  # column order
+        assert self.prior._columns_packed is packed  # the prior is never written
+
     def test_new_and_unhashable_values_extend_a_copy_of_the_pool(self):
         pool = list(self.prior._values)
         graph, patched = self.patch(

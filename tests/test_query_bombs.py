@@ -229,6 +229,32 @@ def test_relation_first_is_linear_on_a_chain(bound):
     assert result.relation.is_empty
 
 
+@pytest.mark.parametrize("bound", [1, 2])
+def test_unguarded_relation_first_is_linear_on_a_chain(bound, monkeypatch):
+    """The unguarded twin: re-running stale edges would take one round
+    per node of the path, so the re-pass cap hands the rest to the rows
+    and the cascade; backward-BFS arrivals stay linear in the graph."""
+    from repro.engine.estimator import REPASS_FACTOR
+    from repro.graph.frozen import FrozenGraph
+    from repro.matching import bounded as bounded_module
+
+    arrivals = []
+    original = bounded_module._reaching
+
+    def counting(*args, **kwargs):
+        found, reached = original(*args, **kwargs)
+        arrivals.append(reached)
+        return found, reached
+
+    monkeypatch.setattr(bounded_module, "_reaching", counting)
+    graph, pattern = chain_graph(1001), ping_pong(bound)
+    result = match_bounded(graph, pattern, frozen=FrozenGraph.freeze(graph))
+    size = graph.num_nodes + graph.num_edges
+    assert sum(arrivals) <= (REPASS_FACTOR + 2) * size, sum(arrivals)
+    assert result.relation.is_empty
+    assert result.relation == match_bounded(graph, pattern).relation
+
+
 def test_a_pattern_deeper_than_the_recursion_limit_evaluates():
     """The sinks-first order is an iterative DFS: a chain pattern twice as
     deep as the interpreter's recursion limit still evaluates exactly."""
