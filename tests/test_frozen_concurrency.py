@@ -10,12 +10,15 @@ filled by whichever handler thread encodes it first, unlocked.
 Both run here under a one-microsecond interpreter switch interval, so
 threads interleave inside every buffer copy, row append and memo store.
 A relation-first result's rows, built by whichever reader reads them
-first, race the same way.
+first, race the same way, and so do the packed attribute columns a
+checkpoint memoises on a snapshot while the writer patches the next one
+from it.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import sys
 import threading
@@ -24,12 +27,17 @@ import pytest
 
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
-from repro.incremental.updates import EdgeDeletion, EdgeInsertion, NodeInsertion
+from repro.incremental.updates import (
+    AttributeUpdate,
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeInsertion,
+)
 from repro.matching.bounded import match_bounded
 from repro.pattern.parser import parse_pattern
 from repro.server import SnapshotRegistry
 from repro.server.wire import dumps, encode_relation
-from tests.test_frozen_patch import assert_equals_full_freeze, observed
+from tests.test_frozen_patch import apply_batch, assert_equals_full_freeze, observed
 
 READERS = 4
 PUBLISHES = 60
@@ -163,3 +171,38 @@ def test_threads_racing_to_read_unread_rows_see_equal_rows(fast_switching):
         assert run_threads([lambda: seen.append(state.rows)] * 8) == []
         assert len(seen) == 8 and all(rows == expected for rows in seen)
         assert state._pending is None and state.rows == expected
+
+
+def test_checkpoints_pack_columns_while_patches_carry_the_pairs(fast_switching):
+    """A checkpoint thread packs the newest snapshots' columns while the
+    writer patches each next snapshot from the last, carrying the pairs of
+    the columns its batch did not write: every snapshot still saves the
+    buffers of an unpacked copy."""
+    graph = collaboration_graph(150, seed=9)
+    chain = [FrozenGraph.freeze(graph)]
+    rng = random.Random(9)
+    nodes = list(graph.nodes())
+    published = threading.Event()
+
+    def checkpoint() -> None:
+        while not published.is_set():
+            for frozen in chain[-3:]:
+                frozen.to_buffers()
+
+    def publish() -> None:
+        nonlocal graph
+        try:
+            for step in range(PUBLISHES):
+                node, target = rng.sample(nodes, 2)
+                toggle = EdgeDeletion if graph.has_edge(node, target) else EdgeInsertion
+                graph, primitives = apply_batch(
+                    graph, [AttributeUpdate(node, "experience", step), toggle(node, target)]
+                )
+                chain.append(chain[-1].patched(graph, primitives))
+        finally:
+            published.set()
+
+    assert run_threads([checkpoint, checkpoint, publish]) == []
+    assert len(chain) == PUBLISHES + 1
+    for frozen in chain:
+        assert frozen.to_buffers() == pickle.loads(pickle.dumps(frozen)).to_buffers()
