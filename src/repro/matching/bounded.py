@@ -928,8 +928,9 @@ def _removal_cascade(
     A member with an empty row fails that edge: it leaves ``sim(u)``, and
     the count of every source whose row holds it drops by one, queueing
     that source at zero — linear in the rows.  The reverse index is built
-    only when some count starts at zero (never for sets the pass settled,
-    unless a guard cut rows short).  Rows are then cut to the survivors.
+    only when some count starts at zero (never when the pass's sets were
+    already ``M(Q,G)``'s, unless a guard cut rows short).  Rows are then
+    cut to the survivors.
     Returns False as soon as some set is empty (the relation is empty).
     """
     counts = {
