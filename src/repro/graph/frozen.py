@@ -182,6 +182,15 @@ class FrozenGraph:
     like ``Graph.copy``'s "deep-enough" convention: mutating a stored
     value in place (``graph.attrs(v)["tags"].append(...)``) bypasses the
     version counter everywhere in this codebase, snapshot included.
+
+    Besides the lazy adjacency views, a snapshot keeps one memo of work
+    done over it: the per-source row kernel's BFS level sets
+    (:func:`repro.matching.bounded._per_source_rows`), since a ball
+    depends only on the snapshot, the source and the depth.  It is
+    bounded by :data:`~repro.matching.bounded.FROZEN_BALL_MEMO_FACTOR`
+    times :attr:`size` ids and lives and dies with this snapshot:
+    :meth:`patched`, :meth:`without_attrs`, :meth:`to_buffers` and pickles
+    carry none of it.
     """
 
     __slots__ = (
@@ -203,6 +212,7 @@ class FrozenGraph:
         "_pred_sets",
         "_interned",
         "_pool_floor",
+        "_balls",
         "path",
     )
 
@@ -242,6 +252,10 @@ class FrozenGraph:
         # its size at the last full freeze or load.
         self._interned: dict[tuple, int] | None = None
         self._pool_floor = len(values)
+        # The per-source row kernel's memo of BFS level sets
+        # (``repro.matching.bounded._BallMemo``): made on first use, never
+        # carried to another snapshot, written to a file or pickled.
+        self._balls: Any = None
         # Backing snapshot file when loaded via the store (mmap views);
         # lets the parallel executor ship the path instead of the buffers.
         self.path: Any = None
@@ -774,6 +788,7 @@ class FrozenGraph:
         self._pred_sets = None
         self._interned = None
         self._pool_floor = len(self._values)
+        self._balls = None
         self.path = None
 
     def __repr__(self) -> str:

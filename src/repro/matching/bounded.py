@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from threading import Lock
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EvaluationError
@@ -72,6 +73,12 @@ FROZEN_BULK_DEPTH = 5
 #: Sources per bitset traversal.  Bounds transient memory (one n-slot list
 #: of masks of this many bits) and keeps big-int ops cache-friendly.
 FROZEN_CHUNK_BITS = 4096
+
+#: Ids the per-source ball memo of one snapshot may hold, per node and
+#: edge of the snapshot: it admits balls until their summed level sizes
+#: would pass ``FROZEN_BALL_MEMO_FACTOR * (|V| + |E|)``.  The 48 top-K
+#: misses of ``serve_cold`` (seed 0) hold ~9 x (|V| + |E|).
+FROZEN_BALL_MEMO_FACTOR = 16
 
 #: Arrivals the bitset kernel accumulates before charging its guard.
 #: Bounds budget overshoot (one hub level can carry millions of arrivals)
@@ -208,7 +215,7 @@ def frozen_successor_rows(
                 )
                 if kernel == KERNEL_PER_SOURCE:
                     _per_source_rows(
-                        adjacency, sources, depth, enum_edges, rows, guard=guard
+                        frozen, sources, depth, enum_edges, rows, guard=guard
                     )
                 else:
                     _bitset_rows(
@@ -255,17 +262,27 @@ def _edge_routes(
     }
 
 
-def _per_source_rows(adjacency, sources, depth, edge_data, rows, guard=None) -> None:
+def _per_source_rows(frozen, sources, depth, edge_data, rows, guard=None) -> None:
     """One level BFS per source; per-level set intersections filter rows.
 
+    A source's level sets depend only on the snapshot, the source and the
+    depth, so they come from the snapshot's ball memo (:class:`_BallMemo`):
+    a source some earlier call walked as deep is a slice, not a BFS, and
+    the rows, their order included, are the same either way.
+
     With a ``guard``, each source's ball is charged (sum of its level
-    sizes) and row construction stops before the next source once the
-    guard trips — completed rows are exact, unstarted rows stay empty.
+    sizes, memoised or not) and row construction stops before the next
+    source once the guard trips — completed rows are exact, unstarted rows
+    stay empty.
     """
+    adjacency = frozen.successor_sets()
+    memo = frozen._balls
+    if memo is None:  # racing first callers may each make one; one is kept
+        memo = frozen._balls = _BallMemo(FROZEN_BALL_MEMO_FACTOR * frozen.size)
     for source in sources:
         if guard is not None and guard.should_stop():
             break
-        levels = frozen_reach_levels(adjacency, source, depth)
+        levels = memo.levels(adjacency, source, depth)
         if guard is not None:
             guard.charge(sum(len(level) for level in levels))
         for edge, bound, child_candidates in edge_data:
@@ -273,6 +290,50 @@ def _per_source_rows(adjacency, sources, depth, edge_data, rows, guard=None) -> 
             for dist, level in enumerate(levels[:bound], start=1):
                 for reached in level & child_candidates:
                     entries[reached] = dist
+
+
+class _BallMemo:
+    """Per-source BFS level sets of one snapshot, up to a budget of ids.
+
+    ``entries[source] = (depth, levels, size)``: the levels of
+    :func:`~repro.graph.distance.frozen_reach_levels` to ``depth``, or to
+    ``None`` when they hold the whole ball (a ``*`` request, or a BFS that
+    ran out of nodes first), and their summed sizes.  A request no deeper
+    than an entry is a prefix of its levels; a deeper one runs the BFS and
+    replaces the entry.  Balls are admitted while the summed sizes stay
+    within ``budget``; past it a miss still runs, unstored.  Reads take no
+    lock; admissions take one, so the sizes add up under threads.
+    """
+
+    __slots__ = ("entries", "held", "budget", "_lock")
+
+    def __init__(self, budget: int) -> None:
+        self.entries: dict[int, tuple[int | None, list, int]] = {}
+        self.held = 0
+        self.budget = budget
+        self._lock = Lock()
+
+    def levels(self, adjacency, source: int, depth: int | None) -> list:
+        entry = self.entries.get(source)
+        if entry is not None and _covers(entry[0], depth):
+            return entry[1][:depth]
+        levels = frozen_reach_levels(adjacency, source, depth)
+        reach = None if depth is None or len(levels) < depth else depth
+        size = sum(len(level) for level in levels)
+        with self._lock:
+            entry = self.entries.get(source)
+            if entry is not None and _covers(entry[0], depth):
+                return levels  # a racing caller stored this ball first
+            held = self.held + size - (entry[2] if entry is not None else 0)
+            if held <= self.budget:
+                self.entries[source] = (reach, levels, size)
+                self.held = held
+        return levels
+
+
+def _covers(reach: int | None, depth: int | None) -> bool:
+    """Whether levels computed to ``reach`` hold those of a BFS to ``depth``."""
+    return reach is None or (depth is not None and depth <= reach)
 
 
 def _bitset_rows(adjacency, sources, depth, edge_data, rows, guard=None) -> None:

@@ -104,8 +104,10 @@ class RankingContext:
     * :meth:`from_rows` — nodes are the snapshot's dense ids: each node's
       out-adjacency is the tuple of its per-pattern-edge rows of the
       matcher's :class:`~repro.matching.bounded.MatchRows`, shared and never
-      merged, plus one reverse row set.  Labels appear only in what a
-      top-K returns.
+      merged.  The reverse rows (:attr:`in_adj`) are built on first need:
+      a node none of whose pattern nodes has a pattern in-edge has no
+      reverse row, so ranking a star's output node builds none.  Labels
+      appear only in what a top-K returns.
 
     Dijkstra runs directly over those rows as a bucket queue (Dial's
     algorithm) with integer distances.  The social-impact rank is the sum
@@ -140,7 +142,8 @@ class RankingContext:
         "rows",
         "label_of",
         "out_adj",
-        "in_adj",
+        "_in_adj",
+        "_entered",
         "matched_by",
         "_result",
         "_result_graph",
@@ -167,7 +170,9 @@ class RankingContext:
         self._result_graph = result_graph
         self._result = result
         self.out_adj: dict[Any, Any]
-        self.in_adj: dict[Any, Mapping[Any, int]]
+        # The reverse rows; over rows, None until the first node with a
+        # pattern in-edge asks (see in_adj).
+        self._in_adj: dict[Any, Mapping[Any, int]] | None
         self.matched_by: dict[Any, set[str]]
         self.rows: MatchRows | None
         if result_graph is not None:
@@ -180,7 +185,7 @@ class RankingContext:
             # maintenance — creates a fresh ResultGraph rather than mutating
             # one), so snapshotting is O(nodes) instead of O(edges).
             self.out_adj = dict(result_graph.out_adjacency())
-            self.in_adj = dict(result_graph.in_adjacency())
+            self._in_adj = dict(result_graph.in_adjacency())
             self.matched_by = dict(result_graph.match_map())
         else:
             rows = _rows_over(result, frozen)
@@ -197,18 +202,15 @@ class RankingContext:
             for pattern_node, label in result.relation.pairs():
                 matched_by.setdefault(ids[label], set()).add(pattern_node)
             # A pattern edge's row is shared as is: a node that matches
-            # several pattern nodes holds several rows.  A pair two of them
-            # both hold has one weight, its distance in the data graph, so
-            # the reverse rows need no minimum.
+            # several pattern nodes holds several rows.
             out_adj: dict[int, tuple[Mapping[int, int], ...]] = {}
-            in_adj: defaultdict[int, dict[int, int]] = defaultdict(dict)
             for edge_rows in rows.rows.values():
                 for source, row in edge_rows.items():
                     out_adj[source] = out_adj.get(source, ()) + (row,)
-                    for target, dist in row.items():
-                        in_adj[target][source] = dist
-            self.out_adj, self.in_adj = out_adj, dict(in_adj)
+            self.out_adj, self._in_adj = out_adj, None
             self.matched_by = matched_by
+        # Pattern nodes with an in-edge: only their matches have reverse rows.
+        self._entered = frozenset(target for _, target, _ in self.pattern.edges())
         # Node attributes are fetched (and copied) lazily, per returned
         # node: most matches are never returned, and their attributes live
         # in the data graph which the snapshot must not have to walk.
@@ -244,6 +246,35 @@ class RankingContext:
         maps them back.
         """
         return cls(result=result, frozen=frozen)
+
+    @property
+    def in_adj(self) -> dict[Any, Mapping[Any, int]]:
+        """``node -> {predecessor: weight}``, the reverse rows.
+
+        Over rows they are built on first read.  A pair two pattern edges
+        both hold has one weight, its distance in the data graph, so the
+        reverse rows need no minimum.  Racing first readers build equal
+        dicts and the last store wins.
+        """
+        in_adj = self._in_adj
+        if in_adj is None:
+            assert self.rows is not None
+            reverse: defaultdict[int, dict[int, int]] = defaultdict(dict)
+            for edge_rows in self.rows.rows.values():
+                for source, row in edge_rows.items():
+                    for target, dist in row.items():
+                        reverse[target][source] = dist
+            in_adj = self._in_adj = dict(reverse)
+        return in_adj
+
+    def in_row(self, node: Any) -> Mapping[Any, int]:
+        """The reverse row of ``node``, building :attr:`in_adj` only if it
+        can be nonempty: a match none of whose pattern nodes has a pattern
+        in-edge has none."""
+        matched = self.matched_by.get(node)
+        if self._in_adj is None and matched is not None and matched.isdisjoint(self._entered):
+            return _NO_ROW
+        return self.in_adj.get(node, _NO_ROW)
 
     @property
     def result_graph(self) -> ResultGraph:
@@ -330,6 +361,8 @@ class RankingContext:
         """
         if forward:
             adjacency, per_edge = self.out_adj, self.rows is not None
+        elif not self.in_row(node):
+            return {}
         else:
             adjacency, per_edge = self.in_adj, False
         dist: dict[Any, int] = {}
@@ -408,7 +441,7 @@ class RankingContext:
     # ------------------------------------------------------------------
     def min_incident_weight(self, node: Any) -> float:
         """Smallest witness-edge weight touching ``node`` (``inf`` if none)."""
-        rows = (*self.out_rows(node), self.in_adj.get(node, _NO_ROW))
+        rows = (*self.out_rows(node), self.in_row(node))
         return min((min(row.values()) for row in rows if row), default=math.inf)
 
     def impact_bound(self, node: Any) -> float:
@@ -425,7 +458,7 @@ class RankingContext:
         """Result-graph in-degree plus out-degree of ``node``."""
         rows = self.out_rows(node)
         out = len(rows[0]) if len(rows) == 1 else len(set().union(*rows))
-        return out + len(self.in_adj.get(node, _NO_ROW))
+        return out + len(self.in_row(node))
 
     # ------------------------------------------------------------------
     # memo maintenance (the engine's incremental re-ranking uses these;

@@ -12,7 +12,9 @@ threads interleave inside every buffer copy, row append and memo store.
 A relation-first result's rows, built by whichever reader reads them
 first, race the same way, and so do the packed attribute columns a
 checkpoint memoises on a snapshot while the writer patches the next one
-from it.
+from it.  The memos of cached ranking state race too: the per-source ball
+memo a snapshot keeps for the row kernel, and the reverse rows a cached
+ranking context builds for whichever reader first needs them.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from repro.incremental.updates import (
     EdgeInsertion,
     NodeInsertion,
 )
-from repro.matching.bounded import match_bounded
+from repro.matching.bounded import frozen_successor_rows, match_bounded
 from repro.pattern.parser import parse_pattern
+from repro.ranking.topk import RankingContext, bulk_top_k_detail
 from repro.server import SnapshotRegistry
 from repro.server.wire import dumps, encode_relation
+from tests.test_ball_memo import ordered
 from tests.test_frozen_patch import apply_batch, assert_equals_full_freeze, observed
 
 READERS = 4
@@ -206,3 +210,67 @@ def test_checkpoints_pack_columns_while_patches_carry_the_pairs(fast_switching):
     assert len(chain) == PUBLISHES + 1
     for frozen in chain:
         assert frozen.to_buffers() == pickle.loads(pickle.dumps(frozen)).to_buffers()
+
+
+def test_threads_filling_one_snapshots_ball_memo_build_equal_rows(fast_switching):
+    """Eight threads build rows over one cold snapshot at once, at mixed
+    depths, so they race to admit, slice and replace the same balls."""
+    graph = collaboration_graph(300, seed=11)
+    frozen = FrozenGraph.freeze(graph)
+    everyone = frozenset(range(frozen.num_nodes))
+    candidates = {"A": everyone, "B": everyone}
+
+    def rows_at(snapshot, bound):
+        return frozen_successor_rows(snapshot, {"A": (("B", bound),)}, candidates)
+
+    expected = {
+        bound: ordered(rows_at(FrozenGraph.freeze(graph), bound)) for bound in (1, 2, 3)
+    }
+    seen: list = []
+    bounds = [1, 2, 3, 2, 3, 1, 3, 2]
+    assert run_threads([
+        lambda bound=bound: seen.append((bound, ordered(rows_at(frozen, bound))))
+        for bound in bounds
+    ]) == []
+    assert len(seen) == len(bounds)
+    assert all(rows == expected[bound] for bound, rows in seen)
+    memo = frozen._balls
+    assert memo.held == sum(size for _, _, size in memo.entries.values())
+    assert memo.held <= memo.budget
+    for bound in (1, 2, 3):  # and the memo the race left answers as a cold one
+        assert ordered(rows_at(frozen, bound)) == expected[bound]
+
+
+def test_threads_reading_one_cached_rows_context_rank_alike(fast_switching):
+    """Eight threads rank one rows context with mixed ``k`` and ask for the
+    in-distances of matches that have reverse rows, racing to build them."""
+    pattern = parse_pattern(
+        PATTERN + 'node ST : field == "ST"\nedge SD -> ST : 2\n', name="chain"
+    )
+    graph = collaboration_graph(300, seed=7)
+    frozen = FrozenGraph.freeze(graph)
+    result = match_bounded(graph, pattern, frozen=frozen)
+
+    def answers(context, k):
+        ranked = bulk_top_k_detail(context, k)
+        entered = [
+            node for node, matched in context.matched_by.items() if matched - {"SA"}
+        ]
+        return [
+            (match.node, match.rank, list(match.ancestors.items())) for match in ranked
+        ] + [list(context.distances_to(node).items()) for node in entered]
+
+    expected = {
+        k: answers(RankingContext.from_rows(result, frozen), k) for k in (1, 3, 5, None)
+    }
+    assert any(expected[None][-1])  # some entered match has ancestors
+    for _round in range(4):
+        context = RankingContext.from_rows(result, frozen)
+        assert context._in_adj is None
+        seen: list = []
+        ks = [1, 3, 5, None, 5, 3, 1, None]
+        assert run_threads([
+            lambda k=k: seen.append((k, answers(context, k))) for k in ks
+        ]) == []
+        assert len(seen) == len(ks)
+        assert all(answer == expected[k] for k, answer in seen)

@@ -632,3 +632,73 @@ class TestFacadeForwarding:
         assert [match.node for match in ranked] == ["Bob"]
         # The kwargs really reached evaluate: nothing was cached.
         assert finder.engine.cache_stats()["size"] == 0
+
+
+# ----------------------------------------------------------------------
+# lazy reverse rows: a context over rows builds in_adj on first need
+# ----------------------------------------------------------------------
+LAZY_SHAPES = {
+    "star": ("SA -> SD : 2", "SA -> ST : 3", "SA -> BA : 2"),
+    "chain": ("SA -> SD : 2", "SD -> ST : 2", "ST -> BA : 3"),
+    "diamond": ("SA -> SD : 2", "SA -> BA : 3", "SD -> ST : 1", "BA -> ST : 2"),
+}
+
+
+def lazy_case(shape: str, seed: int):
+    from repro.graph.generators import collaboration_graph
+    from repro.pattern.parser import parse_pattern
+
+    graph = collaboration_graph(160, seed=seed)
+    text = "\n".join(
+        ['node SA* : field == "SA"']
+        + [f'node {u} : field == "{u}"' for u in ("SD", "ST", "BA")]
+        + [f"edge {edge}" for edge in LAZY_SHAPES[shape]]
+    )
+    frozen = FrozenGraph.freeze(graph)
+    result = match_bounded(graph, parse_pattern(text, name=shape), frozen=frozen)
+    assert not result.relation.is_empty
+    return result, frozen
+
+
+class TestLazyReverseRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_star_ranks_without_building_reverse_rows(self, seed):
+        result, frozen = lazy_case("star", seed)
+        context = RankingContext.from_rows(result, frozen)
+        label_context = RankingContext(result.result_graph())
+        for k in (1, 3, None):
+            assert evidence(bulk_top_k_detail(context, k)) == evidence(
+                bulk_top_k_detail(label_context, k)
+            )
+        for metric in METRICS.values():
+            assert repr(bulk_top_k_scores(context, 3, metric)) == repr(
+                bulk_top_k_scores(label_context, 3, metric)
+            )
+        assert context.stats["details_scored"] > 0
+        assert context._in_adj is None
+
+    @pytest.mark.parametrize("shape", ["chain", "diamond"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entered_nodes_build_the_reverse_rows_once(self, shape, seed):
+        result, frozen = lazy_case(shape, seed)
+        lazy = RankingContext.from_rows(result, frozen)
+        eager = RankingContext.from_rows(result, frozen)
+        built = eager.in_adj  # read up front: what the eager build held
+        entered = [
+            node for node, matched in lazy.matched_by.items() if matched - {"SA"}
+        ]
+        assert entered and lazy._in_adj is None
+        for node in lazy.matched_by:
+            assert lazy.impact_bound(node) == eager.impact_bound(node)
+            assert lazy.degree(node) == eager.degree(node)
+        assert lazy._in_adj is not None  # some entered node asked
+        first = lazy._in_adj
+        for node in lazy.matched_by:
+            assert list(lazy.distances_to(node).items()) == list(
+                eager.distances_to(node).items()
+            )
+            assert lazy.in_row(node) == built.get(node, {})
+        assert lazy._in_adj is first and lazy.in_adj == built
+        assert evidence(bulk_top_k_detail(lazy, None)) == evidence(
+            bulk_top_k_detail(RankingContext(result.result_graph()), None)
+        )
