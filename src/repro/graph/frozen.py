@@ -186,9 +186,10 @@ class FrozenGraph:
     Besides the lazy adjacency views, a snapshot keeps one memo of work
     done over it: the per-source row kernel's BFS level sets
     (:func:`repro.matching.bounded._per_source_rows`), since a ball
-    depends only on the snapshot, the source and the depth.  It is
-    bounded by :data:`~repro.matching.bounded.FROZEN_BALL_MEMO_FACTOR`
-    times :attr:`size` ids and lives and dies with this snapshot:
+    depends only on the snapshot, the source and the depth.  It stores a
+    ball on its source's second request, holds at most
+    :data:`~repro.matching.bounded.FROZEN_BALL_MEMO_FACTOR` times
+    :attr:`size` ids, and lives and dies with this snapshot:
     :meth:`patched`, :meth:`without_attrs`, :meth:`to_buffers` and pickles
     carry none of it.
     """

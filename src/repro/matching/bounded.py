@@ -300,15 +300,19 @@ class _BallMemo:
     ``None`` when they hold the whole ball (a ``*`` request, or a BFS that
     ran out of nodes first), and their summed sizes.  A request no deeper
     than an entry is a prefix of its levels; a deeper one runs the BFS and
-    replaces the entry.  Balls are admitted while the summed sizes stay
-    within ``budget``; past it a miss still runs, unstored.  Reads take no
-    lock; admissions take one, so the sizes add up under threads.
+    replaces the entry.  A ball is stored on its source's second request
+    (``asked`` holds the sources requested once), so balls no later call
+    reuses — a top-K warmed once and then served from the rank cache —
+    cost no memory.  Balls are admitted while the summed sizes stay within
+    ``budget``; past it a miss still runs, unstored.  Reads take no lock;
+    admissions take one, so the sizes add up under threads.
     """
 
-    __slots__ = ("entries", "held", "budget", "_lock")
+    __slots__ = ("entries", "asked", "held", "budget", "_lock")
 
     def __init__(self, budget: int) -> None:
         self.entries: dict[int, tuple[int | None, list, int]] = {}
+        self.asked: set[int] = set()
         self.held = 0
         self.budget = budget
         self._lock = Lock()
@@ -318,6 +322,9 @@ class _BallMemo:
         if entry is not None and _covers(entry[0], depth):
             return entry[1][:depth]
         levels = frozen_reach_levels(adjacency, source, depth)
+        if source not in self.asked:
+            self.asked.add(source)
+            return levels
         reach = None if depth is None or len(levels) < depth else depth
         size = sum(len(level) for level in levels)
         with self._lock:

@@ -1,7 +1,8 @@
 """The per-source ball memo of a frozen snapshot (``FrozenGraph._balls``).
 
 The per-source row kernel keeps each source's BFS level sets on the
-snapshot, so a source walked once is a slice the next time.  What it
+snapshot from the second time a source is asked for, so later requests
+are slices.  What it
 must never change: the rows (values *and* dict order), a guard's charges,
 and any snapshot it was not made on — nothing carries it, patches, twins,
 pickles and snapshot files included.
@@ -84,10 +85,16 @@ class TestRows:
         expected = ordered(unmemoised_rows(frozen, out_edges, candidates, monkeypatch))
         assert frozen._balls is None
         cold = per_source_log(frozen, out_edges, candidates)
-        assert frozen._balls is not None and frozen._balls.entries
+        # A ball is stored on its second request: after one call, only
+        # the sources both groups walked.
+        assert set(frozen._balls.entries) == (
+            candidates["A"] & candidates["B"] if shared else set()
+        )
+        filling = per_source_log(frozen, out_edges, candidates)
+        assert set(frozen._balls.entries) == candidates["A"] | candidates["B"]
         entries = dict(frozen._balls.entries)
         warm = per_source_log(frozen, out_edges, candidates)
-        assert ordered(cold) == ordered(warm) == expected
+        assert ordered(cold) == ordered(filling) == ordered(warm) == expected
         assert frozen._balls.entries == entries  # a warm call admits nothing new
 
     @pytest.mark.parametrize("shared", [False, True], ids=["apart", "shared"])
@@ -98,9 +105,12 @@ class TestRows:
         shallow = {u: tuple((v, 1) for v, _ in edges) for u, edges in out_edges.items()}
         expected_shallow = unmemoised_rows(frozen, shallow, candidates, monkeypatch)
         expected_deep = unmemoised_rows(frozen, deep, candidates, monkeypatch)
-        assert ordered(per_source_log(frozen, shallow, candidates)) == ordered(expected_shallow)
+        for _ in range(2):
+            assert ordered(per_source_log(frozen, shallow, candidates)) == ordered(
+                expected_shallow
+            )
         depths = {reach for reach, _, _ in frozen._balls.entries.values()}
-        assert depths <= {1, None}
+        assert frozen._balls.entries and depths <= {1, None}
         assert ordered(per_source_log(frozen, deep, candidates)) == ordered(expected_deep)
         memo = frozen._balls
         assert {reach for reach, _, _ in memo.entries.values()} <= {4, None}
@@ -137,13 +147,15 @@ class TestGuard:
             pattern.add_edge(source, target, out_edges["A"][0][1])
         budget = QueryBudget(node_visits=visits, allow_partial=True)
         cold_frozen, warm_frozen = FrozenGraph.freeze(graph), FrozenGraph.freeze(graph)
-        # Warm: every candidate's ball, at the pattern's depth, unguarded.
+        # Warm: every candidate's ball, at the pattern's depth, unguarded
+        # (the second request of a source stores its ball).
         everyone = frozenset(range(warm_frozen.num_nodes))
-        frozen_successor_rows(
-            warm_frozen,
-            {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()},
-            {u: everyone for u in pattern.nodes()},
-        )
+        for _ in range(2):
+            frozen_successor_rows(
+                warm_frozen,
+                {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()},
+                {u: everyone for u in pattern.nodes()},
+            )
         assert warm_frozen._balls.entries
         cold = match_bounded(graph, pattern, frozen=cold_frozen, budget=budget)
         warm = match_bounded(graph, pattern, frozen=warm_frozen, budget=budget)
@@ -163,10 +175,10 @@ class TestGuard:
         budget = QueryBudget(node_visits=50)
         messages = []
         warm = FrozenGraph.freeze(graph)
-        frozen_successor_rows(
-            warm, {"A": (("B", 3),)}, {"A": frozenset(range(warm.num_nodes)),
-                                        "B": frozenset(range(warm.num_nodes))}
-        )
+        everyone = frozenset(range(warm.num_nodes))
+        for _ in range(2):
+            frozen_successor_rows(warm, {"A": (("B", 3),)}, {"A": everyone, "B": everyone})
+        assert warm._balls.entries
         for snapshot in (FrozenGraph.freeze(graph), warm):
             with pytest.raises(BudgetExceededError) as raised:
                 match_bounded(graph, pattern, frozen=snapshot, budget=budget)
@@ -214,9 +226,8 @@ class TestNothingCarriesTheMemo:
         graph = collaboration_graph(120, seed=3)
         frozen = FrozenGraph.freeze(graph)
         everyone = frozenset(range(frozen.num_nodes))
-        frozen_successor_rows(
-            frozen, {"A": (("B", 2),)}, {"A": everyone, "B": everyone}
-        )
+        for _ in range(2):
+            frozen_successor_rows(frozen, {"A": (("B", 2),)}, {"A": everyone, "B": everyone})
         assert frozen._balls.entries
         return graph, frozen
 
@@ -231,7 +242,8 @@ class TestNothingCarriesTheMemo:
         child = frozen.patched(graph, primitives)
         assert child is not None and child._balls is None
         everyone = frozenset(range(child.num_nodes))
-        frozen_successor_rows(child, {"A": (("B", 3),)}, {"A": everyone, "B": everyone})
+        for _ in range(2):
+            frozen_successor_rows(child, {"A": (("B", 3),)}, {"A": everyone, "B": everyone})
         assert child._balls is not memo and child._balls.entries
         assert frozen._balls is memo and memo.entries == entries
 
