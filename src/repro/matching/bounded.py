@@ -215,7 +215,8 @@ def frozen_successor_rows(
                 )
                 if kernel == KERNEL_PER_SOURCE:
                     _per_source_rows(
-                        frozen, sources, depth, enum_edges, rows, guard=guard
+                        adjacency, _ball_memo(frozen), sources, depth, enum_edges,
+                        rows, guard=guard,
                     )
                 else:
                     _bitset_rows(
@@ -262,23 +263,21 @@ def _edge_routes(
     }
 
 
-def _per_source_rows(frozen, sources, depth, edge_data, rows, guard=None) -> None:
+def _per_source_rows(
+    adjacency, memo, sources, depth, edge_data, rows, guard=None
+) -> None:
     """One level BFS per source; per-level set intersections filter rows.
 
     A source's level sets depend only on the snapshot, the source and the
-    depth, so they come from the snapshot's ball memo (:class:`_BallMemo`):
-    a source some earlier call walked as deep is a slice, not a BFS, and
-    the rows, their order included, are the same either way.
+    depth, so they come from the snapshot's ball memo (``memo``, a
+    :class:`_BallMemo`): a source earlier calls walked as deep is a slice,
+    not a BFS, and the rows, their order included, are the same either way.
 
     With a ``guard``, each source's ball is charged (sum of its level
     sizes, memoised or not) and row construction stops before the next
     source once the guard trips — completed rows are exact, unstarted rows
     stay empty.
     """
-    adjacency = frozen.successor_sets()
-    memo = frozen._balls
-    if memo is None:  # racing first callers may each make one; one is kept
-        memo = frozen._balls = _BallMemo(FROZEN_BALL_MEMO_FACTOR * frozen.size)
     for source in sources:
         if guard is not None and guard.should_stop():
             break
@@ -290,6 +289,15 @@ def _per_source_rows(frozen, sources, depth, edge_data, rows, guard=None) -> Non
             for dist, level in enumerate(levels[:bound], start=1):
                 for reached in level & child_candidates:
                     entries[reached] = dist
+
+
+def _ball_memo(frozen: FrozenGraph) -> "_BallMemo":
+    """``frozen``'s ball memo, made on first use (racing first callers may
+    each make one; one is kept)."""
+    memo = frozen._balls
+    if memo is None:
+        memo = frozen._balls = _BallMemo(FROZEN_BALL_MEMO_FACTOR * frozen.size)
+    return memo
 
 
 class _BallMemo:
