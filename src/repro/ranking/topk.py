@@ -271,10 +271,13 @@ class RankingContext:
         """The reverse row of ``node``, building :attr:`in_adj` only if it
         can be nonempty: a match none of whose pattern nodes has a pattern
         in-edge has none."""
-        matched = self.matched_by.get(node)
-        if self._in_adj is None and matched is not None and matched.isdisjoint(self._entered):
-            return _NO_ROW
-        return self.in_adj.get(node, _NO_ROW)
+        in_adj = self._in_adj
+        if in_adj is None:
+            matched = self.matched_by.get(node)
+            if matched is not None and matched.isdisjoint(self._entered):
+                return _NO_ROW
+            in_adj = self.in_adj
+        return in_adj.get(node, _NO_ROW)
 
     @property
     def result_graph(self) -> ResultGraph:
@@ -363,8 +366,8 @@ class RankingContext:
             adjacency, per_edge = self.out_adj, self.rows is not None
         elif not self.in_row(node):
             return {}
-        else:
-            adjacency, per_edge = self.in_adj, False
+        else:  # the row above built the reverse rows if they were not
+            adjacency, per_edge = self._in_adj, False
         dist: dict[Any, int] = {}
         buckets: dict[int, set[Any]] = {}
         # The source is relaxed but not settled (nonempty paths: it is
