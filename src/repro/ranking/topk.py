@@ -366,8 +366,8 @@ class RankingContext:
             adjacency, per_edge = self.out_adj, self.rows is not None
         elif not self.in_row(node):
             return {}
-        else:  # the row above built the reverse rows if they were not
-            adjacency, per_edge = self._in_adj, False
+        else:
+            adjacency, per_edge = self.in_adj, False
         dist: dict[Any, int] = {}
         buckets: dict[int, set[Any]] = {}
         # The source is relaxed but not settled (nonempty paths: it is
