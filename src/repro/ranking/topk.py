@@ -353,14 +353,20 @@ class RankingContext:
         return dist
 
     def _dijkstra(self, node: Any, forward: bool) -> dict[Any, int]:
-        """Dial's bucket queue: ``weighted_distances`` without the heap.
+        """Dial's bucket queue: ``weighted_distances`` without the heap,
+        after a first hop that is a merge.
 
-        Weights are positive integers, so relaxing a node at distance ``d``
-        only ever fills buckets beyond ``d``: by the time ``min(buckets)``
-        is popped, every entry at that distance is in it and its distance
-        is final.  Levels are settled in no particular order — the
-        distances are what scoring needs; the order is restored by one
-        sort where a distance set is handed out (:meth:`_in_order`).
+        The source's rows are merged into one dict (``dict.update``; a
+        min-merge only when their lengths show overlap).  If no first-hop
+        node holds a nonempty row, no path is longer than one edge and
+        that dict is the answer — a star's output node always stops here.
+        Otherwise it seeds the buckets.  Weights are positive integers, so
+        relaxing a node at distance ``d`` only ever fills buckets beyond
+        ``d``: by the time ``min(buckets)`` is popped, every entry at that
+        distance is in it and its distance is final.  Nodes are settled in
+        no particular order — the distances are what scoring needs; the
+        order is restored by one sort where a distance set is handed out
+        (:meth:`_in_order`).
         """
         if forward:
             adjacency, per_edge = self.out_adj, self.rows is not None
@@ -368,12 +374,40 @@ class RankingContext:
             return {}
         else:
             adjacency, per_edge = self.in_adj, False
-        dist: dict[Any, int] = {}
-        buckets: dict[int, set[Any]] = {}
         # The source is relaxed but not settled (nonempty paths: it is
         # reached only through a cycle).
-        level, d = [node], 0
-        while True:
+        rows = adjacency.get(node)
+        if not rows:
+            return {}
+        if not per_edge:
+            first = dict(rows)
+        elif len(rows) == 1:
+            first = dict(rows[0])
+        else:
+            first = {}
+            for row in rows:
+                first.update(row)
+            if len(first) < sum(map(len, rows)):
+                first = {}
+                for row in rows:
+                    for nxt, weight in row.items():
+                        if first.get(nxt, weight) >= weight:
+                            first[nxt] = weight
+        if not any(map(adjacency.get, first)):
+            return first
+        dist: dict[Any, int] = {}
+        buckets: dict[int, set[Any]] = {}
+        for nxt, weight in first.items():
+            bucket = buckets.get(weight)
+            if bucket is None:
+                buckets[weight] = {nxt}
+            else:
+                bucket.add(nxt)
+        while buckets:
+            d = min(buckets)
+            level = [v for v in buckets.pop(d) if v not in dist]
+            for settled in level:
+                dist[settled] = d
             for settled in level:
                 rows = adjacency.get(settled)
                 if rows is None:
@@ -387,12 +421,7 @@ class RankingContext:
                                 buckets[far] = {nxt}
                             else:
                                 bucket.add(nxt)
-            if not buckets:
-                return dist
-            d = min(buckets)
-            level = [v for v in buckets.pop(d) if v not in dist]
-            for settled in level:
-                dist[settled] = d
+        return dist
 
     def impact(self, node: Any) -> float:
         """The social-impact rank ``f(uo, v)`` of one node (memoized).
@@ -405,7 +434,12 @@ class RankingContext:
         score = self._impact.get(node)
         if score is None:
             back, out = self._reach(node, False), self._reach(node, True)
-            size = len(back.keys() | out.keys())
+            # The union is built only when both sides hold nodes: a star's
+            # output node has no backward side.
+            if back and out:
+                size = len(back.keys() | out.keys())
+            else:
+                size = len(back) + len(out)
             if size:
                 score = (sum(back.values()) + sum(out.values())) / size
             else:

@@ -180,3 +180,58 @@ def test_node_order_key_orders_like_the_type_repr_pair(nodes):
     assert sorted(nodes, key=node_order_key) == sorted(
         nodes, key=lambda node: (type(node).__name__, repr(node))
     )
+
+
+#: Leaf predicates over ``x`` in 0-3 and ``label`` in A/B: they overlap
+#: one another, and the ones that admit ``A`` also match the output node.
+STAR_LEAVES = ("x >= 1", "x >= 2", "x <= 2", 'label == "A"', 'label == "B"', "true")
+
+
+@st.composite
+def matched_star(draw):
+    """A star ``OUT -> leaf`` over a small graph with self-loops and
+    cycles, evaluated relation-first over a fresh snapshot."""
+    from repro.graph.frozen import FrozenGraph
+
+    num_nodes = draw(st.integers(min_value=2, max_value=10))
+    graph = Graph()
+    for index in range(num_nodes):
+        graph.add_node(
+            index,
+            label=draw(st.sampled_from(LABELS)),
+            x=draw(st.integers(min_value=0, max_value=3)),
+        )
+    possible = [(s, t) for s in range(num_nodes) for t in range(num_nodes)]
+    graph.add_edges(draw(st.lists(st.sampled_from(possible), max_size=25, unique=True)))
+    pattern = Pattern("star")
+    pattern.add_node("OUT", 'label == "A"', output=True)
+    leaves = draw(st.lists(st.sampled_from(STAR_LEAVES), min_size=1, max_size=4))
+    for index, predicate in enumerate(leaves):
+        pattern.add_node(f"L{index}", predicate)
+        pattern.add_edge("OUT", f"L{index}", draw(st.sampled_from([1, 2, 3, None])))
+    frozen = FrozenGraph.freeze(graph)
+    return match_bounded(graph, pattern, frozen=frozen), frozen
+
+
+@given(matched_star())
+@settings(max_examples=150, deadline=None)
+def test_star_distances_and_impact_are_the_reference_heaps(data):
+    """Over both constructors, every match's distance sets (values, float
+    type, order) and impact equal ``weighted_distances`` and
+    ``rank_detail`` over the result graph."""
+    from repro.ranking.topk import RankingContext
+
+    result, frozen = data
+    result_graph = result.result_graph()
+    out_adj, in_adj = result_graph.out_adjacency(), result_graph.in_adjacency()
+    for context in (RankingContext(result_graph), RankingContext.from_rows(result, frozen)):
+        label_of = context.label_of
+        for node in context.matched_by:
+            label = label_of(node)
+            assert repr(
+                [(label_of(n), d) for n, d in context.distances_from(node).items()]
+            ) == repr(list(weighted_distances(out_adj, label).items()))
+            assert repr(
+                [(label_of(n), d) for n, d in context.distances_to(node).items()]
+            ) == repr(list(weighted_distances(in_adj, label).items()))
+            assert repr(context.impact(node)) == repr(rank_detail(result_graph, label).rank)

@@ -23,6 +23,7 @@ from repro.engine.engine import QueryEngine
 from repro.errors import RankingError
 from repro.expfinder import ExpFinder
 from repro.graph.digraph import Graph
+from repro.graph.distance import weighted_distances
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
 from repro.incremental.updates import EdgeInsertion, NodeInsertion
@@ -702,3 +703,154 @@ class TestLazyReverseRows:
         assert evidence(bulk_top_k_detail(lazy, None)) == evidence(
             bulk_top_k_detail(RankingContext(result.result_graph()), None)
         )
+
+
+# ----------------------------------------------------------------------
+# the first hop is a merge: every way it can meet the rest of the graph
+# ----------------------------------------------------------------------
+def both_contexts(result, frozen):
+    return (RankingContext(result.result_graph()), RankingContext.from_rows(result, frozen))
+
+
+def assert_reference(result, frozen) -> None:
+    """Every match's distances (values, float type, order) equal the
+    reference heap's and its detail equals ``rank_detail``, over both
+    constructors."""
+    result_graph = result.result_graph()
+    out_adj, in_adj = result_graph.out_adjacency(), result_graph.in_adjacency()
+    for context in both_contexts(result, frozen):
+        label_of = context.label_of
+        for node in context.matched_by:
+            label = label_of(node)
+            assert repr([(label_of(n), d) for n, d in context.distances_from(node).items()]) == repr(
+                list(weighted_distances(out_adj, label).items())
+            ), f"{label!r}: descendants diverged"
+            assert repr([(label_of(n), d) for n, d in context.distances_to(node).items()]) == repr(
+                list(weighted_distances(in_adj, label).items())
+            ), f"{label!r}: ancestors diverged"
+            assert evidence([context.detail(node)]) == evidence(
+                [rank_detail(result_graph, label)]
+            )
+
+
+def small_case(nodes, edges, pattern_edges, predicates):
+    """A graph of ``(name, label, x)`` nodes and a pattern whose output
+    node is ``OUT``, matched relation-first over a fresh snapshot."""
+    graph = Graph()
+    for name, label, x in nodes:
+        graph.add_node(name, label=label, x=x)
+    graph.add_edges(edges)
+    pattern = Pattern("first-hop")
+    for name, predicate in predicates.items():
+        pattern.add_node(name, predicate, output=name == "OUT")
+    for source, target, bound in pattern_edges:
+        pattern.add_edge(source, target, bound)
+    frozen = FrozenGraph.freeze(graph)
+    result = match_bounded(graph, pattern, frozen=frozen)
+    assert not result.relation.is_empty
+    return result, frozen
+
+
+class TestFirstHopMerge:
+    def test_one_target_of_two_pattern_edges_at_different_depths(self):
+        # t is a P1 match one hop out and a P2 match within three; u only
+        # a P2 match, three hops out.  s holds two rows that both reach t.
+        result, frozen = small_case(
+            [("s", "A", 9), ("t", "B", 5), ("u", "B", 2), ("w", "C", 0)],
+            [("s", "t"), ("t", "w"), ("w", "u")],
+            [("OUT", "P1", 1), ("OUT", "P2", 3)],
+            {"OUT": 'label == "A"', "P1": "x >= 5", "P2": 'label == "B"'},
+        )
+        rows = RankingContext.from_rows(result, frozen)
+        [source] = rows.matches()
+        first, second = rows.out_rows(source)
+        assert set(first) & set(second)
+        assert_reference(result, frozen)
+
+    def test_overlapping_rows_keep_the_shorter_weight(self):
+        # The matcher's overlapping rows agree on a pair's weight (its
+        # data-graph distance); the merge must still keep the minimum
+        # whichever row comes first.
+        result, frozen = small_case(
+            [("s", "A", 9), ("t", "B", 5), ("u", "B", 2)],
+            [("s", "t"), ("s", "u")],
+            [("OUT", "P1", 1), ("OUT", "P2", 1)],
+            {"OUT": 'label == "A"', "P1": 'label == "B"', "P2": 'label == "B"'},
+        )
+        ids = frozen.ids()
+        s, t, u = ids["s"], ids["t"], ids["u"]
+        for rows in (({t: 4, u: 1}, {t: 2}), ({t: 2}, {t: 4, u: 1})):
+            context = RankingContext.from_rows(result, frozen)
+            context.out_adj[s] = rows
+            assert context.distances_from(s) == {u: 1.0, t: 2.0}
+            assert context.impact(s) == 1.5
+
+    @pytest.mark.parametrize("shape", ["chain", "diamond"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_first_hop_nodes_with_rows_of_their_own(self, shape, seed):
+        result, frozen = lazy_case(shape, seed)
+        context = RankingContext.from_rows(result, frozen)
+        assert any(
+            context.out_adj.get(nxt)
+            for node in context.matches()
+            for row in context.out_rows(node)
+            for nxt in row
+        )
+        assert_reference(result, frozen)
+
+    def test_a_source_that_reaches_itself_over_a_self_loop(self):
+        # a matches both pattern nodes and has an edge to itself.
+        result, frozen = small_case(
+            [("a", "A", 3), ("b", "B", 1)],
+            [("a", "a"), ("a", "b"), ("b", "a")],
+            [("OUT", "P", 1)],
+            {"OUT": 'label == "A"', "P": "x >= 1"},
+        )
+        rows = RankingContext.from_rows(result, frozen)
+        a = frozen.ids()["a"]
+        assert a in rows.distances_from(a)
+        assert_reference(result, frozen)
+
+    def test_a_source_that_reaches_itself_around_a_cycle(self):
+        result, frozen = small_case(
+            [("a", "A", 3), ("b", "B", 1), ("c", "B", 1)],
+            [("a", "b"), ("b", "c"), ("c", "a")],
+            [("OUT", "P", 2), ("P", "OUT", 1)],
+            {"OUT": 'label == "A"', "P": 'label == "B"'},
+        )
+        rows = RankingContext.from_rows(result, frozen)
+        a = frozen.ids()["a"]
+        assert rows.distances_from(a)[a] == 3.0
+        assert_reference(result, frozen)
+
+    @pytest.mark.parametrize(
+        "pattern_edges", [[("P", "OUT", 2)], []], ids=["entered-only", "isolated"]
+    )
+    def test_a_match_with_no_rows(self, pattern_edges):
+        result, frozen = small_case(
+            [("a", "A", 3), ("b", "B", 1), ("z", "A", 0)],
+            [("b", "a")],
+            pattern_edges,
+            {"OUT": 'label == "A"', "P": 'label == "B"'},
+        )
+        for context in both_contexts(result, frozen):
+            assert all(context.distances_from(node) == {} for node in context.matches())
+        assert_reference(result, frozen)
+
+    def test_a_star_centre_settles_without_the_bucket_queue(self, monkeypatch):
+        # The stop test fires over both constructors, though the label
+        # constructor keeps an empty row for every leaf: the bucket loop's
+        # ``min(buckets)`` is never reached.
+        result, frozen = lazy_case("star", 0)
+        contexts = both_contexts(result, frozen)
+        import repro.ranking.topk as topk
+
+        def no_buckets(*args, **kwargs):
+            raise AssertionError("the bucket queue ran")
+
+        monkeypatch.setattr(topk, "min", no_buckets, raising=False)
+        for context in contexts:
+            for node in context.matches():
+                assert context.distances_from(node)
+        monkeypatch.undo()
+        assert_reference(result, frozen)
