@@ -109,8 +109,11 @@ class RankingContext:
       reverse row, so ranking a star's output node builds none.  Labels
       appear only in what a top-K returns.
 
-    Dijkstra runs directly over those rows as a bucket queue (Dial's
-    algorithm) with integer distances.  The social-impact rank is the sum
+    Dijkstra runs directly over those rows with integer distances: its
+    first hop merges the source's rows into one dict, which is the whole
+    answer when no node it reaches holds a nonempty row (a star's output
+    node, unless a leaf matches the output node too); otherwise it seeds
+    a bucket queue (Dial's algorithm).  The social-impact rank is the sum
     of both distance sets over the size of their union — int sums, exact,
     so the value is bit-identical to the reference heap's float sum.  A
     distance set handed out (:meth:`distances_from`, the evidence of
@@ -323,8 +326,8 @@ class RankingContext:
         """Weighted shortest distances out of ``node`` (memoized).
 
         Values *and* insertion order are those of
-        ``weighted_distances(out-adjacency, node)``: the bucket queue's
-        int distances (:meth:`_dijkstra`), sorted once by ``(distance,
+        ``weighted_distances(out-adjacency, node)``: the int distances of
+        :meth:`_dijkstra`, sorted once by ``(distance,
         node_order_key(label))`` — the reference heap's pop order.
         """
         ordered = self._sorted_out.get(node)
@@ -359,12 +362,13 @@ class RankingContext:
         The source's rows are merged into one dict (``dict.update``; a
         min-merge only when their lengths show overlap).  If no first-hop
         node holds a nonempty row, no path is longer than one edge and
-        that dict is the answer — a star's output node always stops here.
-        Otherwise it seeds the buckets.  Weights are positive integers, so
-        relaxing a node at distance ``d`` only ever fills buckets beyond
-        ``d``: by the time ``min(buckets)`` is popped, every entry at that
-        distance is in it and its distance is final.  Nodes are settled in
-        no particular order — the distances are what scoring needs; the
+        that dict is the answer: a star's output node stops here unless
+        one of its leaves matches the output node too.  Otherwise it
+        seeds the buckets.  Weights are positive integers, so relaxing a
+        node at distance ``d`` only ever fills buckets beyond ``d``: by
+        the time ``min(buckets)`` is popped, every entry at that distance
+        is in it and its distance is final.  Nodes are settled in no
+        particular order — the distances are what scoring needs; the
         order is restored by one sort where a distance set is handed out
         (:meth:`_in_order`).
         """
@@ -380,29 +384,23 @@ class RankingContext:
         if not rows:
             return {}
         if not per_edge:
-            first = dict(rows)
-        elif len(rows) == 1:
-            first = dict(rows[0])
-        else:
+            rows = (rows,)
+        first: dict[Any, int] = {}
+        for row in rows:
+            first.update(row)
+        if len(first) < sum(map(len, rows)):
+            # Two rows reach one node: keep its smaller weight.
             first = {}
             for row in rows:
-                first.update(row)
-            if len(first) < sum(map(len, rows)):
-                first = {}
-                for row in rows:
-                    for nxt, weight in row.items():
-                        if first.get(nxt, weight) >= weight:
-                            first[nxt] = weight
+                for nxt, weight in row.items():
+                    if first.get(nxt, weight) >= weight:
+                        first[nxt] = weight
         if not any(map(adjacency.get, first)):
             return first
         dist: dict[Any, int] = {}
         buckets: dict[int, set[Any]] = {}
         for nxt, weight in first.items():
-            bucket = buckets.get(weight)
-            if bucket is None:
-                buckets[weight] = {nxt}
-            else:
-                bucket.add(nxt)
+            buckets.setdefault(weight, set()).add(nxt)
         while buckets:
             d = min(buckets)
             level = [v for v in buckets.pop(d) if v not in dist]
