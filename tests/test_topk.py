@@ -23,7 +23,6 @@ from repro.engine.engine import QueryEngine
 from repro.errors import RankingError
 from repro.expfinder import ExpFinder
 from repro.graph.digraph import Graph
-from repro.graph.distance import weighted_distances
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import random_digraph
 from repro.incremental.updates import EdgeInsertion, NodeInsertion
@@ -713,24 +712,16 @@ def both_contexts(result, frozen):
 
 
 def assert_reference(result, frozen) -> None:
-    """Every match's distances (values, float type, order) equal the
-    reference heap's and its detail equals ``rank_detail``, over both
-    constructors."""
+    """Every match's detail equals ``rank_detail``'s over both
+    constructors: rank, and both distance sets as ``weighted_distances``
+    gives them (values, float type, order)."""
     result_graph = result.result_graph()
-    out_adj, in_adj = result_graph.out_adjacency(), result_graph.in_adjacency()
     for context in both_contexts(result, frozen):
-        label_of = context.label_of
         for node in context.matched_by:
-            label = label_of(node)
-            assert repr([(label_of(n), d) for n, d in context.distances_from(node).items()]) == repr(
-                list(weighted_distances(out_adj, label).items())
-            ), f"{label!r}: descendants diverged"
-            assert repr([(label_of(n), d) for n, d in context.distances_to(node).items()]) == repr(
-                list(weighted_distances(in_adj, label).items())
-            ), f"{label!r}: ancestors diverged"
+            label = context.label_of(node)
             assert evidence([context.detail(node)]) == evidence(
                 [rank_detail(result_graph, label)]
-            )
+            ), f"{label!r} diverged"
 
 
 def small_case(nodes, edges, pattern_edges, predicates):
