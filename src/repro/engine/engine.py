@@ -24,7 +24,6 @@ from repro.engine.cache import CacheEntry, QueryCache, RankCache, cache_key
 from repro.engine.estimator import QueryBudget, estimate_pattern
 from repro.engine.planner import (
     ALGORITHM_BOUNDED,
-    ALGORITHM_SIMULATION,
     ROUTE_CACHE,
     ROUTE_COMPRESSED,
     ROUTE_DIRECT,
@@ -412,7 +411,7 @@ class QueryEngine:
                 note = "frozen snapshot: cold (built on first direct evaluation)"
             notes = [note]
             edge_routes: tuple = ()
-            if plan.algorithm == ALGORITHM_BOUNDED and pattern.num_edges:
+            if pattern.num_edges:
                 oracle_note, edge_routes = self._explain_kernels(entry, pattern)
                 if oracle_note:
                     notes.append(oracle_note)
@@ -475,7 +474,7 @@ class QueryEngine:
             profile = entry.oracle.profile()
         else:
             note = (
-                "distance oracle: cold (labels build on the first bounded "
+                "distance oracle: cold (labels build on the first direct "
                 "evaluation; edges route to enumeration until then)"
             )
             profile = None
@@ -606,10 +605,9 @@ class QueryEngine:
         A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards
         direct bounded evaluation — the one route/algorithm combination
         that can run away (cache and compressed routes are cheap by
-        construction; the quadratic simulation matcher is not guarded).  A
-        blown
-        budget raises :class:`~repro.errors.BudgetExceededError`, or with
-        ``allow_partial=True`` returns a sound subset of the exact answer
+        construction; a pattern with every bound 1 is not guarded).  A
+        blown budget raises :class:`~repro.errors.BudgetExceededError`, or
+        with ``allow_partial=True`` returns a sound subset of the exact answer
         flagged ``stats["partial"] = True``.  Partial results are never
         cached.
         """
@@ -735,9 +733,8 @@ class QueryEngine:
         )
 
         def shared_candidates(pattern: Pattern) -> dict[str, set[NodeId]]:
-            # The shared sets are handed over as-is: neither matcher
-            # mutates its `candidates` argument (refine_simulation and
-            # match_bounded both copy internally).
+            # The shared sets are handed over as-is: match_bounded does
+            # not mutate its `candidates` argument (it copies internally).
             return {
                 u: shared[predicate_key(pattern.predicate(u))]
                 for u in pattern.nodes()
@@ -764,19 +761,12 @@ class QueryEngine:
                             },
                         )
                     )
-            bounded_tasks = any(
-                not task_pattern.is_simulation_pattern for task_pattern, _keys in tasks
-            )
             outcomes = self._executor(workers).match_many(
                 entry.graph,
                 tasks,
                 shared,
                 frozen=self._frozen_snapshot(entry) if tasks else None,
-                oracle=(
-                    self._oracle_for(entry, workers=workers)
-                    if tasks and bounded_tasks
-                    else None
-                ),
+                oracle=self._oracle_for(entry, workers=workers) if tasks else None,
                 budget=budget,
             )
             farmed = dict(zip(task_keys, outcomes))
@@ -858,8 +848,8 @@ class QueryEngine:
         """Execute a plan's route — the one dispatch both evaluate paths use.
 
         ``budget`` guards the direct bounded route only: cache and
-        compressed routes are cheap by construction, and the quadratic
-        simulation matcher is not guarded.
+        compressed routes are cheap by construction, and a pattern with
+        every bound 1 runs the relation-first matcher unguarded.
         """
         if plan.route == ROUTE_CACHE:
             assert cached_relation is not None
@@ -877,23 +867,14 @@ class QueryEngine:
                 quotient, pattern, relation, stats={"candidate_source": source}
             )
             return decompress_result(quotient_result, compressed)
-        index = None if candidates is not None else entry.attr_index
-        if plan.algorithm == ALGORITHM_SIMULATION:
-            return match_simulation(
-                entry.graph,
-                pattern,
-                index=index,
-                candidates=candidates,
-                frozen=self._frozen_snapshot(entry),
-            )
-        oracle = self._oracle_for(entry)
-        return match_bounded(
+        matcher = match_simulation if pattern.is_simulation_pattern else match_bounded
+        return matcher(
             entry.graph,
             pattern,
-            index=index,
+            index=None if candidates is not None else entry.attr_index,
             candidates=candidates,
             frozen=self._frozen_snapshot(entry),
-            oracle=oracle,
+            oracle=self._oracle_for(entry),
             budget=budget,
         )
 

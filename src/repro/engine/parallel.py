@@ -141,23 +141,15 @@ def _batch_query_core(
 ) -> tuple[MatchRelation, dict[str, Any]]:
     """Evaluate one whole query of a batch."""
     pattern, key_by_node = task
-    candidates = {u: table[key] for u, key in key_by_node.items()}
-    if pattern.is_simulation_pattern:
-        # Guards cover the bounded algorithm only (the quadratic matcher
-        # has no runaway mode worth the bookkeeping), sequentially and in
-        # workers alike — so both modes agree on the partial flag.
-        result = match_simulation(
-            graph, pattern, candidates=candidates, frozen=frozen
-        )
-    else:
-        result = match_bounded(
-            graph,
-            pattern,
-            candidates=candidates,
-            frozen=frozen,
-            oracle=oracle,
-            budget=budget,
-        )
+    matcher = match_simulation if pattern.is_simulation_pattern else match_bounded
+    result = matcher(
+        graph,
+        pattern,
+        candidates={u: table[key] for u, key in key_by_node.items()},
+        frozen=frozen,
+        oracle=oracle,
+        budget=budget,
+    )
     return result.relation, result.stats
 
 

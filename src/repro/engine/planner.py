@@ -5,10 +5,10 @@ decisions, all made here so they are inspectable and testable:
 
 * **route** — cache hit, compressed graph, or the original graph, in that
   order of preference (§II's evaluation flow);
-* **algorithm** — the quadratic simulation matcher when every bound is 1,
-  the bounded-simulation matcher otherwise (relation-first over the
-  snapshot on the direct route).  On a compressed quotient both run as one
-  relation-only pass over the quotient's frozen snapshot
+* **algorithm** — simulation when every bound is 1, bounded simulation
+  otherwise.  Both run the relation-first matcher over the snapshot on the
+  direct route (simulation unguarded), and one relation-only pass over a
+  compressed quotient's frozen snapshot
   (:func:`~repro.matching.bounded.bounded_relation`);
 * **kernel, per pattern edge** — how the bounded matcher materialises the
   edge's successor rows over a frozen snapshot: *oracle-pairwise* label
@@ -250,8 +250,9 @@ def choose_algorithm(pattern: Pattern) -> tuple[str, str]:
     if pattern.is_simulation_pattern:
         return (
             ALGORITHM_SIMULATION,
-            "all pattern bounds are 1: quadratic simulation matcher applies "
-            "(relation-only over a compressed quotient's snapshot)",
+            "all pattern bounds are 1: graph simulation, relation-first over "
+            "the snapshot, unguarded (relation-only over a compressed "
+            "quotient's snapshot)",
         )
     return (
         ALGORITHM_BOUNDED,

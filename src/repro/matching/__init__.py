@@ -16,7 +16,6 @@ from repro.matching.reference import (
 from repro.matching.result_graph import ResultGraph, build_result_graph
 from repro.matching.simulation import (
     match_simulation,
-    refine_simulation,
     simulates,
     simulation_candidates,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ResultGraph",
     "build_result_graph",
     "match_simulation",
-    "refine_simulation",
     "simulates",
     "simulation_candidates",
 ]

@@ -33,7 +33,8 @@ Two evaluators compute that relation, byte for byte the same:
   bounded successor set ``S[e][v] = {v': dist}`` of child candidates
   within the bound, a reverse index ``R`` and live counters
   ``cnt[e][v] = |S[e][v] ∩ sim(child)|``, then cascades removals in
-  worklist fashion exactly as the quadratic simulation algorithm does.
+  worklist fashion, as the counter-based simulation algorithm of
+  Henzinger et al. (FOCS 1995) does.
   Because ``S`` is indexed by candidates, membership changes never
   invalidate it — only graph distance changes do — which is why the
   incremental module (SIGMOD 2011) maintains this state under edge
@@ -58,8 +59,8 @@ from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.distance import bounded_descendants, frozen_reach_levels
 from repro.graph.frozen import FrozenGraph
+from repro.graph.index import candidates_from_index
 from repro.matching.base import ChangeLog, MatchRelation, MatchResult, Stopwatch
-from repro.matching.simulation import simulation_candidates
 from repro.pattern.pattern import Bound, Pattern
 
 PatternEdge = tuple[str, str]
@@ -448,7 +449,7 @@ class BoundedState:
     ) -> None:
         pattern.validate()
         if candidates is None:
-            candidates = simulation_candidates(graph, pattern, index=index)
+            candidates = candidates_from_index(graph, pattern, index)
         # Candidates are copied: the state owns and mutates its sets.
         self.graph = graph
         self.pattern = pattern
@@ -784,7 +785,7 @@ def match_bounded(
         candidate_source = "precomputed"
     else:
         candidate_source = "scan" if index is None else "index"
-        candidates = simulation_candidates(graph, pattern, index=index)
+        candidates = candidates_from_index(graph, pattern, index)
     kernels: dict[PatternEdge, Any] = {}
     state: BoundedState | MatchRows
     if frozen is None:

@@ -149,20 +149,15 @@ class Epoch:
                 stats=self._stamp({"route": "cache", "algorithm": "cached"}, watch),
             )
             return result
-        candidates = self.candidates(pattern)
-        if pattern.is_simulation_pattern:
-            result = match_simulation(
-                self.graph, pattern, candidates=candidates, frozen=self.frozen
-            )
-        else:
-            result = match_bounded(
-                self.graph,
-                pattern,
-                candidates=candidates,
-                frozen=self.frozen,
-                oracle=self.oracle,
-                budget=budget,
-            )
+        matcher = match_simulation if pattern.is_simulation_pattern else match_bounded
+        result = matcher(
+            self.graph,
+            pattern,
+            candidates=self.candidates(pattern),
+            frozen=self.frozen,
+            oracle=self.oracle,
+            budget=budget,
+        )
         if not result.stats.get("partial"):
             self.cache.put(key, result.relation)
         result.stats.update(self._stamp({"route": "direct"}, watch))

@@ -26,6 +26,11 @@ result's int rows, and that ranking must equal both the reference heap's,
 :func:`~repro.ranking.social_impact.rank_matches` sliced to ``k``, and the
 label constructor's, ``RankingContext(result_graph)``: node, rank, both
 evidence dicts in insertion order, floats bit for bit, and attributes.
+Every pattern is also rewritten with every bound set to 1, and each
+distinct rewrite is evaluated by
+:func:`~repro.matching.simulation.match_simulation` with the same snapshot
+and oracle and compared with
+:func:`~repro.matching.reference.naive_simulation`.
 Any mismatch is printed, with a count per comparison, and the exit status
 is 1; the median time of each construction is printed for information::
 
@@ -50,8 +55,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.graph.frozen import FrozenGraph
     from repro.graph.oracle import DistanceOracle
     from repro.matching.bounded import frozen_successor_rows, match_bounded
-    from repro.matching.simulation import simulation_candidates
+    from repro.matching.reference import naive_simulation
+    from repro.matching.simulation import match_simulation, simulation_candidates
     from repro.pattern.parser import parse_pattern
+    from repro.pattern.pattern import Pattern
     from repro.ranking.social_impact import rank_matches
     from repro.ranking.topk import RankingContext, bulk_top_k_detail
 
@@ -81,6 +88,12 @@ def main(argv: list[str] | None = None) -> int:
             set(built.edges()),
         )
 
+    def every_bound_one(pattern):
+        payload = pattern.to_dict()
+        for edge in payload["edges"]:
+            edge["bound"] = 1
+        return Pattern.from_dict(payload)
+
     def evidence(ranked):
         return repr([
             (m.node, m.rank, list(m.ancestors.items()), list(m.descendants.items()), m.attrs)
@@ -92,8 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     heap_mismatches = label_mismatches = 0
     timings: dict[str, list[float]] = {"relation-first": [], "dict-state": []}
     counts = {"evaluate": 0, "topk": 0}
+    units: dict = {}
     for op in ops:
         pattern = parse_pattern(op["pattern"])
+        unit = every_bound_one(pattern)
+        units.setdefault(unit.canonical_key(), (unit, f"{op['op']} {op['stratum']}"))
         candidates = simulation_candidates(graph, pattern)
         started = time.perf_counter()
         fresh = match_bounded(
@@ -126,6 +142,18 @@ def main(argv: list[str] | None = None) -> int:
                 label_mismatches += 1
                 mismatches.append(f"{where}: ranking from rows vs label constructor")
 
+    started = time.perf_counter()
+    simulation_mismatches = 0
+    for unit, where in units.values():
+        candidates = simulation_candidates(graph, unit)
+        simulated = match_simulation(
+            graph, unit, candidates=candidates, frozen=frozen, oracle=oracle
+        )
+        if simulated.relation != naive_simulation(graph, unit):
+            simulation_mismatches += 1
+            mismatches.append(f"{where}, every bound 1: relation vs naive_simulation")
+    simulation_seconds = time.perf_counter() - started
+
     for name, seconds in timings.items():
         print(f"{name}: median {statistics.median(seconds) * 1e3:.1f} ms over {len(seconds)}")
     print(f"checked {counts['evaluate']} evaluate + {counts['topk']} top-K patterns "
@@ -134,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
           f"mismatches over {counts['topk']} patterns")
     print(f"served top-K ranking (from rows) vs label constructor: {label_mismatches} "
           f"mismatches over {counts['topk']} patterns")
+    print(f"every bound 1, match_simulation vs naive_simulation: {simulation_mismatches} "
+          f"mismatches over {len(units)} distinct patterns ({simulation_seconds:.1f} s)")
     for line in mismatches:
         print("  " + line)
     return 1 if mismatches else 0

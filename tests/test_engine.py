@@ -82,7 +82,14 @@ class TestEvaluationRoutes:
 
     def test_simulation_algorithm_for_unit_pattern(self, engine):
         result = engine.evaluate("fig1", label_pattern(bound=1))
-        assert result.stats["algorithm"] == "simulation"
+        # two distinct tasks, so the batch is farmed to the workers
+        batched, _bounded = engine.evaluate_many(
+            "fig1", [label_pattern(bound=1), paper_pattern()], use_cache=False,
+            workers=2,
+        )
+        for evaluated in (result, batched):
+            assert evaluated.stats["algorithm"] == "simulation"
+            assert evaluated.relation == result.relation
 
     def test_compressed_route(self):
         engine = QueryEngine()
@@ -374,12 +381,13 @@ class TestOracleManagement:
 
     def test_explain_reports_oracle_state_and_edge_routes(self, engine):
         engine.enable_oracle("fig1")
-        cold = engine.explain("fig1", paper_pattern())
-        assert any("distance oracle: cold" in r for r in cold.reasons)
-        assert cold.edge_routes  # every pattern edge has a route
-        assert {route.edge for route in cold.edge_routes} == {
-            (s, t) for s, t, _b in paper_pattern().edges()
-        }
+        for pattern in (paper_pattern(), label_pattern(bound=1)):
+            cold = engine.explain("fig1", pattern)
+            assert any("distance oracle: cold" in r for r in cold.reasons)
+            assert cold.edge_routes  # every pattern edge has a route
+            assert {route.edge for route in cold.edge_routes} == {
+                (s, t) for s, t, _b in pattern.edges()
+            }
         engine.evaluate("fig1", paper_pattern(), use_cache=False,
                         cache_result=False)
         warm = engine.explain("fig1", paper_pattern())

@@ -311,8 +311,6 @@ class TestFrozenMatchers:
         assert bulk == per_source
 
     def test_stale_snapshot_rejected(self, fig1, fig1_query):
-        from repro.matching.simulation import refine_simulation
-
         frozen = FrozenGraph.freeze(fig1)
         fig1.set("Bob", "experience", 9)
         with pytest.raises(EvaluationError, match="stale frozen snapshot"):
@@ -320,10 +318,6 @@ class TestFrozenMatchers:
         simple = deep_pattern(1)
         with pytest.raises(EvaluationError, match="stale frozen snapshot"):
             match_simulation(fig1, simple, frozen=frozen)
-        with pytest.raises(EvaluationError, match="stale frozen snapshot"):
-            refine_simulation(
-                fig1, simple, simulation_candidates(fig1, simple), frozen=frozen
-            )
         with ParallelExecutor(workers=1) as executor:
             with pytest.raises(EvaluationError, match="stale frozen snapshot"):
                 executor.match_many(

@@ -14,12 +14,13 @@ import pytest
 
 from repro.datasets.paper_example import paper_graph, paper_pattern
 from repro.engine.estimator import QueryBudget
+from repro.engine.parallel import ParallelExecutor
 from repro.engine.storage import GraphStore
 from repro.errors import AdmissionError, ReproError, ServerError, ServiceDegradedError
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
-from repro.graph.index import AttributeIndex
+from repro.graph.index import AttributeIndex, predicate_key
 from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
@@ -123,6 +124,17 @@ class TestEpochReads:
         pattern = parse_pattern(SIM_PATTERN, name="sim")
         result = epoch.evaluate(pattern)
         assert "Bob" in result.relation.matches_of("SA")
+        # the batch task the engine farms out, over the epoch's snapshot
+        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+        table = {keys[u]: vs for u, vs in epoch.candidates(pattern).items()}
+        with ParallelExecutor(workers=2) as executor:
+            batch = executor.match_many(
+                epoch.graph, [(pattern, keys)] * 2, table,
+                frozen=epoch.frozen, oracle=epoch.oracle,
+            )
+        for relation, stats in [(result.relation, result.stats), *batch]:
+            assert stats["algorithm"] == "simulation"
+            assert relation == result.relation
 
     def test_partial_results_never_cached(self, registry):
         epoch = registry.current_epoch("fig1")
@@ -1037,8 +1049,6 @@ class TestServiceExecutorRouting:
 
     @pytest.fixture
     def fan_outs(self, monkeypatch):
-        from repro.engine.parallel import ParallelExecutor
-
         used: list = []
         monkeypatch.setattr(
             ParallelExecutor, "_fan_out",
