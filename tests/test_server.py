@@ -20,7 +20,7 @@ from repro.errors import AdmissionError, ReproError, ServerError, ServiceDegrade
 from repro.graph.digraph import Graph
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph
-from repro.graph.index import AttributeIndex, predicate_key
+from repro.graph.index import AttributeIndex
 from repro.incremental.updates import (
     AttributeUpdate,
     EdgeDeletion,
@@ -46,6 +46,7 @@ from repro.server.wire import (
     error_status,
 )
 from repro.testing.faults import armed
+from tests.conftest import batch_of
 from tests.test_digraph import view
 from tests.test_frozen_patch import assert_equals_full_freeze, observed
 
@@ -125,11 +126,9 @@ class TestEpochReads:
         result = epoch.evaluate(pattern)
         assert "Bob" in result.relation.matches_of("SA")
         # the batch task the engine farms out, over the epoch's snapshot
-        keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
-        table = {keys[u]: vs for u, vs in epoch.candidates(pattern).items()}
         with ParallelExecutor(workers=2) as executor:
             batch = executor.match_many(
-                epoch.graph, [(pattern, keys)] * 2, table,
+                epoch.graph, *batch_of(epoch.graph, pattern),
                 frozen=epoch.frozen, oracle=epoch.oracle,
             )
         for relation, stats in [(result.relation, result.stats), *batch]:
