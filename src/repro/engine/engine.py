@@ -35,7 +35,6 @@ from repro.graph.oracle import DistanceOracle
 from repro.engine.parallel import ParallelExecutor, validate_workers
 from repro.engine.storage import GraphStore
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
-from repro.incremental.inc_simulation import IncrementalSimulation
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, apply_updates
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
 from repro.matching.bounded import bounded_relation, match_bounded
@@ -955,14 +954,9 @@ class QueryEngine:
         existing = self._cache.get(key)
         if existing is not None and existing.pinned:
             return
-        if pattern.is_simulation_pattern:
-            maintainer: Any = IncrementalSimulation(
-                entry.graph, pattern, index=entry.attr_index
-            )
-        else:
-            maintainer = IncrementalBoundedSimulation(
-                entry.graph, pattern, index=entry.attr_index
-            )
+        maintainer = IncrementalBoundedSimulation(
+            entry.graph, pattern, index=entry.attr_index
+        )
         self._cache.put(
             key, maintainer.relation(), pinned=True, maintainer=maintainer
         )

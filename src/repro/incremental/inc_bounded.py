@@ -18,10 +18,14 @@ pattern bound.  The maintenance strategy, operating on the matcher's
    fixpoint must be approached from above or cyclic patterns lose
    mutually-dependent matches.
 
-The paper's crossover claim (incremental wins only below ~10 % of edges
-changed, versus ~30 % for plain simulation) falls out of step 1: each unit
-update triggers bounded BFS over its neighbourhood, which is far more work
-than the single counter touch of the simulation case.
+Plain simulation runs this same maintainer with every bound read as 1
+(:class:`~repro.incremental.inc_simulation.IncrementalSimulation`): the
+ancestor depth is then 0, so the affected area is only the tail of the
+updated edge.  The paper's crossover claim (incremental wins only below
+~10 % of edges changed, versus ~30 % for plain simulation) falls out of
+step 1: with larger bounds each unit update re-runs bounded BFS from every
+ancestor within ``D - 1`` hops, where at bound 1 it re-reads one node's
+successors (``benchmarks/simulation_cost.py`` prints the bound-1 table).
 """
 
 from __future__ import annotations

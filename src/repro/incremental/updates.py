@@ -158,8 +158,9 @@ def apply_updates(
     The one way a batch reaches a graph.  Each update is decomposed (see
     :func:`decompose`) against the graph as it stands, each primitive is
     applied once, and only then handed to every observer in order — the
-    maintainers (``IncrementalSimulation.apply`` and friends) follow a
-    graph that already reflects it.
+    match maintainer (``IncrementalBoundedSimulation.apply``; a bound-1
+    pattern runs it too, its affected area only the updated edge's tail)
+    and the maintained compression follow a graph that already reflects it.
 
     A primitive counts as applied once the graph has taken it, before any
     observer runs.  On an error (an inapplicable primitive raises

@@ -41,6 +41,22 @@ def simulation_candidates(
     return candidates_from_index(graph, pattern, index)
 
 
+def every_bound_one(pattern: Pattern) -> Pattern:
+    """``pattern`` with every edge bound read as 1 — its simulation reading.
+
+    The pattern itself when every bound already is 1; otherwise a copy
+    with the same name, predicates and output node.
+    """
+    if pattern.is_simulation_pattern:
+        return pattern
+    unit = Pattern(pattern.name)
+    for node in pattern.nodes():
+        unit.add_node(node, pattern.predicate(node), output=node == pattern.output_node)
+    for source, target, _bound in pattern.edges():
+        unit.add_edge(source, target, 1)
+    return unit
+
+
 def match_simulation(
     graph: Graph,
     pattern: Pattern,
@@ -65,13 +81,7 @@ def match_simulation(
     >>> sorted(match_simulation(g, q).relation.pairs())
     [('X', 'a'), ('Y', 'b')]
     """
-    if not pattern.is_simulation_pattern:
-        unit = Pattern(pattern.name)
-        for node in pattern.nodes():
-            unit.add_node(node, pattern.predicate(node), output=node == pattern.output_node)
-        for source, target, _bound in pattern.edges():
-            unit.add_edge(source, target, 1)
-        pattern = unit
+    pattern = every_bound_one(pattern)
     result = match_bounded(
         graph, pattern, index=index, candidates=candidates, frozen=frozen, oracle=oracle
     )

@@ -52,12 +52,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from benchmarks.perf.workloads import build
-    from benchmarks.simulation_cost import every_bound_one
     from repro.graph.frozen import FrozenGraph
     from repro.graph.oracle import DistanceOracle
     from repro.matching.bounded import frozen_successor_rows, match_bounded
     from repro.matching.reference import naive_simulation
-    from repro.matching.simulation import match_simulation, simulation_candidates
+    from repro.matching.simulation import (
+        every_bound_one,
+        match_simulation,
+        simulation_candidates,
+    )
     from repro.pattern.parser import parse_pattern
     from repro.ranking.social_impact import rank_matches
     from repro.ranking.topk import RankingContext, bulk_top_k_detail

@@ -7,8 +7,9 @@ from repro.graph.generators import random_digraph
 from repro.incremental.inc_simulation import IncrementalSimulation
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, random_updates
 from repro.matching.reference import naive_simulation
-from repro.matching.simulation import match_simulation
+from repro.matching.simulation import every_bound_one
 from repro.pattern.builder import PatternBuilder
+from repro.pattern.pattern import Pattern
 
 from tests.conftest import drive, make_labelled_graph
 
@@ -68,7 +69,7 @@ class TestInsertion:
         assert inc.relation().is_empty
         drive(inc, EdgeInsertion("a", "b"))  # now a->b->a: both valid together
         assert inc.relation().num_pairs == 2
-        inc.check_invariants()
+        inc.state.check_invariants()
 
     def test_irrelevant_insertion_changes_nothing(self):
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B", "c": "C"})
@@ -115,7 +116,7 @@ class TestDeletion:
         assert inc.relation().num_pairs == 3
         drive(inc, EdgeDeletion("b", "c"))
         assert inc.relation().is_empty
-        inc.check_invariants()
+        inc.state.check_invariants()
 
 
 class TestRoundTripsAndOracle:
@@ -126,7 +127,7 @@ class TestRoundTripsAndOracle:
         drive(inc, EdgeInsertion("a", "c"))
         drive(inc, EdgeDeletion("a", "c"))
         assert inc.relation() == before
-        inc.check_invariants()
+        inc.state.check_invariants()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_batch_after_random_updates(self, seed):
@@ -141,11 +142,17 @@ class TestRoundTripsAndOracle:
             .edge("C", "A", 1)
             .build()
         )
-        inc = IncrementalSimulation(g, q)
-        for update in random_updates(g, 25, seed=seed + 50):
-            drive(inc, update)
-            assert inc.relation() == naive_simulation(g, q)
-        inc.check_invariants()
+        # A bound-2 copy is read as its bound-1 rewrite.
+        wide = q.to_dict()
+        for edge in wide["edges"]:
+            edge["bound"] = 2
+        for pattern in (q, Pattern.from_dict(wide)):
+            graph = g.copy()
+            inc = IncrementalSimulation(graph, pattern)
+            for update in random_updates(graph, 25, seed=seed + 50):
+                drive(inc, update)
+                assert inc.relation() == naive_simulation(graph, every_bound_one(pattern))
+            inc.state.check_invariants()
 
     def test_one_driver_call_equals_unit_calls(self):
         g1 = random_digraph(12, 25, num_labels=2, seed=1)
@@ -162,7 +169,7 @@ class TestRoundTripsAndOracle:
     def test_initial_state_matches_batch_matcher(self):
         g = random_digraph(15, 30, num_labels=2, seed=4)
         q = chain_ab_for_random()
-        assert IncrementalSimulation(g, q).relation() == match_simulation(g, q).relation
+        assert IncrementalSimulation(g, q).relation() == naive_simulation(g, q)
 
     def test_follows_a_write_made_by_the_caller(self):
         g = make_labelled_graph([], {"a": "A", "b": "B"})
@@ -170,7 +177,7 @@ class TestRoundTripsAndOracle:
         g.add_edge("a", "b")  # caller mutates the graph first
         inc.apply(EdgeInsertion("a", "b"))
         assert inc.relation().num_pairs == 2
-        inc.check_invariants()
+        inc.state.check_invariants()
 
     def test_unknown_update_type_rejected(self):
         g = make_labelled_graph([], {"a": "A", "b": "B"})

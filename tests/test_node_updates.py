@@ -110,14 +110,14 @@ class TestIncrementalSimulationNodeUpdates:
         assert inc.relation().is_empty
         drive(inc, AttributeUpdate("a", "label", "A"))
         assert inc.relation().num_pairs == 2
-        inc.check_invariants()
+        inc.state.check_invariants()
 
     def test_attribute_update_loses_match(self):
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
         inc = IncrementalSimulation(g, bounded_ab(1))
         drive(inc, AttributeUpdate("b", "label", "X"))
         assert inc.relation().is_empty
-        inc.check_invariants()
+        inc.state.check_invariants()
 
     def test_node_insertion_then_edges(self):
         g = make_labelled_graph([], {"b": "B"})
@@ -126,7 +126,7 @@ class TestIncrementalSimulationNodeUpdates:
         assert inc.relation().is_empty  # no edge yet
         drive(inc, EdgeInsertion("a", "b"))
         assert inc.relation().num_pairs == 2
-        inc.check_invariants()
+        inc.state.check_invariants()
 
     def test_node_deletion_cascades(self):
         g = make_labelled_graph([("a", "b")], {"a": "A", "b": "B"})
@@ -134,7 +134,7 @@ class TestIncrementalSimulationNodeUpdates:
         drive(inc, NodeDeletion("b"))
         assert inc.relation().is_empty
         assert "b" not in g
-        inc.check_invariants()
+        inc.state.check_invariants()
 
 
 class TestIncrementalBoundedNodeUpdates:
@@ -255,7 +255,7 @@ class TestIncrementalBoundedNodeUpdates:
             ), update
             # replay on the simulation maintainer (independent graph copy)
             drive(inc_sim, update)
-            inc_sim.check_invariants()
+            inc_sim.state.check_invariants()
             assert inc_sim.relation() == naive_simulation(inc_sim_graph, unit), update
 
 
@@ -413,7 +413,7 @@ class TestMaintainersFollowTheGraph:
         if name == "compression":
             maintainer.check_partition()
         elif name == "simulation":
-            maintainer.check_invariants()
+            maintainer.state.check_invariants()
             assert maintainer.relation() == naive_simulation(g, bounded_ab(1))
         else:
             maintainer.state.check_invariants()

@@ -21,7 +21,8 @@ from repro.incremental.updates import (
     decompose,
 )
 from repro.matching.bounded import match_bounded
-from repro.matching.simulation import match_simulation
+from repro.matching.reference import naive_simulation
+from repro.matching.simulation import every_bound_one
 from repro.pattern.pattern import Pattern
 
 from tests.conftest import drive
@@ -96,16 +97,12 @@ def test_incremental_bounded_equals_batch(data):
 @settings(max_examples=100, deadline=None)
 def test_incremental_simulation_equals_batch(data):
     graph, pattern, updates = data
-    unit = Pattern()
-    for node in pattern.nodes():
-        unit.add_node(node, pattern.predicate(node))
-    for source, target, _bound in pattern.edges():
-        unit.add_edge(source, target, 1)
+    unit = every_bound_one(pattern)
     maintained = IncrementalSimulation(graph, unit)
     for update in updates:
         drive(maintained, update)
-    assert maintained.relation() == match_simulation(graph, unit).relation
-    maintained.check_invariants()
+    assert maintained.relation() == naive_simulation(graph, unit)
+    maintained.state.check_invariants()
 
 
 @given(scenario(max_updates=6))
@@ -187,16 +184,12 @@ def test_incremental_bounded_handles_node_updates(data):
 @settings(max_examples=80, deadline=None)
 def test_incremental_simulation_handles_node_updates(data):
     graph, pattern, updates = data
-    unit = Pattern()
-    for node in pattern.nodes():
-        unit.add_node(node, pattern.predicate(node))
-    for source, target, _bound in pattern.edges():
-        unit.add_edge(source, target, 1)
+    unit = every_bound_one(pattern)
     maintained = IncrementalSimulation(graph, unit)
     for update in updates:
         drive(maintained, update)
-        maintained.check_invariants()
-    assert maintained.relation() == match_simulation(graph, unit).relation
+        maintained.state.check_invariants()
+    assert maintained.relation() == naive_simulation(graph, unit)
 
 
 @given(node_update_scenario())

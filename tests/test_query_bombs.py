@@ -410,9 +410,10 @@ def test_guard_tripping_between_the_two_checks_leaves_sound_rows():
 
 
 def test_simulation_patterns_are_never_guarded():
-    """Guards cover the bounded matcher only; all-bounds-1 queries run the
-    quadratic simulation matcher, which cannot bomb — and must not report
-    guard stats (sequential and batch-worker modes agree by construction)."""
+    """Guards cover bounded patterns only; an all-bounds-1 query runs the
+    same matcher with no budget (a bound-1 edge reaches one hop, so it
+    cannot bomb) and must not report guard stats (sequential and
+    batch-worker modes agree by construction)."""
     graph = hub_graph(200)
     patterns = []
     for name in ("unit", "unit-back"):
