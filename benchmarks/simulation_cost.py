@@ -15,7 +15,7 @@ exit status is 1 otherwise).
 
 It then prints the paper's E5 maintenance table ("incremental beats batch
 up to 30% changed for simulation"): on ``collaboration_graph(1500)`` and
-``twitter_like_graph(1500)``, for ``benchmarks.conftest.unit_pattern()``
+``twitter_like_graph(1500)``, for ``every_bound_one(team_pattern())``
 and a ``random_updates`` batch of 1, 5, 10, 30 and 50% of |E|, the median
 over five runs of ``apply_updates`` driving an
 :class:`~repro.incremental.inc_simulation.IncrementalSimulation` against
@@ -36,7 +36,6 @@ import statistics
 import sys
 import time
 
-from benchmarks.conftest import unit_pattern
 from repro.datasets.queries import QUERY_LIBRARY
 from repro.graph.frozen import FrozenGraph
 from repro.graph.generators import collaboration_graph, twitter_like_graph
@@ -48,6 +47,8 @@ from repro.matching.simulation import (
     match_simulation,
     simulation_candidates,
 )
+from repro.pattern.builder import PatternBuilder
+from repro.pattern.pattern import Pattern
 
 TOPOLOGIES = {
     "star": "q1-team-star",
@@ -59,6 +60,22 @@ TOPOLOGIES = {
 EXPERIENCE = (1, 3, 5, 7, 9, 11)
 REPEATS = 5
 PERCENTS = (1, 5, 10, 30, 50)
+
+
+def team_pattern(bound: int = 2, senior: int = 5) -> Pattern:
+    """The recurring hiring query: SA leading SD/BA/ST within ``bound`` hops."""
+    return (
+        PatternBuilder("team")
+        .node("SA", f"experience >= {senior}", field="SA", output=True)
+        .node("SD", "experience >= 2", field="SD")
+        .node("BA", "experience >= 2", field="BA")
+        .node("ST", "experience >= 2", field="ST")
+        .edge("SA", "SD", bound)
+        .edge("SA", "BA", bound + 1)
+        .edge("SD", "ST", bound)
+        .edge("BA", "ST", bound)
+        .build(require_output=True)
+    )
 
 
 def measure(graph) -> tuple[dict[str, float], int]:
@@ -86,7 +103,7 @@ def measure(graph) -> tuple[dict[str, float], int]:
 
 
 def maintenance(base) -> tuple[list[dict[str, float]], int]:
-    pattern = unit_pattern()
+    pattern = every_bound_one(team_pattern())
     rows = []
     mismatches = 0
     for percent in PERCENTS:

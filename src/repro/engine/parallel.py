@@ -18,8 +18,8 @@ parallelise is work made of independent pieces, and
 
 Workers are separate processes; a speedup needs actual spare cores.  On a
 single-core host the fan-outs still produce identical results, just with
-fork/pickle overhead on top — ``benchmarks/bench_parallel_eval.py``
-measures both situations honestly.
+fork/pickle overhead on top — the E12 row of ``benchmarks/ledger.py``
+records the speedup and the host's core count.
 """
 
 from __future__ import annotations

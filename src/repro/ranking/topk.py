@@ -28,8 +28,8 @@ matches.  This module restructures ranking around two ideas:
 
 The selection is *exact*: for every metric and every ``k``, the output
 equals the naive rank-everything-then-slice path (``tests/test_topk.py``
-asserts it differentially over seeded random graphs;
-``benchmarks/bench_topk.py`` asserts it at scale).
+asserts it differentially over seeded random graphs; the claims ledger's
+E13 rows, ``benchmarks/ledger.py``, check it at scale).
 """
 
 from __future__ import annotations

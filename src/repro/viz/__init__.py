@@ -10,12 +10,9 @@ from repro.viz.ascii import (
     render_table,
     roll_up,
 )
-from repro.viz.charts import ascii_bar_chart, comparison_chart
 from repro.viz.dot import graph_to_dot, pattern_to_dot, result_to_dot
 
 __all__ = [
-    "ascii_bar_chart",
-    "comparison_chart",
     "drill_down",
     "graph_summary",
     "node_card",
