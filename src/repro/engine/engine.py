@@ -37,7 +37,7 @@ from repro.engine.storage import GraphStore
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, apply_updates
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
-from repro.matching.bounded import bounded_relation, match_bounded
+from repro.matching.bounded import bounded_relation, match_bounded, snapshot_ids
 from repro.matching.result_graph import build_result_graph
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
@@ -439,14 +439,10 @@ class QueryEngine:
         ]
         if pattern.num_edges:
             frozen = self._frozen_snapshot(entry)
-            ids = frozen.ids()
             candidates = simulation_candidates(
                 entry.graph, pattern, index=entry.attr_index
             )
-            candidate_ids = {
-                u: frozenset(ids[v] for v in vs) for u, vs in candidates.items()
-            }
-            estimate = estimate_pattern(frozen, pattern, candidate_ids)
+            estimate = estimate_pattern(frozen, pattern, snapshot_ids(frozen, candidates))
             lines.extend(f"estimate: {line}" for line in estimate.describe_lines())
         return lines
 

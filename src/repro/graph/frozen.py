@@ -183,13 +183,13 @@ class FrozenGraph:
     value in place (``graph.attrs(v)["tags"].append(...)``) bypasses the
     version counter everywhere in this codebase, snapshot included.
 
-    Besides the lazy adjacency views, a snapshot keeps one memo of work
+    Besides the lazy adjacency views, a snapshot keeps memos of work
     done over it: the per-source row kernel's BFS level sets
     (:func:`repro.matching.bounded._per_source_rows`), since a ball
-    depends only on the snapshot, the source and the depth.  It stores a
-    ball on its source's second request, holds at most
-    :data:`~repro.matching.bounded.FROZEN_BALL_MEMO_FACTOR` times
-    :attr:`size` ids, and lives and dies with this snapshot:
+    depends only on the snapshot, the source and the depth, and the
+    served path's predicate answers (``_predicates``, a
+    :class:`repro.matching.bounded._PredicateMemo`).  Each is bounded by
+    a multiple of :attr:`size` ids, and lives and dies with this snapshot:
     :meth:`patched`, :meth:`without_attrs`, :meth:`to_buffers` and pickles
     carry none of it.
     """
@@ -214,6 +214,7 @@ class FrozenGraph:
         "_interned",
         "_pool_floor",
         "_balls",
+        "_predicates",
         "path",
     )
 
@@ -253,10 +254,12 @@ class FrozenGraph:
         # its size at the last full freeze or load.
         self._interned: dict[tuple, int] | None = None
         self._pool_floor = len(values)
-        # The per-source row kernel's memo of BFS level sets
-        # (``repro.matching.bounded._BallMemo``): made on first use, never
-        # carried to another snapshot, written to a file or pickled.
+        # The per-source row kernel's memo of BFS level sets and the served
+        # path's predicate memo (``repro.matching.bounded._BallMemo`` and
+        # ``_PredicateMemo``): made on first use, never carried to another
+        # snapshot, written to a file or pickled.
         self._balls: Any = None
+        self._predicates: Any = None
         # Backing snapshot file when loaded via the store (mmap views);
         # lets the parallel executor ship the path instead of the buffers.
         self.path: Any = None
@@ -790,6 +793,7 @@ class FrozenGraph:
         self._interned = None
         self._pool_floor = len(self._values)
         self._balls = None
+        self._predicates = None
         self.path = None
 
     def __repr__(self) -> str:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from itertools import islice
 from threading import Lock
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -59,7 +60,7 @@ from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.distance import bounded_descendants, frozen_reach_levels
 from repro.graph.frozen import FrozenGraph
-from repro.graph.index import candidates_from_index
+from repro.graph.index import candidates_from_index, predicate_key
 from repro.matching.base import ChangeLog, MatchRelation, MatchResult, Stopwatch
 from repro.pattern.pattern import Bound, Pattern
 
@@ -81,6 +82,12 @@ FROZEN_CHUNK_BITS = 4096
 #: misses of ``serve_cold`` (seed 0) hold ~9 x (|V| + |E|).
 FROZEN_BALL_MEMO_FACTOR = 16
 
+#: Ids the predicate memo of one snapshot may hold, per node and edge of
+#: the snapshot: candidate id sets, plus every stored backward BFS level
+#: counted twice (the level, and the walk's set of ids it has reached).
+#: A full seed-0 ``serve_cold`` run holds ~3 x (|V| + |E|).
+FROZEN_PREDICATE_MEMO_FACTOR = 8
+
 #: Arrivals the bitset kernel accumulates before charging its guard.
 #: Bounds budget overshoot (one hub level can carry millions of arrivals)
 #: while keeping the charge/should_stop round trip off the per-node path.
@@ -93,6 +100,9 @@ _BYTE_BITS = tuple(
 )
 
 _NO_IDS: frozenset[int] = frozenset()
+
+#: An ended walk of :class:`_Levels`.
+_ENDED: Iterator[frozenset[int]] = iter(())
 
 
 def frozen_successor_rows(
@@ -721,6 +731,7 @@ def match_bounded(
     frozen: FrozenGraph | None = None,
     oracle=None,
     budget=None,
+    candidate_ids: Mapping[str, frozenset[int]] | None = None,
 ) -> MatchResult:
     """Compute ``M(Q,G)`` under bounded simulation.
 
@@ -728,7 +739,9 @@ def match_bounded(
     read from, so deriving it costs no recomputation.  An optional
     :class:`~repro.graph.index.AttributeIndex` (``index``) serves candidate
     generation, and ``candidates`` supplies precomputed candidate sets
-    outright (the batch evaluator's shared-work path).
+    outright (the batch evaluator's shared-work path); ``candidate_ids``
+    supplies them as ids of ``frozen`` (the served path's
+    :func:`predicate_candidates`).
 
     Without a snapshot the dict-graph :class:`BoundedState` is built and
     carried.  A ``frozen``
@@ -776,12 +789,14 @@ def match_bounded(
             raise EvaluationError(
                 f"stale distance oracle: {oracle!r} does not match {frozen!r}"
             )
+    if candidate_ids is not None and frozen is None:
+        raise EvaluationError("candidate ids require the snapshot they index")
     guard = None
     if budget is not None and budget.is_limited:
         from repro.engine.estimator import QueryGuard
 
         guard = QueryGuard(budget)
-    if candidates is not None:
+    if candidates is not None or candidate_ids is not None:
         candidate_source = "precomputed"
     else:
         candidate_source = "scan" if index is None else "index"
@@ -792,8 +807,10 @@ def match_bounded(
         state = BoundedState(graph, pattern, candidates=candidates, guard=guard)
         relation = state.relation()
     else:
+        if candidate_ids is None:
+            candidate_ids = snapshot_ids(frozen, candidates)
         relation, state = _match_relation_first(
-            graph, pattern, candidates, frozen, oracle, kernels, guard
+            graph, pattern, candidate_ids, frozen, oracle, kernels, guard
         )
     stats = {
         "algorithm": "bounded-simulation",
@@ -809,10 +826,19 @@ def match_bounded(
     return MatchResult(graph, pattern, relation, stats=stats, state=state)
 
 
+def snapshot_ids(
+    frozen: FrozenGraph, candidates: Mapping[str, Iterable[NodeId]]
+) -> dict[str, frozenset[int]]:
+    """Candidates by label as ``frozen``'s ids: the one translation for
+    callers that hold label sets."""
+    ids = frozen.ids()
+    return {u: frozenset(map(ids.__getitem__, vs)) for u, vs in candidates.items()}
+
+
 def _match_relation_first(
     graph: Graph,
     pattern: Pattern,
-    candidates: Mapping[str, Iterable[NodeId]],
+    candidate_ids: Mapping[str, frozenset[int]],
     frozen: FrozenGraph,
     oracle,
     kernel_log: dict[PatternEdge, Any],
@@ -820,15 +846,23 @@ def _match_relation_first(
 ) -> tuple[MatchRelation, "MatchRows"]:
     """The backward pass, re-run on a cycle until the sets settle; rows
     between the settled sets on first read.  Under a guard, or once the
-    re-pass cap trips, rows and one removal cascade run now instead."""
-    ids = frozen.ids()
+    re-pass cap trips, rows and one removal cascade run now instead.
+
+    An edge into a sink pattern node whose candidates are a set of the
+    snapshot's predicate memo (by identity) reads the memo's backward
+    BFS levels from it instead of running the BFS."""
     labels = frozen.labels
-    candidate_ids = {
-        u: frozenset(ids[v] for v in vs) for u, vs in candidates.items()
-    }
-    sim = {u: set(vs) for u, vs in candidate_ids.items()}
-    settled = _membership_pass(frozen.predecessor_sets(), pattern, sim, guard)
+    predecessors = frozen.predecessor_sets()
     out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
+    sinks: dict[str, _Levels] = {}
+    memo = frozen._predicates
+    if memo is not None:
+        for u, out_edges in out_edges_by_node.items():
+            levels = None if out_edges else memo.levels.get(id(candidate_ids[u]))
+            if levels is not None and levels.targets is candidate_ids[u]:
+                sinks[u] = levels
+    sim = {u: set(vs) for u, vs in candidate_ids.items()}
+    settled = _membership_pass(predecessors, pattern, sim, guard, sinks)
     pending = (frozen, out_edges_by_node, sim, oracle, candidate_ids)
     if settled is None:
         # A guard charges row work and may have cut the pass short; a
@@ -848,7 +882,7 @@ def _match_relation_first(
         rows = None if settled else {edge: {} for edge in kernel_log}
         state = MatchRows(graph, pattern, labels, rows, pending if settled else None)
     relation = MatchRelation.from_sets(
-        pattern, {u: [labels[v] for v in vs] for u, vs in sim.items()}
+        pattern, {u: frozenset(map(labels.__getitem__, vs)) for u, vs in sim.items()}
     )
     return relation, state
 
@@ -899,6 +933,7 @@ def _membership_pass(
     pattern: Pattern,
     sim: dict[str, set[int]],
     guard=None,
+    sinks: Mapping[str, "_Levels"] | None = None,
 ) -> bool | None:
     """Shrink ``sim`` (candidate ids, in place) to ``M(Q,G)``'s sets with
     backward BFSs: one per pattern edge, sinks first, then re-runs of
@@ -924,7 +959,18 @@ def _membership_pass(
     :data:`~repro.engine.estimator.REPASS_FACTOR` times the first pass's
     BFS arrivals: a path matched against ``A <-> B`` sheds one node per
     round, quadratic in re-runs and linear in the cascade.
+
+    ``sinks`` maps sink pattern nodes to the memoised backward BFS levels
+    from their (unchanging) sets: an edge into one reads them, with the
+    same result, arrivals and guard charges as running the BFS.
     """
+
+    def levels_into(target: str) -> Iterator[frozenset[int]]:
+        memoised = sinks.get(target) if sinks else None
+        if memoised is not None:
+            return memoised.read(predecessors)
+        return _backward_levels(predecessors, sim[target])
+
     if not all(sim.values()):
         return False
     ran: dict[PatternEdge, int] = {}  # edge -> |sim(u')| when it ran
@@ -935,7 +981,7 @@ def _membership_pass(
                 return None
             ran[(source, target)] = len(sim[target])
             sim[source], reached = _reaching(
-                predecessors, sim[target], bound, sim[source], guard
+                levels_into(target), bound, sim[source], guard
             )
             arrivals += reached
             if not sim[source]:
@@ -955,7 +1001,7 @@ def _membership_pass(
         source, target = edge
         before = len(sim[source])
         sim[source], reached = _reaching(
-            predecessors, sim[target], pattern.bound(source, target), sim[source], guard
+            levels_into(target), pattern.bound(source, target), sim[source], guard
         )
         allowance -= reached
         if not sim[source]:
@@ -1056,27 +1102,24 @@ def _removal_cascade(
 
 
 def _reaching(
-    predecessors: Sequence[frozenset[int]],
-    targets: set[int],
+    levels: Iterator[frozenset[int]],
     bound: Bound,
     wanted: set[int],
     guard=None,
 ) -> tuple[set[int], int]:
     """The ids of ``wanted`` with a nonempty path of length <= ``bound``
-    into ``targets``, and the BFS's arrivals: one multi-source BFS over
-    the predecessor sets, stopped as soon as every wanted id has been
-    reached."""
+    into the targets of ``levels`` (:func:`_backward_levels`), and the
+    arrivals of the levels read: a level is read only while some wanted
+    id is unreached and the bound allows it."""
     pending = set(wanted)
     found: set[int] = set()
-    seen: set[int] = set()
-    frontier: Iterable[int] = targets
-    depth = 0
+    arrivals = depth = 0
     while pending and (bound is None or depth < bound):
-        depth += 1
-        arrived = _NO_IDS.union(*map(predecessors.__getitem__, frontier)) - seen
-        if not arrived:
+        arrived = next(levels, None)
+        if arrived is None:
             break
-        seen |= arrived
+        depth += 1
+        arrivals += len(arrived)
         hits = pending & arrived
         found |= hits
         pending -= hits
@@ -1084,8 +1127,124 @@ def _reaching(
             guard.charge(len(arrived))
             if guard.should_stop():
                 break
+    return found, arrivals
+
+
+def _backward_levels(
+    predecessors: Sequence[frozenset[int]], targets: Iterable[int]
+) -> Iterator[frozenset[int]]:
+    """The levels of one multi-source backward BFS from ``targets``: the
+    ids whose shortest nonempty path into ``targets`` has length 1, 2, ...
+    (a target is in a level only if it reaches a target)."""
+    seen: set[int] = set()
+    frontier = targets
+    while True:
+        arrived = _NO_IDS.union(*map(predecessors.__getitem__, frontier)) - seen
+        if not arrived:
+            return
+        seen |= arrived
+        yield arrived
         frontier = arrived
-    return found, len(seen)
+
+
+def predicate_candidates(
+    frozen: FrozenGraph, pattern: Pattern, resolve
+) -> dict[str, frozenset[int]]:
+    """Each pattern node's candidates as ``frozen``'s ids, from the
+    snapshot's predicate memo; what it lacks comes from ``resolve(pattern)``
+    (label sets per pattern node), translated and admitted."""
+    memo = frozen._predicates
+    if memo is None:
+        memo = frozen._predicates = _PredicateMemo(
+            FROZEN_PREDICATE_MEMO_FACTOR * frozen.size
+        )
+    keys = {u: predicate_key(pattern.predicate(u)) for u in pattern.nodes()}
+    answers = {u: memo.ids.get(key) for u, key in keys.items()}
+    missing = [u for u, ids in answers.items() if ids is None]
+    if missing:
+        labels = resolve(pattern)
+        for u, ids in snapshot_ids(frozen, {u: labels[u] for u in missing}).items():
+            answers[u] = memo.admit(keys[u], ids)
+    return answers  # type: ignore[return-value]
+
+
+class _PredicateMemo:
+    """Per-predicate answers over one snapshot, up to a budget of ids.
+
+    ``ids[key]`` holds the candidate ids of the predicate with
+    :func:`~repro.graph.index.predicate_key` ``key``, and
+    ``levels[id(ids[key])]`` the backward BFS levels from them
+    (:class:`_Levels`).  Sets and levels are admitted while the held ids
+    stay within ``budget``; past it answers are computed, unstored.
+    Reads take no lock; admissions and level extensions take one.
+    """
+
+    __slots__ = ("ids", "levels", "held", "budget", "_lock")
+
+    def __init__(self, budget: int) -> None:
+        self.ids: dict[tuple, frozenset[int]] = {}
+        self.levels: dict[int, _Levels] = {}
+        self.held = 0
+        self.budget = budget
+        self._lock = Lock()
+
+    def admit(self, key: tuple, ids: frozenset[int]) -> frozenset[int]:
+        """The memo's set for ``key``: ``ids``, stored if it fits.  An
+        identity key (an unhashable constant) is never stored: once its
+        predicate is collected, another may reuse the id."""
+        if key[0] == "unhashable":
+            return ids
+        with self._lock:
+            stored = self.ids.get(key)
+            if stored is not None:
+                return stored  # a racing caller stored it first
+            if self.held + len(ids) <= self.budget:
+                self.ids[key] = ids
+                self.levels[id(ids)] = _Levels(self, ids)
+                self.held += len(ids)
+        return ids
+
+
+class _Levels:
+    """The levels of :func:`_backward_levels` from a copy of one memoised
+    set (the copy a pass's ``sim`` holds): those ``stored`` so far, and
+    the ``walk`` extending them (None until the first read), ended once
+    it ran out or the budget refused a level (``capped``: deeper reads
+    then walk privately)."""
+
+    __slots__ = ("memo", "targets", "stored", "walk", "capped")
+
+    def __init__(self, memo: _PredicateMemo, targets: frozenset[int]) -> None:
+        self.memo = memo
+        self.targets = targets
+        self.stored: list[frozenset[int]] = []
+        self.walk: Iterator[frozenset[int]] | None = None
+        self.capped = False
+
+    def read(self, predecessors) -> Iterator[frozenset[int]]:
+        depth = 0
+        while depth < len(self.stored) or self._extend(predecessors, depth):
+            yield self.stored[depth]
+            depth += 1
+        if self.capped:
+            walk = _backward_levels(predecessors, set(self.targets))
+            yield from islice(walk, depth, None)
+
+    def _extend(self, predecessors, depth: int) -> bool:
+        """Whether level ``depth`` is stored, storing it if the walk can."""
+        memo = self.memo
+        with memo._lock:
+            if depth < len(self.stored):
+                return True  # a racing reader stored it
+            if self.walk is None:
+                self.walk = _backward_levels(predecessors, set(self.targets))
+            level = next(self.walk, None)
+            if level is None or memo.held + 2 * len(level) > memo.budget:
+                self.walk, self.capped = _ENDED, self.capped or level is not None
+                return False
+            self.stored.append(level)
+            memo.held += 2 * len(level)
+            return True
 
 
 class MatchRows:

@@ -65,6 +65,7 @@ def match_simulation(
     frozen: FrozenGraph | None = None,
     oracle=None,
     budget=None,
+    candidate_ids=None,
 ) -> MatchResult:
     """Compute ``M(Q,G)`` under plain graph simulation.
 
@@ -83,7 +84,8 @@ def match_simulation(
     """
     pattern = every_bound_one(pattern)
     result = match_bounded(
-        graph, pattern, index=index, candidates=candidates, frozen=frozen, oracle=oracle
+        graph, pattern, index=index, candidates=candidates, frozen=frozen,
+        oracle=oracle, candidate_ids=candidate_ids,
     )
     result.stats["algorithm"] = "simulation"
     return result

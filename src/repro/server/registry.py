@@ -58,7 +58,7 @@ from repro.graph.index import AttributeIndex
 from repro.graph.oracle import DistanceOracle
 from repro.incremental.updates import Update, apply_updates
 from repro.matching.base import MatchResult, Stopwatch
-from repro.matching.bounded import match_bounded
+from repro.matching.bounded import match_bounded, predicate_candidates
 from repro.matching.simulation import match_simulation, simulation_candidates
 from repro.pattern.pattern import Pattern
 from repro.ranking.topk import bulk_top_k_detail, context_for
@@ -113,14 +113,20 @@ class Epoch:
         self.retired = False
 
     # ------------------------------------------------------------------
-    def candidates(self, pattern: Pattern) -> dict[str, set]:
-        """Predicate candidates via the epoch's shared attribute index.
+    def candidates(self, pattern: Pattern) -> dict[str, frozenset[int]]:
+        """Predicate candidates as snapshot ids, from the snapshot's
+        predicate memo (:func:`~repro.matching.bounded.predicate_candidates`);
+        what it does not hold is resolved via the epoch's shared attribute
+        index.
 
         The lock orders everything that touches the index: a lazy build
         (an epoch with nothing carried), the hit counters of each lookup,
         and the next publish reading this index to carry it forward — so
         that publish never sees a half-built one.
         """
+        return predicate_candidates(self.frozen, pattern, self._resolve)
+
+    def _resolve(self, pattern: Pattern) -> dict[str, set]:
         with self._index_lock:
             return simulation_candidates(self.graph, pattern, index=self.attr_index)
 
@@ -153,7 +159,7 @@ class Epoch:
         result = matcher(
             self.graph,
             pattern,
-            candidates=self.candidates(pattern),
+            candidate_ids=self.candidates(pattern),
             frozen=self.frozen,
             oracle=self.oracle,
             budget=budget,
