@@ -52,9 +52,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 from threading import Lock
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EvaluationError
 from repro.graph.digraph import Graph, NodeId
@@ -854,13 +855,13 @@ def _match_relation_first(
     labels = frozen.labels
     predecessors = frozen.predecessor_sets()
     out_edges_by_node = {u: tuple(pattern.out_edges(u)) for u in pattern.nodes()}
-    sinks: dict[str, _Levels] = {}
+    sinks = {}
     memo = frozen._predicates
     if memo is not None:
         for u, out_edges in out_edges_by_node.items():
             levels = None if out_edges else memo.levels.get(id(candidate_ids[u]))
             if levels is not None and levels.targets is candidate_ids[u]:
-                sinks[u] = levels
+                sinks[u] = partial(memo.read, levels, predecessors)
     sim = {u: set(vs) for u, vs in candidate_ids.items()}
     settled = _membership_pass(predecessors, pattern, sim, guard, sinks)
     pending = (frozen, out_edges_by_node, sim, oracle, candidate_ids)
@@ -933,7 +934,7 @@ def _membership_pass(
     pattern: Pattern,
     sim: dict[str, set[int]],
     guard=None,
-    sinks: Mapping[str, "_Levels"] | None = None,
+    sinks: Mapping[str, Callable[[], Iterator[frozenset[int]]]] | None = None,
 ) -> bool | None:
     """Shrink ``sim`` (candidate ids, in place) to ``M(Q,G)``'s sets with
     backward BFSs: one per pattern edge, sinks first, then re-runs of
@@ -960,15 +961,15 @@ def _membership_pass(
     BFS arrivals: a path matched against ``A <-> B`` sheds one node per
     round, quadratic in re-runs and linear in the cascade.
 
-    ``sinks`` maps sink pattern nodes to the memoised backward BFS levels
-    from their (unchanging) sets: an edge into one reads them, with the
-    same result, arrivals and guard charges as running the BFS.
+    ``sinks`` maps sink pattern nodes to readers of the memoised backward
+    BFS levels from their (unchanging) sets: an edge into one reads them,
+    with the same result, arrivals and guard charges as running the BFS.
     """
 
     def levels_into(target: str) -> Iterator[frozenset[int]]:
         memoised = sinks.get(target) if sinks else None
         if memoised is not None:
-            return memoised.read(predecessors)
+            return memoised()
         return _backward_levels(predecessors, sim[target])
 
     if not all(sim.values()):
@@ -1200,51 +1201,59 @@ class _PredicateMemo:
                 return stored  # a racing caller stored it first
             if self.held + len(ids) <= self.budget:
                 self.ids[key] = ids
-                self.levels[id(ids)] = _Levels(self, ids)
+                self.levels[id(ids)] = _Levels(ids)
                 self.held += len(ids)
         return ids
+
+    def read(self, levels: _Levels, predecessors) -> Iterator[frozenset[int]]:
+        """The levels of ``levels``, stored from their second read on, so
+        levels no later read reuses (a pattern warmed once, then served
+        from the query cache) cost no memory."""
+        if not levels.asked:
+            levels.asked = True
+            yield from _backward_levels(predecessors, set(levels.targets))
+            return
+        depth = 0
+        while depth < len(levels.stored) or self._extend(levels, predecessors, depth):
+            yield levels.stored[depth]
+            depth += 1
+        if levels.capped:
+            walk = _backward_levels(predecessors, set(levels.targets))
+            yield from islice(walk, depth, None)
+
+    def _extend(self, levels: _Levels, predecessors, depth: int) -> bool:
+        """Whether level ``depth`` is stored, storing it if the walk can."""
+        with self._lock:
+            if depth < len(levels.stored):
+                return True  # a racing reader stored it
+            if levels.walk is None:
+                levels.walk = _backward_levels(predecessors, set(levels.targets))
+            level = next(levels.walk, None)
+            if level is None or self.held + 2 * len(level) > self.budget:
+                levels.walk, levels.capped = _ENDED, levels.capped or level is not None
+                return False
+            levels.stored.append(level)
+            self.held += 2 * len(level)
+            return True
 
 
 class _Levels:
     """The levels of :func:`_backward_levels` from a copy of one memoised
-    set (the copy a pass's ``sim`` holds): those ``stored`` so far, and
-    the ``walk`` extending them (None until the first read), ended once
-    it ran out or the budget refused a level (``capped``: deeper reads
-    then walk privately)."""
+    set (the copy a pass's ``sim`` holds).  The first read walks
+    privately (``asked``); later ones read the levels ``stored`` so far
+    and extend them by the shared ``walk`` (None until then), which ends
+    once the BFS runs out or the budget refuses a level (``capped``:
+    deeper reads then walk privately).  No reference back to the memo: a
+    retired snapshot's memo is freed without a cycle collection."""
 
-    __slots__ = ("memo", "targets", "stored", "walk", "capped")
+    __slots__ = ("targets", "asked", "stored", "walk", "capped")
 
-    def __init__(self, memo: _PredicateMemo, targets: frozenset[int]) -> None:
-        self.memo = memo
+    def __init__(self, targets: frozenset[int]) -> None:
         self.targets = targets
+        self.asked = False
         self.stored: list[frozenset[int]] = []
         self.walk: Iterator[frozenset[int]] | None = None
         self.capped = False
-
-    def read(self, predecessors) -> Iterator[frozenset[int]]:
-        depth = 0
-        while depth < len(self.stored) or self._extend(predecessors, depth):
-            yield self.stored[depth]
-            depth += 1
-        if self.capped:
-            walk = _backward_levels(predecessors, set(self.targets))
-            yield from islice(walk, depth, None)
-
-    def _extend(self, predecessors, depth: int) -> bool:
-        """Whether level ``depth`` is stored, storing it if the walk can."""
-        memo = self.memo
-        with memo._lock:
-            if depth < len(self.stored):
-                return True  # a racing reader stored it
-            if self.walk is None:
-                self.walk = _backward_levels(predecessors, set(self.targets))
-            level = next(self.walk, None)
-            if level is None or memo.held + 2 * len(level) > memo.budget:
-                self.walk, self.capped = _ENDED, self.capped or level is not None
-                return False
-            self.stored.append(level)
-            memo.held += 2 * len(level)
-            return True
 
 
 class MatchRows:

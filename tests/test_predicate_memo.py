@@ -104,7 +104,7 @@ class TestRelations:
         cold = FrozenGraph.freeze(graph)
         assert [memo_match(graph, cold, p).relation for p in patterns] == expected
         warm = FrozenGraph.freeze(graph)
-        for pattern in patterns:  # warm every set and every level read
+        for pattern in patterns * 2:  # levels are stored from a second read on
             memo_match(graph, warm, pattern)
         assert any(entry.stored for entry in warm._predicates.levels.values())
         again = [memo_match(graph, warm, p).relation for p in reversed(patterns)]
@@ -120,11 +120,14 @@ class TestRelations:
         forked = predicate_candidates(frozen, fork, resolve)
         assert forked["S"] is forked["T"] is first["T"]
         memo = frozen._predicates
+        levels = memo.levels[id(memo.ids[predicate_key(star.predicate("S"))])]
         memo_match(graph, frozen, star)
-        stored = {key: list(memo.levels[id(ids)].stored) for key, ids in memo.ids.items()}
+        assert levels.asked and not levels.stored  # a first read stores nothing
+        memo_match(graph, frozen, star)
+        stored = list(levels.stored)
+        assert stored
         memo_match(graph, frozen, chain)  # S's levels are read, not rebuilt
-        key = predicate_key(star.predicate("S"))
-        assert memo.levels[id(memo.ids[key])].stored[: len(stored[key])] == stored[key]
+        assert all(a is b for a, b in zip(levels.stored, stored, strict=False))
 
     def test_label_candidates_never_read_the_levels(self, monkeypatch):
         """Sets that are not the memo's (by identity) run the BFS, even
@@ -134,10 +137,13 @@ class TestRelations:
         star = sharing_patterns(2)[0]
         memo_match(graph, frozen, star)
         reads = []
-        original = bounded_module._Levels.read
-        monkeypatch.setattr(
-            bounded_module._Levels, "read", lambda self, p: reads.append(self) or original(self, p)
-        )
+        original = bounded_module._PredicateMemo.read
+
+        def counting(self, levels, predecessors):
+            reads.append(levels)
+            return original(self, levels, predecessors)
+
+        monkeypatch.setattr(bounded_module._PredicateMemo, "read", counting)
         labels = simulation_candidates(graph, star)
         result = match_bounded(graph, star, candidates=labels, frozen=frozen)
         assert reads == [] and result.relation == naive_bounded(graph, star)
@@ -170,11 +176,12 @@ class TestSameWork:
             for match in (
                 lambda: match_bounded(graph, pattern, frozen=FrozenGraph.freeze(graph)),
                 lambda: memo_match(graph, frozen, pattern),  # cold memo
-                lambda: memo_match(graph, frozen, pattern),  # warm memo
+                lambda: memo_match(graph, frozen, pattern),  # levels stored
+                lambda: memo_match(graph, frozen, pattern),  # levels read
             ):
                 arrivals.clear()
                 runs.append((match().relation, list(arrivals)))
-            assert runs[0] == runs[1] == runs[2]
+            assert runs[0] == runs[1] == runs[2] == runs[3]
             assert runs[0][0] == naive_bounded(graph, pattern)
 
     @pytest.mark.parametrize("visits", [10**9, 60, 200])
@@ -187,9 +194,9 @@ class TestSameWork:
                     graph, pattern, frozen=FrozenGraph.freeze(graph), budget=budget
                 )
                 frozen = FrozenGraph.freeze(graph)
-                cold = memo_match(graph, frozen, pattern, budget)
-                warm = memo_match(graph, frozen, pattern, budget)
-                for result in (cold, warm):
+                # cold memo, levels stored, levels read
+                for _ in range(3):
+                    result = memo_match(graph, frozen, pattern, budget)
                     assert result.relation == plain.relation
                     assert result.stats["visits"] == plain.stats["visits"]
                     assert result.stats["partial"] == plain.stats["partial"]
@@ -253,10 +260,9 @@ class TestRaces:
                 pattern = sharing_patterns(None)[0]
                 expected = naive_bounded(graph, pattern)
                 frozen = FrozenGraph.freeze(graph)
-                # Sets admitted, no level stored: the readers race the first.
-                predicate_candidates(
-                    frozen, pattern, lambda p: simulation_candidates(graph, p)
-                )
+                # Sets admitted and read once, no level stored: the
+                # readers race the first.
+                memo_match(graph, frozen, pattern)
                 assert not any(e.stored for e in frozen._predicates.levels.values())
                 barrier = threading.Barrier(3)
                 relations = []
