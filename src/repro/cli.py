@@ -351,15 +351,18 @@ def _resolve_pattern(spec: str) -> Pattern:
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     """Runaway-query guard flags, shared by query/batch/topk."""
     sub.add_argument("--budget", type=int, default=None, metavar="VISITS",
-                     help="abort (or truncate, with --allow-partial) any "
-                          "bounded query that touches more than VISITS "
-                          "data nodes during traversal")
+                     help="abort (or, with --allow-partial, answer empty "
+                          "and marked partial) any bounded query whose "
+                          "traversal arrives at more than VISITS nodes: "
+                          "backward BFS arrivals of the membership pass, "
+                          "plus row arrivals when the result graph is read")
     sub.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
                      help="wall-clock limit per bounded query")
     sub.add_argument("--allow-partial", action="store_true",
-                     help="degrade gracefully when a guard trips: return a "
-                          "sound partial result (marked partial) instead of "
-                          "failing the query")
+                     help="degrade gracefully when a guard trips during "
+                          "evaluation: return the empty relation (a sound "
+                          "subset, marked partial) instead of failing the "
+                          "query")
 
 
 def _parse_budget(args: argparse.Namespace):
@@ -416,7 +419,7 @@ def _check_workers(workers: int) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     # One evaluation route: the engine owns the attribute index, the
     # snapshot, the oracle cache, the planner's kernel routing and the
-    # estimator-driven query guards.
+    # query guards.
     from repro.engine.engine import QueryEngine
 
     budget = _parse_budget(args)
@@ -664,12 +667,9 @@ def _cmd_topk(args: argparse.Namespace) -> int:
                                       for i, (n, s) in enumerate(ranked)]))
             top = ranked[0][0]
         if args.dot is not None:
-            # The evaluation is already cached (and the ranking context
-            # snapshotted), so deriving the result graph here is cheap —
-            # unless the result was partial (never cached), in which case
-            # the same budget keeps the re-derivation guarded too.
+            # A ranking came back, so the relation was exact and is
+            # cached: deriving the result graph here reads the cache.
             result = engine.evaluate("cli", pattern, budget=budget)
-            _report_partial(result.stats)
             result_graph = result.result_graph()
             Path(args.dot).write_text(result_to_dot(result_graph, highlight=top))
             print(f"wrote {args.dot}")

@@ -21,7 +21,7 @@ from repro.compression.compress import CompressedGraph, compress
 from repro.compression.decompress import decompress_result
 from repro.compression.maintain import MaintainedCompression
 from repro.engine.cache import CacheEntry, QueryCache, RankCache, cache_key
-from repro.engine.estimator import QueryBudget, estimate_pattern
+from repro.engine.estimator import QueryBudget
 from repro.engine.planner import (
     ALGORITHM_BOUNDED,
     ROUTE_CACHE,
@@ -37,7 +37,7 @@ from repro.engine.storage import GraphStore
 from repro.incremental.inc_bounded import IncrementalBoundedSimulation
 from repro.incremental.updates import EdgeDeletion, EdgeInsertion, Update, apply_updates
 from repro.matching.base import MatchRelation, MatchResult, Stopwatch
-from repro.matching.bounded import bounded_relation, match_bounded, snapshot_ids
+from repro.matching.bounded import bounded_relation, match_bounded
 from repro.matching.result_graph import build_result_graph
 from repro.matching.simulation import match_simulation
 from repro.pattern.pattern import Pattern
@@ -381,11 +381,10 @@ class QueryEngine:
         generation evaluation would; with the oracle disabled, explain
         stays pure metadata and no graph work happens.
 
-        With a ``budget``, direct bounded plans additionally run the
-        sampling estimator over the frozen snapshot and report the
-        per-edge frontier estimates next to the configured limits — what
-        guarded evaluation would route from, and roughly how much of the
-        budget the query looks set to spend.
+        With a ``budget``, direct bounded plans also report its limits
+        and what a node visit counts, and the per-edge routes whatever
+        the oracle's state: a guard bounds the same evaluation, so they
+        are the routes a guarded query's rows take.
         """
         entry = self._entry(name)
         key = cache_key(name, pattern)
@@ -410,13 +409,16 @@ class QueryEngine:
                 note = "frozen snapshot: cold (built on first direct evaluation)"
             notes = [note]
             edge_routes: tuple = ()
+            guarded = budget is not None and plan.algorithm == ALGORITHM_BOUNDED
             if pattern.num_edges:
-                oracle_note, edge_routes = self._explain_kernels(entry, pattern)
+                oracle_note, edge_routes = self._explain_kernels(
+                    entry, pattern, routed=guarded
+                )
                 if oracle_note:
                     notes.append(oracle_note)
-            if budget is not None and plan.algorithm == ALGORITHM_BOUNDED:
+            if budget is not None and guarded:
                 budget.validate()
-                notes.extend(self._explain_budget(entry, pattern, budget))
+                notes.append(_explain_budget(budget))
             plan = Plan(
                 plan.route,
                 plan.algorithm,
@@ -425,46 +427,28 @@ class QueryEngine:
             )
         return plan
 
-    def _explain_budget(
-        self, entry: RegisteredGraph, pattern: Pattern, budget: QueryBudget
-    ) -> list[str]:
-        """Sampled cardinality estimates vs the configured limits."""
-        from repro.matching.simulation import simulation_candidates
-
-        visits = "unlimited" if budget.node_visits is None else str(budget.node_visits)
-        seconds = "unlimited" if budget.seconds is None else f"{budget.seconds:g}s"
-        lines = [
-            f"budget: {visits} node visits, {seconds} wall clock "
-            f"({'partial results allowed' if budget.allow_partial else 'hard failure on breach'})"
-        ]
-        if pattern.num_edges:
-            frozen = self._frozen_snapshot(entry)
-            candidates = simulation_candidates(
-                entry.graph, pattern, index=entry.attr_index
-            )
-            estimate = estimate_pattern(frozen, pattern, snapshot_ids(frozen, candidates))
-            lines.extend(f"estimate: {line}" for line in estimate.describe_lines())
-        return lines
-
     def _explain_kernels(
-        self, entry: RegisteredGraph, pattern: Pattern
+        self, entry: RegisteredGraph, pattern: Pattern, routed: bool = False
     ) -> tuple[str, tuple]:
         """Oracle-state note plus per-edge kernel routes for ``explain``.
 
         Routing uses the held oracle's measured label profile when it
         is warm; a cold oracle routes every edge to the enumeration
         kernels, and the note says why.  With the oracle *disabled* no
-        routes are computed at all — routing needs candidate
-        cardinalities, and explain must not pay candidate generation for
-        graphs that never opted into the oracle.
+        routes are computed unless ``routed`` asks for them (a budget
+        does) — routing needs candidate cardinalities, and explain must
+        not pay candidate generation for graphs that never opted into
+        the oracle.
         """
         from repro.matching.bounded import FROZEN_BULK_DEPTH
         from repro.matching.simulation import simulation_candidates
 
+        profile = None
         if entry.oracle_config is None:
             note = "distance oracle: disabled (enable_oracle() routes selective edges)"
-            return note, ()
-        if entry.oracle is not None:
+            if not routed:
+                return note, ()
+        elif entry.oracle is not None:
             note = "distance oracle: warm"
             profile = entry.oracle.profile()
         else:
@@ -472,7 +456,6 @@ class QueryEngine:
                 "distance oracle: cold (labels build on the first direct "
                 "evaluation; edges route to enumeration until then)"
             )
-            profile = None
         candidates = simulation_candidates(
             entry.graph, pattern, index=entry.attr_index
         )
@@ -602,9 +585,11 @@ class QueryEngine:
         that can run away (cache and compressed routes are cheap by
         construction; a pattern with every bound 1 is not guarded).  A
         blown budget raises :class:`~repro.errors.BudgetExceededError`, or
-        with ``allow_partial=True`` returns a sound subset of the exact answer
-        flagged ``stats["partial"] = True``.  Partial results are never
-        cached.
+        with ``allow_partial=True`` returns the empty relation (a sound
+        subset of the exact answer) flagged ``stats["partial"] = True``.
+        Partial results are never cached.  An unflagged result is exact;
+        reading its result graph later charges the same budget and raises
+        on a trip (so does :meth:`top_k`, which ranks those rows).
         """
         pattern.validate()
         if budget is not None:
@@ -1235,3 +1220,17 @@ class QueryEngine:
 
     def __repr__(self) -> str:
         return f"<QueryEngine graphs={self.graphs()}>"
+
+
+def _explain_budget(budget: QueryBudget) -> str:
+    """The ``explain`` note for a budget: its limits and its unit."""
+    visits = "unlimited" if budget.node_visits is None else str(budget.node_visits)
+    seconds = "unlimited" if budget.seconds is None else f"{budget.seconds:g}s"
+    outcome = (
+        "partial results allowed" if budget.allow_partial else "hard failure on breach"
+    )
+    return (
+        f"budget: {visits} node visits, {seconds} wall clock ({outcome}); a "
+        "visit is a backward BFS arrival of the membership pass, or a row "
+        "arrival when the result graph is read"
+    )

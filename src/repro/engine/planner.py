@@ -136,7 +136,6 @@ def kernel_costs(
     num_nodes: int,
     num_edges: int,
     oracle_profile: dict | None = None,
-    ball_edges_estimate: float | None = None,
 ) -> dict[str, float]:
     """Abstract cost of each kernel for one pattern edge.
 
@@ -147,23 +146,14 @@ def kernel_costs(
     Label sizes are *measured*, which makes the model self-calibrating:
     hub-poor graphs grow labels comparable to ball volumes and the oracle
     correctly loses its advantage there.
-
-    ``ball_edges_estimate`` replaces the analytic ``avg_degree ** depth``
-    frontier with a *sampled* per-source edge-scan count (see
-    :func:`repro.engine.estimator.sample_frontier`) — on hub-heavy graphs
-    the analytic formula misjudges ball volume by orders of magnitude
-    either way, which is exactly what guarded evaluation cannot afford.
     """
     num_nodes = max(1, num_nodes)
     avg_degree = num_edges / num_nodes
     levels = estimate_levels(bound, num_nodes, avg_degree)
-    if ball_edges_estimate is not None:
-        ball_edges = max(1.0, float(ball_edges_estimate))
-    else:
-        ball_edges = min(
-            float(num_edges),
-            frontier_size(levels, num_nodes, avg_degree) * max(avg_degree, 0.5),
-        )
+    ball_edges = min(
+        float(num_edges),
+        frontier_size(levels, num_nodes, avg_degree) * max(avg_degree, 0.5),
+    )
     costs: dict[str, float] = {
         KERNEL_PER_SOURCE: num_sources * ball_edges * PER_SOURCE_OP,
         KERNEL_BITSET: (
@@ -207,7 +197,6 @@ def route_edge(
     num_edges: int,
     oracle_profile: dict | None = None,
     bulk_depth: int = 5,
-    ball_edges_estimate: float | None = None,
 ) -> EdgeRoute:
     """Pick the kernel for one pattern edge from the cost model.
 
@@ -216,9 +205,7 @@ def route_edge(
     estimate undercuts every enumeration estimate; otherwise the edge
     falls to the calibrated enumeration split.  The returned
     :class:`EdgeRoute` carries every estimate so ``explain()`` can show
-    the losing kernels too.  ``ball_edges_estimate`` feeds a sampled
-    frontier measurement into the cost model (guarded evaluation routes
-    from estimates rather than the analytic formula).
+    the losing kernels too.
     """
     costs = kernel_costs(
         num_sources,
@@ -227,7 +214,6 @@ def route_edge(
         num_nodes,
         num_edges,
         oracle_profile,
-        ball_edges_estimate=ball_edges_estimate,
     )
     enumeration = enumeration_kernel(bound, num_sources, bulk_depth)
     kernel = enumeration

@@ -32,9 +32,11 @@ class EvaluationError(ReproError):
 class BudgetExceededError(EvaluationError):
     """A query blew its :class:`~repro.engine.estimator.QueryBudget`.
 
-    Raised only when the budget was created with ``allow_partial=False``;
-    with partial results allowed, the guard degrades gracefully instead
-    and flags the result ``stats["partial"] = True``.
+    Raised when the budget was created with ``allow_partial=False``;
+    with partial results allowed, a trip during evaluation returns the
+    empty relation flagged ``stats["partial"] = True`` instead.  A trip
+    while an exact relation's rows are read later (its result graph, a
+    ranking) always raises: those rows cannot be partial.
     """
 
 

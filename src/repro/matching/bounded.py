@@ -20,9 +20,9 @@ Two evaluators compute that relation, byte for byte the same:
   bounded successor rows between the settled sets
   (:func:`frozen_successor_rows`), the result graph's weighted edges, are
   built on the first read of the result's :class:`MatchRows`: never for a
-  caller that needs only the relation.  Only a guard, or a cycle whose
-  re-runs exceed a fixed multiple of the first pass's work
-  (:data:`~repro.engine.estimator.REPASS_FACTOR`), builds them at once,
+  caller that needs only the relation.  Only a cycle whose re-runs exceed
+  a fixed multiple of the first pass's work
+  (:data:`~repro.engine.estimator.REPASS_FACTOR`) builds them at once,
   between the sets as they stand; one linear removal cascade over them
   then drops every member left without a witness.  :class:`MatchRows`
   keeps the rows int-indexed and turns ids into labels only when the
@@ -41,23 +41,28 @@ Two evaluators compute that relation, byte for byte the same:
   updates.
 
 Under a guard (:class:`~repro.engine.estimator.QueryGuard`) both charge
-node arrivals — BFS arrivals of either direction and row entries alike.
-A tripped guard changes nothing in the relation-first line: rows it cut
-short are empty or incomplete but hold only true entries, so the same
-cascade leaves a valid bounded simulation and hence a subset of the
-exact one.
+node arrivals.  The relation-first line charges the backward BFS
+arrivals of its pass, then the row arrivals of whatever reads the rows;
+it runs exactly as unguarded.  A trip in the pass (or in the rows a
+capped cycle builds) returns the empty relation, flagged partial: a set
+the pass has not finished may be too large, and ``M(Q,G)`` is empty as
+soon as one pattern node is unmatched, so the empty relation is the one
+subset a cut pass can vouch for.  A trip while an exact relation's rows
+are read later raises :class:`~repro.errors.BudgetExceededError`.
+:class:`BoundedState` charges one per reached node of each candidate's
+ball; a trip leaves unvisited candidates with empty rows, which its
+removal fixpoint prunes to a valid, smaller simulation.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from functools import partial
 from itertools import islice
 from threading import Lock
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import EvaluationError
+from repro.errors import BudgetExceededError, EvaluationError
 from repro.graph.digraph import Graph, NodeId
 from repro.graph.distance import bounded_descendants, frozen_reach_levels
 from repro.graph.frozen import FrozenGraph
@@ -145,27 +150,16 @@ def frozen_successor_rows(
     All strategies produce identical rows (the seeded differential suite
     asserts it); the split is purely a cost model.  ``kernel_log``, when
     given, receives the chosen :class:`~repro.engine.planner.EdgeRoute`
-    per pattern edge, the route its rows take — what ``explain()`` and the
-    matcher stats surface, built or not (see :func:`match_bounded`).
+    per pattern edge.
 
-    ``guard`` (a :class:`~repro.engine.estimator.QueryGuard`) changes two
-    things.  First, routing: each source group's analytic frontier is
-    replaced by a *sampled* one (:func:`~repro.engine.estimator.
-    sample_frontier`), and when a group's measured work overshoots its
-    estimate by :data:`~repro.engine.estimator.REPLAN_FACTOR` the
-    remaining groups' estimates are re-scaled by the observed ratio before
-    they are routed — adaptive mid-query re-planning.  Second,
-    enforcement: every kernel charges node arrivals as it works and stops
-    admitting new work once the guard trips.  Rows already filled stay;
-    rows not reached stay at their initialized empty dict.
-    Incomplete-but-honest rows are *sound*: the removal cascade over them
-    yields a valid bounded simulation, hence a subset of the exact
-    ``M(Q,G)``.
+    A ``guard`` (a :class:`~repro.engine.estimator.QueryGuard`) is charged
+    the node arrivals every kernel makes, and no kernel starts new work
+    once it trips: rows not reached stay at their initialized empty dict.
+    Its caller then throws the rows away (:class:`MatchRows`,
+    :func:`_match_relation_first`).
     """
-    # Local imports: the planner and estimator live in the engine package,
-    # which imports this module at load time — a module-level import would
-    # be circular.
-    from repro.engine.estimator import REPLAN_FACTOR, sample_frontier
+    # Local import: the planner lives in the engine package, which imports
+    # this module at load time — a module-level import would be circular.
     from repro.engine.planner import (
         KERNEL_ORACLE,
         KERNEL_PER_SOURCE,
@@ -174,31 +168,17 @@ def frozen_successor_rows(
 
     rows: dict[PatternEdge, dict[int, dict[int, int]]] = {}
     adjacency = frozen.successor_sets()
-    # Guarded evaluation routes from *sampled* frontier estimates and
-    # re-scales the remaining estimates (``correction``) whenever a group's
-    # measured work overshoots its estimate by the replan factor.
-    correction = 1.0
+    route_on = candidate_ids if route_on is None else route_on
     for source_pattern, out_edges in out_edges_by_node.items():
-        out_edges = list(out_edges)
         if not out_edges:
             continue
         sources = sorted(candidate_ids[source_pattern])
-        route_sources = (
-            sources if route_on is None else route_on[source_pattern]
-        )
-        sampled = None
-        ball_edges_estimate = None
-        if guard is not None and sources:
-            sampled = sample_frontier(
-                adjacency,
-                route_sources,
-                BoundedState._bfs_depth(bound for _, bound in out_edges),
-            )
-            ball_edges_estimate = max(1.0, sampled.ball_edges * correction)
         routes = _edge_routes(
-            frozen, oracle, source_pattern, out_edges, len(route_sources),
-            candidate_ids if route_on is None else route_on, ball_edges_estimate,
+            frozen, oracle, source_pattern, out_edges,
+            len(route_on[source_pattern]), route_on,
         )
+        if kernel_log is not None:
+            kernel_log.update(routes)
         oracle_edges = []
         enum_edges = []
         for edge_target, bound in out_edges:
@@ -209,54 +189,35 @@ def frozen_successor_rows(
                 oracle_edges.append(item)
             else:
                 enum_edges.append(item)
-        if sources and (guard is None or not guard.should_stop()):
-            visits_before = guard.visits if guard is not None else 0
-            kernel = None  # the enumeration kernel this group ran, if any
-            if oracle_edges:
-                oracle.fill_rows(sources, oracle_edges, rows, adjacency)
-                if guard is not None:
-                    guard.charge(sum(
-                        len(row)
-                        for edge, _bound, _children in oracle_edges
-                        for row in rows[edge].values()
-                    ))
-            if enum_edges and (guard is None or not guard.should_stop()):
-                depth = BoundedState._bfs_depth(bound for _, bound, _ in enum_edges)
-                kernel = enumeration_kernel(
-                    depth, len(route_sources), FROZEN_BULK_DEPTH
+        if not sources or guard is not None and guard.should_stop():
+            continue
+        if oracle_edges:
+            oracle.fill_rows(sources, oracle_edges, rows, adjacency)
+            if guard is not None:
+                guard.charge(sum(
+                    len(row)
+                    for edge, _bound, _children in oracle_edges
+                    for row in rows[edge].values()
+                ))
+        if enum_edges and (guard is None or not guard.should_stop()):
+            depth = BoundedState._bfs_depth(bound for _, bound, _ in enum_edges)
+            kernel = enumeration_kernel(
+                depth, len(route_on[source_pattern]), FROZEN_BULK_DEPTH
+            )
+            if kernel == KERNEL_PER_SOURCE:
+                _per_source_rows(
+                    adjacency, _ball_memo(frozen), sources, depth, enum_edges,
+                    rows, guard=guard,
                 )
-                if kernel == KERNEL_PER_SOURCE:
-                    _per_source_rows(
-                        adjacency, _ball_memo(frozen), sources, depth, enum_edges,
-                        rows, guard=guard,
-                    )
-                else:
-                    _bitset_rows(
-                        adjacency, sources, depth, enum_edges, rows, guard=guard
-                    )
-            if sampled is not None:
-                measured = guard.visits - visits_before
-                estimated = max(1.0, len(sources) * sampled.frontier * correction)
-                if measured > REPLAN_FACTOR * estimated:
-                    correction *= measured / estimated
-                    guard.replans += 1
-                # Enumeration edges of one source node share a traversal,
-                # so the group decision overrides the per-edge estimate in
-                # the log (same rows either way; the log must tell the
-                # truth about what ran).  Nothing to relabel when the guard
-                # tripped before the enumeration started.
-                if kernel is not None:
-                    for edge, _bound, _children in enum_edges:
-                        route = routes[edge]
-                        if route.kernel != kernel:
-                            routes[edge] = replace(route, kernel=kernel)
-        if kernel_log is not None:
-            kernel_log.update(routes)
+            else:
+                _bitset_rows(
+                    adjacency, sources, depth, enum_edges, rows, guard=guard
+                )
     return rows
 
 
 def _edge_routes(
-    frozen, oracle, source, out_edges, num_sources, children, ball_edges_estimate=None
+    frozen, oracle, source, out_edges, num_sources, children
 ) -> dict[PatternEdge, Any]:
     """The planner's route of each out-edge ``(source, u')``, on
     ``num_sources`` sources and the size of ``children[u']``
@@ -269,7 +230,7 @@ def _edge_routes(
             (source, target), bound, num_sources, len(children[target]),
             frozen.num_nodes, frozen.num_edges,
             profile if oracle is not None and oracle.covers(bound) else None,
-            bulk_depth=FROZEN_BULK_DEPTH, ball_edges_estimate=ball_edges_estimate,
+            bulk_depth=FROZEN_BULK_DEPTH,
         )
         for target, bound in out_edges
     }
@@ -756,11 +717,13 @@ def match_bounded(
     edge's rows take when they are built, decided on the candidate counts.
 
     A ``budget`` (:class:`~repro.engine.estimator.QueryBudget`) guards the
-    evaluation: kernels charge node visits against it, a blown limit
-    either raises :class:`~repro.errors.BudgetExceededError` or — with
+    evaluation: it is charged node visits, and a blown limit either
+    raises :class:`~repro.errors.BudgetExceededError` or — with
     ``allow_partial=True`` — degrades to a *sound subset* of the exact
     relation flagged ``stats["partial"] = True`` with the tripped guard in
-    ``stats["guard"]``.
+    ``stats["guard"]`` (over a snapshot, the empty relation; a relation
+    returned unflagged is exact, and reading its rows later charges the
+    same guard and raises on a trip).
 
     >>> from repro.graph.digraph import Graph
     >>> from repro.pattern.pattern import Pattern
@@ -846,8 +809,9 @@ def _match_relation_first(
     guard,
 ) -> tuple[MatchRelation, "MatchRows"]:
     """The backward pass, re-run on a cycle until the sets settle; rows
-    between the settled sets on first read.  Under a guard, or once the
-    re-pass cap trips, rows and one removal cascade run now instead.
+    between the settled sets on first read.  Once the re-pass cap trips,
+    rows and one removal cascade run now instead.  A guard that trips in
+    the pass or in those rows leaves the empty relation.
 
     An edge into a sink pattern node whose candidates are a set of the
     snapshot's predicate memo (by identity) reads the memo's backward
@@ -864,38 +828,45 @@ def _match_relation_first(
                 sinks[u] = partial(memo.read, levels, predecessors)
     sim = {u: set(vs) for u, vs in candidate_ids.items()}
     settled = _membership_pass(predecessors, pattern, sim, guard, sinks)
-    pending = (frozen, out_edges_by_node, sim, oracle, candidate_ids)
+    pending = (frozen, out_edges_by_node, sim, oracle, candidate_ids, guard)
+    rows = None
     if settled is None:
-        # A guard charges row work and may have cut the pass short; a
-        # tripped re-pass cap left sets that may be too large.  Both need
-        # the rows and the cascade now.
-        rows = _rows_between(*pending, kernel_log, guard)
-        if not _removal_cascade(sim, rows):
-            rows = {edge: {} for edge in rows}
-        state = MatchRows(graph, pattern, labels, rows)
-    else:
-        # Routed on the candidates, as the rows will be (the kernel log
-        # does not depend on the answer); an empty relation has no rows.
-        for u, out_edges in out_edges_by_node.items():
-            kernel_log.update(_edge_routes(
-                frozen, oracle, u, out_edges, len(candidate_ids[u]), candidate_ids
-            ))
-        rows = None if settled else {edge: {} for edge in kernel_log}
-        state = MatchRows(graph, pattern, labels, rows, pending if settled else None)
+        # The re-pass cap tripped and left sets that may be too large:
+        # rows between them and the cascade finish the fixpoint.  Rows a
+        # guard cut short vouch for nothing.
+        rows = _rows_between(frozen, out_edges_by_node, sim, oracle, candidate_ids, guard)
+        settled = _within(guard) and _removal_cascade(sim, rows)
+    # Routed on the candidates, as the rows are (the kernel log does not
+    # depend on the answer).
+    for u, out_edges in out_edges_by_node.items():
+        kernel_log.update(_edge_routes(
+            frozen, oracle, u, out_edges, len(candidate_ids[u]), candidate_ids
+        ))
+    if not settled:
+        # Some set is empty or a guard tripped: M(Q,G) is empty, or the
+        # empty relation is the one subset of it a cut pass can vouch for.
+        sim = dict.fromkeys(sim, _NO_IDS)
+        rows = {edge: {} for edge in kernel_log}
+    state = MatchRows(graph, pattern, labels, rows, pending if rows is None else None)
     relation = MatchRelation.from_sets(
         pattern, {u: frozenset(map(labels.__getitem__, vs)) for u, vs in sim.items()}
     )
     return relation, state
 
 
+def _within(guard) -> bool:
+    """Whether ``guard`` (or its absence) has not tripped."""
+    return guard is None or guard.tripped is None
+
+
 def _rows_between(
-    frozen, out_edges_by_node, sim, oracle, candidate_ids, kernel_log=None, guard=None
+    frozen, out_edges_by_node, sim, oracle, candidate_ids, guard=None
 ) -> dict[PatternEdge, dict[int, dict[int, int]]]:
     """Rows between the sets of ``sim``, routed on the candidates: the one
     call that builds a relation-first result's rows, now or on first read."""
     return frozen_successor_rows(
-        frozen, out_edges_by_node, sim, oracle=oracle, kernel_log=kernel_log,
-        guard=guard, route_on=candidate_ids,
+        frozen, out_edges_by_node, sim, oracle=oracle, guard=guard,
+        route_on=candidate_ids,
     )
 
 
@@ -951,15 +922,14 @@ def _membership_pass(
     then holds against the current sets, the greatest such fixpoint below
     the candidates, which is ``M(Q,G)``.
 
-    Returns False as soon as some set is empty (the relation is empty),
-    True once the sets are ``M(Q,G)``'s, and None when they may still be
-    too large: rows and :func:`_removal_cascade` must finish the fixpoint.
-    That is the case under a guard, which charges the pass and may stop it
-    early with sets too small or too large (the rows and the cascade make
-    the result sound), and once the re-runs have cost
-    :data:`~repro.engine.estimator.REPASS_FACTOR` times the first pass's
-    BFS arrivals: a path matched against ``A <-> B`` sheds one node per
-    round, quadratic in re-runs and linear in the cascade.
+    Returns False as soon as some set is empty (the relation is empty)
+    or ``guard`` trips, True once the sets are ``M(Q,G)``'s, and None once
+    the re-runs have cost :data:`~repro.engine.estimator.REPASS_FACTOR`
+    times the first pass's BFS arrivals: the sets may still be too large,
+    and rows and :func:`_removal_cascade` must finish the fixpoint (a path
+    matched against ``A <-> B`` sheds one node per round, quadratic in
+    re-runs and linear in the cascade).  A guard is charged every
+    arrival the levels read (:func:`_reaching`).
 
     ``sinks`` maps sink pattern nodes to readers of the memoised backward
     BFS levels from their (unchanging) sets: an edge into one reads them,
@@ -978,8 +948,6 @@ def _membership_pass(
     arrivals = 0
     for source in _sinks_first(pattern):
         for target, bound in pattern.out_edges(source):
-            if guard is not None and guard.should_stop():
-                return None
             ran[(source, target)] = len(sim[target])
             sim[source], reached = _reaching(
                 levels_into(target), bound, sim[source], guard
@@ -987,8 +955,6 @@ def _membership_pass(
             arrivals += reached
             if not sim[source]:
                 return False
-    if guard is not None:
-        return None
     from repro.engine.estimator import REPASS_FACTOR
 
     stale = deque(edge for edge, size in ran.items() if len(sim[edge[1]]) < size)
@@ -1111,7 +1077,9 @@ def _reaching(
     """The ids of ``wanted`` with a nonempty path of length <= ``bound``
     into the targets of ``levels`` (:func:`_backward_levels`), and the
     arrivals of the levels read: a level is read only while some wanted
-    id is unreached and the bound allows it."""
+    id is unreached and the bound allows it.  A ``guard`` is charged each
+    level's arrivals; once it trips no further level is read and no id
+    is vouched for (the empty set)."""
     pending = set(wanted)
     found: set[int] = set()
     arrivals = depth = 0
@@ -1127,7 +1095,7 @@ def _reaching(
         if guard is not None:
             guard.charge(len(arrived))
             if guard.should_stop():
-                break
+                return set(), arrivals
     return found, arrivals
 
 
@@ -1261,8 +1229,8 @@ class MatchRows:
 
     ``rows[(u, u')][v] = {v': dist}`` holds, per pattern edge, every match
     ``v`` of ``u`` and the matches ``v'`` of ``u'`` it reaches within the
-    bound, over the snapshot's dense ids; an unguarded evaluation whose
-    sets settled leaves ``pending`` to build them on first read.  Ids become labels
+    bound, over the snapshot's dense ids; an evaluation whose sets
+    settled leaves ``pending`` to build them on first read.  Ids become labels
     only when :meth:`match_edges` is iterated (the result graph asks; an
     evaluation that only needs the relation never does).  Unlike
     :class:`BoundedState` it holds nothing an incremental maintainer
@@ -1288,11 +1256,24 @@ class MatchRows:
     @property
     def rows(self) -> dict[PatternEdge, dict[int, dict[int, int]]]:
         """The rows; the first read builds them, then drops ``pending``
-        (racing first readers build equal rows, and the last store wins)."""
+        (racing first readers build equal rows, and the last store wins).
+
+        The build charges the evaluation's guard.  The relation was
+        handed out as complete, so rows it cut short are never returned:
+        a trip raises :class:`~repro.errors.BudgetExceededError`, with or
+        without ``allow_partial``, and every later read raises again."""
         if self._rows is None:
             pending = self._pending
             if pending is not None:
-                self._rows = _rows_between(*pending)
+                rows = _rows_between(*pending)
+                guard = pending[-1]
+                if not _within(guard):
+                    raise BudgetExceededError(
+                        f"query exceeded its {guard.tripped} building the "
+                        f"rows of an exact relation (visits={guard.visits}, "
+                        f"budget={guard.budget})"
+                    )
+                self._rows = rows
                 self._pending = None
         return self._rows  # type: ignore[return-value]
 

@@ -133,6 +133,15 @@ class TestRows:
             assert ordered(rows) == ordered(expected[bound]), bound
 
 
+def read_rows(result):
+    """A result's rows in a canonical order, or the message of the trip
+    that reading them raised."""
+    try:
+        return ordered(result.state.rows)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
 class TestGuard:
     @pytest.mark.parametrize("visits", [40, 400, 4000, 10**7])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -163,7 +172,10 @@ class TestGuard:
         assert sorted(cold.relation.pairs()) == sorted(warm.relation.pairs())
         strip = lambda stats: {k: v for k, v in stats.items() if k != "seconds"}  # noqa: E731
         assert strip(cold.stats) == strip(warm.stats)
-        assert ordered(cold.state.rows) == ordered(warm.state.rows)
+        # The rows are read after the pass and charge the same guard: a
+        # memoised ball costs what a walked one does, so both reads give
+        # the same rows or trip at the same visit.
+        assert read_rows(cold) == read_rows(warm)
 
     def test_a_guard_that_raises_trips_at_the_same_visit(self):
         frozen, _, _ = case(3, shared=True)
@@ -181,7 +193,7 @@ class TestGuard:
         assert warm._balls.entries
         for snapshot in (FrozenGraph.freeze(graph), warm):
             with pytest.raises(BudgetExceededError) as raised:
-                match_bounded(graph, pattern, frozen=snapshot, budget=budget)
+                match_bounded(graph, pattern, frozen=snapshot, budget=budget).state.rows
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 

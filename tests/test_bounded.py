@@ -439,7 +439,9 @@ class TestLazyRows:
             read(result, frozen)
         assert row_calls == [None]
 
-    def test_guarded_stays_eager(self, row_calls):
+    def test_guarded_builds_rows_on_first_read(self, row_calls):
+        """A guard bounds the same evaluation: the rows wait for their
+        first read, which charges the evaluation's guard."""
         from repro.engine.estimator import QueryBudget
 
         graph = _chain()
@@ -447,11 +449,11 @@ class TestLazyRows:
         result = match_bounded(
             graph, two_node_query(2), frozen=frozen, budget=QueryBudget(node_visits=10**6)
         )
-        assert not result.relation.is_empty and len(row_calls) == 1
-        assert row_calls[0] is not None
+        assert not result.relation.is_empty and row_calls == []
         for read in ROW_READERS.values():
             read(result, frozen)
-        assert len(row_calls) == 1
+        [guard] = row_calls
+        assert guard is not None and guard.visits > result.stats["visits"]
 
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_empty_relation_builds_none(self, row_calls, cyclic):

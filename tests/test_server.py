@@ -1031,7 +1031,6 @@ class TestServiceFacade:
 
     def test_cache_and_segment_sizes_are_not_knobs(self):
         from repro.engine.engine import QueryEngine
-        from repro.engine.estimator import estimate_pattern
         from repro.expfinder import ExpFinder
 
         for make in (
@@ -1040,7 +1039,6 @@ class TestServiceFacade:
             lambda: SnapshotRegistry(cache_capacity=8),
             lambda: QueryEngine(cache_capacity=8),
             lambda: ExpFinder(cache_capacity=8),
-            lambda: estimate_pattern(None, None, {}, oracle_profile={}),
         ):
             with pytest.raises(TypeError):
                 make()
