@@ -651,10 +651,17 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     engine = QueryEngine()
     engine.register_graph("cli", graph)
     try:
+        if budget is not None:
+            # A ranking carries no stats: a guarded evaluation first tells
+            # whether a guard tripped, and only an exact relation is ranked.
+            result = engine.evaluate("cli", pattern, budget=budget)
+            _report_partial(result.stats)
+            if result.stats.get("partial"):
+                return 1
         ranked = engine.top_k(
             "cli", pattern, args.k, metric=args.metric, budget=budget
         )
-        # M(Q,G) is total-or-empty: no ranked experts means no match at all.
+        # M(Q,G) is exact and total-or-empty: no ranked experts, no match.
         if not ranked:
             print("no match")
             return 1

@@ -416,7 +416,7 @@ class QueryEngine:
                 )
                 if oracle_note:
                     notes.append(oracle_note)
-            if budget is not None and guarded:
+            if guarded:
                 budget.validate()
                 notes.append(_explain_budget(budget))
             plan = Plan(
@@ -910,6 +910,11 @@ class QueryEngine:
             cached = self._rank_cache.get(key)
             if cached is not None:
                 return cached.context
+        if evaluate_kwargs.get("budget") is not None:
+            # A cached relation carries no rows, and its result graph would
+            # be built unguarded: a budgeted ranking reads fresh rows, which
+            # charge the budget.
+            evaluate_kwargs["use_cache"] = False
         result = self.evaluate(name, pattern, **evaluate_kwargs)
         context = context_for(result, entry.frozen)
         # A guarded evaluation that tripped produced a partial relation;

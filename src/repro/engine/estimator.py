@@ -48,7 +48,7 @@ class QueryBudget:
     a snapshot, the membership pass's backward BFS arrivals, plus the row
     arrivals of any later read of the rows; over the dict graph, the
     reached nodes of each candidate's ball.  ``seconds`` is a wall-clock
-    limit on the same work.  With ``allow_partial=True`` a guard that
+    limit on the evaluation, and again on a later read of its rows.  With ``allow_partial=True`` a guard that
     trips during evaluation returns a *sound subset* of the exact answer
     (over a snapshot, the empty relation) flagged
     ``stats["partial"] = True``; otherwise the trip raises
@@ -135,6 +135,13 @@ class QueryGuard:
             self._trip(GUARD_TIME_LIMIT)
             return True
         return False
+
+    def restart_clock(self) -> None:
+        """Re-arm the wall-clock limit from now, for a later phase of the
+        query (a lazy read of its rows): each phase gets ``seconds`` of
+        its own, while node visits add up across phases."""
+        if self.budget.seconds is not None:
+            self._deadline = self._clock() + self.budget.seconds
 
     def _trip(self, reason: str) -> None:
         if self.tripped is None:

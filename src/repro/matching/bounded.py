@@ -1258,20 +1258,28 @@ class MatchRows:
         """The rows; the first read builds them, then drops ``pending``
         (racing first readers build equal rows, and the last store wins).
 
-        The build charges the evaluation's guard.  The relation was
-        handed out as complete, so rows it cut short are never returned:
-        a trip raises :class:`~repro.errors.BudgetExceededError`, with or
-        without ``allow_partial``, and every later read raises again."""
+        The build charges the evaluation's guard: its node visits go on
+        adding up, and its time limit restarts when the build does.  The
+        relation was handed out as complete, so rows it cut short are
+        never returned: a trip raises
+        :class:`~repro.errors.BudgetExceededError`, with or without
+        ``allow_partial``, and every later read raises again."""
         if self._rows is None:
             pending = self._pending
             if pending is not None:
-                rows = _rows_between(*pending)
                 guard = pending[-1]
+                if guard is not None:
+                    guard.restart_clock()
+                try:
+                    rows = _rows_between(*pending)
+                except BudgetExceededError:  # restated below, for a read
+                    rows = None
                 if not _within(guard):
                     raise BudgetExceededError(
                         f"query exceeded its {guard.tripped} building the "
                         f"rows of an exact relation (visits={guard.visits}, "
-                        f"budget={guard.budget})"
+                        f"budget={guard.budget}); the relation stands, but "
+                        "its result graph does not fit this budget"
                     )
                 self._rows = rows
                 self._pending = None

@@ -145,8 +145,7 @@ class Epoch:
         """
         pattern.validate()
         watch = Stopwatch()
-        key = cache_key(self.name, pattern)
-        entry = self.cache.get(key)
+        entry = self.cache.get(cache_key(self.name, pattern))
         if entry is not None:
             result = MatchResult(
                 self.graph,
@@ -155,6 +154,13 @@ class Epoch:
                 stats=self._stamp({"route": "cache", "algorithm": "cached"}, watch),
             )
             return result
+        return self._match(pattern, budget, watch)
+
+    def _match(
+        self, pattern: Pattern, budget: QueryBudget | None, watch: Stopwatch
+    ) -> MatchResult:
+        """Run the matcher (no cache lookup); cache an unflagged relation."""
+        key = cache_key(self.name, pattern)
         matcher = match_simulation if pattern.is_simulation_pattern else match_bounded
         result = matcher(
             self.graph,
@@ -175,13 +181,19 @@ class Epoch:
         k: int,
         budget: QueryBudget | None = None,
     ) -> list:
-        """Top-K ranked experts against this epoch (rank-cache aware)."""
+        """Top-K ranked experts against this epoch (rank-cache aware).
+
+        With a ``budget`` a rank-cache miss skips the relation cache: a
+        cached relation has no rows, and its result graph is unguarded."""
         pattern.validate(require_output=True)
         key = cache_key(self.name, pattern)
         entry = self.rank_cache.get(key)
         if entry is not None:
             return bulk_top_k_detail(entry.context, k)
-        result = self.evaluate(pattern, budget=budget)
+        if budget is None:
+            result = self.evaluate(pattern)
+        else:
+            result = self._match(pattern, budget, Stopwatch())
         context = context_for(result, self.frozen)
         ranked = bulk_top_k_detail(context, k)
         if not result.stats.get("partial"):

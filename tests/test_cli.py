@@ -443,6 +443,16 @@ class TestBudgetFlags:
         assert code == 0
         assert "Bob" in capsys.readouterr().out
 
+    def test_topk_reports_a_partial_result(self, hub_graph_file, bomb_file, capsys):
+        code = main([
+            "topk", "--graph", hub_graph_file, "--pattern", bomb_file,
+            "-k", "3", "--budget", "100", "--allow-partial",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "note: partial result — node-budget guard tripped" in out
+        assert "no match" not in out
+
     def test_query_workers_with_budget(self, hub_graph_file, bomb_file, capsys):
         code = main([
             "query", "--graph", hub_graph_file, "--pattern", bomb_file,

@@ -198,42 +198,97 @@ def test_rows_past_the_budget_raise_on_read(allow_partial, counted):
     assert counted["_removal_cascade"] == 0
 
 
+def test_a_row_read_gets_a_time_limit_of_its_own():
+    """A relation exact within a time limit keeps readable rows once that
+    limit has passed since the evaluation: the read restarts the clock."""
+    now = [0.0]
+    graph, frozen, _ = _rows_outgrow_the_pass()
+    plain = match_bounded(graph, bomb(), frozen=frozen)
+
+    class Stopped(estimator.QueryGuard):
+        def __init__(self, budget):
+            super().__init__(budget, clock=lambda: now[0])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "QueryGuard", Stopped)
+        budget = QueryBudget(seconds=1.0)
+        result = match_bounded(graph, bomb(), frozen=frozen, budget=budget)
+    assert result.stats["partial"] is False
+    now[0] = 5.0  # past the evaluation's deadline
+    assert sorted(result.result_graph().edges()) == sorted(plain.result_graph().edges())
+
+
+def test_a_trip_reading_rows_does_not_suggest_allow_partial():
+    graph, frozen, visits = _rows_outgrow_the_pass()
+    budget = QueryBudget(node_visits=visits)
+    result = match_bounded(graph, bomb(), frozen=frozen, budget=budget)
+    with pytest.raises(BudgetExceededError) as raised:
+        result.result_graph()
+    assert "pass allow_partial" not in str(raised.value)
+    assert "rows of an exact relation" in str(raised.value)
+
+
 def test_engine_top_k_raises_and_caches_no_ranking():
     graph, _, visits = _rows_outgrow_the_pass()
     engine = QueryEngine()
     engine.register_graph("g", graph)
     budget = QueryBudget(node_visits=visits, allow_partial=True)
-    with pytest.raises(BudgetExceededError, match=GUARD_NODE_BUDGET):
-        engine.top_k("g", bomb(), 3, budget=budget)
+    for _ in range(2):  # the retry meets the relation cache, and is refused
+        with pytest.raises(BudgetExceededError, match=GUARD_NODE_BUDGET):
+            engine.top_k("g", bomb(), 3, budget=budget)
     assert engine.stats()["rank_cache"]["size"] == 0
     # the relation itself was exact, so it may be served from the cache
     assert engine.evaluate("g", bomb()).relation == match_bounded(graph, bomb()).relation
 
 
-def test_http_topk_is_408_and_caches_no_ranking():
+def test_engine_budgeted_evaluate_then_top_k_raises():
+    graph, _, visits = _rows_outgrow_the_pass()
+    engine = QueryEngine()
+    engine.register_graph("g", graph)
+    budget = QueryBudget(node_visits=visits, allow_partial=True)
+    assert engine.evaluate("g", bomb(), budget=budget).stats["partial"] is False
+    with pytest.raises(BudgetExceededError, match=GUARD_NODE_BUDGET):
+        engine.top_k("g", bomb(), 3, budget=budget)
+    assert engine.stats()["rank_cache"]["size"] == 0
+
+
+def _post(conn, path: str, payload: dict) -> tuple[int, dict]:
+    conn.request("POST", path, body=json.dumps(payload),
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+@pytest.mark.parametrize("first", ["topk", "evaluate"])
+def test_http_topk_is_408_and_caches_no_ranking(first):
+    """A budgeted /topk is refused, and so is the same request after a
+    budgeted /topk or /evaluate left the exact relation cached."""
     graph, _, visits = _rows_outgrow_the_pass()
     service = ExpFinderService()
     service.register_graph("g", graph)
+    request = {
+        "pattern": BOMB.replace("; ", "\n"),
+        "k": 3,
+        "budget": {"node_visits": visits, "allow_partial": True},
+    }
     with QueryServer(service) as server:
         server.start()
         host, port = server.address
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
-            body = json.dumps({
-                "pattern": BOMB.replace("; ", "\n"),
-                "k": 3,
-                "budget": {"node_visits": visits, "allow_partial": True},
-            })
-            conn.request("POST", "/graphs/g/topk", body=body,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            payload = json.loads(response.read())
+            status, payload = _post(conn, f"/graphs/g/{first}", request)
+            if first == "evaluate":
+                assert status == 200 and not payload["stats"]["partial"]
+            else:
+                assert status == 408
+            status, payload = _post(conn, "/graphs/g/topk", request)
         finally:
             conn.close()
-        assert response.status == 408
+        assert status == 408
         assert payload["error"] == "BudgetExceededError"
         epoch = service.registry.current_epoch("g")
         assert epoch.rank_cache.stats()["size"] == 0
+        assert epoch.cache.stats()["size"] == 1
 
 
 # ----------------------------------------------------------------------
